@@ -56,16 +56,22 @@ PackedReadView::PackedReadView(const Sequence& read, bool neighbours)
 
 PackedRowMatrix::PackedRowMatrix(const std::vector<Sequence>& rows,
                                  std::size_t cols)
-    : rows_(rows.size()), cols_(cols), words_per_row_((cols + 31) / 32) {
-  words_.resize(rows_ * words_per_row_, 0);
-  for (std::size_t g = 0; g < rows_; ++g) {
-    if (rows[g].size() != cols)
-      throw std::invalid_argument("PackedRowMatrix: row width mismatch");
-    const std::vector<std::uint64_t> packed = rows[g].packed_words();
-    if (!packed.empty())
-      std::memcpy(words_.data() + g * words_per_row_, packed.data(),
-                  packed.size() * sizeof(std::uint64_t));
+    : PackedRowMatrix(cols) {
+  words_.reserve(rows.size() * words_per_row_);
+  for (std::size_t g = 0; g < rows.size(); ++g) set_row(g, rows[g]);
+}
+
+void PackedRowMatrix::set_row(std::size_t g, const Sequence& row) {
+  if (row.size() != cols_)
+    throw std::invalid_argument("PackedRowMatrix: row width mismatch");
+  if (g >= rows_) {
+    rows_ = g + 1;
+    words_.resize(rows_ * words_per_row_, 0);
   }
+  const std::vector<std::uint64_t> packed = row.packed_words();
+  if (!packed.empty())
+    std::memcpy(words_.data() + g * words_per_row_, packed.data(),
+                packed.size() * sizeof(std::uint64_t));
 }
 
 // -------------------------------------------------------- scalar tier --

@@ -73,9 +73,16 @@ struct PackedReadView {
 class PackedRowMatrix {
  public:
   PackedRowMatrix() = default;
+  /// Empty matrix of `cols`-wide rows, grown by set_row.
+  explicit PackedRowMatrix(std::size_t cols)
+      : cols_(cols), words_per_row_((cols + 31) / 32) {}
   /// Packs `rows` (each of length `cols`) contiguously. Throws
   /// std::invalid_argument on a width mismatch.
   PackedRowMatrix(const std::vector<Sequence>& rows, std::size_t cols);
+
+  /// (Re)writes row g, growing the matrix with zero rows as needed. Throws
+  /// std::invalid_argument on a width mismatch.
+  void set_row(std::size_t g, const Sequence& row);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -19,8 +19,8 @@ constexpr std::uint64_t kHdacSelectSalt = 0x5E1E'C700ULL;
 // streams (forked per id) and the per-array streams never collide. The
 // construction-time draw is decision-irrelevant — every written row is
 // re-manufactured from its per-id stream, and unwritten rows never decide
-// — it only has to be deterministic per array so clone() and lazy growth
-// manufacture identical silicon in any order.
+// — it only has to be deterministic per array so the write path and
+// set_backend(Circuit) manufacture identical silicon in any order.
 constexpr std::uint64_t kUnitSalt = 0x517E'C0DE'0000'0000ULL;
 }  // namespace
 
@@ -31,34 +31,39 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
       silicon_root_(
           Rng(config.silicon_seed != 0 ? config.silicon_seed : config.seed)
               .fork(0x51C0)),
+      packed_rows_(config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)),
       rng_(config.seed) {
   validate(config_.process);
   circuit_backend_ =
       std::make_unique<CircuitBackend>(units_, dir_, config_.array_rows);
-  functional_backend_ = std::make_unique<FunctionalBackend>(config_, dir_);
+  functional_backend_ =
+      std::make_unique<FunctionalBackend>(config_, dir_, packed_rows_);
   if (config_.pruning.enabled)
     sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
 
-void AsmcapAccelerator::ensure_units(std::size_t arrays) {
-  if (arrays > config_.array_count)
-    throw DbError(DbErrorKind::CapacityExceeded,
-                  "AsmcapAccelerator: array count exceeded");
-  while (units_.size() < arrays) {
+void AsmcapAccelerator::write_circuit_row(std::size_t slot, std::uint64_t id,
+                                          const Sequence& segment) {
+  const std::size_t a = slot / config_.array_rows;
+  while (units_.size() <= a) {
     Rng unit_rng = silicon_root_.fork(
         kUnitSalt + static_cast<std::uint64_t>(units_.size()));
     units_.emplace_back(config_.array_rows, config_.array_cols,
                         config_.process.charge, config_.ideal_sensing,
                         unit_rng);
   }
+  // The row's analog silicon is a pure function of its global id: the
+  // segment decides identically in whichever slot, array, or bank it
+  // lands, and whenever its silicon is built (docs/determinism.md
+  // rule 8).
+  Rng silicon = silicon_root_.fork(id);
+  units_[a].write_row(slot % config_.array_rows, segment, silicon);
 }
 
 void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
                                    const Sequence& segment) {
   const std::size_t a = slot / config_.array_rows;
-  const std::size_t r = slot % config_.array_rows;
-  ensure_units(a + 1);
   if (slot < dir_.slots() && !dir_.live[slot]) {
     // Recycling a tombstoned slot: the previous occupant's id is forgotten
     // for good (its state becomes Unknown — ids are never resurrected).
@@ -69,12 +74,9 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
     dir_.live.resize(slot + 1, false);
   }
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
-  // The row's analog silicon is a pure function of its global id: the
-  // segment decides identically in whichever slot, array, or bank it
-  // lands (docs/determinism.md rule 8).
-  Rng silicon = silicon_root_.fork(id);
-  units_[a].write_row(r, segment, silicon);
-  functional_backend_->write_slot(slot, segment);
+  if (backend_kind_ == BackendKind::Circuit)
+    write_circuit_row(slot, id, segment);
+  packed_rows_.set_row(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
   dir_.live[slot] = true;
@@ -184,8 +186,9 @@ void AsmcapAccelerator::remove_segments(
   for (const std::uint64_t id : ids) {
     const std::size_t slot = id_to_slot_.at(id);
     const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    units_[a].invalidate_row(r);  // all-mismatch mask: zero search energy
+    // All-mismatch mask: zero search energy.
+    if (backend_kind_ == BackendKind::Circuit)
+      units_[a].invalidate_row(slot % config_.array_rows);
     if (sketch_) sketch_->clear_row(slot);
     dir_.live[slot] = false;
     --dir_.array_live[a];
@@ -210,32 +213,41 @@ std::vector<std::pair<std::uint64_t, Sequence>>
 AsmcapAccelerator::live_segments() const {
   std::vector<std::pair<std::uint64_t, Sequence>> out;
   out.reserve(dir_.live_count);
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.live[slot]) continue;
-    const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    out.emplace_back(dir_.ids[slot], units_[a].array().row_segment(r));
-  }
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
+    if (dir_.live[slot])
+      out.emplace_back(dir_.ids[slot], stored_segment(slot));
   return out;
+}
+
+void AsmcapAccelerator::set_backend(BackendKind kind) {
+  if (kind == backend_kind_) return;
+  backend_kind_ = kind;
+  if (kind != BackendKind::Circuit) {
+    units_.clear();
+    units_.shrink_to_fit();
+    return;
+  }
+  // Build what a Circuit-from-birth bank with this history decides with:
+  // each live row's silicon from its per-id stream. Dead and unwritten
+  // rows stay invalid — masked out of every decision, with exactly zero
+  // matchline energy — and all-dead arrays are never driven, so neither
+  // their silicon nor whether they exist can show.
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
+    if (dir_.live[slot])
+      write_circuit_row(slot, dir_.ids[slot], stored_segment(slot));
 }
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   auto copy = std::make_unique<AsmcapAccelerator>(config_);
+  // Assign in place: the copy's backends already point at its own
+  // members, so a memberwise copy needs no rebinding.
   copy->rates_ = rates_;
   copy->backend_kind_ = backend_kind_;
-  // Replay the live rows into the same slots: silicon is keyed per global
-  // id, so the copy's analog state is identical where it matters (dead and
-  // unwritten rows are masked out of every decision and charge exactly
-  // zero search energy).
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.live[slot]) continue;
-    const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    copy->write_slot(slot, dir_.ids[slot], units_[a].array().row_segment(r));
-  }
+  copy->units_ = units_;
   copy->dir_ = dir_;
+  copy->packed_rows_ = packed_rows_;
   copy->id_to_slot_ = id_to_slot_;
-  copy->functional_backend_->ensure_slots(dir_.slots());
+  if (sketch_) *copy->sketch_ = *sketch_;
   copy->next_auto_id_ = next_auto_id_;
   copy->identity_layout_ = identity_layout_;
   copy->load_energy_ = load_energy_;

@@ -21,13 +21,21 @@
 // determinism rule 8. Mutation errors are typed (asmcap/db_error.h) and
 // validated in full before any state changes.
 //
-// Ownership: the accelerator owns its array units, backends, controller,
-// and session pool; backends hold non-owning references into it (hence
-// not movable). Thread-safety: the mutating entry points (load_reference,
-// append_segments, remove_segments, search, search_batch, set_*) belong
-// to one control thread at a time; execute() is const and thread-safe and
-// is what the batch engine, the sharded router, and the streaming service
-// fan across workers. Mutations must not run while this bank has
+// Representation: the packed slot matrix is the bank's one canonical row
+// store (what the functional backend sweeps and live_segments() reads).
+// The cell-accurate circuit state — one CamArray + ChargeArrayReadout per
+// array — exists only while the circuit backend is selected: it is built
+// from the per-id silicon streams when the bank switches to Circuit and
+// dropped when it switches away, so a functional-only bank never pays for
+// silicon it does not execute.
+//
+// Ownership: the accelerator owns its row store, array units, backends,
+// controller, and session pool; backends hold non-owning references into
+// it (hence not movable). Thread-safety: the mutating entry points
+// (load_reference, append_segments, remove_segments, search, search_batch,
+// set_*) belong to one control thread at a time; execute() is const and
+// thread-safe and is what the batch engine, the sharded router, and the
+// streaming service fan across workers. Mutations must not run while this bank has
 // execute() calls in flight — the sharded router guarantees that by
 // mutating clones and publishing them as a new epoch. Reentrancy: never
 // call back into the accelerator's blocking entry points from inside a
@@ -83,8 +91,8 @@ class AsmcapAccelerator {
  public:
   explicit AsmcapAccelerator(AsmcapConfig config);
 
-  // Not movable: the backends hold pointers into units_ and the live
-  // directory, which a move would leave dangling.
+  // Not movable: the backends hold pointers to the units, the live
+  // directory, and the row store, which a move would leave dangling.
   AsmcapAccelerator(AsmcapAccelerator&&) = delete;
   AsmcapAccelerator& operator=(AsmcapAccelerator&&) = delete;
 
@@ -115,11 +123,12 @@ class AsmcapAccelerator {
   /// The live (id, segment) pairs, ascending by row slot.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  /// Deep copy with the exact same row layout, ids, tombstones, silicon
-  /// (per-id keyed, so replaying the writes reproduces it), RNG state, and
-  /// load ledger — the copy-on-write primitive of the sharded router's
-  /// epoch scheme: search results on the clone are bit-identical to the
-  /// original, energy included.
+  /// Memberwise deep copy — row store, directory, id map, sketch, circuit
+  /// state (if built), RNG state, and load ledger; the copy's backends read
+  /// the copy's own members. The copy-on-write primitive of the sharded
+  /// router's epoch scheme: search results on the clone are bit-identical
+  /// to the original, energy included, and mutating either never touches
+  /// the other. The search ledger (controller totals) starts empty.
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// True while every slot s still holds id segment_base + s (always true
@@ -136,8 +145,12 @@ class AsmcapAccelerator {
   /// Selects the execution backend for subsequent searches. The circuit
   /// backend (default) is cell-accurate; the functional backend computes
   /// the same decisions (identically under ideal_sensing) an order of
-  /// magnitude faster. May be switched at any time.
-  void set_backend(BackendKind kind) { backend_kind_ = kind; }
+  /// magnitude faster. Switching is a control-plane mutation (never with
+  /// execute() calls in flight): switching to Circuit builds every live
+  /// row's silicon from its per-id stream — bit-identical to a bank that
+  /// was Circuit from birth with the same history (rule 8) — and
+  /// switching to Functional frees it. Cheapest on an empty bank.
+  void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
   /// The active backend (valid once the database is non-empty).
   const ExecutionBackend& backend() const;
@@ -202,12 +215,20 @@ class AsmcapAccelerator {
  private:
   void check_read(const Sequence& read) const;
   void check_loaded() const;
-  void ensure_units(std::size_t arrays);
-  /// The shared write path: stores (id, segment) at `slot`, re-manufactures
-  /// the row's silicon from the per-id stream, and updates the directory,
-  /// the packed functional row, and the sketch. No cost accounting.
+  /// Writes (id, segment) into the circuit state at `slot`, manufacturing
+  /// arrays on demand and the row's silicon from the per-id stream.
+  void write_circuit_row(std::size_t slot, std::uint64_t id,
+                         const Sequence& segment);
+  /// The shared write path: stores (id, segment) at `slot` and updates the
+  /// directory, the packed row, the sketch, and (while the circuit backend
+  /// is selected) the circuit state. No cost accounting.
   void write_slot(std::size_t slot, std::uint64_t id,
                   const Sequence& segment);
+  /// The segment stored at `slot`, unpacked from the row store.
+  Sequence stored_segment(std::size_t slot) const {
+    return Sequence::from_packed_words(packed_rows_.row(slot),
+                                       config_.array_cols);
+  }
   /// Converts a slot-indexed execute() result into the id-indexed shape
   /// search()/search_batch() return. Identity on a frozen database.
   QueryResult rebase_to_ids(QueryResult raw) const;
@@ -223,8 +244,11 @@ class AsmcapAccelerator {
   /// (Rng(silicon_seed or seed).fork(0x51C0)); row silicon forks per
   /// global id, construction-time array silicon per array index.
   Rng silicon_root_;
-  std::vector<AsmcapArrayUnit> units_;  ///< Manufactured on demand.
+  /// Circuit state: non-empty only while backend_kind_ == Circuit (and a
+  /// row has been written); arrays are manufactured on demand.
+  std::vector<AsmcapArrayUnit> units_;
   LiveDirectory dir_;
+  PackedRowMatrix packed_rows_;  ///< Canonical row store, one per slot.
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   std::unique_ptr<CircuitBackend> circuit_backend_;
   std::unique_ptr<FunctionalBackend> functional_backend_;

@@ -8,27 +8,12 @@ AsmcapArrayUnit::AsmcapArrayUnit(std::size_t rows, std::size_t cols,
     : array_(rows, cols),
       readout_(rows, cols, params, manufacture_rng),
       sl_driver_(cols),
-      shift_registers_(cols),
       ideal_sensing_(ideal_sensing) {}
-
-void AsmcapArrayUnit::write_row(std::size_t row, const Sequence& segment) {
-  array_.write_row(row, segment);
-}
 
 void AsmcapArrayUnit::write_row(std::size_t row, const Sequence& segment,
                                 Rng& silicon_rng) {
   array_.write_row(row, segment);
   readout_.remanufacture_row(row, silicon_rng);
-}
-
-RawSearch AsmcapArrayUnit::search_raw(const Sequence& read, MatchMode mode) {
-  double energy = 0.0;
-  RawSearch raw = measure(read, mode, &energy);
-  // The mutating path books the pass into the unit's own ledger: the SL
-  // drive plus the per-row matchline energy.
-  sl_driver_.drive(read);
-  matchline_energy_ += energy - sl_driver_.drive_energy(read);
-  return raw;
 }
 
 RawSearch AsmcapArrayUnit::measure(const Sequence& read, MatchMode mode,
@@ -56,27 +41,6 @@ bool AsmcapArrayUnit::decide(std::size_t count, double vml,
                              std::size_t threshold, Rng& search_rng) const {
   if (ideal_sensing_) return ChargeArrayReadout::ideal_decision(count, threshold);
   return readout_.decide(vml, threshold, search_rng);
-}
-
-std::vector<bool> AsmcapArrayUnit::search(const Sequence& read, MatchMode mode,
-                                          std::size_t threshold,
-                                          Rng& search_rng) {
-  const RawSearch raw = search_raw(read, mode);
-  std::vector<bool> matches(rows());
-  for (std::size_t r = 0; r < rows(); ++r)
-    matches[r] = decide(raw.counts[r], raw.vml[r], threshold, search_rng);
-  return matches;
-}
-
-double AsmcapArrayUnit::consumed_energy() const {
-  return matchline_energy_ + readout_.consumed_energy() +
-         sl_driver_.consumed_energy();
-}
-
-void AsmcapArrayUnit::reset_energy() {
-  matchline_energy_ = 0.0;
-  readout_.reset_energy();
-  sl_driver_.reset_energy();
 }
 
 }  // namespace asmcap

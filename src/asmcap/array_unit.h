@@ -1,7 +1,8 @@
 #pragma once
 // One ASMCap array unit (Fig. 4b): the functional CAM array, the
-// charge-domain readout, the searchline driver, and the shift registers.
-// This is the hardware granule the mapper fills and the controller drives.
+// charge-domain readout, and the searchline driver. This is the
+// cell-accurate circuit state of one array, which the circuit backend
+// drives.
 
 #include <cstddef>
 #include <vector>
@@ -9,7 +10,6 @@
 #include "cam/array.h"
 #include "cam/charge_readout.h"
 #include "cam/periphery.h"
-#include "cam/shift_register.h"
 #include "circuit/process.h"
 #include "genome/sequence.h"
 #include "util/rng.h"
@@ -30,10 +30,7 @@ class AsmcapArrayUnit {
                   Rng& manufacture_rng);
 
   std::size_t rows() const { return array_.rows(); }
-  std::size_t cols() const { return array_.cols(); }
-  std::size_t valid_rows() const { return array_.valid_rows(); }
 
-  void write_row(std::size_t row, const Sequence& segment);
   /// Live-database write: stores the segment AND re-manufactures the row's
   /// analog silicon from `silicon_rng` (a stream keyed by the segment's
   /// global id), so the row's noisy behaviour travels with the segment
@@ -43,18 +40,12 @@ class AsmcapArrayUnit {
   /// exactly zero charge-domain search energy) and it can never decide
   /// 'match'. The row may be re-written later.
   void invalidate_row(std::size_t row) { array_.invalidate_row(row); }
-  const CamArray& array() const { return array_; }
 
   /// One search operation: drives the read, evaluates every row in the
   /// given mode, and returns counts + settled voltages (systematic analog
-  /// state, before SA noise). Charges SL-driver and matchline energy.
-  RawSearch search_raw(const Sequence& read, MatchMode mode);
-
-  /// Const, thread-safe variant of search_raw: identical physics, but the
-  /// SL-driver + matchline energy of the pass is returned through
-  /// `energy_joules` instead of accumulating into the unit's ledger. This
-  /// is the path the execution backends use so that concurrent batch
-  /// workers never mutate shared silicon state.
+  /// state, before SA noise). Const and thread-safe: the SL-driver +
+  /// matchline energy of the pass is returned through `energy_joules`, so
+  /// concurrent batch workers never mutate shared silicon state.
   RawSearch measure(const Sequence& read, MatchMode mode,
                     double* energy_joules) const;
 
@@ -63,21 +54,11 @@ class AsmcapArrayUnit {
   bool decide(std::size_t count, double vml, std::size_t threshold,
               Rng& search_rng) const;
 
-  /// Full search: per-row match decisions at a threshold.
-  std::vector<bool> search(const Sequence& read, MatchMode mode,
-                           std::size_t threshold, Rng& search_rng);
-
-  ShiftRegisterFile& shift_registers() { return shift_registers_; }
-  double consumed_energy() const;
-  void reset_energy();
-
  private:
   CamArray array_;
   ChargeArrayReadout readout_;
   SearchlineDriver sl_driver_;
-  ShiftRegisterFile shift_registers_;
   bool ideal_sensing_;
-  double matchline_energy_ = 0.0;
 };
 
 }  // namespace asmcap

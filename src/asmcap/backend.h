@@ -23,9 +23,8 @@
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
 // references into it (both read the accelerator's LiveDirectory; the
-// functional backend additionally owns a packed copy of the slots, kept in
-// sync by the accelerator's write path); the accelerator must outlive
-// them.
+// circuit backend reads its array units, the functional backend its packed
+// slot matrix); the accelerator must outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
 // Mutations (which rewrite the directory and packed rows) never run
@@ -143,36 +142,30 @@ class CircuitBackend : public ExecutionBackend {
 };
 
 /// Fast functional backend: SIMD-dispatched block kernels
-/// (align/kernels.h) over a row-major 2-bit packed slot matrix, ideal
-/// (noise-free) decisions, nominal analytic energy. Each pass builds one
-/// PackedReadView — the read-derived neighbour alignments are computed
-/// once per (read, rotation), not once per (segment, read). The packed
-/// matrix is owned here and kept row-aligned with the accelerator's slots
-/// by write_slot (the live-database append path); tombstoned slots are
-/// masked out of decisions and row energy by the shared LiveDirectory, and
-/// SL-driver energy is charged only for arrays with at least one live row.
+/// (align/kernels.h) over the accelerator's row-major 2-bit packed slot
+/// matrix, ideal (noise-free) decisions, nominal analytic energy. Each
+/// pass builds one PackedReadView — the read-derived neighbour alignments
+/// are computed once per (read, rotation), not once per (segment, read).
+/// Holds non-owning references to the matrix and the LiveDirectory, like
+/// CircuitBackend; tombstoned slots are masked out of decisions and row
+/// energy, and SL-driver energy is charged only for arrays with at least
+/// one live row.
 class FunctionalBackend : public ExecutionBackend {
  public:
   FunctionalBackend(const AsmcapConfig& config,
-                    const LiveDirectory& directory);
-
-  /// (Re)writes one slot's packed row, growing the matrix as needed.
-  void write_slot(std::size_t slot, const Sequence& segment);
-  /// Grows the matrix to `slots` zero rows (trailing tombstones).
-  void ensure_slots(std::size_t slots);
+                    const LiveDirectory& directory,
+                    const PackedRowMatrix& rows);
 
   const char* name() const override { return "functional"; }
-  std::size_t segment_count() const override { return rows_; }
+  std::size_t segment_count() const override { return rows_->rows(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
 
  private:
   const LiveDirectory* dir_;
-  std::vector<std::uint64_t> words_;  ///< Row-major packed slots.
-  std::size_t rows_ = 0;
+  const PackedRowMatrix* rows_;
   std::size_t cols_;
-  std::size_t words_per_row_;
   ChargeDomainParams charge_;
   SearchlineDriverParams sl_params_;
 };

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <stdexcept>
 
 #include "align/kernels.h"
@@ -20,28 +19,13 @@ double nominal_row_energy(std::size_t n_mis, std::size_t n_cells,
 }  // namespace
 
 FunctionalBackend::FunctionalBackend(const AsmcapConfig& config,
-                                     const LiveDirectory& directory)
+                                     const LiveDirectory& directory,
+                                     const PackedRowMatrix& rows)
     : dir_(&directory),
+      rows_(&rows),
       cols_(config.array_cols),
-      words_per_row_((config.array_cols + 31) / 32),
       charge_(config.process.charge),
       sl_params_() {}
-
-void FunctionalBackend::ensure_slots(std::size_t slots) {
-  if (slots <= rows_) return;
-  words_.resize(slots * words_per_row_, 0);
-  rows_ = slots;
-}
-
-void FunctionalBackend::write_slot(std::size_t slot,
-                                   const Sequence& segment) {
-  if (segment.size() != cols_)
-    throw std::invalid_argument("FunctionalBackend: segment width mismatch");
-  ensure_slots(slot + 1);
-  const std::vector<std::uint64_t> packed = segment.packed_words();
-  std::copy(packed.begin(), packed.end(),
-            words_.begin() + slot * words_per_row_);
-}
 
 PassResult FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
                                        std::size_t threshold,
@@ -53,20 +37,21 @@ PassResult FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
   // block sweep over the whole packed slot matrix (tombstoned slots are
   // counted too — cheaper than scattering — and masked below).
   const PackedReadView view(read);
-  std::vector<std::uint32_t> counts(rows_);
+  const std::size_t rows = rows_->rows();
+  std::vector<std::uint32_t> counts(rows);
   const KernelOps& ops = active_kernel_ops();
   (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
-      words_.data(), rows_, view, counts.data());
+      rows_->data(), rows, view, counts.data());
 
   PassResult result;
-  result.decisions.assign(rows_, false);
+  result.decisions.assign(rows, false);
   // Every array holding at least one live row drives its search lines once
   // per pass, whichever backend evaluates the rows; all-dead arrays are
   // never driven (same SL gating as the circuit path).
   result.energy_joules = static_cast<double>(dir_->arrays_in_use()) *
                          sl_params_.energy_per_base *
                          static_cast<double>(cols_);
-  for (std::size_t slot = 0; slot < rows_; ++slot) {
+  for (std::size_t slot = 0; slot < rows; ++slot) {
     if (!dir_->slot_live(slot)) continue;
     result.decisions[slot] = counts[slot] <= threshold;
     result.energy_joules += nominal_row_energy(counts[slot], cols_, charge_);

@@ -167,9 +167,13 @@ class ShardedAccelerator {
   void set_error_profile(const ErrorRates& rates);
   const ErrorRates& error_profile() const { return rates_; }
 
-  /// Switches every current bank's execution backend. Control-plane only,
-  /// and (unlike append/remove, which clone) NOT safe while tickets are in
-  /// flight: banks are shared with live epochs.
+  /// Switches every current bank's execution backend. Switching to
+  /// Circuit builds each bank's silicon from the per-id streams
+  /// (AsmcapAccelerator::set_backend), so it costs one circuit write per
+  /// live row; set the backend before loading to skip that. Control-plane
+  /// only, and (unlike append/remove, which clone) NOT safe while tickets
+  /// are in flight: the banks are switched in place, and they are shared
+  /// with live epochs.
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
 

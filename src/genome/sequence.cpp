@@ -122,6 +122,14 @@ std::vector<std::uint64_t> Sequence::packed_words() const {
   return words;
 }
 
+Sequence Sequence::from_packed_words(const std::uint64_t* words,
+                                     std::size_t n) {
+  Sequence seq(n);
+  for (std::size_t b = 0; b < seq.data_.size(); ++b)
+    seq.data_[b] = static_cast<std::uint8_t>(words[b >> 3] >> ((b & 7u) * 8));
+  return seq;
+}
+
 bool Sequence::operator==(const Sequence& other) const {
   if (size_ != other.size_) return false;
   for (std::size_t i = 0; i < size_; ++i)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -164,6 +165,27 @@ TEST(KernelParity, AllTiersMatchScalarReferenceOnBoundaryLengths) {
       }
     }
   }
+}
+
+TEST(PackedRowMatrix, SetRowGrowsOverwritesAndMatchesBulkPacking) {
+  Rng rng(0x51D3);
+  const std::size_t n = 70;
+  const Sequence a = Sequence::random(n, rng);
+  const Sequence b = Sequence::random(n, rng);
+  const Sequence c = Sequence::random(n, rng);
+  PackedRowMatrix matrix(n);
+  matrix.set_row(2, a);  // Rows 0 and 1 appear as zero (all-'A') rows.
+  ASSERT_EQ(matrix.rows(), 3u);
+  EXPECT_EQ(Sequence::from_packed_words(matrix.row(0), n), Sequence(n));
+  EXPECT_EQ(Sequence::from_packed_words(matrix.row(2), n), a);
+  matrix.set_row(0, b);
+  matrix.set_row(2, c);
+  const PackedRowMatrix bulk({b, Sequence(n), c}, n);
+  ASSERT_EQ(matrix.rows(), bulk.rows());
+  EXPECT_TRUE(std::equal(matrix.data(),
+                         matrix.data() + 3 * matrix.words_per_row(),
+                         bulk.data()));
+  EXPECT_THROW(matrix.set_row(0, Sequence(n - 1)), std::invalid_argument);
 }
 
 TEST(KernelParity, SingleRowWrappersDispatchEveryTier) {

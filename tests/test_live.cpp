@@ -14,7 +14,10 @@
 //  * hot-bank overflow and compaction — staging-bank geometry changes
 //    never change decisions;
 //  * sketch consistency — shard pruning stays decision-neutral across
-//    mutations.
+//    mutations;
+//  * lazy circuit state — a functional bank switched to the circuit
+//    backend decides exactly like one that was Circuit from birth;
+//  * clone isolation — mutating a clone never leaks into its original.
 
 #include <gtest/gtest.h>
 
@@ -340,6 +343,162 @@ TEST_F(LiveDbTest, SketchPruningDecisionNeutralAfterMutations) {
   // Every (query, bank) pair was either probed or pruned, never dropped.
   EXPECT_EQ(pruned.totals().banks_probed + pruned.totals().banks_pruned,
             reads_.size() * pruned.active_shards());
+}
+
+void expect_same_results(const std::vector<QueryResult>& a,
+                         const std::vector<QueryResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].decisions, b[i].decisions);
+    EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
+    EXPECT_EQ(a[i].latency_seconds, b[i].latency_seconds);
+    EXPECT_EQ(a[i].energy_joules, b[i].energy_joules);
+  }
+}
+
+void expect_same_totals(const ExecutionTotals& a, const ExecutionTotals& b) {
+  EXPECT_EQ(a.queries, b.queries);
+  EXPECT_EQ(a.searches, b.searches);
+  EXPECT_EQ(a.hd_searches, b.hd_searches);
+  EXPECT_EQ(a.rotation_searches, b.rotation_searches);
+  EXPECT_EQ(a.latency_seconds, b.latency_seconds);
+  EXPECT_EQ(a.energy_joules, b.energy_joules);
+}
+
+// A functional bank holds no circuit state; switching it to the circuit
+// backend builds every live row's silicon from its per-id stream. That
+// must be indistinguishable from a bank that was Circuit from birth with
+// the same history — decisions, match ids, latency, energy, and ledger
+// totals, under noisy sensing — through hot-bank overflow, deletes,
+// tombstone-slot recycling, and compaction, and on a clone too.
+TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
+  // A large per-row SA offset — silicon, not query noise — makes decisions
+  // near the threshold depend on which silicon each row was built with.
+  auto silicon_config = [](std::size_t array_count) {
+    AsmcapConfig config = bank_config(array_count, /*ideal=*/false);
+    config.process.charge.sa_offset_sigma = 15e-3;
+    return config;
+  };
+  AsmcapConfig config = silicon_config(2);
+  config.live.hot_array_rows = 4;
+  config.live.hot_array_count = 2;  // Hot capacity 8 < the 12 appends.
+  auto mutate = [&](ShardedAccelerator& router) {
+    router.set_error_profile(ErrorRates::condition_a());
+    router.load_reference(first(25));
+    router.remove_segments({4, 9});
+    // Overflows the hot bank: the fold recycles cold slots 4 and 9.
+    router.append_segments(
+        std::vector<Sequence>(segments_.begin() + 25, segments_.begin() + 37));
+    router.remove_segments({34});
+    // Id 37 recycles the hot bank's tombstoned slot.
+    router.append_segments({segments_[37], segments_[38]});
+    router.compact();
+  };
+  // Reads a few substitutions away from stored rows put mismatch counts
+  // right at the thresholds, where the silicon decides.
+  std::vector<Sequence> reads = reads_;
+  Rng edit_rng(2304);
+  for (std::size_t i = 0; i < 39; ++i) {
+    Sequence read = segments_[i];
+    for (std::size_t k = 0; k < 1 + i % 9; ++k) {
+      const std::size_t pos = edit_rng.below(read.size());
+      read.set(pos, base_from_code(static_cast<std::uint8_t>(
+                        (code_of(read[pos]) + 1) & 3u)));
+    }
+    reads.push_back(read);
+  }
+  const std::vector<std::size_t> thresholds = {2, 5, 8};
+  auto search_all = [&](auto& db) {
+    std::vector<QueryResult> out;
+    for (const std::size_t t : thresholds)
+      for (const Sequence& read : reads)
+        out.push_back(db.search(read, t, StrategyMode::Full));
+    return out;
+  };
+
+  {
+    SCOPED_TRACE("router");
+    ShardedAccelerator lazy(config, 2);
+    lazy.set_backend(BackendKind::Functional);
+    mutate(lazy);
+    lazy.set_backend(BackendKind::Circuit);
+    ShardedAccelerator birth(config, 2);
+    mutate(birth);
+    ASSERT_EQ(lazy.live_segments(), birth.live_segments());
+    expect_same_results(search_all(lazy), search_all(birth));
+    expect_same_totals(lazy.totals(), birth.totals());
+    EXPECT_EQ(lazy.load_energy_joules(), birth.load_energy_joules());
+  }
+
+  // Bank level, through clone(): the functional original stays functional.
+  SCOPED_TRACE("clone");
+  auto bank_history = [&](AsmcapAccelerator& bank) {
+    bank.set_error_profile(ErrorRates::condition_a());
+    bank.load_reference(first(30));
+    bank.remove_segments({3, 17});
+    bank.append_segments({segments_[40], segments_[41], segments_[42]});
+    bank.remove_segments({29});
+  };
+  AsmcapAccelerator functional(silicon_config(3));
+  functional.set_backend(BackendKind::Functional);
+  bank_history(functional);
+  AsmcapAccelerator born(silicon_config(3));
+  bank_history(born);
+  const std::unique_ptr<AsmcapAccelerator> copy = functional.clone();
+  copy->set_backend(BackendKind::Circuit);
+  EXPECT_EQ(functional.backend_kind(), BackendKind::Functional);
+  expect_same_results(search_all(*copy), search_all(born));
+  expect_same_totals(copy->controller().totals(), born.controller().totals());
+  EXPECT_EQ(copy->load_energy_joules(), born.load_energy_joules());
+}
+
+// A clone shares no state with its original: removing rows from the clone
+// must leave the original's execute() results untouched and show up in
+// the clone's exactly as if the original had removed them — on both
+// backends. A clone whose backends still read the original's directory,
+// row store, or array units fails one side or the other.
+TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
+  for (const BackendKind backend :
+       {BackendKind::Circuit, BackendKind::Functional}) {
+    SCOPED_TRACE(to_string(backend));
+    auto build = [&]() {
+      auto bank = std::make_unique<AsmcapAccelerator>(bank_config(3, false));
+      bank->set_backend(backend);
+      bank->set_error_profile(ErrorRates::condition_a());
+      bank->load_reference(first(30));
+      bank->remove_segments({3, 17, 21});
+      // Ids 30 and 31 recycle slots 3 and 17.
+      bank->append_segments({segments_[40], segments_[41]});
+      return bank;
+    };
+    std::vector<Sequence> reads = reads_;
+    reads.push_back(segments_[5]);
+    auto execute_all = [&](const AsmcapAccelerator& bank) {
+      std::vector<QueryResult> out;
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        const ExecutionPlan plan = bank.planner().build(
+            reads[i], 4, bank.error_profile(), StrategyMode::Full);
+        out.push_back(bank.execute(plan, Rng(2303).fork(i)));
+      }
+      return out;
+    };
+
+    const std::unique_ptr<AsmcapAccelerator> original = build();
+    const std::vector<QueryResult> before = execute_all(*original);
+    const std::unique_ptr<AsmcapAccelerator> copy = original->clone();
+    copy->remove_segments({5, 30});
+    const std::unique_ptr<AsmcapAccelerator> twin = build();
+    twin->remove_segments({5, 30});
+
+    expect_same_results(execute_all(*original), before);
+    const std::vector<QueryResult> cloned = execute_all(*copy);
+    expect_same_results(cloned, execute_all(*twin));
+    EXPECT_EQ(original->segment_state(5), SegmentState::Live);
+    EXPECT_EQ(copy->segment_state(5), SegmentState::Dead);
+    EXPECT_FALSE(cloned.back().decisions[5]);
+    EXPECT_FALSE(cloned.back().decisions[3]);
+  }
 }
 
 // The typed error taxonomy shared by the ASMCap banks, the router, and

@@ -128,6 +128,15 @@ TEST(Sequence, RandomHasAllBases) {
   for (std::size_t c : counts) EXPECT_GT(c, 180u);  // roughly uniform
 }
 
+TEST(Sequence, PackedWordsRoundTrip) {
+  Rng rng(43);
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 31u, 32u, 33u, 64u, 129u}) {
+    const Sequence s = Sequence::random(n, rng);
+    const std::vector<std::uint64_t> words = s.packed_words();
+    EXPECT_EQ(Sequence::from_packed_words(words.data(), n), s) << "n=" << n;
+  }
+}
+
 TEST(Sequence, EraseShrinksStorageConsistently) {
   Sequence s = Sequence::from_string("ACGTACGT");
   for (int i = 0; i < 8; ++i) s.erase(0);
