@@ -35,30 +35,28 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)),
       rng_(config.seed) {
   validate(config_.process);
-  circuit_backend_ =
-      std::make_unique<CircuitBackend>(units_, dir_, config_.array_rows);
+  circuit_backend_ = std::make_unique<CircuitBackend>(config_, readouts_,
+                                                      dir_, packed_rows_);
   functional_backend_ =
       std::make_unique<FunctionalBackend>(config_, dir_, packed_rows_);
   if (config_.pruning.enabled)
     sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
 
-void AsmcapAccelerator::write_circuit_row(std::size_t slot, std::uint64_t id,
-                                          const Sequence& segment) {
+void AsmcapAccelerator::build_row_silicon(std::size_t slot, std::uint64_t id) {
   const std::size_t a = slot / config_.array_rows;
-  while (units_.size() <= a) {
+  while (readouts_.size() <= a) {
     Rng unit_rng = silicon_root_.fork(
-        kUnitSalt + static_cast<std::uint64_t>(units_.size()));
-    units_.emplace_back(config_.array_rows, config_.array_cols,
-                        config_.process.charge, config_.ideal_sensing,
-                        unit_rng);
+        kUnitSalt + static_cast<std::uint64_t>(readouts_.size()));
+    readouts_.emplace_back(config_.array_rows, config_.array_cols,
+                           config_.process.charge, unit_rng);
   }
   // The row's analog silicon is a pure function of its global id: the
   // segment decides identically in whichever slot, array, or bank it
   // lands, and whenever its silicon is built (docs/determinism.md
   // rule 8).
   Rng silicon = silicon_root_.fork(id);
-  units_[a].write_row(slot % config_.array_rows, segment, silicon);
+  readouts_[a].remanufacture_row(slot % config_.array_rows, silicon);
 }
 
 void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
@@ -74,8 +72,7 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
     dir_.live.resize(slot + 1, false);
   }
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
-  if (backend_kind_ == BackendKind::Circuit)
-    write_circuit_row(slot, id, segment);
+  if (backend_kind_ == BackendKind::Circuit) build_row_silicon(slot, id);
   packed_rows_.set_row(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
@@ -186,9 +183,6 @@ void AsmcapAccelerator::remove_segments(
   for (const std::uint64_t id : ids) {
     const std::size_t slot = id_to_slot_.at(id);
     const std::size_t a = slot / config_.array_rows;
-    // All-mismatch mask: zero search energy.
-    if (backend_kind_ == BackendKind::Circuit)
-      units_[a].invalidate_row(slot % config_.array_rows);
     if (sketch_) sketch_->clear_row(slot);
     dir_.live[slot] = false;
     --dir_.array_live[a];
@@ -223,18 +217,17 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
   if (kind == backend_kind_) return;
   backend_kind_ = kind;
   if (kind != BackendKind::Circuit) {
-    units_.clear();
-    units_.shrink_to_fit();
+    readouts_.clear();
+    readouts_.shrink_to_fit();
     return;
   }
   // Build what a Circuit-from-birth bank with this history decides with:
   // each live row's silicon from its per-id stream. Dead and unwritten
-  // rows stay invalid — masked out of every decision, with exactly zero
-  // matchline energy — and all-dead arrays are never driven, so neither
-  // their silicon nor whether they exist can show.
+  // rows are masked out of every decision, with zero matchline energy,
+  // and all-dead arrays are never driven, so neither their silicon nor
+  // whether they exist can show.
   for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
-    if (dir_.live[slot])
-      write_circuit_row(slot, dir_.ids[slot], stored_segment(slot));
+    if (dir_.live[slot]) build_row_silicon(slot, dir_.ids[slot]);
 }
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
@@ -243,7 +236,7 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   // members, so a memberwise copy needs no rebinding.
   copy->rates_ = rates_;
   copy->backend_kind_ = backend_kind_;
-  copy->units_ = units_;
+  copy->readouts_ = readouts_;
   copy->dir_ = dir_;
   copy->packed_rows_ = packed_rows_;
   copy->id_to_slot_ = id_to_slot_;

@@ -22,14 +22,15 @@
 // validated in full before any state changes.
 //
 // Representation: the packed slot matrix is the bank's one canonical row
-// store (what the functional backend sweeps and live_segments() reads).
-// The cell-accurate circuit state — one CamArray + ChargeArrayReadout per
-// array — exists only while the circuit backend is selected: it is built
-// from the per-id silicon streams when the bank switches to Circuit and
-// dropped when it switches away, so a functional-only bank never pays for
-// silicon it does not execute.
+// store (what both backends sweep and live_segments() reads).
+// The cell-accurate circuit state — one ChargeArrayReadout (capacitor
+// banks + SA offsets) per array, sensing rows of the same packed matrix —
+// exists only while the circuit backend is selected: it is built from the
+// per-id silicon streams when the bank switches to Circuit and dropped
+// when it switches away, so a functional-only bank never pays for silicon
+// it does not execute.
 //
-// Ownership: the accelerator owns its row store, array units, backends,
+// Ownership: the accelerator owns its row store, readouts, backends,
 // controller, and session pool; backends hold non-owning references into
 // it (hence not movable). Thread-safety: the mutating entry points
 // (load_reference, append_segments, remove_segments, search, search_batch,
@@ -49,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "asmcap/array_unit.h"
 #include "asmcap/backend.h"
 #include "asmcap/config.h"
 #include "asmcap/controller.h"
@@ -91,7 +91,7 @@ class AsmcapAccelerator {
  public:
   explicit AsmcapAccelerator(AsmcapConfig config);
 
-  // Not movable: the backends hold pointers to the units, the live
+  // Not movable: the backends hold pointers to the readouts, the live
   // directory, and the row store, which a move would leave dangling.
   AsmcapAccelerator(AsmcapAccelerator&&) = delete;
   AsmcapAccelerator& operator=(AsmcapAccelerator&&) = delete;
@@ -215,10 +215,9 @@ class AsmcapAccelerator {
  private:
   void check_read(const Sequence& read) const;
   void check_loaded() const;
-  /// Writes (id, segment) into the circuit state at `slot`, manufacturing
-  /// arrays on demand and the row's silicon from the per-id stream.
-  void write_circuit_row(std::size_t slot, std::uint64_t id,
-                         const Sequence& segment);
+  /// Manufactures the row silicon at `slot` from the per-id stream of
+  /// `id`, manufacturing arrays on demand.
+  void build_row_silicon(std::size_t slot, std::uint64_t id);
   /// The shared write path: stores (id, segment) at `slot` and updates the
   /// directory, the packed row, the sketch, and (while the circuit backend
   /// is selected) the circuit state. No cost accounting.
@@ -246,7 +245,7 @@ class AsmcapAccelerator {
   Rng silicon_root_;
   /// Circuit state: non-empty only while backend_kind_ == Circuit (and a
   /// row has been written); arrays are manufactured on demand.
-  std::vector<AsmcapArrayUnit> units_;
+  std::vector<ChargeArrayReadout> readouts_;
   LiveDirectory dir_;
   PackedRowMatrix packed_rows_;  ///< Canonical row store, one per slot.
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;

@@ -3,8 +3,8 @@
 // the per-segment match decisions (engine layering: planner -> backend ->
 // batch engine). Two implementations share one interface:
 //
-//  * CircuitBackend — cell-accurate: every pass walks the manufactured
-//    array units (capacitor mismatch, settled matchline voltages, SA noise
+//  * CircuitBackend — cell-accurate: every pass senses the manufactured
+//    silicon (capacitor mismatch, settled matchline voltages, SA noise
 //    unless ideal_sensing). This is the fidelity path the paper's accuracy
 //    claims rest on.
 //  * FunctionalBackend — fast: the same match decisions computed with the
@@ -22,9 +22,9 @@
 //    test_edam).
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
-// references into it (both read the accelerator's LiveDirectory; the
-// circuit backend reads its array units, the functional backend its packed
-// slot matrix); the accelerator must outlive them.
+// references into it (both read the accelerator's LiveDirectory and packed
+// slot matrix; the circuit backend also reads its manufactured readouts);
+// the accelerator must outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
 // Mutations (which rewrite the directory and packed rows) never run
@@ -49,10 +49,10 @@
 #include <vector>
 
 #include "align/kernels.h"
-#include "asmcap/array_unit.h"
 #include "asmcap/config.h"
 #include "asmcap/mapper.h"
 #include "cam/array.h"
+#include "cam/charge_readout.h"
 #include "cam/current_readout.h"
 #include "cam/periphery.h"
 #include "genome/sequence.h"
@@ -117,17 +117,30 @@ class ExecutionBackend {
                               std::uint64_t pass_salt) const = 0;
 };
 
-/// Cell-accurate backend wrapping the manufactured AsmcapArrayUnit bank.
-/// Holds non-owning references into the accelerator (the unit vector and
-/// the live directory — both stable objects whose contents the accelerator
-/// mutates on the control plane); the accelerator must outlive it. An
-/// array with zero live rows is skipped whole — no SL-driver energy — and
-/// a tombstoned row decides nothing and draws no RNG fork (per-decision
-/// streams are pure per-id forks, so skipping shifts no other draw).
+/// Cell-accurate backend over the manufactured charge-domain silicon: one
+/// ChargeArrayReadout per array (capacitor banks + systematic SA offsets)
+/// sensing the rows of the accelerator's packed slot matrix. Holds
+/// non-owning references into the accelerator (the readouts, the live
+/// directory, and the row store — stable objects whose contents the
+/// accelerator mutates on the control plane); the accelerator must
+/// outlive it. An array with zero live rows is skipped whole — no
+/// SL-driver energy — and a tombstoned row decides nothing, charges no
+/// matchline energy, and draws no RNG fork.
+///
+/// A pass builds one PackedReadView and takes every row's mismatch count
+/// from the block kernels. A row whose count lies outside the noise band
+/// (charge_decision_band; under ideal_sensing the band is empty and
+/// count <= T decides) is decided from the count alone: no admissible
+/// silicon or noise draw could change its SA outcome (determinism.md rule
+/// 7). Only in-band rows settle V_ML from their mismatch lane words and
+/// draw SA noise from the per-id fork — the same draw they always took,
+/// and since per-decision streams are pure per-id forks, skipping a row's
+/// fork shifts no other row's draw.
 class CircuitBackend : public ExecutionBackend {
  public:
-  CircuitBackend(const std::vector<AsmcapArrayUnit>& units,
-                 const LiveDirectory& directory, std::size_t array_rows);
+  CircuitBackend(const AsmcapConfig& config,
+                 const std::vector<ChargeArrayReadout>& readouts,
+                 const LiveDirectory& directory, const PackedRowMatrix& rows);
 
   const char* name() const override { return "circuit"; }
   std::size_t segment_count() const override { return dir_->slots(); }
@@ -136,9 +149,13 @@ class CircuitBackend : public ExecutionBackend {
                       std::uint64_t pass_salt) const override;
 
  private:
-  const std::vector<AsmcapArrayUnit>* units_;
+  const std::vector<ChargeArrayReadout>* readouts_;
   const LiveDirectory* dir_;
+  const PackedRowMatrix* rows_;
   std::size_t array_rows_;
+  ChargeDomainParams charge_;
+  bool ideal_sensing_;
+  SearchlineDriver sl_driver_;
 };
 
 /// Fast functional backend: SIMD-dispatched block kernels

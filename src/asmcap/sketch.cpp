@@ -1,9 +1,10 @@
 #include "asmcap/sketch.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "asmcap/backend.h"
+#include "circuit/sense_amp.h"
 
 namespace asmcap {
 
@@ -118,32 +119,14 @@ std::size_t pruning_window_count(const AsmcapConfig& config,
   const std::size_t m = config.array_cols;
   std::size_t windows = threshold + 1;  // ideal decision: count <= T
   if (backend == BackendKind::Circuit && !config.ideal_sensing) {
-    // Noisy sensing can flip a count slightly above T back to 'match':
-    // the SA decides (V_ML + offset + noise) <= V_ref with
-    // V_ref = (T + 0.5)/m * VDD. Every noise source is hard-bounded:
-    //  * Rng::normal() is Box-Muller over uniforms >= 2^-53, so a deviate
-    //    never exceeds D = sqrt(-2 ln 2^-53) ~ 8.57 sigma;
-    //  * manufactured capacitors are clamped at +/-4 sigma, so a row with
-    //    c mismatches settles V_ML >= (c/m) * VDD * rho with
-    //    rho = (1 - 4*sigma_rel) / (1 + 4*sigma_rel).
-    // A count c is therefore GUARANTEED to decide 'no match' whenever
-    //   (c/m)*VDD*rho - D*(sigma_off + sigma_noise) > (T + 0.5)/m * VDD,
-    // i.e. c > [(T + 0.5) + D*(sigma_off + sigma_noise)*m/VDD] / rho.
-    // K = the smallest such integer; rows below K stay prunable by the
-    // K-window pigeonhole, rows at or above K can never flip.
-    const ChargeDomainParams& charge = config.process.charge;
-    const double rho = (1.0 - 4.0 * charge.cap_sigma_rel) /
-                       (1.0 + 4.0 * charge.cap_sigma_rel);
-    if (rho <= 0.0 || charge.vdd <= 0.0) return 0;
-    const double deviate_bound = std::sqrt(-2.0 * std::log(0x1.0p-53));
-    const double margin_counts =
-        deviate_bound * (charge.sa_offset_sigma + charge.sa_noise_sigma) *
-        static_cast<double>(m) / charge.vdd;
-    const double guaranteed_miss =
-        (static_cast<double>(threshold) + 0.5 + margin_counts) / rho;
-    const double k = std::floor(guaranteed_miss) + 1.0;
-    if (!(k > 0.0) || k > static_cast<double>(m)) return 0;
-    windows = std::max(windows, static_cast<std::size_t>(k));
+    // Noisy sensing can flip a count slightly above T back to 'match'.
+    // K = the band's miss side (circuit/sense_amp.h): rows below K stay
+    // prunable by the K-window pigeonhole, rows at or above K can never
+    // flip. No certain miss at all means no sound prune.
+    const std::size_t k =
+        charge_decision_band(config.process.charge, m, threshold).miss_from;
+    if (k > m) return 0;
+    windows = std::max(windows, k);
   }
   if (m / windows == 0) return 0;  // window width would be zero
   return windows;

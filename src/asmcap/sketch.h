@@ -31,8 +31,9 @@
 //    'match', but the noise is hard-bounded (Box-Muller deviates from
 //    Rng::normal() never exceed sqrt(-2 ln 2^-53) sigma; manufactured
 //    capacitors are clamped at ±4 sigma), so pruning_window_count()
-//    derives a K(T) above which a row is GUARANTEED to decide 'no match'
-//    for every possible draw — see the .cpp for the bound.
+//    takes K(T) = the miss side of charge_decision_band
+//    (circuit/sense_amp.h): a row at or above K is GUARANTEED to decide
+//    'no match' for every possible draw.
 // The Hamming (HDAC) pass is covered a fortiori: a cell that matches
 // under Hamming also matches under ED*, so the Hamming mismatch count is
 // >= the ED* count at the same threshold.

@@ -37,6 +37,12 @@ double ChargeArrayReadout::settle_row(std::size_t row,
   return matchlines_[row].settle(mask) + row_offsets_[row];
 }
 
+double ChargeArrayReadout::settle_row(std::size_t row,
+                                      const std::uint64_t* lane_words) const {
+  if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::settle_row");
+  return matchlines_[row].bank().actual_vml(lane_words) + row_offsets_[row];
+}
+
 bool ChargeArrayReadout::decide(double vml, std::size_t threshold,
                                 Rng& search_rng) const {
   return sense_amp_.below(vml, charge_vref(threshold, cols_, params_.vdd),

@@ -5,6 +5,7 @@
 // decisions and accounts search energy.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/matchline.h"
@@ -46,6 +47,9 @@ class ChargeArrayReadout {
   /// Systematic settled voltage of a row for a mask (cacheable: it depends
   /// only on the silicon and the mask, not on the search).
   double settle_row(std::size_t row, const BitVec& mask) const;
+  /// Same, from per-lane mismatch flags (the align/kernels mismatch-word
+  /// layout); bit-identical to the BitVec form for the same cells.
+  double settle_row(std::size_t row, const std::uint64_t* lane_words) const;
 
   /// SA decision from a cached settled voltage (adds SA noise, charges no
   /// energy — pair with charge_search_energy for ledger purposes).

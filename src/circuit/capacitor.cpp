@@ -1,6 +1,7 @@
 #include "circuit/capacitor.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace asmcap {
@@ -33,6 +34,16 @@ double CapacitorBank::actual_vml(const BitVec& mismatch_mask) const {
   for (std::size_t i = mismatch_mask.find_first(); i < mismatch_mask.size();
        i = mismatch_mask.find_next(i + 1))
     mismatched += caps_[i];
+  return mismatched / total_ * params_.vdd;
+}
+
+double CapacitorBank::actual_vml(const std::uint64_t* lane_words) const {
+  constexpr std::uint64_t kLaneFlags = 0x5555555555555555ULL;
+  double mismatched = 0.0;
+  const std::size_t words = (size() + 31) / 32;
+  for (std::size_t w = 0; w < words; ++w)
+    for (std::uint64_t x = lane_words[w] & kLaneFlags; x != 0; x &= x - 1)
+      mismatched += caps_[w * 32 + std::countr_zero(x) / 2];
   return mismatched / total_ * params_.vdd;
 }
 

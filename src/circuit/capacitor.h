@@ -5,6 +5,7 @@
 // paper adopts from CapCAM [17].
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/process.h"
@@ -26,6 +27,13 @@ class CapacitorBank {
   /// Actual settled matchline voltage for a specific set of mismatched
   /// cells: the capacitive divider V_ML = sum_mis(C_i) / sum_all(C_i) * VDD.
   double actual_vml(const BitVec& mismatch_mask) const;
+
+  /// The same divider from per-lane mismatch flags (the low bit of each
+  /// 2-bit lane, ceil(size()/32) words, tail lanes zero — the layout of the
+  /// align/kernels mismatch-word forms). The mismatched caps are summed in
+  /// ascending cell order, so the result is bit-identical to the BitVec
+  /// form for the same set of cells.
+  double actual_vml(const std::uint64_t* lane_words) const;
 
   /// Paper Eq. (2): analytic variance of V_ML for a mismatch count.
   double vml_variance(std::size_t n_mis) const;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "circuit/capacitor.h"
 #include "circuit/matchline.h"
@@ -113,6 +115,39 @@ TEST(CapacitorBank, EmpiricalVarianceMatchesEq2) {
   EXPECT_NEAR(stats.variance(), analytic, 0.25 * analytic);
 }
 
+/// BitVec mask -> per-lane flag words (low bit of each 2-bit lane), the
+/// layout the align/kernels mismatch-word forms produce.
+std::vector<std::uint64_t> lane_words_of(const BitVec& mask) {
+  std::vector<std::uint64_t> words((mask.size() + 31) / 32, 0);
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    if (mask.get(i)) words[i / 32] |= std::uint64_t{1} << (2 * (i % 32));
+  return words;
+}
+
+TEST(CapacitorBank, LaneWordVmlIsBitIdenticalToBitVecForm) {
+  Rng rng(9);
+  // n % 32 in {0, 1, 31}: whole words, one-cell tail, one-short tail.
+  for (const std::size_t n : {32u, 33u, 63u, 64u, 65u, 95u, 128u, 129u}) {
+    const CapacitorBank bank(n, {}, rng);
+    std::vector<BitVec> masks{BitVec(n), BitVec(n, true)};
+    for (int trial = 0; trial < 16; ++trial) {
+      BitVec mask(n);
+      for (std::size_t i = 0; i < n; ++i)
+        if (rng.bernoulli(trial % 2 == 0 ? 0.5 : 0.08)) mask.set(i);
+      masks.push_back(mask);
+    }
+    for (const BitVec& mask : masks) {
+      const std::vector<std::uint64_t> words = lane_words_of(mask);
+      EXPECT_EQ(bank.actual_vml(words.data()), bank.actual_vml(mask))
+          << "n=" << n << " popcount=" << mask.popcount();
+      // The high bit of each lane carries no cell flag and is ignored.
+      std::vector<std::uint64_t> noisy = words;
+      for (std::uint64_t& word : noisy) word |= 0xAAAAAAAAAAAAAAAAULL;
+      EXPECT_EQ(bank.actual_vml(noisy.data()), bank.actual_vml(mask));
+    }
+  }
+}
+
 TEST(ChargeMatchline, SettleUsesBank) {
   Rng rng(7);
   const ChargeMatchline line(64, {}, rng);
@@ -205,6 +240,83 @@ TEST(Vref, ChargeDomainPlacement) {
 TEST(Vref, CurrentDomainPlacement) {
   const double vpc = 1.2 / 256.0;
   EXPECT_NEAR(current_vref(4, 1.2, vpc), 1.2 - 4.5 * vpc, 1e-12);
+}
+
+// ------------------------------------------------------ decision band --
+
+/// Worst-case settled voltage of a row with c of n mismatches when every
+/// capacitor sits at a +/-4 sigma clamp: mismatched caps at `mis`, the
+/// rest at `rest`.
+double clamped_vml(std::size_t c, std::size_t n, double mis, double rest,
+                   double vdd) {
+  const double on = static_cast<double>(c) * mis;
+  return on / (on + static_cast<double>(n - c) * rest) * vdd;
+}
+
+TEST(ChargeDecisionBand, SoundUnderTheTightWorstCase) {
+  const double deviate_bound = std::sqrt(-2.0 * std::log(0x1.0p-53));
+  const std::size_t n = 128;
+  for (const double offset_sigma : {0.5e-3, 15e-3}) {
+    ChargeDomainParams params;
+    params.sa_offset_sigma = offset_sigma;
+    const double lo = params.cap_mean * (1.0 - 4.0 * params.cap_sigma_rel);
+    const double hi = params.cap_mean * (1.0 + 4.0 * params.cap_sigma_rel);
+    const double sa_bound =
+        deviate_bound * (params.sa_offset_sigma + params.sa_noise_sigma);
+    for (const std::size_t t : {0u, 4u, 8u, 16u, 32u}) {
+      const ChargeDecisionBand band = charge_decision_band(params, n, t);
+      const double vref = charge_vref(t, n, params.vdd);
+      ASSERT_LE(band.hit_below, band.miss_from);
+      ASSERT_LE(band.miss_from, n + 1);
+      // The band always holds the boundary counts T and T + 1.
+      EXPECT_TRUE(band.contains(t) && band.contains(t + 1)) << "T=" << t;
+      for (std::size_t c = 0; c <= n; ++c) {
+        if (c >= band.miss_from) {
+          // Lowest V_ML, most negative offset + noise: still no match.
+          EXPECT_GT(clamped_vml(c, n, lo, hi, params.vdd) - sa_bound, vref)
+              << "T=" << t << " c=" << c << " offset=" << offset_sigma;
+        } else if (c < band.hit_below) {
+          // Highest V_ML, most positive offset + noise: still a match.
+          EXPECT_LE(clamped_vml(c, n, hi, lo, params.vdd) + sa_bound, vref)
+              << "T=" << t << " c=" << c << " offset=" << offset_sigma;
+        }
+      }
+    }
+  }
+  // Default silicon at T = 8 decides most counts outright; a 15 mV offset
+  // leaves no count below T certain at T = 0.
+  const ChargeDecisionBand typical = charge_decision_band({}, n, 8);
+  EXPECT_GT(typical.hit_below, 0u);
+  EXPECT_LE(typical.miss_from, 16u);
+  ChargeDomainParams wide;
+  wide.sa_offset_sigma = 15e-3;
+  EXPECT_EQ(charge_decision_band(wide, n, 0).hit_below, 0u);
+}
+
+TEST(ChargeDecisionBand, NoiseFreeSiliconDecidesExactly) {
+  ChargeDomainParams params;
+  params.cap_sigma_rel = 0.0;
+  params.sa_offset_sigma = 0.0;
+  params.sa_noise_sigma = 0.0;
+  for (const std::size_t t : {0u, 4u, 8u, 16u, 32u}) {
+    const ChargeDecisionBand band = charge_decision_band(params, 128, t);
+    EXPECT_EQ(band.hit_below, t + 1);
+    EXPECT_EQ(band.miss_from, t + 1);
+  }
+}
+
+TEST(ChargeDecisionBand, NothingIsCertainWhenRhoIsNotPositive) {
+  // rho = (1 - 4 sigma) / (1 + 4 sigma) <= 0: a clamped capacitor can be
+  // zero or negative, so no count bounds V_ML and every count is in band.
+  for (const double sigma : {0.25, 0.4}) {
+    ChargeDomainParams params;
+    params.cap_sigma_rel = sigma;
+    for (const std::size_t t : {0u, 8u, 32u}) {
+      const ChargeDecisionBand band = charge_decision_band(params, 128, t);
+      EXPECT_EQ(band.hit_below, 0u);
+      EXPECT_EQ(band.miss_from, 129u);
+    }
+  }
 }
 
 TEST(Vref, ConsistentDecisions) {

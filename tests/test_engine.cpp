@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "align/edstar.h"
+#include "align/hamming.h"
 #include "asmcap/accelerator.h"
 #include "asmcap/readmapper.h"
 #include "genome/edits.h"
@@ -135,6 +137,113 @@ TEST_F(EngineTest, FunctionalEnergyTracksCircuitEnergy) {
   const QueryResult b = functional.search(reads_[0], 2, StrategyMode::Baseline);
   EXPECT_GT(b.energy_joules, 0.0);
   EXPECT_NEAR(b.energy_joules / a.energy_joules, 1.0, 0.05);
+}
+
+/// A circuit bank assembled by hand: per-id silicon, a non-identity id
+/// layout, tombstoned rows, and one all-dead array.
+struct HandBuiltBank {
+  AsmcapConfig config;
+  std::vector<Sequence> rows;
+  std::vector<ChargeArrayReadout> readouts;
+  LiveDirectory dir;
+  PackedRowMatrix packed;
+};
+
+HandBuiltBank hand_built_bank(const AsmcapConfig& config,
+                              const std::vector<Sequence>& segments) {
+  HandBuiltBank bank{config, segments, {}, {},
+                     PackedRowMatrix(segments, config.array_cols)};
+  const std::size_t arrays =
+      (segments.size() + config.array_rows - 1) / config.array_rows;
+  const Rng silicon_root(77);
+  bank.dir.array_live.assign(arrays, 0);
+  for (std::size_t a = 0; a < arrays; ++a) {
+    Rng unit_rng = silicon_root.fork(0xA000 + a);
+    bank.readouts.emplace_back(config.array_rows, config.array_cols,
+                               config.process.charge, unit_rng);
+  }
+  for (std::size_t slot = 0; slot < segments.size(); ++slot) {
+    const std::size_t a = slot / config.array_rows;
+    const std::uint64_t id = 1000 + 3 * slot;
+    // Every fifth row and the whole of array 1 are tombstoned.
+    const bool live = slot % 5 != 2 && a != 1;
+    bank.dir.ids.push_back(id);
+    bank.dir.live.push_back(live);
+    Rng silicon = silicon_root.fork(id);
+    bank.readouts[a].remanufacture_row(slot % config.array_rows, silicon);
+    if (live) {
+      ++bank.dir.array_live[a];
+      ++bank.dir.live_count;
+    }
+  }
+  return bank;
+}
+
+TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
+  // The circuit pass decides rows outside the noise band from their count
+  // and settles only the rest, from lane words. Reference: the per-row
+  // path it replaces — BitVec mask -> settle_row -> SA draw from the
+  // per-id fork — must agree slot by slot, energy bit for bit.
+  for (const double offset_sigma : {0.5e-3, 15e-3}) {
+    AsmcapConfig config = small_config(/*ideal=*/false);
+    config.process.charge.sa_offset_sigma = offset_sigma;
+    const HandBuiltBank bank = hand_built_bank(config, segments_);
+    const CircuitBackend backend(config, bank.readouts, bank.dir,
+                                 bank.packed);
+    const SearchlineDriver sl_driver(config.array_cols);
+
+    // Near-threshold reads: stored rows with 2..8 random substitutions.
+    Rng edit_rng(903);
+    std::size_t in_band = 0;
+    std::size_t out_of_band = 0;
+    for (int i = 0; i < 24; ++i) {
+      Sequence read = segments_[static_cast<std::size_t>(
+          edit_rng.below(segments_.size()))];
+      const std::uint64_t edits = 2 + edit_rng.below(7);
+      for (std::uint64_t e = 0; e < edits; ++e)
+        read.set(static_cast<std::size_t>(edit_rng.below(read.size())),
+                 base_from_code(static_cast<std::uint8_t>(edit_rng.below(4))));
+      const Rng query_rng(904 + static_cast<std::uint64_t>(i));
+      for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
+        const std::size_t threshold = 4;
+        const std::uint64_t salt = mode == MatchMode::EdStar ? 0 : 0x4844;
+        const PassResult got =
+            backend.run_pass(read, mode, threshold, query_rng, salt);
+
+        const ChargeDecisionBand band = charge_decision_band(
+            config.process.charge, config.array_cols, threshold);
+        const Rng pass_rng = query_rng.fork(salt);
+        std::vector<bool> decisions(bank.dir.slots(), false);
+        double energy = 0.0;
+        for (std::size_t a = 0; a < bank.readouts.size(); ++a) {
+          if (bank.dir.array_live[a] == 0) continue;
+          double array_energy = sl_driver.drive_energy(read);
+          for (std::size_t r = 0; r < config.array_rows; ++r) {
+            const std::size_t slot = a * config.array_rows + r;
+            if (!bank.dir.slot_live(slot)) continue;
+            const BitVec mask =
+                mode == MatchMode::EdStar
+                    ? ed_star_mismatch_mask(bank.rows[slot], read)
+                    : hamming_mismatch_mask(bank.rows[slot], read);
+            const ChargeArrayReadout& readout = bank.readouts[a];
+            array_energy += readout.matchline(r).search_energy(mask.popcount());
+            Rng decide_rng = pass_rng.fork(bank.dir.ids[slot]);
+            decisions[slot] = readout.decide(readout.settle_row(r, mask),
+                                             threshold, decide_rng);
+            ++(band.contains(mask.popcount()) ? in_band : out_of_band);
+          }
+          energy += array_energy;
+        }
+        for (std::size_t slot = 0; slot < decisions.size(); ++slot)
+          EXPECT_EQ(got.decisions[slot], decisions[slot])
+              << "read " << i << " slot " << slot << " offset "
+              << offset_sigma;
+        EXPECT_EQ(got.energy_joules, energy) << "read " << i;
+      }
+    }
+    EXPECT_GT(in_band, 0u) << "offset " << offset_sigma;
+    EXPECT_GT(out_of_band, 0u) << "offset " << offset_sigma;
+  }
 }
 
 TEST_F(EngineTest, BackendSwitchIsLive) {

@@ -113,6 +113,38 @@ TEST(PruningWindowCount, IdealAndNoisyBounds) {
             0u);
 }
 
+TEST(PruningWindowCount, NoisyCountsArePinned) {
+  // K is the miss side of charge_decision_band; these values predate that
+  // helper and must never move (a smaller K would prune unsoundly, a
+  // larger one would prune less).
+  struct Row {
+    std::size_t cols;
+    double offset_sigma;
+    std::size_t k[7];  // at T = 0, 1, 4, 8, 12, 16, 32
+  };
+  const Row rows[] = {
+      {64, 0.5e-3, {2, 3, 7, 11, 16, 20, 38}},
+      {64, 15e-3, {10, 11, 14, 19, 23, 28, 46}},
+      {128, 0.5e-3, {4, 5, 8, 13, 17, 22, 39}},
+      {128, 15e-3, {18, 20, 23, 27, 32, 36, 54}},
+      {256, 0.5e-3, {6, 7, 11, 15, 20, 24, 42}},
+      {256, 15e-3, {36, 37, 40, 45, 49, 54, 72}},
+  };
+  const std::size_t thresholds[] = {0, 1, 4, 8, 12, 16, 32};
+  for (const Row& row : rows) {
+    AsmcapConfig config;
+    config.array_cols = row.cols;
+    config.ideal_sensing = false;
+    config.process.charge.sa_offset_sigma = row.offset_sigma;
+    for (std::size_t i = 0; i < 7; ++i)
+      EXPECT_EQ(pruning_window_count(config, BackendKind::Circuit,
+                                     thresholds[i]),
+                row.k[i])
+          << "cols=" << row.cols << " offset=" << row.offset_sigma
+          << " T=" << thresholds[i];
+  }
+}
+
 // ------------------------------------------- false-negative-free property --
 
 TEST_F(PruningTest, SketchNeverPrunesABankWithAHit) {

@@ -251,8 +251,11 @@ TEST_F(SchedulerTest, CancelThenPollLifecycleKeepsDonePrefixConsistent) {
   const auto fifo = sync->search_batch(reads_, 4, StrategyMode::Full, 3);
 
   SearchService service(*async);
-  std::promise<std::shared_ptr<SearchTicket>> handle;
-  std::shared_future<std::shared_ptr<SearchTicket>> handle_future =
+  // The ticket owns on_complete, so the callback holds a raw pointer: a
+  // shared_ptr here would be a ticket -> callback -> ticket cycle that
+  // never frees. The test keeps `ticket` alive past every callback.
+  std::promise<SearchTicket*> handle;
+  std::shared_future<SearchTicket*> handle_future =
       handle.get_future().share();
   std::atomic<std::size_t> delivered{0};
   SearchService::Options options;
@@ -265,7 +268,7 @@ TEST_F(SchedulerTest, CancelThenPollLifecycleKeepsDonePrefixConsistent) {
     if (delivered.fetch_add(1) + 1 == 3) handle_future.get()->cancel();
   };
   auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
-  handle.set_value(ticket);
+  handle.set_value(ticket.get());
   ticket->wait();  // returns normally for a cancelled ticket
   ticket->cancel();  // double-call: idempotent no-op
 
@@ -313,8 +316,10 @@ TEST_F(SchedulerTest, CancelledWorkBooksNoPhantomEnergy) {
   const auto fifo = sync->search_batch(reads_, 4, StrategyMode::Full, 3);
 
   SearchService service(*async);
-  std::promise<std::shared_ptr<SearchTicket>> handle;
-  std::shared_future<std::shared_ptr<SearchTicket>> handle_future =
+  // Raw pointer, not shared_ptr: the ticket owns on_complete (see
+  // CancelThenPollLifecycleKeepsDonePrefixConsistent).
+  std::promise<SearchTicket*> handle;
+  std::shared_future<SearchTicket*> handle_future =
       handle.get_future().share();
   std::atomic<std::size_t> delivered{0};
   SearchService::Options options;
@@ -325,7 +330,7 @@ TEST_F(SchedulerTest, CancelledWorkBooksNoPhantomEnergy) {
     if (delivered.fetch_add(1) + 1 == 4) handle_future.get()->cancel();
   };
   auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
-  handle.set_value(ticket);
+  handle.set_value(ticket.get());
   ticket->wait();
   ASSERT_EQ(ticket->state(), TicketState::Cancelled);
 

@@ -3,14 +3,18 @@
 # deterministic FASTA reference + FASTQ read set with asmcap_testgen, run
 # asmcap_search over them, and diff the DETERMINISTIC output columns
 # (read, status, matches, hits — `cut -f1-4`) against the committed golden
-# file tests/golden/e2e_search.tsv. The latency/energy columns are
-# deterministic doubles of the cost model but may differ in the last ULP
-# across compilers/ISAs (FMA contraction), so they are excluded from the
-# byte-compare; the decision digest equality is separately enforced by
-# tests/test_stream_reader.cpp and bench_ingest.
+# files in <golden-dir>:
+#   e2e_search.tsv          default path (functional backend, ideal sensing);
+#   e2e_search_circuit.tsv  cell-accurate circuit backend with analog noise
+#                           (--backend circuit --noisy) at T=1, where SA
+#                           noise flips a decision the ideal path makes.
+# The latency/energy columns are deterministic doubles of the cost model
+# but may differ in the last ULP across compilers/ISAs (FMA contraction),
+# so they are excluded from the byte-compare; the decision digest equality
+# is separately enforced by tests/test_stream_reader.cpp and bench_ingest.
 #
 # usage: check_e2e.sh <asmcap_testgen> <asmcap_search> <golden-dir>
-# Regenerate the golden after an intentional decision change with:
+# Regenerate both goldens after an intentional decision change with:
 #   ASMCAP_UPDATE_GOLDEN=1 tools/check_e2e.sh build/asmcap_testgen \
 #       build/asmcap_search tests/golden
 set -euo pipefail
@@ -22,48 +26,59 @@ fi
 TESTGEN=$1
 SEARCH=$2
 GOLDEN_DIR=$3
-GOLDEN="$GOLDEN_DIR/e2e_search.tsv"
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# Keep these flags in lockstep with the committed golden (docs/cli.md has
-# the schema; the run is small enough for the sanitizer CI legs too).
+# check_golden <name> <search flags...>: runs asmcap_search over the
+# generated data with the given extra flags and diffs `cut -f1-4` of its
+# TSV against <golden-dir>/<name>.tsv (or rewrites that file under
+# ASMCAP_UPDATE_GOLDEN=1). stderr goes to $WORK/<name>.log.
+check_golden() {
+  local name=$1
+  shift
+  local golden="$GOLDEN_DIR/$name.tsv"
+  "$SEARCH" \
+    --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
+    --width 128 --array-rows 64 --arrays 4 --shards 2 \
+    --workers 2 --chunk 8 "$@" \
+    --output "$WORK/$name.tsv" 2> "$WORK/$name.log"
+  cut -f1-4 "$WORK/$name.tsv" > "$WORK/$name.cut.tsv"
+
+  if [ "${ASMCAP_UPDATE_GOLDEN:-0}" = "1" ]; then
+    mkdir -p "$GOLDEN_DIR"
+    cp "$WORK/$name.cut.tsv" "$golden"
+    echo "check_e2e: regenerated $golden"
+    return 0
+  fi
+  if [ ! -f "$golden" ]; then
+    echo "check_e2e: missing golden file $golden" >&2
+    echo "check_e2e: run with ASMCAP_UPDATE_GOLDEN=1 to create it" >&2
+    exit 1
+  fi
+  if ! diff -u "$golden" "$WORK/$name.cut.tsv"; then
+    echo "check_e2e: FAIL — deterministic columns diverge from $golden" >&2
+    echo "check_e2e: if the decision change is intentional, regenerate with" >&2
+    echo "check_e2e:   ASMCAP_UPDATE_GOLDEN=1 $0 $TESTGEN $SEARCH $GOLDEN_DIR" >&2
+    exit 1
+  fi
+}
+
+# Keep these flags in lockstep with the committed goldens (docs/cli.md has
+# the schema; the runs are small enough for the sanitizer CI legs too).
 "$TESTGEN" "$WORK/ref.fa" "$WORK/reads.fq" \
   --width 128 --records 2 --tiles 6 --reads 24 --seed 7 --ambiguous
-"$SEARCH" \
-  --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
-  --width 128 --array-rows 64 --arrays 4 --shards 2 \
-  --threshold 12 --workers 2 --chunk 8 \
-  --output "$WORK/out.tsv" 2> "$WORK/search.log"
-
-cut -f1-4 "$WORK/out.tsv" > "$WORK/out.cut.tsv"
-
+check_golden e2e_search --threshold 12
+check_golden e2e_search_circuit --threshold 1 --backend circuit --noisy
 if [ "${ASMCAP_UPDATE_GOLDEN:-0}" = "1" ]; then
-  mkdir -p "$GOLDEN_DIR"
-  cp "$WORK/out.cut.tsv" "$GOLDEN"
-  echo "check_e2e: regenerated $GOLDEN"
   exit 0
-fi
-
-if [ ! -f "$GOLDEN" ]; then
-  echo "check_e2e: missing golden file $GOLDEN" >&2
-  echo "check_e2e: run with ASMCAP_UPDATE_GOLDEN=1 to create it" >&2
-  exit 1
-fi
-
-if ! diff -u "$GOLDEN" "$WORK/out.cut.tsv"; then
-  echo "check_e2e: FAIL — deterministic columns diverge from $GOLDEN" >&2
-  echo "check_e2e: if the decision change is intentional, regenerate with" >&2
-  echo "check_e2e:   ASMCAP_UPDATE_GOLDEN=1 $0 $TESTGEN $SEARCH $GOLDEN_DIR" >&2
-  exit 1
 fi
 
 # The ambiguity warning (docs/cli.md N->A policy) must surface: the
 # generated read set injects 'N's via --ambiguous.
-if ! grep -q "ambiguous bases" "$WORK/search.log"; then
+if ! grep -q "ambiguous bases" "$WORK/e2e_search.log"; then
   echo "check_e2e: FAIL — expected an ambiguous-bases warning on stderr" >&2
-  cat "$WORK/search.log" >&2
+  cat "$WORK/e2e_search.log" >&2
   exit 1
 fi
 
@@ -72,8 +87,8 @@ fi
   --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
   --width 128 --array-rows 64 --arrays 4 --shards 2 \
   --threshold 12 --workers 2 --chunk 8 --format json \
-  --output "$WORK/out.json" 2>> "$WORK/search.log"
-READS=$(tail -n +2 "$WORK/out.tsv" | wc -l)
+  --output "$WORK/out.json" 2>> "$WORK/e2e_search.log"
+READS=$(tail -n +2 "$WORK/e2e_search.tsv" | wc -l)
 JSON_LINES=$(wc -l < "$WORK/out.json")
 if [ "$READS" != "$JSON_LINES" ]; then
   echo "check_e2e: FAIL — $JSON_LINES JSON lines for $READS reads" >&2
@@ -84,4 +99,4 @@ if grep -qv '^{' "$WORK/out.json"; then
   exit 1
 fi
 
-echo "check_e2e: OK ($READS reads, deterministic columns match golden)"
+echo "check_e2e: OK ($READS reads, deterministic columns match both goldens)"
