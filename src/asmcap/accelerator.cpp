@@ -76,7 +76,7 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   packed_rows_.set_row(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
-  dir_.live[slot] = true;
+  dir_.live.set(slot);
   ++dir_.array_live[a];
   ++dir_.live_count;
   id_to_slot_[id] = slot;
@@ -184,7 +184,7 @@ void AsmcapAccelerator::remove_segments(
     const std::size_t slot = id_to_slot_.at(id);
     const std::size_t a = slot / config_.array_rows;
     if (sketch_) sketch_->clear_row(slot);
-    dir_.live[slot] = false;
+    dir_.live.clear(slot);
     --dir_.array_live[a];
     --dir_.live_count;
     if (a >= burst_per_array.size()) burst_per_array.resize(a + 1, 0);
@@ -277,25 +277,23 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
 
   // ED* pass(es): the original read, plus the rotation schedule when TASR
   // triggered (Algorithm 2's OR-accumulation).
-  std::vector<bool> ed_star;
+  BitVec ed_star;
   double energy = 0.0;
   for (std::size_t p = 0; p < plan.ed_star_passes.size(); ++p) {
     PassResult pass =
         backend.run_pass(plan.ed_star_passes[p], MatchMode::EdStar,
                          plan.threshold, query_rng, p);
     energy += pass.energy_joules;
-    if (p == 0) {
+    if (p == 0)
       ed_star = std::move(pass.decisions);
-    } else {
-      for (std::size_t g = 0; g < ed_star.size(); ++g)
-        ed_star[g] = ed_star[g] || pass.decisions[g];
-    }
+    else
+      ed_star |= pass.decisions;
   }
 
-  // HDAC pass: HD search and probabilistic selection (Algorithm 1). The
-  // selection coin of each row is forked from its global segment id, so
-  // the outcome does not depend on which slot or bank stores it (a dead
-  // slot decides false on both passes and draws no coin).
+  // HDAC pass: HD search and probabilistic selection (Algorithm 1). Only
+  // rows where HD and ED* disagree draw a selection coin, forked from the
+  // row's global segment id, so the outcome does not depend on which slot
+  // or bank stores it (a dead slot decides false on both passes).
   if (plan.hd_pass) {
     const PassResult hd =
         backend.run_pass(plan.ed_star_passes.front(), MatchMode::Hamming,
@@ -303,17 +301,22 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
     energy += hd.energy_joules;
     const Hdac& hdac = planner().hdac();
     const Rng select_rng = query_rng.fork(kHdacSelectSalt);
-    for (std::size_t g = 0; g < ed_star.size(); ++g) {
-      if (hd.decisions[g] == ed_star[g]) continue;
+    BitVec disagree = hd.decisions;
+    disagree ^= ed_star;
+    for (std::size_t g = disagree.find_first(); g < disagree.size();
+         g = disagree.find_next(g + 1)) {
       Rng coin = select_rng.fork(dir_.ids[g]);
-      ed_star[g] = hdac.combine(hd.decisions[g], ed_star[g], plan.hdac_p,
-                                coin);
+      ed_star.set(g, hdac.combine(hd.decisions[g], ed_star[g], plan.hdac_p,
+                                  coin));
     }
   }
 
-  result.decisions = std::move(ed_star);
-  for (std::size_t g = 0; g < result.decisions.size(); ++g)
-    if (result.decisions[g]) result.matched_segments.push_back(g);
+  result.decisions.assign(ed_star.size(), false);
+  for (std::size_t g = ed_star.find_first(); g < ed_star.size();
+       g = ed_star.find_next(g + 1)) {
+    result.decisions[g] = true;
+    result.matched_segments.push_back(g);
+  }
 
   result.latency_seconds =
       timing_.asmcap_query_latency(plan.summary.total_searches());
@@ -333,11 +336,12 @@ QueryResult AsmcapAccelerator::rebase_to_ids(QueryResult raw) const {
   out.latency_seconds = raw.latency_seconds;
   out.energy_joules = raw.energy_joules;
   out.decisions.assign(space, false);
-  for (std::size_t slot = 0; slot < raw.decisions.size(); ++slot)
-    if (raw.decisions[slot])
-      out.decisions[static_cast<std::size_t>(dir_.ids[slot] - base)] = true;
-  for (std::size_t g = 0; g < space; ++g)
-    if (out.decisions[g]) out.matched_segments.push_back(g);
+  for (const std::size_t slot : raw.matched_segments) {
+    const auto g = static_cast<std::size_t>(dir_.ids[slot] - base);
+    out.decisions[g] = true;
+    out.matched_segments.push_back(g);
+  }
+  std::sort(out.matched_segments.begin(), out.matched_segments.end());
   return out;
 }
 

@@ -68,10 +68,11 @@ namespace asmcap {
 /// indexed by (global id - segment_base) over the bank's id space and
 /// matched_segments holds those indices ascending; on a frozen database
 /// that is exactly the historical per-segment bitmap. From the const
-/// execute() entry point, decisions are row-SLOT-indexed (the sharded
-/// router maps slots to global ids through the bank's LiveDirectory).
+/// execute() entry point, decisions AND matched_segments are row-SLOT-
+/// indexed (the sharded router scatters the matched slots to global ids
+/// through the bank's LiveDirectory).
 struct QueryResult {
-  /// Global ids of the segments whose rows reported 'match'.
+  /// Indices of the segments whose rows reported 'match', ascending.
   std::vector<std::size_t> matched_segments;
   /// Per-segment decision bitmap (see above; dead segments are false).
   std::vector<bool> decisions;

@@ -50,12 +50,12 @@
 
 #include "align/kernels.h"
 #include "asmcap/config.h"
-#include "asmcap/mapper.h"
 #include "cam/array.h"
 #include "cam/charge_readout.h"
 #include "cam/current_readout.h"
 #include "cam/periphery.h"
 #include "genome/sequence.h"
+#include "util/bitvec.h"
 #include "util/rng.h"
 
 namespace asmcap {
@@ -74,7 +74,7 @@ const char* to_string(BackendKind kind);
 /// skipped entirely — no SL-driver energy for dead silicon.
 struct LiveDirectory {
   std::vector<std::uint64_t> ids;  ///< Global segment id per slot.
-  std::vector<bool> live;          ///< Tombstone mask per slot.
+  BitVec live;  ///< Tombstone mask per slot, in decision-word layout.
   std::vector<std::size_t> array_live;  ///< Live rows per array.
   std::size_t live_count = 0;
 
@@ -90,14 +90,15 @@ struct LiveDirectory {
   }
 };
 
-/// Result of one array pass over every allocated row slot. Decisions are
-/// SLOT-indexed; tombstoned slots are always false. On a frozen (never
-/// mutated) database slot == local segment id, so this is exactly the
-/// per-segment bitmap it has always been; after mutations the caller maps
+/// Result of one array pass over every allocated row slot. Decisions are a
+/// SLOT-indexed bitmap (bit s of word s / 64); tombstoned slots are always
+/// false. Consumers combine passes word by word (|=, ^=) and walk matches
+/// with find_next, never slot by slot. On a frozen (never mutated)
+/// database slot == local segment id; after mutations the caller maps
 /// slots to global ids through the LiveDirectory.
 struct PassResult {
-  std::vector<bool> decisions;  ///< Per slot, at the threshold.
-  double energy_joules = 0.0;   ///< SL-driver + matchline energy of the pass.
+  BitVec decisions;            ///< Per slot, at the threshold.
+  double energy_joules = 0.0;  ///< SL-driver + matchline energy of the pass.
 };
 
 class ExecutionBackend {
@@ -166,7 +167,9 @@ class CircuitBackend : public ExecutionBackend {
 /// Holds non-owning references to the matrix and the LiveDirectory, like
 /// CircuitBackend; tombstoned slots are masked out of decisions and row
 /// energy, and SL-driver energy is charged only for arrays with at least
-/// one live row.
+/// one live row. A pass builds its decision bitmap a 64-slot word at a
+/// time and books each live row's nominal energy from a per-count table,
+/// in ascending slot order.
 class FunctionalBackend : public ExecutionBackend {
  public:
   FunctionalBackend(const AsmcapConfig& config,
@@ -183,8 +186,9 @@ class FunctionalBackend : public ExecutionBackend {
   const LiveDirectory* dir_;
   const PackedRowMatrix* rows_;
   std::size_t cols_;
-  ChargeDomainParams charge_;
   SearchlineDriverParams sl_params_;
+  /// Nominal matchline energy of a row with k mismatches, k = 0..cols.
+  std::vector<double> row_energy_;
 };
 
 /// Cell-accurate EDAM backend: current-domain sensing over the

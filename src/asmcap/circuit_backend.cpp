@@ -48,7 +48,7 @@ PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
   std::vector<std::uint64_t> lane_words(view.words);
 
   PassResult result;
-  result.decisions.assign(dir_->slots(), false);
+  result.decisions = BitVec(dir_->slots());
   for (std::size_t a = 0; a < readouts_->size(); ++a) {
     // An array with no live rows is never driven: its SL drivers stay
     // quiet and its matchlines never charge — the live database pays only
@@ -68,13 +68,14 @@ PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
       // skipping it leaves the sum bit-identical.
       pass_energy += readout.matchline(r).search_energy(count);
       if (count < band.hit_below) {
-        result.decisions[slot] = true;
+        result.decisions.set(slot);
       } else if (band.contains(count)) {
         mismatch_words(rows_->row(slot), view, lane_words.data());
         // SA noise keyed by global segment id: placement-invariant.
         Rng decide_rng = pass_rng.fork(dir_->ids[slot]);
-        result.decisions[slot] = readout.decide(
-            readout.settle_row(r, lane_words.data()), threshold, decide_rng);
+        result.decisions.set(
+            slot, readout.decide(readout.settle_row(r, lane_words.data()),
+                                 threshold, decide_rng));
       }
     }
     result.energy_joules += pass_energy;

@@ -91,7 +91,7 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
   // Pass 0: the original read.
   PassResult pass = backend.run_pass(read, MatchMode::EdStar, threshold,
                                      query_rng, 0);
-  result.decisions = std::move(pass.decisions);
+  BitVec decisions = std::move(pass.decisions);
   result.energy_joules = pass.energy_joules;
   result.searches = 1;
 
@@ -105,12 +105,15 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
       if (rotated == read) continue;
       const PassResult extra = backend.run_pass(
           rotated, MatchMode::EdStar, threshold, query_rng, pass_salt++);
-      for (std::size_t g = 0; g < result.decisions.size(); ++g)
-        result.decisions[g] = result.decisions[g] || extra.decisions[g];
+      decisions |= extra.decisions;
       result.energy_joules += extra.energy_joules;
       ++result.searches;
     }
   }
+  result.decisions.assign(decisions.size(), false);
+  for (std::size_t g = decisions.find_first(); g < decisions.size();
+       g = decisions.find_next(g + 1))
+    result.decisions[g] = true;
   result.latency_seconds =
       static_cast<double>(result.searches) * config_.current.search_time();
   return result;

@@ -30,7 +30,7 @@ PassResult EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
                                         std::uint64_t pass_salt) const {
   const Rng pass_rng = query_rng.fork(pass_salt);
   PassResult result;
-  result.decisions.assign(segment_count_, false);
+  result.decisions = BitVec(segment_count_);
   for (std::size_t a = 0; a < arrays_->size(); ++a) {
     const auto masks = (*arrays_)[a].search_masks(read, mode);
     for (std::size_t r = 0; r < array_rows_; ++r) {
@@ -43,9 +43,9 @@ PassResult EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
       const RowDecision decision = (*readouts_)[a].measure_row(
           r, masks[r], threshold, decide_rng, &row_energy);
       result.energy_joules += row_energy;
-      result.decisions[global] = ideal_sensing_
-                                     ? masks[r].popcount() <= threshold
-                                     : decision.match;
+      result.decisions.set(global, ideal_sensing_
+                                       ? masks[r].popcount() <= threshold
+                                       : decision.match);
     }
   }
   return result;
@@ -72,9 +72,9 @@ PassResult EdamFunctionalBackend::run_pass(const Sequence& read,
       packed_.data(), packed_.rows(), view, counts.data());
 
   PassResult result;
-  result.decisions.assign(packed_.rows(), false);
+  result.decisions = BitVec(packed_.rows());
   for (std::size_t g = 0; g < packed_.rows(); ++g) {
-    result.decisions[g] = counts[g] <= threshold;
+    if (counts[g] <= threshold) result.decisions.set(g);
     result.energy_joules +=
         current_row_search_energy(counts[g], cols_, params_);
   }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <stdexcept>
 
 #include "align/kernels.h"
@@ -6,6 +7,8 @@
 namespace asmcap {
 
 namespace {
+
+constexpr std::size_t kWordBits = 64;
 
 /// Nominal (mismatch-free silicon) charge-domain search energy of one row:
 /// paper Eq. 1 with M = 1 and every capacitor at its mean.
@@ -24,8 +27,11 @@ FunctionalBackend::FunctionalBackend(const AsmcapConfig& config,
     : dir_(&directory),
       rows_(&rows),
       cols_(config.array_cols),
-      charge_(config.process.charge),
-      sl_params_() {}
+      sl_params_(),
+      row_energy_(config.array_cols + 1) {
+  for (std::size_t k = 0; k <= cols_; ++k)
+    row_energy_[k] = nominal_row_energy(k, cols_, config.process.charge);
+}
 
 PassResult FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
                                        std::size_t threshold,
@@ -44,18 +50,28 @@ PassResult FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
       rows_->data(), rows, view, counts.data());
 
   PassResult result;
-  result.decisions.assign(rows, false);
+  result.decisions = BitVec(rows);
   // Every array holding at least one live row drives its search lines once
   // per pass, whichever backend evaluates the rows; all-dead arrays are
   // never driven (same SL gating as the circuit path).
-  result.energy_joules = static_cast<double>(dir_->arrays_in_use()) *
-                         sl_params_.energy_per_base *
-                         static_cast<double>(cols_);
-  for (std::size_t slot = 0; slot < rows; ++slot) {
-    if (!dir_->slot_live(slot)) continue;
-    result.decisions[slot] = counts[slot] <= threshold;
-    result.energy_joules += nominal_row_energy(counts[slot], cols_, charge_);
+  double energy = static_cast<double>(dir_->arrays_in_use()) *
+                  sl_params_.energy_per_base * static_cast<double>(cols_);
+  // One decision word per 64 slots. Row energy is added in ascending
+  // live-slot order: the floating-point summation order is fixed.
+  for (std::size_t w = 0; w < result.decisions.words(); ++w) {
+    const std::size_t first = w * kWordBits;
+    const std::size_t last = std::min(rows, first + kWordBits);
+    const std::uint64_t live = dir_->live.word(w);
+    std::uint64_t word = 0;
+    for (std::size_t slot = first; slot < last; ++slot) {
+      const std::size_t bit = slot - first;
+      if (((live >> bit) & 1) == 0) continue;
+      word |= std::uint64_t{counts[slot] <= threshold} << bit;
+      energy += row_energy_[counts[slot]];
+    }
+    result.decisions.word(w) = word;
   }
+  result.energy_joules = energy;
   return result;
 }
 

@@ -367,13 +367,15 @@ QueryResult ShardedAccelerator::merge_subset(
       static_cast<std::uint64_t>(config_.segment_base);
   for (std::size_t j = 0; j < shard_ids.size(); ++j) {
     const QueryResult& part = partials[j];
-    // Bank results are slot-indexed: scatter them into the global id
-    // space through the bank's directory (ids are disjoint across banks).
+    // Bank results are slot-indexed: scatter their matched slots into the
+    // global id space through the bank's directory (ids are disjoint
+    // across banks).
     const LiveDirectory& dir = db.banks[shard_ids[j]]->directory();
-    for (std::size_t slot = 0; slot < part.decisions.size(); ++slot)
-      if (part.decisions[slot])
-        merged.decisions[static_cast<std::size_t>(dir.ids[slot] - base)] =
-            true;
+    for (const std::size_t slot : part.matched_segments) {
+      const auto g = static_cast<std::size_t>(dir.ids[slot] - base);
+      merged.decisions[g] = true;
+      merged.matched_segments.push_back(g);
+    }
     // Banks search in parallel: a pass completes when the slowest bank
     // does; energy is spent in every dispatched bank (ascending shard
     // order keeps the floating-point summation deterministic).
@@ -381,8 +383,7 @@ QueryResult ShardedAccelerator::merge_subset(
         std::max(merged.latency_seconds, part.latency_seconds);
     merged.energy_joules += part.energy_joules;
   }
-  for (std::size_t g = 0; g < merged.decisions.size(); ++g)
-    if (merged.decisions[g]) merged.matched_segments.push_back(g);
+  std::sort(merged.matched_segments.begin(), merged.matched_segments.end());
   return merged;
 }
 

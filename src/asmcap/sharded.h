@@ -286,7 +286,8 @@ class ShardedAccelerator {
                                           const ExecutionPlan& plan) const;
   /// Merges the partial results of the dispatched shards (partials[j] is
   /// shard shard_ids[j]'s slot-indexed result) into one global result:
-  /// decisions scatter through each bank's LiveDirectory, latency = max,
+  /// each partial's matched slots scatter through its bank's
+  /// LiveDirectory (then the global ids are sorted), latency = max,
   /// energy = sum in ascending shard order. `partials` must be non-empty.
   QueryResult merge_subset(const DbEpoch& db,
                            const std::vector<QueryResult>& partials,

@@ -17,6 +17,7 @@ class BitVec {
   bool empty() const { return bits_ == 0; }
 
   bool get(std::size_t i) const;
+  bool operator[](std::size_t i) const { return get(i); }
   void set(std::size_t i, bool value = true);
   void clear(std::size_t i) { set(i, false); }
   void reset();

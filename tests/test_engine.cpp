@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "align/edstar.h"
 #include "align/hamming.h"
 #include "asmcap/accelerator.h"
@@ -140,7 +142,9 @@ TEST_F(EngineTest, FunctionalEnergyTracksCircuitEnergy) {
 }
 
 /// A circuit bank assembled by hand: per-id silicon, a non-identity id
-/// layout, tombstoned rows, and one all-dead array.
+/// layout (slot s holds id 1000 + 3s), tombstoned rows (every fifth row,
+/// the whole of array 1, and any slot in `extra_dead`), and one all-dead
+/// array.
 struct HandBuiltBank {
   AsmcapConfig config;
   std::vector<Sequence> rows;
@@ -150,7 +154,8 @@ struct HandBuiltBank {
 };
 
 HandBuiltBank hand_built_bank(const AsmcapConfig& config,
-                              const std::vector<Sequence>& segments) {
+                              const std::vector<Sequence>& segments,
+                              const std::vector<std::size_t>& extra_dead = {}) {
   HandBuiltBank bank{config, segments, {}, {},
                      PackedRowMatrix(segments, config.array_cols)};
   const std::size_t arrays =
@@ -165,10 +170,11 @@ HandBuiltBank hand_built_bank(const AsmcapConfig& config,
   for (std::size_t slot = 0; slot < segments.size(); ++slot) {
     const std::size_t a = slot / config.array_rows;
     const std::uint64_t id = 1000 + 3 * slot;
-    // Every fifth row and the whole of array 1 are tombstoned.
-    const bool live = slot % 5 != 2 && a != 1;
+    const bool live = slot % 5 != 2 && a != 1 &&
+                      std::find(extra_dead.begin(), extra_dead.end(), slot) ==
+                          extra_dead.end();
     bank.dir.ids.push_back(id);
-    bank.dir.live.push_back(live);
+    bank.dir.live.resize(slot + 1, live);
     Rng silicon = silicon_root.fork(id);
     bank.readouts[a].remanufacture_row(slot % config.array_rows, silicon);
     if (live) {
@@ -243,6 +249,255 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
     }
     EXPECT_GT(in_band, 0u) << "offset " << offset_sigma;
     EXPECT_GT(out_of_band, 0u) << "offset " << offset_sigma;
+  }
+}
+
+// ------------------------------------------------ decision words --
+
+// 130 slots in 16-row arrays span three 64-bit decision words (64 + 64 +
+// a 2-bit tail). On top of hand_built_bank's tombstones (every fifth row,
+// all of array 1) slots 63 and 64 (both sides of the first word
+// boundary), 127 (the last slot of word 1) and 129 (the last slot) are
+// dead.
+constexpr std::size_t kWideSlots = 130;
+const std::vector<std::size_t> kBoundaryDead = {63, 64, 127, 129};
+
+std::vector<Sequence> wide_segments() {
+  Rng rng(905);
+  const Sequence reference =
+      generate_reference(64 * kWideSlots + 128, {}, rng);
+  std::vector<Sequence> segments = segment_reference(reference, 64);
+  segments.resize(kWideSlots);
+  return segments;
+}
+
+/// Per-slot mismatch counts from the reference bit masks (not the kernels).
+std::vector<std::size_t> reference_counts(const std::vector<Sequence>& rows,
+                                          const Sequence& read,
+                                          MatchMode mode) {
+  std::vector<std::size_t> counts;
+  counts.reserve(rows.size());
+  for (const Sequence& row : rows)
+    counts.push_back(mode == MatchMode::EdStar
+                         ? ed_star_mismatch_mask(row, read).popcount()
+                         : hamming_mismatch_mask(row, read).popcount());
+  return counts;
+}
+
+/// Per-slot reference decisions of one pass: live and count <= T.
+std::vector<bool> reference_pass(const std::vector<Sequence>& rows,
+                                 const LiveDirectory& dir,
+                                 const Sequence& read, MatchMode mode,
+                                 std::size_t threshold) {
+  const std::vector<std::size_t> counts = reference_counts(rows, read, mode);
+  std::vector<bool> decisions(rows.size(), false);
+  for (std::size_t slot = 0; slot < rows.size(); ++slot)
+    decisions[slot] = dir.slot_live(slot) && counts[slot] <= threshold;
+  return decisions;
+}
+
+TEST(EngineWords, FunctionalPassMatchesPerSlotReferenceAcrossWords) {
+  const AsmcapConfig config = small_config();
+  const std::vector<Sequence> segments = wide_segments();
+  const HandBuiltBank bank = hand_built_bank(config, segments, kBoundaryDead);
+  const FunctionalBackend backend(config, bank.dir, bank.packed);
+  const ChargeDomainParams& charge = config.process.charge;
+  const auto n = static_cast<double>(config.array_cols);
+
+  // Arrays holding a live row; array 1 is all dead and never driven.
+  std::vector<bool> driven(
+      (kWideSlots + config.array_rows - 1) / config.array_rows, false);
+  for (std::size_t slot = 0; slot < kWideSlots; ++slot)
+    if (bank.dir.slot_live(slot)) driven[slot / config.array_rows] = true;
+  const auto arrays_driven = static_cast<double>(
+      std::count(driven.begin(), driven.end(), true));
+  ASSERT_FALSE(driven[1]);
+
+  // Reads around both word boundaries and the tail: exact copies (which
+  // the dead rows would match if they were not masked) and copies with
+  // 1..3 substitutions.
+  Rng edit_rng(906);
+  std::vector<Sequence> reads;
+  for (const std::size_t slot :
+       std::vector<std::size_t>{0, 1, 62, 63, 64, 65, 126, 127, 128, 129}) {
+    reads.push_back(segments[slot]);
+    Sequence edited = segments[slot];
+    const std::uint64_t edits = 1 + edit_rng.below(3);
+    for (std::uint64_t e = 0; e < edits; ++e)
+      edited.set(static_cast<std::size_t>(edit_rng.below(edited.size())),
+                 base_from_code(static_cast<std::uint8_t>(edit_rng.below(4))));
+    reads.push_back(edited);
+  }
+  reads.push_back(Sequence::random(64, edit_rng));
+
+  std::vector<std::size_t> matches_per_word(3, 0);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
+      const std::size_t threshold = 3;
+      const PassResult got =
+          backend.run_pass(reads[i], mode, threshold, Rng(907), 0);
+      ASSERT_EQ(got.decisions.size(), kWideSlots);
+      ASSERT_EQ(got.decisions.words(), 3u);
+      EXPECT_EQ(got.decisions.word(2) >> 2, 0u) << "bits past the last slot";
+
+      const std::vector<std::size_t> counts =
+          reference_counts(segments, reads[i], mode);
+      // Eq. 1 nominal row energy per slot, then summed in ascending
+      // live-slot order after the SL-driver energy of the driven arrays.
+      std::vector<double> row_energy(kWideSlots);
+      for (std::size_t slot = 0; slot < kWideSlots; ++slot) {
+        const auto k = static_cast<double>(counts[slot]);
+        row_energy[slot] =
+            k * (n - k) / n * charge.cap_mean * charge.vdd * charge.vdd;
+      }
+      double energy = arrays_driven * SearchlineDriverParams{}.energy_per_base *
+                      static_cast<double>(config.array_cols);
+      for (std::size_t slot = 0; slot < kWideSlots; ++slot) {
+        const bool expected =
+            bank.dir.slot_live(slot) && counts[slot] <= threshold;
+        EXPECT_EQ(got.decisions[slot], expected)
+            << "read " << i << " slot " << slot;
+        if (expected) ++matches_per_word[slot / 64];
+        if (bank.dir.slot_live(slot)) energy += row_energy[slot];
+      }
+      EXPECT_EQ(got.energy_joules, energy) << "read " << i;
+    }
+  }
+  for (std::size_t w = 0; w < matches_per_word.size(); ++w)
+    EXPECT_GT(matches_per_word[w], 0u) << "word " << w;
+}
+
+TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
+  AsmcapConfig config = small_config(/*ideal=*/true);
+  config.array_count = 9;
+  const std::vector<Sequence> segments = wide_segments();
+  const HandBuiltBank bank = hand_built_bank(config, segments, kBoundaryDead);
+
+  // Reads that exercise every combining step: exact and substituted
+  // copies (HD and ED* disagree on substitutions), rotated copies and
+  // copies with two consecutive deletions (only a TASR rotation pass
+  // recovers a shift of two), and a foreign read.
+  Rng read_rng(908);
+  std::vector<Sequence> reads;
+  for (const std::size_t slot :
+       std::vector<std::size_t>{0, 5, 60, 63, 66, 100, 127, 128}) {
+    const Sequence& row = segments[slot];
+    Sequence substituted = row;
+    for (int e = 0; e < 2; ++e)
+      substituted.set(
+          static_cast<std::size_t>(read_rng.below(row.size())),
+          base_from_code(static_cast<std::uint8_t>(read_rng.below(4))));
+    Sequence deleted = row;
+    deleted.erase(7);
+    deleted.erase(7);
+    for (int e = 0; e < 2; ++e)
+      deleted.push_back(
+          base_from_code(static_cast<std::uint8_t>(read_rng.below(4))));
+    reads.push_back(row);
+    reads.push_back(substituted);
+    reads.push_back(row.rotated_left(2));
+    reads.push_back(row.rotated_right(3));
+    reads.push_back(deleted);
+  }
+  reads.push_back(Sequence::random(64, read_rng));
+
+  // TasrOnly: 5 ED* passes. HdacOnly at T = 1 (Condition A): p ~ 0.45, so
+  // coins go both ways. Full with e_s = 5 %, e_id = 0.4 %: T_l = 4, so at
+  // T = 4 both TASR and HDAC (p ~ 0.06) run.
+  struct Case {
+    StrategyMode mode;
+    ErrorRates rates;
+    std::size_t threshold;
+  };
+  const std::vector<Case> cases = {
+      {StrategyMode::TasrOnly, ErrorRates::condition_b(), 6},
+      {StrategyMode::HdacOnly, ErrorRates::condition_a(), 1},
+      {StrategyMode::Full, ErrorRates{0.05, 0.002, 0.002}, 4},
+  };
+
+  for (const BackendKind kind :
+       {BackendKind::Functional, BackendKind::Circuit}) {
+    AsmcapAccelerator accel(config);
+    accel.set_backend(kind);
+    accel.append_segments(segments, bank.dir.ids);
+    std::vector<std::uint64_t> dead;
+    for (std::size_t slot = 0; slot < kWideSlots; ++slot)
+      if (!bank.dir.live[slot]) dead.push_back(bank.dir.ids[slot]);
+    accel.remove_segments(dead);
+    const LiveDirectory& dir = accel.directory();
+    ASSERT_EQ(dir.live, bank.dir.live);
+    ASSERT_EQ(dir.array_live, bank.dir.array_live);
+
+    std::size_t or_gains = 0;
+    std::size_t hd_adopted = 0;
+    std::size_t ed_star_kept = 0;
+    for (const Case& c : cases) {
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        const ExecutionPlan plan =
+            accel.planner().build(reads[i], c.threshold, c.rates, c.mode);
+        ASSERT_EQ(plan.ed_star_passes.size() > 1,
+                  c.mode != StrategyMode::HdacOnly);
+        ASSERT_EQ(plan.hd_pass, c.mode != StrategyMode::TasrOnly);
+        const Rng query_rng(909 + i);
+        const QueryResult got = accel.execute(plan, query_rng);
+
+        // Today's per-slot loops: OR over the ED* passes, then an HDAC
+        // coin from select_rng.fork(id) only where HD and ED* disagree
+        // (salt from docs/determinism.md).
+        std::vector<bool> expected = reference_pass(
+            segments, dir, plan.ed_star_passes[0], MatchMode::EdStar,
+            plan.threshold);
+        double energy = accel.backend()
+                            .run_pass(plan.ed_star_passes[0],
+                                      MatchMode::EdStar, plan.threshold,
+                                      query_rng, 0)
+                            .energy_joules;
+        for (std::size_t p = 1; p < plan.ed_star_passes.size(); ++p) {
+          const std::vector<bool> extra = reference_pass(
+              segments, dir, plan.ed_star_passes[p], MatchMode::EdStar,
+              plan.threshold);
+          for (std::size_t slot = 0; slot < kWideSlots; ++slot) {
+            if (extra[slot] && !expected[slot]) ++or_gains;
+            expected[slot] = expected[slot] || extra[slot];
+          }
+          energy += accel.backend()
+                        .run_pass(plan.ed_star_passes[p], MatchMode::EdStar,
+                                  plan.threshold, query_rng, p)
+                        .energy_joules;
+        }
+        if (plan.hd_pass) {
+          const std::vector<bool> hd =
+              reference_pass(segments, dir, plan.ed_star_passes.front(),
+                             MatchMode::Hamming, plan.threshold);
+          const Rng select_rng = query_rng.fork(0x5E1E'C700ULL);
+          for (std::size_t slot = 0; slot < kWideSlots; ++slot) {
+            if (hd[slot] == expected[slot]) continue;
+            Rng coin = select_rng.fork(dir.ids[slot]);
+            const bool combined = accel.planner().hdac().combine(
+                hd[slot], expected[slot], plan.hdac_p, coin);
+            ++(combined == expected[slot] ? ed_star_kept : hd_adopted);
+            expected[slot] = combined;
+          }
+          energy += accel.backend()
+                        .run_pass(plan.ed_star_passes.front(),
+                                  MatchMode::Hamming, plan.threshold,
+                                  query_rng, 0x4844'0000ULL)
+                        .energy_joules;
+        }
+
+        std::vector<std::size_t> expected_matches;
+        for (std::size_t slot = 0; slot < kWideSlots; ++slot)
+          if (expected[slot]) expected_matches.push_back(slot);
+        EXPECT_EQ(got.decisions, expected)
+            << to_string(kind) << " " << to_string(c.mode) << " read " << i;
+        EXPECT_EQ(got.matched_segments, expected_matches)
+            << to_string(kind) << " " << to_string(c.mode) << " read " << i;
+        EXPECT_EQ(got.energy_joules, energy);
+      }
+    }
+    EXPECT_GT(or_gains, 0u) << to_string(kind);
+    EXPECT_GT(hd_adopted, 0u) << to_string(kind);
+    EXPECT_GT(ed_star_kept, 0u) << to_string(kind);
   }
 }
 
