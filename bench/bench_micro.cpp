@@ -7,6 +7,7 @@
 #include "align/edit_distance.h"
 #include "align/edstar.h"
 #include "align/hamming.h"
+#include "align/kernels.h"
 #include "align/myers.h"
 #include "asmcap/accelerator.h"
 #include "cam/array.h"
@@ -86,6 +87,49 @@ void BM_EdStarPacked(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(ed_star_packed(pa, pb, 256));
 }
 BENCHMARK(BM_EdStarPacked);
+
+// One tier's block kernel over 4,096 packed rows against one read: the
+// sweep behind every functional, circuit and EDAM pass. Arguments are the
+// row width in cells and the KernelTier; items are rows.
+void run_block_kernel(benchmark::State& state, bool ed_star) {
+  constexpr std::size_t kRows = 4096;
+  const auto cols = static_cast<std::size_t>(state.range(0));
+  const auto tier = static_cast<KernelTier>(state.range(1));
+  const KernelOps& ops = kernel_ops(tier);
+  const auto kernel = ed_star ? ops.ed_star_block : ops.hamming_block;
+  Rng rng(16);
+  std::vector<Sequence> rows;
+  rows.reserve(kRows);
+  for (std::size_t g = 0; g < kRows; ++g)
+    rows.push_back(Sequence::random(cols, rng));
+  const PackedRowMatrix matrix(rows, cols);
+  const PackedReadView view(Sequence::random(cols, rng));
+  std::vector<std::uint32_t> counts(kRows);
+  for (auto _ : state) {
+    kernel(matrix.data(), kRows, view, counts.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetLabel(to_string(tier));
+}
+
+// 128 and 256 columns on every tier this machine can run.
+void block_kernel_cases(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"cols", "tier"});
+  for (const KernelTier tier : compiled_kernel_tiers())
+    if (kernel_tier_available(tier))
+      for (const int cols : {128, 256})
+        bench->Args({cols, static_cast<int>(tier)});
+}
+
+void BM_EdStarBlock(benchmark::State& state) { run_block_kernel(state, true); }
+BENCHMARK(BM_EdStarBlock)->Apply(block_kernel_cases);
+
+void BM_HammingBlock(benchmark::State& state) {
+  run_block_kernel(state, false);
+}
+BENCHMARK(BM_HammingBlock)->Apply(block_kernel_cases);
 
 void BM_CamArraySearch(benchmark::State& state) {
   Rng rng(13);

@@ -116,7 +116,8 @@ bool cpu_supports(KernelTier tier) {
       return true;
     case KernelTier::Avx2:
 #if defined(ASMCAP_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("popcnt") != 0;
 #else
       return false;
 #endif

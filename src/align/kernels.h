@@ -103,7 +103,13 @@ class PackedRowMatrix {
 /// with `read.words` words per row; counts[g] receives the exact
 /// mismatched-cell count of row g against the read. ed_star_block needs a
 /// full view; hamming_block reads only view.r (a neighbours-free view is
-/// sufficient — this is a contract every tier must keep).
+/// sufficient — this is a contract every tier must keep). Two more rules
+/// bind every tier:
+///   - it writes every counts[g], g < n_rows, for any n_rows and any width,
+///     width 0 included (all zero); callers need not clear `counts`;
+///   - it may block rows internally (e.g. sweep each column chunk over a
+///     block of rows, storing partial counts and adding to them), so
+///     `counts` holds partial sums until the call returns.
 struct KernelOps {
   KernelTier tier;
   void (*ed_star_block)(const std::uint64_t* rows, std::size_t n_rows,

@@ -1,9 +1,15 @@
 // AVX2 kernel tier: 4 packed words (128 cells) per vector op. Compiled in
-// its own object library with -mavx2 (see CMakeLists.txt); only executed
-// after __builtin_cpu_supports("avx2") says the CPU can. Counts are exact
-// popcounts, bit-identical to the scalar tier: the vector body computes the
-// same per-word mismatch flags, and sub-vector tail words fall through to
-// the shared scalar row helpers.
+// its own object library with -mavx2 -mpopcnt (see CMakeLists.txt); only
+// executed after __builtin_cpu_supports says the CPU has both. Counts are
+// exact popcounts, bit-identical to the scalar tier: the vector body
+// computes the same per-word mismatch flags, and sub-vector tail words fall
+// through to the shared scalar row helpers.
+//
+// Loop order: rows are swept in blocks of kBlockRows. For each 4-word
+// column chunk the read view's operands are loaded into registers once per
+// block, then every row of the block is compared against them. The first
+// chunk stores each row's count; later chunks and the scalar tail add to
+// it while the block's rows are still in L1.
 
 #include "align/kernels/kernel_impl.h"
 
@@ -11,101 +17,113 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <bit>
+
 namespace asmcap::detail {
 
 namespace {
 
-/// Per-lane equality of four packed words at once (the vector form of
-/// lane_eq): low lane bit set iff the 2-bit codes agree.
-inline __m256i lane_eq4(__m256i a, __m256i b, __m256i lanes) {
+constexpr std::size_t kBlockRows = 64;
+
+inline __m256i load4(const std::uint64_t* words) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words));
+}
+
+/// Per-lane inequality of four packed words at once: low lane bit set iff
+/// the 2-bit codes differ. The odd bits are left unmasked; every caller
+/// ANDs the result with a lane mask.
+inline __m256i lane_ne4(__m256i a, __m256i b) {
   const __m256i x = _mm256_xor_si256(a, b);
-  return _mm256_andnot_si256(
-      _mm256_or_si256(x, _mm256_srli_epi64(x, 1)), lanes);
+  return _mm256_or_si256(x, _mm256_srli_epi64(x, 1));
 }
 
-/// Per-64-bit-word popcounts of `v`, summed into 4 lanes of 64-bit counts
-/// (classic nibble-LUT pshufb popcount + sad accumulation).
-inline __m256i popcount4(__m256i v) {
-  const __m256i lut = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low4 = _mm256_set1_epi8(0x0F);
-  const __m256i lo = _mm256_and_si256(v, low4);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi64(v, 4), low4);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                      _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+/// Exact number of set flags in four words that hold them only in the low
+/// bit of each 2-bit lane: each word's partner in its 128-bit half is
+/// shifted into the free odd bits and ORed in, so two POPCNTs count all.
+inline std::uint32_t count_lane_flags4(__m256i flags) {
+  const __m256i folded = _mm256_or_si256(
+      flags, _mm256_slli_epi64(_mm256_shuffle_epi32(flags, 0x4E), 1));
+  const auto lo = static_cast<std::uint64_t>(
+      _mm_cvtsi128_si64(_mm256_castsi256_si128(folded)));
+  const auto hi = static_cast<std::uint64_t>(
+      _mm_cvtsi128_si64(_mm256_extracti128_si256(folded, 1)));
+  return static_cast<std::uint32_t>(std::popcount(lo) + std::popcount(hi));
 }
 
-inline std::uint32_t horizontal_sum4(__m256i acc) {
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return static_cast<std::uint32_t>(
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(sum)) +
-      static_cast<std::uint64_t>(
-          _mm_cvtsi128_si64(_mm_unpackhi_epi64(sum, sum))));
+/// The block/chunk sweep shared by both kernels. `chunk(w)` loads the read
+/// view's operands for words [w, w + 4) and returns a callable mapping one
+/// row's four words there to their mismatch flags; `row_tail(row, w)`
+/// counts words [w, W) of one row with the scalar helpers.
+template <typename Chunk, typename RowTail>
+inline void sweep_blocks(const std::uint64_t* rows, std::size_t n_rows,
+                         std::size_t W, std::uint32_t* counts, Chunk chunk,
+                         RowTail row_tail) {
+  const std::size_t W4 = W & ~std::size_t{3};
+  if (W4 == 0) {  // Narrower than one chunk, width 0 included.
+    for (std::size_t g = 0; g < n_rows; ++g)
+      counts[g] = row_tail(rows + g * W, 0);
+    return;
+  }
+  for (std::size_t g0 = 0; g0 < n_rows; g0 += kBlockRows) {
+    const std::size_t g1 = std::min(n_rows, g0 + kBlockRows);
+    for (std::size_t w = 0; w < W4; w += 4) {
+      const auto flags = chunk(w);
+      for (std::size_t g = g0; g < g1; ++g) {
+        const std::uint32_t c =
+            count_lane_flags4(flags(load4(rows + g * W + w)));
+        counts[g] = w == 0 ? c : counts[g] + c;
+      }
+    }
+    if (W4 != W)
+      for (std::size_t g = g0; g < g1; ++g)
+        counts[g] += row_tail(rows + g * W, W4);
+  }
 }
 
 }  // namespace
 
 void ed_star_block_avx2(const std::uint64_t* rows, std::size_t n_rows,
                         const PackedReadView& read, std::uint32_t* counts) {
-  const std::size_t W = read.words;
-  const std::size_t W4 = W & ~std::size_t{3};
-  const __m256i lanes = _mm256_set1_epi64x(
-      static_cast<long long>(kLanes));
-  for (std::size_t g = 0; g < n_rows; ++g) {
-    const std::uint64_t* row = rows + g * W;
-    __m256i acc = _mm256_setzero_si256();
-    for (std::size_t w = 0; w < W4; w += 4) {
-      const __m256i q = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(row + w));
-      const __m256i r = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.r.data() + w));
-      const __m256i rp = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.r_prev.data() + w));
-      const __m256i rn = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.r_next.data() + w));
-      const __m256i lok = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.left_ok.data() + w));
-      const __m256i rok = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.right_ok.data() + w));
-      const __m256i val = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.valid.data() + w));
-      const __m256i match = _mm256_or_si256(
-          lane_eq4(q, r, lanes),
-          _mm256_or_si256(
-              _mm256_and_si256(lane_eq4(q, rp, lanes), lok),
-              _mm256_and_si256(lane_eq4(q, rn, lanes), rok)));
-      acc = _mm256_add_epi64(acc,
-                             popcount4(_mm256_andnot_si256(match, val)));
-    }
-    counts[g] = horizontal_sum4(acc) + ed_star_row_scalar(row, read, W4, W);
-  }
+  sweep_blocks(
+      rows, n_rows, read.words, counts,
+      [&](std::size_t w) {
+        const __m256i r = load4(read.r.data() + w);
+        const __m256i rp = load4(read.r_prev.data() + w);
+        const __m256i rn = load4(read.r_next.data() + w);
+        const __m256i lok = load4(read.left_ok.data() + w);
+        const __m256i rok = load4(read.right_ok.data() + w);
+        const __m256i val = load4(read.valid.data() + w);
+        return [=](__m256i q) {
+          // A cell mismatches when it differs from R[i] and from each
+          // neighbour it has: the complement of ed_star_mismatch_word's
+          // match form, with no separate lane mask.
+          const __m256i near_match = _mm256_or_si256(
+              _mm256_andnot_si256(lane_ne4(q, rp), lok),
+              _mm256_andnot_si256(lane_ne4(q, rn), rok));
+          return _mm256_andnot_si256(near_match,
+                                     _mm256_and_si256(lane_ne4(q, r), val));
+        };
+      },
+      [&](const std::uint64_t* row, std::size_t w) {
+        return ed_star_row_scalar(row, read, w, read.words);
+      });
 }
 
 void hamming_block_avx2(const std::uint64_t* rows, std::size_t n_rows,
                         const PackedReadView& read, std::uint32_t* counts) {
-  const std::size_t W = read.words;
-  const std::size_t W4 = W & ~std::size_t{3};
-  const __m256i lanes = _mm256_set1_epi64x(
-      static_cast<long long>(kLanes));
-  for (std::size_t g = 0; g < n_rows; ++g) {
-    const std::uint64_t* row = rows + g * W;
-    __m256i acc = _mm256_setzero_si256();
-    for (std::size_t w = 0; w < W4; w += 4) {
-      const __m256i q = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(row + w));
-      const __m256i r = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(read.r.data() + w));
-      const __m256i x = _mm256_xor_si256(q, r);
-      const __m256i mis = _mm256_and_si256(
-          _mm256_or_si256(x, _mm256_srli_epi64(x, 1)), lanes);
-      acc = _mm256_add_epi64(acc, popcount4(mis));
-    }
-    counts[g] = horizontal_sum4(acc) + hamming_row_scalar(row, read, W4, W);
-  }
+  const __m256i lanes = _mm256_set1_epi64x(static_cast<long long>(kLanes));
+  sweep_blocks(
+      rows, n_rows, read.words, counts,
+      [&](std::size_t w) {
+        const __m256i r = load4(read.r.data() + w);
+        return [=](__m256i q) {
+          return _mm256_and_si256(lane_ne4(q, r), lanes);
+        };
+      },
+      [&](const std::uint64_t* row, std::size_t w) {
+        return hamming_row_scalar(row, read, w, read.words);
+      });
 }
 
 }  // namespace asmcap::detail

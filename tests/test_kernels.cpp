@@ -167,6 +167,56 @@ TEST(KernelParity, AllTiersMatchScalarReferenceOnBoundaryLengths) {
   }
 }
 
+// A tier may sweep rows in internal blocks and columns in multi-word
+// chunks, but it must write every count for any row count and width,
+// width 0 included. Row counts straddle 64-row blocks; widths straddle
+// 128-cell chunks and their scalar tails. Outputs start as a sentinel, so
+// an unwritten count fails as surely as a wrong one.
+TEST(KernelParity, BlockKernelsWriteEveryCountAcrossBlockAndChunkBoundaries) {
+  constexpr std::uint32_t kUnwritten = 0xFFFFFFFFu;
+  Rng rng(0x51D5);
+  for (const std::size_t n : {0, 33, 96, 127, 128, 129, 160, 256}) {
+    const Sequence read = Sequence::random(n, rng);
+    const PackedReadView view(read);
+    const PackedReadView hamming_view(read, /*neighbours=*/false);
+    for (const std::size_t n_rows : {1, 63, 64, 65, 130}) {
+      // Odd rows are near-copies of the read (0-6 substitutions), so the
+      // counts span low values as well as the random rows' high ones.
+      std::vector<Sequence> rows;
+      for (std::size_t g = 0; g < n_rows; ++g) {
+        if (g % 2 == 0 || n == 0) {
+          rows.push_back(Sequence::random(n, rng));
+          continue;
+        }
+        Sequence near = read;
+        for (std::size_t k = 0; k < g % 7; ++k) {
+          const std::size_t i = rng.below(n);
+          near.set(i, base_from_code(
+                          static_cast<std::uint8_t>(code_of(near[i]) + 1)));
+        }
+        rows.push_back(near);
+      }
+      const PackedRowMatrix matrix(rows, n);
+
+      for (const KernelTier tier : available_tiers()) {
+        const KernelOps& ops = kernel_ops(tier);
+        std::vector<std::uint32_t> star(n_rows, kUnwritten);
+        std::vector<std::uint32_t> ham(n_rows, kUnwritten);
+        ops.ed_star_block(matrix.data(), n_rows, view, star.data());
+        ops.hamming_block(matrix.data(), n_rows, hamming_view, ham.data());
+        for (std::size_t g = 0; g < n_rows; ++g) {
+          EXPECT_EQ(star[g], ed_star_reference(rows[g], read))
+              << "tier=" << to_string(tier) << " n=" << n
+              << " rows=" << n_rows << " row=" << g;
+          EXPECT_EQ(ham[g], hamming_reference(rows[g], read))
+              << "tier=" << to_string(tier) << " n=" << n
+              << " rows=" << n_rows << " row=" << g;
+        }
+      }
+    }
+  }
+}
+
 TEST(PackedRowMatrix, SetRowGrowsOverwritesAndMatchesBulkPacking) {
   Rng rng(0x51D3);
   const std::size_t n = 70;

@@ -443,9 +443,11 @@ TEST(Ingest, ServiceIngestionBitIdentical) {
   for (std::size_t i = 0; i < n_reads; ++i) {
     EXPECT_EQ(decisions[i], expected[i].decisions) << "read " << i;
     // Matched ids resolve through the index to the ingested record.
-    for (std::size_t id = 0; id < decisions[i].size(); ++id)
-      if (decisions[i][id])
+    for (std::size_t id = 0; id < decisions[i].size(); ++id) {
+      if (decisions[i][id]) {
         EXPECT_EQ(index.label(id).rfind("ref:", 0), 0u);
+      }
+    }
   }
 }
 
