@@ -1,4 +1,5 @@
-// Micro-benchmarks of the alignment kernels and the functional CAM model.
+// Micro-benchmarks of the alignment kernels and of accelerator queries on
+// both backends.
 // BM_BandedDp / BM_MyersGlobal also serve as the measured calibration for
 // the CM-CPU baseline of Fig. 8.
 
@@ -10,7 +11,6 @@
 #include "align/kernels.h"
 #include "align/myers.h"
 #include "asmcap/accelerator.h"
-#include "cam/array.h"
 #include "genome/reference.h"
 #include "util/rng.h"
 
@@ -130,18 +130,6 @@ void BM_HammingBlock(benchmark::State& state) {
   run_block_kernel(state, false);
 }
 BENCHMARK(BM_HammingBlock)->Apply(block_kernel_cases);
-
-void BM_CamArraySearch(benchmark::State& state) {
-  Rng rng(13);
-  CamArray array(256, 256);
-  for (std::size_t r = 0; r < 256; ++r)
-    array.write_row(r, Sequence::random(256, rng));
-  const Sequence read = Sequence::random(256, rng);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(array.search_counts(read, MatchMode::EdStar));
-  state.SetItemsProcessed(state.iterations() * 256 * 256);  // cells
-}
-BENCHMARK(BM_CamArraySearch);
 
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;

@@ -12,19 +12,22 @@
 //    order of magnitude faster for large sweeps. Under ideal_sensing the
 //    two backends are decision-identical (enforced by test_engine).
 //
-// The EDAM comparator runs through the same seam with its own pair:
+// The EDAM comparator runs through the same seam with its own pair, over
+// one shared packed row store just like the ASMCap pair:
 //
 //  * EdamCircuitBackend — cell-accurate current-domain sensing (pre-charge,
-//    discharge, sample-and-hold) via CurrentArrayReadout::measure_row.
+//    discharge, sample-and-hold) via CurrentArrayReadout::measure_row, fed
+//    each row's mask from its mismatch lane words.
 //  * EdamFunctionalBackend — the packed word-parallel kernels with the
 //    count-pure current-domain energy model (bit-identical energy to the
 //    circuit path; decision-identical under ideal_sensing, enforced by
 //    test_edam).
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
-// references into it (both read the accelerator's LiveDirectory and packed
-// slot matrix; the circuit backend also reads its manufactured readouts);
-// the accelerator must outlive them.
+// references into it. Both backends of a pair read the accelerator's one
+// packed row matrix (the ASMCap pair also reads its LiveDirectory); each
+// circuit backend also reads the manufactured readouts. The accelerator
+// must outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
 // Mutations (which rewrite the directory and packed rows) never run
@@ -37,9 +40,10 @@
 // RNG discipline (specified in full in docs/determinism.md): a pass never
 // draws from the query stream sequentially. It forks a pass stream
 // (query_rng.fork(pass_salt)) and then forks one decision stream per row,
-// keyed by the row's *global* segment id (segment_base + local id). Every
-// decision is therefore a pure function of (query stream, pass, global
-// segment) — independent of segment placement, bank layout, and
+// keyed by the row's *global* segment id (its LiveDirectory id; an EDAM
+// row's id is its row index, since EDAM loads once and never moves a row).
+// Every decision is therefore a pure function of (query stream, pass,
+// global segment) — independent of segment placement, bank layout, and
 // evaluation order. This is what makes the sharded accelerator's
 // decisions invariant in shard count and the streaming service's
 // decisions invariant in completion order.
@@ -50,7 +54,7 @@
 
 #include "align/kernels.h"
 #include "asmcap/config.h"
-#include "cam/array.h"
+#include "cam/cell.h"
 #include "cam/charge_readout.h"
 #include "cam/current_readout.h"
 #include "cam/periphery.h"
@@ -108,8 +112,7 @@ class ExecutionBackend {
   virtual const char* name() const = 0;
   virtual std::size_t segment_count() const = 0;
 
-  /// One search pass: per-segment decisions at `threshold` (indexed by
-  /// local segment id; the backend's segment_base only salts the RNG).
+  /// One search pass: per-slot decisions at `threshold` (see PassResult).
   /// Must be thread-safe; per-decision SA noise is forked from
   /// `query_rng.fork(pass_salt)` per global segment (unused by paths that
   /// decide ideally). `query_rng` is never advanced.
@@ -192,49 +195,50 @@ class FunctionalBackend : public ExecutionBackend {
 };
 
 /// Cell-accurate EDAM backend: current-domain sensing over the
-/// manufactured CamArray/CurrentArrayReadout bank. Holds non-owning
-/// references into the EdamAccelerator; the accelerator must outlive it.
+/// EdamAccelerator's packed row store and manufactured CurrentArrayReadout
+/// bank (row g senses on readout g / array_rows, matchline g % array_rows).
+/// Each row's mismatch mask is built from its mismatch lane words, the
+/// cell outputs the ED*/Hamming kernels count, and measured with
+/// CurrentArrayReadout::measure_row. Holds non-owning references into the
+/// accelerator; the accelerator must outlive it.
 class EdamCircuitBackend : public ExecutionBackend {
  public:
-  EdamCircuitBackend(const std::vector<CamArray>& arrays,
+  EdamCircuitBackend(const PackedRowMatrix& rows,
                      const std::vector<CurrentArrayReadout>& readouts,
-                     std::size_t segment_count, std::size_t array_rows,
-                     bool ideal_sensing, std::size_t segment_base = 0);
+                     std::size_t array_rows, bool ideal_sensing);
 
   const char* name() const override { return "edam-circuit"; }
-  std::size_t segment_count() const override { return segment_count_; }
+  std::size_t segment_count() const override { return rows_->rows(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
 
  private:
-  const std::vector<CamArray>* arrays_;
+  const PackedRowMatrix* rows_;
   const std::vector<CurrentArrayReadout>* readouts_;
-  std::size_t segment_count_;
   std::size_t array_rows_;
   bool ideal_sensing_;
-  std::size_t segment_base_;
 };
 
-/// Fast EDAM backend: word-parallel kernels over 2-bit packed segments,
-/// ideal (noise-free) decisions, and the count-pure current-domain energy
-/// model — bit-identical energy to EdamCircuitBackend (the energy of a
+/// Fast EDAM backend: the block kernels over the same packed row store as
+/// EdamCircuitBackend (held by non-owning reference), ideal (noise-free)
+/// decisions, and the count-pure current-domain energy model —
+/// bit-identical energy to EdamCircuitBackend (the energy of a
 /// current-domain search does not depend on the manufactured currents).
 class EdamFunctionalBackend : public ExecutionBackend {
  public:
-  EdamFunctionalBackend(const std::vector<Sequence>& segments,
-                        const CurrentDomainParams& params, std::size_t cols);
+  EdamFunctionalBackend(const PackedRowMatrix& rows,
+                        const CurrentDomainParams& params);
 
   const char* name() const override { return "edam-functional"; }
-  std::size_t segment_count() const override { return packed_.rows(); }
+  std::size_t segment_count() const override { return rows_->rows(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
 
  private:
-  PackedRowMatrix packed_;  ///< Row-major packed segments.
+  const PackedRowMatrix* rows_;
   CurrentDomainParams params_;
-  std::size_t cols_;
 };
 
 }  // namespace asmcap

@@ -42,26 +42,24 @@ void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
   if (segments.size() > config_.capacity_segments())
     throw DbError(DbErrorKind::CapacityExceeded,
                   "EdamAccelerator: capacity exceeded");
-  arrays_in_use_ =
+  for (const Sequence& segment : segments)
+    if (segment.size() != config_.array_cols)
+      throw std::invalid_argument("EdamAccelerator: segment width mismatch");
+
+  rows_ = PackedRowMatrix(segments, config_.array_cols);
+  const std::size_t arrays_in_use =
       (segments.size() + config_.array_rows - 1) / config_.array_rows;
   Rng manufacture = rng_.fork(0xEDA1);
-  arrays_.reserve(arrays_in_use_);
-  readouts_.reserve(arrays_in_use_);
-  for (std::size_t a = 0; a < arrays_in_use_; ++a) {
-    arrays_.emplace_back(config_.array_rows, config_.array_cols);
+  readouts_.reserve(arrays_in_use);
+  for (std::size_t a = 0; a < arrays_in_use; ++a)
     readouts_.emplace_back(config_.array_rows, config_.array_cols,
                            config_.current, manufacture);
-  }
-  for (std::size_t i = 0; i < segments.size(); ++i)
-    arrays_[i / config_.array_rows].write_row(i % config_.array_rows,
-                                              segments[i]);
   segments_loaded_ = segments.size();
 
   circuit_backend_ = std::make_unique<EdamCircuitBackend>(
-      arrays_, readouts_, segments_loaded_, config_.array_rows,
-      config_.ideal_sensing);
-  functional_backend_ = std::make_unique<EdamFunctionalBackend>(
-      segments, config_.current, config_.array_cols);
+      rows_, readouts_, config_.array_rows, config_.ideal_sensing);
+  functional_backend_ =
+      std::make_unique<EdamFunctionalBackend>(rows_, config_.current);
 }
 
 const ExecutionBackend& EdamAccelerator::backend() const {

@@ -7,12 +7,14 @@
 // AsmcapAccelerator: a cell-accurate EdamCircuitBackend and a word-parallel
 // EdamFunctionalBackend (see backend.h), switchable at runtime.
 //
-// Ownership: the accelerator owns its arrays, readouts, backends, and
-// session pool; backends hold non-owning references into it (hence not
-// movable). Thread-safety: the mutating entry points (load_reference,
-// set_backend, search_batch) belong to one control thread at a time;
-// search() is const and thread-safe — it is what search_batch fans across
-// workers.
+// Ownership: the accelerator owns one packed row store (row g holds
+// segment g, stored once), the manufactured readouts, the backends, and
+// the session pool. Both backends read that one row store by non-owning
+// reference, as the ASMCap backends share their bank's, so the
+// accelerator is not movable.
+// Thread-safety: the mutating entry points (load_reference, set_backend,
+// search_batch) belong to one control thread at a time; search() is const
+// and thread-safe — it is what search_batch fans across workers.
 //
 // RNG discipline (docs/determinism.md): EDAM's per-query stream is keyed
 // by the READ CONTENT — query_rng = master.fork(content key of the read) —
@@ -30,8 +32,8 @@
 #include <vector>
 
 #include "align/edstar.h"
+#include "align/kernels.h"
 #include "asmcap/backend.h"
-#include "cam/array.h"
 #include "cam/current_readout.h"
 #include "circuit/process.h"
 #include "circuit/timing.h"
@@ -67,11 +69,15 @@ class EdamAccelerator {
  public:
   explicit EdamAccelerator(EdamConfig config);
 
-  // Not movable: the backends hold pointers into arrays_/readouts_, which
-  // a move would leave dangling.
+  // Not movable: the backends hold pointers into rows_/readouts_, which a
+  // move would leave dangling.
   EdamAccelerator(EdamAccelerator&&) = delete;
   EdamAccelerator& operator=(EdamAccelerator&&) = delete;
 
+  /// Loads the reference, segment g into row g. Every width and the
+  /// capacity are validated before anything is built: a rejected batch
+  /// (std::invalid_argument for a width, DbError otherwise) leaves the
+  /// accelerator empty, so a retry behaves like a fresh instance.
   void load_reference(const std::vector<Sequence>& segments);
 
   /// Selects the execution backend for subsequent searches. The circuit
@@ -118,13 +124,12 @@ class EdamAccelerator {
                           const Rng& query_rng) const;
 
   EdamConfig config_;
-  std::vector<CamArray> arrays_;
+  PackedRowMatrix rows_;  ///< The one row store both backends sweep.
   std::vector<CurrentArrayReadout> readouts_;
   std::unique_ptr<EdamCircuitBackend> circuit_backend_;
   std::unique_ptr<EdamFunctionalBackend> functional_backend_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::size_t segments_loaded_ = 0;
-  std::size_t arrays_in_use_ = 0;
   Rng rng_;  ///< Master stream: forked per query, never advanced.
   SessionPool pool_;
 };

@@ -4,21 +4,6 @@
 
 namespace asmcap {
 
-RowDecoder::RowDecoder(std::size_t rows) : rows_(rows), bits_(0) {
-  if (rows == 0) throw std::invalid_argument("RowDecoder: zero rows");
-  std::size_t capacity = 1;
-  while (capacity < rows_) {
-    capacity <<= 1;
-    ++bits_;
-  }
-}
-
-std::size_t RowDecoder::decode(std::size_t address) const {
-  if (address >= rows_)
-    throw std::out_of_range("RowDecoder: address beyond last row");
-  return address;
-}
-
 SearchlineDriver::SearchlineDriver(std::size_t width,
                                    SearchlineDriverParams params)
     : width_(width), params_(params) {

@@ -1,32 +1,14 @@
 #pragma once
-// Array periphery: row-address decoder + wordline driver (the write path)
-// and the searchline buffer/driver (the search path). Functional address
-// decoding plus the latency/energy contributions the system model charges
-// for writes and for driving reads into the SLs.
+// Array periphery: the searchline buffer/driver (the search path) and the
+// cost of a row write through the decoder + wordline driver (the write
+// path) — the latency/energy contributions the system model charges for
+// driving reads into the SLs and for writes.
 
 #include <cstddef>
 
 #include "genome/sequence.h"
 
 namespace asmcap {
-
-/// One-hot row decoder: models the decoder + WL driver of Fig. 4b.
-class RowDecoder {
- public:
-  explicit RowDecoder(std::size_t rows);
-
-  /// Decodes an address into the selected row; throws on out-of-range
-  /// addresses (the hardware would assert no wordline).
-  std::size_t decode(std::size_t address) const;
-
-  /// Number of address bits.
-  std::size_t address_bits() const { return bits_; }
-  std::size_t rows() const { return rows_; }
-
- private:
-  std::size_t rows_;
-  std::size_t bits_;
-};
 
 /// Searchline buffer & driver: converts a read into differential SL levels.
 /// Functionally an identity with width checking; the energy/latency numbers

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "align/edstar.h"
-#include "align/hamming.h"
-#include "cam/array.h"
+#include <cstdint>
+#include <vector>
+
+#include "align/kernels.h"
 #include "cam/cell.h"
 #include "cam/charge_readout.h"
 #include "cam/current_readout.h"
@@ -43,81 +44,40 @@ TEST(AsmcapCell, ModeMux) {
   EXPECT_FALSE(cell.mismatch(read, 1, MatchMode::Hamming));
 }
 
+TEST(AsmcapCell, CellByCellAgreesWithPackedMask) {
+  // The Fig. 4c cell model is the reference for the packed lane-word masks
+  // the circuit backends sense: bit i of a row's mask must be cell i's
+  // output, in both modes, at widths on and off the 32-base word edge.
+  Rng rng(305);
+  for (const std::size_t n :
+       {std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{48},
+        std::size_t{64}, std::size_t{65}, std::size_t{128}}) {
+    const Sequence stored = Sequence::random(n, rng);
+    const Sequence read = Sequence::random(n, rng);
+    const PackedRowMatrix rows({stored}, n);
+    const PackedReadView view(read);
+    std::vector<std::uint64_t> lane_words(view.words);
+    for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
+      (mode == MatchMode::EdStar ? ed_star_mismatch_words
+                                 : hamming_mismatch_words)(
+          rows.row(0), view, lane_words.data());
+      const BitVec mask = lane_flags_to_bitvec(lane_words.data(), n);
+      ASSERT_EQ(mask.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const AsmcapCell cell(stored[i]);
+        EXPECT_EQ(mask.get(i), cell.mismatch(read, i, mode))
+            << "n=" << n << " i=" << i
+            << " mode=" << static_cast<int>(mode);
+      }
+    }
+  }
+}
+
 TEST(EdamCell, AlwaysEdStarMode) {
   const Sequence read = Sequence::from_string("ACGT");
   const EdamCell cell(Base::C);
   EXPECT_FALSE(cell.mismatch(read, 2));  // neighbour match accepted
   EXPECT_TRUE(cell.mismatch(Sequence::from_string("AAAA"), 2));
-}
-
-TEST(CamArray, WriteAndReadBack) {
-  CamArray array(4, 8);
-  EXPECT_EQ(array.valid_rows(), 0u);
-  const Sequence segment = Sequence::from_string("ACGTACGT");
-  array.write_row(1, segment);
-  EXPECT_TRUE(array.row_valid(1));
-  EXPECT_FALSE(array.row_valid(0));
-  EXPECT_EQ(array.row_segment(1), segment);
-  EXPECT_THROW(array.row_segment(0), std::logic_error);
-  array.invalidate_row(1);
-  EXPECT_FALSE(array.row_valid(1));
-}
-
-TEST(CamArray, DimensionValidation) {
-  EXPECT_THROW(CamArray(0, 8), std::invalid_argument);
-  CamArray array(2, 8);
-  EXPECT_THROW(array.write_row(5, Sequence::from_string("ACGTACGT")),
-               std::out_of_range);
-  EXPECT_THROW(array.write_row(0, Sequence::from_string("AC")),
-               std::invalid_argument);
-}
-
-TEST(CamArray, SearchCountsMatchAlignKernels) {
-  Rng rng(301);
-  CamArray array(8, 64);
-  std::vector<Sequence> rows;
-  for (std::size_t r = 0; r < 8; ++r) {
-    rows.push_back(Sequence::random(64, rng));
-    array.write_row(r, rows.back());
-  }
-  const Sequence read = Sequence::random(64, rng);
-  const auto star = array.search_counts(read, MatchMode::EdStar);
-  const auto ham = array.search_counts(read, MatchMode::Hamming);
-  for (std::size_t r = 0; r < 8; ++r) {
-    EXPECT_EQ(star[r], ed_star(rows[r], read));
-    EXPECT_EQ(ham[r], hamming_distance(rows[r], read));
-    EXPECT_LE(star[r], ham[r]);
-  }
-}
-
-TEST(CamArray, InvalidRowsReportAllMismatch) {
-  Rng rng(303);
-  CamArray array(3, 32);
-  array.write_row(1, Sequence::random(32, rng));
-  const Sequence read = Sequence::random(32, rng);
-  const auto counts = array.search_counts(read, MatchMode::EdStar);
-  EXPECT_EQ(counts[0], 32u);  // invalid -> can never pass any threshold
-  EXPECT_EQ(counts[2], 32u);
-  EXPECT_LT(counts[1], 32u);
-  const auto masks = array.search_masks(read, MatchMode::EdStar);
-  EXPECT_EQ(masks[0].popcount(), 32u);
-}
-
-TEST(CamArray, CellByCellAgreesWithMask) {
-  // The functional array must agree with the per-cell logic model.
-  Rng rng(305);
-  const Sequence stored = Sequence::random(48, rng);
-  const Sequence read = Sequence::random(48, rng);
-  CamArray array(1, 48);
-  array.write_row(0, stored);
-  for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
-    const BitVec mask = array.row_mismatch_mask(0, read, mode);
-    for (std::size_t i = 0; i < 48; ++i) {
-      const AsmcapCell cell(stored[i]);
-      EXPECT_EQ(mask.get(i), cell.mismatch(read, i, mode))
-          << "i=" << i << " mode=" << static_cast<int>(mode);
-    }
-  }
 }
 
 TEST(ChargeReadout, NoiselessThresholdDecisions) {

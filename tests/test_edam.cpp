@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "align/edstar.h"
 #include "asmcap/db_error.h"
 #include "genome/reference.h"
+#include "util/bench_json.h"
 
 namespace asmcap {
 namespace {
@@ -80,6 +83,32 @@ TEST_F(EdamTest, IdealDecisionsEqualEdStar) {
   ASSERT_EQ(result.decisions.size(), 24u);
   for (std::size_t g = 0; g < 24; ++g)
     EXPECT_EQ(result.decisions[g], ed_star(segments_[g], read) <= 8);
+}
+
+TEST_F(EdamTest, WrongWidthSegmentRejectedBeforeAnyState) {
+  // One bad segment in the batch rejects the whole load before anything
+  // is built, so a retry decides exactly like a fresh instance.
+  for (const BackendKind kind :
+       {BackendKind::Circuit, BackendKind::Functional}) {
+    std::vector<Sequence> bad = segments_;
+    Rng rng(504);
+    bad[20] = Sequence::random(32, rng);
+    EdamAccelerator retried(small_edam(/*ideal=*/false));
+    retried.set_backend(kind);
+    EXPECT_THROW(retried.load_reference(bad), std::invalid_argument);
+    EXPECT_EQ(retried.loaded_segments(), 0u);
+    retried.load_reference(segments_);
+
+    EdamAccelerator fresh(small_edam(/*ideal=*/false));
+    fresh.set_backend(kind);
+    fresh.load_reference(segments_);
+    for (const Sequence& read : make_reads(9, 516)) {
+      const EdamQueryResult a = retried.search(read, 1);
+      const EdamQueryResult b = fresh.search(read, 1);
+      EXPECT_EQ(a.decisions, b.decisions) << "backend=" << to_string(kind);
+      EXPECT_EQ(a.energy_joules, b.energy_joules);
+    }
+  }
 }
 
 TEST_F(EdamTest, SearchTimeMatchesTableOne) {
@@ -335,6 +364,58 @@ TEST_F(EdamTest, EnergyAccumulatesPerPassDeltas) {
   // History-independence of the ledger.
   for (const Sequence& other : make_reads(5, 515)) (void)sr.search(other, 2);
   EXPECT_DOUBLE_EQ(sr.search(read, 2).energy_joules, expected);
+}
+
+// ------------------------------------------------------- pinned digest --
+
+TEST(EdamDigest, PinnedAcrossSensingBackendsSrAndThreshold) {
+  // Pins every EDAM result bit: the decisions, the pass count, and the
+  // exact energy and latency doubles, under noisy and ideal sensing on
+  // both backends, with SR off and on, at T = 4 and 8. 600 rows in
+  // 256-row arrays leave the last array part-filled. Any change to the
+  // row store, the mask path or the ledger order that moves one bit
+  // fails here.
+  Rng rng(517);
+  const Sequence reference = generate_reference(128 * 600 + 128, {}, rng);
+  std::vector<Sequence> segments = segment_reference(reference, 128);
+  segments.resize(600);
+  // Copies with 2..15 substitutions put counts on both sides of T, where
+  // the current-domain noise flips decisions.
+  std::vector<Sequence> reads;
+  for (std::size_t i = 0; i < 28; ++i) {
+    Sequence read = segments[rng.below(segments.size())];
+    for (std::size_t e = 0; e < 2 + i % 14; ++e) {
+      const std::size_t pos = rng.below(read.size());
+      read.set(pos, complement(read[pos]));
+    }
+    reads.push_back(read);
+  }
+
+  DecisionDigest digest;
+  for (const bool ideal : {false, true})
+    for (const BackendKind kind :
+         {BackendKind::Circuit, BackendKind::Functional})
+      for (const bool sr : {false, true}) {
+        EdamConfig config;
+        config.array_rows = 256;
+        config.array_cols = 128;
+        config.array_count = 3;
+        config.ideal_sensing = ideal;
+        config.sr_enabled = sr;
+        EdamAccelerator edam(config);
+        edam.set_backend(kind);
+        edam.load_reference(segments);
+        for (const std::size_t threshold : {std::size_t{4}, std::size_t{8}})
+          for (const Sequence& read : reads) {
+            const EdamQueryResult result = edam.search(read, threshold);
+            for (const bool decision : result.decisions) digest.add(decision);
+            digest.add_u64(result.searches);
+            digest.add_u64(std::bit_cast<std::uint64_t>(result.energy_joules));
+            digest.add_u64(
+                std::bit_cast<std::uint64_t>(result.latency_seconds));
+          }
+      }
+  EXPECT_EQ(hex_digest(digest.value()), "05d381a17129ee4a");
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "align/hamming.h"
 #include "align/myers.h"
 #include "asmcap/config.h"
-#include "cam/array.h"
 #include "genome/edits.h"
 
 namespace asmcap {
@@ -70,23 +69,6 @@ TEST_P(KernelSweep, BandedCapMonotone) {
     }
     previous = capped.distance;
     previous_within = capped.within_band;
-  }
-}
-
-TEST_P(KernelSweep, CamArrayMatchesKernels) {
-  Rng rng(seed() + 3);
-  CamArray array(4, length());
-  std::vector<Sequence> rows;
-  for (std::size_t r = 0; r < 4; ++r) {
-    rows.push_back(Sequence::random(length(), rng));
-    array.write_row(r, rows.back());
-  }
-  const Sequence read = Sequence::random(length(), rng);
-  const auto star = array.search_counts(read, MatchMode::EdStar);
-  const auto ham = array.search_counts(read, MatchMode::Hamming);
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(star[r], ed_star(rows[r], read));
-    EXPECT_EQ(ham[r], hamming_distance(rows[r], read));
   }
 }
 

@@ -1,58 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "cam/periphery.h"
-#include "cam/shift_register.h"
 
 namespace asmcap {
 namespace {
-
-TEST(ShiftRegister, LoadRotateRestore) {
-  ShiftRegisterFile regs(8);
-  const Sequence read = Sequence::from_string("ACGTTGCA");
-  regs.load(read);
-  EXPECT_TRUE(regs.loaded());
-  EXPECT_EQ(regs.value(), read);
-  regs.rotate_left();
-  EXPECT_EQ(regs.value(), read.rotated_left(1));
-  regs.rotate_left();
-  EXPECT_EQ(regs.value(), read.rotated_left(2));
-  EXPECT_EQ(regs.shift_cycles(), 2u);
-  regs.restore();
-  EXPECT_EQ(regs.value(), read);
-  EXPECT_EQ(regs.shift_cycles(), 2u);  // restore is a reload, not a shift
-  regs.rotate_right();
-  EXPECT_EQ(regs.value(), read.rotated_right(1));
-  EXPECT_EQ(regs.shift_cycles(), 3u);
-}
-
-TEST(ShiftRegister, Validation) {
-  EXPECT_THROW(ShiftRegisterFile(0), std::invalid_argument);
-  ShiftRegisterFile regs(4);
-  EXPECT_THROW(regs.value(), std::logic_error);
-  EXPECT_THROW(regs.rotate_left(), std::logic_error);
-  EXPECT_THROW(regs.load(Sequence::from_string("ACGTA")),
-               std::invalid_argument);
-}
-
-TEST(ShiftRegister, CycleReset) {
-  ShiftRegisterFile regs(4);
-  regs.load(Sequence::from_string("ACGT"));
-  regs.rotate_left();
-  regs.reset_cycles();
-  EXPECT_EQ(regs.shift_cycles(), 0u);
-}
-
-TEST(RowDecoder, AddressBitsAndDecode) {
-  const RowDecoder decoder(256);
-  EXPECT_EQ(decoder.address_bits(), 8u);
-  EXPECT_EQ(decoder.decode(0), 0u);
-  EXPECT_EQ(decoder.decode(255), 255u);
-  EXPECT_THROW(decoder.decode(256), std::out_of_range);
-  const RowDecoder odd(100);
-  EXPECT_EQ(odd.address_bits(), 7u);
-  EXPECT_THROW(odd.decode(100), std::out_of_range);
-  EXPECT_THROW(RowDecoder(0), std::invalid_argument);
-}
 
 TEST(SearchlineDriver, EnergyAccounting) {
   SearchlineDriver driver(16);
