@@ -1,9 +1,12 @@
 // Batched execution-engine benchmark (plain chrono, no external deps):
-// compares the seed-era single-read circuit path against the batched
-// FunctionalBackend path on the same workload and verifies that the match
-// decisions are identical (ideal sensing makes the two backends
+// compares a single-read loop on the circuit backend against a batch on
+// the FunctionalBackend over the same workload and verifies that the
+// match decisions are identical (ideal sensing makes the two backends
 // decision-equivalent by construction; test_engine enforces it on every
-// run, this driver demonstrates it at scale). The EDAM arm does the same
+// run, this driver demonstrates it at scale). Every ASMCap arm runs a
+// 1-shard router: the single-read loop calls search(), and the batch arms
+// call search_batch(), which submits the reads to SearchService and pays
+// its per-read admission, planning and merge. The EDAM arm does the same
 // for the comparator: serial circuit path vs batched functional backend,
 // with a decision-digest equality assertion (EDAM's content-keyed query
 // streams make serial and batched execution bit-identical, test_edam).
@@ -27,8 +30,8 @@
 #include <vector>
 
 #include "align/kernels.h"
-#include "asmcap/accelerator.h"
 #include "asmcap/edam.h"
+#include "asmcap/sharded.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
 #include "util/bench_json.h"
@@ -96,8 +99,8 @@ int main(int argc, char** argv) {
       n_reads, n_segments, config.array_count, threshold, workers,
       ThreadPool::hardware_workers(), to_string(tier));
 
-  // --- Seed path: one read at a time through the circuit backend. ---------
-  AsmcapAccelerator circuit(config);
+  // --- Single-read loop: one read at a time through the circuit backend. --
+  ShardedAccelerator circuit(config, 1);
   circuit.load_reference(segments);
   circuit.set_error_profile(ErrorRates::condition_a());
   const auto circuit_start = Clock::now();
@@ -109,27 +112,27 @@ int main(int argc, char** argv) {
   const double circuit_seconds = seconds_since(circuit_start);
 
   // --- Engine path: batched FunctionalBackend across the worker pool. -----
-  AsmcapAccelerator functional(config);
+  ShardedAccelerator functional(config, 1);
+  functional.set_backend(BackendKind::Functional);
   functional.load_reference(segments);
   functional.set_error_profile(ErrorRates::condition_a());
-  functional.set_backend(BackendKind::Functional);
   const auto batch_start = Clock::now();
   const std::vector<QueryResult> batch_results =
       functional.search_batch(reads, threshold, StrategyMode::Full, workers);
   const double batch_seconds = seconds_since(batch_start);
 
   // --- Scalar-tier arm: the same functional batch on scalar kernels. ------
-  // A fresh accelerator with the same seed forks the exact same per-read
+  // A fresh router with the same seed forks the exact same per-read
   // streams, so the digests must be bit-identical across kernel tiers (the
   // cross-ISA contract of align/kernels.h); on timeable workloads the SIMD
   // tier must also clear a 2x throughput floor over scalar.
   double scalar_seconds = 0.0;
   std::uint64_t scalar_tier_digest = 0;
   if (tier != KernelTier::Scalar) {
-    AsmcapAccelerator functional_scalar(config);
+    ShardedAccelerator functional_scalar(config, 1);
+    functional_scalar.set_backend(BackendKind::Functional);
     functional_scalar.load_reference(segments);
     functional_scalar.set_error_profile(ErrorRates::condition_a());
-    functional_scalar.set_backend(BackendKind::Functional);
     set_active_kernel_tier(KernelTier::Scalar);
     const auto scalar_start = Clock::now();
     const std::vector<QueryResult> scalar_results =
@@ -146,7 +149,7 @@ int main(int argc, char** argv) {
   // circuit-backend batch forks the exact same per-read streams as the
   // functional batch above (same seed, same epoch) and must reproduce its
   // decisions bit-for-bit.
-  AsmcapAccelerator circuit_batch(config);
+  ShardedAccelerator circuit_batch(config, 1);
   circuit_batch.load_reference(segments);
   circuit_batch.set_error_profile(ErrorRates::condition_a());
   const std::vector<QueryResult> circuit_batch_results =

@@ -4,46 +4,25 @@
 //
 // Paper headline (w/ H&T): 4.7e4x / 174x / 61x / 1.4x speedup and
 // 2.0e6x / 8.7e3x / 943x / 10.8x energy efficiency vs the four baselines.
-// Absolute CPU numbers are additionally cross-calibrated against the
-// measured kernel throughput of this host (see the second table).
+// Every number is modelled (CM-CPU on the modelled i9-10980XE); host
+// wall-clock never enters these tables.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <iostream>
+#include <string>
 
-#include "align/myers.h"
 #include "asmcap/config.h"
 #include "eval/report.h"
-#include "genome/reference.h"
 #include "perf/comparison.h"
 #include "perf/system_model.h"
-#include "util/table.h"
 
 namespace {
 
-/// Measures this host's Myers kernel throughput (word-ops/s) so the CM-CPU
-/// estimate can be grounded in a real measurement instead of a constant.
-double measure_word_ops_per_second() {
-  asmcap::Rng rng(77);
-  const asmcap::Sequence pattern = asmcap::Sequence::random(256, rng);
-  const asmcap::Sequence text = asmcap::Sequence::random(256, rng);
-  const asmcap::MyersPattern kernel(pattern);
-  // Warm up, then time.
-  volatile std::size_t sink = 0;
-  for (int i = 0; i < 100; ++i) sink = sink + kernel.distance(text);
-  const auto start = std::chrono::steady_clock::now();
-  constexpr int kIterations = 4000;
-  for (int i = 0; i < kIterations; ++i) sink = sink + kernel.distance(text);
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(stop - start).count();
-  const double word_ops = static_cast<double>(kIterations) * 256.0 * 4.0;
-  return word_ops / seconds;
-}
-
-void report_fig8(const asmcap::CmCpuConfig& cpu, const std::string& label) {
-  const asmcap::AsmcapConfig asmcap_config;
-  const asmcap::SystemModel model(asmcap_config, cpu);
+void report_fig8() {
+  const std::string label = "modelled i9-10980XE (18 threads)";
+  const asmcap::SystemModel model(asmcap::AsmcapConfig{},
+                                  asmcap::CmCpuConfig{});
   asmcap::PerfWorkload workload;  // 512 x 256 segments, 256-base reads
 
   const auto estimates = model.estimate_all(workload);
@@ -76,16 +55,7 @@ BENCHMARK(BM_SystemModel);
 }  // namespace
 
 int main(int argc, char** argv) {
-  report_fig8(asmcap::CmCpuConfig{}, "modelled i9-10980XE (18 threads)");
-
-  asmcap::CmCpuConfig measured;
-  measured.word_ops_per_second = measure_word_ops_per_second();
-  measured.threads = 1;
-  measured.cpu_power_watts = 35.0;  // single active core envelope
-  std::cout << "Measured Myers kernel on this host: "
-            << asmcap::format_si(measured.word_ops_per_second, "ops/s")
-            << " (single thread)\n\n";
-  report_fig8(measured, "measured single-core CPU of this host");
+  report_fig8();
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -10,7 +10,7 @@
 #include "align/hamming.h"
 #include "align/kernels.h"
 #include "align/myers.h"
-#include "asmcap/accelerator.h"
+#include "asmcap/sharded.h"
 #include "genome/reference.h"
 #include "util/rng.h"
 
@@ -136,7 +136,7 @@ void BM_AcceleratorQuery(benchmark::State& state) {
   config.array_rows = 256;
   config.array_cols = 256;
   config.array_count = 1;
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   Rng rng(14);
   const Sequence reference = generate_reference(256 * 257 + 512, {}, rng);
   auto segments = segment_reference(reference, 256);
@@ -157,7 +157,7 @@ void BM_AcceleratorQueryFunctional(benchmark::State& state) {
   config.array_rows = 256;
   config.array_cols = 256;
   config.array_count = 1;
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   Rng rng(14);
   const Sequence reference = generate_reference(256 * 257 + 512, {}, rng);
   auto segments = segment_reference(reference, 256);
@@ -173,12 +173,13 @@ void BM_AcceleratorQueryFunctional(benchmark::State& state) {
 BENCHMARK(BM_AcceleratorQueryFunctional);
 
 void BM_SearchBatchFunctional(benchmark::State& state) {
-  // Whole-batch throughput of the batched engine (worker count = arg).
+  // Whole-batch throughput of the batched engine — a 1-shard router's
+  // search_batch through SearchService (worker count = arg).
   AsmcapConfig config;
   config.array_rows = 256;
   config.array_cols = 256;
   config.array_count = 1;
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   Rng rng(15);
   const Sequence reference = generate_reference(256 * 257 + 512, {}, rng);
   auto segments = segment_reference(reference, 256);

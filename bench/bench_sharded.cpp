@@ -1,9 +1,10 @@
 // Sharded-router benchmark (plain chrono, no external deps): the
 // latency-bound service path — requests arriving one read at a time —
-// on the cell-accurate circuit backend. A monolithic bank scans all its
-// arrays for every read; the sharded router splits the same database
-// across N banks and fans each read across them on the worker pool, so
-// the per-read critical path shrinks by ~N on hardware with >= N cores.
+// on the cell-accurate circuit backend. A monolithic bank (a 1-shard
+// router) scans all its arrays for every read; the sharded router splits
+// the same database across N banks and fans each read across them on the
+// worker pool, so the per-read critical path shrinks by ~N on hardware
+// with >= N cores.
 // Decisions are verified bit-identical between the two layouts (shard
 // invariance of the noise-free decision path), so the driver doubles as
 // a router correctness check — CI runs it under ASan/UBSan with a tiny
@@ -102,8 +103,8 @@ int main(int argc, char** argv) {
       n_reads, n_segments, threshold, shards, bank.array_count, workers,
       ThreadPool::hardware_workers());
 
-  // --- Monolithic bank: every read scans all arrays serially. ------------
-  AsmcapAccelerator mono(mono_config);
+  // --- Monolithic bank (1-shard router): reads scan all arrays serially. -
+  ShardedAccelerator mono(mono_config, 1);
   mono.load_reference(segments);
   mono.set_error_profile(sim_config.rates);
   const auto mono_start = Clock::now();

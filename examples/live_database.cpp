@@ -3,7 +3,7 @@
 // small hot bank (config.live), deletes tombstone rows in place, and
 // compact() folds the hot bank into the cold banks at an epoch boundary —
 // all without perturbing a single decision: searching any epoch is
-// bit-identical to a fresh accelerator loaded with exactly that epoch's
+// bit-identical to a fresh one-bank router holding exactly that epoch's
 // live rows (determinism.md, rule 8). An in-flight SearchService ticket
 // stays pinned to the epoch it launched against, so mutations racing a
 // search are invisible to it. See docs/architecture.md ("Live database").
@@ -97,21 +97,17 @@ int main() {
               pinned_matches);
 
   // Searches after the mutations see the final epoch — bit-identical to a
-  // monolithic accelerator freshly loaded with exactly its live (id, row)
-  // pairs. Same seed means the same silicon root and the same sequential
-  // query streams (mutations and batches never advance them).
+  // one-bank router holding exactly its live (id, row) pairs: load every
+  // id in order, then retract the same ids. Same seed means the same
+  // silicon root and the same sequential query streams (mutations and
+  // batches never advance them).
   AsmcapConfig mono_config = bank;
   mono_config.array_count = 4;  // one chip holding the whole database
-  AsmcapAccelerator replay(mono_config);
-  std::vector<Sequence> rows;
-  std::vector<std::uint64_t> ids;
-  for (const auto& [id, row] : db.live_segments()) {
-    ids.push_back(id);
-    rows.push_back(row);
-  }
-  replay.append_segments(rows, ids);
+  ShardedAccelerator replay(mono_config, 1);
+  replay.load_reference(segments);
+  replay.remove_segments(retracted);
 
-  bool identical = true;
+  bool identical = db.live_segments() == replay.live_segments();
   for (const Sequence& read : make_reads(24)) {
     const QueryResult a = db.search(read, 4, StrategyMode::Full);
     const QueryResult b = replay.search(read, 4, StrategyMode::Full);

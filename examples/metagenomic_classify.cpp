@@ -13,7 +13,7 @@
 #include <iostream>
 #include <vector>
 
-#include "asmcap/accelerator.h"
+#include "asmcap/sharded.h"
 #include "baseline/kraken_like.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   AsmcapConfig config;
   config.array_rows = 256;
   config.array_count = (rows.size() + 255) / 256;
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   accel.load_reference(rows);
   const ErrorRates rates = ErrorRates::condition_a();
   accel.set_error_profile(rates);

@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "asmcap/accelerator.h"
+#include "asmcap/sharded.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
 #include "util/table.h"
@@ -30,10 +30,12 @@ int main(int argc, char** argv) {
               reference.size(), segments.size());
 
   // 2. Configure and load the accelerator (one 256x256 array suffices here).
+  //    A single bank is a 1-shard router: the same controller that spreads
+  //    larger databases over many banks.
   AsmcapConfig config;
   config.array_count = 1;
   config.array_rows = 128;
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   accel.load_reference(segments);
   accel.set_error_profile(ErrorRates::condition_a());
 
@@ -85,9 +87,9 @@ int main(int argc, char** argv) {
       batch_hits += segment == true_segment ? 1u : 0u;
   std::printf(
       "\nBatched on the %s backend: %zu reads, true segment hit %zu times\n",
-      accel.backend().name(), batch.size(), batch_hits);
+      to_string(accel.backend_kind()), batch.size(), batch_hits);
 
-  const ExecutionTotals& totals = accel.controller().totals();
+  const ExecutionTotals& totals = accel.totals();
   std::printf(
       "Totals: %zu queries, %zu array searches, %s total search latency\n",
       totals.queries, totals.searches,

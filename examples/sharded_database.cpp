@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
               kOrganisms, kRowsPerOrganism, rows.size());
   std::printf("one bank holds %zu segments -> ", bank.capacity_segments());
   try {
-    AsmcapAccelerator mono(bank);
+    ShardedAccelerator mono(bank, 1);
     mono.load_reference(rows);
     std::printf("unexpectedly fit!\n");
   } catch (const DbError& error) {

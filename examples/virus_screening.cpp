@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "align/semiglobal.h"
-#include "asmcap/accelerator.h"
+#include "asmcap/sharded.h"
 #include "eval/metrics.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   AsmcapConfig config;
   config.array_count = (segments.size() + 255) / 256;
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   accel.load_reference(segments);
   // TGS-ish noisy sample: substitutions + indels.
   const ErrorRates rates{0.01, 0.002, 0.002};

@@ -26,14 +26,13 @@ constexpr std::uint64_t kUnitSalt = 0x517E'C0DE'0000'0000ULL;
 
 AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
     : config_(config),
-      controller_(config),
+      planner_(config),
       timing_(config.process),
       silicon_root_(
           Rng(config.silicon_seed != 0 ? config.silicon_seed : config.seed)
               .fork(0x51C0)),
       packed_rows_(config.array_cols),
-      next_auto_id_(static_cast<std::uint64_t>(config.segment_base)),
-      rng_(config.seed) {
+      next_auto_id_(static_cast<std::uint64_t>(config.segment_base)) {
   validate(config_.process);
   circuit_backend_ = std::make_unique<CircuitBackend>(config_, readouts_,
                                                       dir_, packed_rows_);
@@ -234,7 +233,6 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   auto copy = std::make_unique<AsmcapAccelerator>(config_);
   // Assign in place: the copy's backends already point at its own
   // members, so a memberwise copy needs no rebinding.
-  copy->rates_ = rates_;
   copy->backend_kind_ = backend_kind_;
   copy->readouts_ = readouts_;
   copy->dir_ = dir_;
@@ -245,8 +243,6 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   copy->identity_layout_ = identity_layout_;
   copy->load_energy_ = load_energy_;
   copy->load_latency_ = load_latency_;
-  copy->batch_epoch_ = batch_epoch_;
-  copy->rng_ = rng_;
   return copy;
 }
 
@@ -260,12 +256,6 @@ void AsmcapAccelerator::check_loaded() const {
   if (dir_.slots() == 0)
     throw DbError(DbErrorKind::NotLoaded,
                   "AsmcapAccelerator: no reference loaded");
-}
-
-void AsmcapAccelerator::check_read(const Sequence& read) const {
-  check_loaded();
-  if (read.size() != config_.array_cols)
-    throw std::invalid_argument("AsmcapAccelerator: read width mismatch");
 }
 
 QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
@@ -322,72 +312,6 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
       timing_.asmcap_query_latency(plan.summary.total_searches());
   result.energy_joules = energy;
   return result;
-}
-
-QueryResult AsmcapAccelerator::rebase_to_ids(QueryResult raw) const {
-  // On a frozen database slot s holds id segment_base + s, so the raw
-  // slot-indexed result already IS the id-indexed result.
-  if (identity_layout_) return raw;
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(config_.segment_base);
-  const std::size_t space = static_cast<std::size_t>(next_auto_id_ - base);
-  QueryResult out;
-  out.plan = raw.plan;
-  out.latency_seconds = raw.latency_seconds;
-  out.energy_joules = raw.energy_joules;
-  out.decisions.assign(space, false);
-  for (const std::size_t slot : raw.matched_segments) {
-    const auto g = static_cast<std::size_t>(dir_.ids[slot] - base);
-    out.decisions[g] = true;
-    out.matched_segments.push_back(g);
-  }
-  std::sort(out.matched_segments.begin(), out.matched_segments.end());
-  return out;
-}
-
-QueryResult AsmcapAccelerator::search(const Sequence& read,
-                                      std::size_t threshold,
-                                      StrategyMode mode) {
-  check_read(read);
-  const ExecutionPlan plan = planner().build(read, threshold, rates_, mode);
-  // One advance of the sequential stream per query; everything inside the
-  // query forks from the resulting stream (see backend.h).
-  const Rng query_rng = rng_.fork(rng_.next());
-  QueryResult result = rebase_to_ids(execute(plan, query_rng));
-  controller_.record(result.plan, result.latency_seconds,
-                     result.energy_joules);
-  return result;
-}
-
-std::vector<QueryResult> AsmcapAccelerator::search_batch(
-    const std::vector<Sequence>& reads, std::size_t threshold,
-    StrategyMode mode, std::size_t workers) {
-  for (const Sequence& read : reads) check_read(read);
-  if (reads.empty()) {
-    check_loaded();
-    return {};
-  }
-
-  // Per-read streams are forked from the current RNG state and a batch
-  // epoch: deterministic in read index, independent of worker count, and
-  // non-perturbing (fork() leaves rng_ untouched, so a batch never shifts
-  // the sequential search() stream).
-  const std::uint64_t epoch = ++batch_epoch_;
-
-  std::vector<QueryResult> results(reads.size());
-  worker_pool(workers).parallel_for(reads.size(), [&](std::size_t i) {
-    const ExecutionPlan plan =
-        planner().build(reads[i], threshold, rates_, mode);
-    const Rng query_rng =
-        rng_.fork((epoch << 32) | static_cast<std::uint64_t>(i));
-    results[i] = rebase_to_ids(execute(plan, query_rng));
-  });
-
-  // Ledger totals are recorded sequentially in read order.
-  for (const QueryResult& result : results)
-    controller_.record(result.plan, result.latency_seconds,
-                       result.energy_joules);
-  return results;
 }
 
 }  // namespace asmcap

@@ -1,13 +1,16 @@
 #pragma once
-// Top-level ASMCap accelerator (paper Fig. 4a): global buffer + controller
-// + a bank of ASMCap arrays, structured as a layered execution engine:
+// One ASMCap bank (paper Fig. 4a): a bank of ASMCap arrays plus the
+// layers that run a query over them:
 //
 //   QueryPlanner  — turns (read, T, mode) into an immutable ExecutionPlan
 //   ExecutionBackend — runs the plan's passes (cell-accurate CircuitBackend
 //                      or the fast FunctionalBackend)
-//   batch engine  — fans a batch of reads across a worker pool with
-//                   deterministic per-read RNG forking, so search_batch
-//                   results are identical for any worker count
+//
+// A bank is execute() plus mutations. It plans nothing on its own, owns
+// no query stream, and keeps no search ledger: the controller that
+// schedules every bank is the sharded router (asmcap/sharded.h) with its
+// SearchService (asmcap/service.h), and a monolithic search is a 1-shard
+// router.
 //
 // The reference is a LIVE database (docs/architecture.md "Live database"):
 // load_reference seeds it, append_segments adds rows (re-using tombstoned
@@ -30,18 +33,15 @@
 // when it switches away, so a functional-only bank never pays for silicon
 // it does not execute.
 //
-// Ownership: the accelerator owns its row store, readouts, backends,
-// controller, and session pool; backends hold non-owning references into
-// it (hence not movable). Thread-safety: the mutating entry points
-// (load_reference, append_segments, remove_segments, search, search_batch,
-// set_*) belong to one control thread at a time; execute() is const and
-// thread-safe and is what the batch engine, the sharded router, and the
-// streaming service fan across workers. Mutations must not run while this bank has
-// execute() calls in flight — the sharded router guarantees that by
-// mutating clones and publishing them as a new epoch. Reentrancy: never
-// call back into the accelerator's blocking entry points from inside a
-// pool task — parallel_for is not reentrant (see util/thread_pool.h).
-// RNG discipline: docs/determinism.md.
+// Ownership: the bank owns its row store, readouts, backends, and
+// planner; backends hold non-owning references into it (hence not
+// movable). Thread-safety: the mutating entry points (load_reference,
+// append_segments, remove_segments, set_backend) belong to one control
+// thread at a time; execute() is const and thread-safe and is what the
+// sharded router and the streaming service fan across workers. Mutations
+// must not run while this bank has execute() calls in flight — the
+// sharded router guarantees that by mutating clones and publishing them
+// as a new epoch. RNG discipline: docs/determinism.md.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,25 +52,22 @@
 
 #include "asmcap/backend.h"
 #include "asmcap/config.h"
-#include "asmcap/controller.h"
 #include "asmcap/db_error.h"
 #include "asmcap/planner.h"
 #include "asmcap/sketch.h"
 #include "circuit/timing.h"
-#include "genome/edits.h"
 #include "genome/sequence.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace asmcap {
 
-/// Result of one read query. From search()/search_batch(), decisions are
-/// indexed by (global id - segment_base) over the bank's id space and
-/// matched_segments holds those indices ascending; on a frozen database
-/// that is exactly the historical per-segment bitmap. From the const
-/// execute() entry point, decisions AND matched_segments are row-SLOT-
-/// indexed (the sharded router scatters the matched slots to global ids
-/// through the bank's LiveDirectory).
+/// Result of one read query. From the router (ShardedAccelerator::search,
+/// search_batch, SearchService), decisions are indexed by (global id -
+/// segment_base) over the router's id space and matched_segments holds
+/// those indices ascending; on a frozen database that is exactly the
+/// historical per-segment bitmap. From a bank's execute(), decisions AND
+/// matched_segments are row-SLOT-indexed (the router scatters the matched
+/// slots to global ids through the bank's LiveDirectory).
 struct QueryResult {
   /// Indices of the segments whose rows reported 'match', ascending.
   std::vector<std::size_t> matched_segments;
@@ -125,11 +122,11 @@ class AsmcapAccelerator {
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
   /// Memberwise deep copy — row store, directory, id map, sketch, circuit
-  /// state (if built), RNG state, and load ledger; the copy's backends read
-  /// the copy's own members. The copy-on-write primitive of the sharded
-  /// router's epoch scheme: search results on the clone are bit-identical
-  /// to the original, energy included, and mutating either never touches
-  /// the other. The search ledger (controller totals) starts empty.
+  /// state (if built), and load ledger; the copy's backends read the
+  /// copy's own members. The copy-on-write primitive of the sharded
+  /// router's epoch scheme: execute() results on the clone are
+  /// bit-identical to the original, energy included, and mutating either
+  /// never touches the other.
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// True while every slot s still holds id segment_base + s (always true
@@ -138,53 +135,26 @@ class AsmcapAccelerator {
   /// already id-indexed.
   bool identity_layout() const { return identity_layout_; }
 
-  /// Sets the workload error profile used by the offline pre-processing of
-  /// HDAC's p and TASR's T_l. Defaults to Condition A rates.
-  void set_error_profile(const ErrorRates& rates) { rates_ = rates; }
-  const ErrorRates& error_profile() const { return rates_; }
-
-  /// Selects the execution backend for subsequent searches. The circuit
-  /// backend (default) is cell-accurate; the functional backend computes
-  /// the same decisions (identically under ideal_sensing) an order of
-  /// magnitude faster. Switching is a control-plane mutation (never with
-  /// execute() calls in flight): switching to Circuit builds every live
-  /// row's silicon from its per-id stream — bit-identical to a bank that
-  /// was Circuit from birth with the same history (rule 8) — and
-  /// switching to Functional frees it. Cheapest on an empty bank.
+  /// Selects the execution backend for subsequent execute() calls. The
+  /// circuit backend (default) is cell-accurate; the functional backend
+  /// computes the same decisions (identically under ideal_sensing) an
+  /// order of magnitude faster. Switching is a control-plane mutation
+  /// (never with execute() calls in flight): switching to Circuit builds
+  /// every live row's silicon from its per-id stream — bit-identical to a
+  /// bank that was Circuit from birth with the same history (rule 8) —
+  /// and switching to Functional frees it. Cheapest on an empty bank.
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
   /// The active backend (valid once the database is non-empty).
   const ExecutionBackend& backend() const;
 
-  /// Searches one read against every live segment.
-  QueryResult search(const Sequence& read, std::size_t threshold,
-                     StrategyMode mode);
-
-  /// Searches a batch of reads, fanning them across `workers` threads.
-  /// Each read draws from its own deterministically forked RNG stream, so
-  /// the results are identical for any worker count (and never perturb the
-  /// accelerator's sequential RNG state). Ledger totals are recorded in
-  /// read order.
-  std::vector<QueryResult> search_batch(const std::vector<Sequence>& reads,
-                                        std::size_t threshold,
-                                        StrategyMode mode,
-                                        std::size_t workers = 1);
-
-  /// Runs one materialised plan with an explicit query stream. Const and
-  /// thread-safe: it never touches the ledger, the sequential RNG, or any
-  /// other shared mutable state, and `query_rng` is only forked, never
-  /// advanced. Decisions are row-SLOT-indexed (see QueryResult). This is
-  /// the entry point the sharded router fans across banks (every bank
-  /// executing the same plan against the same stream).
+  /// Runs one materialised plan with an explicit query stream — the
+  /// bank's only search entry point. Const and thread-safe: it touches no
+  /// shared mutable state, and `query_rng` is only forked, never advanced.
+  /// Decisions are row-SLOT-indexed (see QueryResult). The sharded router
+  /// fans it across banks (every bank executing the same plan against the
+  /// same stream). Throws DbError (NotLoaded) on an empty bank.
   QueryResult execute(const ExecutionPlan& plan, const Rng& query_rng) const;
-
-  /// The session-owned worker pool (see SessionPool), reused across
-  /// search_batch/map_batch calls. NOTE: ThreadPool::parallel_for is not
-  /// reentrant — never call back into the pool from inside a task it is
-  /// running.
-  ThreadPool& worker_pool(std::size_t workers = 0) {
-    return pool_.get(workers);
-  }
 
   /// Allocated row slots (live + tombstoned). On a frozen database this is
   /// the loaded segment count, as it always was.
@@ -205,16 +175,13 @@ class AsmcapAccelerator {
   double load_energy_joules() const { return load_energy_; }
   double load_latency_seconds() const { return load_latency_; }
   const AsmcapConfig& config() const { return config_; }
-  const Controller& controller() const { return controller_; }
-  Controller& controller() { return controller_; }
-  const QueryPlanner& planner() const { return controller_.planner(); }
+  const QueryPlanner& planner() const { return planner_; }
   const TimingModel& timing() const { return timing_; }
   /// The bank's pruning sketch, maintained across mutations when
   /// config().pruning.enabled; nullptr otherwise.
   const BankSketch* sketch() const { return sketch_.get(); }
 
  private:
-  void check_read(const Sequence& read) const;
   void check_loaded() const;
   /// Manufactures the row silicon at `slot` from the per-id stream of
   /// `id`, manufacturing arrays on demand.
@@ -229,16 +196,12 @@ class AsmcapAccelerator {
     return Sequence::from_packed_words(packed_rows_.row(slot),
                                        config_.array_cols);
   }
-  /// Converts a slot-indexed execute() result into the id-indexed shape
-  /// search()/search_batch() return. Identity on a frozen database.
-  QueryResult rebase_to_ids(QueryResult raw) const;
   /// Cost accounting of one append burst (count rows, the fullest touched
   /// array writing `burst_rows` of them sequentially).
   void book_write_cost(std::size_t count, std::size_t burst_rows);
 
   AsmcapConfig config_;
-  ErrorRates rates_ = ErrorRates::condition_a();
-  Controller controller_;
+  QueryPlanner planner_;
   TimingModel timing_;
   /// Root of the manufactured-silicon stream tree
   /// (Rng(silicon_seed or seed).fork(0x51C0)); row silicon forks per
@@ -258,9 +221,6 @@ class AsmcapAccelerator {
   bool identity_layout_ = true;
   double load_energy_ = 0.0;
   double load_latency_ = 0.0;
-  std::uint64_t batch_epoch_ = 0;
-  Rng rng_;
-  SessionPool pool_;
 };
 
 }  // namespace asmcap

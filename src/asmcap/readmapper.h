@@ -10,8 +10,8 @@
 // several banks (shard_count x array_count x array_rows segments); the
 // host-side verification is unchanged by sharding because the segments
 // stay host-side and match reports arrive re-based to global ids. With
-// shard_count == 1 (the default) the mapper behaves bit-identically to
-// one built on a plain AsmcapAccelerator. map_batch streams through the
+// shard_count == 1 (the default) the filter is the monolithic search: a
+// 1-shard router over one bank. map_batch streams through the
 // SearchService: each read is verified on the worker that merged it,
 // overlapping host DP with the in-flight accelerator passes of later
 // reads.
@@ -85,8 +85,8 @@ struct MappingStats {
 class ReadMapper {
  public:
   /// Stores `segments` (cut from the reference at `stride`) into a fresh
-  /// sharded accelerator of `shard_count` banks (1 = single-bank, the
-  /// previous behaviour). The segments are kept host-side for
+  /// sharded accelerator of `shard_count` banks (1 = one bank, the
+  /// monolithic search). The segments are kept host-side for
   /// verification.
   ReadMapper(AsmcapConfig config, std::vector<Sequence> segments,
              std::size_t stride, std::size_t shard_count = 1);

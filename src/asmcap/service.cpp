@@ -228,13 +228,13 @@ const QueryResult& SearchTicket::result(std::size_t i) const {
 
 void SearchTicket::wait() {
   group_.wait();
-  // Ledger totals flush once, sequentially in read order — the exact
-  // recording order of the synchronous batch path — BEFORE any error is
-  // rethrown: a read that executed spent real energy whether or not its
-  // consumer callback later failed, so consumer errors must not drop the
-  // batch from the ledger. Only Done reads are recorded: a cancelled,
-  // expired, or failed read never merged, so it books nothing — no
-  // phantom energy (tests/test_scheduler.cpp pins this down).
+  // Ledger totals flush once, sequentially in read order — whatever order
+  // the reads completed in — BEFORE any error is rethrown: a read that
+  // executed spent real energy whether or not its consumer callback later
+  // failed, so consumer errors must not drop the batch from the ledger.
+  // Only Done reads are recorded: a cancelled, expired, or failed read
+  // never merged, so it books nothing — no phantom energy
+  // (tests/test_scheduler.cpp pins this down).
   if (!recorded_) {
     for (const Slot& slot : slots_)
       if (slot.outcome.load(std::memory_order_acquire) ==
@@ -485,8 +485,8 @@ void SearchTicket::run_read(std::size_t i) {
   }
   std::size_t selected = 0;
   try {
-    // Same deterministic recipe as the synchronous batch: one plan per
-    // read, one RNG stream forked from (master state, epoch, read index).
+    // The batch recipe (docs/determinism.md): one plan per read, one RNG
+    // stream forked from (master state, epoch, read index).
     // The probe happens AFTER the fork, so pruning never shifts streams.
     slot.plan = accel_->controller_.planner().build(
         (*reads_)[i], threshold_, accel_->rates_, mode_);
@@ -567,8 +567,8 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
   if (slot.shards_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Last shard of this read: decide its terminal outcome. If every
     // shard executed cleanly and the ticket is still live, merge in
-    // ascending shard order (identical floating-point summation order to
-    // the synchronous path, however the shards actually finished). A
+    // ascending shard order (the floating-point summation order of the
+    // router's search(), however the shards actually finished). A
     // merge failure (allocation) is recorded like an execute failure so
     // it surfaces at wait() instead of escaping the pool task. An aborted
     // read frees its staging and books nothing.
@@ -740,8 +740,8 @@ std::shared_ptr<SearchTicket> SearchService::launch(
   ticket->keep_results_ = options.keep_results;
   ticket->in_order_ = options.in_order;
   ticket->on_complete_ = options.on_complete;
-  // An empty submission is already done and, like the synchronous path,
-  // leaves the batch epoch untouched.
+  // An empty submission is already done and leaves the batch epoch
+  // untouched.
   if (ticket->slots_.empty()) return ticket;
 
   // Admission control FIRST, before any side effect (pool pinning, epoch

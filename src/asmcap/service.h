@@ -72,19 +72,21 @@
 //                released right after the callback, so the whole pipeline
 //                is O(in-flight) rather than O(batch);
 //  * drain     — ticket->drain() blocks and returns all results in read
-//                order (what ShardedAccelerator::search_batch now does).
+//                order (what ShardedAccelerator::search_batch does).
 //
-// Determinism: decisions are BIT-IDENTICAL to the synchronous
-// search_batch path (enforced by tests/test_service.cpp and
-// tests/test_scheduler.cpp). Each read's RNG stream is the same
-// deterministic function of (router master stream, batch epoch, read
-// index) the synchronous engine uses, and per-read merging preserves the
-// shard summation order, so neither completion order, worker count,
-// in-flight depth, priority class, nor any cancel/deadline schedule can
-// perturb a COMPLETED read's decisions, energy, latency, or ledger
-// record. Scheduling may reorder execution but never decisions;
-// cancellation only discards work whose RNG draws never escape the
-// ticket (docs/determinism.md rule 9).
+// This is the one batch engine: ShardedAccelerator::search_batch is
+// submit + drain, banks only execute(), and a monolithic search is a
+// 1-shard router. Determinism: read i's RNG stream is a pure function
+// of (router master stream, batch epoch, read index) —
+// master.fork((epoch << 32) | i), pinned against a bank's execute() by
+// tests/test_sharded.cpp — and per-read merging preserves the shard
+// summation order, so neither completion order, worker count, in-flight
+// depth, priority class, nor any cancel/deadline schedule can perturb a
+// COMPLETED read's decisions, energy, latency, or ledger record
+// (enforced by tests/test_service.cpp and tests/test_scheduler.cpp).
+// Scheduling may reorder execution but never decisions; cancellation
+// only discards work whose RNG draws never escape the ticket
+// (docs/determinism.md rule 9).
 //
 // Ownership: SearchService borrows the ShardedAccelerator (non-owning);
 // tickets hold work that runs on the accelerator's session pool, so a
@@ -111,8 +113,8 @@
 // inside pool tasks.
 //
 // The ledger: totals for the whole submission are recorded at wait()
-// (which drain() calls), sequentially in read order — exactly the
-// synchronous batch's recording order. Only reads whose outcome is Done
+// (which drain() calls), sequentially in read order, whatever order the
+// reads completed in. Only reads whose outcome is Done
 // are recorded: a cancelled or expired read never executed-and-merged, so
 // it books no latency and no energy.
 

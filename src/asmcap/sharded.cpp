@@ -22,25 +22,18 @@ ShardedAccelerator::ShardedAccelerator(AsmcapConfig config,
 }
 
 std::shared_ptr<AsmcapAccelerator> ShardedAccelerator::make_bank(
-    bool cold, std::size_t seed_salt) const {
+    bool cold, std::size_t id_floor) const {
+  // Every bank keeps the router's seed and silicon_seed: ONE silicon
+  // stream tree for the whole router, so a row's manufactured silicon is
+  // keyed by its global id alone and rebalancing a segment into another
+  // bank moves its noisy behaviour with it (determinism rule 8).
   AsmcapConfig bank_config = config_;
-  // Bank-internal sequential streams are never used by the router, but
-  // keep them distinct per bank anyway (Rng::reseed splitmixes, so
-  // consecutive seeds decorrelate).
-  bank_config.seed = config_.seed + seed_salt;
-  // ONE silicon stream tree for the whole router: a row's manufactured
-  // silicon is keyed by its global id alone, so rebalancing a segment
-  // into another bank moves its noisy behaviour with it (determinism
-  // rule 8).
-  bank_config.silicon_seed =
-      config_.silicon_seed != 0 ? config_.silicon_seed : config_.seed;
-  bank_config.segment_base = config_.segment_base;
+  bank_config.segment_base = config_.segment_base + id_floor;
   if (!cold) {
     bank_config.array_rows = config_.live.hot_array_rows;
     bank_config.array_count = config_.live.hot_array_count;
   }
   auto bank = std::make_shared<AsmcapAccelerator>(bank_config);
-  bank->set_error_profile(rates_);
   bank->set_backend(backend_kind_);
   return bank;
 }
@@ -73,17 +66,8 @@ void ShardedAccelerator::load_reference(
   next->banks.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     // The frozen anchor: bank s's ids are the contiguous global block
-    // [segment_base + bases[s], segment_base + bases[s+1]). Bank 0 keeps
-    // the config's seed; every bank shares the router's silicon seed so
-    // a later rebalance cannot change any row's manufactured silicon.
-    AsmcapConfig cfg = config_;
-    cfg.seed = config_.seed + s;
-    cfg.silicon_seed =
-        config_.silicon_seed != 0 ? config_.silicon_seed : config_.seed;
-    cfg.segment_base = config_.segment_base + bases[s];
-    next->banks.push_back(std::make_shared<AsmcapAccelerator>(cfg));
-    next->banks.back()->set_error_profile(rates_);
-    next->banks.back()->set_backend(backend_kind_);
+    // [segment_base + bases[s], segment_base + bases[s+1]).
+    next->banks.push_back(make_bank(true, bases[s]));
     const std::vector<Sequence> block(segments.begin() + bases[s],
                                       segments.begin() + bases[s + 1]);
     next->banks.back()->load_reference(block);
@@ -132,7 +116,7 @@ void ShardedAccelerator::fold_hot(DbEpoch& next,
       // need more than shard_count_ banks).
       if (next.banks.size() >= shard_count_)
         throw std::logic_error("ShardedAccelerator: fold overflow");
-      next.banks.push_back(make_bank(true, next.banks.size()));
+      next.banks.push_back(make_bank(true, 0));
       owned.push_back(true);
     }
     const std::size_t room = next.banks[s]->free_capacity();
@@ -181,11 +165,8 @@ std::vector<std::uint64_t> ShardedAccelerator::append_segments(
   std::size_t i = 0;
   while (i < segments.size()) {
     if (!next->has_hot) {
-      // Fresh hot staging bank (always last). Its seed salt only has to
-      // be distinct from the cold banks'; the epoch number keeps
-      // successive hot generations distinct too.
-      next->banks.push_back(make_bank(
-          false, shard_count_ + static_cast<std::size_t>(next->number)));
+      // Fresh hot staging bank (always last).
+      next->banks.push_back(make_bank(false, 0));
       owned.push_back(true);
       next->has_hot = true;
     }
@@ -297,12 +278,6 @@ ShardedAccelerator::live_segments() const {
   return out;
 }
 
-void ShardedAccelerator::set_error_profile(const ErrorRates& rates) {
-  rates_ = rates;
-  if (db_)
-    for (const auto& bank : db_->banks) bank->set_error_profile(rates);
-}
-
 void ShardedAccelerator::set_backend(BackendKind kind) {
   backend_kind_ = kind;
   if (db_)
@@ -412,10 +387,10 @@ QueryResult ShardedAccelerator::search(const Sequence& read,
   // runs against it even if (illegally) interleaved with a mutation.
   const std::shared_ptr<const DbEpoch> db = db_;
 
-  // Identical stream evolution to AsmcapAccelerator::search — the N == 1
-  // bit-identity anchor. The master stream advances BEFORE the sketch
-  // probe, and by the same one step whether or not banks get pruned, so
-  // pruning never shifts later queries' streams. Every dispatched bank
+  // The sequential stream formula (docs/determinism.md): one next() of
+  // the master stream per query. It advances BEFORE the sketch probe, and
+  // by the same one step whether or not banks get pruned, so pruning
+  // never shifts later queries' streams. Every dispatched bank
   // executes the same plan against the same query stream; global-id RNG
   // keying keeps their draws disjoint, and a pruned bank would have drawn
   // nothing that surviving banks see (streams are pure forks per global
@@ -447,14 +422,12 @@ std::vector<QueryResult> ShardedAccelerator::search_batch(
     const std::vector<Sequence>& reads, std::size_t threshold,
     StrategyMode mode, std::size_t workers) {
   // Thin blocking wrapper over the streaming service: submit the batch,
-  // drain it in read order. The service uses the same per-read stream
-  // formula as the single-bank batch engine (forked from the router's
-  // master RNG: deterministic in read index, independent of worker count,
-  // non-perturbing) and records the ledger in read order at drain, so
-  // this is bit-identical to the former eager implementation — but peak
-  // partial-result memory is bounded by the admission window instead of
-  // reads x shards, and a single-shard router skips partial staging
-  // entirely.
+  // drain it in read order. The service forks read i's stream from the
+  // router's master RNG as (batch epoch << 32) | i (deterministic in read
+  // index, independent of worker count, non-perturbing) and records the
+  // ledger in read order at drain. Peak partial-result memory is bounded
+  // by the admission window instead of reads x shards, and a single-shard
+  // router skips partial staging entirely.
   SearchService service(*this);
   SearchService::Options options;
   options.workers = workers;

@@ -1,9 +1,11 @@
 #pragma once
 // Sharded multi-bank accelerator: the scale-out layer above
-// AsmcapAccelerator. A single bank caps the database at
-// array_count x array_rows segments; the sharded accelerator partitions
-// the stored reference across N independent banks — each with its own
-// arrays, backends, and ledger — and puts a batch router on top:
+// AsmcapAccelerator, and the one controller that schedules every bank.
+// A single bank caps the database at array_count x array_rows segments;
+// the sharded accelerator partitions the stored reference across N
+// independent banks — each with its own arrays and backends, each nothing
+// but execute() plus mutations — and puts a batch router on top. A
+// monolithic search is a 1-shard router:
 //
 //   ShardedAccelerator (router: plans once, fans (read x shard) tasks
 //        |              across the session pool, merges per-read results,
@@ -34,11 +36,11 @@
 // ids are stable across append, delete, and rebalance: an id is assigned
 // once, never reused, and (because every per-decision RNG stream AND the
 // row's manufactured silicon are keyed by global id, with every bank
-// sharing the router's silicon seed) a segment decides identically
-// wherever rebalancing moves it — searching epoch E is bit-identical to a
-// fresh accelerator loaded with exactly E's live segments, on every
-// backend including noisy circuit sensing (determinism rule 8; enforced
-// by tests/test_live.cpp).
+// built from the router's own seed and silicon_seed) a segment decides
+// identically wherever rebalancing moves it — searching epoch E is
+// bit-identical to a fresh router loaded with exactly E's live segments,
+// on every backend including noisy circuit sensing (determinism rule 8;
+// enforced by tests/test_live.cpp and tests/test_sharded.cpp).
 //
 // Per-shard results are slot-indexed at the bank boundary and merged
 // through each bank's LiveDirectory into the global id space: decisions
@@ -71,9 +73,10 @@
 //
 // Determinism contract (enforced by test_sharded and test_live; full
 // discipline in docs/determinism.md):
-//  * shard_count == 1 (frozen) is bit-identical to a plain
-//    AsmcapAccelerator with the same config — same decisions, energy,
-//    latency, and ledger;
+//  * query streams follow fixed formulas over the master Rng(config.seed):
+//    search() executes against m.fork(m.next()), and read i of the k-th
+//    batch or service ticket against m.fork((k << 32) | i) — batches never
+//    advance m (test_sharded pins both against a bank's execute());
 //  * match decisions are invariant in shard count, worker count, AND
 //    mutation history (only the set of live segments matters) — on noisy
 //    circuit sensing too, because silicon is keyed per global id from the
@@ -164,7 +167,9 @@ class ShardedAccelerator {
   /// The live (id, segment) pairs of the current epoch, ascending by id.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  void set_error_profile(const ErrorRates& rates);
+  /// Sets the workload error profile used by the offline pre-processing
+  /// of HDAC's p and TASR's T_l for every plan. Defaults to Condition A.
+  void set_error_profile(const ErrorRates& rates) { rates_ = rates; }
   const ErrorRates& error_profile() const { return rates_; }
 
   /// Switches every current bank's execution backend. Switching to
@@ -184,8 +189,9 @@ class ShardedAccelerator {
                      StrategyMode mode, std::size_t workers = 1);
 
   /// Searches a batch: (read x shard) tasks across `workers` threads,
-  /// per-read RNG streams forked exactly like the single-bank batch
-  /// engine's. Results are bit-identical for any worker count. This is a
+  /// read i's RNG stream forked from the master stream as
+  /// (batch epoch << 32) | i, never advancing it. Results are
+  /// bit-identical for any worker count. This is a
   /// thin blocking wrapper over SearchService (submit + drain), so peak
   /// partial-result memory is bounded by the in-flight admission window,
   /// not by reads x shards; use the service directly (asmcap/service.h)
@@ -238,8 +244,8 @@ class ShardedAccelerator {
   double load_energy_joules() const;
   double load_latency_seconds() const;
 
-  /// Aggregate ledger of the merged per-read results (the per-bank
-  /// ledgers stay untouched: the router never calls bank search paths).
+  /// Aggregate ledger of the merged per-read results (banks keep no
+  /// search ledger of their own).
   const ExecutionTotals& totals() const { return controller_.totals(); }
   void reset_totals() { controller_.reset_totals(); }
   const Controller& controller() const { return controller_; }
@@ -264,12 +270,12 @@ class ShardedAccelerator {
 
   void check_loaded() const;
   void check_shard(std::size_t s) const;
-  /// A fresh (empty) bank sharing the router's silicon seed, profile, and
-  /// backend. `cold` picks the full config_ geometry vs the hot staging
-  /// geometry from config_.live; `seed_salt` decorrelates bank-internal
-  /// streams (the router never uses them, but keeps them distinct).
+  /// A fresh (empty) bank on the router's config — hence its seeds — and
+  /// backend, whose auto-assigned ids start `id_floor` above
+  /// config_.segment_base. `cold` picks the full config_ geometry vs the
+  /// hot staging geometry from config_.live.
   std::shared_ptr<AsmcapAccelerator> make_bank(bool cold,
-                                               std::size_t seed_salt) const;
+                                               std::size_t id_floor) const;
   /// Copy-on-write: clones next.banks[i] on first touch within one epoch
   /// build (owned[i] tracks which banks this build already owns).
   AsmcapAccelerator& touch(DbEpoch& next, std::vector<bool>& owned,
@@ -308,7 +314,7 @@ class ShardedAccelerator {
   TimingModel timing_;  ///< Plan-pure pass latency (empty_result's source).
   Controller controller_;
   std::uint64_t batch_epoch_ = 0;
-  Rng rng_;  ///< Router master stream; advances exactly like a bank's.
+  Rng rng_;  ///< Master query stream; one next() per search() only.
   SessionPool pool_;  ///< Pinned by in-flight SearchService tickets.
 };
 

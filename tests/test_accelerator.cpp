@@ -1,4 +1,7 @@
-#include "asmcap/accelerator.h"
+// One-bank accelerator behaviour — load, capacity, search, accounting —
+// through the monolithic search path: a 1-shard router.
+
+#include "asmcap/sharded.h"
 
 #include <gtest/gtest.h>
 
@@ -32,17 +35,18 @@ class AcceleratorTest : public ::testing::Test {
 };
 
 TEST_F(AcceleratorTest, LoadAndCapacity) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   accel.load_reference(segments_);
   EXPECT_EQ(accel.loaded_segments(), 20u);
-  EXPECT_EQ(accel.arrays_in_use(), 2u);  // 20 segments over 16-row arrays
+  // 20 segments over 16-row arrays.
+  EXPECT_EQ(accel.shard(0).arrays_in_use(), 2u);
   EXPECT_THROW(accel.load_reference(segments_), std::logic_error);
 }
 
 TEST_F(AcceleratorTest, CapacityOverflowThrows) {
   AsmcapConfig config = small_config();
   config.array_count = 1;  // 16 rows only
-  AsmcapAccelerator accel(config);
+  ShardedAccelerator accel(config, 1);
   try {
     accel.load_reference(segments_);
     FAIL() << "expected DbError";
@@ -52,13 +56,13 @@ TEST_F(AcceleratorTest, CapacityOverflowThrows) {
 }
 
 TEST_F(AcceleratorTest, SearchBeforeLoadThrows) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   EXPECT_THROW(accel.search(segments_[0], 2, StrategyMode::Baseline),
                std::logic_error);
 }
 
 TEST_F(AcceleratorTest, WrongReadWidthThrows) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   accel.load_reference(segments_);
   Rng rng(402);
   EXPECT_THROW(accel.search(Sequence::random(32, rng), 2,
@@ -67,7 +71,7 @@ TEST_F(AcceleratorTest, WrongReadWidthThrows) {
 }
 
 TEST_F(AcceleratorTest, ExactReadMatchesItsSegmentOnly) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   accel.load_reference(segments_);
   const QueryResult result =
       accel.search(segments_[7], 0, StrategyMode::Baseline);
@@ -82,7 +86,7 @@ TEST_F(AcceleratorTest, ExactReadMatchesItsSegmentOnly) {
 }
 
 TEST_F(AcceleratorTest, IdealDecisionsEqualEdStarThreshold) {
-  AsmcapAccelerator accel(small_config(/*ideal=*/true));
+  ShardedAccelerator accel(small_config(/*ideal=*/true), 1);
   accel.load_reference(segments_);
   Rng rng(403);
   const EditedSequence edited =
@@ -99,7 +103,7 @@ TEST_F(AcceleratorTest, IdealDecisionsEqualEdStarThreshold) {
 }
 
 TEST_F(AcceleratorTest, LatencyAndEnergyAccounting) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   accel.load_reference(segments_);
   accel.set_error_profile(ErrorRates::condition_a());
   const QueryResult baseline =
@@ -113,11 +117,11 @@ TEST_F(AcceleratorTest, LatencyAndEnergyAccounting) {
   EXPECT_NEAR(with_hdac.latency_seconds, 1.8e-9, 1e-12);
   EXPECT_GT(with_hdac.energy_joules, baseline.energy_joules);
   // Ledger saw both queries.
-  EXPECT_EQ(accel.controller().totals().queries, 2u);
+  EXPECT_EQ(accel.totals().queries, 2u);
 }
 
 TEST_F(AcceleratorTest, TasrRotationsCostSearches) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   accel.load_reference(segments_);
   accel.set_error_profile(ErrorRates::condition_b());
   // T_l for 64-base reads in condition B: ceil(2e-4/0.01*64) = 2.
@@ -131,7 +135,7 @@ TEST_F(AcceleratorTest, TasrRotationsCostSearches) {
 }
 
 TEST_F(AcceleratorTest, TasrRecoversBurstDeletion) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   accel.load_reference(segments_);
   accel.set_error_profile(ErrorRates::condition_b());
   Rng rng(405);
@@ -159,7 +163,7 @@ TEST_F(AcceleratorTest, TasrRecoversBurstDeletion) {
 }
 
 TEST_F(AcceleratorTest, NoisySensingStillMostlyCorrect) {
-  AsmcapAccelerator accel(small_config(/*ideal=*/false));
+  ShardedAccelerator accel(small_config(/*ideal=*/false), 1);
   accel.load_reference(segments_);
   int correct = 0;
   const int trials = 40;
@@ -173,7 +177,7 @@ TEST_F(AcceleratorTest, NoisySensingStillMostlyCorrect) {
 }
 
 TEST_F(AcceleratorTest, LoadCostAccounted) {
-  AsmcapAccelerator accel(small_config());
+  ShardedAccelerator accel(small_config(), 1);
   EXPECT_EQ(accel.load_energy_joules(), 0.0);
   accel.load_reference(segments_);
   EXPECT_GT(accel.load_energy_joules(), 0.0);
@@ -187,7 +191,7 @@ TEST_F(AcceleratorTest, LoadCostAccounted) {
 TEST_F(AcceleratorTest, FullModeEqualsTasrScheduleUnderIdealSensing) {
   // With HDAC inactive (condition B) and TASR triggered, the Full-mode
   // decision must equal the OR over the ideal rotation schedule.
-  AsmcapAccelerator accel(small_config(/*ideal=*/true));
+  ShardedAccelerator accel(small_config(/*ideal=*/true), 1);
   accel.load_reference(segments_);
   accel.set_error_profile(ErrorRates::condition_b());
   Rng rng(407);
@@ -205,8 +209,8 @@ TEST_F(AcceleratorTest, FullModeEqualsTasrScheduleUnderIdealSensing) {
 
 TEST_F(AcceleratorTest, DeterministicWithSameSeed) {
   AsmcapConfig config = small_config(/*ideal=*/false);
-  AsmcapAccelerator a(config);
-  AsmcapAccelerator b(config);
+  ShardedAccelerator a(config, 1);
+  ShardedAccelerator b(config, 1);
   a.load_reference(segments_);
   b.load_reference(segments_);
   Rng rng(406);

@@ -1,6 +1,7 @@
 // Tests of the layered execution engine: QueryPlanner plan materialisation,
-// CircuitBackend/FunctionalBackend decision equivalence, and worker-count
-// independence of search_batch.
+// CircuitBackend/FunctionalBackend decision equivalence, a bank's
+// execute() against per-slot reference loops, and worker-count
+// independence of search_batch on the monolithic (1-shard router) path.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "align/hamming.h"
 #include "asmcap/accelerator.h"
 #include "asmcap/readmapper.h"
+#include "asmcap/sharded.h"
 #include "genome/edits.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
@@ -105,12 +107,12 @@ TEST_F(EngineTest, BackendsAgreeUnderIdealSensing) {
   for (const StrategyMode mode :
        {StrategyMode::Baseline, StrategyMode::HdacOnly, StrategyMode::TasrOnly,
         StrategyMode::Full}) {
-    AsmcapAccelerator circuit(small_config(/*ideal=*/true));
-    AsmcapAccelerator functional(small_config(/*ideal=*/true));
+    ShardedAccelerator circuit(small_config(/*ideal=*/true), 1);
+    ShardedAccelerator functional(small_config(/*ideal=*/true), 1);
     circuit.load_reference(segments_);
     functional.load_reference(segments_);
     functional.set_backend(BackendKind::Functional);
-    EXPECT_EQ(functional.backend().name(), std::string("functional"));
+    EXPECT_EQ(functional.shard(0).backend().name(), std::string("functional"));
 
     for (const Sequence& read : reads_) {
       for (const std::size_t threshold :
@@ -130,8 +132,8 @@ TEST_F(EngineTest, BackendsAgreeUnderIdealSensing) {
 TEST_F(EngineTest, FunctionalEnergyTracksCircuitEnergy) {
   // Functional energy is the nominal (mismatch-free silicon) analytic
   // model; it must sit within a few percent of the manufactured circuit's.
-  AsmcapAccelerator circuit(small_config());
-  AsmcapAccelerator functional(small_config());
+  ShardedAccelerator circuit(small_config(), 1);
+  ShardedAccelerator functional(small_config(), 1);
   circuit.load_reference(segments_);
   functional.load_reference(segments_);
   functional.set_backend(BackendKind::Functional);
@@ -505,14 +507,18 @@ TEST_F(EngineTest, BackendSwitchIsLive) {
   AsmcapAccelerator accel(small_config());
   accel.load_reference(segments_);
   EXPECT_EQ(accel.backend_kind(), BackendKind::Circuit);
-  const QueryResult a = accel.search(reads_[0], 2, StrategyMode::Baseline);
+  const ExecutionPlan plan = accel.planner().build(
+      reads_[0], 2, ErrorRates::condition_a(), StrategyMode::Baseline);
+  const Rng stream(905);
+  const QueryResult a = accel.execute(plan, stream);
   accel.set_backend(BackendKind::Functional);
-  const QueryResult b = accel.search(reads_[0], 2, StrategyMode::Baseline);
+  const QueryResult b = accel.execute(plan, stream);
   accel.set_backend(BackendKind::Circuit);
-  const QueryResult c = accel.search(reads_[0], 2, StrategyMode::Baseline);
+  const QueryResult c = accel.execute(plan, stream);
   EXPECT_EQ(a.decisions, b.decisions);  // ideal sensing: identical
   EXPECT_EQ(a.decisions, c.decisions);
-  EXPECT_EQ(accel.controller().totals().queries, 3u);
+  // The rebuilt silicon is the per-id silicon the bank was born with.
+  EXPECT_EQ(a.energy_joules, c.energy_joules);
 }
 
 // ------------------------------------------------------ batch determinism --
@@ -523,7 +529,7 @@ TEST_F(EngineTest, BatchResultsIndependentOfWorkerCount) {
   std::vector<std::vector<QueryResult>> runs;
   for (const std::size_t workers :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    AsmcapAccelerator accel(small_config(/*ideal=*/false));
+    ShardedAccelerator accel(small_config(/*ideal=*/false), 1);
     accel.load_reference(segments_);
     runs.push_back(accel.search_batch(reads_, 4, StrategyMode::Full, workers));
   }
@@ -535,50 +541,6 @@ TEST_F(EngineTest, BatchResultsIndependentOfWorkerCount) {
       EXPECT_EQ(runs[w][i].latency_seconds, runs[0][i].latency_seconds);
     }
   }
-}
-
-TEST_F(EngineTest, BatchDoesNotPerturbSequentialStream) {
-  // A batch forks its per-read streams; the accelerator's own sequential
-  // RNG must be left untouched, so search() after a batch behaves as if
-  // the batch never happened.
-  AsmcapAccelerator a(small_config(/*ideal=*/false));
-  AsmcapAccelerator b(small_config(/*ideal=*/false));
-  a.load_reference(segments_);
-  b.load_reference(segments_);
-  (void)a.search_batch(reads_, 4, StrategyMode::Full, 2);
-  const QueryResult ra = a.search(reads_[0], 4, StrategyMode::Full);
-  const QueryResult rb = b.search(reads_[0], 4, StrategyMode::Full);
-  EXPECT_EQ(ra.decisions, rb.decisions);
-  EXPECT_EQ(ra.energy_joules, rb.energy_joules);
-}
-
-TEST_F(EngineTest, BatchLedgerMatchesSequentialTotals) {
-  AsmcapAccelerator accel(small_config());
-  accel.load_reference(segments_);
-  const auto results = accel.search_batch(reads_, 4, StrategyMode::Full, 4);
-  ASSERT_EQ(results.size(), reads_.size());
-  const ExecutionTotals& totals = accel.controller().totals();
-  EXPECT_EQ(totals.queries, reads_.size());
-  std::size_t searches = 0;
-  double energy = 0.0;
-  for (const QueryResult& r : results) {
-    searches += r.plan.total_searches();
-    energy += r.energy_joules;
-  }
-  EXPECT_EQ(totals.searches, searches);
-  EXPECT_DOUBLE_EQ(totals.energy_joules, energy);
-}
-
-TEST_F(EngineTest, BatchValidation) {
-  AsmcapAccelerator accel(small_config());
-  EXPECT_THROW(accel.search_batch({}, 2, StrategyMode::Baseline, 2),
-               std::logic_error);
-  accel.load_reference(segments_);
-  EXPECT_TRUE(accel.search_batch({}, 2, StrategyMode::Baseline, 2).empty());
-  Rng rng(903);
-  EXPECT_THROW(accel.search_batch({Sequence::random(32, rng)}, 2,
-                                  StrategyMode::Baseline, 2),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------- batch mapper --

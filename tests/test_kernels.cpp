@@ -9,8 +9,8 @@
 
 #include "align/edstar.h"
 #include "align/hamming.h"
-#include "asmcap/accelerator.h"
 #include "asmcap/edam.h"
+#include "asmcap/sharded.h"
 #include "genome/readsim.h"
 
 namespace asmcap {
@@ -308,12 +308,12 @@ TEST(KernelTierEquivalence, AsmcapDecisionsIdenticalAcrossTiers) {
   std::vector<std::vector<QueryResult>> per_tier;
   for (const KernelTier tier : available_tiers()) {
     set_active_kernel_tier(tier);
-    // Fresh accelerator per tier: same seed, same batch epoch, so the
+    // Fresh 1-shard router per tier: same seed, same batch epoch, so the
     // forked per-read streams are identical and only the kernels differ.
-    AsmcapAccelerator accel(config);
+    ShardedAccelerator accel(config, 1);
+    accel.set_backend(BackendKind::Functional);
     accel.load_reference(segments);
     accel.set_error_profile(ErrorRates::condition_a());
-    accel.set_backend(BackendKind::Functional);
     per_tier.push_back(
         accel.search_batch(reads, 20, StrategyMode::Full, 2));
   }

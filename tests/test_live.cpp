@@ -1,11 +1,11 @@
 // Property tests of the live (mutable, epoch-snapshotted) database:
 //  * epoch equivalence — after any append/delete/compact history, querying
 //    the router is bit-identical (decisions, match ids, latency, ledger op
-//    counts) to a fresh monolithic accelerator holding exactly the live
+//    counts) to a fresh 1-shard router holding exactly the live
 //    (id, segment) pairs, on every backend INCLUDING noisy circuit
 //    sensing (per-id silicon keying makes noise placement-invariant);
-//  * suffix-delete exactness — tombstoning a suffix leaves the bank
-//    bit-identical to a fresh prefix load, energy included;
+//  * suffix-delete exactness — tombstoning a suffix leaves a one-bank
+//    database bit-identical to a fresh prefix load, energy included;
 //  * pinned-ticket isolation — a SearchTicket launched against epoch E
 //    returns epoch E's exact results no matter what mutations publish
 //    while it is in flight;
@@ -83,7 +83,7 @@ class LiveDbTest : public ::testing::Test {
 };
 
 // After load + append + mid-database deletes + compact, the router must
-// answer every query exactly like a fresh monolithic bank that holds the
+// answer every query exactly like a fresh 1-shard router that holds the
 // surviving (id, segment) pairs and nothing else — decisions, global
 // match ids, latency, and ledger operation counts all equal, on the noisy
 // circuit path too. This is the core guarantee of the live database: a
@@ -109,18 +109,15 @@ TEST_F(LiveDbTest, EpochEquivalentToFreshLoadOfLiveSegments) {
     router.compact();
     ASSERT_EQ(router.live_segment_count(), 36u);
 
-    // The replay bank: same seed (hence the same silicon root and query
-    // streams), explicit ids at the router's surviving global ids.
-    AsmcapAccelerator mono(bank_config(4, c.ideal));
+    // The replay: one bank with the same seed (hence the same silicon root
+    // and query streams) that loads every id in order, then drops the
+    // router's dead ones.
+    ShardedAccelerator mono(bank_config(4, c.ideal), 1);
     mono.set_backend(c.backend);
     mono.set_error_profile(ErrorRates::condition_a());
-    std::vector<Sequence> live_rows;
-    std::vector<std::uint64_t> live_ids;
-    for (const auto& [id, row] : router.live_segments()) {
-      live_ids.push_back(id);
-      live_rows.push_back(row);
-    }
-    mono.append_segments(live_rows, live_ids);
+    mono.load_reference(first(40));
+    mono.remove_segments({3, 17, 25, 31});
+    ASSERT_EQ(mono.live_segments(), router.live_segments());
 
     for (const Sequence& read : reads_) {
       const QueryResult a = router.search(read, 4, StrategyMode::Full);
@@ -130,7 +127,7 @@ TEST_F(LiveDbTest, EpochEquivalentToFreshLoadOfLiveSegments) {
       EXPECT_EQ(a.latency_seconds, b.latency_seconds);
     }
     const ExecutionTotals& rt = router.totals();
-    const ExecutionTotals& mt = mono.controller().totals();
+    const ExecutionTotals& mt = mono.totals();
     EXPECT_EQ(rt.queries, mt.queries);
     EXPECT_EQ(rt.searches, mt.searches);
     EXPECT_EQ(rt.hd_searches, mt.hd_searches);
@@ -146,14 +143,14 @@ TEST_F(LiveDbTest, EpochEquivalentToFreshLoadOfLiveSegments) {
 TEST_F(LiveDbTest, SuffixDeleteBitIdenticalToPrefixLoadIncludingEnergy) {
   for (const bool ideal : {true, false}) {
     SCOPED_TRACE(ideal ? "ideal" : "noisy");
-    AsmcapAccelerator pruned(bank_config(3, ideal));
+    ShardedAccelerator pruned(bank_config(3, ideal), 1);
     pruned.set_error_profile(ErrorRates::condition_a());
     pruned.load_reference(first(40));
     std::vector<std::uint64_t> tail;
     for (std::uint64_t id = 30; id < 40; ++id) tail.push_back(id);
     pruned.remove_segments(tail);
 
-    AsmcapAccelerator fresh(bank_config(3, ideal));
+    ShardedAccelerator fresh(bank_config(3, ideal), 1);
     fresh.set_error_profile(ErrorRates::condition_a());
     fresh.load_reference(first(30));
 
@@ -219,12 +216,18 @@ TEST_F(LiveDbTest, PinnedTicketIsIsolatedFromConcurrentMutations) {
 
 // Slot recycling and the id lifecycle: a tombstoned slot is reused by the
 // next append, its old id becomes Unknown (never reusable), double
-// deletes and duplicate ids are typed errors, and decisions index the
-// GLOBAL id space (recycled slots answer under their new id only).
+// deletes and duplicate ids are typed errors, and a recycled slot answers
+// under its new id only.
 TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
   AsmcapAccelerator accel(bank_config(1));
   accel.load_reference(first(10));
   EXPECT_TRUE(accel.identity_layout());
+  // execute() is slot-indexed; the directory maps slots to global ids.
+  auto exact = [&](const Sequence& read) {
+    const ExecutionPlan plan = accel.planner().build(
+        read, 0, ErrorRates::condition_a(), StrategyMode::Full);
+    return accel.execute(plan, Rng(2305));
+  };
 
   accel.remove_segments({3, 7});
   EXPECT_EQ(accel.live_segment_count(), 8u);
@@ -232,7 +235,7 @@ TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
   EXPECT_EQ(accel.segment_state(3), SegmentState::Dead);
 
   // A dead row never matches, even its exact content.
-  const QueryResult dead = accel.search(segments_[3], 0, StrategyMode::Full);
+  const QueryResult dead = exact(segments_[3]);
   EXPECT_FALSE(dead.decisions[3]);
 
   // Recycle both tombstones; ids continue from the high-water mark.
@@ -244,11 +247,10 @@ TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
   EXPECT_EQ(accel.segment_state(3), SegmentState::Unknown);  // Recycled.
   EXPECT_EQ(accel.segment_state(10), SegmentState::Live);
 
-  // The new rows answer under their NEW global ids.
-  const QueryResult hit = accel.search(segments_[40], 0, StrategyMode::Full);
-  ASSERT_EQ(hit.decisions.size(), 12u);
-  EXPECT_TRUE(hit.decisions[10]);
-  EXPECT_FALSE(hit.decisions[3]);
+  // The new rows answer under their NEW global ids: id 10 took slot 3.
+  const QueryResult hit = exact(segments_[40]);
+  EXPECT_EQ(hit.matched_segments, (std::vector<std::size_t>{3}));
+  EXPECT_EQ(accel.directory().ids[3], 10u);
 
   try {
     accel.remove_segments({3});
@@ -409,7 +411,7 @@ TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
     reads.push_back(read);
   }
   const std::vector<std::size_t> thresholds = {2, 5, 8};
-  auto search_all = [&](auto& db) {
+  auto search_all = [&](ShardedAccelerator& db) {
     std::vector<QueryResult> out;
     for (const std::size_t t : thresholds)
       for (const Sequence& read : reads)
@@ -434,7 +436,6 @@ TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
   // Bank level, through clone(): the functional original stays functional.
   SCOPED_TRACE("clone");
   auto bank_history = [&](AsmcapAccelerator& bank) {
-    bank.set_error_profile(ErrorRates::condition_a());
     bank.load_reference(first(30));
     bank.remove_segments({3, 17});
     bank.append_segments({segments_[40], segments_[41], segments_[42]});
@@ -448,8 +449,17 @@ TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
   const std::unique_ptr<AsmcapAccelerator> copy = functional.clone();
   copy->set_backend(BackendKind::Circuit);
   EXPECT_EQ(functional.backend_kind(), BackendKind::Functional);
-  expect_same_results(search_all(*copy), search_all(born));
-  expect_same_totals(copy->controller().totals(), born.controller().totals());
+  auto execute_all = [&](const AsmcapAccelerator& bank) {
+    std::vector<QueryResult> out;
+    for (const std::size_t t : thresholds)
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        const ExecutionPlan plan = bank.planner().build(
+            reads[i], t, ErrorRates::condition_a(), StrategyMode::Full);
+        out.push_back(bank.execute(plan, Rng(2306 + t).fork(i)));
+      }
+    return out;
+  };
+  expect_same_results(execute_all(*copy), execute_all(born));
   EXPECT_EQ(copy->load_energy_joules(), born.load_energy_joules());
 }
 
@@ -465,7 +475,6 @@ TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
     auto build = [&]() {
       auto bank = std::make_unique<AsmcapAccelerator>(bank_config(3, false));
       bank->set_backend(backend);
-      bank->set_error_profile(ErrorRates::condition_a());
       bank->load_reference(first(30));
       bank->remove_segments({3, 17, 21});
       // Ids 30 and 31 recycle slots 3 and 17.
@@ -478,7 +487,7 @@ TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
       std::vector<QueryResult> out;
       for (std::size_t i = 0; i < reads.size(); ++i) {
         const ExecutionPlan plan = bank.planner().build(
-            reads[i], 4, bank.error_profile(), StrategyMode::Full);
+            reads[i], 4, ErrorRates::condition_a(), StrategyMode::Full);
         out.push_back(bank.execute(plan, Rng(2303).fork(i)));
       }
       return out;
@@ -506,7 +515,10 @@ TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
 TEST_F(LiveDbTest, DbErrorKindsAreShared) {
   AsmcapAccelerator accel(bank_config(1));
   try {
-    accel.search(reads_[0], 4, StrategyMode::Full);
+    accel.execute(accel.planner().build(reads_[0], 4,
+                                        ErrorRates::condition_a(),
+                                        StrategyMode::Full),
+                  Rng(2307));
     FAIL() << "expected DbError";
   } catch (const DbError& error) {
     EXPECT_EQ(error.kind(), DbErrorKind::NotLoaded);

@@ -2,9 +2,10 @@
 // with the synchronous search_batch path (bit-identical decisions, energy,
 // latency, and ledger on both backends, noisy circuit included),
 // out-of-order completion with the in-order re-sequencer, drain-under-load,
-// admission throttling with more in-flight reads than pool threads, the
-// single-shard no-staging path, callback error propagation, and the
-// streaming read mapper built on top.
+// admission throttling with more in-flight reads than pool threads,
+// callback error propagation, and the streaming read mapper built on top.
+// The single-shard no-staging path is pinned against a bank's execute()
+// by test_sharded's SingleShardBitIdenticalToMonolithicNoisy.
 
 #include <gtest/gtest.h>
 
@@ -148,26 +149,6 @@ TEST_F(ServiceTest, PollingSeesEveryReadAndMatchesSynchronous) {
   }
   ticket->wait();  // flush the ledger
   expect_same_totals(async->totals(), sync->totals());
-}
-
-TEST_F(ServiceTest, SingleShardRouterMatchesMonolithicThroughService) {
-  // shards == 1 takes the no-staging fast path (the ReadMapper default):
-  // still bit-identical to a plain AsmcapAccelerator, noisy circuit
-  // included.
-  const AsmcapConfig config = bank_config(4, /*ideal=*/false);
-  AsmcapAccelerator mono(config);
-  mono.load_reference(segments_);
-  const auto expected = mono.search_batch(reads_, 4, StrategyMode::Full, 3);
-
-  auto router = make_router(1, /*ideal=*/false, BackendKind::Circuit);
-  SearchService service(*router);
-  SearchService::Options options;
-  options.workers = 3;
-  auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
-  const auto got = ticket->drain();
-
-  expect_identical(got, expected);
-  expect_same_totals(router->totals(), mono.controller().totals());
 }
 
 // ------------------------------------------------------------- streaming --

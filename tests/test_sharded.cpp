@@ -1,9 +1,9 @@
 // Tests of the sharded multi-bank accelerator: shard-count and
-// worker-count invariance of decisions, bit-identity of N == 1 with the
-// monolithic accelerator (noisy circuit path included), global-index
-// re-basing at shard boundaries, ledger-total equivalence against a
-// monolithic bank of the same total geometry, capacity enforcement, and
-// the sharded read mapper.
+// worker-count invariance of decisions, the N == 1 query-stream formulas
+// pinned against a bank's execute() (noisy circuit path included),
+// placement-invariant silicon at seed 0, global-index re-basing at shard
+// boundaries, ledger-total equivalence against a 1-shard router of the
+// same total geometry, capacity enforcement, and the sharded read mapper.
 
 #include <gtest/gtest.h>
 
@@ -58,6 +58,23 @@ class ShardedTest : public ::testing::Test {
     }
   }
 
+  /// `n` reads 2–11 substitutions away from stored rows: mismatch counts
+  /// land at small thresholds, where noisy sensing decides.
+  std::vector<Sequence> edge_reads(std::size_t n, std::uint64_t seed) const {
+    std::vector<Sequence> reads;
+    Rng edit_rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      Sequence read = segments_[i % segments_.size()];
+      for (std::size_t k = 0; k < 2 + i % 10; ++k) {
+        const std::size_t pos = edit_rng.below(read.size());
+        read.set(pos, base_from_code(static_cast<std::uint8_t>(
+                          (code_of(read[pos]) + 1) & 3u)));
+      }
+      reads.push_back(read);
+    }
+    return reads;
+  }
+
   Sequence reference_;
   std::vector<Sequence> segments_;
   std::vector<Sequence> reads_;
@@ -107,41 +124,112 @@ TEST_F(ShardedTest, FunctionalBackendInvariantAcrossShards) {
 // ------------------------------------------------------ N == 1 identity --
 
 TEST_F(ShardedTest, SingleShardBitIdenticalToMonolithicNoisy) {
-  // The strongest contract: with one shard, the router must reproduce the
-  // monolithic accelerator bit-for-bit on the noisy circuit path — same
-  // silicon (same seed), same per-read streams, same ledger.
-  const AsmcapConfig config = bank_config(4, /*ideal=*/false);
+  // The strongest contract: a 1-shard router — the monolithic search path
+  // — must reproduce its one bank's execute() bit-for-bit on the noisy
+  // circuit path when that bank is fed the stream formulas of
+  // docs/determinism.md. Read i of the first batch runs against
+  // Rng(seed).fork((1 << 32) | i); a later search() runs against
+  // m.fork(m.next()) with a fresh m = Rng(seed), because a batch never
+  // advances the master stream. The bank is the independent reference
+  // that pins the formulas themselves. A loud SA (about 0.8 counts of
+  // noise) on reads near the threshold makes decisions stream-dependent.
+  AsmcapConfig config = bank_config(4, /*ideal=*/false);
+  config.process.charge.sa_noise_sigma = 15e-3;
+  std::vector<Sequence> reads = reads_;
+  const std::vector<Sequence> edge = edge_reads(40, 1207);
+  reads.insert(reads.end(), edge.begin(), edge.end());
   ShardedAccelerator sharded(config, 1);
-  AsmcapAccelerator mono(config);
   sharded.load_reference(segments_);
-  mono.load_reference(segments_);
-  EXPECT_EQ(sharded.load_energy_joules(), mono.load_energy_joules());
-  EXPECT_EQ(sharded.load_latency_seconds(), mono.load_latency_seconds());
+  const AsmcapAccelerator& bank = sharded.shard(0);
+  auto plan_of = [&](const Sequence& read) {
+    return sharded.controller().planner().build(
+        read, 4, sharded.error_profile(), StrategyMode::Full);
+  };
+  std::size_t searches = 0;
+  double energy = 0.0;
+  double latency = 0.0;
+  auto expect_equal = [&](const QueryResult& got,
+                          const QueryResult& expected) {
+    EXPECT_EQ(got.decisions, expected.decisions);
+    EXPECT_EQ(got.matched_segments, expected.matched_segments);
+    EXPECT_EQ(got.energy_joules, expected.energy_joules);
+    EXPECT_EQ(got.latency_seconds, expected.latency_seconds);
+    searches += expected.plan.total_searches();
+    energy += expected.energy_joules;
+    latency += expected.latency_seconds;
+  };
 
-  const auto sharded_batch =
-      sharded.search_batch(reads_, 4, StrategyMode::Full, 3);
-  const auto mono_batch = mono.search_batch(reads_, 4, StrategyMode::Full, 3);
-  ASSERT_EQ(sharded_batch.size(), mono_batch.size());
-  for (std::size_t i = 0; i < mono_batch.size(); ++i) {
-    EXPECT_EQ(sharded_batch[i].decisions, mono_batch[i].decisions);
-    EXPECT_EQ(sharded_batch[i].matched_segments,
-              mono_batch[i].matched_segments);
-    EXPECT_EQ(sharded_batch[i].energy_joules, mono_batch[i].energy_joules);
-    EXPECT_EQ(sharded_batch[i].latency_seconds, mono_batch[i].latency_seconds);
+  const auto batch = sharded.search_batch(reads, 4, StrategyMode::Full, 3);
+  ASSERT_EQ(batch.size(), reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_equal(batch[i],
+                 bank.execute(plan_of(reads[i]),
+                              Rng(config.seed).fork((std::uint64_t{1} << 32) |
+                                                    i)));
   }
 
-  // Sequential searches after a batch evolve the same master stream.
-  const QueryResult a = sharded.search(reads_[0], 4, StrategyMode::Full);
-  const QueryResult b = mono.search(reads_[0], 4, StrategyMode::Full);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.energy_joules, b.energy_joules);
+  Rng master(config.seed);
+  for (const Sequence& read : edge)
+    expect_equal(sharded.search(read, 4, StrategyMode::Full),
+                 bank.execute(plan_of(read), master.fork(master.next())));
 
-  EXPECT_EQ(sharded.totals().queries, mono.controller().totals().queries);
-  EXPECT_EQ(sharded.totals().searches, mono.controller().totals().searches);
-  EXPECT_EQ(sharded.totals().energy_joules,
-            mono.controller().totals().energy_joules);
-  EXPECT_EQ(sharded.totals().latency_seconds,
-            mono.controller().totals().latency_seconds);
+  // The ledger books every read in order: its totals are the sums.
+  EXPECT_EQ(sharded.totals().queries, reads.size() + edge.size());
+  EXPECT_EQ(sharded.totals().searches, searches);
+  EXPECT_EQ(sharded.totals().energy_joules, energy);
+  EXPECT_EQ(sharded.totals().latency_seconds, latency);
+}
+
+// Rule 8 at seed 0: seed = 0 with silicon_seed = 0 means "silicon from
+// seed 0", and every bank must resolve it the same way. A router that
+// derived per-bank seeds would hand bank s seed s — and bank s would
+// fall back to its OWN seed for silicon. A large per-row SA offset makes
+// threshold-edge decisions depend on that silicon.
+TEST_F(ShardedTest, SeedZeroSiliconIsPlacementInvariant) {
+  AsmcapConfig config = bank_config(4, /*ideal=*/false);
+  config.process.charge.sa_offset_sigma = 15e-3;
+  config.seed = 0;
+  config.silicon_seed = 0;
+
+  const std::vector<Sequence> reads = edge_reads(200, 1206);
+  // Each router runs its first batch, so every run forks the same streams.
+  auto decide = [&](ShardedAccelerator& db) {
+    return db.search_batch(reads, 6, StrategyMode::Baseline, 2);
+  };
+  auto expect_same_decisions = [&](const std::vector<QueryResult>& got,
+                                   const std::vector<QueryResult>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i].decisions, want[i].decisions) << "read " << i;
+  };
+
+  ShardedAccelerator one(config, 1);
+  one.load_reference(segments_);
+  const std::vector<QueryResult> expected = decide(one);
+
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE(shards);
+    ShardedAccelerator split(config, shards);
+    split.load_reference(segments_);
+    expect_same_decisions(decide(split), expected);
+  }
+
+  // An append stages ids 30..39 in the hot bank; compact() folds them
+  // into the one-array cold banks' free rows, spilling over banks 0 and 1.
+  AsmcapConfig small = config;
+  small.array_count = 1;
+  for (const bool fold : {false, true}) {
+    SCOPED_TRACE(fold ? "compacted" : "staged");
+    ShardedAccelerator grown(small, 3);
+    grown.load_reference(std::vector<Sequence>(segments_.begin(),
+                                               segments_.begin() + 30));
+    grown.append_segments(
+        std::vector<Sequence>(segments_.begin() + 30, segments_.end()));
+    if (fold) grown.compact();
+    ASSERT_EQ(grown.active_shards(), fold ? 3u : 4u);
+    expect_same_decisions(decide(grown), expected);
+  }
 }
 
 // ---------------------------------------------------------- re-basing ----
@@ -178,7 +266,7 @@ TEST_F(ShardedTest, GlobalIndexRebasingAtShardBoundaries) {
 // ------------------------------------------------------------- ledger ----
 
 TEST_F(ShardedTest, LedgerTotalsMatchMonolithicOnAlignedShards) {
-  // 2 shards x 1 array x 16 rows vs one monolithic bank of 2 arrays: the
+  // 2 shards x 1 array x 16 rows vs one 1-shard bank of 2 arrays: the
   // shard boundaries coincide with array boundaries, so the sharded
   // system scans exactly the same silicon geometry and the ledgers must
   // agree (energy up to floating-point summation order). Misaligned
@@ -186,7 +274,7 @@ TEST_F(ShardedTest, LedgerTotalsMatchMonolithicOnAlignedShards) {
   // each bank drives its search lines per pass whatever its fill.
   std::vector<Sequence> segments(segments_.begin(), segments_.begin() + 32);
   ShardedAccelerator sharded(bank_config(1), 2);
-  AsmcapAccelerator mono(bank_config(2));
+  ShardedAccelerator mono(bank_config(2), 1);
   sharded.load_reference(segments);
   mono.load_reference(segments);
   sharded.set_backend(BackendKind::Functional);
@@ -204,7 +292,7 @@ TEST_F(ShardedTest, LedgerTotalsMatchMonolithicOnAlignedShards) {
                 1e-9 * mono_results[i].energy_joules);
   }
   const ExecutionTotals& st = sharded.totals();
-  const ExecutionTotals& mt = mono.controller().totals();
+  const ExecutionTotals& mt = mono.totals();
   EXPECT_EQ(st.queries, mt.queries);
   EXPECT_EQ(st.searches, mt.searches);
   EXPECT_EQ(st.hd_searches, mt.hd_searches);
@@ -217,9 +305,9 @@ TEST_F(ShardedTest, LedgerTotalsMatchMonolithicOnAlignedShards) {
 // ----------------------------------------------------------- capacity ----
 
 TEST_F(ShardedTest, ShardingExtendsCapacityPastOneBank) {
-  // Bank capacity 2 x 16 = 32 < 40 segments: the monolithic accelerator
-  // rejects the database, two shards hold it.
-  AsmcapAccelerator mono(bank_config(2));
+  // Bank capacity 2 x 16 = 32 < 40 segments: one bank rejects the
+  // database, two shards hold it.
+  ShardedAccelerator mono(bank_config(2), 1);
   EXPECT_THROW(mono.load_reference(segments_), DbError);
 
   ShardedAccelerator sharded(bank_config(2), 2);
