@@ -4,13 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "cam/charge_readout.h"
 #include "cam/current_readout.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
-#include "util/bitvec.h"
+#include "util/lane_flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -24,16 +26,26 @@ void report_table1() {
                        asmcap::table1_table(rows));
 }
 
-// Functional-simulator throughput of the two sensing models (not silicon
-// time; silicon time is the analytic 0.9 ns / 2.4 ns above).
+/// Lane words of a 256-cell row with every other cell of the first 200
+/// mismatched (100 mismatches).
+std::vector<std::uint64_t> sample_lane_words() {
+  std::vector<std::uint64_t> words(asmcap::lane_word_count(256), 0);
+  for (std::size_t i = 0; i < 200; i += 2) asmcap::set_lane_flag(words, i);
+  return words;
+}
+
+// Functional-simulator throughput of the two sensing models over a
+// 256-row array (not silicon time; silicon time is the analytic
+// 0.9 ns / 2.4 ns above): the const silicon path the circuit backends run.
 void BM_ChargeReadoutSense(benchmark::State& state) {
   asmcap::Rng rng(1);
-  asmcap::ChargeArrayReadout readout(256, 256, {}, rng);
-  asmcap::BitVec mask(256);
-  for (std::size_t i = 0; i < 100; ++i) mask.set(i * 2);
-  std::vector<asmcap::BitVec> masks(256, mask);
+  const asmcap::ChargeArrayReadout readout(256, 256, {}, rng);
+  const std::vector<std::uint64_t> words = sample_lane_words();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(readout.sense(masks, 8, rng));
+    std::size_t matches = 0;
+    for (std::size_t r = 0; r < readout.rows(); ++r)
+      matches += readout.decide(readout.settle_row(r, words), 8, rng) ? 1 : 0;
+    benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
@@ -41,12 +53,15 @@ BENCHMARK(BM_ChargeReadoutSense);
 
 void BM_CurrentReadoutSense(benchmark::State& state) {
   asmcap::Rng rng(2);
-  asmcap::CurrentArrayReadout readout(256, 256, {}, rng);
-  asmcap::BitVec mask(256);
-  for (std::size_t i = 0; i < 100; ++i) mask.set(i * 2);
-  std::vector<asmcap::BitVec> masks(256, mask);
+  const asmcap::CurrentArrayReadout readout(256, 256, {}, rng);
+  const std::vector<std::uint64_t> words = sample_lane_words();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(readout.sense(masks, 8, rng));
+    std::size_t matches = 0;
+    for (std::size_t r = 0; r < readout.rows(); ++r) {
+      const double drop = readout.drop_row(r, words);
+      matches += readout.decide_from_drop(r, drop, 8, rng) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }

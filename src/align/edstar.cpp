@@ -30,19 +30,6 @@ std::size_t ed_star(const Sequence& stored, const Sequence& read) {
   return mismatches;
 }
 
-BitVec ed_star_mismatch_mask(const Sequence& stored, const Sequence& read) {
-  if (stored.size() != read.size())
-    throw std::invalid_argument("ed_star_mismatch_mask: length mismatch");
-  // Packed mask kernel: same cost model as the counting hot path (the
-  // BitVec consumers — CAM functional model, signal sweeps — used to walk
-  // cell-by-cell while the backends ran word-parallel).
-  const PackedReadView view(read);
-  const std::vector<std::uint64_t> packed_stored = stored.packed_words();
-  std::vector<std::uint64_t> flags(view.words);
-  ed_star_mismatch_words(packed_stored.data(), view, flags.data());
-  return lane_flags_to_bitvec(flags.data(), view.n);
-}
-
 bool ed_star_within(const Sequence& stored, const Sequence& read,
                     std::size_t threshold) {
   if (stored.size() != read.size())

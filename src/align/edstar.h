@@ -12,20 +12,16 @@
 // indels (fixed by TASR).
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "genome/sequence.h"
-#include "util/bitvec.h"
 
 namespace asmcap {
 
 /// ED*(stored, read): mismatched-cell count. Lengths must be equal (the
 /// hardware rows are fixed-width).
 std::size_t ed_star(const Sequence& stored, const Sequence& read);
-
-/// Per-cell mismatch mask (bit i set iff cell i mismatches): the vector of
-/// cell outputs O that drives the matchline capacitors.
-BitVec ed_star_mismatch_mask(const Sequence& stored, const Sequence& read);
 
 /// True iff ed_star(stored, read) <= threshold (ideal, noise-free sensing).
 bool ed_star_within(const Sequence& stored, const Sequence& read,

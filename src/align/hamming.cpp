@@ -16,19 +16,6 @@ std::size_t hamming_distance(const Sequence& a, const Sequence& b) {
   return distance;
 }
 
-BitVec hamming_mismatch_mask(const Sequence& a, const Sequence& b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("hamming_mismatch_mask: length mismatch");
-  // Packed mask kernel, same cost model as the counting hot path. The
-  // Hamming kernels never read the ED* neighbour alignments, so the view
-  // skips them (neighbours = false).
-  const PackedReadView view(b, /*neighbours=*/false);
-  const std::vector<std::uint64_t> packed_a = a.packed_words();
-  std::vector<std::uint64_t> flags(view.words);
-  hamming_mismatch_words(packed_a.data(), view, flags.data());
-  return lane_flags_to_bitvec(flags.data(), view.n);
-}
-
 bool hamming_within(const Sequence& a, const Sequence& b,
                     std::size_t threshold) {
   if (a.size() != b.size())

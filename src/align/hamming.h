@@ -3,19 +3,16 @@
 // ASMCap array computes in HD mode (MUX select S = 0), used by HDAC.
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "genome/sequence.h"
-#include "util/bitvec.h"
 
 namespace asmcap {
 
 /// Number of co-located mismatches. Throws std::invalid_argument when the
 /// lengths differ (the hardware always compares equal-length rows).
 std::size_t hamming_distance(const Sequence& a, const Sequence& b);
-
-/// Per-position mismatch mask: bit i set iff a[i] != b[i]. This is exactly
-/// the cell-output vector O of the array in HD mode.
-BitVec hamming_mismatch_mask(const Sequence& a, const Sequence& b);
 
 /// True iff hamming_distance(a, b) <= threshold, with early exit.
 bool hamming_within(const Sequence& a, const Sequence& b, std::size_t threshold);

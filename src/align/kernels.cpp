@@ -11,8 +11,6 @@
 
 namespace asmcap {
 
-using detail::kLanes;
-
 const char* to_string(KernelTier tier) {
   switch (tier) {
     case KernelTier::Scalar: return "scalar";
@@ -28,7 +26,7 @@ PackedReadView::PackedReadView(const std::vector<std::uint64_t>& read_words,
                                std::size_t length, bool neighbours)
     : n(length), words((length + 31) / 32) {
   r.assign(read_words.begin(), read_words.begin() + words);
-  valid.assign(words, kLanes);
+  valid.assign(words, kLaneFlags);
   if (n != 0 && n % 32 != 0)
     valid.back() &= (std::uint64_t{1} << (2 * (n % 32))) - 1;
   if (!neighbours) return;  // Hamming-only view: r/valid suffice
@@ -40,8 +38,8 @@ PackedReadView::PackedReadView(const std::vector<std::uint64_t>& read_words,
     // R[i+1] aligned into lane i (shift down one lane).
     r_next[w] = (r[w] >> 2) | (w + 1 < words ? r[w + 1] << 62 : 0);
   }
-  left_ok.assign(words, kLanes);
-  right_ok.assign(words, kLanes);
+  left_ok.assign(words, kLaneFlags);
+  right_ok.assign(words, kLaneFlags);
   if (n != 0) {
     left_ok[0] &= ~std::uint64_t{1};  // cell 0 has no left neighbour
     right_ok[(n - 1) / 32] &=         // cell n-1 has no right neighbour
@@ -240,7 +238,7 @@ void hamming_packed_block(const std::uint64_t* rows, std::size_t n_rows,
   active_kernel_ops().hamming_block(rows, n_rows, read, counts);
 }
 
-// ------------------------------------------------- mask-producing forms --
+// ----------------------------------------------------- lane-word forms --
 
 void ed_star_mismatch_words(const std::uint64_t* row,
                             const PackedReadView& read, std::uint64_t* out) {
@@ -252,24 +250,6 @@ void hamming_mismatch_words(const std::uint64_t* row,
                             const PackedReadView& read, std::uint64_t* out) {
   for (std::size_t w = 0; w < read.words; ++w)
     out[w] = detail::hamming_mismatch_word(row[w], read, w);
-}
-
-BitVec lane_flags_to_bitvec(const std::uint64_t* lane_words, std::size_t n) {
-  BitVec bits(n);
-  const std::size_t words = (n + 31) / 32;
-  for (std::size_t w = 0; w < words; ++w) {
-    // Compress the even (lane-flag) bits of the word into its low 32 bits.
-    std::uint64_t x = lane_words[w] & kLanes;
-    x = (x | (x >> 1)) & 0x3333333333333333ULL;
-    x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
-    x = (x | (x >> 4)) & 0x00FF00FF00FF00FFULL;
-    x = (x | (x >> 8)) & 0x0000FFFF0000FFFFULL;
-    x = (x | (x >> 16)) & 0x00000000FFFFFFFFULL;
-    if (x == 0) continue;
-    const std::size_t word_index = w / 2;
-    bits.word(word_index) |= x << (32 * (w % 2));
-  }
-  return bits;
 }
 
 }  // namespace asmcap

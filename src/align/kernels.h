@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "genome/sequence.h"
-#include "util/bitvec.h"
 
 namespace asmcap {
 
@@ -169,22 +168,20 @@ void ed_star_packed_block(const std::uint64_t* rows, std::size_t n_rows,
 void hamming_packed_block(const std::uint64_t* rows, std::size_t n_rows,
                           const PackedReadView& read, std::uint32_t* counts);
 
-// ------------------------------------------------- mask-producing forms --
+// ----------------------------------------------------- lane-word forms --
 
 /// Per-word ED* mismatch flags of one stored row against the view: out[w]
-/// holds, in the LOW bit of each 2-bit lane, whether that cell mismatches
-/// (the cell-output vector O driving the matchline capacitors). `out` must
-/// hold read.words words. Scalar-word implementation (the mask consumers
-/// are off the counting hot path); counts and masks always agree.
+/// holds, in the LOW bit of each 2-bit lane, whether that cell mismatches —
+/// the cell-output vector O driving the matchline capacitors, in the
+/// lane-word layout of util/lane_flags.h. `out` must hold read.words
+/// words. Scalar-word implementation (the lane-word consumers, the circuit
+/// backends and the Fig. 7 signal cache, are off the counting hot path);
+/// counts and lane words always agree.
 void ed_star_mismatch_words(const std::uint64_t* row,
                             const PackedReadView& read, std::uint64_t* out);
 
 /// Per-word Hamming mismatch flags, same layout as ed_star_mismatch_words.
 void hamming_mismatch_words(const std::uint64_t* row,
                             const PackedReadView& read, std::uint64_t* out);
-
-/// Compresses per-lane flag words (low bit of each 2-bit lane, as produced
-/// by the mismatch-word forms) into a dense BitVec of n bits.
-BitVec lane_flags_to_bitvec(const std::uint64_t* lane_words, std::size_t n);
 
 }  // namespace asmcap

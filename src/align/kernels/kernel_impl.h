@@ -18,17 +18,15 @@
 #include <cstdint>
 
 #include "align/kernels.h"
+#include "util/lane_flags.h"
 
 namespace asmcap::detail {
-
-/// Low bit of every 2-bit lane.
-inline constexpr std::uint64_t kLanes = 0x5555555555555555ULL;
 
 /// Per-lane equality of two packed words: low lane bit set iff the 2-bit
 /// codes agree.
 static inline std::uint64_t lane_eq(std::uint64_t a, std::uint64_t b) {
   const std::uint64_t x = a ^ b;
-  return ~(x | (x >> 1)) & kLanes;
+  return ~(x | (x >> 1)) & kLaneFlags;
 }
 
 /// ED* mismatch flags of one packed word `q` of a stored row (word index
@@ -49,7 +47,7 @@ static inline std::uint64_t hamming_mismatch_word(std::uint64_t q,
                                                   const PackedReadView& view,
                                                   std::size_t w) {
   const std::uint64_t x = q ^ view.r[w];
-  return (x | (x >> 1)) & kLanes;
+  return (x | (x >> 1)) & kLaneFlags;
 }
 
 /// Scalar-word ED* count of words [w_begin, w_end) of one row.

@@ -112,7 +112,7 @@ void ed_star_block_avx2(const std::uint64_t* rows, std::size_t n_rows,
 
 void hamming_block_avx2(const std::uint64_t* rows, std::size_t n_rows,
                         const PackedReadView& read, std::uint32_t* counts) {
-  const __m256i lanes = _mm256_set1_epi64x(static_cast<long long>(kLanes));
+  const __m256i lanes = _mm256_set1_epi64x(static_cast<long long>(kLaneFlags));
   sweep_blocks(
       rows, n_rows, read.words, counts,
       [&](std::size_t w) {

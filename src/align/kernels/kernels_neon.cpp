@@ -38,7 +38,7 @@ void ed_star_block_neon(const std::uint64_t* rows, std::size_t n_rows,
                         const PackedReadView& read, std::uint32_t* counts) {
   const std::size_t W = read.words;
   const std::size_t W2 = W & ~std::size_t{1};
-  const uint64x2_t lanes = vdupq_n_u64(kLanes);
+  const uint64x2_t lanes = vdupq_n_u64(kLaneFlags);
   for (std::size_t g = 0; g < n_rows; ++g) {
     const std::uint64_t* row = rows + g * W;
     uint64x2_t acc = vdupq_n_u64(0);
@@ -64,7 +64,7 @@ void hamming_block_neon(const std::uint64_t* rows, std::size_t n_rows,
                         const PackedReadView& read, std::uint32_t* counts) {
   const std::size_t W = read.words;
   const std::size_t W2 = W & ~std::size_t{1};
-  const uint64x2_t lanes = vdupq_n_u64(kLanes);
+  const uint64x2_t lanes = vdupq_n_u64(kLaneFlags);
   for (std::size_t g = 0; g < n_rows; ++g) {
     const std::uint64_t* row = rows + g * W;
     uint64x2_t acc = vdupq_n_u64(0);

@@ -28,9 +28,7 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
     : config_(config),
       planner_(config),
       timing_(config.process),
-      silicon_root_(
-          Rng(config.silicon_seed != 0 ? config.silicon_seed : config.seed)
-              .fork(0x51C0)),
+      silicon_root_(Rng(config.seed).fork(0x51C0)),
       packed_rows_(config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)) {
   validate(config_.process);

@@ -19,7 +19,7 @@
 // energy, and an array whose rows are all dead is skipped whole (no
 // SL-driver energy). Every segment gets a stable GLOBAL id; per-decision
 // RNG streams AND the row's manufactured silicon are keyed by that id
-// (config.silicon_seed), so a segment decides identically wherever it is
+// (under config.seed), so a segment decides identically wherever it is
 // stored — the invariant behind the sharded router's epoch scheme and
 // determinism rule 8. Mutation errors are typed (asmcap/db_error.h) and
 // validated in full before any state changes.
@@ -203,9 +203,9 @@ class AsmcapAccelerator {
   AsmcapConfig config_;
   QueryPlanner planner_;
   TimingModel timing_;
-  /// Root of the manufactured-silicon stream tree
-  /// (Rng(silicon_seed or seed).fork(0x51C0)); row silicon forks per
-  /// global id, construction-time array silicon per array index.
+  /// Root of the manufactured-silicon stream tree (Rng(seed).fork(0x51C0));
+  /// row silicon forks per global id, construction-time array silicon per
+  /// array index.
   Rng silicon_root_;
   /// Circuit state: non-empty only while backend_kind_ == Circuit (and a
   /// row has been written); arrays are manufactured on demand.

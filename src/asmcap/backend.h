@@ -16,8 +16,8 @@
 // one shared packed row store just like the ASMCap pair:
 //
 //  * EdamCircuitBackend — cell-accurate current-domain sensing (pre-charge,
-//    discharge, sample-and-hold) via CurrentArrayReadout::measure_row, fed
-//    each row's mask from its mismatch lane words.
+//    discharge, sample-and-hold): each row's mismatch lane words feed
+//    CurrentArrayReadout::drop_row, then decide_from_drop.
 //  * EdamFunctionalBackend — the packed word-parallel kernels with the
 //    count-pure current-domain energy model (bit-identical energy to the
 //    circuit path; decision-identical under ideal_sensing, enforced by
@@ -110,7 +110,6 @@ class ExecutionBackend {
   virtual ~ExecutionBackend() = default;
 
   virtual const char* name() const = 0;
-  virtual std::size_t segment_count() const = 0;
 
   /// One search pass: per-slot decisions at `threshold` (see PassResult).
   /// Must be thread-safe; per-decision SA noise is forked from
@@ -147,7 +146,6 @@ class CircuitBackend : public ExecutionBackend {
                  const LiveDirectory& directory, const PackedRowMatrix& rows);
 
   const char* name() const override { return "circuit"; }
-  std::size_t segment_count() const override { return dir_->slots(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
@@ -180,7 +178,6 @@ class FunctionalBackend : public ExecutionBackend {
                     const PackedRowMatrix& rows);
 
   const char* name() const override { return "functional"; }
-  std::size_t segment_count() const override { return rows_->rows(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
@@ -197,10 +194,12 @@ class FunctionalBackend : public ExecutionBackend {
 /// Cell-accurate EDAM backend: current-domain sensing over the
 /// EdamAccelerator's packed row store and manufactured CurrentArrayReadout
 /// bank (row g senses on readout g / array_rows, matchline g % array_rows).
-/// Each row's mismatch mask is built from its mismatch lane words, the
-/// cell outputs the ED*/Hamming kernels count, and measured with
-/// CurrentArrayReadout::measure_row. Holds non-owning references into the
-/// accelerator; the accelerator must outlive it.
+/// Each row's mismatch lane words — the cell outputs the ED*/Hamming
+/// kernels count — give its count, which books the row's energy, and its
+/// nominal discharge (drop_row), which decide_from_drop senses with the
+/// per-id noise fork. Under ideal_sensing, count <= T decides. Holds
+/// non-owning references into the accelerator; the accelerator must
+/// outlive it.
 class EdamCircuitBackend : public ExecutionBackend {
  public:
   EdamCircuitBackend(const PackedRowMatrix& rows,
@@ -208,7 +207,6 @@ class EdamCircuitBackend : public ExecutionBackend {
                      std::size_t array_rows, bool ideal_sensing);
 
   const char* name() const override { return "edam-circuit"; }
-  std::size_t segment_count() const override { return rows_->rows(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
@@ -231,7 +229,6 @@ class EdamFunctionalBackend : public ExecutionBackend {
                         const CurrentDomainParams& params);
 
   const char* name() const override { return "edam-functional"; }
-  std::size_t segment_count() const override { return rows_->rows(); }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;

@@ -74,7 +74,7 @@ PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
         // SA noise keyed by global segment id: placement-invariant.
         Rng decide_rng = pass_rng.fork(dir_->ids[slot]);
         result.decisions.set(
-            slot, readout.decide(readout.settle_row(r, lane_words.data()),
+            slot, readout.decide(readout.settle_row(r, lane_words),
                                  threshold, decide_rng));
       }
     }

@@ -78,19 +78,16 @@ struct AsmcapConfig {
   bool ideal_sensing = false;
   /// Router-level shard pruning (banks build sketches at load time).
   PruningParams pruning;
-  /// Seed of the sharded router's master query stream, and of the
-  /// silicon stream when silicon_seed is 0.
+  /// Seed of the sharded router's master query stream and of the
+  /// manufactured-silicon stream. Every written row's analog silicon is
+  /// drawn from Rng(seed).fork(0x51C0).fork(global segment id), so a noisy
+  /// decision is a pure function of (seed, global id, query stream) —
+  /// independent of row, array, and bank placement. The sharded router
+  /// builds every bank (hot and cold) with its own seed unchanged, so all
+  /// banks share one silicon root — seed 0 included — which is what makes
+  /// live-database rebalancing invisible to noisy sensing
+  /// (docs/determinism.md rule 8).
   std::uint64_t seed = 0xA5A5'5A5A'C0FF'EE00ULL;
-  /// Seed of the manufactured-silicon stream; 0 means "use `seed`". Every
-  /// written row's analog silicon is drawn from
-  /// Rng(silicon_seed).fork(0x51C0).fork(global segment id), so a noisy
-  /// decision is a pure function of (silicon seed, global id, query
-  /// stream) — independent of row, array, and bank placement. The sharded
-  /// router builds every bank (hot and cold) with its own seed AND
-  /// silicon_seed unchanged, so all banks resolve the same silicon seed —
-  /// 0 and 0 included — which is what makes live-database rebalancing
-  /// invisible to noisy sensing (docs/determinism.md rule 8).
-  std::uint64_t silicon_seed = 0;
   /// Global id of this bank's first segment. 0 for a standalone
   /// accelerator; the sharded router sets it per bank so that every
   /// per-decision RNG stream is keyed by *global* segment id — which makes

@@ -10,6 +10,7 @@
 #include "align/kernels.h"
 #include "asmcap/backend.h"
 #include "circuit/matchline.h"
+#include "util/lane_flags.h"
 
 namespace asmcap {
 
@@ -39,16 +40,19 @@ PassResult EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
   result.decisions = BitVec(rows_->rows());
   for (std::size_t g = 0; g < rows_->rows(); ++g) {
     mismatch_words(rows_->row(g), view, lane_words.data());
-    const BitVec mask = lane_flags_to_bitvec(lane_words.data(), view.n);
+    const CurrentArrayReadout& readout = (*readouts_)[g / array_rows_];
+    const std::size_t r = g % array_rows_;
+    const std::size_t count = count_lane_flags(lane_words);
+    result.energy_joules += readout.matchline(r).search_energy(count);
+    if (ideal_sensing_) {
+      result.decisions.set(g, count <= threshold);
+      continue;
+    }
     // Sensing noise keyed by global segment id: placement-invariant.
     Rng decide_rng = pass_rng.fork(static_cast<std::uint64_t>(g));
-    double row_energy = 0.0;
-    const RowDecision decision =
-        (*readouts_)[g / array_rows_].measure_row(
-            g % array_rows_, mask, threshold, decide_rng, &row_energy);
-    result.energy_joules += row_energy;
-    result.decisions.set(g, ideal_sensing_ ? mask.popcount() <= threshold
-                                           : decision.match);
+    result.decisions.set(
+        g, readout.decide_from_drop(r, readout.drop_row(r, lane_words),
+                                    threshold, decide_rng));
   }
   return result;
 }

@@ -23,10 +23,10 @@ ShardedAccelerator::ShardedAccelerator(AsmcapConfig config,
 
 std::shared_ptr<AsmcapAccelerator> ShardedAccelerator::make_bank(
     bool cold, std::size_t id_floor) const {
-  // Every bank keeps the router's seed and silicon_seed: ONE silicon
-  // stream tree for the whole router, so a row's manufactured silicon is
-  // keyed by its global id alone and rebalancing a segment into another
-  // bank moves its noisy behaviour with it (determinism rule 8).
+  // Every bank keeps the router's seed: ONE silicon stream tree for the
+  // whole router, so a row's manufactured silicon is keyed by its global
+  // id alone and rebalancing a segment into another bank moves its noisy
+  // behaviour with it (determinism rule 8).
   AsmcapConfig bank_config = config_;
   bank_config.segment_base = config_.segment_base + id_floor;
   if (!cold) {

@@ -36,7 +36,7 @@
 // ids are stable across append, delete, and rebalance: an id is assigned
 // once, never reused, and (because every per-decision RNG stream AND the
 // row's manufactured silicon are keyed by global id, with every bank
-// built from the router's own seed and silicon_seed) a segment decides
+// built from the router's own seed) a segment decides
 // identically wherever rebalancing moves it — searching epoch E is
 // bit-identical to a fresh router loaded with exactly E's live segments,
 // on every backend including noisy circuit sensing (determinism rule 8;

@@ -9,7 +9,6 @@
 // capacitor: O=1 means *mismatch* (VDD on the plate), O=0 means match.
 
 #include <cstddef>
-#include <optional>
 
 #include "genome/sequence.h"
 
@@ -33,7 +32,6 @@ class AsmcapCell {
   explicit AsmcapCell(Base stored) : stored_(stored) {}
 
   Base stored() const { return stored_; }
-  void write(Base b) { stored_ = b; }
 
   /// Partial results for the read window around position i. Neighbours
   /// outside the row are "absent" (their SLs are held inactive).
@@ -51,9 +49,6 @@ class AsmcapCell {
 class EdamCell {
  public:
   explicit EdamCell(Base stored) : cell_(stored) {}
-
-  Base stored() const { return cell_.stored(); }
-  void write(Base b) { cell_.write(b); }
 
   bool mismatch(const Sequence& read, std::size_t i) const {
     return cell_.mismatch(read, i, MatchMode::EdStar);

@@ -25,52 +25,22 @@ void ChargeArrayReadout::remanufacture_row(std::size_t row, Rng& rng) {
     throw std::out_of_range("ChargeArrayReadout::remanufacture_row");
   // Same draw order as construction: matchline capacitors, then the
   // residual SA offset.
-  matchlines_[row] = ChargeMatchline(cols_, params_, rng);
+  matchlines_[row] = CapacitorBank(cols_, params_, rng);
   row_offsets_[row] = rng.normal(0.0, params_.sa_offset_sigma);
 }
 
-double ChargeArrayReadout::settle_row(std::size_t row,
-                                      const BitVec& mask) const {
+double ChargeArrayReadout::settle_row(
+    std::size_t row, const std::vector<std::uint64_t>& lane_words) const {
   if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::settle_row");
   // The systematic SA offset is folded into the settled voltage: both are
   // fixed per silicon, so the SA effectively compares (V_ML + offset).
-  return matchlines_[row].settle(mask) + row_offsets_[row];
-}
-
-double ChargeArrayReadout::settle_row(std::size_t row,
-                                      const std::uint64_t* lane_words) const {
-  if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::settle_row");
-  return matchlines_[row].bank().actual_vml(lane_words) + row_offsets_[row];
+  return matchlines_[row].actual_vml(lane_words) + row_offsets_[row];
 }
 
 bool ChargeArrayReadout::decide(double vml, std::size_t threshold,
                                 Rng& search_rng) const {
   return sense_amp_.below(vml, charge_vref(threshold, cols_, params_.vdd),
                           search_rng);
-}
-
-RowDecision ChargeArrayReadout::sense_row(std::size_t row, const BitVec& mask,
-                                          std::size_t threshold,
-                                          Rng& search_rng) {
-  if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::sense_row");
-  const double vml = matchlines_[row].settle(mask);
-  const double vref = charge_vref(threshold, cols_, params_.vdd);
-  RowDecision decision;
-  decision.vml = vml;
-  decision.match = sense_amp_.below(vml, vref, search_rng);
-  energy_ += matchlines_[row].search_energy(mask.popcount());
-  return decision;
-}
-
-std::vector<RowDecision> ChargeArrayReadout::sense(
-    const std::vector<BitVec>& masks, std::size_t threshold, Rng& search_rng) {
-  if (masks.size() != rows())
-    throw std::invalid_argument("ChargeArrayReadout::sense: mask count");
-  std::vector<RowDecision> decisions;
-  decisions.reserve(rows());
-  for (std::size_t r = 0; r < rows(); ++r)
-    decisions.push_back(sense_row(r, masks[r], threshold, search_rng));
-  return decisions;
 }
 
 }  // namespace asmcap

@@ -20,10 +20,10 @@ CurrentArrayReadout::CurrentArrayReadout(std::size_t rows, std::size_t cols,
   }
 }
 
-double CurrentArrayReadout::drop_row(std::size_t row,
-                                     const BitVec& mask) const {
+double CurrentArrayReadout::drop_row(
+    std::size_t row, const std::vector<std::uint64_t>& lane_words) const {
   if (row >= rows()) throw std::out_of_range("CurrentArrayReadout::drop_row");
-  return matchlines_[row].nominal_drop(mask);
+  return matchlines_[row].nominal_drop(lane_words);
 }
 
 bool CurrentArrayReadout::decide_from_drop(std::size_t row,
@@ -38,45 +38,6 @@ bool CurrentArrayReadout::decide_from_drop(std::size_t row,
   const double vref =
       current_vref(threshold, params_.vdd, line.volts_per_count());
   return sense_amp_.above(vml, vref, search_rng);
-}
-
-RowDecision CurrentArrayReadout::measure_row(std::size_t row,
-                                             const BitVec& mask,
-                                             std::size_t threshold,
-                                             Rng& search_rng,
-                                             double* energy_joules) const {
-  if (row >= rows())
-    throw std::out_of_range("CurrentArrayReadout::measure_row");
-  const CurrentMatchline& line = matchlines_[row];
-  const double vml = line.sample(mask, search_rng) + row_offsets_[row];
-  const double vref =
-      current_vref(threshold, params_.vdd, line.volts_per_count());
-  RowDecision decision;
-  decision.vml = vml;
-  decision.match = sense_amp_.above(vml, vref, search_rng);
-  if (energy_joules) *energy_joules = line.search_energy(mask.popcount());
-  return decision;
-}
-
-RowDecision CurrentArrayReadout::sense_row(std::size_t row, const BitVec& mask,
-                                           std::size_t threshold,
-                                           Rng& search_rng) {
-  double energy = 0.0;
-  const RowDecision decision =
-      measure_row(row, mask, threshold, search_rng, &energy);
-  energy_ += energy;
-  return decision;
-}
-
-std::vector<RowDecision> CurrentArrayReadout::sense(
-    const std::vector<BitVec>& masks, std::size_t threshold, Rng& search_rng) {
-  if (masks.size() != rows())
-    throw std::invalid_argument("CurrentArrayReadout::sense: mask count");
-  std::vector<RowDecision> decisions;
-  decisions.reserve(rows());
-  for (std::size_t r = 0; r < rows(); ++r)
-    decisions.push_back(sense_row(r, masks[r], threshold, search_rng));
-  return decisions;
 }
 
 }  // namespace asmcap

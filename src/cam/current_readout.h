@@ -2,15 +2,21 @@
 // Current-domain readout (the EDAM sensing path): pre-charged matchlines
 // discharged by mismatched cells, sampled after the discharge window.
 // Match polarity is inverted relative to the charge domain: the line stays
-// *high* when few cells mismatch.
+// *high* when few cells mismatch. Like ChargeArrayReadout it is const
+// silicon: a row's mismatched cells arrive as lane words
+// (util/lane_flags.h), drop_row gives the systematic nominal discharge,
+// and decide_from_drop applies the per-search noise from the caller's
+// stream. Search energy is a pure function of the mismatch count
+// (matchline(row).search_energy), so callers book it themselves.
+//
+// Thread-safety: every member is const and thread-safe.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "cam/charge_readout.h"  // RowDecision
 #include "circuit/matchline.h"
 #include "circuit/sense_amp.h"
-#include "util/bitvec.h"
 #include "util/rng.h"
 
 namespace asmcap {
@@ -20,34 +26,20 @@ class CurrentArrayReadout {
   CurrentArrayReadout(std::size_t rows, std::size_t cols,
                       const CurrentDomainParams& params, Rng& manufacture_rng);
 
-  /// Senses every row: match iff sampled V_ML >= V_ref(T).
-  std::vector<RowDecision> sense(const std::vector<BitVec>& masks,
-                                 std::size_t threshold, Rng& search_rng);
+  /// Systematic (cacheable) nominal discharge of a row for the cells
+  /// flagged in `lane_words`. Throws std::out_of_range on a bad row and
+  /// std::invalid_argument on a wrong word count.
+  double drop_row(std::size_t row,
+                  const std::vector<std::uint64_t>& lane_words) const;
 
-  RowDecision sense_row(std::size_t row, const BitVec& mask,
-                        std::size_t threshold, Rng& search_rng);
-
-  /// Const, thread-safe variant of sense_row: identical physics, but the
-  /// search energy of the row is returned through `energy_joules` instead
-  /// of accumulating into the readout's ledger. This is the path the EDAM
-  /// execution backend uses so that concurrent batch workers never mutate
-  /// shared silicon state.
-  RowDecision measure_row(std::size_t row, const BitVec& mask,
-                          std::size_t threshold, Rng& search_rng,
-                          double* energy_joules) const;
-
-  /// Systematic (cacheable) nominal discharge of a row for a mask.
-  double drop_row(std::size_t row, const BitVec& mask) const;
-
-  /// Full noisy decision from a cached nominal drop: jitter + clamp + S/H
-  /// noise + SA compare.
+  /// Full noisy decision from a nominal drop (match iff the sampled V_ML
+  /// >= V_ref(T)): jitter + clamp + S/H noise + SA compare, drawn from
+  /// `search_rng` in that order.
   bool decide_from_drop(std::size_t row, double nominal_drop,
                         std::size_t threshold, Rng& search_rng) const;
 
   std::size_t rows() const { return matchlines_.size(); }
   std::size_t cols() const { return cols_; }
-  double consumed_energy() const { return energy_; }
-  void reset_energy() { energy_ = 0.0; }
   const CurrentDomainParams& params() const { return params_; }
   const CurrentMatchline& matchline(std::size_t row) const {
     return matchlines_.at(row);
@@ -59,7 +51,6 @@ class CurrentArrayReadout {
   std::vector<CurrentMatchline> matchlines_;
   std::vector<double> row_offsets_;  ///< systematic per-row SA offsets [V].
   SenseAmp sense_amp_;
-  double energy_ = 0.0;
 };
 
 }  // namespace asmcap

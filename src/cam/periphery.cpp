@@ -10,15 +10,10 @@ SearchlineDriver::SearchlineDriver(std::size_t width,
   if (width == 0) throw std::invalid_argument("SearchlineDriver: zero width");
 }
 
-double SearchlineDriver::drive(const Sequence& read) {
-  const double energy = drive_energy(read);
-  energy_ += energy;
-  return energy;
-}
-
 double SearchlineDriver::drive_energy(const Sequence& read) const {
   if (read.size() != width_)
-    throw std::invalid_argument("SearchlineDriver::drive: width mismatch");
+    throw std::invalid_argument(
+        "SearchlineDriver::drive_energy: width mismatch");
   return params_.energy_per_base * static_cast<double>(read.size());
 }
 

@@ -2,7 +2,8 @@
 // Array periphery: the searchline buffer/driver (the search path) and the
 // cost of a row write through the decoder + wordline driver (the write
 // path) — the latency/energy contributions the system model charges for
-// driving reads into the SLs and for writes.
+// driving reads into the SLs and for writes. Both are const cost models:
+// callers book the energy they return.
 
 #include <cstddef>
 
@@ -22,22 +23,15 @@ class SearchlineDriver {
  public:
   SearchlineDriver(std::size_t width, SearchlineDriverParams params = {});
 
-  /// Validates and "drives" a read; returns the energy charged.
-  double drive(const Sequence& read);
-
-  /// Energy one drive of `read` would charge, without accumulating it
-  /// (the const path used by the thread-safe execution backends). Performs
-  /// the same width validation as drive().
+  /// Energy of driving `read` onto the searchlines once. Throws
+  /// std::invalid_argument when the read's width differs from the array's.
   double drive_energy(const Sequence& read) const;
 
-  double consumed_energy() const { return energy_; }
-  void reset_energy() { energy_ = 0.0; }
   std::size_t width() const { return width_; }
 
  private:
   std::size_t width_;
   SearchlineDriverParams params_;
-  double energy_ = 0.0;
 };
 
 /// Write-path cost of storing one segment (decoder + WL pulse + SRAM flip).

@@ -1,8 +1,9 @@
 #include "circuit/capacitor.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
+
+#include "util/lane_flags.h"
 
 namespace asmcap {
 
@@ -27,23 +28,13 @@ double CapacitorBank::ideal_vml(std::size_t n_mis) const {
   return static_cast<double>(n_mis) / static_cast<double>(size()) * params_.vdd;
 }
 
-double CapacitorBank::actual_vml(const BitVec& mismatch_mask) const {
-  if (mismatch_mask.size() != size())
-    throw std::invalid_argument("CapacitorBank::actual_vml: mask size mismatch");
+double CapacitorBank::actual_vml(
+    const std::vector<std::uint64_t>& lane_words) const {
+  if (lane_words.size() != lane_word_count(size()))
+    throw std::invalid_argument("CapacitorBank::actual_vml: word count");
   double mismatched = 0.0;
-  for (std::size_t i = mismatch_mask.find_first(); i < mismatch_mask.size();
-       i = mismatch_mask.find_next(i + 1))
-    mismatched += caps_[i];
-  return mismatched / total_ * params_.vdd;
-}
-
-double CapacitorBank::actual_vml(const std::uint64_t* lane_words) const {
-  constexpr std::uint64_t kLaneFlags = 0x5555555555555555ULL;
-  double mismatched = 0.0;
-  const std::size_t words = (size() + 31) / 32;
-  for (std::size_t w = 0; w < words; ++w)
-    for (std::uint64_t x = lane_words[w] & kLaneFlags; x != 0; x &= x - 1)
-      mismatched += caps_[w * 32 + std::countr_zero(x) / 2];
+  for_each_lane_flag(lane_words,
+                     [&](std::size_t i) { mismatched += caps_[i]; });
   return mismatched / total_ * params_.vdd;
 }
 

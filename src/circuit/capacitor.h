@@ -2,14 +2,15 @@
 // Capacitor bank of one charge-domain matchline row. Per-cell capacitances
 // are drawn once at construction (manufacturing mismatch is systematic: the
 // same silicon answers every search), matching the i.i.d. normal model the
-// paper adopts from CapCAM [17].
+// paper adopts from CapCAM [17]. The mismatched cells arrive as lane words
+// (util/lane_flags.h), the layout the align/kernels mismatch-word forms
+// emit.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "circuit/process.h"
-#include "util/bitvec.h"
 #include "util/rng.h"
 
 namespace asmcap {
@@ -24,16 +25,12 @@ class CapacitorBank {
   /// V_ML = n_mis / N * VDD.
   double ideal_vml(std::size_t n_mis) const;
 
-  /// Actual settled matchline voltage for a specific set of mismatched
-  /// cells: the capacitive divider V_ML = sum_mis(C_i) / sum_all(C_i) * VDD.
-  double actual_vml(const BitVec& mismatch_mask) const;
-
-  /// The same divider from per-lane mismatch flags (the low bit of each
-  /// 2-bit lane, ceil(size()/32) words, tail lanes zero — the layout of the
-  /// align/kernels mismatch-word forms). The mismatched caps are summed in
-  /// ascending cell order, so the result is bit-identical to the BitVec
-  /// form for the same set of cells.
-  double actual_vml(const std::uint64_t* lane_words) const;
+  /// Actual settled matchline voltage for the mismatched cells flagged in
+  /// `lane_words` (lane_word_count(size()) words, tail lanes zero): the
+  /// capacitive divider V_ML = sum_mis(C_i) / sum_all(C_i) * VDD, with the
+  /// mismatched caps summed in ascending cell order. Throws
+  /// std::invalid_argument on a wrong word count.
+  double actual_vml(const std::vector<std::uint64_t>& lane_words) const;
 
   /// Paper Eq. (2): analytic variance of V_ML for a mismatch count.
   double vml_variance(std::size_t n_mis) const;

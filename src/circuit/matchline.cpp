@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/lane_flags.h"
+
 namespace asmcap {
-
-ChargeMatchline::ChargeMatchline(std::size_t n_cells,
-                                 const ChargeDomainParams& params,
-                                 Rng& manufacture_rng)
-    : bank_(n_cells, params, manufacture_rng) {}
-
-double ChargeMatchline::settle(const BitVec& mismatch_mask) const {
-  return bank_.actual_vml(mismatch_mask);
-}
 
 CurrentMatchline::CurrentMatchline(std::size_t n_cells,
                                    const CurrentDomainParams& params,
@@ -39,14 +32,13 @@ double CurrentMatchline::ideal_vml(std::size_t n_mis) const {
   return std::max(0.0, params_.vdd - drop);
 }
 
-double CurrentMatchline::nominal_drop(const BitVec& mismatch_mask) const {
-  if (mismatch_mask.size() != cells())
-    throw std::invalid_argument(
-        "CurrentMatchline::nominal_drop: mask size mismatch");
+double CurrentMatchline::nominal_drop(
+    const std::vector<std::uint64_t>& lane_words) const {
+  if (lane_words.size() != lane_word_count(cells()))
+    throw std::invalid_argument("CurrentMatchline::nominal_drop: word count");
   double total_current = 0.0;
-  for (std::size_t i = mismatch_mask.find_first(); i < mismatch_mask.size();
-       i = mismatch_mask.find_next(i + 1))
-    total_current += currents_[i];
+  for_each_lane_flag(lane_words,
+                     [&](std::size_t i) { total_current += currents_[i]; });
   return total_current * params_.t_discharge / ml_capacitance_;
 }
 
@@ -61,11 +53,6 @@ double CurrentMatchline::sample_from_drop(double nominal_drop,
   // Sample-and-hold noise (kT/C + droop) corrupts the held value.
   vml += search_rng.normal(0.0, params_.sh_noise_sigma);
   return vml;
-}
-
-double CurrentMatchline::sample(const BitVec& mismatch_mask,
-                                Rng& search_rng) const {
-  return sample_from_drop(nominal_drop(mismatch_mask), search_rng);
 }
 
 double current_row_search_energy(std::size_t n_mis, std::size_t n_cells,

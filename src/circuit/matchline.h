@@ -4,47 +4,26 @@
 // Charge domain (ASMCap, Fig. 3b): V_ML settles at the capacitive-divider
 // value — time-independent, linear in the mismatch count. The only noise a
 // search sees is the (systematic) capacitor mismatch plus the SA's random
-// input-referred noise.
+// input-referred noise. A charge-domain row is its CapacitorBank
+// (circuit/capacitor.h).
 //
 // Current domain (EDAM, Fig. 3a): the pre-charged matchline discharges with
 // a slope proportional to the mismatch count; the sampled voltage inherits
 // per-cell current mismatch (systematic), sampling-clock jitter and
 // sample-and-hold noise (random per search), and clamps at ground — the
 // non-linearity that compresses high-mismatch levels.
+//
+// Both read a row's mismatched cells as lane words (util/lane_flags.h), the
+// layout the align/kernels mismatch-word forms emit.
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
-#include "circuit/capacitor.h"
 #include "circuit/process.h"
-#include "util/bitvec.h"
 #include "util/rng.h"
 
 namespace asmcap {
-
-/// One charge-domain row: owns its capacitor bank (manufactured once).
-class ChargeMatchline {
- public:
-  ChargeMatchline(std::size_t n_cells, const ChargeDomainParams& params,
-                  Rng& manufacture_rng);
-
-  /// Settled V_ML for a mismatch mask, *without* SA noise (the SA adds its
-  /// noise at decision time, see SenseAmp).
-  double settle(const BitVec& mismatch_mask) const;
-
-  double ideal_vml(std::size_t n_mis) const { return bank_.ideal_vml(n_mis); }
-  double search_energy(std::size_t n_mis) const {
-    return bank_.search_energy(n_mis);
-  }
-  double vml_variance(std::size_t n_mis) const {
-    return bank_.vml_variance(n_mis);
-  }
-
-  std::size_t cells() const { return bank_.size(); }
-  const CapacitorBank& bank() const { return bank_; }
-
- private:
-  CapacitorBank bank_;
-};
 
 /// Nominal current-domain search energy of one row (matchline pre-charge +
 /// crowbar discharge), a pure function of the mismatch count and the
@@ -60,19 +39,18 @@ class CurrentMatchline {
   CurrentMatchline(std::size_t n_cells, const CurrentDomainParams& params,
                    Rng& manufacture_rng);
 
-  /// Sampled matchline voltage for a mismatch mask. Random per-search
-  /// effects (clock jitter, S/H noise) are drawn from `search_rng`; the
-  /// systematic per-cell current mismatch is fixed at construction.
-  /// The result clamps at 0 (full discharge).
-  double sample(const BitVec& mismatch_mask, Rng& search_rng) const;
+  /// Systematic (per-silicon) part of the discharge for the mismatched
+  /// cells flagged in `lane_words` (lane_word_count(cells()) words, tail
+  /// lanes zero): the nominal voltage drop including current mismatch but
+  /// before jitter, clamping, and S/H noise, with the cell currents summed
+  /// in ascending cell order. Cacheable per (row, cells); feed to
+  /// sample_from_drop per search. Throws std::invalid_argument on a wrong
+  /// word count.
+  double nominal_drop(const std::vector<std::uint64_t>& lane_words) const;
 
-  /// Systematic (per-silicon) part of the discharge: the nominal voltage
-  /// drop including current mismatch but before jitter, clamping, and S/H
-  /// noise. Cacheable per (row, mask); feed to sample_from_drop per search.
-  double nominal_drop(const BitVec& mismatch_mask) const;
-
-  /// Applies the random per-search effects to a cached nominal drop and
-  /// returns the held sample (clamped at ground).
+  /// Applies the random per-search effects (clock jitter, then S/H noise,
+  /// drawn from `search_rng`) to a nominal drop and returns the held sample
+  /// (clamped at ground).
   double sample_from_drop(double nominal_drop, Rng& search_rng) const;
 
   /// Ideal (noise-free, nominal-current) sampled voltage for a count.

@@ -1,10 +1,13 @@
 #include "circuit/montecarlo.h"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
+#include "circuit/capacitor.h"
 #include "circuit/matchline.h"
-#include "util/bitvec.h"
+#include "util/lane_flags.h"
 
 namespace asmcap {
 
@@ -29,18 +32,21 @@ std::size_t current_domain_max_states(const CurrentDomainParams& params) {
 
 namespace {
 
-BitVec random_mask(std::size_t n_cells, std::size_t n_mis, Rng& rng) {
-  if (n_mis > n_cells) throw std::invalid_argument("random_mask: count too big");
-  BitVec mask(n_cells);
+/// `n_mis` distinct random cells of `n_cells`, as lane words.
+std::vector<std::uint64_t> random_lane_words(std::size_t n_cells,
+                                             std::size_t n_mis, Rng& rng) {
+  if (n_mis > n_cells)
+    throw std::invalid_argument("random_lane_words: count too big");
+  std::vector<std::uint64_t> words(lane_word_count(n_cells), 0);
   // Partial Fisher-Yates over cell indices.
   std::vector<std::size_t> idx(n_cells);
   for (std::size_t i = 0; i < n_cells; ++i) idx[i] = i;
   for (std::size_t i = 0; i < n_mis; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(rng.below(n_cells - i));
     std::swap(idx[i], idx[j]);
-    mask.set(idx[i]);
+    set_lane_flag(words, idx[i]);
   }
-  return mask;
+  return words;
 }
 
 }  // namespace
@@ -56,9 +62,8 @@ std::vector<LevelStats> mc_charge_levels(const ChargeDomainParams& params,
     for (std::size_t t = 0; t < trials; ++t) {
       // Fresh silicon each trial: the variance in Eq. 2 is the ensemble
       // variance across manufactured rows.
-      ChargeMatchline row(n_cells, params, rng);
-      const BitVec mask = random_mask(n_cells, n_mis, rng);
-      stats.add(row.settle(mask));
+      const CapacitorBank row(n_cells, params, rng);
+      stats.add(row.actual_vml(random_lane_words(n_cells, n_mis, rng)));
     }
     levels.push_back({n_mis, stats.mean(), stats.stddev()});
   }
@@ -74,9 +79,10 @@ std::vector<LevelStats> mc_current_levels(const CurrentDomainParams& params,
   for (const std::size_t n_mis : counts) {
     RunningStats stats;
     for (std::size_t t = 0; t < trials; ++t) {
-      CurrentMatchline row(n_cells, params, rng);
-      const BitVec mask = random_mask(n_cells, n_mis, rng);
-      stats.add(row.sample(mask, rng));
+      const CurrentMatchline row(n_cells, params, rng);
+      const double drop =
+          row.nominal_drop(random_lane_words(n_cells, n_mis, rng));
+      stats.add(row.sample_from_drop(drop, rng));
     }
     levels.push_back({n_mis, stats.mean(), stats.stddev()});
   }

@@ -27,8 +27,6 @@ class SenseAmp {
   /// returns true iff (vml + noise) >= vref.
   bool above(double vml, double vref, Rng& rng) const;
 
-  double noise_sigma() const { return noise_sigma_; }
-
  private:
   double noise_sigma_;
 };

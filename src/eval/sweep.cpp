@@ -4,7 +4,8 @@
 
 #include "align/edit_distance.h"
 #include "align/edstar.h"
-#include "align/hamming.h"
+#include "align/kernels.h"
+#include "util/lane_flags.h"
 #include "util/thread_pool.h"
 
 namespace asmcap {
@@ -22,6 +23,12 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
   if (queries_ == 0 || rows_ == 0)
     throw std::invalid_argument("DatasetSignals: empty dataset");
   const std::size_t cols = dataset.rows.front().size();
+  // Packing rejects a row of another width; the queries are checked here.
+  const PackedRowMatrix packed(dataset.rows, cols);
+  for (const DatasetQuery& query : dataset.queries)
+    if (query.read.size() != cols)
+      throw std::invalid_argument(
+          "DatasetSignals: query width differs from the rows");
 
   // Manufacture the silicon both accelerators would use for these rows.
   Rng asmcap_silicon = rng.fork(0xA51C);
@@ -33,14 +40,17 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
 
   // Every (query, row) pair depends only on the dataset and the silicon
   // manufactured above, so queries precompute independently and in
-  // parallel; results are written by index.
+  // parallel over the one packed row matrix; results are written by index.
   pairs_.resize(queries_ * rows_);
   ThreadPool pool(workers);
   pool.parallel_for(queries_, [&](std::size_t q) {
     const Sequence& read = dataset.queries[q].read;
-    // The rotation schedule is shared by all rows of a query.
-    const auto rotations =
-        rotation_schedule(read, config.tasr.rotations, config.tasr.direction);
+    // One read view per rotation (the original first), shared by all rows.
+    std::vector<PackedReadView> views;
+    for (const Sequence& rotated : rotation_schedule(
+             read, config.tasr.rotations, config.tasr.direction))
+      views.emplace_back(rotated);
+    std::vector<std::uint64_t> lane_words(lane_word_count(cols));
     for (std::size_t r = 0; r < rows_; ++r) {
       const Sequence& row = dataset.rows[r];
       PairSignals& signals = pairs_[q * rows_ + r];
@@ -48,24 +58,26 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
       signals.ed = static_cast<std::uint16_t>(
           banded_edit_distance(row, read, ed_cap_).distance);
 
-      const BitVec hd_mask = hamming_mismatch_mask(row, read);
-      signals.hd = static_cast<std::uint16_t>(hd_mask.popcount());
-      signals.vml_hd = asmcap_readout_->settle_row(r, hd_mask);
+      hamming_mismatch_words(packed.row(r), views[0], lane_words.data());
+      signals.hd = static_cast<std::uint16_t>(count_lane_flags(lane_words));
+      signals.vml_hd = asmcap_readout_->settle_row(r, lane_words);
 
-      const BitVec star_mask = ed_star_mismatch_mask(row, read);
-      signals.ed_star = static_cast<std::uint16_t>(star_mask.popcount());
-      signals.vml_ed_star = asmcap_readout_->settle_row(r, star_mask);
-      signals.edam_drop = edam_readout_->drop_row(r, star_mask);
+      ed_star_mismatch_words(packed.row(r), views[0], lane_words.data());
+      signals.ed_star =
+          static_cast<std::uint16_t>(count_lane_flags(lane_words));
+      signals.vml_ed_star = asmcap_readout_->settle_row(r, lane_words);
+      signals.edam_drop = edam_readout_->drop_row(r, lane_words);
 
-      signals.rot_ed_star.reserve(rotations.size() - 1);
-      signals.rot_vml.reserve(rotations.size() - 1);
-      signals.rot_edam_drop.reserve(rotations.size() - 1);
-      for (std::size_t k = 1; k < rotations.size(); ++k) {
-        const BitVec rot_mask = ed_star_mismatch_mask(row, rotations[k]);
+      signals.rot_ed_star.reserve(views.size() - 1);
+      signals.rot_vml.reserve(views.size() - 1);
+      signals.rot_edam_drop.reserve(views.size() - 1);
+      for (std::size_t k = 1; k < views.size(); ++k) {
+        ed_star_mismatch_words(packed.row(r), views[k], lane_words.data());
         signals.rot_ed_star.push_back(
-            static_cast<std::uint16_t>(rot_mask.popcount()));
-        signals.rot_vml.push_back(asmcap_readout_->settle_row(r, rot_mask));
-        signals.rot_edam_drop.push_back(edam_readout_->drop_row(r, rot_mask));
+            static_cast<std::uint16_t>(count_lane_flags(lane_words)));
+        signals.rot_vml.push_back(asmcap_readout_->settle_row(r, lane_words));
+        signals.rot_edam_drop.push_back(
+            edam_readout_->drop_row(r, lane_words));
       }
     }
   });

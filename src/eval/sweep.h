@@ -40,6 +40,8 @@ class DatasetSignals {
   /// `ed_cap` must be at least the largest threshold that will be swept.
   /// Per-pair precomputation fans out across `workers` threads (every pair
   /// is silicon-deterministic, so the result is worker-count independent).
+  /// Throws std::invalid_argument on an empty dataset or when a row or
+  /// query differs in width from the first row.
   DatasetSignals(const Dataset& dataset, const AsmcapConfig& config,
                  const CurrentDomainParams& edam_params, std::size_t ed_cap,
                  Rng& rng, std::size_t workers = 1);

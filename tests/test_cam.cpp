@@ -7,6 +7,7 @@
 #include "cam/cell.h"
 #include "cam/charge_readout.h"
 #include "cam/current_readout.h"
+#include "util/lane_flags.h"
 
 namespace asmcap {
 namespace {
@@ -45,9 +46,9 @@ TEST(AsmcapCell, ModeMux) {
 }
 
 TEST(AsmcapCell, CellByCellAgreesWithPackedMask) {
-  // The Fig. 4c cell model is the reference for the packed lane-word masks
-  // the circuit backends sense: bit i of a row's mask must be cell i's
-  // output, in both modes, at widths on and off the 32-base word edge.
+  // The Fig. 4c cell model is the reference for the packed lane words the
+  // circuit backends sense: cell i's lane flag must be cell i's output, in
+  // both modes, at widths on and off the 32-base word edge.
   Rng rng(305);
   for (const std::size_t n :
        {std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{48},
@@ -61,11 +62,11 @@ TEST(AsmcapCell, CellByCellAgreesWithPackedMask) {
       (mode == MatchMode::EdStar ? ed_star_mismatch_words
                                  : hamming_mismatch_words)(
           rows.row(0), view, lane_words.data());
-      const BitVec mask = lane_flags_to_bitvec(lane_words.data(), n);
-      ASSERT_EQ(mask.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const AsmcapCell cell(stored[i]);
-        EXPECT_EQ(mask.get(i), cell.mismatch(read, i, mode))
+        // Cell i's flag is bit 2 * (i % 32) of word i / 32.
+        const bool flag = (lane_words[i / 32] >> (2 * (i % 32))) & 1;
+        EXPECT_EQ(flag, cell.mismatch(read, i, mode))
             << "n=" << n << " i=" << i
             << " mode=" << static_cast<int>(mode);
       }
@@ -80,21 +81,27 @@ TEST(EdamCell, AlwaysEdStarMode) {
   EXPECT_TRUE(cell.mismatch(Sequence::from_string("AAAA"), 2));
 }
 
+/// Lane words (util/lane_flags.h) of an n-cell row flagging `cells`.
+std::vector<std::uint64_t> lane_words_of(
+    std::size_t n, const std::vector<std::size_t>& cells) {
+  std::vector<std::uint64_t> words(lane_word_count(n), 0);
+  for (const std::size_t i : cells) set_lane_flag(words, i);
+  return words;
+}
+
 TEST(ChargeReadout, NoiselessThresholdDecisions) {
   ChargeDomainParams params;
   params.cap_sigma_rel = 0.0;
   params.sa_noise_sigma = 0.0;
   Rng silicon(307);
-  ChargeArrayReadout readout(4, 64, params, silicon);
+  const ChargeArrayReadout readout(4, 64, params, silicon);
   Rng search(308);
-  BitVec mask(64);
-  for (std::size_t i = 0; i < 5; ++i) mask.set(i * 7);
   // 5 mismatches: match iff T >= 5.
-  for (std::size_t t = 0; t < 10; ++t) {
-    const RowDecision decision = readout.sense_row(0, mask, t, search);
-    EXPECT_EQ(decision.match, t >= 5) << "t=" << t;
-  }
-  EXPECT_GT(readout.consumed_energy(), 0.0);
+  const double vml =
+      readout.settle_row(0, lane_words_of(64, {0, 7, 14, 21, 28}));
+  for (std::size_t t = 0; t < 10; ++t)
+    EXPECT_EQ(readout.decide(vml, t, search), t >= 5) << "t=" << t;
+  EXPECT_GT(readout.matchline(0).search_energy(5), 0.0);
 }
 
 TEST(ChargeReadout, DecideFromCachedVoltage) {
@@ -103,10 +110,7 @@ TEST(ChargeReadout, DecideFromCachedVoltage) {
   params.sa_noise_sigma = 0.0;
   Rng silicon(309);
   const ChargeArrayReadout readout(1, 32, params, silicon);
-  BitVec mask(32);
-  mask.set(3);
-  mask.set(17);
-  const double vml = readout.settle_row(0, mask);
+  const double vml = readout.settle_row(0, lane_words_of(32, {3, 17}));
   Rng search(310);
   EXPECT_TRUE(readout.decide(vml, 2, search));
   EXPECT_FALSE(readout.decide(vml, 1, search));
@@ -119,14 +123,13 @@ TEST(CurrentReadout, NoiselessThresholdDecisions) {
   params.sh_noise_sigma = 0.0;
   params.timing_jitter_rel = 0.0;
   Rng silicon(311);
-  CurrentArrayReadout readout(2, 256, params, silicon);
+  const CurrentArrayReadout readout(2, 256, params, silicon);
   Rng search(312);
-  BitVec mask(256);
-  for (std::size_t i = 0; i < 7; ++i) mask.set(i);
-  for (std::size_t t = 0; t < 14; ++t) {
-    const RowDecision decision = readout.sense_row(0, mask, t, search);
-    EXPECT_EQ(decision.match, t >= 7) << "t=" << t;
-  }
+  const double drop =
+      readout.drop_row(0, lane_words_of(256, {0, 1, 2, 3, 4, 5, 6}));
+  for (std::size_t t = 0; t < 14; ++t)
+    EXPECT_EQ(readout.decide_from_drop(0, drop, t, search), t >= 7)
+        << "t=" << t;
 }
 
 TEST(CurrentReadout, NoisyDecisionsDegradeNearBoundary) {
@@ -134,29 +137,30 @@ TEST(CurrentReadout, NoisyDecisionsDegradeNearBoundary) {
   // flip noticeably often — the EDAM accuracy-loss mechanism.
   const CurrentDomainParams params;  // defaults: 2.5 % etc.
   Rng silicon(313);
-  CurrentArrayReadout readout(1, 256, params, silicon);
+  const CurrentArrayReadout readout(1, 256, params, silicon);
   Rng search(314);
-  BitVec mask(256);
-  for (std::size_t i = 0; i < 5; ++i) mask.set(i);  // count = 5
+  const double drop = readout.drop_row(0, lane_words_of(256, {0, 1, 2, 3, 4}));
   int mismatch_calls = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t)
-    mismatch_calls += readout.sense_row(0, mask, 4, search).match ? 1 : 0;
+    mismatch_calls += readout.decide_from_drop(0, drop, 4, search) ? 1 : 0;
   // Truth is "mismatch" (5 > 4) but noise flips some decisions.
   EXPECT_GT(mismatch_calls, 10);
   EXPECT_LT(mismatch_calls, trials / 2);
 }
 
-TEST(Readouts, MaskSizeValidation) {
+TEST(Readouts, WordCountAndRowValidation) {
   Rng silicon(315);
-  ChargeArrayReadout charge(1, 16, {}, silicon);
-  CurrentArrayReadout current(1, 16, {}, silicon);
+  const ChargeArrayReadout charge(1, 16, {}, silicon);
+  const CurrentArrayReadout current(1, 16, {}, silicon);
+  const std::vector<std::uint64_t> one_word(1);
+  const std::vector<std::uint64_t> two_words(2);
+  EXPECT_THROW(charge.settle_row(0, two_words), std::invalid_argument);
+  EXPECT_THROW(current.drop_row(0, two_words), std::invalid_argument);
+  EXPECT_THROW(charge.settle_row(5, one_word), std::out_of_range);
+  EXPECT_THROW(current.drop_row(5, one_word), std::out_of_range);
   Rng search(316);
-  EXPECT_THROW(charge.sense_row(0, BitVec(8), 1, search),
-               std::invalid_argument);
-  EXPECT_THROW(current.sense_row(0, BitVec(8), 1, search),
-               std::invalid_argument);
-  EXPECT_THROW(charge.sense_row(5, BitVec(16), 1, search), std::out_of_range);
+  EXPECT_THROW(current.decide_from_drop(5, 0.0, 1, search), std::out_of_range);
 }
 
 }  // namespace

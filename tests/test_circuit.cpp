@@ -8,6 +8,7 @@
 #include "circuit/matchline.h"
 #include "circuit/process.h"
 #include "circuit/sense_amp.h"
+#include "util/lane_flags.h"
 #include "util/stats.h"
 
 namespace asmcap {
@@ -52,14 +53,24 @@ TEST(CapacitorBank, IdealVmlIsLinear) {
   EXPECT_THROW(bank.ideal_vml(257), std::out_of_range);
 }
 
+/// Lane words (util/lane_flags.h) of an n-cell row flagging the cells
+/// where `flagged(i)` holds, asked in ascending cell order.
+template <typename Pred>
+std::vector<std::uint64_t> lane_words_where(std::size_t n, Pred flagged) {
+  std::vector<std::uint64_t> words(lane_word_count(n), 0);
+  for (std::size_t i = 0; i < n; ++i)
+    if (flagged(i)) set_lane_flag(words, i);
+  return words;
+}
+
 TEST(CapacitorBank, ActualVmlTracksIdeal) {
   Rng rng(2);
   const CapacitorBank bank(256, {}, rng);
-  BitVec mask(256);
-  for (std::size_t i = 0; i < 64; ++i) mask.set(i * 4);
-  const double actual = bank.actual_vml(mask);
+  const double actual =
+      bank.actual_vml(lane_words_where(256, [](std::size_t i) {
+        return i % 4 == 0;
+      }));
   EXPECT_NEAR(actual, bank.ideal_vml(64), 0.01);  // within mismatch spread
-  EXPECT_THROW(bank.actual_vml(BitVec(100)), std::invalid_argument);
 }
 
 TEST(CapacitorBank, ZeroSigmaIsExact) {
@@ -67,9 +78,9 @@ TEST(CapacitorBank, ZeroSigmaIsExact) {
   ChargeDomainParams params;
   params.cap_sigma_rel = 0.0;
   const CapacitorBank bank(128, params, rng);
-  BitVec mask(128);
-  for (std::size_t i = 0; i < 32; ++i) mask.set(i);
-  EXPECT_NEAR(bank.actual_vml(mask), bank.ideal_vml(32), 1e-12);
+  const std::vector<std::uint64_t> words =
+      lane_words_where(128, [](std::size_t i) { return i < 32; });
+  EXPECT_NEAR(bank.actual_vml(words), bank.ideal_vml(32), 1e-12);
 }
 
 TEST(CapacitorBank, Eq1EnergySymmetricAndPeaksAtHalf) {
@@ -103,59 +114,56 @@ TEST(CapacitorBank, EmpiricalVarianceMatchesEq2) {
   Rng rng(6);
   const std::size_t n_cells = 128;
   const std::size_t n_mis = 64;
+  const std::vector<std::uint64_t> words =
+      lane_words_where(n_cells, [&](std::size_t i) { return i < n_mis; });
   RunningStats stats;
   for (int trial = 0; trial < 4000; ++trial) {
     const CapacitorBank bank(n_cells, params, rng);
-    BitVec mask(n_cells);
-    for (std::size_t i = 0; i < n_mis; ++i) mask.set(i);
-    stats.add(bank.actual_vml(mask));
+    stats.add(bank.actual_vml(words));
   }
   const CapacitorBank reference_bank(n_cells, params, rng);
   const double analytic = reference_bank.vml_variance(n_mis);
   EXPECT_NEAR(stats.variance(), analytic, 0.25 * analytic);
 }
 
-/// BitVec mask -> per-lane flag words (low bit of each 2-bit lane), the
-/// layout the align/kernels mismatch-word forms produce.
-std::vector<std::uint64_t> lane_words_of(const BitVec& mask) {
-  std::vector<std::uint64_t> words((mask.size() + 31) / 32, 0);
-  for (std::size_t i = 0; i < mask.size(); ++i)
-    if (mask.get(i)) words[i / 32] |= std::uint64_t{1} << (2 * (i % 32));
-  return words;
-}
-
-TEST(CapacitorBank, LaneWordVmlIsBitIdenticalToBitVecForm) {
+TEST(CapacitorBank, LaneWordVmlIsAscendingCapacitanceSum) {
+  // Reference: V_ML = sum of capacitance(i) over the flagged cells, added
+  // in ascending cell order, over the total, times VDD — bit for bit.
   Rng rng(9);
   // n % 32 in {0, 1, 31}: whole words, one-cell tail, one-short tail.
   for (const std::size_t n : {32u, 33u, 63u, 64u, 65u, 95u, 128u, 129u}) {
     const CapacitorBank bank(n, {}, rng);
-    std::vector<BitVec> masks{BitVec(n), BitVec(n, true)};
+    std::vector<std::vector<bool>> cases{std::vector<bool>(n, false),
+                                         std::vector<bool>(n, true)};
     for (int trial = 0; trial < 16; ++trial) {
-      BitVec mask(n);
+      std::vector<bool> cells(n);
       for (std::size_t i = 0; i < n; ++i)
-        if (rng.bernoulli(trial % 2 == 0 ? 0.5 : 0.08)) mask.set(i);
-      masks.push_back(mask);
+        cells[i] = rng.bernoulli(trial % 2 == 0 ? 0.5 : 0.08);
+      cases.push_back(cells);
     }
-    for (const BitVec& mask : masks) {
-      const std::vector<std::uint64_t> words = lane_words_of(mask);
-      EXPECT_EQ(bank.actual_vml(words.data()), bank.actual_vml(mask))
-          << "n=" << n << " popcount=" << mask.popcount();
+    for (const std::vector<bool>& cells : cases) {
+      const std::vector<std::uint64_t> words =
+          lane_words_where(n, [&](std::size_t i) { return cells[i]; });
+      double mismatched = 0.0;
+      for (std::size_t i = 0; i < n; ++i)
+        if (cells[i]) mismatched += bank.capacitance(i);
+      const double expected =
+          mismatched / bank.total_capacitance() * bank.params().vdd;
+      EXPECT_EQ(bank.actual_vml(words), expected)
+          << "n=" << n << " flags=" << count_lane_flags(words);
       // The high bit of each lane carries no cell flag and is ignored.
       std::vector<std::uint64_t> noisy = words;
-      for (std::uint64_t& word : noisy) word |= 0xAAAAAAAAAAAAAAAAULL;
-      EXPECT_EQ(bank.actual_vml(noisy.data()), bank.actual_vml(mask));
+      for (std::uint64_t& word : noisy) word |= ~kLaneFlags;
+      EXPECT_EQ(bank.actual_vml(noisy), expected);
     }
+    // One word too few or too many is rejected.
+    EXPECT_THROW(bank.actual_vml(std::vector<std::uint64_t>(
+                     lane_word_count(n) - 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(bank.actual_vml(std::vector<std::uint64_t>(
+                     lane_word_count(n) + 1)),
+                 std::invalid_argument);
   }
-}
-
-TEST(ChargeMatchline, SettleUsesBank) {
-  Rng rng(7);
-  const ChargeMatchline line(64, {}, rng);
-  BitVec mask(64);
-  mask.set(0);
-  const double one = line.settle(mask);
-  EXPECT_NEAR(one, 1.2 / 64.0, 0.15 / 64.0);
-  EXPECT_EQ(line.cells(), 64u);
 }
 
 TEST(CurrentMatchline, IdealDischargeLinearUntilClamp) {
@@ -172,20 +180,23 @@ TEST(CurrentMatchline, IdealDischargeLinearUntilClamp) {
 TEST(CurrentMatchline, NominalDropScalesWithCount) {
   Rng rng(9);
   const CurrentMatchline line(128, {}, rng);
-  BitVec small(128);
-  BitVec large(128);
-  for (std::size_t i = 0; i < 8; ++i) small.set(i);
-  for (std::size_t i = 0; i < 64; ++i) large.set(i);
-  EXPECT_GT(line.nominal_drop(large), 5.0 * line.nominal_drop(small));
+  const auto first = [](std::size_t k) {
+    return lane_words_where(128, [k](std::size_t i) { return i < k; });
+  };
+  EXPECT_GT(line.nominal_drop(first(64)), 5.0 * line.nominal_drop(first(8)));
+  EXPECT_EQ(line.nominal_drop(first(0)), 0.0);
+  EXPECT_THROW(line.nominal_drop(std::vector<std::uint64_t>(3)),
+               std::invalid_argument);
+  EXPECT_THROW(line.nominal_drop(std::vector<std::uint64_t>(5)),
+               std::invalid_argument);
 }
 
 TEST(CurrentMatchline, SampleNoiseStatistics) {
   Rng rng(10);
   CurrentDomainParams params;
   const CurrentMatchline line(256, params, rng);
-  BitVec mask(256);
-  for (std::size_t i = 0; i < 5; ++i) mask.set(i * 3);
-  const double drop = line.nominal_drop(mask);
+  const double drop = line.nominal_drop(lane_words_where(
+      256, [](std::size_t i) { return i % 3 == 0 && i < 15; }));
   RunningStats stats;
   Rng noise(11);
   for (int t = 0; t < 4000; ++t)

@@ -59,23 +59,7 @@ TEST(EdStar, LengthMismatchThrows) {
   const Sequence a = Sequence::from_string("ACGT");
   const Sequence b = Sequence::from_string("ACG");
   EXPECT_THROW(ed_star(a, b), std::invalid_argument);
-  EXPECT_THROW(ed_star_mismatch_mask(a, b), std::invalid_argument);
   EXPECT_THROW(ed_star_within(a, b, 1), std::invalid_argument);
-}
-
-TEST(EdStar, MaskAgreesWithCount) {
-  // Lengths straddle the packed mask kernel's word and half-word
-  // boundaries (the mask is compressed from 2-bit lanes, 32 per word).
-  Rng rng(75);
-  for (const std::size_t n :
-       {std::size_t{33}, std::size_t{64}, std::size_t{96}, std::size_t{161}}) {
-    for (int trial = 0; trial < 25; ++trial) {
-      const Sequence a = Sequence::random(n, rng);
-      const Sequence b = Sequence::random(n, rng);
-      EXPECT_EQ(ed_star_mismatch_mask(a, b).popcount(), ed_star(a, b))
-          << "n=" << n;
-    }
-  }
 }
 
 TEST(EdStar, WithinMatchesCount) {

@@ -12,9 +12,11 @@
 #include "asmcap/accelerator.h"
 #include "asmcap/readmapper.h"
 #include "asmcap/sharded.h"
+#include "cam/cell.h"
 #include "genome/edits.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
+#include "util/lane_flags.h"
 
 namespace asmcap {
 namespace {
@@ -189,9 +191,10 @@ HandBuiltBank hand_built_bank(const AsmcapConfig& config,
 
 TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
   // The circuit pass decides rows outside the noise band from their count
-  // and settles only the rest, from lane words. Reference: the per-row
-  // path it replaces — BitVec mask -> settle_row -> SA draw from the
-  // per-id fork — must agree slot by slot, energy bit for bit.
+  // and settles only the rest, from the kernels' lane words. Reference:
+  // every row settled, its cells built one by one from the Fig. 4c cell
+  // model (AsmcapCell::mismatch), then an SA draw from the per-id fork —
+  // must agree slot by slot, energy bit for bit.
   for (const double offset_sigma : {0.5e-3, 15e-3}) {
     AsmcapConfig config = small_config(/*ideal=*/false);
     config.process.charge.sa_offset_sigma = offset_sigma;
@@ -229,16 +232,20 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
           for (std::size_t r = 0; r < config.array_rows; ++r) {
             const std::size_t slot = a * config.array_rows + r;
             if (!bank.dir.slot_live(slot)) continue;
-            const BitVec mask =
-                mode == MatchMode::EdStar
-                    ? ed_star_mismatch_mask(bank.rows[slot], read)
-                    : hamming_mismatch_mask(bank.rows[slot], read);
+            const Sequence& row = bank.rows[slot];
+            std::vector<std::uint64_t> cells(lane_word_count(row.size()), 0);
+            std::size_t count = 0;
+            for (std::size_t cell = 0; cell < row.size(); ++cell)
+              if (AsmcapCell(row[cell]).mismatch(read, cell, mode)) {
+                set_lane_flag(cells, cell);
+                ++count;
+              }
             const ChargeArrayReadout& readout = bank.readouts[a];
-            array_energy += readout.matchline(r).search_energy(mask.popcount());
+            array_energy += readout.matchline(r).search_energy(count);
             Rng decide_rng = pass_rng.fork(bank.dir.ids[slot]);
-            decisions[slot] = readout.decide(readout.settle_row(r, mask),
+            decisions[slot] = readout.decide(readout.settle_row(r, cells),
                                              threshold, decide_rng);
-            ++(band.contains(mask.popcount()) ? in_band : out_of_band);
+            ++(band.contains(count) ? in_band : out_of_band);
           }
           energy += array_energy;
         }
@@ -273,16 +280,16 @@ std::vector<Sequence> wide_segments() {
   return segments;
 }
 
-/// Per-slot mismatch counts from the reference bit masks (not the kernels).
+/// Per-slot mismatch counts from the cell-by-cell references (not the
+/// kernels).
 std::vector<std::size_t> reference_counts(const std::vector<Sequence>& rows,
                                           const Sequence& read,
                                           MatchMode mode) {
   std::vector<std::size_t> counts;
   counts.reserve(rows.size());
   for (const Sequence& row : rows)
-    counts.push_back(mode == MatchMode::EdStar
-                         ? ed_star_mismatch_mask(row, read).popcount()
-                         : hamming_mismatch_mask(row, read).popcount());
+    counts.push_back(mode == MatchMode::EdStar ? ed_star(row, read)
+                                               : hamming_distance(row, read));
   return counts;
 }
 

@@ -16,25 +16,7 @@ TEST(Hamming, LengthMismatchThrows) {
   const Sequence a = Sequence::from_string("ACGT");
   const Sequence b = Sequence::from_string("ACG");
   EXPECT_THROW(hamming_distance(a, b), std::invalid_argument);
-  EXPECT_THROW(hamming_mismatch_mask(a, b), std::invalid_argument);
   EXPECT_THROW(hamming_within(a, b, 1), std::invalid_argument);
-}
-
-TEST(Hamming, MaskMatchesDistance) {
-  Rng rng(31);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Sequence a = Sequence::random(200, rng);
-    Sequence b = a;
-    // flip some positions
-    for (int f = 0; f < 10; ++f) {
-      const std::size_t pos = rng.below(200);
-      b.set(pos, complement(b[pos]));  // complement always differs
-    }
-    const BitVec mask = hamming_mismatch_mask(a, b);
-    EXPECT_EQ(mask.popcount(), hamming_distance(a, b));
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_EQ(mask.get(i), a[i] != b[i]);
-  }
 }
 
 TEST(Hamming, WithinEarlyExit) {

@@ -181,16 +181,15 @@ TEST_F(ShardedTest, SingleShardBitIdenticalToMonolithicNoisy) {
   EXPECT_EQ(sharded.totals().latency_seconds, latency);
 }
 
-// Rule 8 at seed 0: seed = 0 with silicon_seed = 0 means "silicon from
-// seed 0", and every bank must resolve it the same way. A router that
-// derived per-bank seeds would hand bank s seed s — and bank s would
-// fall back to its OWN seed for silicon. A large per-row SA offset makes
-// threshold-edge decisions depend on that silicon.
+// Rule 8 at seed 0: seed = 0 means "silicon from seed 0", and every bank
+// must resolve it the same way. A router that derived per-bank seeds
+// would hand bank s seed s — and bank s would draw its silicon from its
+// OWN seed. A large per-row SA offset makes threshold-edge decisions
+// depend on that silicon.
 TEST_F(ShardedTest, SeedZeroSiliconIsPlacementInvariant) {
   AsmcapConfig config = bank_config(4, /*ideal=*/false);
   config.process.charge.sa_offset_sigma = 15e-3;
   config.seed = 0;
-  config.silicon_seed = 0;
 
   const std::vector<Sequence> reads = edge_reads(200, 1206);
   // Each router runs its first batch, so every run forks the same streams.

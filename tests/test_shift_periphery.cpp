@@ -6,15 +6,11 @@ namespace asmcap {
 namespace {
 
 TEST(SearchlineDriver, EnergyAccounting) {
-  SearchlineDriver driver(16);
+  const SearchlineDriver driver(16);
   const Sequence read = Sequence::from_string("ACGTACGTACGTACGT");
-  const double per_drive = driver.drive(read);
-  EXPECT_GT(per_drive, 0.0);
-  driver.drive(read);
-  EXPECT_DOUBLE_EQ(driver.consumed_energy(), 2.0 * per_drive);
-  driver.reset_energy();
-  EXPECT_EQ(driver.consumed_energy(), 0.0);
-  EXPECT_THROW(driver.drive(Sequence::from_string("AC")),
+  EXPECT_DOUBLE_EQ(driver.drive_energy(read),
+                   16 * SearchlineDriverParams{}.energy_per_base);
+  EXPECT_THROW(driver.drive_energy(Sequence::from_string("AC")),
                std::invalid_argument);
   EXPECT_THROW(SearchlineDriver(0), std::invalid_argument);
 }

@@ -35,6 +35,18 @@ TEST_F(SignalsTest, DimensionsAndAccess) {
   EXPECT_THROW(signals.truth(0, 0, 9), std::invalid_argument);
 }
 
+TEST_F(SignalsTest, RejectsReadsAndRowsOfAnotherWidth) {
+  Rng rng(1207);
+  Dataset skewed = dataset_;
+  skewed.queries[7].read = Sequence::random(97, rng);
+  EXPECT_THROW(DatasetSignals(skewed, asmcap_config_, edam_params_, 8, rng),
+               std::invalid_argument);
+  skewed = dataset_;
+  skewed.rows[5] = Sequence::random(95, rng);
+  EXPECT_THROW(DatasetSignals(skewed, asmcap_config_, edam_params_, 8, rng),
+               std::invalid_argument);
+}
+
 TEST_F(SignalsTest, SignalsMatchKernels) {
   Rng rng(1203);
   const DatasetSignals signals(dataset_, asmcap_config_, edam_params_, 8, rng);
