@@ -1,15 +1,16 @@
 // Batched execution-engine benchmark (plain chrono, no external deps):
-// compares a single-read loop on the circuit backend against a batch on
-// the FunctionalBackend over the same workload and verifies that the
-// match decisions are identical (ideal sensing makes the two backends
-// decision-equivalent by construction; test_engine enforces it on every
+// compares a single-read loop of Circuit-kind search() calls against a
+// Functional-kind batch over the same workload and verifies that the
+// match decisions are identical (on this ideal-sensing workload both
+// kinds run the same charge-domain pass; test_engine enforces it on every
 // run, this driver demonstrates it at scale). Every ASMCap arm runs a
 // 1-shard router: the single-read loop calls search(), and the batch arms
 // call search_batch(), which submits the reads to SearchService and pays
 // its per-read admission, planning and merge. The EDAM arm does the same
-// for the comparator: serial circuit path vs batched functional backend,
-// with a decision-digest equality assertion (EDAM's content-keyed query
-// streams make serial and batched execution bit-identical, test_edam).
+// for the comparator on its one backend: serial search() calls vs
+// search_batch, with a decision-digest equality assertion (EDAM's
+// content-keyed query streams make serial and batched execution
+// bit-identical, test_edam).
 // When a SIMD kernel tier is active, a scalar-tier arm reruns the
 // functional batch with ASMCAP_KERNEL-style forcing and asserts the
 // decision digests are bit-identical across tiers (the kernels' cross-ISA
@@ -18,7 +19,7 @@
 //
 //   ./bench_batch [reads] [segments] [workers] [--json <path>]
 //
-// Exits non-zero if any decisions diverge (across backends, batching, or
+// Exits non-zero if any decisions diverge (across backend kinds, batching, or
 // kernel tiers) or the SIMD floor is missed, so it doubles as a check.
 
 #include <chrono>
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
       n_reads, n_segments, config.array_count, threshold, workers,
       ThreadPool::hardware_workers(), to_string(tier));
 
-  // --- Single-read loop: one read at a time through the circuit backend. --
+  // --- Single-read loop: one read at a time, Circuit kind. ---------------
   ShardedAccelerator circuit(config, 1);
   circuit.load_reference(segments);
   circuit.set_error_profile(ErrorRates::condition_a());
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
                                              StrategyMode::Full));
   const double circuit_seconds = seconds_since(circuit_start);
 
-  // --- Engine path: batched FunctionalBackend across the worker pool. -----
+  // --- Engine path: a Functional-kind batch across the worker pool. -------
   ShardedAccelerator functional(config, 1);
   functional.set_backend(BackendKind::Functional);
   functional.load_reference(segments);
@@ -145,9 +146,9 @@ int main(int argc, char** argv) {
 
   // --- Equivalence: identical match decisions on every read. --------------
   // HDAC's probabilistic selection makes a query's outcome depend on its
-  // RNG stream, so backend equivalence is checked stream-for-stream: a
-  // circuit-backend batch forks the exact same per-read streams as the
-  // functional batch above (same seed, same epoch) and must reproduce its
+  // RNG stream, so kind equivalence is checked stream-for-stream: a
+  // Circuit-kind batch forks the exact same per-read streams as the
+  // Functional batch above (same seed, same epoch) and must reproduce its
   // decisions bit-for-bit.
   ShardedAccelerator circuit_batch(config, 1);
   circuit_batch.load_reference(segments);
@@ -161,9 +162,9 @@ int main(int argc, char** argv) {
       ++divergent;
 
   // --- EDAM arm: the comparator through the same engine. ------------------
-  // Serial circuit path (one read at a time, cell-accurate current-domain
-  // sensing) vs the batched functional backend. Content-keyed query streams
-  // plus ideal sensing make the two bit-identical: asserted by digest.
+  // Serial search() calls (one read at a time) vs one search_batch on the
+  // same backend. Content-keyed query streams make the two bit-identical:
+  // asserted by digest.
   EdamConfig edam_config;
   edam_config.array_rows = config.array_rows;
   edam_config.array_cols = config.array_cols;
@@ -181,7 +182,6 @@ int main(int argc, char** argv) {
 
   EdamAccelerator edam_batched(edam_config);
   edam_batched.load_reference(segments);
-  edam_batched.set_backend(BackendKind::Functional);
   const auto edam_batch_start = Clock::now();
   const std::vector<EdamQueryResult> edam_batch_results =
       edam_batched.search_batch(reads, threshold, workers);
@@ -212,14 +212,14 @@ int main(int argc, char** argv) {
         .add_cell(
             format_si(scalar_seconds / static_cast<double>(n_reads), "s"));
   table.new_row()
-      .add_cell("EDAM circuit, single-read (serial)")
+      .add_cell("EDAM, single-read (serial)")
       .add_cell(format_si(edam_serial_seconds, "s"))
       .add_cell(format_si(static_cast<double>(n_reads) / edam_serial_seconds,
                           ""))
       .add_cell(format_si(edam_serial_seconds / static_cast<double>(n_reads),
                           "s"));
   table.new_row()
-      .add_cell("EDAM functional, batched")
+      .add_cell("EDAM, batched")
       .add_cell(format_si(edam_batch_seconds, "s"))
       .add_cell(format_si(static_cast<double>(n_reads) / edam_batch_seconds,
                           ""))
@@ -270,9 +270,9 @@ int main(int argc, char** argv) {
          static_cast<double>(n_reads) / circuit_seconds},
         {"functional-batched", batch_seconds,
          static_cast<double>(n_reads) / batch_seconds},
-        {"edam-circuit-serial", edam_serial_seconds,
+        {"edam-serial", edam_serial_seconds,
          static_cast<double>(n_reads) / edam_serial_seconds},
-        {"edam-functional-batched", edam_batch_seconds,
+        {"edam-batched", edam_batch_seconds,
          static_cast<double>(n_reads) / edam_batch_seconds}};
     if (tier != KernelTier::Scalar)
       report.timings.push_back({"functional-batched-scalar-tier",

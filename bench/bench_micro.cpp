@@ -1,5 +1,5 @@
 // Micro-benchmarks of the alignment kernels and of accelerator queries on
-// both backends.
+// both backend kinds.
 // BM_BandedDp / BM_MyersGlobal also serve as the measured calibration for
 // the CM-CPU baseline of Fig. 8.
 
@@ -79,7 +79,7 @@ void BM_EdStar(benchmark::State& state) {
 BENCHMARK(BM_EdStar);
 
 void BM_EdStarPacked(benchmark::State& state) {
-  // The word-parallel kernel behind the FunctionalBackend.
+  // The word-parallel kernel behind the search pass's block sweep.
   const Sequence a = random_seq(256, 11);
   const Sequence b = random_seq(256, 12);
   const auto pa = a.packed_words();
@@ -151,8 +151,8 @@ void BM_AcceleratorQuery(benchmark::State& state) {
 BENCHMARK(BM_AcceleratorQuery);
 
 void BM_AcceleratorQueryFunctional(benchmark::State& state) {
-  // Same query through the FunctionalBackend (word-parallel kernels,
-  // nominal analytic energy) — the fast path for large sweeps.
+  // Same query on the Functional kind: ideal sensing decides every row
+  // from its word-parallel kernel count — the fast path for large sweeps.
   AsmcapConfig config;
   config.array_rows = 256;
   config.array_cols = 256;

@@ -1,6 +1,6 @@
 // Sharded-router benchmark (plain chrono, no external deps): the
 // latency-bound service path — requests arriving one read at a time —
-// on the cell-accurate circuit backend. A monolithic bank (a 1-shard
+// on the Circuit kind with ideal sensing. A monolithic bank (a 1-shard
 // router) scans all its arrays for every read; the sharded router splits
 // the same database across N banks and fans each read across them on the
 // worker pool, so the per-read critical path shrinks by ~N on hardware

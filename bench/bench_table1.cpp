@@ -36,7 +36,7 @@ std::vector<std::uint64_t> sample_lane_words() {
 
 // Functional-simulator throughput of the two sensing models over a
 // 256-row array (not silicon time; silicon time is the analytic
-// 0.9 ns / 2.4 ns above): the const silicon path the circuit backends run.
+// 0.9 ns / 2.4 ns above): the const silicon path the noisy passes run.
 void BM_ChargeReadoutSense(benchmark::State& state) {
   asmcap::Rng rng(1);
   const asmcap::ChargeArrayReadout readout(256, 256, {}, rng);

@@ -5,7 +5,7 @@
 // behind the normalised panels of Fig. 7.
 //
 // The whole sample is classified in one batched accelerator call on the
-// fast FunctionalBackend, fanned across a worker pool.
+// fast Functional kind (ideal sensing), fanned across a worker pool.
 //
 //   ./metagenomic_classify [reads_per_organism] [workers]
 
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   kraken.index_rows(rows);
 
   // Simulate the whole mixed sample up front, then classify it in one
-  // batched call on the fast FunctionalBackend.
+  // batched call on the fast Functional kind (ideal sensing).
   ReadSimConfig sim_config;
   sim_config.rates = rates;
   std::vector<Sequence> sample;

@@ -74,9 +74,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // 5. The same searches through the execution engine's fast path: the
-  //    FunctionalBackend computes identical decisions (ideal sensing) with
-  //    word-parallel kernels, and search_batch fans a whole flow cell of
-  //    reads across a worker pool with per-read RNG forking.
+  //    Functional kind senses ideally, deciding every row from its
+  //    word-parallel kernel count with no silicon to settle, and
+  //    search_batch fans a whole flow cell of reads across a worker pool
+  //    with per-read RNG forking.
   accel.set_backend(BackendKind::Functional);
   std::vector<Sequence> batch(16, read.read);
   const std::vector<QueryResult> batch_results =

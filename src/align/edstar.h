@@ -32,7 +32,7 @@ bool ed_star_within(const Sequence& stored, const Sequence& read,
 /// common sequence length; both vectors must hold ceil(n/32) words with
 /// zeroed tail bits. Dispatches to the runtime-selected SIMD tier
 /// (align/kernels.h); every tier returns the same count. This is the
-/// kernel behind the FunctionalBackend (which uses the block form from
+/// kernel behind the search passes (which use the block form from
 /// kernels.h directly to reuse the read-derived alignments across rows).
 std::size_t ed_star_packed(const std::vector<std::uint64_t>& stored,
                            const std::vector<std::uint64_t>& read,

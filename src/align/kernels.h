@@ -1,6 +1,6 @@
 #pragma once
-// SIMD-dispatched packed comparison kernels: the hot path of the functional
-// backends (the software stand-in for the CAM's massively parallel ED*/HD
+// SIMD-dispatched packed comparison kernels: the hot path of the search
+// passes (the software stand-in for the CAM's massively parallel ED*/HD
 // comparison). One scalar reference implementation plus optional AVX2 and
 // NEON tiers, compiled per-file with the right -m flags (CMake object
 // libraries), selected at runtime by CPU detection and overridable with
@@ -68,7 +68,7 @@ struct PackedReadView {
 
 /// Row-major 2-bit packed segment storage for the block kernels: row g
 /// occupies words [g * words_per_row, (g+1) * words_per_row). This is the
-/// resident form of the functional backends' reference database.
+/// resident form of the search passes' reference database.
 class PackedRowMatrix {
  public:
   PackedRowMatrix() = default;
@@ -174,8 +174,8 @@ void hamming_packed_block(const std::uint64_t* rows, std::size_t n_rows,
 /// holds, in the LOW bit of each 2-bit lane, whether that cell mismatches —
 /// the cell-output vector O driving the matchline capacitors, in the
 /// lane-word layout of util/lane_flags.h. `out` must hold read.words
-/// words. Scalar-word implementation (the lane-word consumers, the circuit
-/// backends and the Fig. 7 signal cache, are off the counting hot path);
+/// words. Scalar-word implementation (the lane-word consumers, the noisy
+/// passes and the Fig. 7 signal cache, are off the counting hot path);
 /// counts and lane words always agree.
 void ed_star_mismatch_words(const std::uint64_t* row,
                             const PackedReadView& read, std::uint64_t* out);

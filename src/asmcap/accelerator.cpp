@@ -20,7 +20,7 @@ constexpr std::uint64_t kHdacSelectSalt = 0x5E1E'C700ULL;
 // construction-time draw is decision-irrelevant — every written row is
 // re-manufactured from its per-id stream, and unwritten rows never decide
 // — it only has to be deterministic per array so the write path and
-// set_backend(Circuit) manufacture identical silicon in any order.
+// set_backend manufacture identical silicon in any order.
 constexpr std::uint64_t kUnitSalt = 0x517E'C0DE'0000'0000ULL;
 }  // namespace
 
@@ -32,10 +32,8 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
       packed_rows_(config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)) {
   validate(config_.process);
-  circuit_backend_ = std::make_unique<CircuitBackend>(config_, readouts_,
-                                                      dir_, packed_rows_);
-  functional_backend_ =
-      std::make_unique<FunctionalBackend>(config_, dir_, packed_rows_);
+  backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
+                                              packed_rows_, senses_noise());
   if (config_.pruning.enabled)
     sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
@@ -69,7 +67,7 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
     dir_.live.resize(slot + 1, false);
   }
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
-  if (backend_kind_ == BackendKind::Circuit) build_row_silicon(slot, id);
+  if (senses_noise()) build_row_silicon(slot, id);
   packed_rows_.set_row(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
@@ -211,9 +209,12 @@ AsmcapAccelerator::live_segments() const {
 }
 
 void AsmcapAccelerator::set_backend(BackendKind kind) {
-  if (kind == backend_kind_) return;
+  const bool was_noisy = senses_noise();
   backend_kind_ = kind;
-  if (kind != BackendKind::Circuit) {
+  if (senses_noise() == was_noisy) return;
+  backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
+                                              packed_rows_, senses_noise());
+  if (!senses_noise()) {
     readouts_.clear();
     readouts_.shrink_to_fit();
     return;
@@ -229,9 +230,10 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   auto copy = std::make_unique<AsmcapAccelerator>(config_);
-  // Assign in place: the copy's backends already point at its own
-  // members, so a memberwise copy needs no rebinding.
-  copy->backend_kind_ = backend_kind_;
+  // Assign in place: the copy's backend already points at its own
+  // members, so a memberwise copy needs no rebinding. Switching the empty
+  // copy builds no silicon.
+  copy->set_backend(backend_kind_);
   copy->readouts_ = readouts_;
   copy->dir_ = dir_;
   copy->packed_rows_ = packed_rows_;
@@ -246,8 +248,7 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
 
 const ExecutionBackend& AsmcapAccelerator::backend() const {
   check_loaded();
-  if (backend_kind_ == BackendKind::Functional) return *functional_backend_;
-  return *circuit_backend_;
+  return *backend_;
 }
 
 void AsmcapAccelerator::check_loaded() const {

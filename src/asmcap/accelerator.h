@@ -3,8 +3,8 @@
 // layers that run a query over them:
 //
 //   QueryPlanner  — turns (read, T, mode) into an immutable ExecutionPlan
-//   ExecutionBackend — runs the plan's passes (cell-accurate CircuitBackend
-//                      or the fast FunctionalBackend)
+//   ExecutionBackend — runs the plan's passes (CircuitBackend, the
+//                      charge-domain pass, noisy or ideal)
 //
 // A bank is execute() plus mutations. It plans nothing on its own, owns
 // no query stream, and keeps no search ledger: the controller that
@@ -25,17 +25,17 @@
 // validated in full before any state changes.
 //
 // Representation: the packed slot matrix is the bank's one canonical row
-// store (what both backends sweep and live_segments() reads).
-// The cell-accurate circuit state — one ChargeArrayReadout (capacitor
-// banks + SA offsets) per array, sensing rows of the same packed matrix —
-// exists only while the circuit backend is selected: it is built from the
-// per-id silicon streams when the bank switches to Circuit and dropped
-// when it switches away, so a functional-only bank never pays for silicon
-// it does not execute.
+// store (what the backend sweeps and live_segments() reads). The bank
+// senses the analog noise model iff its backend kind is Circuit and
+// config.ideal_sensing is false. Only then does it hold circuit state —
+// one ChargeArrayReadout (capacitor banks + SA offsets) per array,
+// sensing rows of the same packed matrix — built from the per-id silicon
+// streams when the bank starts sensing noise and dropped when it stops,
+// so an ideal-sensing bank never pays for silicon it does not read.
 //
-// Ownership: the bank owns its row store, readouts, backends, and
-// planner; backends hold non-owning references into it (hence not
-// movable). Thread-safety: the mutating entry points (load_reference,
+// Ownership: the bank owns its row store, readouts, backend, and planner;
+// the backend holds non-owning references into it (hence not movable).
+// Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, set_backend) belong to one control
 // thread at a time; execute() is const and thread-safe and is what the
 // sharded router and the streaming service fan across workers. Mutations
@@ -89,7 +89,7 @@ class AsmcapAccelerator {
  public:
   explicit AsmcapAccelerator(AsmcapConfig config);
 
-  // Not movable: the backends hold pointers to the readouts, the live
+  // Not movable: the backend holds pointers to the readouts, the live
   // directory, and the row store, which a move would leave dangling.
   AsmcapAccelerator(AsmcapAccelerator&&) = delete;
   AsmcapAccelerator& operator=(AsmcapAccelerator&&) = delete;
@@ -122,7 +122,7 @@ class AsmcapAccelerator {
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
   /// Memberwise deep copy — row store, directory, id map, sketch, circuit
-  /// state (if built), and load ledger; the copy's backends read the
+  /// state (if built), and load ledger; the copy's backend reads the
   /// copy's own members. The copy-on-write primitive of the sharded
   /// router's epoch scheme: execute() results on the clone are
   /// bit-identical to the original, energy included, and mutating either
@@ -135,17 +135,18 @@ class AsmcapAccelerator {
   /// already id-indexed.
   bool identity_layout() const { return identity_layout_; }
 
-  /// Selects the execution backend for subsequent execute() calls. The
-  /// circuit backend (default) is cell-accurate; the functional backend
-  /// computes the same decisions (identically under ideal_sensing) an
-  /// order of magnitude faster. Switching is a control-plane mutation
-  /// (never with execute() calls in flight): switching to Circuit builds
-  /// every live row's silicon from its per-id stream — bit-identical to a
-  /// bank that was Circuit from birth with the same history (rule 8) —
-  /// and switching to Functional frees it. Cheapest on an empty bank.
+  /// Selects the sensing of subsequent execute() calls: Circuit (default)
+  /// senses the analog noise model unless config.ideal_sensing, and
+  /// Functional always senses ideally. Energy depends only on the
+  /// mismatch counts, so both kinds book identical energy. Switching is a
+  /// control-plane mutation (never with execute() calls in flight): when
+  /// the bank starts sensing noise it builds every live row's silicon
+  /// from its per-id stream — bit-identical to a bank that was Circuit
+  /// from birth with the same history (rule 8) — and when it stops it
+  /// frees it. Cheapest on an empty bank.
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
-  /// The active backend (valid once the database is non-empty).
+  /// The backend (valid once the database is non-empty).
   const ExecutionBackend& backend() const;
 
   /// Runs one materialised plan with an explicit query stream — the
@@ -183,12 +184,17 @@ class AsmcapAccelerator {
 
  private:
   void check_loaded() const;
+  /// True iff the bank senses the analog noise model (and so holds
+  /// silicon): backend kind Circuit on a noisy config.
+  bool senses_noise() const {
+    return backend_kind_ == BackendKind::Circuit && !config_.ideal_sensing;
+  }
   /// Manufactures the row silicon at `slot` from the per-id stream of
   /// `id`, manufacturing arrays on demand.
   void build_row_silicon(std::size_t slot, std::uint64_t id);
   /// The shared write path: stores (id, segment) at `slot` and updates the
-  /// directory, the packed row, the sketch, and (while the circuit backend
-  /// is selected) the circuit state. No cost accounting.
+  /// directory, the packed row, the sketch, and (while the bank senses
+  /// noise) the circuit state. No cost accounting.
   void write_slot(std::size_t slot, std::uint64_t id,
                   const Sequence& segment);
   /// The segment stored at `slot`, unpacked from the row store.
@@ -207,14 +213,14 @@ class AsmcapAccelerator {
   /// row silicon forks per global id, construction-time array silicon per
   /// array index.
   Rng silicon_root_;
-  /// Circuit state: non-empty only while backend_kind_ == Circuit (and a
-  /// row has been written); arrays are manufactured on demand.
+  /// Circuit state: non-empty only while senses_noise() (and a row has
+  /// been written); arrays are manufactured on demand.
   std::vector<ChargeArrayReadout> readouts_;
   LiveDirectory dir_;
   PackedRowMatrix packed_rows_;  ///< Canonical row store, one per slot.
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
-  std::unique_ptr<CircuitBackend> circuit_backend_;
-  std::unique_ptr<FunctionalBackend> functional_backend_;
+  /// Rebuilt by set_backend, so its noise flag tracks senses_noise().
+  std::unique_ptr<CircuitBackend> backend_;
   std::unique_ptr<BankSketch> sketch_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::uint64_t next_auto_id_;

@@ -1,33 +1,24 @@
 #pragma once
 // Execution backends: the layer between a materialised ExecutionPlan and
 // the per-segment match decisions (engine layering: planner -> backend ->
-// batch engine). Two implementations share one interface:
+// batch engine). One pass per sensing domain, each with ideal sensing as
+// its noise-free case:
 //
-//  * CircuitBackend — cell-accurate: every pass senses the manufactured
-//    silicon (capacitor mismatch, settled matchline voltages, SA noise
-//    unless ideal_sensing). This is the fidelity path the paper's accuracy
-//    claims rest on.
-//  * FunctionalBackend — fast: the same match decisions computed with the
-//    word-parallel ED*/Hamming kernels and nominal analytic energy, an
-//    order of magnitude faster for large sweeps. Under ideal_sensing the
-//    two backends are decision-identical (enforced by test_engine).
-//
-// The EDAM comparator runs through the same seam with its own pair, over
-// one shared packed row store just like the ASMCap pair:
-//
-//  * EdamCircuitBackend — cell-accurate current-domain sensing (pre-charge,
-//    discharge, sample-and-hold): each row's mismatch lane words feed
-//    CurrentArrayReadout::drop_row, then decide_from_drop.
-//  * EdamFunctionalBackend — the packed word-parallel kernels with the
-//    count-pure current-domain energy model (bit-identical energy to the
-//    circuit path; decision-identical under ideal_sensing, enforced by
-//    test_edam).
+//  * CircuitBackend — ASMCap's charge-domain pass. One block-kernel sweep
+//    counts every row's mismatches; a row decides from its count unless
+//    the bank senses noise and the count lies in the noise band, in which
+//    case it settles V_ML on its manufactured silicon and draws SA noise.
+//    Matchline energy is the count-pure Eq. 1, noisy or not.
+//  * EdamCircuitBackend — EDAM's current-domain pass (pre-charge,
+//    discharge, sample-and-hold) over the same kind of row store: one
+//    sweep, count-pure energy, count <= T under ideal sensing, and each
+//    row's mismatch lane words into CurrentArrayReadout::drop_row then
+//    decide_from_drop when it senses noise.
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
-// references into it. Both backends of a pair read the accelerator's one
-// packed row matrix (the ASMCap pair also reads its LiveDirectory); each
-// circuit backend also reads the manufactured readouts. The accelerator
-// must outlive them.
+// references into it: its one packed row matrix, the ASMCap bank's
+// LiveDirectory, and the manufactured readouts (read only when the pass
+// senses noise). The accelerator must outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
 // Mutations (which rewrite the directory and packed rows) never run
@@ -64,15 +55,16 @@
 
 namespace asmcap {
 
-/// Which execution backend an accelerator routes its passes through.
+/// Which sensing an ASMCap bank runs: Circuit senses the analog noise
+/// model unless config.ideal_sensing; Functional always senses ideally.
 enum class BackendKind : std::uint8_t { Circuit, Functional };
 
 const char* to_string(BackendKind kind);
 
 /// Per-slot live-database directory shared by an accelerator and its
-/// backends (slot = array * array_rows + row, allocated in fill order).
+/// backend (slot = array * array_rows + row, allocated in fill order).
 /// The accelerator mutates it on the control plane (append/delete); the
-/// backends read it inside run_pass. A tombstoned slot keeps its last id
+/// backend reads it inside run_pass. A tombstoned slot keeps its last id
 /// (results stay sized by slot) but is masked out of decisions and
 /// matchline energy, and an array whose live count drops to zero is
 /// skipped entirely — no SL-driver energy for dead silicon.
@@ -109,8 +101,6 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  virtual const char* name() const = 0;
-
   /// One search pass: per-slot decisions at `threshold` (see PassResult).
   /// Must be thread-safe; per-decision SA noise is forked from
   /// `query_rng.fork(pass_salt)` per global segment (unused by paths that
@@ -120,32 +110,34 @@ class ExecutionBackend {
                               std::uint64_t pass_salt) const = 0;
 };
 
-/// Cell-accurate backend over the manufactured charge-domain silicon: one
-/// ChargeArrayReadout per array (capacitor banks + systematic SA offsets)
-/// sensing the rows of the accelerator's packed slot matrix. Holds
-/// non-owning references into the accelerator (the readouts, the live
-/// directory, and the row store — stable objects whose contents the
-/// accelerator mutates on the control plane); the accelerator must
-/// outlive it. An array with zero live rows is skipped whole — no
-/// SL-driver energy — and a tombstoned row decides nothing, charges no
-/// matchline energy, and draws no RNG fork.
+/// ASMCap's charge-domain pass over the bank's packed slot matrix. Holds
+/// non-owning references into the bank (the readouts, the live directory,
+/// and the row store — stable objects whose contents the bank mutates on
+/// the control plane); the bank must outlive it. Every array with a live
+/// row drives its searchlines once per pass; an all-dead array is never
+/// driven, and a tombstoned row decides nothing, charges no matchline
+/// energy, and draws no RNG fork.
 ///
-/// A pass builds one PackedReadView and takes every row's mismatch count
-/// from the block kernels. A row whose count lies outside the noise band
-/// (charge_decision_band; under ideal_sensing the band is empty and
-/// count <= T decides) is decided from the count alone: no admissible
-/// silicon or noise draw could change its SA outcome (determinism.md rule
-/// 7). Only in-band rows settle V_ML from their mismatch lane words and
-/// draw SA noise from the per-id fork — the same draw they always took,
-/// and since per-decision streams are pure per-id forks, skipping a row's
-/// fork shifts no other row's draw.
+/// A pass builds one PackedReadView and sweeps the whole slot matrix with
+/// the block kernels. One call-free loop per 64-slot decision word then
+/// decides count < band.hit_below and books each live row's Eq. 1 energy
+/// from a per-count table, in ascending live-slot order after the
+/// SL-driver energy. Without noise the band is empty (count <= T
+/// decides). With `sense_noise`, a row whose count lies in
+/// charge_decision_band settles V_ML from its mismatch lane words on its
+/// ChargeArrayReadout and draws SA noise from the per-id fork; a row
+/// outside it decides from the count alone, since no admissible silicon
+/// or noise draw could change its SA outcome (determinism.md rule 7).
+/// Per-decision streams are pure per-id forks, so skipping a row's fork
+/// shifts no other row's draw. `readouts` must then hold the silicon of
+/// every live row; without noise it is never read.
 class CircuitBackend : public ExecutionBackend {
  public:
   CircuitBackend(const AsmcapConfig& config,
                  const std::vector<ChargeArrayReadout>& readouts,
-                 const LiveDirectory& directory, const PackedRowMatrix& rows);
+                 const LiveDirectory& directory, const PackedRowMatrix& rows,
+                 bool sense_noise);
 
-  const char* name() const override { return "circuit"; }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
@@ -155,58 +147,30 @@ class CircuitBackend : public ExecutionBackend {
   const LiveDirectory* dir_;
   const PackedRowMatrix* rows_;
   std::size_t array_rows_;
-  ChargeDomainParams charge_;
-  bool ideal_sensing_;
-  SearchlineDriver sl_driver_;
-};
-
-/// Fast functional backend: SIMD-dispatched block kernels
-/// (align/kernels.h) over the accelerator's row-major 2-bit packed slot
-/// matrix, ideal (noise-free) decisions, nominal analytic energy. Each
-/// pass builds one PackedReadView — the read-derived neighbour alignments
-/// are computed once per (read, rotation), not once per (segment, read).
-/// Holds non-owning references to the matrix and the LiveDirectory, like
-/// CircuitBackend; tombstoned slots are masked out of decisions and row
-/// energy, and SL-driver energy is charged only for arrays with at least
-/// one live row. A pass builds its decision bitmap a 64-slot word at a
-/// time and books each live row's nominal energy from a per-count table,
-/// in ascending slot order.
-class FunctionalBackend : public ExecutionBackend {
- public:
-  FunctionalBackend(const AsmcapConfig& config,
-                    const LiveDirectory& directory,
-                    const PackedRowMatrix& rows);
-
-  const char* name() const override { return "functional"; }
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
-
- private:
-  const LiveDirectory* dir_;
-  const PackedRowMatrix* rows_;
   std::size_t cols_;
+  ChargeDomainParams charge_;
+  bool sense_noise_;
   SearchlineDriverParams sl_params_;
-  /// Nominal matchline energy of a row with k mismatches, k = 0..cols.
+  /// Eq. 1 matchline energy of a row with k mismatches, k = 0..cols.
   std::vector<double> row_energy_;
 };
 
-/// Cell-accurate EDAM backend: current-domain sensing over the
-/// EdamAccelerator's packed row store and manufactured CurrentArrayReadout
-/// bank (row g senses on readout g / array_rows, matchline g % array_rows).
-/// Each row's mismatch lane words — the cell outputs the ED*/Hamming
-/// kernels count — give its count, which books the row's energy, and its
-/// nominal discharge (drop_row), which decide_from_drop senses with the
-/// per-id noise fork. Under ideal_sensing, count <= T decides. Holds
-/// non-owning references into the accelerator; the accelerator must
-/// outlive it.
+/// EDAM's current-domain pass over the EdamAccelerator's packed row store
+/// (row g senses on readout g / array_rows, matchline g % array_rows). The
+/// block kernels count every row; each row books its count-pure
+/// current-domain energy (current_row_search_energy, from a per-count
+/// table) in row order. Without `sense_noise`, count <= T decides; with
+/// it, each row's mismatch lane words give its nominal discharge
+/// (drop_row), which decide_from_drop senses with the per-id noise fork,
+/// and `readouts` must hold every row's silicon. Holds non-owning
+/// references into the accelerator; the accelerator must outlive it.
 class EdamCircuitBackend : public ExecutionBackend {
  public:
   EdamCircuitBackend(const PackedRowMatrix& rows,
                      const std::vector<CurrentArrayReadout>& readouts,
-                     std::size_t array_rows, bool ideal_sensing);
+                     std::size_t array_rows,
+                     const CurrentDomainParams& params, bool sense_noise);
 
-  const char* name() const override { return "edam-circuit"; }
   PassResult run_pass(const Sequence& read, MatchMode mode,
                       std::size_t threshold, const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
@@ -215,27 +179,9 @@ class EdamCircuitBackend : public ExecutionBackend {
   const PackedRowMatrix* rows_;
   const std::vector<CurrentArrayReadout>* readouts_;
   std::size_t array_rows_;
-  bool ideal_sensing_;
-};
-
-/// Fast EDAM backend: the block kernels over the same packed row store as
-/// EdamCircuitBackend (held by non-owning reference), ideal (noise-free)
-/// decisions, and the count-pure current-domain energy model —
-/// bit-identical energy to EdamCircuitBackend (the energy of a
-/// current-domain search does not depend on the manufactured currents).
-class EdamFunctionalBackend : public ExecutionBackend {
- public:
-  EdamFunctionalBackend(const PackedRowMatrix& rows,
-                        const CurrentDomainParams& params);
-
-  const char* name() const override { return "edam-functional"; }
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
-
- private:
-  const PackedRowMatrix* rows_;
-  CurrentDomainParams params_;
+  bool sense_noise_;
+  /// Current-domain energy of a row with k mismatches, k = 0..cols.
+  std::vector<double> row_energy_;
 };
 
 }  // namespace asmcap

@@ -1,10 +1,16 @@
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "align/kernels.h"
 #include "asmcap/backend.h"
+#include "circuit/matchline.h"
 
 namespace asmcap {
+
+namespace {
+constexpr std::size_t kWordBits = 64;
+}  // namespace
 
 const char* to_string(BackendKind kind) {
   switch (kind) {
@@ -17,69 +23,88 @@ const char* to_string(BackendKind kind) {
 CircuitBackend::CircuitBackend(const AsmcapConfig& config,
                                const std::vector<ChargeArrayReadout>& readouts,
                                const LiveDirectory& directory,
-                               const PackedRowMatrix& rows)
+                               const PackedRowMatrix& rows, bool sense_noise)
     : readouts_(&readouts),
       dir_(&directory),
       rows_(&rows),
       array_rows_(config.array_rows),
+      cols_(config.array_cols),
       charge_(config.process.charge),
-      ideal_sensing_(config.ideal_sensing),
-      sl_driver_(config.array_cols) {}
+      sense_noise_(sense_noise),
+      sl_params_(),
+      row_energy_(config.array_cols + 1) {
+  for (std::size_t k = 0; k <= cols_; ++k)
+    row_energy_[k] = charge_row_search_energy(k, cols_, charge_);
+}
 
 PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
                                     std::size_t threshold,
                                     const Rng& query_rng,
                                     std::uint64_t pass_salt) const {
-  const double drive_energy = sl_driver_.drive_energy(read);
-  const Rng pass_rng = query_rng.fork(pass_salt);
+  if (read.size() != cols_)
+    throw std::invalid_argument("CircuitBackend: read width mismatch");
   // Ideal sensing decides count <= T exactly: an empty band.
   const ChargeDecisionBand band =
-      ideal_sensing_
-          ? ChargeDecisionBand{threshold + 1, threshold + 1}
-          : charge_decision_band(charge_, read.size(), threshold);
+      sense_noise_ ? charge_decision_band(charge_, cols_, threshold)
+                   : ChargeDecisionBand{threshold + 1, threshold + 1};
+  // Read-derived work once per (read, rotation), then one SIMD-dispatched
+  // block sweep over the whole packed slot matrix (tombstoned slots are
+  // counted too — cheaper than scattering — and masked below).
   const PackedReadView view(read);
+  const std::size_t slots = rows_->rows();
+  std::vector<std::uint32_t> counts(slots);
   const KernelOps& ops = active_kernel_ops();
-  const auto count_block =
-      mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block;
+  (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
+      rows_->data(), slots, view, counts.data());
   const auto mismatch_words = mode == MatchMode::Hamming
                                   ? hamming_mismatch_words
                                   : ed_star_mismatch_words;
-  std::vector<std::uint32_t> counts(array_rows_);
-  std::vector<std::uint64_t> lane_words(view.words);
+  const Rng pass_rng = query_rng.fork(pass_salt);
+  std::vector<std::uint64_t> lane_words(sense_noise_ ? view.words : 0);
 
   PassResult result;
-  result.decisions = BitVec(dir_->slots());
-  for (std::size_t a = 0; a < readouts_->size(); ++a) {
-    // An array with no live rows is never driven: its SL drivers stay
-    // quiet and its matchlines never charge — the live database pays only
-    // for silicon that holds live segments.
-    if (a >= dir_->array_live.size() || dir_->array_live[a] == 0) continue;
-    const ChargeArrayReadout& readout = (*readouts_)[a];
-    const std::size_t first = a * array_rows_;
-    const std::size_t rows = std::min(array_rows_, dir_->slots() - first);
-    count_block(rows_->row(first), rows, view, counts.data());
-    double pass_energy = drive_energy;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::size_t slot = first + r;
-      if (!dir_->slot_live(slot)) continue;
-      const std::size_t count = counts[r];
-      // Matchline energy per row (paper Eq. 1 with M = 1), booked in row
-      // order. A dead row's all-mismatch line stores k(n-k)/n = 0, so
-      // skipping it leaves the sum bit-identical.
-      pass_energy += readout.matchline(r).search_energy(count);
-      if (count < band.hit_below) {
-        result.decisions.set(slot);
-      } else if (band.contains(count)) {
+  result.decisions = BitVec(slots);
+  // Every array holding at least one live row drives its search lines once
+  // per pass; all-dead arrays are never driven.
+  double energy = static_cast<double>(dir_->arrays_in_use()) *
+                  sl_params_.energy_per_base * static_cast<double>(cols_);
+  const double* row_energy = row_energy_.data();
+  for (std::size_t w = 0; w < result.decisions.words(); ++w) {
+    const std::size_t first = w * kWordBits;
+    const std::size_t last = std::min(slots, first + kWordBits);
+    const std::uint64_t live = dir_->live.word(w);
+    // Count decisions and matchline energy, in ascending live-slot order
+    // (the floating-point summation order is fixed). A dead row's
+    // all-mismatch line stores k(n-k)/n = 0, so skipping it is exact.
+    std::uint64_t word = 0;
+    for (std::size_t slot = first; slot < last; ++slot) {
+      const std::size_t bit = slot - first;
+      if (((live >> bit) & 1) == 0) continue;
+      word |= std::uint64_t{counts[slot] < band.hit_below} << bit;
+      energy += row_energy[counts[slot]];
+    }
+    if (band.hit_below < band.miss_from) {
+      // In-band live rows settle on their silicon and draw SA noise keyed
+      // by global segment id: placement-invariant.
+      std::uint64_t in_band = 0;
+      for (std::size_t slot = first; slot < last; ++slot)
+        in_band |= std::uint64_t{band.contains(counts[slot])}
+                   << (slot - first);
+      for (in_band &= live; in_band != 0; in_band &= in_band - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(in_band));
+        const std::size_t slot = first + bit;
+        const ChargeArrayReadout& readout = (*readouts_)[slot / array_rows_];
         mismatch_words(rows_->row(slot), view, lane_words.data());
-        // SA noise keyed by global segment id: placement-invariant.
         Rng decide_rng = pass_rng.fork(dir_->ids[slot]);
-        result.decisions.set(
-            slot, readout.decide(readout.settle_row(r, lane_words),
-                                 threshold, decide_rng));
+        const bool hit = readout.decide(
+            readout.settle_row(slot % array_rows_, lane_words), threshold,
+            decide_rng);
+        word |= std::uint64_t{hit} << bit;
       }
     }
-    result.energy_joules += pass_energy;
+    result.decisions.word(w) = word;
   }
+  result.energy_joules = energy;
   return result;
 }
 

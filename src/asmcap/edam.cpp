@@ -47,26 +47,28 @@ void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
       throw std::invalid_argument("EdamAccelerator: segment width mismatch");
 
   rows_ = PackedRowMatrix(segments, config_.array_cols);
-  const std::size_t arrays_in_use =
-      (segments.size() + config_.array_rows - 1) / config_.array_rows;
-  Rng manufacture = rng_.fork(0xEDA1);
-  readouts_.reserve(arrays_in_use);
-  for (std::size_t a = 0; a < arrays_in_use; ++a)
-    readouts_.emplace_back(config_.array_rows, config_.array_cols,
-                           config_.current, manufacture);
+  // Ideal sensing decides from counts alone, so it never manufactures
+  // silicon it would not read.
+  const bool sense_noise = !config_.ideal_sensing;
+  if (sense_noise) {
+    const std::size_t arrays_in_use =
+        (segments.size() + config_.array_rows - 1) / config_.array_rows;
+    Rng manufacture = rng_.fork(0xEDA1);
+    readouts_.reserve(arrays_in_use);
+    for (std::size_t a = 0; a < arrays_in_use; ++a)
+      readouts_.emplace_back(config_.array_rows, config_.array_cols,
+                             config_.current, manufacture);
+  }
   segments_loaded_ = segments.size();
 
-  circuit_backend_ = std::make_unique<EdamCircuitBackend>(
-      rows_, readouts_, config_.array_rows, config_.ideal_sensing);
-  functional_backend_ =
-      std::make_unique<EdamFunctionalBackend>(rows_, config_.current);
+  backend_ = std::make_unique<EdamCircuitBackend>(
+      rows_, readouts_, config_.array_rows, config_.current, sense_noise);
 }
 
 const ExecutionBackend& EdamAccelerator::backend() const {
   if (segments_loaded_ == 0)
     throw std::logic_error("EdamAccelerator: no reference loaded");
-  if (backend_kind_ == BackendKind::Functional) return *functional_backend_;
-  return *circuit_backend_;
+  return *backend_;
 }
 
 void EdamAccelerator::check_read(const Sequence& read) const {

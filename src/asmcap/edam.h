@@ -4,17 +4,17 @@
 // matchline sensing (pre-charge, discharge, sample-and-hold), no Hamming
 // mode (no HDAC), and optionally the original unconditional Sequence
 // Rotation (SR) strategy. Runs on the same ExecutionBackend seam as
-// AsmcapAccelerator: a cell-accurate EdamCircuitBackend and a word-parallel
-// EdamFunctionalBackend (see backend.h), switchable at runtime.
+// AsmcapAccelerator, through one EdamCircuitBackend (see backend.h) that
+// senses the current-domain noise unless config.ideal_sensing.
 //
 // Ownership: the accelerator owns one packed row store (row g holds
-// segment g, stored once), the manufactured readouts, the backends, and
-// the session pool. Both backends read that one row store by non-owning
-// reference, as the ASMCap backends share their bank's, so the
-// accelerator is not movable.
-// Thread-safety: the mutating entry points (load_reference, set_backend,
-// search_batch) belong to one control thread at a time; search() is const
-// and thread-safe — it is what search_batch fans across workers.
+// segment g, stored once), the manufactured readouts (built only when it
+// senses noise), the backend, and the session pool. The backend reads
+// that one row store by non-owning reference, as the ASMCap backend reads
+// its bank's, so the accelerator is not movable.
+// Thread-safety: the mutating entry points (load_reference, search_batch)
+// belong to one control thread at a time; search() is const and
+// thread-safe — it is what search_batch fans across workers.
 //
 // RNG discipline (docs/determinism.md): EDAM's per-query stream is keyed
 // by the READ CONTENT — query_rng = master.fork(content key of the read) —
@@ -69,7 +69,7 @@ class EdamAccelerator {
  public:
   explicit EdamAccelerator(EdamConfig config);
 
-  // Not movable: the backends hold pointers into rows_/readouts_, which a
+  // Not movable: the backend holds pointers into rows_/readouts_, which a
   // move would leave dangling.
   EdamAccelerator(EdamAccelerator&&) = delete;
   EdamAccelerator& operator=(EdamAccelerator&&) = delete;
@@ -80,13 +80,7 @@ class EdamAccelerator {
   /// accelerator empty, so a retry behaves like a fresh instance.
   void load_reference(const std::vector<Sequence>& segments);
 
-  /// Selects the execution backend for subsequent searches. The circuit
-  /// backend (default) is cell-accurate; the functional backend computes
-  /// the same decisions under ideal sensing (and bit-identical energy
-  /// always) an order of magnitude faster. May be switched at any time.
-  void set_backend(BackendKind kind) { backend_kind_ = kind; }
-  BackendKind backend_kind() const { return backend_kind_; }
-  /// The active backend (valid after load_reference).
+  /// The execution backend (valid after load_reference).
   const ExecutionBackend& backend() const;
 
   /// Searches one read against every loaded segment. Const and
@@ -118,17 +112,16 @@ class EdamAccelerator {
   void check_read(const Sequence& read) const;
   /// The content-keyed per-query stream (never advances the master).
   Rng query_stream(const Sequence& read) const;
-  /// Runs the pass schedule (original + SR rotations) on the active
-  /// backend, OR-accumulating decisions and summing per-pass energy.
+  /// Runs the pass schedule (original + SR rotations) on the backend,
+  /// OR-accumulating decisions and summing per-pass energy.
   EdamQueryResult execute(const Sequence& read, std::size_t threshold,
                           const Rng& query_rng) const;
 
   EdamConfig config_;
-  PackedRowMatrix rows_;  ///< The one row store both backends sweep.
+  PackedRowMatrix rows_;  ///< The one row store the backend sweeps.
+  /// Manufactured silicon: empty under ideal sensing.
   std::vector<CurrentArrayReadout> readouts_;
-  std::unique_ptr<EdamCircuitBackend> circuit_backend_;
-  std::unique_ptr<EdamFunctionalBackend> functional_backend_;
-  BackendKind backend_kind_ = BackendKind::Circuit;
+  std::unique_ptr<EdamCircuitBackend> backend_;
   std::size_t segments_loaded_ = 0;
   Rng rng_;  ///< Master stream: forked per query, never advanced.
   SessionPool pool_;

@@ -3,7 +3,7 @@
 // AsmcapAccelerator, and the one controller that schedules every bank.
 // A single bank caps the database at array_count x array_rows segments;
 // the sharded accelerator partitions the stored reference across N
-// independent banks — each with its own arrays and backends, each nothing
+// independent banks — each with its own arrays and backend, each nothing
 // but execute() plus mutations — and puts a batch router on top. A
 // monolithic search is a 1-shard router:
 //

@@ -25,9 +25,9 @@
 // windows, so a bank whose windows are all dead (for every ED* pass of
 // the plan, rotations included) provably contains no row that can decide
 // 'match':
-//  * ideal decision paths (FunctionalBackend, or CircuitBackend under
-//    ideal_sensing) decide count <= T, so K = T + 1 windows suffice;
-//  * the noisy circuit path can flip counts slightly above T back to
+//  * ideal sensing (BackendKind::Functional, or a Circuit bank under
+//    ideal_sensing) decides count <= T, so K = T + 1 windows suffice;
+//  * noisy sensing can flip counts slightly above T back to
 //    'match', but the noise is hard-bounded (Box-Muller deviates from
 //    Rng::normal() never exceed sqrt(-2 ln 2^-53) sigma; manufactured
 //    capacitors are clamped at ±4 sigma), so pruning_window_count()
@@ -111,9 +111,10 @@ class BankSketch {
 };
 
 /// Number of disjoint pigeonhole windows a sound prune needs for one
-/// query: T + 1 on noise-free decision paths; on the noisy circuit path,
-/// the smallest K for which a mismatch count >= K is guaranteed to decide
-/// 'no match' under the worst bounded noise draw. Returns 0 when pruning
+/// query: T + 1 under ideal sensing; when the bank senses noise
+/// (`backend` Circuit on a noisy config), the smallest K for which a
+/// mismatch count >= K is guaranteed to decide 'no match' under the worst
+/// bounded noise draw. Returns 0 when pruning
 /// cannot be sound for this configuration (window width would be zero, or
 /// the capacitor-mismatch bound swallows the whole margin) — callers must
 /// then fan out to every bank.

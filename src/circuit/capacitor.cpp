@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "circuit/matchline.h"
 #include "util/lane_flags.h"
 
 namespace asmcap {
@@ -46,9 +47,7 @@ double CapacitorBank::vml_variance(std::size_t n_mis) const {
 }
 
 double CapacitorBank::search_energy(std::size_t n_mis) const {
-  const auto n = static_cast<double>(size());
-  const auto k = static_cast<double>(n_mis);
-  return k * (n - k) / n * params_.cap_mean * params_.vdd * params_.vdd;
+  return charge_row_search_energy(n_mis, size(), params_);
 }
 
 }  // namespace asmcap

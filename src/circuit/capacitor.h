@@ -36,7 +36,7 @@ class CapacitorBank {
   double vml_variance(std::size_t n_mis) const;
 
   /// Paper Eq. (1) for a single row (M = 1): energy of one search with the
-  /// given mismatch count, E = n_mis (N - n_mis) / N * µ_C * VDD^2.
+  /// given mismatch count (charge_row_search_energy, circuit/matchline.h).
   double search_energy(std::size_t n_mis) const;
 
   std::size_t size() const { return caps_.size(); }

@@ -55,6 +55,13 @@ double CurrentMatchline::sample_from_drop(double nominal_drop,
   return vml;
 }
 
+double charge_row_search_energy(std::size_t n_mis, std::size_t n_cells,
+                                const ChargeDomainParams& params) {
+  const auto n = static_cast<double>(n_cells);
+  const auto k = static_cast<double>(n_mis);
+  return k * (n - k) / n * params.cap_mean * params.vdd * params.vdd;
+}
+
 double current_row_search_energy(std::size_t n_mis, std::size_t n_cells,
                                  const CurrentDomainParams& params) {
   const double ml_capacitance =

@@ -25,11 +25,18 @@
 
 namespace asmcap {
 
+/// Charge-domain search energy of one row, paper Eq. (1) with M = 1:
+/// E = n_mis (N - n_mis) / N * µ_C * VDD^2. A pure function of the
+/// mismatch count — the manufactured capacitors do not enter. Shared by
+/// CapacitorBank::search_energy and the ASMCap pass's per-count table.
+double charge_row_search_energy(std::size_t n_mis, std::size_t n_cells,
+                                const ChargeDomainParams& params);
+
 /// Nominal current-domain search energy of one row (matchline pre-charge +
 /// crowbar discharge), a pure function of the mismatch count and the
 /// process parameters — the manufactured per-cell currents do not enter.
-/// Shared by CurrentMatchline::search_energy and the EDAM functional
-/// backend, so the two ledger paths agree bit-for-bit.
+/// Shared by CurrentMatchline::search_energy and the EDAM pass's per-count
+/// table.
 double current_row_search_energy(std::size_t n_mis, std::size_t n_cells,
                                  const CurrentDomainParams& params);
 

@@ -232,7 +232,6 @@ ShardedComparisonResult run_sharded_comparison(
   edam_config.ideal_sensing = config.bank.ideal_sensing;
   EdamAccelerator edam(edam_config);
   edam.load_reference(dataset.rows);
-  edam.set_backend(config.edam_backend);
   const std::vector<EdamQueryResult> edam_results =
       edam.search_batch(reads, config.threshold, config.workers);
 

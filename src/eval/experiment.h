@@ -93,9 +93,6 @@ struct ShardedComparisonConfig {
   /// (array_count is raised to fit the dataset); only the current-domain
   /// process parameters and the SR schedule are taken from here.
   EdamConfig edam;
-  /// Which EDAM backend runs the batch (circuit = cell-accurate,
-  /// functional = fast with identical decisions under ideal sensing).
-  BackendKind edam_backend = BackendKind::Circuit;
   std::size_t workers = 1;
   /// Sketch-based shard pruning for the ASMCap arm (bank.pruning is
   /// overridden with this). Default ON: decisions are bit-identical

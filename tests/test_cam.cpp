@@ -47,7 +47,7 @@ TEST(AsmcapCell, ModeMux) {
 
 TEST(AsmcapCell, CellByCellAgreesWithPackedMask) {
   // The Fig. 4c cell model is the reference for the packed lane words the
-  // circuit backends sense: cell i's lane flag must be cell i's output, in
+  // noisy passes sense: cell i's lane flag must be cell i's output, in
   // both modes, at widths on and off the 32-base word edge.
   Rng rng(305);
   for (const std::size_t n :

@@ -88,24 +88,21 @@ TEST_F(EdamTest, IdealDecisionsEqualEdStar) {
 TEST_F(EdamTest, WrongWidthSegmentRejectedBeforeAnyState) {
   // One bad segment in the batch rejects the whole load before anything
   // is built, so a retry decides exactly like a fresh instance.
-  for (const BackendKind kind :
-       {BackendKind::Circuit, BackendKind::Functional}) {
+  for (const bool ideal : {false, true}) {
     std::vector<Sequence> bad = segments_;
     Rng rng(504);
     bad[20] = Sequence::random(32, rng);
-    EdamAccelerator retried(small_edam(/*ideal=*/false));
-    retried.set_backend(kind);
+    EdamAccelerator retried(small_edam(ideal));
     EXPECT_THROW(retried.load_reference(bad), std::invalid_argument);
     EXPECT_EQ(retried.loaded_segments(), 0u);
     retried.load_reference(segments_);
 
-    EdamAccelerator fresh(small_edam(/*ideal=*/false));
-    fresh.set_backend(kind);
+    EdamAccelerator fresh(small_edam(ideal));
     fresh.load_reference(segments_);
     for (const Sequence& read : make_reads(9, 516)) {
       const EdamQueryResult a = retried.search(read, 1);
       const EdamQueryResult b = fresh.search(read, 1);
-      EXPECT_EQ(a.decisions, b.decisions) << "backend=" << to_string(kind);
+      EXPECT_EQ(a.decisions, b.decisions) << "ideal=" << ideal;
       EXPECT_EQ(a.energy_joules, b.energy_joules);
     }
   }
@@ -265,79 +262,47 @@ TEST_F(EdamTest, BatchValidation) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------ backend equivalence --
+// ------------------------------------------------- SR accumulation --
 
-TEST_F(EdamTest, BackendsAgreeUnderIdealSensing) {
-  for (const bool sr : {false, true}) {
-    EdamConfig config = small_edam(/*ideal=*/true);
-    config.sr_enabled = sr;
-    EdamAccelerator circuit(config);
-    EdamAccelerator functional(config);
-    circuit.load_reference(segments_);
-    functional.load_reference(segments_);
-    functional.set_backend(BackendKind::Functional);
-    EXPECT_EQ(functional.backend().name(), std::string("edam-functional"));
-    EXPECT_EQ(circuit.backend().name(), std::string("edam-circuit"));
+TEST_F(EdamTest, SrOrAccumulationEquivalent) {
+  // SR must equal the OR of the plain searches of every schedule entry
+  // under ideal sensing (Algorithm-level equivalence of the pass
+  // accumulation).
+  EdamConfig sr_config = small_edam(/*ideal=*/true);
+  sr_config.sr_enabled = true;
+  EdamAccelerator sr(sr_config);
+  EdamAccelerator plain(small_edam(/*ideal=*/true));
+  sr.load_reference(segments_);
+  plain.load_reference(segments_);
 
-    for (const Sequence& read : make_reads(12, 512)) {
-      for (const std::size_t threshold :
-           {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
-        const EdamQueryResult a = circuit.search(read, threshold);
-        const EdamQueryResult b = functional.search(read, threshold);
-        EXPECT_EQ(a.decisions, b.decisions) << "sr=" << sr
-                                            << " T=" << threshold;
-        EXPECT_EQ(a.searches, b.searches);
-        EXPECT_DOUBLE_EQ(a.latency_seconds, b.latency_seconds);
-      }
+  for (const Sequence& read : make_reads(6, 513)) {
+    const EdamQueryResult combined = sr.search(read, 10);
+    std::vector<bool> expected(segments_.size(), false);
+    for (const Sequence& rotated : rotation_schedule(
+             read, sr_config.sr_rotations, sr_config.sr_direction)) {
+      const EdamQueryResult one = plain.search(rotated, 10);
+      for (std::size_t g = 0; g < expected.size(); ++g)
+        expected[g] = expected[g] || one.decisions[g];
     }
-  }
-}
-
-TEST_F(EdamTest, SrOrAccumulationEquivalentOnBothBackends) {
-  // SR must equal the OR of the plain searches of every schedule entry, on
-  // both backends (Algorithm-level equivalence of the pass accumulation).
-  for (const BackendKind kind :
-       {BackendKind::Circuit, BackendKind::Functional}) {
-    EdamConfig sr_config = small_edam(/*ideal=*/true);
-    sr_config.sr_enabled = true;
-    EdamAccelerator sr(sr_config);
-    EdamAccelerator plain(small_edam(/*ideal=*/true));
-    sr.load_reference(segments_);
-    plain.load_reference(segments_);
-    sr.set_backend(kind);
-    plain.set_backend(kind);
-
-    for (const Sequence& read : make_reads(6, 513)) {
-      const EdamQueryResult combined = sr.search(read, 10);
-      std::vector<bool> expected(segments_.size(), false);
-      for (const Sequence& rotated : rotation_schedule(
-               read, sr_config.sr_rotations, sr_config.sr_direction)) {
-        const EdamQueryResult one = plain.search(rotated, 10);
-        for (std::size_t g = 0; g < expected.size(); ++g)
-          expected[g] = expected[g] || one.decisions[g];
-      }
-      EXPECT_EQ(combined.decisions, expected)
-          << "backend=" << to_string(kind);
-    }
+    EXPECT_EQ(combined.decisions, expected);
   }
 }
 
 // -------------------------------------------------------- energy ledger --
 
-TEST_F(EdamTest, FunctionalEnergyMatchesCircuitEnergyExactly) {
+TEST_F(EdamTest, IdealEnergyMatchesNoisyEnergyExactly) {
   // The current-domain search energy is a pure function of the mismatch
-  // count (current_row_search_energy), so the two backends' ledgers agree
-  // bit-for-bit — noisy sensing included.
-  EdamAccelerator circuit(small_edam(/*ideal=*/false));
-  EdamAccelerator functional(small_edam(/*ideal=*/false));
-  circuit.load_reference(segments_);
-  functional.load_reference(segments_);
-  functional.set_backend(BackendKind::Functional);
+  // count (current_row_search_energy), so noisy and ideal sensing book
+  // bit-identical energy.
+  EdamAccelerator noisy(small_edam(/*ideal=*/false));
+  EdamAccelerator ideal(small_edam(/*ideal=*/true));
+  noisy.load_reference(segments_);
+  ideal.load_reference(segments_);
   for (const Sequence& read : make_reads(6, 514)) {
-    const EdamQueryResult a = circuit.search(read, 2);
-    const EdamQueryResult b = functional.search(read, 2);
+    const EdamQueryResult a = noisy.search(read, 2);
+    const EdamQueryResult b = ideal.search(read, 2);
     EXPECT_GT(a.energy_joules, 0.0);
-    EXPECT_DOUBLE_EQ(a.energy_joules, b.energy_joules);
+    EXPECT_EQ(a.energy_joules, b.energy_joules);
   }
 }
 
@@ -370,11 +335,12 @@ TEST_F(EdamTest, EnergyAccumulatesPerPassDeltas) {
 
 TEST(EdamDigest, PinnedAcrossSensingBackendsSrAndThreshold) {
   // Pins every EDAM result bit: the decisions, the pass count, and the
-  // exact energy and latency doubles, under noisy and ideal sensing on
-  // both backends, with SR off and on, at T = 4 and 8. 600 rows in
-  // 256-row arrays leave the last array part-filled. Any change to the
-  // row store, the mask path or the ledger order that moves one bit
-  // fails here.
+  // exact energy and latency doubles, under noisy and ideal sensing, with
+  // SR off and on, at T = 4 and 8. The loop keeps both backend kinds,
+  // Functional as ideal sensing, so the digested sequence is unchanged.
+  // 600 rows in 256-row arrays leave the last array part-filled. Any
+  // change to the row store, the mask path or the ledger order that
+  // moves one bit fails here.
   Rng rng(517);
   const Sequence reference = generate_reference(128 * 600 + 128, {}, rng);
   std::vector<Sequence> segments = segment_reference(reference, 128);
@@ -400,10 +366,9 @@ TEST(EdamDigest, PinnedAcrossSensingBackendsSrAndThreshold) {
         config.array_rows = 256;
         config.array_cols = 128;
         config.array_count = 3;
-        config.ideal_sensing = ideal;
+        config.ideal_sensing = ideal || kind == BackendKind::Functional;
         config.sr_enabled = sr;
         EdamAccelerator edam(config);
-        edam.set_backend(kind);
         edam.load_reference(segments);
         for (const std::size_t threshold : {std::size_t{4}, std::size_t{8}})
           for (const Sequence& read : reads) {

@@ -209,7 +209,6 @@ TEST(ShardedComparison, IncludesEdamContender) {
   config.threshold = 4;
   config.workers = 2;
   config.kraken.k = 16;
-  config.edam_backend = BackendKind::Functional;
   const ShardedComparisonResult result =
       run_sharded_comparison(config, dataset);
   EXPECT_EQ(result.cm_edam.total(), dataset.pair_count());

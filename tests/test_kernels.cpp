@@ -348,7 +348,6 @@ TEST(KernelTierEquivalence, EdamDecisionsIdenticalAcrossTiers) {
     set_active_kernel_tier(tier);
     EdamAccelerator accel(config);
     accel.load_reference(segments);
-    accel.set_backend(BackendKind::Functional);
     per_tier.push_back(accel.search_batch(reads, 20, 2));
   }
   ASSERT_FALSE(per_tier.empty());

@@ -466,7 +466,7 @@ TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
 // A clone shares no state with its original: removing rows from the clone
 // must leave the original's execute() results untouched and show up in
 // the clone's exactly as if the original had removed them — on both
-// backends. A clone whose backends still read the original's directory,
+// backend kinds. A clone whose backend still reads the original's directory,
 // row store, or array units fails one side or the other.
 TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
   for (const BackendKind backend :

@@ -751,7 +751,7 @@ TEST_F(SchedulerTest, StressPolicyMixBitIdenticalOnEveryBackend) {
   // priority classes, a tight global budget, per-ticket windows smaller
   // than the batch, one ticket under a real (steady-clock) deadline, one
   // cancelled from another thread at a racy instant, one in-order — on
-  // all three backends, noisy circuit sensing included. Whatever
+  // all three backend cases, noisy circuit sensing included. Whatever
   // completes must be bit-identical to FIFO; whatever doesn't must book
   // nothing.
   int iters = 2;

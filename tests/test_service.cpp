@@ -1,6 +1,6 @@
 // Tests of the streaming search service: submit/poll/drain equivalence
 // with the synchronous search_batch path (bit-identical decisions, energy,
-// latency, and ledger on both backends, noisy circuit included),
+// latency, and ledger on both backend kinds, noisy circuit included),
 // out-of-order completion with the in-order re-sequencer, drain-under-load,
 // admission throttling with more in-flight reads than pool threads,
 // callback error propagation, and the streaming read mapper built on top.

@@ -109,7 +109,7 @@ TEST_F(ShardedTest, DecisionsInvariantInShardAndWorkerCount) {
   }
 }
 
-TEST_F(ShardedTest, FunctionalBackendInvariantAcrossShards) {
+TEST_F(ShardedTest, FunctionalKindInvariantAcrossShards) {
   std::vector<std::vector<QueryResult>> runs;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{5}}) {
     ShardedAccelerator accel(bank_config(4, /*ideal=*/false), shards);

@@ -76,7 +76,8 @@ void print_usage(std::ostream& out) {
          "  --threshold N      match threshold T in bases (default 12)\n"
          "  --mode M           full | baseline | hdac | tasr (default full)\n"
          "  --backend B        functional | circuit (default functional)\n"
-         "  --noisy            enable the analog noise model (default ideal sensing)\n"
+         "  --noisy            sense the analog noise model; needs --backend circuit\n"
+         "                     (default ideal sensing)\n"
          "  --shards N         database shard count (default 4)\n"
          "  --workers N        worker threads (0 = one per hardware thread; default 1)\n"
          "  --array-rows N     rows per CAM array (default 256)\n"
@@ -204,6 +205,10 @@ CliOptions parse_args(int argc, char** argv) {
   }
   if (options.reference.empty()) usage_error("--reference is required");
   if (options.reads.empty()) usage_error("--reads is required");
+  // Only the circuit backend senses noise: the functional backend would
+  // silently run ideal sensing.
+  if (options.noisy && options.backend != BackendKind::Circuit)
+    usage_error("--noisy needs --backend circuit");
   return options;
 }
 

@@ -2,8 +2,8 @@
 """Perf-regression gate over the benches' --json output.
 
 Compares one or more "asmcap-bench-v1" reports (written by bench_batch,
-bench_sharded, bench_service via src/util/bench_json.*) against the
-committed bench/baseline.json:
+bench_sharded, bench_service, bench_live and bench_ingest via
+src/util/bench_json.*) against the committed bench/baseline.json:
 
   * the workload parameters must match the baseline entry exactly (the
     gate only means something on the canonical workload);

@@ -8,6 +8,7 @@
 #   e2e_search_circuit.tsv  cell-accurate circuit backend with analog noise
 #                           (--backend circuit --noisy) at T=1, where SA
 #                           noise flips a decision the ideal path makes.
+# It also asserts that --noisy without --backend circuit is a usage error.
 # The latency/energy columns are deterministic doubles of the cost model
 # but may differ in the last ULP across compilers/ISAs (FMA contraction),
 # so they are excluded from the byte-compare; the decision digest equality
@@ -79,6 +80,28 @@ fi
 if ! grep -q "ambiguous bases" "$WORK/e2e_search.log"; then
   echo "check_e2e: FAIL — expected an ambiguous-bases warning on stderr" >&2
   cat "$WORK/e2e_search.log" >&2
+  exit 1
+fi
+
+# --noisy needs --backend circuit: on the default functional backend it
+# would silently run ideal sensing, so the CLI must refuse it as a usage
+# error (exit 2) that names the missing flag.
+set +e
+"$SEARCH" \
+  --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
+  --width 128 --array-rows 64 --arrays 4 --shards 2 \
+  --threshold 1 --noisy --output "$WORK/noisy_functional.tsv" \
+  2> "$WORK/noisy_functional.log"
+STATUS=$?
+set -e
+if [ "$STATUS" != "2" ]; then
+  echo "check_e2e: FAIL — --noisy without --backend circuit exited $STATUS," \
+       "expected usage error 2" >&2
+  exit 1
+fi
+if ! grep -q -- "--backend circuit" "$WORK/noisy_functional.log"; then
+  echo "check_e2e: FAIL — usage error does not name --backend circuit" >&2
+  cat "$WORK/noisy_functional.log" >&2
   exit 1
 fi
 
