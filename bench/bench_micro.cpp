@@ -79,7 +79,7 @@ void BM_EdStar(benchmark::State& state) {
 BENCHMARK(BM_EdStar);
 
 void BM_EdStarPacked(benchmark::State& state) {
-  // The word-parallel kernel behind the search pass's block sweep.
+  // The scalar-word row count (the scalar tier's per-row kernel).
   const Sequence a = random_seq(256, 11);
   const Sequence b = random_seq(256, 12);
   const auto pa = a.packed_words();
@@ -88,25 +88,25 @@ void BM_EdStarPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_EdStarPacked);
 
-// One tier's block kernel over 4,096 packed rows against one read: the
-// sweep behind every functional, circuit and EDAM pass. Arguments are the
+// One tier's block counts over a 4,096-row bit-sliced store against one
+// read: the count behind every circuit and EDAM pass. Arguments are the
 // row width in cells and the KernelTier; items are rows.
 void run_block_kernel(benchmark::State& state, bool ed_star) {
   constexpr std::size_t kRows = 4096;
   const auto cols = static_cast<std::size_t>(state.range(0));
   const auto tier = static_cast<KernelTier>(state.range(1));
   const KernelOps& ops = kernel_ops(tier);
-  const auto kernel = ed_star ? ops.ed_star_block : ops.hamming_block;
   Rng rng(16);
   std::vector<Sequence> rows;
   rows.reserve(kRows);
   for (std::size_t g = 0; g < kRows; ++g)
     rows.push_back(Sequence::random(cols, rng));
-  const PackedRowMatrix matrix(rows, cols);
-  const PackedReadView view(Sequence::random(cols, rng));
-  std::vector<std::uint32_t> counts(kRows);
+  const SlicedRowStore store(rows, cols);
+  const PackedReadView view(Sequence::random(cols, rng), ed_star);
+  std::vector<BlockCounts> counts(store.blocks());
   for (auto _ : state) {
-    kernel(matrix.data(), kRows, view, counts.data());
+    for (std::size_t b = 0; b < store.blocks(); ++b)
+      ops.count_block(store, b, view, 9, counts[b]);
     benchmark::DoNotOptimize(counts.data());
     benchmark::ClobberMemory();
   }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "align/kernels.h"
+#include "align/kernels/kernel_impl.h"
 
 namespace asmcap {
 
@@ -43,10 +44,9 @@ bool ed_star_within(const Sequence& stored, const Sequence& read,
 std::size_t ed_star_packed(const std::vector<std::uint64_t>& stored,
                            const std::vector<std::uint64_t>& read,
                            std::size_t n) {
-  const PackedReadView view(read, n);
-  std::uint32_t count = 0;
-  ed_star_packed_block(stored.data(), 1, view, &count);
-  return count;
+  if (stored.size() < (n + 31) / 32 || read.size() < (n + 31) / 32)
+    throw std::invalid_argument("ed_star_packed: fewer than ceil(n/32) words");
+  return detail::ed_star_row_scalar(stored.data(), PackedReadView(read, n));
 }
 
 std::vector<Sequence> rotation_schedule(const Sequence& read,

@@ -28,12 +28,11 @@ bool ed_star_within(const Sequence& stored, const Sequence& read,
                     std::size_t threshold);
 
 /// Word-parallel ED* over 2-bit packed operands (Sequence::packed_words):
-/// identical to ed_star() while processing 32+ cells per word. `n` is the
+/// identical to ed_star() while processing 32 cells per word. `n` is the
 /// common sequence length; both vectors must hold ceil(n/32) words with
-/// zeroed tail bits. Dispatches to the runtime-selected SIMD tier
-/// (align/kernels.h); every tier returns the same count. This is the
-/// kernel behind the search passes (which use the block form from
-/// kernels.h directly to reuse the read-derived alignments across rows).
+/// zeroed tail bits (std::invalid_argument when either holds fewer). The
+/// scalar-word row count of align/kernels.h; the search passes count whole
+/// blocks of the bit-sliced row store instead.
 std::size_t ed_star_packed(const std::vector<std::uint64_t>& stored,
                            const std::vector<std::uint64_t>& read,
                            std::size_t n);

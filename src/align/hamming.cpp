@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "align/kernels.h"
+#include "align/kernels/kernel_impl.h"
 
 namespace asmcap {
 
@@ -27,10 +28,10 @@ bool hamming_within(const Sequence& a, const Sequence& b,
 std::size_t hamming_packed(const std::vector<std::uint64_t>& a,
                            const std::vector<std::uint64_t>& b,
                            std::size_t n) {
-  const PackedReadView view(b, n, /*neighbours=*/false);
-  std::uint32_t count = 0;
-  hamming_packed_block(a.data(), 1, view, &count);
-  return count;
+  if (a.size() < (n + 31) / 32 || b.size() < (n + 31) / 32)
+    throw std::invalid_argument("hamming_packed: fewer than ceil(n/32) words");
+  return detail::hamming_row_scalar(
+      a.data(), PackedReadView(b, n, /*neighbours=*/false));
 }
 
 }  // namespace asmcap

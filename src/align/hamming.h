@@ -19,9 +19,10 @@ bool hamming_within(const Sequence& a, const Sequence& b, std::size_t threshold)
 
 /// Word-parallel Hamming distance over 2-bit packed operands
 /// (Sequence::packed_words): identical to hamming_distance() while
-/// processing 32+ positions per word. `n` is the common length; tail bits
-/// of both vectors must be zero. Dispatches to the runtime-selected SIMD
-/// tier (align/kernels.h); every tier returns the same count.
+/// processing 32 positions per word. `n` is the common length; both
+/// vectors must hold ceil(n/32) words with zeroed tail bits
+/// (std::invalid_argument when either holds fewer). The scalar-word row
+/// count of align/kernels.h.
 std::size_t hamming_packed(const std::vector<std::uint64_t>& a,
                            const std::vector<std::uint64_t>& b, std::size_t n);
 

@@ -1,8 +1,8 @@
 #include "align/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -23,69 +23,81 @@ const char* to_string(KernelTier tier) {
 // ------------------------------------------------------ PackedReadView --
 
 PackedReadView::PackedReadView(const std::vector<std::uint64_t>& read_words,
-                               std::size_t length, bool neighbours)
-    : n(length), words((length + 31) / 32) {
-  r.assign(read_words.begin(), read_words.begin() + words);
+                               std::size_t length, bool with_neighbours)
+    : n(length), words((length + 31) / 32), neighbours(with_neighbours) {
+  if (read_words.size() < words)
+    throw std::invalid_argument(
+        "PackedReadView: fewer than ceil(n/32) read words");
+  r.assign(read_words.begin(),
+           read_words.begin() + static_cast<std::ptrdiff_t>(words));
   valid.assign(words, kLaneFlags);
   if (n != 0 && n % 32 != 0)
     valid.back() &= (std::uint64_t{1} << (2 * (n % 32))) - 1;
-  if (!neighbours) return;  // Hamming-only view: r/valid suffice
-  r_prev.resize(words);
-  r_next.resize(words);
+  if (neighbours) {
+    r_prev.resize(words);
+    r_next.resize(words);
+    for (std::size_t w = 0; w < words; ++w) {
+      // R[i-1] aligned into lane i (shift up one lane, carry across words).
+      r_prev[w] = (r[w] << 2) | (w > 0 ? r[w - 1] >> 62 : 0);
+      // R[i+1] aligned into lane i (shift down one lane).
+      r_next[w] = (r[w] >> 2) | (w + 1 < words ? r[w + 1] << 62 : 0);
+    }
+    left_ok.assign(words, kLaneFlags);
+    right_ok.assign(words, kLaneFlags);
+    if (n != 0) {
+      left_ok[0] &= ~std::uint64_t{1};  // cell 0 has no left neighbour
+      right_ok[(n - 1) / 32] &=         // cell n-1 has no right neighbour
+          ~(std::uint64_t{1} << (2 * ((n - 1) % 32)));
+    }
+  }
+  // The truth tables, 32 columns at a time: lane i of mis[c] flags that a
+  // stored base of code c mismatches cell 32w + i.
+  columns.resize(4 * n);
   for (std::size_t w = 0; w < words; ++w) {
-    // R[i-1] aligned into lane i (shift up one lane, carry across words).
-    r_prev[w] = (r[w] << 2) | (w > 0 ? r[w - 1] >> 62 : 0);
-    // R[i+1] aligned into lane i (shift down one lane).
-    r_next[w] = (r[w] >> 2) | (w + 1 < words ? r[w + 1] << 62 : 0);
-  }
-  left_ok.assign(words, kLaneFlags);
-  right_ok.assign(words, kLaneFlags);
-  if (n != 0) {
-    left_ok[0] &= ~std::uint64_t{1};  // cell 0 has no left neighbour
-    right_ok[(n - 1) / 32] &=         // cell n-1 has no right neighbour
-        ~(std::uint64_t{1} << (2 * ((n - 1) % 32)));
+    std::uint64_t mis[4];
+    for (std::uint64_t c = 0; c < 4; ++c) {
+      const std::uint64_t code = c * kLaneFlags;  // code c in every lane
+      std::uint64_t match = detail::lane_eq(r[w], code);
+      if (neighbours)
+        match |= (detail::lane_eq(r_prev[w], code) & left_ok[w]) |
+                 (detail::lane_eq(r_next[w], code) & right_ok[w]);
+      mis[c] = ~match;
+    }
+    const std::uint64_t table[4] = {mis[0], mis[0] ^ mis[1], mis[0] ^ mis[2],
+                                    mis[0] ^ mis[1] ^ mis[2] ^ mis[3]};
+    for (std::size_t j = 32 * w; j < std::min(n, 32 * w + 32); ++j)
+      for (std::size_t k = 0; k < 4; ++k)
+        columns[4 * j + k] =
+            std::uint64_t{0} - ((table[k] >> (2 * (j % 32))) & 1);
   }
 }
 
-PackedReadView::PackedReadView(const Sequence& read, bool neighbours)
-    : PackedReadView(read.packed_words(), read.size(), neighbours) {}
-
-// ------------------------------------------------------ PackedRowMatrix --
-
-PackedRowMatrix::PackedRowMatrix(const std::vector<Sequence>& rows,
-                                 std::size_t cols)
-    : PackedRowMatrix(cols) {
-  words_.reserve(rows.size() * words_per_row_);
-  for (std::size_t g = 0; g < rows.size(); ++g) set_row(g, rows[g]);
-}
-
-void PackedRowMatrix::set_row(std::size_t g, const Sequence& row) {
-  if (row.size() != cols_)
-    throw std::invalid_argument("PackedRowMatrix: row width mismatch");
-  if (g >= rows_) {
-    rows_ = g + 1;
-    words_.resize(rows_ * words_per_row_, 0);
-  }
-  const std::vector<std::uint64_t> packed = row.packed_words();
-  if (!packed.empty())
-    std::memcpy(words_.data() + g * words_per_row_, packed.data(),
-                packed.size() * sizeof(std::uint64_t));
-}
+PackedReadView::PackedReadView(const Sequence& read, bool with_neighbours)
+    : PackedReadView(read.packed_words(), read.size(), with_neighbours) {}
 
 // -------------------------------------------------------- scalar tier --
 
 namespace detail {
 
-void ed_star_block_scalar(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts) {
-  for (std::size_t g = 0; g < n_rows; ++g)
-    counts[g] = ed_star_row_scalar(rows + g * read.words, read, 0, read.words);
-}
-
-void hamming_block_scalar(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts) {
-  for (std::size_t g = 0; g < n_rows; ++g)
-    counts[g] = hamming_row_scalar(rows + g * read.words, read, 0, read.words);
+void count_block_scalar(const SlicedRowStore& rows, std::size_t block,
+                        const PackedReadView& read, std::size_t bound,
+                        BlockCounts& out) {
+  constexpr std::size_t kGroupRows = SlicedRowStore::kGroupRows;
+  constexpr std::size_t kGroups = SlicedRowStore::kBlockRows / kGroupRows;
+  std::vector<std::uint64_t> group(kGroupRows * read.words);
+  for (std::size_t q = 0; q < kGroups; ++q) {
+    rows.gather_group(block * kGroups + q, group.data());
+    std::uint64_t below = 0;
+    for (std::size_t r = 0; r < kGroupRows; ++r) {
+      const std::uint64_t* row = group.data() + r * read.words;
+      const std::uint32_t count = read.neighbours
+                                      ? ed_star_row_scalar(row, read)
+                                      : hamming_row_scalar(row, read);
+      out.counts[q * kGroupRows + r] = static_cast<std::uint16_t>(count);
+      below |= std::uint64_t{count < bound} << r;
+    }
+    out.below[q] = below;
+  }
 }
 
 }  // namespace detail
@@ -95,15 +107,12 @@ void hamming_block_scalar(const std::uint64_t* rows, std::size_t n_rows,
 namespace {
 
 constexpr KernelOps kScalarOps{KernelTier::Scalar,
-                               &detail::ed_star_block_scalar,
-                               &detail::hamming_block_scalar};
+                               &detail::count_block_scalar};
 #ifdef ASMCAP_HAVE_AVX2
-constexpr KernelOps kAvx2Ops{KernelTier::Avx2, &detail::ed_star_block_avx2,
-                             &detail::hamming_block_avx2};
+constexpr KernelOps kAvx2Ops{KernelTier::Avx2, &detail::avx2::count_block};
 #endif
 #ifdef ASMCAP_HAVE_NEON
-constexpr KernelOps kNeonOps{KernelTier::Neon, &detail::ed_star_block_neon,
-                             &detail::hamming_block_neon};
+constexpr KernelOps kNeonOps{KernelTier::Neon, &detail::neon::count_block};
 #endif
 
 /// True when the running CPU can execute the tier's instructions (the
@@ -114,8 +123,7 @@ bool cpu_supports(KernelTier tier) {
       return true;
     case KernelTier::Avx2:
 #if defined(ASMCAP_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
+      return __builtin_cpu_supports("avx2") != 0;
 #else
       return false;
 #endif
@@ -226,16 +234,6 @@ const KernelOps& kernel_ops(KernelTier tier) {
 
 const KernelOps& active_kernel_ops() {
   return kernel_ops(active_kernel_tier());
-}
-
-void ed_star_packed_block(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts) {
-  active_kernel_ops().ed_star_block(rows, n_rows, read, counts);
-}
-
-void hamming_packed_block(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts) {
-  active_kernel_ops().hamming_block(rows, n_rows, read, counts);
 }
 
 // ----------------------------------------------------- lane-word forms --

@@ -1,24 +1,28 @@
 #pragma once
-// SIMD-dispatched packed comparison kernels: the hot path of the search
-// passes (the software stand-in for the CAM's massively parallel ED*/HD
-// comparison). One scalar reference implementation plus optional AVX2 and
-// NEON tiers, compiled per-file with the right -m flags (CMake object
-// libraries), selected at runtime by CPU detection and overridable with
+// SIMD-dispatched counting kernels: the hot path of the search passes (the
+// software stand-in for the CAM's massively parallel ED*/HD comparison).
+// A kernel counts one 256-row block of the bit-sliced row store
+// (align/row_store.h) against one read. The AVX2 and NEON tiers build one
+// portable bit-sliced source per target flag set (CMake object
+// libraries): each column's mismatch plane for all 256 rows from a
+// per-column truth table of the read, Harley–Seal carry-save counters, and
+// bit transposes back to per-row counts. The scalar tier gathers each
+// 64-row group and counts it row by row with scalar words. The tier is
+// selected at runtime by CPU detection and overridable with
 // ASMCAP_KERNEL=scalar|avx2|neon for testing.
 //
 // Bit-identity contract: every tier returns exactly the same counts as the
-// scalar tier on every input (counts are exact integer popcounts, never
+// scalar tier on every input (counts are exact integers, never
 // approximations), so decisions, energy ledgers, and decision digests are
 // independent of the tier that computed them — enforced by
 // tests/test_kernels.cpp and by the scalar-forced CI leg, and required of
 // any future tier (docs/determinism.md).
 //
-// The block kernels take N stored rows against ONE read so the
-// read-derived work — neighbour alignments (R[i-1]/R[i+1] lane carries)
-// and boundary masks — is computed once per (read, rotation) in a
-// PackedReadView instead of once per (segment, read).
+// A PackedReadView holds the read-derived operands — the truth tables,
+// neighbour alignments and boundary masks — computed once per (read,
+// rotation) instead of once per (segment, read).
 //
-// Ownership: PackedReadView and PackedRowMatrix own their word storage.
+// Ownership: PackedReadView owns its word storage.
 // Thread-safety: all kernel functions are pure and thread-safe; the active
 // tier is a single atomic read per dispatch. set_active_kernel_tier is
 // safe to call concurrently with kernel execution (tiers are
@@ -30,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "align/row_store.h"
 #include "genome/sequence.h"
 
 namespace asmcap {
@@ -42,10 +47,12 @@ enum class KernelTier : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
 const char* to_string(KernelTier tier);
 
 /// Read-derived operands of the ED*/Hamming kernels, precomputed once per
-/// (read, rotation) and shared by every stored row compared against it:
-/// the packed read, its +/-1 neighbour alignments (lane shifts with
-/// cross-word carries), and the boundary/tail lane masks. All vectors hold
-/// `words` = ceil(n/32) words.
+/// (read, rotation) and shared by every stored row compared against it.
+/// A view encodes one metric: ED* (`neighbours`, a cell matches R[i-1],
+/// R[i] or R[i+1]) or Hamming (R[i] only). It holds the packed read, its
+/// +/-1 neighbour alignments (lane shifts with cross-word carries), the
+/// boundary/tail lane masks — `words` = ceil(n/32) words each — and the
+/// metric's per-column truth tables for the bit-sliced kernels.
 struct PackedReadView {
   std::vector<std::uint64_t> r;        ///< Read, 2-bit packed (tail zeroed).
   std::vector<std::uint64_t> r_prev;   ///< R[i-1] aligned into lane i.
@@ -53,68 +60,42 @@ struct PackedReadView {
   std::vector<std::uint64_t> left_ok;  ///< Lane mask: cell has a left nbr.
   std::vector<std::uint64_t> right_ok; ///< Lane mask: cell has a right nbr.
   std::vector<std::uint64_t> valid;    ///< Lane mask: cell index < n.
+  /// Column j's truth table as four masks, each all ones or zero, at
+  /// [4j, 4j + 4): t0, t0^t1, t0^t2, t0^t1^t2^t3, where tc is set iff a
+  /// stored base of code c mismatches cell j under the view's metric.
+  std::vector<std::uint64_t> columns;
   std::size_t n = 0;                   ///< Sequence length in bases.
   std::size_t words = 0;               ///< ceil(n / 32).
+  bool neighbours = true;              ///< ED* (true) or Hamming (false).
 
   PackedReadView() = default;
-  /// `neighbours = false` builds a Hamming-only view: r/valid only, the
-  /// ED*-specific alignments and boundary masks left empty (the Hamming
-  /// kernels never read them).
+  /// `neighbours = false` builds a Hamming view: r/valid and Hamming
+  /// truth tables, the ED*-specific alignments and boundary masks left
+  /// empty (the Hamming forms never read them).
   explicit PackedReadView(const Sequence& read, bool neighbours = true);
   /// From pre-packed words (Sequence::packed_words layout, tail bits zero).
+  /// Throws std::invalid_argument when `read_words` holds fewer than
+  /// ceil(n/32) words.
   PackedReadView(const std::vector<std::uint64_t>& read_words, std::size_t n,
                  bool neighbours = true);
 };
 
-/// Row-major 2-bit packed segment storage for the block kernels: row g
-/// occupies words [g * words_per_row, (g+1) * words_per_row). This is the
-/// resident form of the search passes' reference database.
-class PackedRowMatrix {
- public:
-  PackedRowMatrix() = default;
-  /// Empty matrix of `cols`-wide rows, grown by set_row.
-  explicit PackedRowMatrix(std::size_t cols)
-      : cols_(cols), words_per_row_((cols + 31) / 32) {}
-  /// Packs `rows` (each of length `cols`) contiguously. Throws
-  /// std::invalid_argument on a width mismatch.
-  PackedRowMatrix(const std::vector<Sequence>& rows, std::size_t cols);
-
-  /// (Re)writes row g, growing the matrix with zero rows as needed. Throws
-  /// std::invalid_argument on a width mismatch.
-  void set_row(std::size_t g, const Sequence& row);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t words_per_row() const { return words_per_row_; }
-  const std::uint64_t* data() const { return words_.data(); }
-  const std::uint64_t* row(std::size_t g) const {
-    return words_.data() + g * words_per_row_;
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t words_per_row_ = 0;
+/// One block's counts: every row's exact mismatched-cell count against
+/// the read under the view's metric, and which rows count below a bound.
+struct BlockCounts {
+  std::uint16_t counts[SlicedRowStore::kBlockRows];
+  /// Bit r of word q is set iff counts[64q + r] < the bound.
+  std::uint64_t below[SlicedRowStore::kBlockRows / SlicedRowStore::kGroupRows];
 };
 
-/// One tier's kernel implementations. `rows` is row-major packed storage
-/// with `read.words` words per row; counts[g] receives the exact
-/// mismatched-cell count of row g against the read. ed_star_block needs a
-/// full view; hamming_block reads only view.r (a neighbours-free view is
-/// sufficient — this is a contract every tier must keep). Two more rules
-/// bind every tier:
-///   - it writes every counts[g], g < n_rows, for any n_rows and any width,
-///     width 0 included (all zero); callers need not clear `counts`;
-///   - it may block rows internally (e.g. sweep each column chunk over a
-///     block of rows, storing partial counts and adding to them), so
-///     `counts` holds partial sums until the call returns.
+/// One tier's kernel. count_block fills `out` for the 256 slots
+/// 256·block .. of `rows` (read.n must equal rows.cols()). Padding rows
+/// past rows.rows() count as stored all-'A' rows; callers mask them out.
 struct KernelOps {
   KernelTier tier;
-  void (*ed_star_block)(const std::uint64_t* rows, std::size_t n_rows,
-                        const PackedReadView& read, std::uint32_t* counts);
-  void (*hamming_block)(const std::uint64_t* rows, std::size_t n_rows,
-                        const PackedReadView& read, std::uint32_t* counts);
+  void (*count_block)(const SlicedRowStore& rows, std::size_t block,
+                      const PackedReadView& read, std::size_t bound,
+                      BlockCounts& out);
 };
 
 // ------------------------------------------------------- tier selection --
@@ -157,17 +138,6 @@ const KernelOps& kernel_ops(KernelTier tier);
 /// Implementation table of the active tier.
 const KernelOps& active_kernel_ops();
 
-// ------------------------------------------------------- block kernels --
-
-/// counts[g] = ED*(row g, read) for g in [0, n_rows): dispatched to the
-/// active tier. Exact mismatched-cell counts, identical on every tier.
-void ed_star_packed_block(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts);
-
-/// counts[g] = Hamming(row g, read): dispatched to the active tier.
-void hamming_packed_block(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts);
-
 // ----------------------------------------------------- lane-word forms --
 
 /// Per-word ED* mismatch flags of one stored row against the view: out[w]
@@ -176,7 +146,7 @@ void hamming_packed_block(const std::uint64_t* rows, std::size_t n_rows,
 /// lane-word layout of util/lane_flags.h. `out` must hold read.words
 /// words. Scalar-word implementation (the lane-word consumers, the noisy
 /// passes and the Fig. 7 signal cache, are off the counting hot path);
-/// counts and lane words always agree.
+/// counts and lane words always agree. Needs a `neighbours` view.
 void ed_star_mismatch_words(const std::uint64_t* row,
                             const PackedReadView& read, std::uint64_t* out);
 

@@ -1,13 +1,12 @@
 #pragma once
 // Internal: per-tier kernel entry points and the shared scalar-word row
-// helpers. The AVX2/NEON tiers reuse ed_star_row_scalar /
-// hamming_row_scalar for their sub-vector-width tail words, so every tier
-// computes the exact same counts by construction. Not part of the public
-// API — include align/kernels.h instead.
+// helpers (the scalar tier's counts, the single-pair wrappers and the
+// lane-word forms). Not part of the public API — include align/kernels.h
+// instead.
 //
 // The helpers are `static` (internal linkage), NOT `inline`: this header
 // is included by translation units compiled with different ISA flags
-// (kernels.cpp at the baseline, kernels_avx2.cpp with -mavx2), and an
+// (kernels.cpp at the baseline, kernels_sliced.cpp with -mavx2), and an
 // inline (comdat) definition would let the linker keep whichever TU's
 // copy it saw first — possibly the AVX2-codegen one — inside the scalar
 // dispatch path, breaking the fallback tier on non-AVX2 CPUs. With
@@ -50,45 +49,43 @@ static inline std::uint64_t hamming_mismatch_word(std::uint64_t q,
   return (x | (x >> 1)) & kLaneFlags;
 }
 
-/// Scalar-word ED* count of words [w_begin, w_end) of one row.
+/// Scalar-word ED* count of one row.
 static inline std::uint32_t ed_star_row_scalar(const std::uint64_t* row,
-                                               const PackedReadView& view,
-                                               std::size_t w_begin,
-                                               std::size_t w_end) {
+                                               const PackedReadView& view) {
   std::uint32_t count = 0;
-  for (std::size_t w = w_begin; w < w_end; ++w)
+  for (std::size_t w = 0; w < view.words; ++w)
     count += static_cast<std::uint32_t>(
         std::popcount(ed_star_mismatch_word(row[w], view, w)));
   return count;
 }
 
-/// Scalar-word Hamming count of words [w_begin, w_end) of one row.
+/// Scalar-word Hamming count of one row.
 static inline std::uint32_t hamming_row_scalar(const std::uint64_t* row,
-                                               const PackedReadView& view,
-                                               std::size_t w_begin,
-                                               std::size_t w_end) {
+                                               const PackedReadView& view) {
   std::uint32_t count = 0;
-  for (std::size_t w = w_begin; w < w_end; ++w)
+  for (std::size_t w = 0; w < view.words; ++w)
     count += static_cast<std::uint32_t>(
         std::popcount(hamming_mismatch_word(row[w], view, w)));
   return count;
 }
 
-// Tier entry points. The scalar pair is always compiled; the AVX2/NEON
-// pairs live in their own translation units compiled with the right -m
-// flags (see CMakeLists.txt) and are referenced only when the matching
+// Tier entry points (KernelOps::count_block). The scalar tier is always
+// compiled; the bit-sliced source (kernels_sliced.cpp) is compiled once
+// per SIMD target into namespace avx2 or neon, with that target's flags
+// (see CMakeLists.txt), and referenced only when the matching
 // ASMCAP_HAVE_* macro is defined.
-void ed_star_block_scalar(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts);
-void hamming_block_scalar(const std::uint64_t* rows, std::size_t n_rows,
-                          const PackedReadView& read, std::uint32_t* counts);
-void ed_star_block_avx2(const std::uint64_t* rows, std::size_t n_rows,
-                        const PackedReadView& read, std::uint32_t* counts);
-void hamming_block_avx2(const std::uint64_t* rows, std::size_t n_rows,
-                        const PackedReadView& read, std::uint32_t* counts);
-void ed_star_block_neon(const std::uint64_t* rows, std::size_t n_rows,
-                        const PackedReadView& read, std::uint32_t* counts);
-void hamming_block_neon(const std::uint64_t* rows, std::size_t n_rows,
-                        const PackedReadView& read, std::uint32_t* counts);
+void count_block_scalar(const SlicedRowStore& rows, std::size_t block,
+                        const PackedReadView& read, std::size_t bound,
+                        BlockCounts& out);
+namespace avx2 {
+void count_block(const SlicedRowStore& rows, std::size_t block,
+                 const PackedReadView& read, std::size_t bound,
+                 BlockCounts& out);
+}  // namespace avx2
+namespace neon {
+void count_block(const SlicedRowStore& rows, std::size_t block,
+                 const PackedReadView& read, std::size_t bound,
+                 BlockCounts& out);
+}  // namespace neon
 
 }  // namespace asmcap::detail

@@ -1,6 +1,8 @@
 #include "asmcap/accelerator.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -29,11 +31,11 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
       planner_(config),
       timing_(config.process),
       silicon_root_(Rng(config.seed).fork(0x51C0)),
-      packed_rows_(config.array_cols),
+      store_(config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)) {
   validate(config_.process);
   backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
-                                              packed_rows_, senses_noise());
+                                              store_, senses_noise());
   if (config_.pruning.enabled)
     sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
@@ -68,7 +70,6 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   }
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
   if (senses_noise()) build_row_silicon(slot, id);
-  packed_rows_.set_row(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
   dir_.live.set(slot);
@@ -145,6 +146,16 @@ void AsmcapAccelerator::append_segments(
        ++next)
     targets.push_back(next);
 
+  // The row store takes each run of consecutive target slots in one
+  // write (whole 64-row groups transpose at once).
+  const std::span<const Sequence> rows(segments);
+  for (std::size_t i = 0; i < targets.size();) {
+    std::size_t end = i + 1;
+    while (end < targets.size() && targets[end] == targets[end - 1] + 1)
+      ++end;
+    store_.write_rows(targets[i], rows.subspan(i, end - i));
+    i = end;
+  }
   std::vector<std::size_t> burst_per_array;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     write_slot(targets[i], ids[i], segments[i]);
@@ -202,9 +213,22 @@ std::vector<std::pair<std::uint64_t, Sequence>>
 AsmcapAccelerator::live_segments() const {
   std::vector<std::pair<std::uint64_t, Sequence>> out;
   out.reserve(dir_.live_count);
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
-    if (dir_.live[slot])
-      out.emplace_back(dir_.ids[slot], stored_segment(slot));
+  const std::size_t words = store_.words_per_row();
+  std::vector<std::uint64_t> group(SlicedRowStore::kGroupRows * words);
+  // The group now in `group` (none yet).
+  std::size_t gathered = std::numeric_limits<std::size_t>::max();
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
+    if (!dir_.live[slot]) continue;
+    if (slot / SlicedRowStore::kGroupRows != gathered) {
+      gathered = slot / SlicedRowStore::kGroupRows;
+      store_.gather_group(gathered, group.data());
+    }
+    out.emplace_back(
+        dir_.ids[slot],
+        Sequence::from_packed_words(
+            group.data() + (slot % SlicedRowStore::kGroupRows) * words,
+            config_.array_cols));
+  }
   return out;
 }
 
@@ -213,7 +237,7 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
   backend_kind_ = kind;
   if (senses_noise() == was_noisy) return;
   backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
-                                              packed_rows_, senses_noise());
+                                              store_, senses_noise());
   if (!senses_noise()) {
     readouts_.clear();
     readouts_.shrink_to_fit();
@@ -236,7 +260,7 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   copy->set_backend(backend_kind_);
   copy->readouts_ = readouts_;
   copy->dir_ = dir_;
-  copy->packed_rows_ = packed_rows_;
+  copy->store_ = store_;
   copy->id_to_slot_ = id_to_slot_;
   if (sketch_) *copy->sketch_ = *sketch_;
   copy->next_auto_id_ = next_auto_id_;

@@ -24,12 +24,13 @@
 // determinism rule 8. Mutation errors are typed (asmcap/db_error.h) and
 // validated in full before any state changes.
 //
-// Representation: the packed slot matrix is the bank's one canonical row
-// store (what the backend sweeps and live_segments() reads). The bank
+// Representation: the bit-sliced slot store (align/row_store.h) is the
+// bank's one canonical row store — what the backend counts, block by
+// block, and what live_segments() gathers, group by group. The bank
 // senses the analog noise model iff its backend kind is Circuit and
 // config.ideal_sensing is false. Only then does it hold circuit state —
 // one ChargeArrayReadout (capacitor banks + SA offsets) per array,
-// sensing rows of the same packed matrix — built from the per-id silicon
+// sensing rows gathered from the same store — built from the per-id silicon
 // streams when the bank starts sensing noise and dropped when it stops,
 // so an ideal-sensing bank never pays for silicon it does not read.
 //
@@ -192,16 +193,12 @@ class AsmcapAccelerator {
   /// Manufactures the row silicon at `slot` from the per-id stream of
   /// `id`, manufacturing arrays on demand.
   void build_row_silicon(std::size_t slot, std::uint64_t id);
-  /// The shared write path: stores (id, segment) at `slot` and updates the
-  /// directory, the packed row, the sketch, and (while the bank senses
-  /// noise) the circuit state. No cost accounting.
+  /// The shared write path's per-slot half: records (id, segment) at
+  /// `slot` in the directory, the sketch, and (while the bank senses
+  /// noise) the circuit state. The row store is written by the caller, a
+  /// run of consecutive slots at a time. No cost accounting.
   void write_slot(std::size_t slot, std::uint64_t id,
                   const Sequence& segment);
-  /// The segment stored at `slot`, unpacked from the row store.
-  Sequence stored_segment(std::size_t slot) const {
-    return Sequence::from_packed_words(packed_rows_.row(slot),
-                                       config_.array_cols);
-  }
   /// Cost accounting of one append burst (count rows, the fullest touched
   /// array writing `burst_rows` of them sequentially).
   void book_write_cost(std::size_t count, std::size_t burst_rows);
@@ -217,7 +214,7 @@ class AsmcapAccelerator {
   /// been written); arrays are manufactured on demand.
   std::vector<ChargeArrayReadout> readouts_;
   LiveDirectory dir_;
-  PackedRowMatrix packed_rows_;  ///< Canonical row store, one per slot.
+  SlicedRowStore store_;  ///< Canonical row store, one row per slot.
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   /// Rebuilt by set_backend, so its noise flag tracks senses_noise().
   std::unique_ptr<CircuitBackend> backend_;

@@ -4,24 +4,25 @@
 // batch engine). One pass per sensing domain, each with ideal sensing as
 // its noise-free case:
 //
-//  * CircuitBackend — ASMCap's charge-domain pass. One block-kernel sweep
-//    counts every row's mismatches; a row decides from its count unless
-//    the bank senses noise and the count lies in the noise band, in which
-//    case it settles V_ML on its manufactured silicon and draws SA noise.
-//    Matchline energy is the count-pure Eq. 1, noisy or not.
+//  * CircuitBackend — ASMCap's charge-domain pass. The kernels count
+//    every row's mismatches block by block over the bit-sliced row store;
+//    a row decides from its count unless the bank senses noise and the
+//    count lies in the noise band, in which case it settles V_ML on its
+//    manufactured silicon and draws SA noise. Matchline energy is the
+//    count-pure Eq. 1, noisy or not.
 //  * EdamCircuitBackend — EDAM's current-domain pass (pre-charge,
-//    discharge, sample-and-hold) over the same kind of row store: one
-//    sweep, count-pure energy, count <= T under ideal sensing, and each
+//    discharge, sample-and-hold) over the same kind of row store: block
+//    counts, count-pure energy, count <= T under ideal sensing, and each
 //    row's mismatch lane words into CurrentArrayReadout::drop_row then
 //    decide_from_drop when it senses noise.
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
-// references into it: its one packed row matrix, the ASMCap bank's
+// references into it: its one bit-sliced row store, the ASMCap bank's
 // LiveDirectory, and the manufactured readouts (read only when the pass
 // senses noise). The accelerator must outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
-// Mutations (which rewrite the directory and packed rows) never run
+// Mutations (which rewrite the directory and the row store) never run
 // against a backend with passes in flight: the sharded router mutates
 // CLONES and publishes them as a new epoch, so in-flight work only ever
 // reads immutable snapshots (docs/architecture.md "Live database").
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "align/kernels.h"
+#include "align/row_store.h"
 #include "asmcap/config.h"
 #include "cam/cell.h"
 #include "cam/charge_readout.h"
@@ -110,24 +112,28 @@ class ExecutionBackend {
                               std::uint64_t pass_salt) const = 0;
 };
 
-/// ASMCap's charge-domain pass over the bank's packed slot matrix. Holds
-/// non-owning references into the bank (the readouts, the live directory,
-/// and the row store — stable objects whose contents the bank mutates on
-/// the control plane); the bank must outlive it. Every array with a live
-/// row drives its searchlines once per pass; an all-dead array is never
-/// driven, and a tombstoned row decides nothing, charges no matchline
-/// energy, and draws no RNG fork.
+/// ASMCap's charge-domain pass over the bank's bit-sliced slot store.
+/// Holds non-owning references into the bank (the readouts, the live
+/// directory, and the row store — stable objects whose contents the bank
+/// mutates on the control plane); the bank must outlive it. Every array
+/// with a live row drives its searchlines once per pass; an all-dead array
+/// is never driven, and a tombstoned or padding row decides nothing,
+/// charges no matchline energy, and draws no RNG fork.
 ///
-/// A pass builds one PackedReadView and sweeps the whole slot matrix with
-/// the block kernels. One call-free loop per 64-slot decision word then
-/// decides count < band.hit_below and books each live row's Eq. 1 energy
-/// from a per-count table, in ascending live-slot order after the
-/// SL-driver energy. Without noise the band is empty (count <= T
+/// A pass builds one PackedReadView of its metric and walks the store
+/// block by block: the active kernel counts the block's 256 rows and flags
+/// those with count < band.hit_below. Per 64-slot decision word, those
+/// flags ANDed with the live word are the decisions, and a call-free loop
+/// over the live bits books each live row's Eq. 1 energy from a per-count
+/// table, in ascending live-slot order after the SL-driver energy — the
+/// one summation order, so booked energy is bit-identical whatever
+/// computed the counts. Without noise the band is empty (count <= T
 /// decides). With `sense_noise`, a row whose count lies in
-/// charge_decision_band settles V_ML from its mismatch lane words on its
-/// ChargeArrayReadout and draws SA noise from the per-id fork; a row
-/// outside it decides from the count alone, since no admissible silicon
-/// or noise draw could change its SA outcome (determinism.md rule 7).
+/// charge_decision_band gathers its packed words alone, settles V_ML from
+/// its mismatch lane words on its ChargeArrayReadout and draws SA noise
+/// from the per-id fork; a row outside it decides from the count alone,
+/// since no admissible silicon or noise draw could change its SA outcome
+/// (determinism.md rule 7).
 /// Per-decision streams are pure per-id forks, so skipping a row's fork
 /// shifts no other row's draw. `readouts` must then hold the silicon of
 /// every live row; without noise it is never read.
@@ -135,7 +141,7 @@ class CircuitBackend : public ExecutionBackend {
  public:
   CircuitBackend(const AsmcapConfig& config,
                  const std::vector<ChargeArrayReadout>& readouts,
-                 const LiveDirectory& directory, const PackedRowMatrix& rows,
+                 const LiveDirectory& directory, const SlicedRowStore& rows,
                  bool sense_noise);
 
   PassResult run_pass(const Sequence& read, MatchMode mode,
@@ -145,7 +151,7 @@ class CircuitBackend : public ExecutionBackend {
  private:
   const std::vector<ChargeArrayReadout>* readouts_;
   const LiveDirectory* dir_;
-  const PackedRowMatrix* rows_;
+  const SlicedRowStore* rows_;
   std::size_t array_rows_;
   std::size_t cols_;
   ChargeDomainParams charge_;
@@ -155,18 +161,19 @@ class CircuitBackend : public ExecutionBackend {
   std::vector<double> row_energy_;
 };
 
-/// EDAM's current-domain pass over the EdamAccelerator's packed row store
-/// (row g senses on readout g / array_rows, matchline g % array_rows). The
-/// block kernels count every row; each row books its count-pure
-/// current-domain energy (current_row_search_energy, from a per-count
-/// table) in row order. Without `sense_noise`, count <= T decides; with
-/// it, each row's mismatch lane words give its nominal discharge
-/// (drop_row), which decide_from_drop senses with the per-id noise fork,
-/// and `readouts` must hold every row's silicon. Holds non-owning
-/// references into the accelerator; the accelerator must outlive it.
+/// EDAM's current-domain pass over the EdamAccelerator's bit-sliced row
+/// store (row g senses on readout g / array_rows, matchline
+/// g % array_rows). The kernels count every row block by block; each row
+/// books its count-pure current-domain energy (current_row_search_energy,
+/// from a per-count table) in row order. Without `sense_noise`, count <= T
+/// decides; with it, the pass gathers each 64-row group, and each row's
+/// mismatch lane words give its nominal discharge (drop_row), which
+/// decide_from_drop senses with the per-id noise fork; `readouts` must
+/// then hold every row's silicon. Holds non-owning references into the
+/// accelerator; the accelerator must outlive it.
 class EdamCircuitBackend : public ExecutionBackend {
  public:
-  EdamCircuitBackend(const PackedRowMatrix& rows,
+  EdamCircuitBackend(const SlicedRowStore& rows,
                      const std::vector<CurrentArrayReadout>& readouts,
                      std::size_t array_rows,
                      const CurrentDomainParams& params, bool sense_noise);
@@ -176,7 +183,7 @@ class EdamCircuitBackend : public ExecutionBackend {
                       std::uint64_t pass_salt) const override;
 
  private:
-  const PackedRowMatrix* rows_;
+  const SlicedRowStore* rows_;
   const std::vector<CurrentArrayReadout>* readouts_;
   std::size_t array_rows_;
   bool sense_noise_;

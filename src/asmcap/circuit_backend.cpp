@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -23,7 +22,7 @@ const char* to_string(BackendKind kind) {
 CircuitBackend::CircuitBackend(const AsmcapConfig& config,
                                const std::vector<ChargeArrayReadout>& readouts,
                                const LiveDirectory& directory,
-                               const PackedRowMatrix& rows, bool sense_noise)
+                               const SlicedRowStore& rows, bool sense_noise)
     : readouts_(&readouts),
       dir_(&directory),
       rows_(&rows),
@@ -47,20 +46,19 @@ PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
   const ChargeDecisionBand band =
       sense_noise_ ? charge_decision_band(charge_, cols_, threshold)
                    : ChargeDecisionBand{threshold + 1, threshold + 1};
-  // Read-derived work once per (read, rotation), then one SIMD-dispatched
-  // block sweep over the whole packed slot matrix (tombstoned slots are
-  // counted too — cheaper than scattering — and masked below).
-  const PackedReadView view(read);
+  // Read-derived work once per (read, rotation), then the active tier
+  // counts the store block by block (tombstoned and padding slots are
+  // counted too — cheaper than skipping — and masked below).
+  const PackedReadView view(read, mode == MatchMode::EdStar);
   const std::size_t slots = rows_->rows();
-  std::vector<std::uint32_t> counts(slots);
-  const KernelOps& ops = active_kernel_ops();
-  (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
-      rows_->data(), slots, view, counts.data());
+  const auto count_block = active_kernel_ops().count_block;
   const auto mismatch_words = mode == MatchMode::Hamming
                                   ? hamming_mismatch_words
                                   : ed_star_mismatch_words;
   const Rng pass_rng = query_rng.fork(pass_salt);
+  std::vector<std::uint64_t> row_words(sense_noise_ ? view.words : 0);
   std::vector<std::uint64_t> lane_words(sense_noise_ ? view.words : 0);
+  BlockCounts block;
 
   PassResult result;
   result.decisions = BitVec(slots);
@@ -71,30 +69,32 @@ PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
   const double* row_energy = row_energy_.data();
   for (std::size_t w = 0; w < result.decisions.words(); ++w) {
     const std::size_t first = w * kWordBits;
-    const std::size_t last = std::min(slots, first + kWordBits);
+    const std::size_t in_block = first % SlicedRowStore::kBlockRows;
+    if (in_block == 0)
+      count_block(*rows_, first / SlicedRowStore::kBlockRows, view,
+                  band.hit_below, block);
+    const std::uint16_t* counts = block.counts + in_block;
     const std::uint64_t live = dir_->live.word(w);
-    // Count decisions and matchline energy, in ascending live-slot order
-    // (the floating-point summation order is fixed). A dead row's
-    // all-mismatch line stores k(n-k)/n = 0, so skipping it is exact.
-    std::uint64_t word = 0;
-    for (std::size_t slot = first; slot < last; ++slot) {
-      const std::size_t bit = slot - first;
-      if (((live >> bit) & 1) == 0) continue;
-      word |= std::uint64_t{counts[slot] < band.hit_below} << bit;
-      energy += row_energy[counts[slot]];
-    }
+    // Out-of-band decisions straight from the kernel's count < hit_below
+    // words; dead and padding slots are masked out.
+    std::uint64_t word = block.below[in_block / kWordBits] & live;
+    // Matchline energy in ascending live-slot order (the floating-point
+    // summation order is fixed). A dead row's all-mismatch line stores
+    // k(n-k)/n = 0, so skipping it is exact.
+    for (std::uint64_t x = live; x != 0; x &= x - 1)
+      energy += row_energy[counts[std::countr_zero(x)]];
     if (band.hit_below < band.miss_from) {
       // In-band live rows settle on their silicon and draw SA noise keyed
       // by global segment id: placement-invariant.
       std::uint64_t in_band = 0;
-      for (std::size_t slot = first; slot < last; ++slot)
-        in_band |= std::uint64_t{band.contains(counts[slot])}
-                   << (slot - first);
+      for (std::size_t bit = 0; bit < kWordBits; ++bit)
+        in_band |= std::uint64_t{band.contains(counts[bit])} << bit;
       for (in_band &= live; in_band != 0; in_band &= in_band - 1) {
         const auto bit = static_cast<std::size_t>(std::countr_zero(in_band));
         const std::size_t slot = first + bit;
         const ChargeArrayReadout& readout = (*readouts_)[slot / array_rows_];
-        mismatch_words(rows_->row(slot), view, lane_words.data());
+        rows_->gather_row(slot, row_words.data());
+        mismatch_words(row_words.data(), view, lane_words.data());
         Rng decide_rng = pass_rng.fork(dir_->ids[slot]);
         const bool hit = readout.decide(
             readout.settle_row(slot % array_rows_, lane_words), threshold,

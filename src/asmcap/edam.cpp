@@ -46,7 +46,7 @@ void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
     if (segment.size() != config_.array_cols)
       throw std::invalid_argument("EdamAccelerator: segment width mismatch");
 
-  rows_ = PackedRowMatrix(segments, config_.array_cols);
+  rows_ = SlicedRowStore(segments, config_.array_cols);
   // Ideal sensing decides from counts alone, so it never manufactures
   // silicon it would not read.
   const bool sense_noise = !config_.ideal_sensing;

@@ -7,7 +7,7 @@
 // AsmcapAccelerator, through one EdamCircuitBackend (see backend.h) that
 // senses the current-domain noise unless config.ideal_sensing.
 //
-// Ownership: the accelerator owns one packed row store (row g holds
+// Ownership: the accelerator owns one bit-sliced row store (row g holds
 // segment g, stored once), the manufactured readouts (built only when it
 // senses noise), the backend, and the session pool. The backend reads
 // that one row store by non-owning reference, as the ASMCap backend reads
@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "align/edstar.h"
-#include "align/kernels.h"
+#include "align/row_store.h"
 #include "asmcap/backend.h"
 #include "cam/current_readout.h"
 #include "circuit/process.h"
@@ -118,7 +118,7 @@ class EdamAccelerator {
                           const Rng& query_rng) const;
 
   EdamConfig config_;
-  PackedRowMatrix rows_;  ///< The one row store the backend sweeps.
+  SlicedRowStore rows_;  ///< The one row store the backend counts.
   /// Manufactured silicon: empty under ideal sensing.
   std::vector<CurrentArrayReadout> readouts_;
   std::unique_ptr<EdamCircuitBackend> backend_;

@@ -23,8 +23,14 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
   if (queries_ == 0 || rows_ == 0)
     throw std::invalid_argument("DatasetSignals: empty dataset");
   const std::size_t cols = dataset.rows.front().size();
-  // Packing rejects a row of another width; the queries are checked here.
-  const PackedRowMatrix packed(dataset.rows, cols);
+  // The rows' private row-major packed cache, read as lane words.
+  std::vector<std::vector<std::uint64_t>> packed;
+  packed.reserve(rows_);
+  for (const Sequence& row : dataset.rows) {
+    if (row.size() != cols)
+      throw std::invalid_argument("DatasetSignals: rows differ in width");
+    packed.push_back(row.packed_words());
+  }
   for (const DatasetQuery& query : dataset.queries)
     if (query.read.size() != cols)
       throw std::invalid_argument(
@@ -40,7 +46,7 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
 
   // Every (query, row) pair depends only on the dataset and the silicon
   // manufactured above, so queries precompute independently and in
-  // parallel over the one packed row matrix; results are written by index.
+  // parallel over the one packed row cache; results are written by index.
   pairs_.resize(queries_ * rows_);
   ThreadPool pool(workers);
   pool.parallel_for(queries_, [&](std::size_t q) {
@@ -58,11 +64,11 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
       signals.ed = static_cast<std::uint16_t>(
           banded_edit_distance(row, read, ed_cap_).distance);
 
-      hamming_mismatch_words(packed.row(r), views[0], lane_words.data());
+      hamming_mismatch_words(packed[r].data(), views[0], lane_words.data());
       signals.hd = static_cast<std::uint16_t>(count_lane_flags(lane_words));
       signals.vml_hd = asmcap_readout_->settle_row(r, lane_words);
 
-      ed_star_mismatch_words(packed.row(r), views[0], lane_words.data());
+      ed_star_mismatch_words(packed[r].data(), views[0], lane_words.data());
       signals.ed_star =
           static_cast<std::uint16_t>(count_lane_flags(lane_words));
       signals.vml_ed_star = asmcap_readout_->settle_row(r, lane_words);
@@ -72,7 +78,7 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
       signals.rot_vml.reserve(views.size() - 1);
       signals.rot_edam_drop.reserve(views.size() - 1);
       for (std::size_t k = 1; k < views.size(); ++k) {
-        ed_star_mismatch_words(packed.row(r), views[k], lane_words.data());
+        ed_star_mismatch_words(packed[r].data(), views[k], lane_words.data());
         signals.rot_ed_star.push_back(
             static_cast<std::uint16_t>(count_lane_flags(lane_words)));
         signals.rot_vml.push_back(asmcap_readout_->settle_row(r, lane_words));

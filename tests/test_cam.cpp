@@ -55,13 +55,13 @@ TEST(AsmcapCell, CellByCellAgreesWithPackedMask) {
         std::size_t{64}, std::size_t{65}, std::size_t{128}}) {
     const Sequence stored = Sequence::random(n, rng);
     const Sequence read = Sequence::random(n, rng);
-    const PackedRowMatrix rows({stored}, n);
+    const std::vector<std::uint64_t> row = stored.packed_words();
     const PackedReadView view(read);
     std::vector<std::uint64_t> lane_words(view.words);
     for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
       (mode == MatchMode::EdStar ? ed_star_mismatch_words
                                  : hamming_mismatch_words)(
-          rows.row(0), view, lane_words.data());
+          row.data(), view, lane_words.data());
       for (std::size_t i = 0; i < n; ++i) {
         const AsmcapCell cell(stored[i]);
         // Cell i's flag is bit 2 * (i % 32) of word i / 32.

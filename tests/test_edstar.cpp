@@ -209,5 +209,13 @@ TEST(EdStar, PackedKernelMatchesScalarUnderIndels) {
   }
 }
 
+TEST(EdStar, PackedKernelRejectsShortWordVectors) {
+  // n = 64 needs two words per operand; one is an error, never a read past
+  // the end of the vector.
+  EXPECT_THROW(ed_star_packed({0}, {0, 0}, 64), std::invalid_argument);
+  EXPECT_THROW(ed_star_packed({0, 0}, {0}, 64), std::invalid_argument);
+  EXPECT_EQ(ed_star_packed({0, 0}, {0, 0}, 64), 0u);
+}
+
 }  // namespace
 }  // namespace asmcap

@@ -169,14 +169,14 @@ struct HandBuiltBank {
   std::vector<Sequence> rows;
   std::vector<ChargeArrayReadout> readouts;
   LiveDirectory dir;
-  PackedRowMatrix packed;
+  SlicedRowStore store;
 };
 
 HandBuiltBank hand_built_bank(const AsmcapConfig& config,
                               const std::vector<Sequence>& segments,
                               const std::vector<std::size_t>& extra_dead = {}) {
   HandBuiltBank bank{config, segments, {}, {},
-                     PackedRowMatrix(segments, config.array_cols)};
+                     SlicedRowStore(segments, config.array_cols)};
   const std::size_t arrays =
       (segments.size() + config.array_rows - 1) / config.array_rows;
   const Rng silicon_root(77);
@@ -216,7 +216,7 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
     config.process.charge.sa_offset_sigma = offset_sigma;
     const HandBuiltBank bank = hand_built_bank(config, segments_);
     const CircuitBackend backend(config, bank.readouts, bank.dir,
-                                 bank.packed, /*sense_noise=*/true);
+                                 bank.store, /*sense_noise=*/true);
     const auto arrays_driven = static_cast<double>(bank.dir.arrays_in_use());
 
     // Near-threshold reads: stored rows with 2..8 random substitutions.
@@ -292,12 +292,11 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
 constexpr std::size_t kWideSlots = 130;
 const std::vector<std::size_t> kBoundaryDead = {63, 64, 127, 129};
 
-std::vector<Sequence> wide_segments() {
+std::vector<Sequence> wide_segments(std::size_t slots = kWideSlots) {
   Rng rng(905);
-  const Sequence reference =
-      generate_reference(64 * kWideSlots + 128, {}, rng);
+  const Sequence reference = generate_reference(64 * slots + 128, {}, rng);
   std::vector<Sequence> segments = segment_reference(reference, 64);
-  segments.resize(kWideSlots);
+  segments.resize(slots);
   return segments;
 }
 
@@ -327,80 +326,101 @@ std::vector<bool> reference_pass(const std::vector<Sequence>& rows,
 }
 
 TEST(EngineWords, IdealPassMatchesPerSlotReferenceAcrossWords) {
+  // The 130-slot bank above, and a 300-slot bank that crosses the store's
+  // 256-row block boundary into a partial last block, with dead slots on
+  // both sides of it (255, 256) and at the last slot.
+  struct Bank {
+    std::size_t slots;
+    std::vector<std::size_t> dead;
+    std::vector<std::size_t> read_slots;
+  };
+  const std::vector<Bank> banks = {
+      {kWideSlots, kBoundaryDead, {0, 1, 62, 63, 64, 65, 126, 127, 128, 129}},
+      {300,
+       {63, 64, 127, 255, 256, 299},
+       {0, 1, 63, 64, 65, 127, 128, 254, 255, 256, 258, 298, 299}},
+  };
   const AsmcapConfig config = small_config();
-  const std::vector<Sequence> segments = wide_segments();
-  const HandBuiltBank bank = hand_built_bank(config, segments, kBoundaryDead);
-  const CircuitBackend backend(config, bank.readouts, bank.dir, bank.packed,
-                               /*sense_noise=*/false);
   const ChargeDomainParams& charge = config.process.charge;
   const auto n = static_cast<double>(config.array_cols);
+  for (const Bank& spec : banks) {
+    const std::vector<Sequence> segments = wide_segments(spec.slots);
+    const HandBuiltBank bank = hand_built_bank(config, segments, spec.dead);
+    const CircuitBackend backend(config, bank.readouts, bank.dir, bank.store,
+                                 /*sense_noise=*/false);
+    const std::size_t words = (spec.slots + 63) / 64;
 
-  // Arrays holding a live row; array 1 is all dead and never driven.
-  std::vector<bool> driven(
-      (kWideSlots + config.array_rows - 1) / config.array_rows, false);
-  for (std::size_t slot = 0; slot < kWideSlots; ++slot)
-    if (bank.dir.slot_live(slot)) driven[slot / config.array_rows] = true;
-  const auto arrays_driven = static_cast<double>(
-      std::count(driven.begin(), driven.end(), true));
-  ASSERT_FALSE(driven[1]);
+    // Arrays holding a live row; array 1 is all dead and never driven.
+    std::vector<bool> driven(
+        (spec.slots + config.array_rows - 1) / config.array_rows, false);
+    for (std::size_t slot = 0; slot < spec.slots; ++slot)
+      if (bank.dir.slot_live(slot)) driven[slot / config.array_rows] = true;
+    const auto arrays_driven = static_cast<double>(
+        std::count(driven.begin(), driven.end(), true));
+    ASSERT_FALSE(driven[1]);
 
-  // Reads around both word boundaries and the tail: exact copies (which
-  // the dead rows would match if they were not masked) and copies with
-  // 1..3 substitutions.
-  Rng edit_rng(906);
-  std::vector<Sequence> reads;
-  for (const std::size_t slot :
-       std::vector<std::size_t>{0, 1, 62, 63, 64, 65, 126, 127, 128, 129}) {
-    reads.push_back(segments[slot]);
-    Sequence edited = segments[slot];
-    const std::uint64_t edits = 1 + edit_rng.below(3);
-    for (std::uint64_t e = 0; e < edits; ++e)
-      edited.set(static_cast<std::size_t>(edit_rng.below(edited.size())),
-                 base_from_code(static_cast<std::uint8_t>(edit_rng.below(4))));
-    reads.push_back(edited);
-  }
-  reads.push_back(Sequence::random(64, edit_rng));
-
-  // The pass checks the read's width against the array's.
-  EXPECT_THROW(backend.run_pass(Sequence::random(32, edit_rng),
-                                MatchMode::EdStar, 3, Rng(907), 0),
-               std::invalid_argument);
-
-  std::vector<std::size_t> matches_per_word(3, 0);
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
-      const std::size_t threshold = 3;
-      const PassResult got =
-          backend.run_pass(reads[i], mode, threshold, Rng(907), 0);
-      ASSERT_EQ(got.decisions.size(), kWideSlots);
-      ASSERT_EQ(got.decisions.words(), 3u);
-      EXPECT_EQ(got.decisions.word(2) >> 2, 0u) << "bits past the last slot";
-
-      const std::vector<std::size_t> counts =
-          reference_counts(segments, reads[i], mode);
-      // Eq. 1 nominal row energy per slot, then summed in ascending
-      // live-slot order after the SL-driver energy of the driven arrays.
-      std::vector<double> row_energy(kWideSlots);
-      for (std::size_t slot = 0; slot < kWideSlots; ++slot) {
-        const auto k = static_cast<double>(counts[slot]);
-        row_energy[slot] =
-            k * (n - k) / n * charge.cap_mean * charge.vdd * charge.vdd;
-      }
-      double energy = arrays_driven * SearchlineDriverParams{}.energy_per_base *
-                      static_cast<double>(config.array_cols);
-      for (std::size_t slot = 0; slot < kWideSlots; ++slot) {
-        const bool expected =
-            bank.dir.slot_live(slot) && counts[slot] <= threshold;
-        EXPECT_EQ(got.decisions[slot], expected)
-            << "read " << i << " slot " << slot;
-        if (expected) ++matches_per_word[slot / 64];
-        if (bank.dir.slot_live(slot)) energy += row_energy[slot];
-      }
-      EXPECT_EQ(got.energy_joules, energy) << "read " << i;
+    // Reads around the word and block boundaries and the tail: exact
+    // copies (which the dead rows would match if they were not masked)
+    // and copies with 1..3 substitutions.
+    Rng edit_rng(906);
+    std::vector<Sequence> reads;
+    for (const std::size_t slot : spec.read_slots) {
+      reads.push_back(segments[slot]);
+      Sequence edited = segments[slot];
+      const std::uint64_t edits = 1 + edit_rng.below(3);
+      for (std::uint64_t e = 0; e < edits; ++e)
+        edited.set(
+            static_cast<std::size_t>(edit_rng.below(edited.size())),
+            base_from_code(static_cast<std::uint8_t>(edit_rng.below(4))));
+      reads.push_back(edited);
     }
+    reads.push_back(Sequence::random(64, edit_rng));
+
+    // The pass checks the read's width against the array's.
+    EXPECT_THROW(backend.run_pass(Sequence::random(32, edit_rng),
+                                  MatchMode::EdStar, 3, Rng(907), 0),
+                 std::invalid_argument);
+
+    std::vector<std::size_t> matches_per_word(words, 0);
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
+        const std::size_t threshold = 3;
+        const PassResult got =
+            backend.run_pass(reads[i], mode, threshold, Rng(907), 0);
+        ASSERT_EQ(got.decisions.size(), spec.slots);
+        ASSERT_EQ(got.decisions.words(), words);
+        EXPECT_EQ(got.decisions.word(words - 1) >> (spec.slots % 64), 0u)
+            << "bits past the last slot";
+
+        const std::vector<std::size_t> counts =
+            reference_counts(segments, reads[i], mode);
+        // Eq. 1 nominal row energy per slot, then summed in ascending
+        // live-slot order after the SL-driver energy of the driven arrays.
+        std::vector<double> row_energy(spec.slots);
+        for (std::size_t slot = 0; slot < spec.slots; ++slot) {
+          const auto k = static_cast<double>(counts[slot]);
+          row_energy[slot] =
+              k * (n - k) / n * charge.cap_mean * charge.vdd * charge.vdd;
+        }
+        double energy = arrays_driven *
+                        SearchlineDriverParams{}.energy_per_base *
+                        static_cast<double>(config.array_cols);
+        for (std::size_t slot = 0; slot < spec.slots; ++slot) {
+          const bool expected =
+              bank.dir.slot_live(slot) && counts[slot] <= threshold;
+          EXPECT_EQ(got.decisions[slot], expected)
+              << "slots " << spec.slots << " read " << i << " slot " << slot;
+          if (expected) ++matches_per_word[slot / 64];
+          if (bank.dir.slot_live(slot)) energy += row_energy[slot];
+        }
+        EXPECT_EQ(got.energy_joules, energy)
+            << "slots " << spec.slots << " read " << i;
+      }
+    }
+    for (std::size_t w = 0; w < matches_per_word.size(); ++w)
+      EXPECT_GT(matches_per_word[w], 0u)
+          << "slots " << spec.slots << " word " << w;
   }
-  for (std::size_t w = 0; w < matches_per_word.size(); ++w)
-    EXPECT_GT(matches_per_word[w], 0u) << "word " << w;
 }
 
 TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {

@@ -63,5 +63,13 @@ TEST(Hamming, PackedKernelMatchesScalar) {
   }
 }
 
+TEST(Hamming, PackedKernelRejectsShortWordVectors) {
+  // n = 64 needs two words per operand; one is an error, never a read past
+  // the end of the vector.
+  EXPECT_THROW(hamming_packed({0}, {0, 0}, 64), std::invalid_argument);
+  EXPECT_THROW(hamming_packed({0, 0}, {0}, 64), std::invalid_argument);
+  EXPECT_EQ(hamming_packed({0, 0}, {0, 0}, 64), 0u);
+}
+
 }  // namespace
 }  // namespace asmcap

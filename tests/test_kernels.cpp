@@ -125,137 +125,185 @@ TEST(KernelDispatch, SetActiveTierRejectsUnavailableTiers) {
 }
 
 // ---- Cross-tier parity ---------------------------------------------------
-// The bit-identity contract: every tier returns exactly the scalar counts
-// on random and boundary-shaped inputs (n % 32 in {0, 1, 31}, empty,
-// single-word, sub-vector-width word counts that exercise the SIMD tails).
+// The bit-identity contract: every tier's block counts over the bit-sliced
+// store equal the cell-by-cell references, at widths on both sides of the
+// 16-column carry-save groups and the 32-base words, over a store that
+// crosses the 256-row block boundary into a partial last block.
 
-TEST(KernelParity, AllTiersMatchScalarReferenceOnBoundaryLengths) {
+/// A stored row that mismatches every cell of `read` under both metrics:
+/// at each cell, a code that is none of R[i-1], R[i] and R[i+1].
+Sequence all_mismatch_row(const Sequence& read) {
+  Sequence row(read.size());
+  for (std::size_t i = 0; i < read.size(); ++i) {
+    std::uint8_t code = 0;
+    const auto taken = [&](std::uint8_t c) {
+      return c == code_of(read[i]) ||
+             (i > 0 && c == code_of(read[i - 1])) ||
+             (i + 1 < read.size() && c == code_of(read[i + 1]));
+    };
+    while (taken(code)) ++code;
+    row.set(i, base_from_code(code));
+  }
+  return row;
+}
+
+TEST(KernelParity, EveryTierCountsMatchCellReferencesAcrossWidths) {
+  constexpr std::uint16_t kUnwritten = 0xFFFF;
+  constexpr std::size_t kRows = 300;
   Rng rng(0x51D0);
-  const std::size_t lengths[] = {0,  1,  2,   31,  32,  33,  63,  64, 65,
-                                 95, 96, 97,  127, 128, 129, 159, 160,
-                                 191, 192, 255, 256, 257};
-  for (const std::size_t n : lengths) {
-    for (int trial = 0; trial < 8; ++trial) {
-      // A block of related rows: random, identical, and near-identical.
-      std::vector<Sequence> rows;
-      const Sequence read = Sequence::random(n, rng);
-      rows.push_back(read);  // all-match row
-      for (int r = 0; r < 3; ++r) rows.push_back(Sequence::random(n, rng));
-      if (n > 0) {
-        Sequence almost = read;  // single substitution at a random cell
-        const std::size_t i = rng.below(n);
-        almost.set(i, base_from_code(
-                          static_cast<std::uint8_t>(code_of(almost[i]) + 1)));
-        rows.push_back(almost);
-      }
-      const PackedRowMatrix matrix(rows, n);
-      const PackedReadView view(read);
-      ASSERT_EQ(view.words, matrix.words_per_row());
-
-      for (const KernelTier tier : available_tiers()) {
-        const KernelOps& ops = kernel_ops(tier);
-        std::vector<std::uint32_t> star(rows.size()), ham(rows.size());
-        ops.ed_star_block(matrix.data(), rows.size(), view, star.data());
-        ops.hamming_block(matrix.data(), rows.size(), view, ham.data());
-        for (std::size_t g = 0; g < rows.size(); ++g) {
-          EXPECT_EQ(star[g], ed_star_reference(rows[g], read))
-              << "tier=" << to_string(tier) << " n=" << n << " row=" << g;
-          EXPECT_EQ(ham[g], hamming_reference(rows[g], read))
-              << "tier=" << to_string(tier) << " n=" << n << " row=" << g;
-        }
-      }
-    }
-  }
-}
-
-// A tier may sweep rows in internal blocks and columns in multi-word
-// chunks, but it must write every count for any row count and width,
-// width 0 included. Row counts straddle 64-row blocks; widths straddle
-// 128-cell chunks and their scalar tails. Outputs start as a sentinel, so
-// an unwritten count fails as surely as a wrong one.
-TEST(KernelParity, BlockKernelsWriteEveryCountAcrossBlockAndChunkBoundaries) {
-  constexpr std::uint32_t kUnwritten = 0xFFFFFFFFu;
-  Rng rng(0x51D5);
-  for (const std::size_t n : {0, 33, 96, 127, 128, 129, 160, 256}) {
+  for (const std::size_t n :
+       {0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 255,
+        256, 257}) {
     const Sequence read = Sequence::random(n, rng);
-    const PackedReadView view(read);
-    const PackedReadView hamming_view(read, /*neighbours=*/false);
-    for (const std::size_t n_rows : {1, 63, 64, 65, 130}) {
-      // Odd rows are near-copies of the read (0-6 substitutions), so the
-      // counts span low values as well as the random rows' high ones.
-      std::vector<Sequence> rows;
-      for (std::size_t g = 0; g < n_rows; ++g) {
-        if (g % 2 == 0 || n == 0) {
-          rows.push_back(Sequence::random(n, rng));
-          continue;
-        }
-        Sequence near = read;
-        for (std::size_t k = 0; k < g % 7; ++k) {
-          const std::size_t i = rng.below(n);
-          near.set(i, base_from_code(
-                          static_cast<std::uint8_t>(code_of(near[i]) + 1)));
-        }
-        rows.push_back(near);
+    // The all-match and all-mismatch rows, near copies of the read (0-6
+    // substitutions, so counts span low values), and random rows.
+    std::vector<Sequence> rows = {read, all_mismatch_row(read)};
+    while (rows.size() < kRows) {
+      if (rows.size() % 2 == 0 || n == 0) {
+        rows.push_back(Sequence::random(n, rng));
+        continue;
       }
-      const PackedRowMatrix matrix(rows, n);
+      Sequence near = read;
+      for (std::size_t k = 0; k < rows.size() % 7; ++k) {
+        const std::size_t i = rng.below(n);
+        near.set(i, base_from_code(
+                        static_cast<std::uint8_t>(code_of(near[i]) + 1)));
+      }
+      rows.push_back(near);
+    }
+    if (n == 256) {
+      ASSERT_EQ(ed_star_reference(rows[1], read), 256u);
+      ASSERT_EQ(hamming_reference(rows[1], read), 256u);
+    }
+    const SlicedRowStore store(rows, n);
+    ASSERT_EQ(store.blocks(), 2u);
+    const PackedReadView ed_star_view(read);
+    const PackedReadView hamming_view(read, /*neighbours=*/false);
+    // Bounds below, inside and above the counts (65536 is past every
+    // 16-bit count; 0 admits none).
+    const std::vector<std::size_t> bounds = {n / 3 + 1, 0, n + 1, 65536};
 
-      for (const KernelTier tier : available_tiers()) {
-        const KernelOps& ops = kernel_ops(tier);
-        std::vector<std::uint32_t> star(n_rows, kUnwritten);
-        std::vector<std::uint32_t> ham(n_rows, kUnwritten);
-        ops.ed_star_block(matrix.data(), n_rows, view, star.data());
-        ops.hamming_block(matrix.data(), n_rows, hamming_view, ham.data());
-        for (std::size_t g = 0; g < n_rows; ++g) {
-          EXPECT_EQ(star[g], ed_star_reference(rows[g], read))
-              << "tier=" << to_string(tier) << " n=" << n
-              << " rows=" << n_rows << " row=" << g;
-          EXPECT_EQ(ham[g], hamming_reference(rows[g], read))
-              << "tier=" << to_string(tier) << " n=" << n
-              << " rows=" << n_rows << " row=" << g;
+    for (const KernelTier tier : available_tiers()) {
+      const KernelOps& ops = kernel_ops(tier);
+      for (std::size_t b = 0; b < store.blocks(); ++b) {
+        for (const bool is_ed_star : {true, false}) {
+          for (const std::size_t bound : bounds) {
+            BlockCounts got;
+            std::fill(std::begin(got.counts), std::end(got.counts),
+                      kUnwritten);
+            std::fill(std::begin(got.below), std::end(got.below),
+                      ~std::uint64_t{0});
+            ops.count_block(store, b,
+                            is_ed_star ? ed_star_view : hamming_view, bound,
+                            got);
+            for (std::size_t r = 0; r < SlicedRowStore::kBlockRows; ++r) {
+              const std::size_t slot = b * SlicedRowStore::kBlockRows + r;
+              // Padding rows past the last slot count as all-'A' rows.
+              const Sequence row = slot < kRows ? rows[slot] : Sequence(n);
+              const std::size_t want = is_ed_star
+                                           ? ed_star_reference(row, read)
+                                           : hamming_reference(row, read);
+              EXPECT_EQ(got.counts[r], want)
+                  << "tier=" << to_string(tier) << " n=" << n
+                  << " slot=" << slot << " ed_star=" << is_ed_star;
+              EXPECT_EQ((got.below[r / 64] >> (r % 64)) & 1, want < bound)
+                  << "tier=" << to_string(tier) << " n=" << n
+                  << " slot=" << slot << " bound=" << bound;
+            }
+          }
         }
       }
     }
   }
 }
 
-TEST(PackedRowMatrix, SetRowGrowsOverwritesAndMatchesBulkPacking) {
+// Group writes: runs that start mid-group, straddle 64-row groups and
+// 256-row blocks, overwrite earlier (recycled) slots, and grow the store
+// must all gather back, by group and by row, as exactly the rows written.
+TEST(SlicedRowStore, GroupWritesGatherBackAcrossGroupsAndBlocks) {
   Rng rng(0x51D3);
-  const std::size_t n = 70;
-  const Sequence a = Sequence::random(n, rng);
-  const Sequence b = Sequence::random(n, rng);
-  const Sequence c = Sequence::random(n, rng);
-  PackedRowMatrix matrix(n);
-  matrix.set_row(2, a);  // Rows 0 and 1 appear as zero (all-'A') rows.
-  ASSERT_EQ(matrix.rows(), 3u);
-  EXPECT_EQ(Sequence::from_packed_words(matrix.row(0), n), Sequence(n));
-  EXPECT_EQ(Sequence::from_packed_words(matrix.row(2), n), a);
-  matrix.set_row(0, b);
-  matrix.set_row(2, c);
-  const PackedRowMatrix bulk({b, Sequence(n), c}, n);
-  ASSERT_EQ(matrix.rows(), bulk.rows());
-  EXPECT_TRUE(std::equal(matrix.data(),
-                         matrix.data() + 3 * matrix.words_per_row(),
-                         bulk.data()));
-  EXPECT_THROW(matrix.set_row(0, Sequence(n - 1)), std::invalid_argument);
+  for (const std::size_t n : {1, 33, 64, 100, 256}) {
+    SlicedRowStore store(n);
+    std::vector<Sequence> model;  // unwritten slots read as all-'A' rows
+    const std::pair<std::size_t, std::size_t> runs[] = {
+        {0, 10},    // fresh, mid-group end
+        {70, 5},    // grows past a gap, starts mid-group
+        {60, 10},   // straddles the first group boundary, overwrites
+        {250, 20},  // straddles the first block boundary and grows
+        {3, 2},     // recycles two slots inside a group
+        {128, 64},  // exactly one whole group
+        {300, 1},   // grows by one row into a partial group
+    };
+    for (const auto& [first, count] : runs) {
+      std::vector<Sequence> rows;
+      rows.reserve(count);
+      for (std::size_t i = 0; i < count; ++i)
+        rows.push_back(Sequence::random(n, rng));
+      store.write_rows(first, rows);
+      if (model.size() < first + count)
+        model.resize(first + count, Sequence(n));
+      std::copy(rows.begin(), rows.end(),
+                model.begin() + static_cast<std::ptrdiff_t>(first));
+
+      ASSERT_EQ(store.rows(), model.size());
+      const std::size_t words = store.words_per_row();
+      std::vector<std::uint64_t> group(SlicedRowStore::kGroupRows * words);
+      std::vector<std::uint64_t> row(words);
+      for (std::size_t slot = 0;
+           slot < store.blocks() * SlicedRowStore::kBlockRows; ++slot) {
+        const std::size_t r = slot % SlicedRowStore::kGroupRows;
+        if (r == 0)
+          store.gather_group(slot / SlicedRowStore::kGroupRows, group.data());
+        const Sequence expected =
+            slot < model.size() ? model[slot] : Sequence(n);
+        const std::vector<std::uint64_t> packed = expected.packed_words();
+        EXPECT_TRUE(std::equal(packed.begin(), packed.end(),
+                               group.begin() + static_cast<std::ptrdiff_t>(
+                                                   r * words)))
+            << "n=" << n << " slot=" << slot << " after run " << first;
+        store.gather_row(slot, row.data());
+        EXPECT_EQ(row, packed) << "n=" << n << " slot=" << slot;
+      }
+    }
+    // The bulk constructor stores what the runs stored.
+    const SlicedRowStore bulk(model, n);
+    ASSERT_EQ(bulk.rows(), store.rows());
+    for (std::size_t b = 0; b < store.blocks(); ++b)
+      EXPECT_TRUE(std::equal(
+          store.block(b),
+          store.block(b) + n * SlicedRowStore::kColumnWords, bulk.block(b)));
+    // A width mismatch is rejected before anything changes.
+    const std::vector<Sequence> bad = {Sequence(n), Sequence(n + 1)};
+    EXPECT_THROW(store.write_rows(0, bad), std::invalid_argument);
+    EXPECT_EQ(store.rows(), model.size());
+    std::vector<std::uint64_t> first_row(store.words_per_row());
+    store.gather_row(0, first_row.data());
+    EXPECT_EQ(first_row, model[0].packed_words());
+  }
+  EXPECT_THROW(SlicedRowStore(65536), std::invalid_argument);
 }
 
-TEST(KernelParity, SingleRowWrappersDispatchEveryTier) {
-  TierGuard guard;
+TEST(KernelParity, SingleRowWrappersMatchReference) {
   Rng rng(0x51D1);
   for (const std::size_t n : {std::size_t{33}, std::size_t{256}}) {
     const Sequence a = Sequence::random(n, rng);
     const Sequence b = Sequence::random(n, rng);
     const std::size_t star = ed_star_reference(a, b);
     const std::size_t ham = hamming_reference(a, b);
-    for (const KernelTier tier : available_tiers()) {
-      set_active_kernel_tier(tier);
-      EXPECT_EQ(ed_star_packed(a.packed_words(), b.packed_words(), n), star)
-          << to_string(tier);
-      EXPECT_EQ(hamming_packed(a.packed_words(), b.packed_words(), n), ham)
-          << to_string(tier);
-      EXPECT_EQ(ed_star(a, b), star);  // scalar reference path, any tier
-    }
+    EXPECT_EQ(ed_star_packed(a.packed_words(), b.packed_words(), n), star);
+    EXPECT_EQ(hamming_packed(a.packed_words(), b.packed_words(), n), ham);
+    EXPECT_EQ(ed_star(a, b), star);
   }
+}
+
+TEST(KernelParity, ShortReadWordsAreRejected) {
+  // A view reads ceil(n/32) words: fewer is an error, never a read past
+  // the end of the vector.
+  EXPECT_THROW(PackedReadView(std::vector<std::uint64_t>{0, 0}, 65),
+               std::invalid_argument);
+  EXPECT_THROW(PackedReadView(std::vector<std::uint64_t>{}, 1, false),
+               std::invalid_argument);
+  EXPECT_NO_THROW(PackedReadView(std::vector<std::uint64_t>{0, 0, 0}, 65));
 }
 
 TEST(KernelParity, MismatchWordsAgreeWithCountsAndMasks) {
@@ -285,76 +333,96 @@ TEST(KernelParity, MismatchWordsAgreeWithCountsAndMasks) {
 }
 
 // ---- Engine-level tier invariance ---------------------------------------
-// bench_batch-style digests: identical decisions under every
-// ASMCAP_KERNEL setting, on both accelerators' functional paths.
+// bench_batch-style digests: identical decisions, energy and latency under
+// every ASMCAP_KERNEL setting, on both accelerators, sensing ideally and
+// with noise. Random rows against random reads at T = 20 put many counts
+// next to the threshold, so the noisy passes sense in-band rows (gathered
+// from the store) on every tier.
 
 TEST(KernelTierEquivalence, AsmcapDecisionsIdenticalAcrossTiers) {
   TierGuard guard;
-  AsmcapConfig config;
-  config.array_rows = 64;
-  config.array_cols = 64;
-  config.array_count = 2;
-  config.ideal_sensing = true;
+  for (const bool ideal : {true, false}) {
+    AsmcapConfig config;
+    config.array_rows = 64;
+    config.array_cols = 64;
+    config.array_count = 2;
+    config.ideal_sensing = ideal;
 
-  Rng rng(0x51D3);
-  std::vector<Sequence> segments;
-  for (int i = 0; i < 96; ++i)
-    segments.push_back(Sequence::random(config.array_cols, rng));
-  std::vector<Sequence> reads;
-  for (int i = 0; i < 24; ++i)
-    reads.push_back(Sequence::random(config.array_cols, rng));
+    Rng rng(0x51D3);
+    std::vector<Sequence> segments;
+    for (int i = 0; i < 96; ++i)
+      segments.push_back(Sequence::random(config.array_cols, rng));
+    std::vector<Sequence> reads;
+    for (int i = 0; i < 24; ++i)
+      reads.push_back(Sequence::random(config.array_cols, rng));
 
-  std::vector<std::vector<QueryResult>> per_tier;
-  for (const KernelTier tier : available_tiers()) {
-    set_active_kernel_tier(tier);
-    // Fresh 1-shard router per tier: same seed, same batch epoch, so the
-    // forked per-read streams are identical and only the kernels differ.
-    ShardedAccelerator accel(config, 1);
-    accel.set_backend(BackendKind::Functional);
-    accel.load_reference(segments);
-    accel.set_error_profile(ErrorRates::condition_a());
-    per_tier.push_back(
-        accel.search_batch(reads, 20, StrategyMode::Full, 2));
-  }
-  ASSERT_FALSE(per_tier.empty());
-  for (std::size_t t = 1; t < per_tier.size(); ++t) {
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      EXPECT_EQ(per_tier[t][i].decisions, per_tier[0][i].decisions)
-          << "tier " << to_string(available_tiers()[t]) << " read " << i;
-      EXPECT_EQ(per_tier[t][i].matched_segments,
-                per_tier[0][i].matched_segments);
+    std::vector<std::vector<QueryResult>> per_tier;
+    for (const KernelTier tier : available_tiers()) {
+      set_active_kernel_tier(tier);
+      // Fresh 1-shard router per tier: same seed, same batch epoch, so the
+      // forked per-read streams are identical and only the kernels differ.
+      // On the noisy config the Circuit kind senses noise.
+      ShardedAccelerator accel(config, 1);
+      accel.set_backend(ideal ? BackendKind::Functional
+                              : BackendKind::Circuit);
+      accel.load_reference(segments);
+      accel.set_error_profile(ErrorRates::condition_a());
+      per_tier.push_back(
+          accel.search_batch(reads, 20, StrategyMode::Full, 2));
+    }
+    ASSERT_FALSE(per_tier.empty());
+    for (std::size_t t = 1; t < per_tier.size(); ++t) {
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        const QueryResult& got = per_tier[t][i];
+        const QueryResult& want = per_tier[0][i];
+        EXPECT_EQ(got.decisions, want.decisions)
+            << "tier " << to_string(available_tiers()[t]) << " read " << i
+            << " ideal " << ideal;
+        EXPECT_EQ(got.matched_segments, want.matched_segments);
+        EXPECT_EQ(got.energy_joules, want.energy_joules) << "read " << i;
+        EXPECT_EQ(got.latency_seconds, want.latency_seconds) << "read " << i;
+      }
     }
   }
 }
 
 TEST(KernelTierEquivalence, EdamDecisionsIdenticalAcrossTiers) {
   TierGuard guard;
-  EdamConfig config;
-  config.array_rows = 64;
-  config.array_cols = 64;
-  config.array_count = 2;
-  config.ideal_sensing = true;
+  for (const bool ideal : {true, false}) {
+    EdamConfig config;
+    config.array_rows = 64;
+    config.array_cols = 64;
+    config.array_count = 2;
+    config.ideal_sensing = ideal;
 
-  Rng rng(0x51D4);
-  std::vector<Sequence> segments;
-  for (int i = 0; i < 96; ++i)
-    segments.push_back(Sequence::random(config.array_cols, rng));
-  std::vector<Sequence> reads;
-  for (int i = 0; i < 24; ++i)
-    reads.push_back(Sequence::random(config.array_cols, rng));
+    Rng rng(0x51D4);
+    std::vector<Sequence> segments;
+    for (int i = 0; i < 96; ++i)
+      segments.push_back(Sequence::random(config.array_cols, rng));
+    std::vector<Sequence> reads;
+    for (int i = 0; i < 24; ++i)
+      reads.push_back(Sequence::random(config.array_cols, rng));
 
-  std::vector<std::vector<EdamQueryResult>> per_tier;
-  for (const KernelTier tier : available_tiers()) {
-    set_active_kernel_tier(tier);
-    EdamAccelerator accel(config);
-    accel.load_reference(segments);
-    per_tier.push_back(accel.search_batch(reads, 20, 2));
+    std::vector<std::vector<EdamQueryResult>> per_tier;
+    for (const KernelTier tier : available_tiers()) {
+      set_active_kernel_tier(tier);
+      EdamAccelerator accel(config);
+      accel.load_reference(segments);
+      per_tier.push_back(accel.search_batch(reads, 20, 2));
+    }
+    ASSERT_FALSE(per_tier.empty());
+    for (std::size_t t = 1; t < per_tier.size(); ++t) {
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        const EdamQueryResult& got = per_tier[t][i];
+        const EdamQueryResult& want = per_tier[0][i];
+        EXPECT_EQ(got.decisions, want.decisions)
+            << "tier " << to_string(available_tiers()[t]) << " read " << i
+            << " ideal " << ideal;
+        EXPECT_EQ(got.energy_joules, want.energy_joules) << "read " << i;
+        EXPECT_EQ(got.latency_seconds, want.latency_seconds) << "read " << i;
+      }
+    }
   }
-  ASSERT_FALSE(per_tier.empty());
-  for (std::size_t t = 1; t < per_tier.size(); ++t)
-    for (std::size_t i = 0; i < reads.size(); ++i)
-      EXPECT_EQ(per_tier[t][i].decisions, per_tier[0][i].decisions)
-          << "tier " << to_string(available_tiers()[t]) << " read " << i;
 }
 
 }  // namespace

@@ -46,6 +46,7 @@ src/asmcap/service_error.h
 src/asmcap/ingest.h
 src/genome/stream_reader.h
 src/align/kernels.h
+src/align/row_store.h
 src/util/thread_pool.h
 src/util/thread_annotations.h
 src/util/clock.h
