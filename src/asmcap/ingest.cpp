@@ -61,38 +61,41 @@ IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
     origins.clear();
   };
 
-  SeqRecord record;
-  while (reader.next(record)) {
+  // Tiles are pulled straight off the reader: no record is ever held
+  // whole, and each tile joins the batch as soon as it fills.
+  SeqRecord header;
+  while (reader.next_header(header)) {
     ++stats.records;
     const std::uint32_t record_slot =
         index != nullptr ? static_cast<std::uint32_t>(index->names_.size()) : 0;
-    if (index != nullptr) index->names_.push_back(record.id);
-    const std::size_t length = record.seq.size();
-    std::size_t pos = 0;
-    for (; pos + width <= length; pos += width) {
-      segments.push_back(record.seq.subseq(pos, width));
-      origins.push_back(SegmentOrigin{record_slot, pos});
-      ++stats.segments;
-      if (segments.size() >= batch) flush();
-    }
-    const std::size_t tail = length - pos;
-    if (tail == 0) {
-      if (length == 0) ++stats.empty_records;
-    } else if (options.pad_final_tile) {
-      Sequence tile = record.seq.subseq(pos, tail);
-      while (tile.size() < width) tile.push_back(Base::A);
-      segments.push_back(std::move(tile));
-      origins.push_back(SegmentOrigin{record_slot, pos});
-      ++stats.segments;
-      ++stats.padded_segments;
-      if (segments.size() >= batch) flush();
-    } else {
-      stats.dropped_tail_bases += tail;
-      if (pos == 0) ++stats.empty_records;
+    if (index != nullptr) index->names_.push_back(header.id);
+    for (std::size_t pos = 0;; pos += width) {
+      segments.emplace_back();
+      segments.back().reserve(width);
+      const std::size_t got = reader.read_bases(segments.back(), width);
+      if (got == width) {
+        origins.push_back(SegmentOrigin{record_slot, pos});
+        ++stats.segments;
+        if (segments.size() >= batch) flush();
+        continue;
+      }
+      // The record ended inside this tile: pad it, or drop its bases.
+      if (got != 0 && options.pad_final_tile) {
+        segments.back().resize(width);
+        origins.push_back(SegmentOrigin{record_slot, pos});
+        ++stats.segments;
+        ++stats.padded_segments;
+        if (segments.size() >= batch) flush();
+      } else {
+        segments.pop_back();
+        stats.dropped_tail_bases += got;
+        if (pos == 0) ++stats.empty_records;
+      }
+      break;
     }
   }
   flush();
-  if (options.compact_after) db.compact();
+  if (options.compact_after && stats.segments != 0) db.compact();
 
   stats.bases = reader.bases();
   stats.ambiguous_bases = reader.ambiguous_bases();

@@ -1,10 +1,16 @@
 #pragma once
 // Reference ingestion: tiles streamed FASTA records into the fixed-width
 // segments the accelerator database stores, loading them incrementally via
-// ShardedAccelerator::append_segments so an arbitrarily large reference is
-// ingested in O(append_batch) working memory. The id <-> (record, offset)
-// mapping is preserved in a ReferenceIndex so search results can be
-// reported against the original record names instead of raw segment ids.
+// ShardedAccelerator::append_segments. Tiles are pulled straight off the
+// reader (SeqStreamReader::next_header / read_bases), each joining the
+// append batch as soon as it fills, so no record is ever held whole: the
+// reader side needs O(read buffer + append_batch) memory for any record
+// length. The database side does not yet: every epoch an append publishes
+// still clones the bank it writes (copy-on-write, asmcap/sharded.h), so a
+// load briefly holds two copies of its largest bank. The id <-> (record,
+// offset) mapping is preserved in a ReferenceIndex so search results can
+// be reported against the original record names instead of raw segment
+// ids.
 //
 // Determinism: segments are appended in input order, and append_segments
 // hands out consecutive ascending ids, so the same input file always
@@ -36,15 +42,16 @@ struct IngestOptions {
   /// Tile width in bases; 0 means the accelerator's config().array_cols
   /// (the only width the engine can search, so override with care).
   std::size_t segment_width = 0;
-  /// Segments per append_segments call — the working-memory bound and the
-  /// epoch-publish granularity.
+  /// Segments per append_segments call — the reader-side memory bound and
+  /// the epoch-publish granularity.
   std::size_t append_batch = 512;
   /// A record's trailing partial tile is padded with 'A' to full width
   /// when true (the deterministic policy the CLI uses), dropped when
   /// false.
   bool pad_final_tile = true;
   /// Fold the hot staging banks into cold storage once ingestion
-  /// finishes (ShardedAccelerator::compact).
+  /// finishes (ShardedAccelerator::compact); skipped when the input
+  /// yields no segments.
   bool compact_after = true;
 };
 
@@ -104,8 +111,10 @@ class ReferenceIndex {
 /// Streams every record out of `reader`, tiles it into fixed-width
 /// segments, and appends them to `db` in batches. When `index` is
 /// non-null it is reset and filled with the id mapping. Throws
-/// StreamParseError on malformed input and DbError (CapacityExceeded)
-/// when the reference outgrows the database.
+/// StreamParseError on malformed input, std::runtime_error on an I/O
+/// error or a truncated or corrupt gzip input, and DbError
+/// (CapacityExceeded) when the reference outgrows the database; the
+/// batches appended before the throw stay in `db`.
 IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
                              const IngestOptions& options = {},
                              ReferenceIndex* index = nullptr);

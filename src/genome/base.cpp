@@ -7,25 +7,6 @@ char to_char(Base b) {
   return kChars[code_of(b)];
 }
 
-std::optional<Base> base_from_char(char c) {
-  switch (c) {
-    case 'A':
-    case 'a':
-      return Base::A;
-    case 'C':
-    case 'c':
-      return Base::C;
-    case 'G':
-    case 'g':
-      return Base::G;
-    case 'T':
-    case 't':
-      return Base::T;
-    default:
-      return std::nullopt;
-  }
-}
-
 std::string_view alphabet() { return "ACGT"; }
 
 }  // namespace asmcap

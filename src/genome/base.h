@@ -1,6 +1,7 @@
 #pragma once
 // DNA base alphabet: 2-bit encoding, ASCII conversion, complementing.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,10 +25,37 @@ constexpr Base base_from_code(std::uint8_t code) {
 /// ASCII character of a base ('A','C','G','T').
 char to_char(Base b);
 
+/// Flag bit of a kBaseDecode entry: the byte is not one of ACGTacgt.
+inline constexpr std::uint8_t kAmbiguousBase = 0x4;
+
+/// The one byte -> base decode table every text path reads: entry c holds
+/// the 2-bit code of 'A'/'a' (0), 'C'/'c' (1), 'G'/'g' (2) and 'T'/'t' (3),
+/// and kAmbiguousBase with code 0 ('A', the deterministic resolution) for
+/// every other byte value.
+inline constexpr std::array<std::uint8_t, 256> kBaseDecode = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kAmbiguousBase);
+  const char upper[] = "ACGT";
+  for (std::uint8_t code = 0; code < kBaseCount; ++code) {
+    table[static_cast<unsigned char>(upper[code])] = code;
+    table[static_cast<unsigned char>(upper[code] - 'A' + 'a')] = code;
+  }
+  return table;
+}();
+
+/// kBaseDecode entry of one byte.
+constexpr std::uint8_t decode_base(char c) {
+  return kBaseDecode[static_cast<unsigned char>(c)];
+}
+
 /// Parses an ASCII base (case-insensitive). Returns nullopt for anything
 /// outside {A,C,G,T}; ambiguity codes like 'N' are not representable in the
 /// 2-bit alphabet and must be resolved by the caller.
-std::optional<Base> base_from_char(char c);
+constexpr std::optional<Base> base_from_char(char c) {
+  const std::uint8_t entry = decode_base(c);
+  if ((entry & kAmbiguousBase) != 0) return std::nullopt;
+  return base_from_code(entry);
+}
 
 /// Watson-Crick complement (A<->T, C<->G).
 constexpr Base complement(Base b) {

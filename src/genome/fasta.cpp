@@ -79,8 +79,10 @@ void write_fasta_file(const std::string& path,
   write_fasta(out, records, wrap);
 }
 
-std::vector<FastqRecord> read_fastq(std::istream& in) {
+std::vector<FastqRecord> read_fastq(std::istream& in,
+                                    std::size_t* ambiguous_bases) {
   std::vector<FastqRecord> records;
+  std::size_t ambiguous = 0;
   std::string header;
   while (std::getline(in, header)) {
     if (trim(header).empty()) continue;
@@ -101,6 +103,7 @@ std::vector<FastqRecord> read_fastq(std::istream& in) {
                      comment_unused);
     for (char c : trim(seq_line)) {
       const auto base = base_from_char(c);
+      ambiguous += base ? 0 : 1;
       record.seq.push_back(base.value_or(Base::A));
     }
     record.quality = std::string(trim(qual_line));
@@ -108,6 +111,7 @@ std::vector<FastqRecord> read_fastq(std::istream& in) {
       throw std::runtime_error("FASTQ: quality length mismatch: " + header);
     records.push_back(std::move(record));
   }
+  if (ambiguous_bases != nullptr) *ambiguous_bases = ambiguous;
   return records;
 }
 

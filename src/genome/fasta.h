@@ -49,7 +49,10 @@ struct FastqRecord {
 };
 
 /// Parses 4-line FASTQ records. Throws std::runtime_error on malformed input.
-std::vector<FastqRecord> read_fastq(std::istream& in);
+/// Ambiguity codes resolve to 'A' as in read_fasta; their count goes to
+/// `ambiguous_bases` when non-null.
+std::vector<FastqRecord> read_fastq(std::istream& in,
+                                    std::size_t* ambiguous_bases = nullptr);
 
 /// Writes FASTQ; if a record's quality string is empty a constant 'I'
 /// (Q40) string is emitted.

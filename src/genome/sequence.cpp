@@ -1,5 +1,6 @@
 #include "genome/sequence.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace asmcap {
@@ -13,13 +14,12 @@ Sequence::Sequence(std::initializer_list<Base> bases) {
 
 Sequence Sequence::from_string(std::string_view text) {
   Sequence seq;
-  seq.reserve(text.size());
-  for (char c : text) {
-    const auto base = base_from_char(c);
-    if (!base)
-      throw std::invalid_argument(std::string("Sequence: invalid base '") + c +
-                                  "'");
-    seq.push_back(*base);
+  if (seq.append_text(text) != 0) {
+    const char bad = *std::find_if(text.begin(), text.end(), [](char c) {
+      return (decode_base(c) & kAmbiguousBase) != 0;
+    });
+    throw std::invalid_argument(std::string("Sequence: invalid base '") + bad +
+                                "'");
   }
   return seq;
 }
@@ -54,6 +54,52 @@ void Sequence::push_back(Base b) {
 void Sequence::clear() {
   data_.clear();
   size_ = 0;
+}
+
+void Sequence::clear_tail_bits() {
+  if (const std::size_t used = size_ & 3u; used != 0)
+    data_.back() &= static_cast<std::uint8_t>((1u << (2 * used)) - 1);
+}
+
+void Sequence::resize(std::size_t n) {
+  clear_tail_bits();
+  data_.resize((n + 3) / 4, 0);
+  size_ = n;
+  clear_tail_bits();
+}
+
+std::size_t Sequence::append_text(std::string_view text) {
+  clear_tail_bits();
+  const auto* in = reinterpret_cast<const unsigned char*>(text.data());
+  const unsigned char* const end = in + text.size();
+  std::size_t ambiguous = 0;
+  // Top up the last partial byte, then pack whole bytes of four bases.
+  for (; in != end && (size_ & 3u) != 0; ++in, ++size_) {
+    const unsigned entry = kBaseDecode[*in];
+    ambiguous += entry >> 2;
+    data_.back() |=
+        static_cast<std::uint8_t>((entry & 3u) << (2 * (size_ & 3u)));
+  }
+  const auto rest = static_cast<std::size_t>(end - in);
+  const std::size_t first = data_.size();
+  data_.resize(first + (rest + 3) / 4, 0);
+  std::uint8_t* out = data_.data() + first;
+  for (; end - in >= 4; in += 4) {
+    const unsigned e0 = kBaseDecode[in[0]];
+    const unsigned e1 = kBaseDecode[in[1]];
+    const unsigned e2 = kBaseDecode[in[2]];
+    const unsigned e3 = kBaseDecode[in[3]];
+    ambiguous += (e0 >> 2) + (e1 >> 2) + (e2 >> 2) + (e3 >> 2);
+    *out++ = static_cast<std::uint8_t>((e0 & 3u) | (e1 & 3u) << 2 |
+                                       (e2 & 3u) << 4 | (e3 & 3u) << 6);
+  }
+  for (unsigned shift = 0; in != end; ++in, shift += 2) {
+    const unsigned entry = kBaseDecode[*in];
+    ambiguous += entry >> 2;
+    *out |= static_cast<std::uint8_t>((entry & 3u) << shift);
+  }
+  size_ += rest;
+  return ambiguous;
 }
 
 Sequence Sequence::subseq(std::size_t pos, std::size_t len) const {

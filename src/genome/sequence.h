@@ -41,6 +41,13 @@ class Sequence {
   void push_back(Base b);
   void clear();
   void reserve(std::size_t n) { data_.reserve((n + 3) / 4); }
+  /// Shrinks to `n` bases, or grows to `n` with 'A'.
+  void resize(std::size_t n);
+
+  /// Appends `text` decoded through kBaseDecode (genome/base.h), packed
+  /// four bases per byte in bulk. Every byte outside ACGTacgt becomes 'A';
+  /// returns how many did.
+  std::size_t append_text(std::string_view text);
 
   /// Copy of the subsequence [pos, pos+len). Throws if out of range.
   Sequence subseq(std::size_t pos, std::size_t len) const;
@@ -81,6 +88,9 @@ class Sequence {
     return base_from_code(
         static_cast<std::uint8_t>(data_[i >> 2] >> ((i & 3u) * 2)) & 0x3u);
   }
+  /// Zeroes the last byte's bits past size(): in-place edits and
+  /// from_packed_words can leave stale codes there.
+  void clear_tail_bits();
 
   std::vector<std::uint8_t> data_;
   std::size_t size_ = 0;

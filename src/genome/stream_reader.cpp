@@ -1,7 +1,10 @@
 #include "genome/stream_reader.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <istream>
+#include <limits>
 #include <utility>
 
 #include "genome/fasta.h"
@@ -19,6 +22,12 @@ constexpr std::size_t kBufferSize = 64 * 1024;
 
 std::string error_prefix(const std::string& name, std::size_t line) {
   return name + ":" + std::to_string(line) + ": ";
+}
+
+/// The bytes trim() (util/strings.h) strips in the C locale, minus the
+/// line end itself.
+constexpr bool is_blank(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r' && c != '\n');
 }
 
 }  // namespace
@@ -82,13 +91,18 @@ struct SeqStreamReader::GzipSource : SeqStreamReader::ByteSource {
   }
   std::size_t read(char* out, std::size_t n) override {
     const int got = gzread(file_, out, static_cast<unsigned>(n));
-    if (got < 0) {
-      int errnum = 0;
-      const char* message = gzerror(file_, &errnum);
+    if (got > 0) return static_cast<std::size_t>(got);
+    int errnum = Z_OK;
+    const char* message = gzerror(file_, &errnum);
+    if (got < 0)
       throw std::runtime_error("gzip error reading " + path_ + ": " +
                                (message != nullptr ? message : "?"));
-    }
-    return static_cast<std::size_t>(got);
+    // zlib reports input that ends inside a gzip stream as Z_BUF_ERROR at
+    // end of input, not as a read error.
+    if (errnum == Z_BUF_ERROR)
+      throw std::runtime_error("truncated gzip input " + path_ +
+                               ": it ends inside a gzip stream");
+    return 0;
   }
   gzFile file_;
   std::string path_;
@@ -135,45 +149,40 @@ void SeqStreamReader::fail(std::size_t line,
   throw StreamParseError(name_, line, message);
 }
 
+bool SeqStreamReader::refill() {
+  if (eof_) return false;
+  pos_ = 0;
+  end_ = source_->read(buffer_.data(), buffer_.size());
+  eof_ = end_ == 0;
+  return !eof_;
+}
+
 bool SeqStreamReader::read_line(std::string& out) {
   out.clear();
-  bool any = false;
-  for (;;) {
-    if (buffer_pos_ == buffer_end_) {
-      if (eof_) break;
-      buffer_end_ = source_->read(buffer_.data(), buffer_.size());
-      buffer_pos_ = 0;
-      if (buffer_end_ == 0) {
-        eof_ = true;
-        break;
-      }
-    }
-    const char* begin = buffer_.data() + buffer_pos_;
-    const char* end = buffer_.data() + buffer_end_;
-    const char* newline = begin;
-    while (newline != end && *newline != '\n') ++newline;
-    out.append(begin, newline);
+  bool any = line_open_;
+  while (pos_ != end_ || refill()) {
+    const char* begin = buffer_.data() + pos_;
+    const auto* newline =
+        static_cast<const char*>(std::memchr(begin, '\n', end_ - pos_));
+    const std::size_t take =
+        newline != nullptr ? static_cast<std::size_t>(newline - begin)
+                           : end_ - pos_;
+    out.append(begin, take);
     any = true;
-    if (newline != end) {
-      buffer_pos_ = static_cast<std::size_t>(newline - buffer_.data()) + 1;
+    pos_ += take;
+    if (newline != nullptr) {
+      ++pos_;
       break;
     }
-    buffer_pos_ = buffer_end_;
   }
-  if (!any && out.empty() && eof_ && buffer_pos_ == buffer_end_)
-    return false;
+  if (!any) return false;
   if (!out.empty() && out.back() == '\r') out.pop_back();
   ++line_;
+  line_open_ = false;
   return true;
 }
 
 bool SeqStreamReader::next_content_line(std::string& out) {
-  if (has_pending_) {
-    out = std::move(pending_);
-    has_pending_ = false;
-    line_ = pending_line_;
-    return true;
-  }
   while (read_line(out)) {
     if (!trim(out).empty()) return true;
   }
@@ -193,79 +202,130 @@ void SeqStreamReader::detect_format(const std::string& first_line) {
   }
 }
 
-void SeqStreamReader::append_bases(Sequence& seq, std::string_view text) {
-  for (char c : text) {
-    if (const auto base = base_from_char(c)) {
-      seq.push_back(*base);
-    } else {
-      ++ambiguous_;
-      seq.push_back(Base::A);
+bool SeqStreamReader::next(SeqRecord& record) {
+  if (!next_header(record)) return false;
+  read_bases(record.seq, std::numeric_limits<std::size_t>::max());
+  record.quality.swap(quality_);  // next_header() left record's empty.
+  return true;
+}
+
+bool SeqStreamReader::next_header(SeqRecord& record) {
+  if (scan_ != Scan::Idle) {
+    Sequence rest;
+    while (read_bases(rest, kBufferSize) == kBufferSize) rest.clear();
+  }
+  if (!next_content_line(header_)) return false;
+  if (format_ == SeqFormat::Unknown) detect_format(header_);
+  // A FASTA record starts at a line whose first non-space byte is '>'; a
+  // FASTQ header must open with '@' itself.
+  if (format_ == SeqFormat::Fastq && header_.front() != '@')
+    fail(line_, "FASTQ: expected '@' header, got: " + header_);
+  header_line_ = line_;
+  split_seq_header(trim(header_).substr(1), record.id, record.comment);
+  record.seq.clear();
+  record.quality.clear();
+  scan_ = Scan::LineStart;
+  run_ = 0;
+  held_ = 0;
+  record_bases_ = 0;
+  seq_missing_ = false;
+  return true;
+}
+
+bool SeqStreamReader::next_run() {
+  const bool fasta = format_ == SeqFormat::Fasta;
+  for (;;) {
+    if (pos_ == end_ && !refill()) {
+      // End of input ends the record; a partial last line still counts.
+      seq_missing_ = !line_open_ && scan_ == Scan::LineStart;
+      if (line_open_) ++line_;
+      line_open_ = false;
+      held_ = 0;
+      return false;
     }
-    ++bases_;
+    const char* data = buffer_.data();
+    if (scan_ == Scan::LineStart) {
+      while (pos_ != end_ && is_blank(data[pos_])) ++pos_;
+      if (pos_ == end_) {
+        line_open_ = true;
+        continue;
+      }
+      if (data[pos_] == '\n') {  // A blank line: FASTA skips it.
+        ++pos_;
+        ++line_;
+        line_open_ = false;
+        if (!fasta) return false;
+        continue;
+      }
+      if (fasta && data[pos_] == '>') return false;  // The next header.
+      scan_ = Scan::InLine;
+      line_open_ = true;
+    }
+    // Inside a line: its end in this buffer, and its last non-space byte.
+    const char* begin = data + pos_;
+    const auto* newline =
+        static_cast<const char*>(std::memchr(begin, '\n', end_ - pos_));
+    const char* stop = newline != nullptr ? newline : data + end_;
+    const char* last = stop;
+    while (last != begin && is_blank(last[-1])) --last;
+    if (last != begin) {
+      run_ = static_cast<std::size_t>(last - begin);
+      return true;
+    }
+    if (newline == nullptr) {  // Interior or trailing: the refill decides.
+      held_ += static_cast<std::size_t>(stop - begin);
+      pos_ = end_;
+      continue;
+    }
+    pos_ = static_cast<std::size_t>(newline - data) + 1;
+    ++line_;
+    line_open_ = false;
+    held_ = 0;
+    scan_ = Scan::LineStart;
+    if (!fasta) return false;  // FASTQ sequence is exactly one line.
   }
 }
 
-bool SeqStreamReader::next(SeqRecord& record) {
-  std::string line;
-  if (!next_content_line(line)) return false;
-  if (format_ == SeqFormat::Unknown) detect_format(line);
-  // Hand the line back so the per-format parsers see the same stream.
-  pending_ = std::move(line);
-  pending_line_ = line_;
-  has_pending_ = true;
-  const bool got = format_ == SeqFormat::Fasta ? next_fasta(record)
-                                               : next_fastq(record);
-  if (got) ++records_;
+std::size_t SeqStreamReader::read_bases(Sequence& out, std::size_t n) {
+  std::size_t got = 0;
+  bool ended = false;
+  while (got < n && scan_ != Scan::Idle) {
+    if (run_ == 0) {
+      ended = !next_run();
+      if (ended) break;
+    } else if (held_ != 0) {  // Whitespace a refill split off a run.
+      const std::size_t k = std::min(held_, n - got);
+      out.resize(out.size() + k);
+      ambiguous_ += k;
+      held_ -= k;
+      got += k;
+    } else {
+      const std::size_t k = std::min(run_, n - got);
+      ambiguous_ += out.append_text({buffer_.data() + pos_, k});
+      pos_ += k;
+      run_ -= k;
+      got += k;
+    }
+  }
+  bases_ += got;
+  record_bases_ += got;
+  if (ended) end_record();
   return got;
 }
 
-bool SeqStreamReader::next_fasta(SeqRecord& record) {
-  std::string line;
-  if (!next_content_line(line)) return false;
-  const std::string_view view = trim(line);
-  if (view.front() != '>')
-    fail(line_, "FASTA: sequence data before any header");
-  record.quality.clear();
-  record.seq.clear();
-  split_seq_header(view.substr(1), record.id, record.comment);
-  // Accumulate wrapped sequence lines until the next header or the end.
-  while (read_line(line)) {
-    const std::string_view data = trim(line);
-    if (data.empty()) continue;
-    if (data.front() == '>') {
-      pending_ = std::move(line);
-      pending_line_ = line_;
-      has_pending_ = true;
-      break;
-    }
-    append_bases(record.seq, data);
+void SeqStreamReader::end_record() {
+  scan_ = Scan::Idle;
+  if (format_ == SeqFormat::Fastq) {
+    if (seq_missing_ || !read_line(separator_) || !read_line(quality_))
+      fail(line_, "FASTQ: truncated record (header at line " +
+                      std::to_string(header_line_) + "): " + header_);
+    if (separator_.empty() || separator_[0] != '+')
+      fail(line_ - 1, "FASTQ: missing '+' separator: " + header_);
+    quality_ = std::string(trim(quality_));
+    if (quality_.size() != record_bases_)
+      fail(line_, "FASTQ: quality length mismatch: " + header_);
   }
-  return true;
-}
-
-bool SeqStreamReader::next_fastq(SeqRecord& record) {
-  std::string header;
-  if (!next_content_line(header)) return false;
-  const std::size_t header_line = line_;
-  if (header.empty() || header[0] != '@')
-    fail(header_line, "FASTQ: expected '@' header, got: " + header);
-  std::string seq_line;
-  std::string plus_line;
-  std::string qual_line;
-  if (!read_line(seq_line) || !read_line(plus_line) ||
-      !read_line(qual_line))
-    fail(line_, "FASTQ: truncated record (header at line " +
-                    std::to_string(header_line) + "): " + header);
-  if (plus_line.empty() || plus_line[0] != '+')
-    fail(line_ - 1, "FASTQ: missing '+' separator: " + header);
-  split_seq_header(std::string_view(header).substr(1), record.id,
-                   record.comment);
-  record.seq.clear();
-  append_bases(record.seq, trim(seq_line));
-  record.quality = std::string(trim(qual_line));
-  if (record.quality.size() != record.seq.size())
-    fail(line_, "FASTQ: quality length mismatch: " + header);
-  return true;
+  ++records_;
 }
 
 std::vector<SeqRecord> SeqStreamReader::read_chunk(std::size_t max_records) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
+
 #include "genome/base.h"
 
 namespace asmcap {
@@ -21,6 +25,75 @@ TEST(Base, CharParsing) {
   EXPECT_FALSE(base_from_char('N').has_value());
   EXPECT_FALSE(base_from_char('x').has_value());
   EXPECT_FALSE(base_from_char(' ').has_value());
+}
+
+// The per-character switch that kBaseDecode replaced, kept as the oracle.
+std::optional<Base> switch_decode(char c) {
+  switch (c) {
+    case 'A':
+    case 'a':
+      return Base::A;
+    case 'C':
+    case 'c':
+      return Base::C;
+    case 'G':
+    case 'g':
+      return Base::G;
+    case 'T':
+    case 't':
+      return Base::T;
+    default:
+      return std::nullopt;
+  }
+}
+
+TEST(Base, DecodeTableMatchesSwitchOnAllBytes) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    const std::optional<Base> want = switch_decode(c);
+    const std::uint8_t entry = decode_base(c);
+    SCOPED_TRACE("byte " + std::to_string(byte));
+    EXPECT_EQ(base_from_char(c), want);
+    if (want) {
+      EXPECT_EQ(entry, code_of(*want));
+    } else {
+      EXPECT_EQ(entry, kAmbiguousBase);  // Code 0: resolves to 'A'.
+    }
+    // Sequence::from_string still rejects every ambiguous byte, alone and
+    // inside a longer string.
+    if (want) {
+      EXPECT_EQ(Sequence::from_string(std::string(1, c))[0], *want);
+    } else {
+      EXPECT_THROW(Sequence::from_string(std::string(1, c)),
+                   std::invalid_argument);
+      EXPECT_THROW(Sequence::from_string("ACG" + std::string(1, c) + "TTA"),
+                   std::invalid_argument);
+    }
+  }
+}
+
+TEST(Sequence, AppendTextPacksAndCountsAmbiguity) {
+  Sequence seq = Sequence::from_string("GT");
+  EXPECT_EQ(seq.append_text("acNgt TTg"), 2u);  // 'N' and ' ' -> 'A'.
+  EXPECT_EQ(seq.to_string(), "GTACAGTATTG");
+  EXPECT_EQ(seq.append_text(""), 0u);
+  EXPECT_EQ(seq.size(), 11u);
+  // Stale codes an erase leaves past size() must not leak into appends.
+  Sequence edited = Sequence::from_string("TTTTT");
+  edited.erase(4);
+  edited.erase(3);
+  EXPECT_EQ(edited.append_text("AA"), 0u);
+  EXPECT_EQ(edited.to_string(), "TTTAA");
+  edited.erase(4);
+  edited.resize(8);
+  EXPECT_EQ(edited.to_string(), "TTTAAAAA");
+  edited.resize(2);
+  EXPECT_EQ(edited.to_string(), "TT");
+  // The same for resize: growth pads with 'A', past a stale erased 'T'.
+  Sequence grown = Sequence::from_string("TTTTTTT");
+  grown.erase(6);
+  grown.resize(8);
+  EXPECT_EQ(grown.to_string(), "TTTTTTAA");
 }
 
 TEST(Base, Complement) {

@@ -1,16 +1,24 @@
 // Streaming FASTA/FASTQ reader (genome/stream_reader.h) and the ingestion
 // pipeline built on it (asmcap/ingest.h): parity with the whole-file
-// readers, chunked reassembly identity, malformed-input line numbers, and
-// the CLI-path bit-identity gate — streamed ingest + service pump decides
-// exactly like load_reference + search_batch.
+// readers, chunked reassembly identity, malformed-input line numbers,
+// truncated gzip input, the tile pull and its bounded memory on a giant
+// record, and the CLI-path bit-identity gate — streamed ingest + service
+// pump decides exactly like load_reference + search_batch.
 
 #include "genome/stream_reader.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -25,6 +33,55 @@
 #include "genome/readsim.h"
 #include "genome/reference.h"
 #include "util/rng.h"
+
+// A counting global operator new for the bounded-memory test: live and
+// peak bytes of every heap allocation in this binary.
+namespace {
+namespace heap {
+std::atomic<std::size_t> live{0};
+std::atomic<std::size_t> peak{0};
+
+void* allocate(std::size_t n) {
+  void* p = std::malloc(n != 0 ? n : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  const std::size_t size = malloc_usable_size(p);
+  const std::size_t now = live.fetch_add(size) + size;
+  std::size_t seen = peak.load();
+  while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+  }
+  return p;
+}
+
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  live.fetch_sub(malloc_usable_size(p));
+  std::free(p);
+}
+}  // namespace heap
+}  // namespace
+
+void* operator new(std::size_t n) { return heap::allocate(n); }
+void* operator new[](std::size_t n) { return heap::allocate(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return heap::allocate(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p) noexcept { heap::release(p); }
+void operator delete[](void* p) noexcept { heap::release(p); }
+void operator delete(void* p, std::size_t) noexcept { heap::release(p); }
+void operator delete[](void* p, std::size_t) noexcept { heap::release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  heap::release(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  heap::release(p);
+}
 
 namespace asmcap {
 namespace {
@@ -292,7 +349,238 @@ TEST(StreamReader, GzipRoundTripByMagicDetection) {
   }
   std::remove(path.c_str());
 }
+
+// A gzip file cut short must fail loudly, naming the file, whether the cut
+// lands mid-stream or only drops the 8-byte trailer (CRC and length).
+void expect_truncated_gzip_fails(const std::string& text,
+                                 const std::string& name) {
+  const std::string path = testing::TempDir() + name;
+  gzFile gz = gzopen(path.c_str(), "wb");
+  ASSERT_NE(gz, nullptr);
+  ASSERT_EQ(gzwrite(gz, text.data(), static_cast<unsigned>(text.size())),
+            static_cast<int>(text.size()));
+  gzclose(gz);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 20u);
+  for (const std::size_t cut : {bytes.size() / 2, bytes.size() - 4,
+                                bytes.size() - 8}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    SeqStreamReader reader(path);
+    SeqRecord record;
+    try {
+      while (reader.next(record)) {
+      }
+      ADD_FAILURE() << name << " cut to " << cut << " of " << bytes.size()
+                    << " bytes parsed as " << reader.records()
+                    << " records without error";
+    } catch (const StreamParseError& e) {
+      ADD_FAILURE() << name << " cut to " << cut
+                    << " bytes raised a parse error: " << e.what();
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("truncated gzip"), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamReader, TruncatedGzipFastaFails) {
+  Rng rng(0x7C0);
+  std::vector<FastaRecord> records(2);
+  records[0].id = "chr1";
+  records[0].seq = generate_reference(60'000, {}, rng);
+  records[1].id = "chr2";
+  records[1].seq = generate_reference(40'000, {}, rng);
+  std::ostringstream image;
+  write_fasta(image, records, 70);
+  expect_truncated_gzip_fails(image.str(), "stream_reader_cut.fa.gz");
+}
+
+TEST(StreamReader, TruncatedGzipFastqFails) {
+  Rng rng(0x7C1);
+  std::vector<FastqRecord> records(400);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].id = "read" + std::to_string(i);
+    records[i].seq = Sequence::random(150, rng);
+  }
+  std::ostringstream image;
+  write_fastq(image, records);
+  expect_truncated_gzip_fails(image.str(), "stream_reader_cut.fq.gz");
+}
 #endif
+
+// ------------------------------------------------------------- tile pull --
+
+TEST(StreamReader, TilePullSplitsRecordsAtAnyWidth) {
+  const std::string text = ">a one\nACGTN\nacg\n\n>b\n>c\r\nTT  GG\r\n";
+  std::istringstream in(text);
+  SeqStreamReader reader(in, "pull.fa");
+  SeqRecord header;
+  Sequence tile;
+
+  ASSERT_TRUE(reader.next_header(header));
+  EXPECT_EQ(header.id, "a");
+  EXPECT_EQ(header.comment, "one");
+  EXPECT_EQ(reader.read_bases(tile, 3), 3u);
+  EXPECT_EQ(tile.to_string(), "ACG");
+  EXPECT_EQ(reader.read_bases(tile, 3), 3u);  // Appends: 'N' -> 'A'.
+  EXPECT_EQ(tile.to_string(), "ACGTAA");
+  tile.clear();
+  EXPECT_EQ(reader.read_bases(tile, 3), 2u);  // The record ends.
+  EXPECT_EQ(tile.to_string(), "CG");
+  EXPECT_EQ(reader.read_bases(tile, 3), 0u);  // No record open.
+  EXPECT_EQ(reader.records(), 1u);
+
+  ASSERT_TRUE(reader.next_header(header));
+  EXPECT_EQ(header.id, "b");
+  tile.clear();
+  EXPECT_EQ(reader.read_bases(tile, 8), 0u);  // Empty record.
+
+  // An unread record is skipped by the next next_header()/next().
+  ASSERT_TRUE(reader.next_header(header));
+  EXPECT_EQ(header.id, "c");
+  EXPECT_FALSE(reader.next_header(header));
+  EXPECT_EQ(reader.records(), 3u);
+  EXPECT_EQ(reader.bases(), 14u);  // Interior spaces count as bases.
+  EXPECT_EQ(reader.ambiguous_bases(), 3u);
+}
+
+TEST(StreamReader, TilePullChecksFastqQualityAtRecordEnd) {
+  std::istringstream in("@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\nIII\n");
+  SeqStreamReader reader(in, "pull.fq");
+  SeqRecord header;
+  Sequence tile;
+  ASSERT_TRUE(reader.next_header(header));
+  EXPECT_EQ(reader.read_bases(tile, 4), 4u);
+  EXPECT_EQ(reader.read_bases(tile, 4), 0u);
+  ASSERT_TRUE(reader.next_header(header));
+  EXPECT_EQ(header.id, "r2");
+  tile.clear();
+  try {
+    reader.read_bases(tile, 8);
+    FAIL() << "expected StreamParseError";
+  } catch (const StreamParseError& e) {
+    EXPECT_EQ(e.line(), 8u);
+    EXPECT_NE(std::string(e.what()).find("quality length"),
+              std::string::npos);
+  }
+}
+
+/// A single-record FASTA of `bases` bases generated on demand, with no
+/// file and no whole-record string: a 4 KiB pseudo-random block (one 'N'
+/// in it) repeats, wrapped every `wrap` bases (0: one line).
+class GiantFastaBuf : public std::streambuf {
+ public:
+  static constexpr std::size_t kBlock = 4096;
+
+  GiantFastaBuf(std::size_t bases, std::size_t wrap)
+      : bases_(bases), wrap_(wrap), chunk_(std::size_t{64} << 10) {
+    Rng rng(0x61A7);
+    block_.resize(kBlock);
+    for (char& c : block_) c = "ACGT"[rng.below(4)];
+    block_[kBlock / 3] = 'N';
+  }
+
+  /// The base at `pos` as text.
+  char base_at(std::size_t pos) const { return block_[pos % kBlock]; }
+
+ protected:
+  int_type underflow() override {
+    std::size_t n = 0;
+    const auto put = [&](const char* text, std::size_t len) {
+      std::memcpy(chunk_.data() + n, text, len);
+      n += len;
+    };
+    if (!header_done_) {
+      put(">giant one record\n", 18);
+      header_done_ = true;
+    }
+    while (chunk_.size() - n > 1 && emitted_ < bases_) {
+      if (wrap_ != 0 && column_ == wrap_) {
+        put("\n", 1);
+        column_ = 0;
+        continue;
+      }
+      std::size_t len = std::min({chunk_.size() - n, bases_ - emitted_,
+                                  kBlock - emitted_ % kBlock});
+      if (wrap_ != 0) len = std::min(len, wrap_ - column_);
+      put(block_.data() + emitted_ % kBlock, len);
+      emitted_ += len;
+      column_ += len;
+    }
+    if (emitted_ == bases_ && !footer_done_ && n < chunk_.size()) {
+      put("\n", 1);
+      footer_done_ = true;
+    }
+    if (n == 0) return traits_type::eof();
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::size_t bases_;
+  std::size_t wrap_;
+  std::vector<char> chunk_;
+  std::string block_;
+  std::size_t emitted_ = 0;
+  std::size_t column_ = 0;
+  bool header_done_ = false;
+  bool footer_done_ = false;
+};
+
+// The tile pull holds O(buffer + tile) whatever the record length: a
+// 64 Mbp record, wrapped or as one line, streams in well under 4 MiB of
+// heap growth (the line-copying reader held the whole line as a 64 MB
+// string and the record as a 16 MiB Sequence).
+TEST(StreamReader, GiantRecordStreamsInBoundedMemory) {
+  constexpr std::size_t kBases = std::size_t{64} << 20;
+  constexpr std::size_t kWidth = 128;
+  for (const std::size_t wrap : {std::size_t{70}, std::size_t{0}}) {
+    SCOPED_TRACE("wrap " + std::to_string(wrap));
+    GiantFastaBuf source(kBases, wrap);
+    std::istream in(&source);
+    const std::size_t baseline = heap::live.load();
+    heap::peak.store(baseline);
+
+    SeqStreamReader reader(in, "giant.fa");
+    SeqRecord header;
+    ASSERT_TRUE(reader.next_header(header));
+    EXPECT_EQ(header.id, "giant");
+    Sequence tile;
+    tile.reserve(kWidth);
+    std::size_t tiles = 0;
+    std::size_t got = 0;
+    do {
+      tile.clear();
+      got = reader.read_bases(tile, kWidth);
+      // Spot-check tiles spread over the record, and the last one.
+      if (tiles % 4099 == 0 || got < kWidth) {
+        std::string want(got, 'A');
+        for (std::size_t i = 0; i < got; ++i)
+          want[i] = source.base_at(tiles * kWidth + i);
+        Sequence expected;
+        expected.append_text(want);
+        EXPECT_EQ(tile, expected) << "tile " << tiles;
+      }
+      tiles += got == kWidth ? 1 : 0;
+    } while (got == kWidth);
+    EXPECT_FALSE(reader.next_header(header));
+
+    EXPECT_EQ(tiles, kBases / kWidth);
+    EXPECT_EQ(reader.bases(), kBases);
+    EXPECT_EQ(reader.ambiguous_bases(), kBases / GiantFastaBuf::kBlock);
+    const std::size_t growth = heap::peak.load() - baseline;
+    EXPECT_LT(growth, std::size_t{4} << 20) << growth << " bytes";
+  }
+}
 
 // ---------------------------------------------------------------- ingest --
 

@@ -8,7 +8,8 @@
 #   e2e_search_circuit.tsv  cell-accurate circuit backend with analog noise
 #                           (--backend circuit --noisy) at T=1, where SA
 #                           noise flips a decision the ideal path makes.
-# It also asserts that --noisy without --backend circuit is a usage error.
+# It also asserts that --noisy without --backend circuit is a usage error,
+# and, in zlib builds, that a truncated gzip reference is an error.
 # The latency/energy columns are deterministic doubles of the cost model
 # but may differ in the last ULP across compilers/ISAs (FMA contraction),
 # so they are excluded from the byte-compare; the decision digest equality
@@ -120,6 +121,44 @@ fi
 if grep -qv '^{' "$WORK/out.json"; then
   echo "check_e2e: FAIL — non-JSON line in $WORK/out.json" >&2
   exit 1
+fi
+
+# A truncated gzip reference must fail loudly, naming the file, instead of
+# loading as a shorter reference: cut mid-stream, and cut so that only the
+# 8-byte trailer is missing. Skipped without gzip(1) or without zlib in
+# the build (the CLI then rejects every gzip input with "no zlib").
+if command -v gzip > /dev/null 2>&1; then
+  gzip -c "$WORK/ref.fa" > "$WORK/ref.fa.gz"
+  gz_search() {
+    "$SEARCH" --reference "$1" --reads "$WORK/reads.fq" \
+      --width 128 --array-rows 64 --arrays 4 --shards 2 \
+      --threshold 12 --output "$WORK/gz.tsv" 2> "$WORK/gz.log"
+  }
+  set +e
+  gz_search "$WORK/ref.fa.gz"
+  STATUS=$?
+  set -e
+  if [ "$STATUS" = "0" ]; then
+    SIZE=$(wc -c < "$WORK/ref.fa.gz")
+    for CUT in $((SIZE / 2)) $((SIZE - 4)); do
+      head -c "$CUT" "$WORK/ref.fa.gz" > "$WORK/cut.fa.gz"
+      set +e
+      gz_search "$WORK/cut.fa.gz"
+      STATUS=$?
+      set -e
+      if [ "$STATUS" = "0" ] ||
+         ! grep -q "truncated gzip input $WORK/cut.fa.gz" "$WORK/gz.log"; then
+        echo "check_e2e: FAIL — gzip reference cut to $CUT of $SIZE bytes" \
+             "exited $STATUS without the truncated-gzip error" >&2
+        cat "$WORK/gz.log" >&2
+        exit 1
+      fi
+    done
+  elif ! grep -q "no zlib" "$WORK/gz.log"; then
+    echo "check_e2e: FAIL — the gzip reference did not load" >&2
+    cat "$WORK/gz.log" >&2
+    exit 1
+  fi
 fi
 
 echo "check_e2e: OK ($READS reads, deterministic columns match both goldens)"
