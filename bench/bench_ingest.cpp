@@ -3,23 +3,25 @@
 // ingest -> service pump -> results) against the in-memory search_batch
 // reference.
 //
-//   ./bench_ingest [reads] [tiles] [shards] [workers] [--json <path>]
+//   ./bench_ingest [reads] [tiles] [shards] [workers]
 //
-// Three measured arms, one correctness gate:
+// Four timed arms:
 //   * reader    — SeqStreamReader over an in-memory FASTQ image
-//                 (reader-only throughput: reads/s and bases/s);
-//   * e2e       — ingest_reference builds the sharded database from a
-//                 streamed FASTA image, then chunked SearchService
-//                 submissions pump every read through the bounded
-//                 admission window exactly like tools/asmcap_search
-//                 (end-to-end reads/s, in-order streaming callbacks);
+//                 (reader-only throughput: reads/s);
+//   * ingest    — ingest_reference builds the sharded database from a
+//                 streamed FASTA image (segments/s);
+//   * e2e       — chunked SearchService submissions pump every read
+//                 through the bounded admission window exactly like
+//                 tools/asmcap_search (end-to-end reads/s, in-order
+//                 streaming callbacks);
 //   * batch     — the same records searched via load_reference +
-//                 search_batch, the in-memory reference timing AND the
-//                 reference decision digest.
+//                 search_batch, the in-memory reference timing.
 //
-// The e2e digest must equal the batch digest BIT-FOR-BIT (ingestion is
-// decision-invariant: docs/determinism.md rules 8 and 10); the driver
-// exits non-zero on divergence and check_bench.py pins the digest.
+// Exits 2 on a bad argument, and 1 when the service pump takes outside
+// 0.2-20x the in-memory batch's time. Decisions are not checked here:
+// tests/test_workload_pins.cpp pins this workload's (`bench_ingest 256 96
+// 2 2`) and checks that streamed ingest plus the service pump decide as
+// the in-memory batch does.
 
 #include <chrono>
 #include <cstdio>
@@ -29,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "align/kernels.h"
 #include "asmcap/ingest.h"
 #include "asmcap/service.h"
 #include "asmcap/sharded.h"
@@ -37,7 +38,6 @@
 #include "genome/readsim.h"
 #include "genome/reference.h"
 #include "genome/stream_reader.h"
-#include "util/bench_json.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -50,18 +50,10 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::uint64_t digest_of(const std::vector<QueryResult>& results) {
-  DecisionDigest digest;
-  for (const QueryResult& result : results)
-    for (const bool decision : result.decisions) digest.add(decision);
-  return digest.value();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const std::string json_path = take_bench_json_path(args);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   const std::size_t n_reads =
       args.size() > 0 ? std::strtoull(args[0].c_str(), nullptr, 10) : 512;
   const std::size_t n_tiles =
@@ -85,7 +77,7 @@ int main(int argc, char** argv) {
   bank.array_cols = width;
   const std::size_t per_shard = (n_tiles + shards - 1) / shards;
   bank.array_count = (per_shard + bank.array_rows - 1) / bank.array_rows + 1;
-  bank.ideal_sensing = true;  // noise-free: digests comparable bit-for-bit
+  bank.ideal_sensing = true;
 
   // Deterministic workload: one FASTA record tiling exactly, FASTQ reads
   // simulated from tile-aligned windows.
@@ -129,7 +121,6 @@ int main(int argc, char** argv) {
 
   // --- Reader arm: parse the FASTQ image, count everything. ---------------
   double reader_seconds = 0.0;
-  std::size_t reader_bases = 0;
   {
     std::istringstream in(fastq_text);
     SeqStreamReader reader(in, "bench.fq");
@@ -138,12 +129,6 @@ int main(int argc, char** argv) {
     while (reader.next(record)) {
     }
     reader_seconds = seconds_since(start);
-    reader_bases = reader.bases();
-    if (reader.records() != n_reads) {
-      std::fprintf(stderr, "FAIL: reader saw %zu of %zu records\n",
-                   reader.records(), n_reads);
-      return 1;
-    }
   }
 
   // --- Batch arm (reference): load_reference + search_batch. --------------
@@ -152,10 +137,8 @@ int main(int argc, char** argv) {
   frozen.load_reference(tiles);
   frozen.set_error_profile(sim_config.rates);
   const auto batch_start = Clock::now();
-  const std::vector<QueryResult> batch_results =
-      frozen.search_batch(read_seqs, threshold, StrategyMode::Full, workers);
+  frozen.search_batch(read_seqs, threshold, StrategyMode::Full, workers);
   const double batch_seconds = seconds_since(batch_start);
-  const std::uint64_t batch_digest = digest_of(batch_results);
 
   // --- End-to-end arm: stream -> ingest -> service pump. ------------------
   ShardedAccelerator grown(bank, shards);
@@ -168,7 +151,6 @@ int main(int argc, char** argv) {
   grown.set_error_profile(sim_config.rates);
 
   const auto e2e_start = Clock::now();
-  DecisionDigest stream_digest;
   std::size_t streamed = 0;
   {
     std::istringstream fastq_in(fastq_text);
@@ -178,10 +160,9 @@ int main(int argc, char** argv) {
     options.workers = workers;
     options.in_order = true;
     options.keep_results = false;
-    options.on_complete = [&](std::size_t, const QueryResult& result) {
-      // in_order delivery is serialised, so hashing here is read-ordered.
-      for (const bool decision : result.decisions)
-        stream_digest.add(decision);
+    // The CLI's emit step minus the TSV write; in-order delivery runs the
+    // re-sequencer and is serialised.
+    options.on_complete = [&streamed](std::size_t, const QueryResult&) {
       ++streamed;
     };
     std::vector<SeqRecord> block = fastq_reader.read_chunk(chunk);
@@ -197,7 +178,6 @@ int main(int argc, char** argv) {
   }
   const double e2e_seconds = seconds_since(e2e_start);
 
-  const bool digests_match = stream_digest.value() == batch_digest;
   const double service_overhead = e2e_seconds / batch_seconds;
 
   Table table({"arm", "wall time", "rate"});
@@ -224,50 +204,14 @@ int main(int argc, char** argv) {
                           " reads/s"));
   table.print(std::cout);
 
-  std::printf("\nservice-pump overhead %.2fx over search_batch, digest %s\n",
-              service_overhead, digests_match ? "match" : "DIVERGED");
+  std::printf(
+      "\nservice-pump overhead %.2fx over search_batch (%zu reads streamed)\n",
+      service_overhead, streamed);
 
-  if (!json_path.empty()) {
-    BenchReport report;
-    report.bench = "bench_ingest";
-    report.kernel_tier = to_string(active_kernel_tier());
-    report.hardware_threads = ThreadPool::hardware_workers();
-    report.workload = {{"reads", static_cast<double>(n_reads)},
-                       {"tiles", static_cast<double>(n_tiles)},
-                       {"shards", static_cast<double>(shards)},
-                       {"workers", static_cast<double>(workers)},
-                       {"width", static_cast<double>(width)},
-                       {"threshold", static_cast<double>(threshold)}};
-    report.timings = {
-        {"stream-reader", reader_seconds,
-         static_cast<double>(n_reads) / reader_seconds},
-        {"reference-ingest", ingest_seconds,
-         static_cast<double>(ingest.segments) / ingest_seconds},
-        {"e2e-service-pump", e2e_seconds,
-         static_cast<double>(n_reads) / e2e_seconds},
-        {"in-memory-batch", batch_seconds,
-         static_cast<double>(n_reads) / batch_seconds}};
-    report.metrics = {
-        {"reader_bases_per_second",
-         static_cast<double>(reader_bases) / reader_seconds},
-        {"ingest_segments_per_second",
-         static_cast<double>(ingest.segments) / ingest_seconds},
-        {"service_pump_overhead", service_overhead},
-        {"ingest_digest_matches", digests_match ? 1.0 : 0.0}};
-    report.decision_digest = batch_digest;
-    report.floor_enforced = false;  // Ingest rates are not timing-gated.
-    write_bench_json(json_path, report);
-  }
-
-  if (streamed != n_reads) {
-    std::fprintf(stderr, "FAIL: service pump completed %zu of %zu reads\n",
-                 streamed, n_reads);
-    return 1;
-  }
-  if (!digests_match) {
+  if (service_overhead < 0.2 || service_overhead > 20.0) {
     std::fprintf(stderr,
-                 "FAIL: streamed-ingest decisions diverged from "
-                 "load_reference + search_batch\n");
+                 "FAIL: service-pump overhead %.2fx outside [0.2, 20]\n",
+                 service_overhead);
     return 1;
   }
   return 0;

@@ -1,28 +1,31 @@
 // Live-database benchmark (plain chrono, no external deps): mutation
 // throughput and search behaviour of the epoch-snapshotted router.
 //
-//   ./bench_live [segments] [reads] [shards] [workers] [--json <path>]
+//   ./bench_live [segments] [reads] [shards] [workers]
 //
-// Four measured arms, one correctness gate:
+// Five timed arms:
 //   * frozen    — the classic one-shot load + read stream (the reference
-//                 timing and the reference decision digest);
+//                 timing);
 //   * build     — the same database grown live: half loaded, half
 //                 appended in chunks through the copy-on-write epoch path
-//                 (reports appends/s). The subsequent read stream must
-//                 reproduce the frozen digest BIT-FOR-BIT — global ids
-//                 are placement-invariant, so a database grown by
-//                 mutation is indistinguishable from one loaded frozen;
+//                 (reports appends/s);
+//   * grown     — the read stream again on the grown database;
 //   * churn     — the read stream again, now with a scratch block deleted
 //                 and re-appended between every read (search-under-
-//                 mutation overhead; the frozen rows' decisions must
-//                 still match the frozen digest);
+//                 mutation overhead);
 //   * retire    — a bulk tombstone pass over a quarter of the database
 //                 (reports deletes/s), then one compact() call, timed
 //                 alone: the epoch-boundary pause a live deployment
-//                 would schedule (reports compaction_pause_seconds).
+//                 would schedule.
 //
-// Exits non-zero if either digest diverges from the frozen arm.
+// Exits 2 on a bad argument, and 1 when a timing bound is missed: the
+// grown read stream must take 0.2-10x the frozen one's time, the churned
+// one 0.2-20x, and the compaction pause at most 2 s. Decisions are not
+// checked here: tests/test_workload_pins.cpp pins this workload's
+// (`bench_live 1024 16 4 2`) and checks that the grown and churned
+// databases decide as the frozen one does.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,11 +33,9 @@
 #include <string>
 #include <vector>
 
-#include "align/kernels.h"
 #include "asmcap/sharded.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
-#include "util/bench_json.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -47,23 +48,10 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Digest over the first `ids` decisions of every result — the frozen
-/// rows' id range, shared by every arm regardless of how far the scratch
-/// appends have grown the id space.
-std::uint64_t digest_prefix(const std::vector<QueryResult>& results,
-                            std::size_t ids) {
-  DecisionDigest digest;
-  for (const QueryResult& result : results)
-    for (std::size_t i = 0; i < ids && i < result.decisions.size(); ++i)
-      digest.add(result.decisions[i]);
-  return digest.value();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const std::string json_path = take_bench_json_path(args);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   const std::size_t n_segments =
       args.size() > 0 ? std::strtoull(args[0].c_str(), nullptr, 10) : 2048;
   const std::size_t n_reads =
@@ -89,7 +77,7 @@ int main(int argc, char** argv) {
   const std::size_t per_shard = (n_segments + shards - 1) / shards;
   bank.array_count =
       (per_shard + bank.array_rows - 1) / bank.array_rows + 1;
-  bank.ideal_sensing = true;  // noise-free: digests comparable bit-for-bit
+  bank.ideal_sensing = true;
 
   Rng rng(0x11FE'DB01);
   const Sequence reference =
@@ -118,13 +106,9 @@ int main(int argc, char** argv) {
   frozen.load_reference(segments);
   frozen.set_error_profile(sim_config.rates);
   const auto frozen_start = Clock::now();
-  std::vector<QueryResult> frozen_results;
-  frozen_results.reserve(n_reads);
   for (const Sequence& read : reads)
-    frozen_results.push_back(
-        frozen.search(read, threshold, StrategyMode::Full, workers));
+    frozen.search(read, threshold, StrategyMode::Full, workers);
   const double frozen_seconds = seconds_since(frozen_start);
-  const std::uint64_t frozen_digest = digest_prefix(frozen_results, n_segments);
 
   // --- Build arm: grow the same database live, then stream the reads. -----
   ShardedAccelerator live(bank, shards);
@@ -145,36 +129,27 @@ int main(int argc, char** argv) {
       static_cast<double>(n_segments - half) / append_seconds;
 
   const auto grown_start = Clock::now();
-  std::vector<QueryResult> grown_results;
-  grown_results.reserve(n_reads);
   for (const Sequence& read : reads)
-    grown_results.push_back(
-        live.search(read, threshold, StrategyMode::Full, workers));
+    live.search(read, threshold, StrategyMode::Full, workers);
   const double grown_seconds = seconds_since(grown_start);
-  const std::uint64_t grown_digest = digest_prefix(grown_results, n_segments);
 
   // --- Churn arm: reads interleaved with delete + re-append pairs. --------
-  // A fresh router (so its sequential query streams align with the frozen
-  // arm's) holding the same database, plus a scratch block beyond the
-  // frozen id range; every read is bracketed by tombstoning the previous
-  // block and staging a fresh one, so each search crosses an epoch
-  // boundary published just before it.
+  // A fresh router holding the same database, plus a scratch block beyond
+  // the frozen id range; every read is bracketed by tombstoning the
+  // previous block and staging a fresh one, so each search crosses an
+  // epoch boundary published just before it.
   ShardedAccelerator churny(bank, shards);
   churny.load_reference(segments);
   churny.set_error_profile(sim_config.rates);
   std::vector<Sequence> scratch(segments.begin(), segments.begin() + 8);
   std::vector<std::uint64_t> scratch_ids = churny.append_segments(scratch);
   const auto churn_start = Clock::now();
-  std::vector<QueryResult> churn_results;
-  churn_results.reserve(n_reads);
   for (const Sequence& read : reads) {
     churny.remove_segments(scratch_ids);
     scratch_ids = churny.append_segments(scratch);
-    churn_results.push_back(
-        churny.search(read, threshold, StrategyMode::Full, workers));
+    churny.search(read, threshold, StrategyMode::Full, workers);
   }
   const double churn_seconds = seconds_since(churn_start);
-  const std::uint64_t churn_digest = digest_prefix(churn_results, n_segments);
 
   // --- Retire arm: bulk tombstones, then the compaction pause. ------------
   std::vector<std::uint64_t> retire_ids;
@@ -227,56 +202,24 @@ int main(int argc, char** argv) {
       .add_cell("-");
   table.print(std::cout);
 
-  std::printf(
-      "\ngrown-db search overhead %.2fx, churn overhead %.2fx, digests "
-      "%s/%s\n",
-      grown_overhead, churn_overhead,
-      grown_digest == frozen_digest ? "match" : "DIVERGED",
-      churn_digest == frozen_digest ? "match" : "DIVERGED");
+  std::printf("\ngrown-db search overhead %.2fx, churn overhead %.2fx\n",
+              grown_overhead, churn_overhead);
 
-  if (!json_path.empty()) {
-    BenchReport report;
-    report.bench = "bench_live";
-    report.kernel_tier = to_string(active_kernel_tier());
-    report.hardware_threads = ThreadPool::hardware_workers();
-    report.workload = {{"segments", static_cast<double>(n_segments)},
-                       {"reads", static_cast<double>(n_reads)},
-                       {"shards", static_cast<double>(shards)},
-                       {"workers", static_cast<double>(workers)},
-                       {"threshold", static_cast<double>(threshold)}};
-    report.timings = {
-        {"frozen-read-stream", frozen_seconds,
-         static_cast<double>(n_reads) / frozen_seconds},
-        {"live-build", append_seconds, appends_per_second},
-        {"grown-read-stream", grown_seconds,
-         static_cast<double>(n_reads) / grown_seconds},
-        {"churn-read-stream", churn_seconds,
-         static_cast<double>(n_reads) / churn_seconds},
-        {"bulk-tombstone", retire_seconds, deletes_per_second},
-        {"compaction", compact_seconds, 0.0}};
-    report.metrics = {
-        {"appends_per_second", appends_per_second},
-        {"deletes_per_second", deletes_per_second},
-        {"grown_search_overhead", grown_overhead},
-        {"churn_search_overhead", churn_overhead},
-        {"compaction_pause_seconds", compact_seconds},
-        {"grown_digest_matches",
-         grown_digest == frozen_digest ? 1.0 : 0.0},
-        {"churn_digest_matches",
-         churn_digest == frozen_digest ? 1.0 : 0.0}};
-    report.decision_digest = frozen_digest;
-    report.floor_enforced = false;  // Mutation rates are not timing-gated.
-    write_bench_json(json_path, report);
-  }
-
-  if (grown_digest != frozen_digest) {
+  if (grown_overhead < 0.2 || grown_overhead > 10.0) {
     std::fprintf(stderr,
-                 "FAIL: live-grown database diverged from the frozen load\n");
+                 "FAIL: grown-db search overhead %.2fx outside [0.2, 10]\n",
+                 grown_overhead);
     return 1;
   }
-  if (churn_digest != frozen_digest) {
+  if (churn_overhead < 0.2 || churn_overhead > 20.0) {
     std::fprintf(stderr,
-                 "FAIL: decisions under churn diverged on the frozen rows\n");
+                 "FAIL: churn overhead %.2fx outside [0.2, 20]\n",
+                 churn_overhead);
+    return 1;
+  }
+  if (compact_seconds > 2.0) {
+    std::fprintf(stderr, "FAIL: compaction pause %.3f s above 2 s\n",
+                 compact_seconds);
     return 1;
   }
   return 0;

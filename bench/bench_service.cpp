@@ -1,19 +1,11 @@
 // Streaming-service benchmark (plain chrono, no external deps): the
 // service-deployment shape — a producer simulating/ingesting reads while
 // the accelerator executes earlier ones. The synchronous pipeline
-// alternates strictly (simulate chunk, then search_batch it, then consume);
-// the streaming pipeline submits each chunk to the SearchService and
-// immediately starts simulating the next one, consuming results through
-// the arrival-order completion callback, so production and execution run
-// concurrently and the wall clock approaches max(produce, execute) instead
-// of produce + execute.
-//
-// Per-read result digests are verified identical between the two
-// pipelines (the service's decisions are bit-identical to search_batch),
-// and every ticket's peak_in_flight is checked against its admission
-// window (the O(in-flight) partial-result memory bound) — so the driver
-// doubles as a service correctness check; CI runs it under ASan/UBSan
-// with a tiny database.
+// alternates strictly (simulate chunk, then search_batch it); the
+// streaming pipeline submits each chunk to the SearchService and
+// immediately starts simulating the next one, so production and execution
+// run concurrently and the wall clock approaches max(produce, execute)
+// instead of produce + execute.
 //
 // A third, mixed-traffic arm models the production tier: a bulk
 // re-analysis batch with a small interactive request arriving right
@@ -21,26 +13,25 @@
 // bulk run (head-of-line blocking); the prioritized sub-arm submits both
 // concurrently with ServiceClass::Bulk vs ::Interactive, letting the
 // fair-share scheduler and the pool's priority queues pull the
-// interactive reads ahead. Per-read digests between the sub-arms must be
-// bit-identical (scheduling never changes decisions); the per-class
-// completion-latency percentiles (measured from the interactive
-// ARRIVAL, the same instant in both sub-arms) are emitted as JSON
-// metrics, and tools/check_bench.py gates mixed_digest_matches == 1 and
-// interactive_p99_speedup against bench/baseline.json.
+// interactive reads ahead. Completion latency is measured from the
+// interactive ARRIVAL, the same instant in both sub-arms.
 //
 //   ./bench_service [reads] [segments] [chunk] [workers] [shards] [floor]
-//                   [--json <path>]
 //
-// Exits non-zero if digests diverge, if a ticket overruns its admission
-// window, or — when floor != 0 (the default) AND the machine has enough
-// hardware threads to actually overlap producer and consumer
-// (>= workers + 1, workers >= 2) — if the streaming pipeline fails to
-// beat the synchronous one by >= 1.15x. CI smoke runs pass floor = 0:
-// shared runners and sanitizer overhead make tiny-workload timing
-// meaningless there, so they exercise correctness only.
+// Exits 2 on a zero argument, and 1 when a timing floor is missed:
+//   * the interactive request's p99 completion latency under FIFO
+//     service must be >= 1.2x its p99 under prioritized service (always
+//     enforced);
+//   * the streaming pipeline must beat the synchronous one by >= 1.15x
+//     (enforced when floor != 0, the default, AND the machine can overlap
+//     producer and consumer: workers >= 2 and >= workers + 1 hardware
+//     threads). CI passes floor = 0: shared-runner timing at this scale
+//     is too noisy for the overlap floor.
+// Decisions are not checked here: tests/test_workload_pins.cpp pins this
+// workload's (`bench_service 192 512 32 2 2 0`), the sync/streaming and
+// FIFO/prioritized equalities and every ticket's admission window.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -49,12 +40,10 @@
 #include <string>
 #include <vector>
 
-#include "align/kernels.h"
 #include "asmcap/service.h"
 #include "asmcap/sharded.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
-#include "util/bench_json.h"
 #include "util/clock.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -69,20 +58,10 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Order-insensitive per-read digest of a result (count, XOR of ids).
-std::uint64_t digest(const QueryResult& result) {
-  std::uint64_t d = static_cast<std::uint64_t>(result.matched_segments.size())
-                    << 32;
-  for (const std::size_t id : result.matched_segments)
-    d ^= 0x9E37'79B9'7F4A'7C15ULL * (id + 1);
-  return d;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const std::string json_path = take_bench_json_path(args);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   const std::size_t n_reads =
       args.size() > 0 ? std::strtoull(args[0].c_str(), nullptr, 10) : 384;
   const std::size_t n_segments =
@@ -110,7 +89,7 @@ int main(int argc, char** argv) {
   bank.array_cols = 128;
   const std::size_t per_shard = (n_segments + shards - 1) / shards;
   bank.array_count = (per_shard + bank.array_rows - 1) / bank.array_rows;
-  bank.ideal_sensing = true;  // noise-free decisions: digests comparable
+  bank.ideal_sensing = true;
 
   Rng rng(0x5E47'1CE5);
   const Sequence reference =
@@ -147,20 +126,15 @@ int main(int argc, char** argv) {
       n_reads, chunk, n_segments, threshold, shards, workers,
       ThreadPool::hardware_workers());
 
-  // --- Synchronous pipeline: produce, execute, consume, strictly. --------
+  // --- Synchronous pipeline: produce, then execute, strictly. ------------
   ShardedAccelerator sync_accel(bank, shards);
   sync_accel.load_reference(segments);
   sync_accel.set_error_profile(sim_config.rates);
-  std::vector<std::uint64_t> sync_digest(n_reads, 0);
   Rng sync_reads_rng(0xD1'6E57);
   const auto sync_start = Clock::now();
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::vector<Sequence> reads = produce(c, sync_reads_rng);
-    const std::vector<QueryResult> results =
-        sync_accel.search_batch(reads, threshold, StrategyMode::Full, workers);
-    for (std::size_t i = 0; i < results.size(); ++i)
-      sync_digest[c * chunk + i] = digest(results[i]);
-  }
+  for (std::size_t c = 0; c < n_chunks; ++c)
+    sync_accel.search_batch(produce(c, sync_reads_rng), threshold,
+                            StrategyMode::Full, workers);
   const double sync_seconds = seconds_since(sync_start);
 
   // --- Streaming pipeline: submit chunk c, produce chunk c+1 meanwhile. --
@@ -168,33 +142,23 @@ int main(int argc, char** argv) {
   stream_accel.load_reference(segments);
   stream_accel.set_error_profile(sim_config.rates);
   SearchService service(stream_accel);
-  std::vector<std::uint64_t> stream_digest(n_reads, 0);
   std::vector<std::shared_ptr<SearchTicket>> tickets;
   tickets.reserve(n_chunks);
   Rng stream_reads_rng(0xD1'6E57);
+  SearchService::Options stream_options;
+  stream_options.workers = workers;
+  stream_options.keep_results = false;  // results dropped as they merge
   const auto stream_start = Clock::now();
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    std::vector<Sequence> reads = produce(c, stream_reads_rng);
-    SearchService::Options options;
-    options.workers = workers;
-    options.keep_results = false;  // consume via the stream, O(in-flight)
-    options.on_complete = [&stream_digest, c, chunk](
-                              std::size_t i, const QueryResult& result) {
-      stream_digest[c * chunk + i] = digest(result);
-    };
-    tickets.push_back(
-        service.submit(std::move(reads), threshold, StrategyMode::Full,
-                       options));
-  }
+  for (std::size_t c = 0; c < n_chunks; ++c)
+    tickets.push_back(service.submit(produce(c, stream_reads_rng), threshold,
+                                     StrategyMode::Full, stream_options));
   for (const auto& ticket : tickets) ticket->wait();
   const double stream_seconds = seconds_since(stream_start);
 
   // --- Mixed-traffic arm: bulk re-analysis vs an interactive latecomer. --
   // Identical read streams for both sub-arms: the bulk batch replays the
   // full workload, the interactive batch continues the same RNG stream
-  // for one more chunk. Each sub-arm gets a fresh twin accelerator, so
-  // epochs line up (bulk = 1, interactive = 2) and digests are directly
-  // comparable.
+  // for one more chunk. Each sub-arm gets a fresh twin accelerator.
   const std::size_t n_interactive = chunk;
   std::vector<Sequence> bulk_reads;
   std::vector<Sequence> interactive_reads;
@@ -211,18 +175,14 @@ int main(int argc, char** argv) {
               .read);
   }
   struct MixedArm {
-    std::vector<std::uint64_t> digests;  ///< bulk reads, then interactive.
     /// Per-interactive-read completion latency measured from the
     /// interactive ARRIVAL instant (right behind the bulk submission) —
     /// the latency a waiting client actually experiences.
     std::vector<double> interactive_latency;
-    std::vector<double> bulk_latency;  ///< Same, from the bulk submission.
     double wall_seconds = 0.0;
-    std::size_t window_overruns = 0;
   };
   const auto run_mixed = [&](bool prioritized) {
     MixedArm arm;
-    arm.digests.assign(bulk_reads.size() + interactive_reads.size(), 0);
     ShardedAccelerator accel(bank, shards);
     accel.load_reference(segments);
     accel.set_error_profile(sim_config.rates);
@@ -232,15 +192,9 @@ int main(int argc, char** argv) {
     SearchService::Options options;
     options.workers = workers;
     options.keep_results = false;
-    const auto digest_into = [&arm](std::size_t base) {
-      return [&arm, base](std::size_t i, const QueryResult& result) {
-        arm.digests[base + i] = digest(result);
-      };
-    };
     const auto start = Clock::now();
     options.service_class =
         prioritized ? ServiceClass::Bulk : ServiceClass::Normal;
-    options.on_complete = digest_into(0);
     auto bulk_ticket =
         mixed_service.submit(bulk_reads, threshold, StrategyMode::Full,
                              options);
@@ -249,7 +203,6 @@ int main(int argc, char** argv) {
     const double arrival = steady_service_clock().now();
     options.service_class =
         prioritized ? ServiceClass::Interactive : ServiceClass::Normal;
-    options.on_complete = digest_into(bulk_reads.size());
     std::shared_ptr<SearchTicket> interactive_ticket;
     if (prioritized) {
       interactive_ticket = mixed_service.submit(
@@ -264,38 +217,16 @@ int main(int argc, char** argv) {
     arm.wall_seconds = seconds_since(start);
     for (const ReadTiming& t : interactive_ticket->read_timings())
       arm.interactive_latency.push_back(t.merged - arrival);
-    const double bulk_submitted = bulk_ticket->read_timings().empty()
-                                      ? 0.0
-                                      : bulk_ticket->read_timings()[0].submitted;
-    for (const ReadTiming& t : bulk_ticket->read_timings())
-      arm.bulk_latency.push_back(t.merged - bulk_submitted);
-    for (const auto& ticket : {bulk_ticket, interactive_ticket})
-      if (ticket->peak_in_flight() > ticket->max_in_flight())
-        ++arm.window_overruns;
     return arm;
   };
   const MixedArm fifo_arm = run_mixed(false);
   const MixedArm priority_arm = run_mixed(true);
 
-  std::size_t mixed_divergent = 0;
-  for (std::size_t i = 0; i < fifo_arm.digests.size(); ++i)
-    if (fifo_arm.digests[i] != priority_arm.digests[i]) ++mixed_divergent;
-  const auto p99 = [](const std::vector<double>& xs) {
-    return percentile_of(xs, 0.99);
-  };
-  const double fifo_p99 = p99(fifo_arm.interactive_latency);
-  const double priority_p99 = p99(priority_arm.interactive_latency);
+  const double fifo_p99 = percentile_of(fifo_arm.interactive_latency, 0.99);
+  const double priority_p99 =
+      percentile_of(priority_arm.interactive_latency, 0.99);
   const double interactive_speedup =
       priority_p99 > 0.0 ? fifo_p99 / priority_p99 : 0.0;
-
-  // --- Correctness: identical digests, bounded in-flight staging. --------
-  std::size_t divergent = 0;
-  for (std::size_t i = 0; i < n_reads; ++i)
-    if (sync_digest[i] != stream_digest[i]) ++divergent;
-  std::size_t overrun =
-      fifo_arm.window_overruns + priority_arm.window_overruns;
-  for (const auto& ticket : tickets)
-    if (ticket->peak_in_flight() > ticket->max_in_flight()) ++overrun;
 
   const double speedup = sync_seconds / stream_seconds;
   Table table({"pipeline", "wall time", "reads/s"});
@@ -320,86 +251,23 @@ int main(int argc, char** argv) {
           static_cast<double>(n_mixed) / priority_arm.wall_seconds, ""));
   table.print(std::cout);
 
+  std::printf("\noverlap speedup: %.2fx\n", speedup);
   std::printf(
-      "\noverlap speedup: %.2fx, digests identical on %zu/%zu reads, "
-      "in-flight window respected on %zu/%zu tickets\n",
-      speedup, n_reads - divergent, n_reads,
-      tickets.size() + 4 - overrun, tickets.size() + 4);
-  std::printf(
-      "mixed traffic: digests identical on %zu/%zu reads, interactive "
-      "completion p99 %.2fms FIFO vs %.2fms prioritized (%.2fx)\n",
-      n_mixed - mixed_divergent, n_mixed, fifo_p99 * 1e3, priority_p99 * 1e3,
-      interactive_speedup);
+      "mixed traffic: interactive completion p99 %.2fms FIFO vs %.2fms "
+      "prioritized (%.2fx)\n",
+      fifo_p99 * 1e3, priority_p99 * 1e3, interactive_speedup);
 
-  const bool floor_active = enforce_floor && workers >= 2 &&
-                            ThreadPool::hardware_workers() >= workers + 1;
-
-  if (!json_path.empty()) {
-    DecisionDigest combined;
-    for (const std::uint64_t d : stream_digest) combined.add_u64(d);
-    BenchReport report;
-    report.bench = "bench_service";
-    report.kernel_tier = to_string(active_kernel_tier());
-    report.hardware_threads = ThreadPool::hardware_workers();
-    report.workload = {{"reads", static_cast<double>(n_reads)},
-                       {"segments", static_cast<double>(n_segments)},
-                       {"chunk", static_cast<double>(chunk)},
-                       {"workers", static_cast<double>(workers)},
-                       {"shards", static_cast<double>(shards)},
-                       {"threshold", static_cast<double>(threshold)}};
-    report.timings = {{"synchronous-pipeline", sync_seconds,
-                       static_cast<double>(n_reads) / sync_seconds},
-                      {"streaming-pipeline", stream_seconds,
-                       static_cast<double>(n_reads) / stream_seconds},
-                      {"mixed-fifo", fifo_arm.wall_seconds,
-                       static_cast<double>(n_mixed) / fifo_arm.wall_seconds},
-                      {"mixed-prioritized", priority_arm.wall_seconds,
-                       static_cast<double>(n_mixed) /
-                           priority_arm.wall_seconds}};
-    // Structural gates (baseline-bounded): digest equality between the
-    // mixed sub-arms, and the interactive head-of-line p99 win. The rest
-    // are observability (ungated, but recorded for trend diffing).
-    report.metrics = {
-        {"mixed_digest_matches", mixed_divergent == 0 ? 1.0 : 0.0},
-        {"interactive_p99_speedup", interactive_speedup},
-        {"fifo_interactive_p50_seconds",
-         percentile_of(fifo_arm.interactive_latency, 0.50)},
-        {"fifo_interactive_p95_seconds",
-         percentile_of(fifo_arm.interactive_latency, 0.95)},
-        {"fifo_interactive_p99_seconds", fifo_p99},
-        {"priority_interactive_p50_seconds",
-         percentile_of(priority_arm.interactive_latency, 0.50)},
-        {"priority_interactive_p95_seconds",
-         percentile_of(priority_arm.interactive_latency, 0.95)},
-        {"priority_interactive_p99_seconds", priority_p99},
-        {"priority_bulk_p99_seconds", p99(priority_arm.bulk_latency)}};
-    report.speedup = speedup;
-    report.decision_digest = combined.value();
-    report.floor_enforced = floor_active;
-    write_bench_json(json_path, report);
-  }
-
-  if (divergent != 0) {
-    std::fprintf(stderr, "FAIL: %zu reads diverged between pipelines\n",
-                 divergent);
-    return 1;
-  }
-  if (mixed_divergent != 0) {
+  if (interactive_speedup < 1.2) {
     std::fprintf(stderr,
-                 "FAIL: %zu reads diverged between the FIFO and prioritized "
-                 "mixed-traffic arms — scheduling changed decisions\n",
-                 mixed_divergent);
-    return 1;
-  }
-  if (overrun != 0) {
-    std::fprintf(stderr, "FAIL: %zu tickets overran their admission window\n",
-                 overrun);
+                 "FAIL: interactive p99 speedup %.2fx below the 1.2x floor\n",
+                 interactive_speedup);
     return 1;
   }
   // The overlap claim needs hardware for both halves: a producer core plus
   // spawned workers (a workers == 1 pool is threadless, so the service
-  // degrades to synchronous inline execution by design). CI smoke runs
-  // disable the floor entirely (see the file comment).
+  // degrades to synchronous inline execution by design).
+  const bool floor_active = enforce_floor && workers >= 2 &&
+                            ThreadPool::hardware_workers() >= workers + 1;
   if (floor_active) {
     if (speedup < 1.15) {
       std::fprintf(stderr,

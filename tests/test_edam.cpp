@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <ios>
 
 #include "align/edstar.h"
 #include "asmcap/db_error.h"
 #include "genome/reference.h"
-#include "util/bench_json.h"
+#include "util/decision_digest.h"
 
 namespace asmcap {
 namespace {
@@ -380,7 +381,8 @@ TEST(EdamDigest, PinnedAcrossSensingBackendsSrAndThreshold) {
                 std::bit_cast<std::uint64_t>(result.latency_seconds));
           }
       }
-  EXPECT_EQ(hex_digest(digest.value()), "05d381a17129ee4a");
+  EXPECT_EQ(digest.value(), 0x05d381a17129ee4aULL)
+      << std::hex << digest.value();
 }
 
 }  // namespace

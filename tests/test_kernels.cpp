@@ -333,11 +333,11 @@ TEST(KernelParity, MismatchWordsAgreeWithCountsAndMasks) {
 }
 
 // ---- Engine-level tier invariance ---------------------------------------
-// bench_batch-style digests: identical decisions, energy and latency under
-// every ASMCAP_KERNEL setting, on both accelerators, sensing ideally and
-// with noise. Random rows against random reads at T = 20 put many counts
-// next to the threshold, so the noisy passes sense in-band rows (gathered
-// from the store) on every tier.
+// Identical decisions, energy and latency under every ASMCAP_KERNEL
+// setting, on both accelerators, sensing ideally and with noise. Random
+// rows against random reads at T = 20 put many counts next to the
+// threshold, so the noisy passes sense in-band rows (gathered from the
+// store) on every tier.
 
 TEST(KernelTierEquivalence, AsmcapDecisionsIdenticalAcrossTiers) {
   TierGuard guard;

@@ -13,7 +13,8 @@
 # The latency/energy columns are deterministic doubles of the cost model
 # but may differ in the last ULP across compilers/ISAs (FMA contraction),
 # so they are excluded from the byte-compare; the decision digest equality
-# is separately enforced by tests/test_stream_reader.cpp and bench_ingest.
+# is separately enforced by tests/test_stream_reader.cpp and
+# tests/test_workload_pins.cpp.
 #
 # usage: check_e2e.sh <asmcap_testgen> <asmcap_search> <golden-dir>
 # Regenerate both goldens after an intentional decision change with:
