@@ -131,6 +131,63 @@ void BM_HammingBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_HammingBlock)->Apply(block_kernel_cases);
 
+// The shard-pruning probe (AsmcapAccelerator::may_match, the kernels'
+// window_alive) of one 4,096-row, 128-column bank at T = 4: five windows
+// of 25 columns. A random read that every window prunes (survives:0)
+// scans each window until its rows die, block by block; a stored row
+// with 4 substitutions (survives:1) stops at its first live window. The
+// plan, with its read view, is built once, as the router builds it once
+// per read. Items are probes.
+void BM_WindowProbe(benchmark::State& state) {
+  constexpr std::size_t kRows = 4096;
+  constexpr std::size_t kCols = 128;
+  constexpr std::size_t kThreshold = 4;
+  const bool survives = state.range(0) != 0;
+  const auto tier = static_cast<KernelTier>(state.range(1));
+  AsmcapConfig config;
+  config.array_rows = 256;
+  config.array_cols = kCols;
+  config.array_count = kRows / config.array_rows;
+  config.ideal_sensing = true;
+  AsmcapAccelerator bank(config);
+  Rng rng(17);
+  std::vector<Sequence> rows;
+  rows.reserve(kRows);
+  for (std::size_t g = 0; g < kRows; ++g)
+    rows.push_back(Sequence::random(kCols, rng));
+  bank.load_reference(rows);
+  Sequence read = Sequence::random(kCols, rng);
+  if (survives) {
+    read = rows[rng.below(kRows)];
+    for (std::size_t e = 0; e < kThreshold; ++e)
+      read.set(rng.below(kCols),
+               base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+  }
+  const ExecutionPlan plan = bank.planner().build(
+      read, kThreshold, ErrorRates::condition_a(), StrategyMode::Full);
+  const std::size_t windows =
+      pruning_window_count(config, BackendKind::Circuit, kThreshold);
+  const KernelTier saved = active_kernel_tier();
+  set_active_kernel_tier(tier);
+  for (auto _ : state) benchmark::DoNotOptimize(bank.may_match(plan, windows));
+  const bool outcome = bank.may_match(plan, windows);
+  set_active_kernel_tier(saved);
+  if (outcome != survives)
+    state.SkipWithError("the probe outcome does not match the read kind");
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(to_string(tier));
+}
+
+// Pruned and surviving reads on every tier this machine can run.
+void window_probe_cases(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"survives", "tier"});
+  for (const KernelTier tier : compiled_kernel_tiers())
+    if (kernel_tier_available(tier))
+      for (const int survives : {0, 1})
+        bench->Args({survives, static_cast<int>(tier)});
+}
+BENCHMARK(BM_WindowProbe)->Apply(window_probe_cases);
+
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;
   config.array_rows = 256;

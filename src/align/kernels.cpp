@@ -100,6 +100,31 @@ void count_block_scalar(const SlicedRowStore& rows, std::size_t block,
   }
 }
 
+bool window_alive_scalar(const SlicedRowStore& rows,
+                         const PackedReadView& read,
+                         const std::uint64_t* live, std::size_t lo,
+                         std::size_t hi) {
+  // Plain words: one 64-row group of each plane at a time, the column's
+  // mismatch word from the same truth table the sliced tiers splat.
+  constexpr std::size_t kGroups =
+      SlicedRowStore::kBlockRows / SlicedRowStore::kGroupRows;
+  const std::uint64_t* table = read.columns.data();
+  const std::size_t groups = rows.blocks() * kGroups;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint64_t* planes = rows.block(g / kGroups) + g % kGroups;
+    std::uint64_t alive = live_group_word(live, rows.rows(), g);
+    for (std::size_t j = lo; j < hi && alive != 0; ++j) {
+      const std::uint64_t low = planes[SlicedRowStore::kColumnWords * j];
+      const std::uint64_t high = planes[SlicedRowStore::kColumnWords * j + 4];
+      const std::uint64_t* t = table + 4 * j;
+      const std::uint64_t x01 = t[0] ^ (t[1] & low);
+      alive &= ~(x01 ^ ((t[2] ^ (t[3] & low)) & high));
+    }
+    if (alive != 0) return true;
+  }
+  return false;
+}
+
 }  // namespace detail
 
 // ----------------------------------------------------- dispatch tables --
@@ -107,12 +132,15 @@ void count_block_scalar(const SlicedRowStore& rows, std::size_t block,
 namespace {
 
 constexpr KernelOps kScalarOps{KernelTier::Scalar,
-                               &detail::count_block_scalar};
+                               &detail::count_block_scalar,
+                               &detail::window_alive_scalar};
 #ifdef ASMCAP_HAVE_AVX2
-constexpr KernelOps kAvx2Ops{KernelTier::Avx2, &detail::avx2::count_block};
+constexpr KernelOps kAvx2Ops{KernelTier::Avx2, &detail::avx2::count_block,
+                             &detail::avx2::window_alive};
 #endif
 #ifdef ASMCAP_HAVE_NEON
-constexpr KernelOps kNeonOps{KernelTier::Neon, &detail::neon::count_block};
+constexpr KernelOps kNeonOps{KernelTier::Neon, &detail::neon::count_block,
+                             &detail::neon::window_alive};
 #endif
 
 /// True when the running CPU can execute the tier's instructions (the

@@ -2,8 +2,10 @@
 // SIMD-dispatched counting kernels: the hot path of the search passes (the
 // software stand-in for the CAM's massively parallel ED*/HD comparison).
 // A kernel counts one 256-row block of the bit-sliced row store
-// (align/row_store.h) against one read. The AVX2 and NEON tiers build one
-// portable bit-sliced source per target flag set (CMake object
+// (align/row_store.h) against one read; a second entry asks, over the
+// same planes, whether any live row matches a whole column window (the
+// shard-pruning probe, asmcap/accelerator.h). The AVX2 and NEON tiers
+// build one portable bit-sliced source per target flag set (CMake object
 // libraries): each column's mismatch plane for all 256 rows from a
 // per-column truth table of the read, Harley–Seal carry-save counters, and
 // bit transposes back to per-row counts. The scalar tier gathers each
@@ -11,16 +13,17 @@
 // selected at runtime by CPU detection and overridable with
 // ASMCAP_KERNEL=scalar|avx2|neon for testing.
 //
-// Bit-identity contract: every tier returns exactly the same counts as the
-// scalar tier on every input (counts are exact integers, never
-// approximations), so decisions, energy ledgers, and decision digests are
-// independent of the tier that computed them — enforced by
-// tests/test_kernels.cpp and by the scalar-forced CI leg, and required of
-// any future tier (docs/determinism.md).
+// Bit-identity contract: every tier returns exactly the same counts (and
+// window outcomes) as the scalar tier on every input (counts are exact
+// integers, never approximations), so decisions, energy ledgers, and
+// decision digests are independent of the tier that computed them —
+// enforced by tests/test_kernels.cpp and by the scalar-forced CI leg, and
+// required of any future tier (docs/determinism.md).
 //
 // A PackedReadView holds the read-derived operands — the truth tables,
 // neighbour alignments and boundary masks — computed once per (read,
-// rotation) instead of once per (segment, read).
+// rotation) instead of once per (segment, read); the planner builds them
+// into the ExecutionPlan (asmcap/planner.h), so every bank shares them.
 //
 // Ownership: PackedReadView owns its word storage.
 // Thread-safety: all kernel functions are pure and thread-safe; the active
@@ -88,14 +91,27 @@ struct BlockCounts {
   std::uint64_t below[SlicedRowStore::kBlockRows / SlicedRowStore::kGroupRows];
 };
 
-/// One tier's kernel. count_block fills `out` for the 256 slots
-/// 256·block .. of `rows` (read.n must equal rows.cols()). Padding rows
-/// past rows.rows() count as stored all-'A' rows; callers mask them out.
+/// One tier's kernels; read.n must equal rows.cols() for both.
+///
+/// count_block fills `out` for the 256 slots 256·block .. of `rows`.
+/// Padding rows past rows.rows() count as stored all-'A' rows; callers
+/// mask them out.
+///
+/// window_alive is the shard-pruning probe: true iff some live row
+/// matches every cell of columns [lo, hi) (hi <= read.n) under the view's
+/// metric. `live` is the slot mask in decision-word layout (bit s of word
+/// s / 64), at least ceil(rows.rows() / 64) words; padding rows never
+/// count. It ANDs the complement of each column's mismatch plane, the one
+/// count_block counts, into an alive plane per block and leaves a block
+/// as soon as no row is left alive.
 struct KernelOps {
   KernelTier tier;
   void (*count_block)(const SlicedRowStore& rows, std::size_t block,
                       const PackedReadView& read, std::size_t bound,
                       BlockCounts& out);
+  bool (*window_alive)(const SlicedRowStore& rows, const PackedReadView& read,
+                       const std::uint64_t* live, std::size_t lo,
+                       std::size_t hi);
 };
 
 // ------------------------------------------------------- tier selection --

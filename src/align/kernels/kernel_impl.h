@@ -69,23 +69,45 @@ static inline std::uint32_t hamming_row_scalar(const std::uint64_t* row,
   return count;
 }
 
-// Tier entry points (KernelOps::count_block). The scalar tier is always
-// compiled; the bit-sliced source (kernels_sliced.cpp) is compiled once
-// per SIMD target into namespace avx2 or neon, with that target's flags
-// (see CMakeLists.txt), and referenced only when the matching
-// ASMCAP_HAVE_* macro is defined.
+/// Live word of 64-row group `group` of a store of `rows` rows
+/// (KernelOps::window_alive's `live`): padding rows past the last slot,
+/// and whole groups past it, read as dead.
+static inline std::uint64_t live_group_word(const std::uint64_t* live,
+                                            std::size_t rows,
+                                            std::size_t group) {
+  const std::size_t first = group * SlicedRowStore::kGroupRows;
+  if (first >= rows) return 0;
+  const std::size_t stored = rows - first;
+  return stored >= SlicedRowStore::kGroupRows
+             ? live[group]
+             : live[group] & ((std::uint64_t{1} << stored) - 1);
+}
+
+// Tier entry points (KernelOps). The scalar tier is always compiled; the
+// bit-sliced source (kernels_sliced.cpp) is compiled once per SIMD target
+// into namespace avx2 or neon, with that target's flags (see
+// CMakeLists.txt), and referenced only when the matching ASMCAP_HAVE_*
+// macro is defined.
 void count_block_scalar(const SlicedRowStore& rows, std::size_t block,
                         const PackedReadView& read, std::size_t bound,
                         BlockCounts& out);
+bool window_alive_scalar(const SlicedRowStore& rows,
+                         const PackedReadView& read,
+                         const std::uint64_t* live, std::size_t lo,
+                         std::size_t hi);
 namespace avx2 {
 void count_block(const SlicedRowStore& rows, std::size_t block,
                  const PackedReadView& read, std::size_t bound,
                  BlockCounts& out);
+bool window_alive(const SlicedRowStore& rows, const PackedReadView& read,
+                  const std::uint64_t* live, std::size_t lo, std::size_t hi);
 }  // namespace avx2
 namespace neon {
 void count_block(const SlicedRowStore& rows, std::size_t block,
                  const PackedReadView& read, std::size_t bound,
                  BlockCounts& out);
+bool window_alive(const SlicedRowStore& rows, const PackedReadView& read,
+                  const std::uint64_t* live, std::size_t lo, std::size_t hi);
 }  // namespace neon
 
 }  // namespace asmcap::detail

@@ -15,8 +15,10 @@
 // bit-sliced comparator on those planes gives the below-bound words, and
 // an 8×8 byte transpose and an 8×8 bit transpose per 64-row lane turn the
 // low eight planes into per-row count bytes. Counts are exact, so they
-// equal the scalar tier's bit for bit.
+// equal the scalar tier's bit for bit. window_alive ANDs the complement of
+// the same mismatch planes into one alive plane per block instead.
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -52,6 +54,21 @@ inline Plane load(const std::uint64_t* words) {
 
 inline Plane splat(std::uint64_t x) { return Plane{x, x, x, x}; }
 
+inline bool any(const Plane& p) { return (p[0] | p[1] | p[2] | p[3]) != 0; }
+
+/// Column j's mismatch plane of a block's `planes` under the read's truth
+/// `table`: code = 2·hi + lo selects t_code. With x01 = t_lo (t0 or t1)
+/// and x23 = t_{2+lo}, it is x01 ^ ((x01 ^ x23) & hi), and
+/// x01 ^ x23 = (t0^t2) ^ ((t0^t1^t2^t3) & lo).
+inline Plane mismatch_plane(const std::uint64_t* planes,
+                            const std::uint64_t* table, std::size_t j) {
+  const Plane lo = load(planes + SlicedRowStore::kColumnWords * j);
+  const Plane hi = load(planes + SlicedRowStore::kColumnWords * j + 4);
+  const std::uint64_t* t = table + 4 * j;
+  const Plane x01 = splat(t[0]) ^ (splat(t[1]) & lo);
+  return x01 ^ ((splat(t[2]) ^ (splat(t[3]) & lo)) & hi);
+}
+
 /// Carry-save adder: high:low = a + b + c at every bit position.
 inline void csa(Plane& high, Plane& low, const Plane& a, const Plane& b,
                 const Plane& c) {
@@ -77,15 +94,8 @@ void count_block(const SlicedRowStore& rows, std::size_t block,
   const std::uint64_t* planes = rows.block(block);
   const std::uint64_t* table = read.columns.data();
   const std::size_t n = read.n;
-  // Column j's mismatch plane: code = 2·hi + lo selects t_code. With
-  // x01 = t_lo (t0 or t1) and x23 = t_{2+lo}, it is x01 ^ ((x01 ^ x23) & hi),
-  // and x01 ^ x23 = (t0^t2) ^ ((t0^t1^t2^t3) & lo).
   const auto mismatch = [&](std::size_t j) {
-    const Plane lo = load(planes + SlicedRowStore::kColumnWords * j);
-    const Plane hi = load(planes + SlicedRowStore::kColumnWords * j + 4);
-    const std::uint64_t* t = table + 4 * j;
-    const Plane x01 = splat(t[0]) ^ (splat(t[1]) & lo);
-    return x01 ^ ((splat(t[2]) ^ (splat(t[3]) & lo)) & hi);
+    return mismatch_plane(planes, table, j);
   };
 
   Plane ones{}, twos{}, fours{}, eights{};
@@ -186,6 +196,26 @@ void count_block(const SlicedRowStore& rows, std::size_t block,
       for (std::uint64_t x = count[k][w]; x != 0; x &= x - 1)
         out.counts[64 * w + static_cast<std::size_t>(std::countr_zero(x))] |=
             static_cast<std::uint16_t>(1u << k);
+}
+
+bool window_alive(const SlicedRowStore& rows, const PackedReadView& read,
+                  const std::uint64_t* live, std::size_t lo, std::size_t hi) {
+  const std::uint64_t* table = read.columns.data();
+  for (std::size_t b = 0; b < rows.blocks(); ++b) {
+    const std::uint64_t* planes = rows.block(b);
+    std::uint64_t words[kLanes];
+    for (std::size_t w = 0; w < kLanes; ++w)
+      words[w] = live_group_word(live, rows.rows(), kLanes * b + w);
+    Plane alive = load(words);
+    // The block's exit test costs more than a column step, so it runs
+    // once per 4 columns.
+    for (std::size_t j = lo; j < hi && any(alive);) {
+      const std::size_t end = std::min(hi, j + 4);
+      for (; j < end; ++j) alive &= ~mismatch_plane(planes, table, j);
+    }
+    if (any(alive)) return true;
+  }
+  return false;
 }
 
 }  // namespace asmcap::detail::ASMCAP_KERNEL_NS

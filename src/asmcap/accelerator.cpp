@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "align/kernels.h"
 #include "cam/periphery.h"
+#include "circuit/sense_amp.h"
 
 namespace asmcap {
 
@@ -36,8 +38,6 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
   validate(config_.process);
   backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
                                               store_, senses_noise());
-  if (config_.pruning.enabled)
-    sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
 
 void AsmcapAccelerator::build_row_silicon(std::size_t slot, std::uint64_t id) {
@@ -56,8 +56,7 @@ void AsmcapAccelerator::build_row_silicon(std::size_t slot, std::uint64_t id) {
   readouts_[a].remanufacture_row(slot % config_.array_rows, silicon);
 }
 
-void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
-                                   const Sequence& segment) {
+void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id) {
   const std::size_t a = slot / config_.array_rows;
   if (slot < dir_.slots() && !dir_.live[slot]) {
     // Recycling a tombstoned slot: the previous occupant's id is forgotten
@@ -70,7 +69,6 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   }
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
   if (senses_noise()) build_row_silicon(slot, id);
-  if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
   dir_.live.set(slot);
   ++dir_.array_live[a];
@@ -158,7 +156,7 @@ void AsmcapAccelerator::append_segments(
   }
   std::vector<std::size_t> burst_per_array;
   for (std::size_t i = 0; i < segments.size(); ++i) {
-    write_slot(targets[i], ids[i], segments[i]);
+    write_slot(targets[i], ids[i]);
     const std::size_t a = targets[i] / config_.array_rows;
     if (a >= burst_per_array.size()) burst_per_array.resize(a + 1, 0);
     ++burst_per_array[a];
@@ -189,7 +187,6 @@ void AsmcapAccelerator::remove_segments(
   for (const std::uint64_t id : ids) {
     const std::size_t slot = id_to_slot_.at(id);
     const std::size_t a = slot / config_.array_rows;
-    if (sketch_) sketch_->clear_row(slot);
     dir_.live.clear(slot);
     --dir_.array_live[a];
     --dir_.live_count;
@@ -262,7 +259,6 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   copy->dir_ = dir_;
   copy->store_ = store_;
   copy->id_to_slot_ = id_to_slot_;
-  if (sketch_) *copy->sketch_ = *sketch_;
   copy->next_auto_id_ = next_auto_id_;
   copy->identity_layout_ = identity_layout_;
   copy->load_energy_ = load_energy_;
@@ -289,13 +285,12 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
   result.plan = plan.summary;
 
   // ED* pass(es): the original read, plus the rotation schedule when TASR
-  // triggered (Algorithm 2's OR-accumulation).
+  // triggered (Algorithm 2's OR-accumulation), each on the plan's view.
   BitVec ed_star;
   double energy = 0.0;
-  for (std::size_t p = 0; p < plan.ed_star_passes.size(); ++p) {
+  for (std::size_t p = 0; p < plan.ed_star_views.size(); ++p) {
     PassResult pass =
-        backend.run_pass(plan.ed_star_passes[p], MatchMode::EdStar,
-                         plan.threshold, query_rng, p);
+        backend.run_pass(plan.ed_star_views[p], plan.threshold, query_rng, p);
     energy += pass.energy_joules;
     if (p == 0)
       ed_star = std::move(pass.decisions);
@@ -309,8 +304,7 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
   // or bank stores it (a dead slot decides false on both passes).
   if (plan.hd_pass) {
     const PassResult hd =
-        backend.run_pass(plan.ed_star_passes.front(), MatchMode::Hamming,
-                         plan.threshold, query_rng, kHdPassSalt);
+        backend.run_pass(plan.hd_view, plan.threshold, query_rng, kHdPassSalt);
     energy += hd.energy_joules;
     const Hdac& hdac = planner().hdac();
     const Rng select_rng = query_rng.fork(kHdacSelectSalt);
@@ -335,6 +329,44 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
       timing_.asmcap_query_latency(plan.summary.total_searches());
   result.energy_joules = energy;
   return result;
+}
+
+bool AsmcapAccelerator::may_match(const ExecutionPlan& plan,
+                                  std::size_t windows) const {
+  if (windows == 0) return true;
+  const std::size_t cols = config_.array_cols;
+  const std::size_t width = cols / windows;
+  if (width == 0) return true;  // cannot form disjoint windows: no prune
+  // A bank must be searched if ANY pass has ANY window in which some live
+  // row accumulates zero ED* mismatches.
+  const auto window_alive = active_kernel_ops().window_alive;
+  for (const PackedReadView& view : plan.ed_star_views) {
+    if (view.n != cols) return true;  // conservative: never prune
+    for (std::size_t t = 0; t < windows; ++t)
+      if (window_alive(store_, view, dir_.live.data(), t * width,
+                       t * width + width))
+        return true;
+  }
+  return false;
+}
+
+std::size_t pruning_window_count(const AsmcapConfig& config,
+                                 BackendKind backend,
+                                 std::size_t threshold) {
+  const std::size_t m = config.array_cols;
+  std::size_t windows = threshold + 1;  // ideal decision: count <= T
+  if (backend == BackendKind::Circuit && !config.ideal_sensing) {
+    // Noisy sensing can flip a count slightly above T back to 'match'.
+    // K = the band's miss side: rows below K stay prunable by the
+    // K-window pigeonhole, rows at or above K can never flip. No certain
+    // miss at all means no sound prune.
+    const std::size_t k =
+        charge_decision_band(config.process.charge, m, threshold).miss_from;
+    if (k > m) return 0;
+    windows = std::max(windows, k);
+  }
+  if (m / windows == 0) return 0;  // window width would be zero
+  return windows;
 }
 
 }  // namespace asmcap

@@ -26,9 +26,11 @@
 //
 // Representation: the bit-sliced slot store (align/row_store.h) is the
 // bank's one canonical row store — what the backend counts, block by
-// block, and what live_segments() gathers, group by group. The bank
-// senses the analog noise model iff its backend kind is Circuit and
-// config.ideal_sensing is false. Only then does it hold circuit state —
+// block, what the shard-pruning probe (may_match) reads, and what
+// live_segments() gathers, group by group; the bank keeps no other
+// index of its rows. The bank senses the analog noise model iff its
+// backend kind is Circuit and config.ideal_sensing is false. Only then
+// does it hold circuit state —
 // one ChargeArrayReadout (capacitor banks + SA offsets) per array,
 // sensing rows gathered from the same store — built from the per-id silicon
 // streams when the bank starts sensing noise and dropped when it stops,
@@ -55,7 +57,6 @@
 #include "asmcap/config.h"
 #include "asmcap/db_error.h"
 #include "asmcap/planner.h"
-#include "asmcap/sketch.h"
 #include "circuit/timing.h"
 #include "genome/sequence.h"
 #include "util/rng.h"
@@ -122,8 +123,8 @@ class AsmcapAccelerator {
   /// The live (id, segment) pairs, ascending by row slot.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  /// Memberwise deep copy — row store, directory, id map, sketch, circuit
-  /// state (if built), and load ledger; the copy's backend reads the
+  /// Memberwise deep copy — row store, directory, id map, circuit state
+  /// (if built), and load ledger; the copy's backend reads the
   /// copy's own members. The copy-on-write primitive of the sharded
   /// router's epoch scheme: execute() results on the clone are
   /// bit-identical to the original, energy included, and mutating either
@@ -158,6 +159,22 @@ class AsmcapAccelerator {
   /// same stream). Throws DbError (NotLoaded) on an empty bank.
   QueryResult execute(const ExecutionPlan& plan, const Rng& query_rng) const;
 
+  /// The shard-pruning probe: false only when no live row can decide
+  /// 'match' for any pass of `plan` (ED* passes, rotations included).
+  /// Rows are fixed-width and never slide, so cell i of every row sees
+  /// the read bases {R[i-1], R[i], R[i+1]}, and a row with a mismatch
+  /// count below `windows` has, by pigeonhole, a mismatch-free window
+  /// among `windows` disjoint column windows of width cols / windows. The
+  /// probe asks the kernels' window_alive (align/kernels.h) for each
+  /// window of each ED* view the plan carries, over the row store and the
+  /// directory's live words, so dead and padding rows never keep a bank
+  /// alive. The HD pass needs no windows of its own: a cell that matches
+  /// under Hamming matches under ED*. `windows` comes from
+  /// pruning_window_count; 0 ("cannot prune"), a width of zero, or a
+  /// view of another width conservatively returns true. Const and
+  /// thread-safe like execute().
+  bool may_match(const ExecutionPlan& plan, std::size_t windows) const;
+
   /// Allocated row slots (live + tombstoned). On a frozen database this is
   /// the loaded segment count, as it always was.
   std::size_t loaded_segments() const { return dir_.slots(); }
@@ -179,9 +196,12 @@ class AsmcapAccelerator {
   const AsmcapConfig& config() const { return config_; }
   const QueryPlanner& planner() const { return planner_; }
   const TimingModel& timing() const { return timing_; }
-  /// The bank's pruning sketch, maintained across mutations when
-  /// config().pruning.enabled; nullptr otherwise.
-  const BankSketch* sketch() const { return sketch_.get(); }
+  /// Always null: banks prune on the row store (may_match) and keep no
+  /// sketch. Kept only so the repo benchmark's layer driver
+  /// (bench/e2e/bench_layers.cpp), which builds its own reference sketch
+  /// from live rows when this is null, compiles unchanged; the next
+  /// benchmark change deletes it.
+  std::nullptr_t sketch() const { return nullptr; }
 
  private:
   void check_loaded() const;
@@ -193,12 +213,11 @@ class AsmcapAccelerator {
   /// Manufactures the row silicon at `slot` from the per-id stream of
   /// `id`, manufacturing arrays on demand.
   void build_row_silicon(std::size_t slot, std::uint64_t id);
-  /// The shared write path's per-slot half: records (id, segment) at
-  /// `slot` in the directory, the sketch, and (while the bank senses
-  /// noise) the circuit state. The row store is written by the caller, a
-  /// run of consecutive slots at a time. No cost accounting.
-  void write_slot(std::size_t slot, std::uint64_t id,
-                  const Sequence& segment);
+  /// The shared write path's per-slot half: records `id` at `slot` in the
+  /// directory and (while the bank senses noise) builds the row's circuit
+  /// state. The row store is written by the caller, a run of consecutive
+  /// slots at a time. No cost accounting.
+  void write_slot(std::size_t slot, std::uint64_t id);
   /// Cost accounting of one append burst (count rows, the fullest touched
   /// array writing `burst_rows` of them sequentially).
   void book_write_cost(std::size_t count, std::size_t burst_rows);
@@ -218,12 +237,25 @@ class AsmcapAccelerator {
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   /// Rebuilt by set_backend, so its noise flag tracks senses_noise().
   std::unique_ptr<CircuitBackend> backend_;
-  std::unique_ptr<BankSketch> sketch_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::uint64_t next_auto_id_;
   bool identity_layout_ = true;
   double load_energy_ = 0.0;
   double load_latency_ = 0.0;
 };
+
+/// Number of disjoint pigeonhole windows a sound prune needs for one
+/// query (AsmcapAccelerator::may_match): T + 1 under ideal sensing; when
+/// the bank senses noise (`backend` Circuit on a noisy config), the
+/// smallest K for which a mismatch count >= K is guaranteed to decide
+/// 'no match' under the worst bounded noise draw — the miss side of
+/// charge_decision_band (circuit/sense_amp.h): Box-Muller deviates from
+/// Rng::normal() never exceed sqrt(-2 ln 2^-53) sigma and manufactured
+/// capacitors are clamped at ±4 sigma. Returns 0 when pruning cannot be
+/// sound for this configuration (window width would be zero, or the
+/// noise bound swallows the whole margin) — callers must then fan out to
+/// every bank.
+std::size_t pruning_window_count(const AsmcapConfig& config,
+                                 BackendKind backend, std::size_t threshold);
 
 }  // namespace asmcap

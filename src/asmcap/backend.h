@@ -103,11 +103,12 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  /// One search pass: per-slot decisions at `threshold` (see PassResult).
-  /// Must be thread-safe; per-decision SA noise is forked from
-  /// `query_rng.fork(pass_salt)` per global segment (unused by paths that
-  /// decide ideally). `query_rng` is never advanced.
-  virtual PassResult run_pass(const Sequence& read, MatchMode mode,
+  /// One search pass of `read` (an ED* or a Hamming view, whose width
+  /// must equal the array's): per-slot decisions at `threshold` (see
+  /// PassResult). Must be thread-safe; per-decision SA noise is forked
+  /// from `query_rng.fork(pass_salt)` per global segment (unused by paths
+  /// that decide ideally). `query_rng` is never advanced.
+  virtual PassResult run_pass(const PackedReadView& read,
                               std::size_t threshold, const Rng& query_rng,
                               std::uint64_t pass_salt) const = 0;
 };
@@ -120,9 +121,10 @@ class ExecutionBackend {
 /// is never driven, and a tombstoned or padding row decides nothing,
 /// charges no matchline energy, and draws no RNG fork.
 ///
-/// A pass builds one PackedReadView of its metric and walks the store
-/// block by block: the active kernel counts the block's 256 rows and flags
-/// those with count < band.hit_below. Per 64-slot decision word, those
+/// A pass takes the plan's PackedReadView of its metric (built once per
+/// read, shared by every bank) and walks the store block by block: the
+/// active kernel counts the block's 256 rows and flags those with
+/// count < band.hit_below. Per 64-slot decision word, those
 /// flags ANDed with the live word are the decisions, and a call-free loop
 /// over the live bits books each live row's Eq. 1 energy from a per-count
 /// table, in ascending live-slot order after the SL-driver energy — the
@@ -144,8 +146,8 @@ class CircuitBackend : public ExecutionBackend {
                  const LiveDirectory& directory, const SlicedRowStore& rows,
                  bool sense_noise);
 
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
+  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
+                      const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
 
  private:
@@ -178,8 +180,8 @@ class EdamCircuitBackend : public ExecutionBackend {
                      std::size_t array_rows,
                      const CurrentDomainParams& params, bool sense_noise);
 
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
+  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
+                      const Rng& query_rng,
                       std::uint64_t pass_salt) const override;
 
  private:

@@ -36,25 +36,23 @@ CircuitBackend::CircuitBackend(const AsmcapConfig& config,
     row_energy_[k] = charge_row_search_energy(k, cols_, charge_);
 }
 
-PassResult CircuitBackend::run_pass(const Sequence& read, MatchMode mode,
+PassResult CircuitBackend::run_pass(const PackedReadView& view,
                                     std::size_t threshold,
                                     const Rng& query_rng,
                                     std::uint64_t pass_salt) const {
-  if (read.size() != cols_)
+  if (view.n != cols_)
     throw std::invalid_argument("CircuitBackend: read width mismatch");
   // Ideal sensing decides count <= T exactly: an empty band.
   const ChargeDecisionBand band =
       sense_noise_ ? charge_decision_band(charge_, cols_, threshold)
                    : ChargeDecisionBand{threshold + 1, threshold + 1};
-  // Read-derived work once per (read, rotation), then the active tier
-  // counts the store block by block (tombstoned and padding slots are
-  // counted too — cheaper than skipping — and masked below).
-  const PackedReadView view(read, mode == MatchMode::EdStar);
+  // The active tier counts the store block by block (tombstoned and
+  // padding slots are counted too — cheaper than skipping — and masked
+  // below).
   const std::size_t slots = rows_->rows();
   const auto count_block = active_kernel_ops().count_block;
-  const auto mismatch_words = mode == MatchMode::Hamming
-                                  ? hamming_mismatch_words
-                                  : ed_star_mismatch_words;
+  const auto mismatch_words =
+      view.neighbours ? ed_star_mismatch_words : hamming_mismatch_words;
   const Rng pass_rng = query_rng.fork(pass_salt);
   std::vector<std::uint64_t> row_words(sense_noise_ ? view.words : 0);
   std::vector<std::uint64_t> lane_words(sense_noise_ ? view.words : 0);

@@ -38,16 +38,18 @@ struct TasrParams {
   RotateDir direction = RotateDir::Both;
 };
 
-/// Sketch-based shard pruning (src/asmcap/sketch.h): when enabled, every
-/// bank builds a positional base-occurrence sketch at load_reference time
-/// and the sharded router skips banks that provably cannot contain a hit
-/// at the query's threshold. Decisions stay bit-identical to full fan-out
-/// (skipped banks contribute no RNG draws by construction); energy drops
-/// by exactly the skipped banks' share. There is deliberately NO k-mer
-/// length knob: a shared-k-mer filter is unsound for ED* (each cell
-/// independently picks a +/-1 neighbour, so an ED* = 0 row may share no
-/// k-mer with the read) — the window count is derived from the threshold
-/// and, on the noisy circuit path, the bounded-noise margin instead.
+/// Shard pruning: when enabled, the sharded router skips the banks that
+/// provably cannot contain a hit at the query's threshold
+/// (AsmcapAccelerator::may_match, which reads the bank's bit-sliced row
+/// store and live words; banks build and maintain no sketch or other
+/// index for it, so enabling it costs no ingest time or memory).
+/// Decisions stay bit-identical to full fan-out (skipped banks contribute
+/// no RNG draws by construction); energy drops by exactly the skipped
+/// banks' share. There is deliberately NO k-mer length knob: a
+/// shared-k-mer filter is unsound for ED* (each cell independently picks
+/// a +/-1 neighbour, so an ED* = 0 row may share no k-mer with the read)
+/// — the window count is derived from the threshold and, on the noisy
+/// circuit path, the bounded-noise margin instead.
 struct PruningParams {
   bool enabled = false;
 };
@@ -76,7 +78,7 @@ struct AsmcapConfig {
   TasrParams tasr;
   /// Bypass analog noise entirely (functional-simulation mode).
   bool ideal_sensing = false;
-  /// Router-level shard pruning (banks build sketches at load time).
+  /// Router-level shard pruning (probed on each bank's row store).
   PruningParams pruning;
   /// Seed of the sharded router's master query stream and of the
   /// manufactured-silicon stream. Every written row's analog silicon is

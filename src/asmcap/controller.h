@@ -16,8 +16,8 @@ struct ExecutionTotals {
   std::size_t searches = 0;
   std::size_t hd_searches = 0;
   std::size_t rotation_searches = 0;
-  /// Sketch-probe outcomes (sharded router with pruning enabled only):
-  /// banks actually searched vs banks skipped because their sketch proved
+  /// Pruning-probe outcomes (sharded router with pruning enabled only):
+  /// banks actually searched vs banks skipped because their probe proved
   /// no hit was possible. probed + pruned = active shards x queries.
   std::size_t banks_probed = 0;
   std::size_t banks_pruned = 0;
@@ -40,7 +40,7 @@ class Controller {
   void record(const QueryPlan& plan, double latency_seconds,
               double energy_joules);
 
-  /// Records one query's sketch-probe outcome (router pruning path).
+  /// Records one query's pruning-probe outcome (router pruning path).
   void record_pruning(std::size_t probed, std::size_t pruned) {
     totals_.banks_probed += probed;
     totals_.banks_pruned += pruned;

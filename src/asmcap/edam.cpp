@@ -88,9 +88,10 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
   const ExecutionBackend& backend = this->backend();
 
   EdamQueryResult result;
-  // Pass 0: the original read.
-  PassResult pass = backend.run_pass(read, MatchMode::EdStar, threshold,
-                                     query_rng, 0);
+  // Pass 0: the original read. Each pass's read view is built once and
+  // counted against the whole store.
+  PassResult pass =
+      backend.run_pass(PackedReadView(read), threshold, query_rng, 0);
   BitVec decisions = std::move(pass.decisions);
   result.energy_joules = pass.energy_joules;
   result.searches = 1;
@@ -104,7 +105,7 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
          rotation_schedule(read, config_.sr_rotations, config_.sr_direction)) {
       if (rotated == read) continue;
       const PassResult extra = backend.run_pass(
-          rotated, MatchMode::EdStar, threshold, query_rng, pass_salt++);
+          PackedReadView(rotated), threshold, query_rng, pass_salt++);
       decisions |= extra.decisions;
       result.energy_joules += extra.energy_joules;
       ++result.searches;

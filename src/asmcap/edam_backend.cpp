@@ -26,20 +26,17 @@ EdamCircuitBackend::EdamCircuitBackend(
     row_energy_[k] = current_row_search_energy(k, rows.cols(), params);
 }
 
-PassResult EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
+PassResult EdamCircuitBackend::run_pass(const PackedReadView& view,
                                         std::size_t threshold,
                                         const Rng& query_rng,
                                         std::uint64_t pass_salt) const {
-  if (read.size() != rows_->cols())
+  if (view.n != rows_->cols())
     throw std::invalid_argument("EdamCircuitBackend: read width mismatch");
-  // Read-derived work once per (read, rotation), then the active tier
-  // counts the store block by block.
-  const PackedReadView view(read, mode == MatchMode::EdStar);
+  // The active tier counts the store block by block.
   const std::size_t rows = rows_->rows();
   const auto count_block = active_kernel_ops().count_block;
-  const auto mismatch_words = mode == MatchMode::Hamming
-                                  ? hamming_mismatch_words
-                                  : ed_star_mismatch_words;
+  const auto mismatch_words =
+      view.neighbours ? ed_star_mismatch_words : hamming_mismatch_words;
   const Rng pass_rng = query_rng.fork(pass_salt);
   std::vector<std::uint64_t> group_words(
       sense_noise_ ? SlicedRowStore::kGroupRows * view.words : 0);

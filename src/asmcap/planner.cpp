@@ -35,6 +35,10 @@ ExecutionPlan QueryPlanner::build(const Sequence& read, std::size_t threshold,
       out.ed_star_passes.push_back(std::move(rotated));
     }
   }
+  out.ed_star_views.reserve(out.ed_star_passes.size());
+  for (const Sequence& pass : out.ed_star_passes)
+    out.ed_star_views.emplace_back(pass);
+  if (out.hd_pass) out.hd_view = PackedReadView(read, /*neighbours=*/false);
   return out;
 }
 

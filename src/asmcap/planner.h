@@ -3,14 +3,17 @@
 // backend -> batch engine). The planner owns the offline pre-processed
 // correction strategies (HDAC's p, TASR's T_l) and turns one
 // (read, threshold, mode) request into an immutable ExecutionPlan listing
-// exactly which array passes an ExecutionBackend must run. Planning draws
-// no randomness and mutates nothing, so plans can be built concurrently
-// and executed on any backend.
+// exactly which array passes an ExecutionBackend must run, each with the
+// read view its kernels take (align/kernels.h), built once per read and
+// shared by the shard-pruning probe and every bank's passes. Planning
+// draws no randomness and mutates nothing, so plans can be built
+// concurrently and executed on any backend.
 
 #include <cstddef>
 #include <limits>
 #include <vector>
 
+#include "align/kernels.h"
 #include "asmcap/config.h"
 #include "asmcap/hdac.h"
 #include "asmcap/tasr.h"
@@ -41,6 +44,10 @@ struct ExecutionPlan {
   /// distinct rotation of the TASR schedule (duplicates of the original are
   /// dropped — they are costed but never re-searched).
   std::vector<Sequence> ed_star_passes;
+  /// ed_star_views[p] is the ED* read view of ed_star_passes[p].
+  std::vector<PackedReadView> ed_star_views;
+  /// The Hamming view of the original read; empty unless hd_pass.
+  PackedReadView hd_view;
   bool hd_pass = false;    ///< == summary.hd_search.
   double hdac_p = 0.0;     ///< == summary.hdac_p.
   std::size_t threshold = 0;

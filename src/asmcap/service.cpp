@@ -599,6 +599,9 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
 void SearchTicket::complete_read(std::size_t i, ReadOutcome out) {
   Slot& slot = slots_[i];
   slot.t_merged = clock_->now();
+  // Every execute of this read is done: free its plan (and the read
+  // views it carries) now, not when the ticket dies.
+  slot.plan = ExecutionPlan();
   if (out == ReadOutcome::Done) {
     slot.ledger_plan = slot.merged.plan;
     slot.ledger_latency = slot.merged.latency_seconds;

@@ -57,8 +57,10 @@
 // fan-out covers only its probe-survivor shard set (ShardedAccelerator::
 // probe_shards): staging buffers shrink to the survivors, a read every
 // bank pruned completes instantly with the all-false merged shape, and
-// the per-read probe counters are flushed to the ledger at wait().
-// Decisions stay bit-identical to full fan-out — see asmcap/sketch.h.
+// the per-read probe counters are flushed to the ledger at wait(). The
+// probe runs on the worker, over each bank's row store with the read's
+// plan views (AsmcapAccelerator::may_match): banks build no sketch.
+// Decisions stay bit-identical to full fan-out — see docs/determinism.md.
 //
 // Three consumption styles (combinable per submission, with one rule:
 // cross-thread pollers must stop using result() references before the
@@ -390,11 +392,12 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
     Exhausted,  ///< No reads left to grant (all claimed or ticket aborted).
   };
 
-  /// Per-read state. `partials`/`shard_ids` exist only between admission
-  /// and merge (and never exist when the router has a single active
-  /// shard). With pruning enabled, shard_ids is this read's probe
-  /// survivor set — the only banks dispatched — and the probe counters
-  /// feed the ledger at wait().
+  /// Per-read state. `plan` (with its read views), `partials` and
+  /// `shard_ids` exist only between admission and merge (`partials` and
+  /// `shard_ids` never exist when the router has a single active shard).
+  /// With pruning enabled, shard_ids is this read's probe survivor set —
+  /// the only banks dispatched — and the probe counters feed the ledger
+  /// at wait().
   struct Slot {
     ExecutionPlan plan;
     Rng rng;

@@ -320,15 +320,11 @@ std::vector<std::uint32_t> ShardedAccelerator::probe_shards(
       config_.pruning.enabled
           ? pruning_window_count(config_, backend_kind_, plan.threshold)
           : 0;
-  for (std::uint32_t s = 0; s < db.banks.size(); ++s) {
-    // windows == 0 means a sound prune is impossible for this query (or
-    // pruning is off): dispatch everything. A bank without a sketch is
-    // never skipped either.
-    const BankSketch* sketch =
-        windows == 0 ? nullptr : db.banks[s]->sketch();
-    if (sketch == nullptr || sketch->may_match(plan, windows))
+  // windows == 0 means a sound prune is impossible for this query (or
+  // pruning is off): dispatch everything.
+  for (std::uint32_t s = 0; s < db.banks.size(); ++s)
+    if (windows == 0 || db.banks[s]->may_match(plan, windows))
       selected.push_back(s);
-  }
   return selected;
 }
 
@@ -388,7 +384,7 @@ QueryResult ShardedAccelerator::search(const Sequence& read,
   const std::shared_ptr<const DbEpoch> db = db_;
 
   // The sequential stream formula (docs/determinism.md): one next() of
-  // the master stream per query. It advances BEFORE the sketch probe, and
+  // the master stream per query. It advances BEFORE the pruning probe, and
   // by the same one step whether or not banks get pruned, so pruning
   // never shifts later queries' streams. Every dispatched bank
   // executes the same plan against the same query stream; global-id RNG

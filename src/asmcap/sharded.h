@@ -50,13 +50,14 @@
 // merged totals.
 //
 // Shard pruning (config.pruning.enabled): before fanning out, the router
-// probes each bank's BankSketch (asmcap/sketch.h) against the query plan
-// and dispatches only the banks that may contain a match — a pruned bank
-// spawns no task, burns no SL-driver energy, and (because per-decision RNG
-// streams are keyed by global segment id and are pure forks, never
-// sequential draws) contributes no RNG draws, so the surviving banks'
-// decisions are bit-identical to full fan-out. Sketches are maintained
-// incrementally across mutations (set_row/clear_row on the clones).
+// probes each bank (AsmcapAccelerator::may_match, over the bank's row
+// store and live words, with the plan's read views) and dispatches only
+// the banks that may contain a match — a pruned bank spawns no task,
+// burns no SL-driver energy, and (because per-decision RNG streams are
+// keyed by global segment id and are pure forks, never sequential draws)
+// contributes no RNG draws, so the surviving banks' decisions are
+// bit-identical to full fan-out. Banks build no sketch: the probe reads
+// exactly what each epoch's banks store, so mutations need no upkeep.
 //
 // Ownership: the router owns its epochs, controller, and session pool (the
 // pool is shared with SearchService tickets and ReadMapper verification);
@@ -287,7 +288,7 @@ class ShardedAccelerator {
   void fold_hot(DbEpoch& next, std::vector<bool>& owned) const;
   /// Shards of `db` to dispatch for `plan`, ascending. All banks when
   /// pruning is disabled or cannot be sound (pruning_window_count == 0);
-  /// otherwise the banks whose sketches report may_match.
+  /// otherwise the banks whose may_match probe keeps them.
   std::vector<std::uint32_t> probe_shards(const DbEpoch& db,
                                           const ExecutionPlan& plan) const;
   /// Merges the partial results of the dispatched shards (partials[j] is

@@ -1,10 +1,6 @@
 #include "asmcap/sketch.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "asmcap/backend.h"
-#include "circuit/sense_amp.h"
 
 namespace asmcap {
 
@@ -25,44 +21,6 @@ BankSketch::BankSketch(const std::vector<Sequence>& segments,
       bits[r >> 6] |= std::uint64_t{1} << (r & 63);
     }
   }
-}
-
-BankSketch::BankSketch(std::size_t cols) : cols_(cols) {
-  if (cols_ == 0) throw std::invalid_argument("BankSketch: zero columns");
-}
-
-void BankSketch::ensure_rows(std::size_t rows) {
-  const std::size_t need = (rows + 63) / 64;
-  if (need > words_) {
-    // Re-stride: each (column, base) bitset keeps its words, padded with
-    // zeros for the new rows.
-    std::vector<std::uint64_t> grown(cols_ * 4 * need, 0);
-    for (std::size_t set = 0; set < cols_ * 4; ++set)
-      for (std::size_t w = 0; w < words_; ++w)
-        grown[set * need + w] = occ_[set * words_ + w];
-    occ_ = std::move(grown);
-    words_ = need;
-  }
-  if (rows > rows_) rows_ = rows;
-}
-
-void BankSketch::set_row(std::size_t r, const Sequence& row) {
-  if (row.size() != cols_)
-    throw std::invalid_argument("BankSketch: segment width mismatch");
-  ensure_rows(r + 1);
-  const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-  for (std::size_t i = 0; i < cols_; ++i) {
-    for (std::uint8_t code = 0; code < 4; ++code)
-      occ_[(i * 4 + code) * words_ + (r >> 6)] &= ~bit;
-    occ_[(i * 4 + code_of(row[i])) * words_ + (r >> 6)] |= bit;
-  }
-}
-
-void BankSketch::clear_row(std::size_t r) {
-  if (r >= rows_) return;
-  const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-  for (std::size_t set = 0; set < cols_ * 4; ++set)
-    occ_[set * words_ + (r >> 6)] &= ~bit;
 }
 
 bool BankSketch::window_alive(const Sequence& read, std::size_t lo,
@@ -111,25 +69,6 @@ bool BankSketch::may_match(const ExecutionPlan& plan,
         return true;
   }
   return false;
-}
-
-std::size_t pruning_window_count(const AsmcapConfig& config,
-                                 BackendKind backend,
-                                 std::size_t threshold) {
-  const std::size_t m = config.array_cols;
-  std::size_t windows = threshold + 1;  // ideal decision: count <= T
-  if (backend == BackendKind::Circuit && !config.ideal_sensing) {
-    // Noisy sensing can flip a count slightly above T back to 'match'.
-    // K = the band's miss side (circuit/sense_amp.h): rows below K stay
-    // prunable by the K-window pigeonhole, rows at or above K can never
-    // flip. No certain miss at all means no sound prune.
-    const std::size_t k =
-        charge_decision_band(config.process.charge, m, threshold).miss_from;
-    if (k > m) return 0;
-    windows = std::max(windows, k);
-  }
-  if (m / windows == 0) return 0;  // window width would be zero
-  return windows;
 }
 
 }  // namespace asmcap

@@ -205,8 +205,8 @@ ShardedComparisonResult run_sharded_comparison(
 
   // The sharded filter: the whole query batch in one routed call. Shard
   // pruning (default on) makes the reported energy the honest deployment
-  // number — only the banks the sketch could not rule out are charged;
-  // decisions are bit-identical either way (asmcap/sketch.h).
+  // number — only the banks the probe could not rule out are charged;
+  // decisions are bit-identical either way (AsmcapAccelerator::may_match).
   AsmcapConfig bank_config = config.bank;
   bank_config.pruning.enabled = config.prune_shards;
   ShardedAccelerator accel(bank_config, config.shards);

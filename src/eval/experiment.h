@@ -94,9 +94,9 @@ struct ShardedComparisonConfig {
   /// process parameters and the SR schedule are taken from here.
   EdamConfig edam;
   std::size_t workers = 1;
-  /// Sketch-based shard pruning for the ASMCap arm (bank.pruning is
-  /// overridden with this). Default ON: decisions are bit-identical
-  /// either way (asmcap/sketch.h), and skipping provably-hitless banks is
+  /// Shard pruning for the ASMCap arm (bank.pruning is overridden with
+  /// this). Default ON: decisions are bit-identical either way
+  /// (AsmcapAccelerator::may_match), and skipping provably-hitless banks is
   /// how a real deployment would run, so the reported ASMCap energy stays
   /// honest instead of charging every bank for every read.
   bool prune_shards = true;
@@ -123,7 +123,7 @@ struct ShardedComparisonResult {
   /// prune_shards, the energy covers only the banks actually probed.
   double accel_latency_seconds = 0.0;
   double accel_energy_joules = 0.0;
-  /// Sketch-probe outcome over the batch (zero when prune_shards off).
+  /// Pruning-probe outcome over the batch (zero when prune_shards off).
   std::size_t banks_probed = 0;
   std::size_t banks_pruned = 0;
   /// banks_pruned / (banks_probed + banks_pruned); 0 when pruning is off.

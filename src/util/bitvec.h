@@ -44,6 +44,8 @@ class BitVec {
   std::size_t words() const { return data_.size(); }
   std::uint64_t word(std::size_t w) const { return data_.at(w); }
   std::uint64_t& word(std::size_t w) { return data_.at(w); }
+  /// The words() words: bit i at bit i % 64 of word i / 64.
+  const std::uint64_t* data() const { return data_.data(); }
 
  private:
   void check(std::size_t i) const;

@@ -35,8 +35,9 @@ std::size_t ThreadPool::hardware_workers() {
 
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) workers = hardware_workers();
-  threads_.reserve(workers - 1);
-  for (std::size_t i = 0; i + 1 < workers; ++i)
+  if (workers == 1) return;  // threadless: everything runs inline
+  threads_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i)
     threads_.emplace_back([this] { worker_loop(); });
 }
 
@@ -149,8 +150,9 @@ void ThreadPool::parallel_for(std::size_t count,
     job_ = job;
     ++generation_;
   }
+  // The spawned threads run every index; the caller only waits, so a
+  // pool of N runs parallel_for and submitted tasks on the same N threads.
   start_cv_.notify_all();
-  run_job(*job);
   {
     MutexLock lock(mutex_);
     while (job->remaining.load(std::memory_order_acquire) != 0)

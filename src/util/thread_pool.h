@@ -77,22 +77,27 @@ class TaskGroup {
 
 class ThreadPool {
  public:
-  /// A pool of `workers` concurrent executors. The calling thread of
-  /// parallel_for() participates, so `workers == 1` spawns no threads and
-  /// runs everything inline; `workers == 0` uses hardware_workers().
+  /// A pool of `workers` concurrent executors: that many spawned threads
+  /// run both parallel_for indices and submitted tasks. `workers == 1`
+  /// spawns no threads and runs everything inline on the caller;
+  /// `workers == 0` uses hardware_workers().
   explicit ThreadPool(std::size_t workers = 0);
   /// Drains every queued submit() task, then joins the threads.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total executors (spawned threads + the calling thread).
-  std::size_t workers() const { return threads_.size() + 1; }
+  /// Total executors (the spawned threads, or 1 when inline).
+  std::size_t workers() const {
+    return threads_.empty() ? 1 : threads_.size();
+  }
 
   /// Runs fn(i) for every i in [0, count), blocking until all complete.
-  /// fn must be safe to call concurrently for distinct indices. The first
-  /// exception thrown by any index is rethrown here (remaining indices may
-  /// or may not run).
+  /// On a threaded pool the spawned threads run the indices while the
+  /// caller waits (a single index runs inline on the caller). fn must be
+  /// safe to call concurrently for distinct indices. The first exception
+  /// thrown by any index is rethrown here (remaining indices may or may
+  /// not run).
   ///
   /// NOT REENTRANT: the pool runs one parallel_for job at a time (a single
   /// shared job/generation slot), so fn must never call parallel_for on

@@ -235,7 +235,8 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
         const std::size_t threshold = 4;
         const std::uint64_t salt = mode == MatchMode::EdStar ? 0 : 0x4844;
         const PassResult got =
-            backend.run_pass(read, mode, threshold, query_rng, salt);
+            backend.run_pass(PackedReadView(read, mode == MatchMode::EdStar),
+                             threshold, query_rng, salt);
 
         const ChargeDecisionBand band = charge_decision_band(
             config.process.charge, config.array_cols, threshold);
@@ -377,16 +378,19 @@ TEST(EngineWords, IdealPassMatchesPerSlotReferenceAcrossWords) {
     reads.push_back(Sequence::random(64, edit_rng));
 
     // The pass checks the read's width against the array's.
-    EXPECT_THROW(backend.run_pass(Sequence::random(32, edit_rng),
-                                  MatchMode::EdStar, 3, Rng(907), 0),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        backend.run_pass(PackedReadView(Sequence::random(32, edit_rng)), 3,
+                         Rng(907), 0),
+        std::invalid_argument);
 
     std::vector<std::size_t> matches_per_word(words, 0);
     for (std::size_t i = 0; i < reads.size(); ++i) {
       for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
         const std::size_t threshold = 3;
         const PassResult got =
-            backend.run_pass(reads[i], mode, threshold, Rng(907), 0);
+            backend.run_pass(
+                PackedReadView(reads[i], mode == MatchMode::EdStar),
+                threshold, Rng(907), 0);
         ASSERT_EQ(got.decisions.size(), spec.slots);
         ASSERT_EQ(got.decisions.words(), words);
         EXPECT_EQ(got.decisions.word(words - 1) >> (spec.slots % 64), 0u)
@@ -504,9 +508,8 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             segments, dir, plan.ed_star_passes[0], MatchMode::EdStar,
             plan.threshold);
         double energy = accel.backend()
-                            .run_pass(plan.ed_star_passes[0],
-                                      MatchMode::EdStar, plan.threshold,
-                                      query_rng, 0)
+                            .run_pass(PackedReadView(plan.ed_star_passes[0]),
+                                      plan.threshold, query_rng, 0)
                             .energy_joules;
         for (std::size_t p = 1; p < plan.ed_star_passes.size(); ++p) {
           const std::vector<bool> extra = reference_pass(
@@ -517,7 +520,7 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             expected[slot] = expected[slot] || extra[slot];
           }
           energy += accel.backend()
-                        .run_pass(plan.ed_star_passes[p], MatchMode::EdStar,
+                        .run_pass(PackedReadView(plan.ed_star_passes[p]),
                                   plan.threshold, query_rng, p)
                         .energy_joules;
         }
@@ -535,9 +538,9 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             expected[slot] = combined;
           }
           energy += accel.backend()
-                        .run_pass(plan.ed_star_passes.front(),
-                                  MatchMode::Hamming, plan.threshold,
-                                  query_rng, 0x4844'0000ULL)
+                        .run_pass(PackedReadView(plan.ed_star_passes.front(),
+                                                 /*neighbours=*/false),
+                                  plan.threshold, query_rng, 0x4844'0000ULL)
                         .energy_joules;
         }
 

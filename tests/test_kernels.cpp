@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/edstar.h"
@@ -210,6 +211,97 @@ TEST(KernelParity, EveryTierCountsMatchCellReferencesAcrossWidths) {
                   << "tier=" << to_string(tier) << " n=" << n
                   << " slot=" << slot << " bound=" << bound;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The pruning probe on every tier against a cell-by-cell oracle: for each
+// width, an ED* and a Hamming view, live masks that keep all rows, none,
+// a random half, or one row on a 64-row group or 256-row block edge, and
+// column windows across the 16-column and 32-column edges. The store's
+// last block is partial, and the live words set every padding bit, so a
+// padding row that counted would show; an all-'A' read makes the all-'A'
+// padding rows match every window.
+TEST(KernelParity, EveryTierWindowAliveMatchesCellReference) {
+  constexpr std::size_t kRows = 300;
+  constexpr std::size_t kLiveWords = 8;  // two blocks, padding bits set
+  Rng rng(0x51D4);
+  for (const std::size_t n :
+       {0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 255,
+        256, 257}) {
+    for (const bool all_a : {false, true}) {
+      const Sequence read = all_a ? Sequence(n) : Sequence::random(n, rng);
+      // Near copies of the read, in which some windows survive, and
+      // random rows, in which few do; all-mismatch rows on the all-'A'
+      // read, so that only a padding row could match.
+      std::vector<Sequence> rows;
+      while (rows.size() < kRows) {
+        if (all_a) {
+          rows.push_back(all_mismatch_row(read));
+        } else if (rows.size() % 2 == 0 || n == 0) {
+          rows.push_back(Sequence::random(n, rng));
+        } else {
+          Sequence near = read;
+          for (std::size_t k = 0; k < rows.size() % 5; ++k) {
+            const std::size_t i = rng.below(n);
+            near.set(i, base_from_code(static_cast<std::uint8_t>(
+                            code_of(near[i]) + 1)));
+          }
+          rows.push_back(near);
+        }
+      }
+      const SlicedRowStore store(rows, n);
+
+      std::vector<std::vector<std::uint64_t>> masks;
+      masks.emplace_back(kLiveWords, ~std::uint64_t{0});
+      masks.emplace_back(kLiveWords, 0);
+      std::vector<std::uint64_t> half(kLiveWords);
+      for (std::uint64_t& word : half) word = rng.next();
+      masks.push_back(half);
+      for (const std::size_t slot : {0, 63, 64, 255, 256, 299}) {
+        std::vector<std::uint64_t> one(kLiveWords, 0);
+        one[slot / 64] = std::uint64_t{1} << (slot % 64);
+        masks.push_back(one);
+      }
+
+      std::vector<std::pair<std::size_t, std::size_t>> windows = {
+          {0, n}, {0, n / 2}, {n / 2, n}, {n / 3, 2 * n / 3}};
+      for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{
+                                       15, 17},
+                                   {31, 33}, {0, 1}, {30, 66}, {60, 130}})
+        if (hi <= n) windows.emplace_back(lo, hi);
+      if (n > 0) windows.emplace_back(n - 1, n);
+
+      for (const bool ed_star : {true, false}) {
+        const PackedReadView view(read, ed_star);
+        // mismatches[r][i]: row r's mismatched cells among the first i.
+        std::vector<std::vector<std::size_t>> mismatches(kRows);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          mismatches[r].assign(n + 1, 0);
+          for (std::size_t i = 0; i < n; ++i) {
+            const Base q = rows[r][i];
+            bool match = q == read[i];
+            if (ed_star && !match && i > 0) match = q == read[i - 1];
+            if (ed_star && !match && i + 1 < n) match = q == read[i + 1];
+            mismatches[r][i + 1] = mismatches[r][i] + (match ? 0 : 1);
+          }
+        }
+        for (const std::vector<std::uint64_t>& live : masks) {
+          for (const auto& [lo, hi] : windows) {
+            bool want = false;
+            for (std::size_t r = 0; r < kRows; ++r)
+              want = want || (((live[r / 64] >> (r % 64)) & 1) != 0 &&
+                              mismatches[r][hi] == mismatches[r][lo]);
+            for (const KernelTier tier : available_tiers())
+              EXPECT_EQ(kernel_ops(tier).window_alive(store, view,
+                                                      live.data(), lo, hi),
+                        want)
+                  << "tier=" << to_string(tier) << " n=" << n
+                  << " all_a=" << all_a << " ed_star=" << ed_star
+                  << " window=[" << lo << ", " << hi << ")";
           }
         }
       }

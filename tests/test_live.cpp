@@ -13,7 +13,7 @@
 //    DbError taxonomy;
 //  * hot-bank overflow and compaction — staging-bank geometry changes
 //    never change decisions;
-//  * sketch consistency — shard pruning stays decision-neutral across
+//  * probe consistency — shard pruning stays decision-neutral across
 //    mutations;
 //  * lazy circuit state — a functional bank switched to the circuit
 //    backend decides exactly like one that was Circuit from birth;
@@ -311,12 +311,12 @@ TEST_F(LiveDbTest, HotBankOverflowAndCompactionAreDecisionNeutral) {
   }
 }
 
-// Shard pruning must stay decision-neutral across mutations: the bank
-// sketches are updated incrementally on every append/delete/fold, and a
-// stale sketch would prune a bank that holds a real hit. Equality against
-// an unpruned twin after a full mutation history proves the incremental
-// maintenance correct.
-TEST_F(LiveDbTest, SketchPruningDecisionNeutralAfterMutations) {
+// Shard pruning must stay decision-neutral across mutations: the probe
+// reads each bank's row store and live words as every append, delete and
+// fold leaves them, and a stale live word or a recycled slot's old row
+// would prune a bank that holds a real hit. Equality against an unpruned
+// twin after a full mutation history proves the probe tracks them.
+TEST_F(LiveDbTest, PruningDecisionNeutralAfterMutations) {
   AsmcapConfig pruned_config = bank_config(2);
   pruned_config.pruning.enabled = true;
   AsmcapConfig plain_config = bank_config(2);

@@ -1,15 +1,20 @@
-// Tests of sketch-based shard pruning (asmcap/sketch.h + the sharded
-// router's probe path): the pigeonhole sketch is false-negative-free
-// against the library ED* across random edit scripts at/below T; pruned
-// and full fan-out produce bit-identical decisions/matched ids/latency on
-// every backend (noisy circuit included) with energy exactly equal to the
-// probed banks' sum; the ledger gains probe counters; repeated
-// load_reference still throws with the sketch intact; and pruning
-// disabled is indistinguishable from the pre-pruning router.
+// Tests of shard pruning (AsmcapAccelerator::may_match + the sharded
+// router's probe path): the row-store probe is false-negative-free
+// against the library ED* across random edit scripts at/below T, and
+// prunes exactly what the legacy sketch pruned over randomized mutation
+// histories (a pinned digest, plus asmcap/sketch.h's reference probe on
+// every outcome); pruned and full fan-out produce bit-identical
+// decisions/matched ids/latency on every backend (noisy circuit included)
+// with energy exactly equal to the probed banks' sum; the ledger gains
+// probe counters; repeated load_reference still throws with the probe
+// intact; and pruning disabled is indistinguishable from the pre-pruning
+// router.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <ios>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "asmcap/sketch.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
+#include "util/decision_digest.h"
 #include "util/rng.h"
 
 namespace asmcap {
@@ -147,7 +153,7 @@ TEST(PruningWindowCount, NoisyCountsArePinned) {
 
 // ------------------------------------------- false-negative-free property --
 
-TEST_F(PruningTest, SketchNeverPrunesABankWithAHit) {
+TEST_F(PruningTest, ProbeNeverPrunesABankWithAHit) {
   // Direct soundness property against the library ED*: for every plan
   // pass, a bank holding a row within the ideal decision threshold must
   // report may_match under the ideal window count (and a fortiori under
@@ -164,15 +170,13 @@ TEST_F(PruningTest, SketchNeverPrunesABankWithAHit) {
     const ExecutionPlan plan = accel.controller().planner().build(
         read, kThreshold, accel.error_profile(), StrategyMode::Full);
     for (std::size_t s = 0; s < accel.active_shards(); ++s) {
-      const BankSketch* sketch = accel.shard(s).sketch();
-      ASSERT_NE(sketch, nullptr);
       bool bank_has_hit = false;
       for (std::size_t g = accel.shard_base(s);
            g < accel.shard_base(s) + accel.shard_segments(s); ++g)
         for (const Sequence& pass : plan.ed_star_passes)
           if (ed_star(segments_[g], pass) <= kThreshold) bank_has_hit = true;
       if (bank_has_hit) {
-        EXPECT_TRUE(sketch->may_match(plan, windows))
+        EXPECT_TRUE(accel.shard(s).may_match(plan, windows))
             << "bank " << s << " holds a row within T but was prunable";
         ++hit_banks_checked;
       }
@@ -261,7 +265,7 @@ TEST_F(PruningTest, SequentialSearchBitIdenticalAndStreamPreserving) {
 TEST_F(PruningTest, EnergyIsExactlyTheProbedBanksSum) {
   // On the functional backend pass energy is a pure function of the plan
   // and the bank's stored rows (no RNG dependence), so the pruned energy
-  // must reconstruct exactly from the sketch-predicted probe set.
+  // must reconstruct exactly from the probe-predicted bank set.
   ShardedAccelerator pruned(bank_config(/*ideal=*/false, /*pruning=*/true),
                             kShards);
   pruned.load_reference(segments_);
@@ -277,7 +281,7 @@ TEST_F(PruningTest, EnergyIsExactlyTheProbedBanksSum) {
         reads_[i], kThreshold, pruned.error_profile(), StrategyMode::Full);
     double expected = 0.0;
     for (std::size_t s = 0; s < pruned.active_shards(); ++s)
-      if (pruned.shard(s).sketch()->may_match(plan, windows))
+      if (pruned.shard(s).may_match(plan, windows))
         expected += pruned.shard(s).execute(plan, any_rng).energy_joules;
     EXPECT_EQ(batch[i].energy_joules, expected) << "read " << i;
   }
@@ -350,23 +354,29 @@ TEST_F(PruningTest, ServiceSubmitMatchesBatchUnderPruning) {
   EXPECT_EQ(a.totals().banks_pruned, b.totals().banks_pruned);
 }
 
-// ------------------------------------------------ load-once sketch contract
+// ------------------------------------------------- load-once probe contract
 
-TEST_F(PruningTest, RepeatedLoadThrowsWithSketchIntact) {
+TEST_F(PruningTest, RepeatedLoadThrowsWithProbeIntact) {
   ShardedAccelerator accel(bank_config(/*ideal=*/true, /*pruning=*/true),
                            kShards);
   accel.load_reference(segments_);
-  const BankSketch* sketch = accel.shard(0).sketch();
-  ASSERT_NE(sketch, nullptr);
-  const std::size_t bytes = sketch->memory_bytes();
-  EXPECT_EQ(sketch->rows(), accel.shard_segments(0));
-  EXPECT_EQ(sketch->columns(), accel.config().array_cols);
+  const std::size_t windows = pruning_window_count(
+      accel.config(), BackendKind::Circuit, kThreshold);
+  const auto outcomes = [&] {
+    std::vector<bool> out;
+    for (const Sequence& read : reads_) {
+      const ExecutionPlan plan = accel.controller().planner().build(
+          read, kThreshold, accel.error_profile(), StrategyMode::Full);
+      for (std::size_t s = 0; s < accel.active_shards(); ++s)
+        out.push_back(accel.shard(s).may_match(plan, windows));
+    }
+    return out;
+  };
+  const std::vector<bool> before = outcomes();
 
   EXPECT_THROW(accel.load_reference(segments_), std::logic_error);
-  // The failed reload left the sketch (same object, same contents) and the
-  // search path untouched.
-  EXPECT_EQ(accel.shard(0).sketch(), sketch);
-  EXPECT_EQ(sketch->memory_bytes(), bytes);
+  // The failed reload left the probe and the search path untouched.
+  EXPECT_EQ(outcomes(), before);
   const QueryResult after =
       accel.search(reads_[0], kThreshold, StrategyMode::Full);
 
@@ -379,15 +389,123 @@ TEST_F(PruningTest, RepeatedLoadThrowsWithSketchIntact) {
   EXPECT_EQ(after.energy_joules, expect.energy_joules);
 }
 
+// ---------------------------------------- probe outcomes, pinned by digest
+
+TEST(PruningProbe, OutcomesOverMutationHistoriesArePinned) {
+  // Every (read, bank) probe outcome over a randomized mutation history:
+  // appends staged in the hot bank and folded into the cold banks,
+  // deletes, recycled slots and compact(); T = 0..32 with the ideal and
+  // the noisy window counts (TASR rotates from T = 13 at 64 columns); and
+  // reads near stored rows (substitutions, one indel) and far from them.
+  // Cold banks of 384 rows cross the 256-row block. The digest was pinned
+  // on the per-row sketch that banks used to maintain, so the row-store
+  // probe must prune exactly as it did; every outcome must also equal the
+  // legacy reference probe (asmcap/sketch.h) built from the bank's live
+  // rows.
+  constexpr std::size_t kCols = 64;
+  AsmcapConfig config;
+  config.array_rows = 32;
+  config.array_cols = kCols;
+  config.array_count = 12;
+  config.ideal_sensing = true;
+  config.pruning.enabled = true;
+  config.live.hot_array_rows = 16;
+  config.live.hot_array_count = 4;
+  AsmcapConfig noisy = config;
+  noisy.ideal_sensing = false;
+
+  Rng rng(0x9E0B'E5D1);
+  const auto random_rows = [&](std::size_t count) {
+    std::vector<Sequence> rows;
+    for (std::size_t i = 0; i < count; ++i)
+      rows.push_back(Sequence::random(kCols, rng));
+    return rows;
+  };
+  ShardedAccelerator router(config, 3);
+  router.load_reference(random_rows(700));
+
+  DecisionDigest digest;
+  std::size_t kept = 0;
+  std::size_t pruned = 0;
+  for (std::size_t step = 0; step < 16; ++step) {
+    // One mutation: append a burst (some copies of live rows), delete a
+    // random subset, or compact.
+    const auto live = router.live_segments();
+    switch (rng.below(4)) {
+      case 0:
+      case 1: {
+        const std::size_t room = router.capacity_segments() - live.size();
+        std::vector<Sequence> rows =
+            random_rows(std::min<std::size_t>(room, 30 + rng.below(100)));
+        for (Sequence& row : rows)
+          if (rng.below(3) == 0) row = live[rng.below(live.size())].second;
+        router.append_segments(rows);
+        break;
+      }
+      case 2: {
+        std::vector<std::uint64_t> ids;
+        for (const auto& entry : live)
+          if (rng.below(10) == 0) ids.push_back(entry.first);
+        if (!ids.empty()) router.remove_segments(ids);
+        break;
+      }
+      default:
+        router.compact();
+    }
+    const auto rows = router.live_segments();
+    std::vector<BankSketch> reference;
+    for (std::size_t s = 0; s < router.active_shards(); ++s) {
+      std::vector<Sequence> bank_rows;
+      for (auto& entry : router.shard(s).live_segments())
+        bank_rows.push_back(std::move(entry.second));
+      reference.emplace_back(bank_rows, kCols);
+    }
+    for (std::size_t r = 0; r < 15; ++r) {
+      Sequence read = Sequence::random(kCols, rng);
+      if (r % 3 != 0) {
+        read = rows[rng.below(rows.size())].second;
+        const std::uint64_t edits = rng.below(6);
+        for (std::uint64_t e = 0; e < edits; ++e)
+          read.set(rng.below(kCols),
+                   base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+        if (r % 3 == 2) {  // one indel: shift the tail by a cell
+          read.erase(rng.below(kCols));
+          read.push_back(base_from_code(
+              static_cast<std::uint8_t>(rng.below(4))));
+        }
+      }
+      for (std::size_t t = 0; t <= 32; ++t) {
+        const ExecutionPlan plan = router.controller().planner().build(
+            read, t, ErrorRates::condition_a(), StrategyMode::Full);
+        for (const std::size_t windows :
+             {pruning_window_count(config, BackendKind::Circuit, t),
+              pruning_window_count(noisy, BackendKind::Circuit, t)}) {
+          for (std::size_t s = 0; s < router.active_shards(); ++s) {
+            const bool outcome = router.shard(s).may_match(plan, windows);
+            EXPECT_EQ(outcome, reference[s].may_match(plan, windows))
+                << "step " << step << " read " << r << " T " << t
+                << " bank " << s;
+            digest.add(outcome);
+            ++(outcome ? kept : pruned);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_EQ(digest.value(), 0xe4bd0614b794ab0eULL)
+      << std::hex << digest.value();
+}
+
 TEST_F(PruningTest, DisabledIsTodaysRouter) {
   // pruning.enabled == false must be byte-for-byte the pre-pruning
-  // router: no sketches built, no probe counters, decisions/energy as
-  // before (the cross-check against the enabled router is covered by the
+  // router: no probe counters, decisions/energy as before (the
+  // cross-check against the enabled router is covered by the
   // bit-identity tests above).
   ShardedAccelerator accel(bank_config(/*ideal=*/false, /*pruning=*/false),
                            kShards);
   accel.load_reference(segments_);
-  EXPECT_EQ(accel.shard(0).sketch(), nullptr);
   accel.search_batch(reads_, kThreshold, StrategyMode::Full, 2);
   EXPECT_EQ(accel.totals().banks_probed, 0u);
   EXPECT_EQ(accel.totals().banks_pruned, 0u);

@@ -29,6 +29,7 @@
 #include "genome/reference.h"
 #include "util/clock.h"
 #include "util/stats.h"
+#include "worker_gates.h"
 
 namespace asmcap {
 namespace {
@@ -166,14 +167,12 @@ TEST_F(SchedulerTest, MixedPriorityTicketsBitIdenticalToFifoOnEveryBackend) {
 // ---------------------------------------------------- priority admission
 
 TEST_F(SchedulerTest, InteractiveGrantsOvertakeBulkBacklog) {
-  // Block the single spawned worker so both tickets are enlisted before
-  // any read executes; grants then interleave purely by scheduler policy
+  // Block every worker so both tickets are enlisted before any read
+  // executes; grants then interleave purely by scheduler policy
   // (global budget 1 serialises them through retires), deterministically.
   auto async = make_router(1, true, BackendKind::Functional);
   ThreadPool& pool = async->worker_pool(2);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  pool.submit([opened] { opened.wait(); });
+  auto gates = std::make_unique<WorkerGates>(pool);
 
   SearchService::Config config;
   config.max_in_flight_reads = 1;
@@ -186,7 +185,7 @@ TEST_F(SchedulerTest, InteractiveGrantsOvertakeBulkBacklog) {
   options.service_class = ServiceClass::Interactive;
   const std::vector<Sequence> quick_reads = prefix(4);
   auto quick = service.submit(quick_reads, 4, StrategyMode::Full, options);
-  gate.set_value();
+  gates.reset();
   bulk->wait();
   quick->wait();
 
@@ -210,9 +209,7 @@ TEST_F(SchedulerTest, FairShareFollowsWeightsWithoutStarvation) {
   // both tickets complete every read.
   auto async = make_router(1, true, BackendKind::Functional);
   ThreadPool& pool = async->worker_pool(2);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  pool.submit([opened] { opened.wait(); });
+  auto gates = std::make_unique<WorkerGates>(pool);
 
   SearchService::Config config;
   config.max_in_flight_reads = 1;
@@ -225,7 +222,7 @@ TEST_F(SchedulerTest, FairShareFollowsWeightsWithoutStarvation) {
   auto bulk = service.submit(reads_, 4, StrategyMode::Full, options);
   options.service_class = ServiceClass::Interactive;
   auto quick = service.submit(reads_, 4, StrategyMode::Full, options);
-  gate.set_value();
+  gates.reset();
   bulk->wait();
   quick->wait();
 
@@ -479,9 +476,7 @@ TEST_F(SchedulerTest, TrySubmitRejectsWhenQueueFullThenRecovers) {
       sync->search_batch(second_batch, 4, StrategyMode::Full, 2);  // epoch 2
 
   ThreadPool& pool = async->worker_pool(2);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  pool.submit([opened] { opened.wait(); });
+  auto gates = std::make_unique<WorkerGates>(pool);
 
   SearchService::Config config;
   config.max_pending_reads = 32;
@@ -498,7 +493,7 @@ TEST_F(SchedulerTest, TrySubmitRejectsWhenQueueFullThenRecovers) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.kind(), ServiceErrorKind::AdmissionFull);
   }
-  gate.set_value();
+  gates.reset();
   bulk->wait();
   EXPECT_EQ(service.queued_reads(), 0u);
   // Queue drained: the same submission is admitted now, and its results
@@ -704,9 +699,7 @@ TEST_F(SchedulerTest, StatsPercentilesMatchDeterministicModel) {
   // While gated (nothing can complete), stats() must refuse — the ticket
   // is not terminal.
   ThreadPool& pool = async->worker_pool(2);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  pool.submit([opened] { opened.wait(); });
+  auto gates = std::make_unique<WorkerGates>(pool);
   SearchService service(*async);
   SearchService::Options options;
   options.workers = 2;
@@ -717,7 +710,7 @@ TEST_F(SchedulerTest, StatsPercentilesMatchDeterministicModel) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.kind(), ServiceErrorKind::NotTerminal);
   }
-  gate.set_value();
+  gates.reset();
   ticket->wait();
 
   // Model-cost percentiles are pure functions of the deterministic

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <future>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+#include "worker_gates.h"
 
 namespace asmcap {
 namespace {
@@ -188,44 +192,71 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 }
 
 TEST(ThreadPool, HighPriorityTasksOvertakeQueuedLowerClasses) {
-  // One spawned worker (pool of 2) drains the queue sequentially, so the
-  // observed execution order IS the pop order. Block it with a gate task,
-  // enqueue Low, Normal, and High work interleaved, then release: every
-  // High task must run before every Normal, every Normal before every
-  // Low, and order within a class must stay FIFO.
+  // Gate both workers of a pool of 2, enqueue Low, Normal, and High work
+  // interleaved, then release one worker: it drains the queue alone, so
+  // the observed execution order IS the pop order. Every High task must
+  // run before every Normal, every Normal before every Low, and order
+  // within a class must stay FIFO.
   ThreadPool pool(2);
   TaskGroup group;
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  group.start();
-  pool.submit([opened, &group] {
-    opened.wait();
-    group.finish();
-  });
   std::mutex mutex;
   std::vector<int> order;
-  const auto enqueue = [&](int tag, TaskPriority priority) {
-    group.start();
-    pool.submit(
-        [&, tag] {
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            order.push_back(tag);
-          }
-          group.finish();
-        },
-        priority);
-  };
-  for (int i = 0; i < 4; ++i) {
-    enqueue(300 + i, TaskPriority::Low);
-    enqueue(200 + i, TaskPriority::Normal);
-    enqueue(100 + i, TaskPriority::High);
+  {
+    WorkerGates gates(pool);
+    const auto enqueue = [&](int tag, TaskPriority priority) {
+      group.start();
+      pool.submit(
+          [&, tag] {
+            {
+              std::lock_guard<std::mutex> lock(mutex);
+              order.push_back(tag);
+            }
+            group.finish();
+          },
+          priority);
+    };
+    for (int i = 0; i < 4; ++i) {
+      enqueue(300 + i, TaskPriority::Low);
+      enqueue(200 + i, TaskPriority::Normal);
+      enqueue(100 + i, TaskPriority::High);
+    }
+    gates.release_one();
+    group.wait();
   }
-  gate.set_value();
-  group.wait();
   const std::vector<int> expected = {100, 101, 102, 103, 200, 201,
                                      202, 203, 300, 301, 302, 303};
   EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, PoolOfNRunsNSubmittedTasksAtOnce) {
+  // A pool of N is N executors for submitted (service) tasks too: N tasks
+  // that each wait until all N are running finish only when N threads run
+  // them at once. With fewer threads each would give up after the
+  // timeout, and the peak would fall short.
+  for (const std::size_t n : {2, 3, 4}) {
+    ThreadPool pool(n);
+    EXPECT_EQ(pool.workers(), n);
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t running = 0;
+    std::size_t peak = 0;
+    TaskGroup group;
+    group.start(n);
+    for (std::size_t i = 0; i < n; ++i)
+      pool.submit([&] {
+        {
+          std::unique_lock<std::mutex> lock(mutex);
+          peak = std::max(peak, ++running);
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(5),
+                      [&] { return peak == n; });
+          --running;
+        }
+        group.finish();
+      });
+    group.wait();
+    EXPECT_EQ(peak, n);
+  }
 }
 
 TEST(ThreadPool, ThreadlessPoolIgnoresPriorityAndStaysFifo) {

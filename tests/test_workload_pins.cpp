@@ -5,14 +5,16 @@
 //
 //   BatchEngine      bench_batch 200 512 4
 //   ShardedRouter    1,024 segments over 4 shards, 16 reads, 2 workers
+//   HdacCoinsUnderPruning  1,024 segments over 4 shards, 48 deletion reads
 //   ServicePipeline  bench_service 192 512 32 2 2 0
 //   LiveDatabase     bench_live 1024 16 4 2
 //   StreamedIngest   bench_ingest 256 96 2 2
 //
 // The digests pin the RNG stream formulas as well as the kernel counts:
-// perturbing HDAC's selection salt fails four of the five tests, the batch
-// stream fork ((epoch << 32) | read) the three batch workloads, and the
-// sequential search() fork the two sequential ones. A digest change is a
+// perturbing HDAC's selection salt fails five of the six tests (not
+// ShardedRouter, whose reads never reach a coin), the batch stream fork
+// ((epoch << 32) | read) the three batch workloads, and the sequential
+// search() fork the sequential ones. A digest change is a
 // behaviour change. The drivers themselves only time these paths.
 
 #include <gtest/gtest.h>
@@ -250,6 +252,47 @@ TEST(WorkloadPins, ShardedRouter) {
   const double savings = (full_energy - totals.energy_joules) / full_energy;
   EXPECT_GE(savings, 0.4);
   EXPECT_LE(savings, 1.0);
+}
+
+// Sequential search() through 4 shards, pruning off and on, over reads
+// that each carry one deletion against a stored row: that row's ED* stays
+// within T while its Hamming distance does not, so HDAC's selection coin
+// decides it. The ShardedRouter reads above never reach a coin; this
+// digest pins the coin salt on the sequential and the pruned path.
+TEST(WorkloadPins, HdacCoinsUnderPruning) {
+  constexpr std::size_t kThreshold = 4;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kWidth = 128;
+  Rng rng(0x4DAC'C014);
+  const Database db = make_database(kWidth, 1024, rng);
+  std::vector<Sequence> reads;
+  for (std::size_t i = 0; i < 48; ++i) {
+    Sequence read = db.reference.subseq(rng.below(1024) * kWidth, kWidth + 1);
+    read.erase(8 + rng.below(kWidth - 16));
+    reads.push_back(read);
+  }
+  const AsmcapConfig bank = ideal_bank(64, kWidth, 4);
+  AsmcapConfig pruned_bank = bank;
+  pruned_bank.pruning.enabled = true;
+
+  auto full = make_router(bank, kShards, db.segments);
+  const std::vector<QueryResult> results =
+      search_each(*full, reads, kThreshold, 2);
+  EXPECT_EQ(decision_digest(results), 0x3c799f9ef5e3b2b5ULL)
+      << std::hex << decision_digest(results);
+  auto pruned = make_router(pruned_bank, kShards, db.segments);
+  expect_same_decisions(search_each(*pruned, reads, kThreshold, 2), results);
+  EXPECT_GT(pruned->totals().banks_pruned, 0u);
+
+  // Without HDAC the same reads decide from ED* alone: the reads where
+  // that differs are the ones a coin decided.
+  auto ed_star_only = make_router(bank, kShards, db.segments);
+  std::size_t coin_decided = 0;
+  for (std::size_t i = 0; i < reads.size(); ++i)
+    if (ed_star_only->search(reads[i], kThreshold, StrategyMode::TasrOnly)
+            .decisions != results[i].decisions)
+      ++coin_decided;
+  EXPECT_GT(coin_decided, 0u);
 }
 
 // Per-read digests of six 32-read chunks submitted as streaming tickets to

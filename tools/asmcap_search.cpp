@@ -87,7 +87,7 @@ void print_usage(std::ostream& out) {
          "  --max-in-flight N  admission window (0 = 2 x workers; default 0)\n"
          "  --class C          interactive | normal | bulk (default normal)\n"
          "  --deadline S       per-chunk deadline in seconds (0 = none)\n"
-         "  --prune            enable sketch-based shard pruning\n"
+         "  --prune            skip banks that provably cannot match a read\n"
          "  --kernel K         scalar | avx2 | neon (default: ASMCAP_KERNEL or CPU)\n"
          "  --format F         tsv | json (default tsv)\n"
          "  --output PATH      write results to PATH instead of stdout\n"
