@@ -88,6 +88,47 @@ void BM_EdStarPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_EdStarPacked);
 
+// Building the read-side operands of the kernels: an ED* and a Hamming
+// view of one 128-column read. Items are views.
+void BM_ReadViewBuild(benchmark::State& state) {
+  const Sequence read = random_seq(128, 18);
+  for (auto _ : state) {
+    const PackedReadView ed_star(read);
+    const PackedReadView hamming(read, /*neighbours=*/false);
+    benchmark::DoNotOptimize(ed_star.columns.data());
+    benchmark::DoNotOptimize(hamming.columns.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_ReadViewBuild);
+
+// QueryPlanner::build of one 128-column read at T = 32 with the router's
+// default error profile (Condition A): TASR triggers and HDAC does not,
+// so the plan holds the read, four rotations and an ED* view of each —
+// the plan of every read of the repo benchmark's bulk_map workload.
+// Items are plans.
+void BM_PlanBuild(benchmark::State& state) {
+  AsmcapConfig config;
+  config.array_cols = 128;
+  const QueryPlanner planner(config);
+  const Sequence read = random_seq(128, 19);
+  const auto build = [&] {
+    return planner.build(read, 32, ErrorRates::condition_a(),
+                         StrategyMode::Full);
+  };
+  const ExecutionPlan first = build();
+  if (first.ed_star_views.size() != 5 || first.hd_pass) {
+    state.SkipWithError("the plan is not 5 ED* passes without HDAC");
+    return;
+  }
+  for (auto _ : state) {
+    const ExecutionPlan plan = build();
+    benchmark::DoNotOptimize(plan.ed_star_views.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlanBuild);
+
 // One tier's block counts over a 4,096-row bit-sliced store against one
 // read: the count behind every circuit and EDAM pass. Arguments are the
 // row width in cells and the KernelTier; items are rows.

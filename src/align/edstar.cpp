@@ -31,22 +31,12 @@ std::size_t ed_star(const Sequence& stored, const Sequence& read) {
   return mismatches;
 }
 
-bool ed_star_within(const Sequence& stored, const Sequence& read,
-                    std::size_t threshold) {
-  if (stored.size() != read.size())
-    throw std::invalid_argument("ed_star_within: length mismatch");
-  // The packed count beats the early-exit cell walk even when the walk
-  // exits early (and matches the hardware, which always drives all cells).
-  return ed_star_packed(stored.packed_words(), read.packed_words(),
-                        stored.size()) <= threshold;
-}
-
 std::size_t ed_star_packed(const std::vector<std::uint64_t>& stored,
                            const std::vector<std::uint64_t>& read,
                            std::size_t n) {
   if (stored.size() < (n + 31) / 32 || read.size() < (n + 31) / 32)
     throw std::invalid_argument("ed_star_packed: fewer than ceil(n/32) words");
-  return detail::ed_star_row_scalar(stored.data(), PackedReadView(read, n));
+  return detail::row_mismatches(stored.data(), PackedReadView(read, n));
 }
 
 std::vector<Sequence> rotation_schedule(const Sequence& read,

@@ -23,10 +23,6 @@ namespace asmcap {
 /// hardware rows are fixed-width).
 std::size_t ed_star(const Sequence& stored, const Sequence& read);
 
-/// True iff ed_star(stored, read) <= threshold (ideal, noise-free sensing).
-bool ed_star_within(const Sequence& stored, const Sequence& read,
-                    std::size_t threshold);
-
 /// Word-parallel ED* over 2-bit packed operands (Sequence::packed_words):
 /// identical to ed_star() while processing 32 cells per word. `n` is the
 /// common sequence length; both vectors must hold ceil(n/32) words with

@@ -17,21 +17,13 @@ std::size_t hamming_distance(const Sequence& a, const Sequence& b) {
   return distance;
 }
 
-bool hamming_within(const Sequence& a, const Sequence& b,
-                    std::size_t threshold) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("hamming_within: length mismatch");
-  return hamming_packed(a.packed_words(), b.packed_words(), a.size()) <=
-         threshold;
-}
-
 std::size_t hamming_packed(const std::vector<std::uint64_t>& a,
                            const std::vector<std::uint64_t>& b,
                            std::size_t n) {
   if (a.size() < (n + 31) / 32 || b.size() < (n + 31) / 32)
     throw std::invalid_argument("hamming_packed: fewer than ceil(n/32) words");
-  return detail::hamming_row_scalar(
-      a.data(), PackedReadView(b, n, /*neighbours=*/false));
+  return detail::row_mismatches(a.data(),
+                                PackedReadView(b, n, /*neighbours=*/false));
 }
 
 }  // namespace asmcap

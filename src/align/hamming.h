@@ -14,9 +14,6 @@ namespace asmcap {
 /// lengths differ (the hardware always compares equal-length rows).
 std::size_t hamming_distance(const Sequence& a, const Sequence& b);
 
-/// True iff hamming_distance(a, b) <= threshold, with early exit.
-bool hamming_within(const Sequence& a, const Sequence& b, std::size_t threshold);
-
 /// Word-parallel Hamming distance over 2-bit packed operands
 /// (Sequence::packed_words): identical to hamming_distance() while
 /// processing 32 positions per word. `n` is the common length; both

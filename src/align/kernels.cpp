@@ -8,6 +8,7 @@
 #include <string>
 
 #include "align/kernels/kernel_impl.h"
+#include "util/lane_flags.h"
 
 namespace asmcap {
 
@@ -22,49 +23,53 @@ const char* to_string(KernelTier tier) {
 
 // ------------------------------------------------------ PackedReadView --
 
+namespace {
+
+/// Per-lane equality of two packed words: low lane bit set iff the 2-bit
+/// codes agree.
+std::uint64_t lane_eq(std::uint64_t a, std::uint64_t b) {
+  const std::uint64_t x = a ^ b;
+  return ~(x | (x >> 1)) & kLaneFlags;
+}
+
+}  // namespace
+
 PackedReadView::PackedReadView(const std::vector<std::uint64_t>& read_words,
-                               std::size_t length, bool with_neighbours)
-    : n(length), words((length + 31) / 32), neighbours(with_neighbours) {
+                               std::size_t length, bool neighbours)
+    : n(length), words((length + 31) / 32) {
   if (read_words.size() < words)
     throw std::invalid_argument(
         "PackedReadView: fewer than ceil(n/32) read words");
-  r.assign(read_words.begin(),
-           read_words.begin() + static_cast<std::ptrdiff_t>(words));
-  valid.assign(words, kLaneFlags);
-  if (n != 0 && n % 32 != 0)
-    valid.back() &= (std::uint64_t{1} << (2 * (n % 32))) - 1;
-  if (neighbours) {
-    r_prev.resize(words);
-    r_next.resize(words);
-    for (std::size_t w = 0; w < words; ++w) {
-      // R[i-1] aligned into lane i (shift up one lane, carry across words).
-      r_prev[w] = (r[w] << 2) | (w > 0 ? r[w - 1] >> 62 : 0);
-      // R[i+1] aligned into lane i (shift down one lane).
-      r_next[w] = (r[w] >> 2) | (w + 1 < words ? r[w + 1] << 62 : 0);
-    }
-    left_ok.assign(words, kLaneFlags);
-    right_ok.assign(words, kLaneFlags);
-    if (n != 0) {
-      left_ok[0] &= ~std::uint64_t{1};  // cell 0 has no left neighbour
-      right_ok[(n - 1) / 32] &=         // cell n-1 has no right neighbour
-          ~(std::uint64_t{1} << (2 * ((n - 1) % 32)));
-    }
-  }
-  // The truth tables, 32 columns at a time: lane i of mis[c] flags that a
-  // stored base of code c mismatches cell 32w + i.
+  lanes.resize(4 * words);
   columns.resize(4 * n);
+  // The tables, 32 columns at a time: lane i of mis[c] flags that a
+  // stored base of code c mismatches cell 32w + i.
   for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t r = read_words[w];
+    std::uint64_t valid = kLaneFlags;  // cell index < n
+    if (w + 1 == words && n % 32 != 0)
+      valid &= (std::uint64_t{1} << (2 * (n % 32))) - 1;
+    // R[i-1] and R[i+1] aligned into lane i (lane shifts that carry
+    // across words), and the lanes where that neighbour exists.
+    const std::uint64_t prev = (r << 2) | (w > 0 ? read_words[w - 1] >> 62 : 0);
+    const std::uint64_t next =
+        (r >> 2) | (w + 1 < words ? read_words[w + 1] << 62 : 0);
+    std::uint64_t left_ok = kLaneFlags;
+    std::uint64_t right_ok = kLaneFlags;
+    if (w == 0) left_ok &= ~std::uint64_t{1};
+    if (w + 1 == words) right_ok &= ~(std::uint64_t{1} << (2 * ((n - 1) % 32)));
     std::uint64_t mis[4];
     for (std::uint64_t c = 0; c < 4; ++c) {
       const std::uint64_t code = c * kLaneFlags;  // code c in every lane
-      std::uint64_t match = detail::lane_eq(r[w], code);
+      std::uint64_t match = lane_eq(r, code);
       if (neighbours)
-        match |= (detail::lane_eq(r_prev[w], code) & left_ok[w]) |
-                 (detail::lane_eq(r_next[w], code) & right_ok[w]);
-      mis[c] = ~match;
+        match |= (lane_eq(prev, code) & left_ok) |
+                 (lane_eq(next, code) & right_ok);
+      mis[c] = ~match & valid;
     }
     const std::uint64_t table[4] = {mis[0], mis[0] ^ mis[1], mis[0] ^ mis[2],
                                     mis[0] ^ mis[1] ^ mis[2] ^ mis[3]};
+    for (std::size_t k = 0; k < 4; ++k) lanes[4 * w + k] = table[k];
     for (std::size_t j = 32 * w; j < std::min(n, 32 * w + 32); ++j)
       for (std::size_t k = 0; k < 4; ++k)
         columns[4 * j + k] =
@@ -72,8 +77,8 @@ PackedReadView::PackedReadView(const std::vector<std::uint64_t>& read_words,
   }
 }
 
-PackedReadView::PackedReadView(const Sequence& read, bool with_neighbours)
-    : PackedReadView(read.packed_words(), read.size(), with_neighbours) {}
+PackedReadView::PackedReadView(const Sequence& read, bool neighbours)
+    : PackedReadView(read.packed_words(), read.size(), neighbours) {}
 
 // -------------------------------------------------------- scalar tier --
 
@@ -90,9 +95,7 @@ void count_block_scalar(const SlicedRowStore& rows, std::size_t block,
     std::uint64_t below = 0;
     for (std::size_t r = 0; r < kGroupRows; ++r) {
       const std::uint64_t* row = group.data() + r * read.words;
-      const std::uint32_t count = read.neighbours
-                                      ? ed_star_row_scalar(row, read)
-                                      : hamming_row_scalar(row, read);
+      const std::uint32_t count = row_mismatches(row, read);
       out.counts[q * kGroupRows + r] = static_cast<std::uint16_t>(count);
       below |= std::uint64_t{count < bound} << r;
     }
@@ -264,18 +267,12 @@ const KernelOps& active_kernel_ops() {
   return kernel_ops(active_kernel_tier());
 }
 
-// ----------------------------------------------------- lane-word forms --
+// ------------------------------------------------------ lane-word form --
 
-void ed_star_mismatch_words(const std::uint64_t* row,
-                            const PackedReadView& read, std::uint64_t* out) {
+void mismatch_words(const std::uint64_t* row, const PackedReadView& read,
+                    std::uint64_t* out) {
   for (std::size_t w = 0; w < read.words; ++w)
-    out[w] = detail::ed_star_mismatch_word(row[w], read, w);
-}
-
-void hamming_mismatch_words(const std::uint64_t* row,
-                            const PackedReadView& read, std::uint64_t* out) {
-  for (std::size_t w = 0; w < read.words; ++w)
-    out[w] = detail::hamming_mismatch_word(row[w], read, w);
+    out[w] = detail::mismatch_word(row[w], read, w);
 }
 
 }  // namespace asmcap

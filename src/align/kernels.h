@@ -20,10 +20,14 @@
 // enforced by tests/test_kernels.cpp and by the scalar-forced CI leg, and
 // required of any future tier (docs/determinism.md).
 //
-// A PackedReadView holds the read-derived operands — the truth tables,
-// neighbour alignments and boundary masks — computed once per (read,
-// rotation) instead of once per (segment, read); the planner builds them
-// into the ExecutionPlan (asmcap/planner.h), so every bank shares them.
+// A PackedReadView is the read as the array sees it: one 4-entry truth
+// table per cell, mapping a stored base code to match or mismatch (paper
+// Fig. 4c; HD mode is the same cell with the neighbour searchlines
+// muxed off). Every kernel tier, the scalar row count and the lane-word
+// form evaluate that one table, so nothing below the planner branches on
+// the metric. It is computed once per (read, rotation) instead of once
+// per (segment, read); the planner builds the views into the
+// ExecutionPlan (asmcap/planner.h), so every bank shares them.
 //
 // Ownership: PackedReadView owns its word storage.
 // Thread-safety: all kernel functions are pure and thread-safe; the active
@@ -49,32 +53,27 @@ enum class KernelTier : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
 
 const char* to_string(KernelTier tier);
 
-/// Read-derived operands of the ED*/Hamming kernels, precomputed once per
-/// (read, rotation) and shared by every stored row compared against it.
-/// A view encodes one metric: ED* (`neighbours`, a cell matches R[i-1],
-/// R[i] or R[i+1]) or Hamming (R[i] only). It holds the packed read, its
-/// +/-1 neighbour alignments (lane shifts with cross-word carries), the
-/// boundary/tail lane masks — `words` = ceil(n/32) words each — and the
-/// metric's per-column truth tables for the bit-sliced kernels.
+/// The truth table of one read, precomputed once per (read, rotation) and
+/// shared by every stored row compared against it. Cell j's table holds,
+/// for each code c, t_c: set iff a stored base of code c mismatches cell
+/// j. Under ED* a cell matches R[j-1], R[j] or R[j+1] (the neighbours
+/// that exist); under Hamming R[j] only. The metric is fixed when the
+/// view is built and lives only in the tables. Each table is stored as
+/// t0, t0^t1, t0^t2, t0^t1^t2^t3: the code's low bit, then its high bit,
+/// selects the entry in 6 bitwise operations.
 struct PackedReadView {
-  std::vector<std::uint64_t> r;        ///< Read, 2-bit packed (tail zeroed).
-  std::vector<std::uint64_t> r_prev;   ///< R[i-1] aligned into lane i.
-  std::vector<std::uint64_t> r_next;   ///< R[i+1] aligned into lane i.
-  std::vector<std::uint64_t> left_ok;  ///< Lane mask: cell has a left nbr.
-  std::vector<std::uint64_t> right_ok; ///< Lane mask: cell has a right nbr.
-  std::vector<std::uint64_t> valid;    ///< Lane mask: cell index < n.
-  /// Column j's truth table as four masks, each all ones or zero, at
-  /// [4j, 4j + 4): t0, t0^t1, t0^t2, t0^t1^t2^t3, where tc is set iff a
-  /// stored base of code c mismatches cell j under the view's metric.
+  /// Word w's tables in lane layout at [4w, 4w + 4): lane i of each
+  /// entry is cell 32w + i's (the low bit of the 2-bit lane, as in
+  /// util/lane_flags.h); lanes past n are clear, so they never mismatch.
+  std::vector<std::uint64_t> lanes;
+  /// The same tables per column at [4j, 4j + 4), each entry all ones or
+  /// zero: what the sliced kernels broadcast across a block.
   std::vector<std::uint64_t> columns;
-  std::size_t n = 0;                   ///< Sequence length in bases.
-  std::size_t words = 0;               ///< ceil(n / 32).
-  bool neighbours = true;              ///< ED* (true) or Hamming (false).
+  std::size_t n = 0;      ///< Sequence length in bases.
+  std::size_t words = 0;  ///< ceil(n / 32).
 
   PackedReadView() = default;
-  /// `neighbours = false` builds a Hamming view: r/valid and Hamming
-  /// truth tables, the ED*-specific alignments and boundary masks left
-  /// empty (the Hamming forms never read them).
+  /// `neighbours = false` builds a Hamming view.
   explicit PackedReadView(const Sequence& read, bool neighbours = true);
   /// From pre-packed words (Sequence::packed_words layout, tail bits zero).
   /// Throws std::invalid_argument when `read_words` holds fewer than
@@ -84,7 +83,7 @@ struct PackedReadView {
 };
 
 /// One block's counts: every row's exact mismatched-cell count against
-/// the read under the view's metric, and which rows count below a bound.
+/// the view, and which rows count below a bound.
 struct BlockCounts {
   std::uint16_t counts[SlicedRowStore::kBlockRows];
   /// Bit r of word q is set iff counts[64q + r] < the bound.
@@ -98,10 +97,9 @@ struct BlockCounts {
 /// mask them out.
 ///
 /// window_alive is the shard-pruning probe: true iff some live row
-/// matches every cell of columns [lo, hi) (hi <= read.n) under the view's
-/// metric. `live` is the slot mask in decision-word layout (bit s of word
-/// s / 64), at least ceil(rows.rows() / 64) words; padding rows never
-/// count. It ANDs the complement of each column's mismatch plane, the one
+/// matches every cell of columns [lo, hi) (hi <= read.n) of the view.
+/// `live` is the slot mask in decision-word layout (bit s of word s / 64),
+/// at least ceil(rows.rows() / 64) words; padding rows never count. It ANDs the complement of each column's mismatch plane, the one
 /// count_block counts, into an alive plane per block and leaves a block
 /// as soon as no row is left alive.
 struct KernelOps {
@@ -154,20 +152,17 @@ const KernelOps& kernel_ops(KernelTier tier);
 /// Implementation table of the active tier.
 const KernelOps& active_kernel_ops();
 
-// ----------------------------------------------------- lane-word forms --
+// ------------------------------------------------------ lane-word form --
 
-/// Per-word ED* mismatch flags of one stored row against the view: out[w]
-/// holds, in the LOW bit of each 2-bit lane, whether that cell mismatches —
-/// the cell-output vector O driving the matchline capacitors, in the
-/// lane-word layout of util/lane_flags.h. `out` must hold read.words
-/// words. Scalar-word implementation (the lane-word consumers, the noisy
-/// passes and the Fig. 7 signal cache, are off the counting hot path);
-/// counts and lane words always agree. Needs a `neighbours` view.
-void ed_star_mismatch_words(const std::uint64_t* row,
-                            const PackedReadView& read, std::uint64_t* out);
-
-/// Per-word Hamming mismatch flags, same layout as ed_star_mismatch_words.
-void hamming_mismatch_words(const std::uint64_t* row,
-                            const PackedReadView& read, std::uint64_t* out);
+/// Per-word mismatch flags of one stored row (2-bit packed, read.words
+/// words) against the view: out[w] holds, in the LOW bit of each 2-bit
+/// lane, whether that cell mismatches — the cell-output vector O driving
+/// the matchline capacitors, in the lane-word layout of
+/// util/lane_flags.h. `out` must hold read.words words. A scalar-word
+/// form of the kernels' table select (its consumers, the noisy passes and
+/// the Fig. 7 signal cache, are off the counting hot path); counts and
+/// lane words always agree.
+void mismatch_words(const std::uint64_t* row, const PackedReadView& read,
+                    std::uint64_t* out);
 
 }  // namespace asmcap

@@ -1,7 +1,7 @@
 #pragma once
 // Internal: per-tier kernel entry points and the shared scalar-word row
 // helpers (the scalar tier's counts, the single-pair wrappers and the
-// lane-word forms). Not part of the public API — include align/kernels.h
+// lane-word form). Not part of the public API — include align/kernels.h
 // instead.
 //
 // The helpers are `static` (internal linkage), NOT `inline`: this header
@@ -17,55 +17,29 @@
 #include <cstdint>
 
 #include "align/kernels.h"
-#include "util/lane_flags.h"
 
 namespace asmcap::detail {
 
-/// Per-lane equality of two packed words: low lane bit set iff the 2-bit
-/// codes agree.
-static inline std::uint64_t lane_eq(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t x = a ^ b;
-  return ~(x | (x >> 1)) & kLaneFlags;
+/// Mismatch flags of one packed word `q` of a stored row (word index w)
+/// against the view: low lane bit set iff the cell mismatches. The
+/// table entries carry only lane flag bits, so `& q` reads each lane's
+/// low code bit and `& (q >> 1)` its high bit: the select the sliced
+/// kernels' mismatch_plane applies to the code-bit planes.
+static inline std::uint64_t mismatch_word(std::uint64_t q,
+                                          const PackedReadView& view,
+                                          std::size_t w) {
+  const std::uint64_t* t = view.lanes.data() + 4 * w;
+  const std::uint64_t x01 = t[0] ^ (t[1] & q);
+  return x01 ^ ((t[2] ^ (t[3] & q)) & (q >> 1));
 }
 
-/// ED* mismatch flags of one packed word `q` of a stored row (word index
-/// w) against the view: low lane bit set iff the cell mismatches.
-static inline std::uint64_t ed_star_mismatch_word(std::uint64_t q,
-                                                  const PackedReadView& view,
-                                                  std::size_t w) {
-  const std::uint64_t match =
-      lane_eq(q, view.r[w]) | (lane_eq(q, view.r_prev[w]) & view.left_ok[w]) |
-      (lane_eq(q, view.r_next[w]) & view.right_ok[w]);
-  return ~match & view.valid[w];
-}
-
-/// Hamming mismatch flags of one packed word (tail lanes of both operands
-/// are zero, so they never contribute). Only reads view.r — usable with a
-/// neighbours-free view.
-static inline std::uint64_t hamming_mismatch_word(std::uint64_t q,
-                                                  const PackedReadView& view,
-                                                  std::size_t w) {
-  const std::uint64_t x = q ^ view.r[w];
-  return (x | (x >> 1)) & kLaneFlags;
-}
-
-/// Scalar-word ED* count of one row.
-static inline std::uint32_t ed_star_row_scalar(const std::uint64_t* row,
-                                               const PackedReadView& view) {
+/// Scalar-word mismatch count of one row.
+static inline std::uint32_t row_mismatches(const std::uint64_t* row,
+                                           const PackedReadView& view) {
   std::uint32_t count = 0;
   for (std::size_t w = 0; w < view.words; ++w)
     count += static_cast<std::uint32_t>(
-        std::popcount(ed_star_mismatch_word(row[w], view, w)));
-  return count;
-}
-
-/// Scalar-word Hamming count of one row.
-static inline std::uint32_t hamming_row_scalar(const std::uint64_t* row,
-                                               const PackedReadView& view) {
-  std::uint32_t count = 0;
-  for (std::size_t w = 0; w < view.words; ++w)
-    count += static_cast<std::uint32_t>(
-        std::popcount(hamming_mismatch_word(row[w], view, w)));
+        std::popcount(mismatch_word(row[w], view, w)));
   return count;
 }
 

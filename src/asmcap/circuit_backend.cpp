@@ -51,8 +51,6 @@ PassResult CircuitBackend::run_pass(const PackedReadView& view,
   // below).
   const std::size_t slots = rows_->rows();
   const auto count_block = active_kernel_ops().count_block;
-  const auto mismatch_words =
-      view.neighbours ? ed_star_mismatch_words : hamming_mismatch_words;
   const Rng pass_rng = query_rng.fork(pass_salt);
   std::vector<std::uint64_t> row_words(sense_noise_ ? view.words : 0);
   std::vector<std::uint64_t> lane_words(sense_noise_ ? view.words : 0);

@@ -35,8 +35,6 @@ PassResult EdamCircuitBackend::run_pass(const PackedReadView& view,
   // The active tier counts the store block by block.
   const std::size_t rows = rows_->rows();
   const auto count_block = active_kernel_ops().count_block;
-  const auto mismatch_words =
-      view.neighbours ? ed_star_mismatch_words : hamming_mismatch_words;
   const Rng pass_rng = query_rng.fork(pass_salt);
   std::vector<std::uint64_t> group_words(
       sense_noise_ ? SlicedRowStore::kGroupRows * view.words : 0);

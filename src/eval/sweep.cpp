@@ -51,11 +51,13 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
   ThreadPool pool(workers);
   pool.parallel_for(queries_, [&](std::size_t q) {
     const Sequence& read = dataset.queries[q].read;
-    // One read view per rotation (the original first), shared by all rows.
+    // One ED* view per rotation (the original first) and the Hamming view
+    // of the original, shared by all rows.
     std::vector<PackedReadView> views;
     for (const Sequence& rotated : rotation_schedule(
              read, config.tasr.rotations, config.tasr.direction))
       views.emplace_back(rotated);
+    const PackedReadView hamming_view(read, /*neighbours=*/false);
     std::vector<std::uint64_t> lane_words(lane_word_count(cols));
     for (std::size_t r = 0; r < rows_; ++r) {
       const Sequence& row = dataset.rows[r];
@@ -64,11 +66,11 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
       signals.ed = static_cast<std::uint16_t>(
           banded_edit_distance(row, read, ed_cap_).distance);
 
-      hamming_mismatch_words(packed[r].data(), views[0], lane_words.data());
+      mismatch_words(packed[r].data(), hamming_view, lane_words.data());
       signals.hd = static_cast<std::uint16_t>(count_lane_flags(lane_words));
       signals.vml_hd = asmcap_readout_->settle_row(r, lane_words);
 
-      ed_star_mismatch_words(packed[r].data(), views[0], lane_words.data());
+      mismatch_words(packed[r].data(), views[0], lane_words.data());
       signals.ed_star =
           static_cast<std::uint16_t>(count_lane_flags(lane_words));
       signals.vml_ed_star = asmcap_readout_->settle_row(r, lane_words);
@@ -78,7 +80,7 @@ DatasetSignals::DatasetSignals(const Dataset& dataset,
       signals.rot_vml.reserve(views.size() - 1);
       signals.rot_edam_drop.reserve(views.size() - 1);
       for (std::size_t k = 1; k < views.size(); ++k) {
-        ed_star_mismatch_words(packed[r].data(), views[k], lane_words.data());
+        mismatch_words(packed[r].data(), views[k], lane_words.data());
         signals.rot_ed_star.push_back(
             static_cast<std::uint16_t>(count_lane_flags(lane_words)));
         signals.rot_vml.push_back(asmcap_readout_->settle_row(r, lane_words));

@@ -56,12 +56,10 @@ TEST(AsmcapCell, CellByCellAgreesWithPackedMask) {
     const Sequence stored = Sequence::random(n, rng);
     const Sequence read = Sequence::random(n, rng);
     const std::vector<std::uint64_t> row = stored.packed_words();
-    const PackedReadView view(read);
-    std::vector<std::uint64_t> lane_words(view.words);
+    std::vector<std::uint64_t> lane_words(lane_word_count(n));
     for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
-      (mode == MatchMode::EdStar ? ed_star_mismatch_words
-                                 : hamming_mismatch_words)(
-          row.data(), view, lane_words.data());
+      const PackedReadView view(read, mode == MatchMode::EdStar);
+      mismatch_words(row.data(), view, lane_words.data());
       for (std::size_t i = 0; i < n; ++i) {
         const AsmcapCell cell(stored[i]);
         // Cell i's flag is bit 2 * (i % 32) of word i / 32.

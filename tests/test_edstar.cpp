@@ -59,22 +59,6 @@ TEST(EdStar, LengthMismatchThrows) {
   const Sequence a = Sequence::from_string("ACGT");
   const Sequence b = Sequence::from_string("ACG");
   EXPECT_THROW(ed_star(a, b), std::invalid_argument);
-  EXPECT_THROW(ed_star_within(a, b, 1), std::invalid_argument);
-}
-
-TEST(EdStar, WithinMatchesCount) {
-  Rng rng(77);
-  for (const std::size_t n : {std::size_t{64}, std::size_t{100}}) {
-    for (int trial = 0; trial < 25; ++trial) {
-      const Sequence a = Sequence::random(n, rng);
-      const Sequence b = Sequence::random(n, rng);
-      const std::size_t d = ed_star(a, b);
-      EXPECT_TRUE(ed_star_within(a, b, d));
-      if (d > 0) {
-        EXPECT_FALSE(ed_star_within(a, b, d - 1));
-      }
-    }
-  }
 }
 
 TEST(EdStar, SingleIndelAbsorbedLocally) {

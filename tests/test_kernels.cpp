@@ -406,14 +406,15 @@ TEST(KernelParity, MismatchWordsAgreeWithCountsAndMasks) {
     for (int trial = 0; trial < 10; ++trial) {
       const Sequence stored = Sequence::random(n, rng);
       const Sequence read = Sequence::random(n, rng);
-      const PackedReadView view(read);
+      const PackedReadView ed_star_view(read);
+      const PackedReadView hamming_view(read, /*neighbours=*/false);
       const std::vector<std::uint64_t> packed = stored.packed_words();
-      std::vector<std::uint64_t> flags(view.words);
+      std::vector<std::uint64_t> flags(ed_star_view.words);
 
-      ed_star_mismatch_words(packed.data(), view, flags.data());
+      mismatch_words(packed.data(), ed_star_view, flags.data());
       EXPECT_EQ(count_lane_flags(flags), ed_star_reference(stored, read));
 
-      hamming_mismatch_words(packed.data(), view, flags.data());
+      mismatch_words(packed.data(), hamming_view, flags.data());
       EXPECT_EQ(count_lane_flags(flags), hamming_reference(stored, read));
       // Lane-word layout: bit 2 * (i % 32) of word i / 32 is cell i's
       // output.
