@@ -100,12 +100,14 @@ int main(int argc, char** argv) {
 
   // --- Engine path: a Functional-kind batch across the worker pool. -------
   // The scalar-tier arm reruns it on a fresh router with the scalar
-  // kernels forced.
+  // kernels forced. The router's session pool is built before the clock
+  // starts, so the arm times the batch, not spawning the pool's threads.
   const auto time_functional_batch = [&] {
     ShardedAccelerator functional(config, 1);
     functional.set_backend(BackendKind::Functional);
     functional.load_reference(segments);
     functional.set_error_profile(ErrorRates::condition_a());
+    functional.worker_pool(workers);
     const auto start = Clock::now();
     functional.search_batch(reads, threshold, StrategyMode::Full, workers);
     return seconds_since(start);

@@ -99,7 +99,8 @@ struct BlockCounts {
 /// window_alive is the shard-pruning probe: true iff some live row
 /// matches every cell of columns [lo, hi) (hi <= read.n) of the view.
 /// `live` is the slot mask in decision-word layout (bit s of word s / 64),
-/// at least ceil(rows.rows() / 64) words; padding rows never count. It ANDs the complement of each column's mismatch plane, the one
+/// at least ceil(rows.rows() / 64) words; padding rows never count. It
+/// ANDs the complement of each column's mismatch plane, the one
 /// count_block counts, into an alive plane per block and leaves a block
 /// as soon as no row is left alive.
 struct KernelOps {

@@ -32,12 +32,11 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
     : config_(config),
       planner_(config),
       timing_(config.process),
+      pass_(config),
       silicon_root_(Rng(config.seed).fork(0x51C0)),
       store_(config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)) {
   validate(config_.process);
-  backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
-                                              store_, senses_noise());
 }
 
 void AsmcapAccelerator::build_row_silicon(std::size_t slot, std::uint64_t id) {
@@ -233,8 +232,6 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
   const bool was_noisy = senses_noise();
   backend_kind_ = kind;
   if (senses_noise() == was_noisy) return;
-  backend_ = std::make_unique<CircuitBackend>(config_, readouts_, dir_,
-                                              store_, senses_noise());
   if (!senses_noise()) {
     readouts_.clear();
     readouts_.shrink_to_fit();
@@ -250,25 +247,16 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
 }
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
-  auto copy = std::make_unique<AsmcapAccelerator>(config_);
-  // Assign in place: the copy's backend already points at its own
-  // members, so a memberwise copy needs no rebinding. Switching the empty
-  // copy builds no silicon.
-  copy->set_backend(backend_kind_);
-  copy->readouts_ = readouts_;
-  copy->dir_ = dir_;
-  copy->store_ = store_;
-  copy->id_to_slot_ = id_to_slot_;
-  copy->next_auto_id_ = next_auto_id_;
-  copy->identity_layout_ = identity_layout_;
-  copy->load_energy_ = load_energy_;
-  copy->load_latency_ = load_latency_;
-  return copy;
+  return std::unique_ptr<AsmcapAccelerator>(new AsmcapAccelerator(*this));
 }
 
-const ExecutionBackend& AsmcapAccelerator::backend() const {
+PassResult AsmcapAccelerator::run_pass(const PackedReadView& read,
+                                       std::size_t threshold,
+                                       const Rng& query_rng,
+                                       std::uint64_t pass_salt) const {
   check_loaded();
-  return *backend_;
+  return pass_.run_pass(store_, dir_, senses_noise() ? &readouts_ : nullptr,
+                        read, threshold, query_rng, pass_salt);
 }
 
 void AsmcapAccelerator::check_loaded() const {
@@ -279,7 +267,7 @@ void AsmcapAccelerator::check_loaded() const {
 
 QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
                                        const Rng& query_rng) const {
-  const ExecutionBackend& backend = this->backend();
+  check_loaded();
 
   QueryResult result;
   result.plan = plan.summary;
@@ -290,7 +278,7 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
   double energy = 0.0;
   for (std::size_t p = 0; p < plan.ed_star_views.size(); ++p) {
     PassResult pass =
-        backend.run_pass(plan.ed_star_views[p], plan.threshold, query_rng, p);
+        run_pass(plan.ed_star_views[p], plan.threshold, query_rng, p);
     energy += pass.energy_joules;
     if (p == 0)
       ed_star = std::move(pass.decisions);
@@ -304,7 +292,7 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
   // or bank stores it (a dead slot decides false on both passes).
   if (plan.hd_pass) {
     const PassResult hd =
-        backend.run_pass(plan.hd_view, plan.threshold, query_rng, kHdPassSalt);
+        run_pass(plan.hd_view, plan.threshold, query_rng, kHdPassSalt);
     energy += hd.energy_joules;
     const Hdac& hdac = planner().hdac();
     const Rng select_rng = query_rng.fork(kHdacSelectSalt);

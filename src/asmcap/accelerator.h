@@ -2,9 +2,9 @@
 // One ASMCap bank (paper Fig. 4a): a bank of ASMCap arrays plus the
 // layers that run a query over them:
 //
-//   QueryPlanner  — turns (read, T, mode) into an immutable ExecutionPlan
-//   ExecutionBackend — runs the plan's passes (CircuitBackend, the
-//                      charge-domain pass, noisy or ideal)
+//   QueryPlanner   — turns (read, T, mode) into an immutable ExecutionPlan
+//   CircuitBackend — runs the plan's passes over this bank (the
+//                    charge-domain pass, noisy or ideal)
 //
 // A bank is execute() plus mutations. It plans nothing on its own, owns
 // no query stream, and keeps no search ledger: the controller that
@@ -25,7 +25,7 @@
 // validated in full before any state changes.
 //
 // Representation: the bit-sliced slot store (align/row_store.h) is the
-// bank's one canonical row store — what the backend counts, block by
+// bank's one canonical row store — what the pass counts, block by
 // block, what the shard-pruning probe (may_match) reads, and what
 // live_segments() gathers, group by group; the bank keeps no other
 // index of its rows. The bank senses the analog noise model iff its
@@ -36,8 +36,10 @@
 // streams when the bank starts sensing noise and dropped when it stops,
 // so an ideal-sensing bank never pays for silicon it does not read.
 //
-// Ownership: the bank owns its row store, readouts, backend, and planner;
-// the backend holds non-owning references into it (hence not movable).
+// Ownership: the bank owns its row store, readouts, pass, and planner.
+// The pass holds only config-derived constants and is handed the bank's
+// rows, directory and silicon on each call, so nothing points into the
+// bank and clone() is a plain copy.
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, set_backend) belong to one control
 // thread at a time; execute() is const and thread-safe and is what the
@@ -91,11 +93,6 @@ class AsmcapAccelerator {
  public:
   explicit AsmcapAccelerator(AsmcapConfig config);
 
-  // Not movable: the backend holds pointers to the readouts, the live
-  // directory, and the row store, which a move would leave dangling.
-  AsmcapAccelerator(AsmcapAccelerator&&) = delete;
-  AsmcapAccelerator& operator=(AsmcapAccelerator&&) = delete;
-
   /// Seeds the database with `segments` (each must match the array width),
   /// assigning global ids segment_base .. segment_base + n. Only valid on
   /// an empty database (DbErrorKind::AlreadyLoaded otherwise) — use
@@ -123,9 +120,8 @@ class AsmcapAccelerator {
   /// The live (id, segment) pairs, ascending by row slot.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  /// Memberwise deep copy — row store, directory, id map, circuit state
-  /// (if built), and load ledger; the copy's backend reads the
-  /// copy's own members. The copy-on-write primitive of the sharded
+  /// A copy of the bank — row store, directory, id map, circuit state (if
+  /// built), and load ledger. The copy-on-write primitive of the sharded
   /// router's epoch scheme: execute() results on the clone are
   /// bit-identical to the original, energy included, and mutating either
   /// never touches the other.
@@ -148,8 +144,14 @@ class AsmcapAccelerator {
   /// frees it. Cheapest on an empty bank.
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
-  /// The backend (valid once the database is non-empty).
-  const ExecutionBackend& backend() const;
+
+  /// One search pass of `read` (an ED* or a Hamming view of the array's
+  /// width) over this bank, sensing as backend_kind() and the config say:
+  /// slot-indexed decisions and the pass's energy (CircuitBackend in
+  /// asmcap/backend.h). Const and thread-safe like execute(). Throws
+  /// DbError (NotLoaded) on an empty bank.
+  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
+                      const Rng& query_rng, std::uint64_t pass_salt) const;
 
   /// Runs one materialised plan with an explicit query stream — the
   /// bank's only search entry point. Const and thread-safe: it touches no
@@ -195,7 +197,6 @@ class AsmcapAccelerator {
   double load_latency_seconds() const { return load_latency_; }
   const AsmcapConfig& config() const { return config_; }
   const QueryPlanner& planner() const { return planner_; }
-  const TimingModel& timing() const { return timing_; }
   /// Always null: banks prune on the row store (may_match) and keep no
   /// sketch. Kept only so the repo benchmark's layer driver
   /// (bench/e2e/bench_layers.cpp), which builds its own reference sketch
@@ -204,6 +205,10 @@ class AsmcapAccelerator {
   std::nullptr_t sketch() const { return nullptr; }
 
  private:
+  /// Memberwise copy, for clone() only: a bank is large, so every copy
+  /// goes through clone().
+  AsmcapAccelerator(const AsmcapAccelerator&) = default;
+
   void check_loaded() const;
   /// True iff the bank senses the analog noise model (and so holds
   /// silicon): backend kind Circuit on a noisy config.
@@ -225,6 +230,7 @@ class AsmcapAccelerator {
   AsmcapConfig config_;
   QueryPlanner planner_;
   TimingModel timing_;
+  CircuitBackend pass_;
   /// Root of the manufactured-silicon stream tree (Rng(seed).fork(0x51C0));
   /// row silicon forks per global id, construction-time array silicon per
   /// array index.
@@ -235,8 +241,6 @@ class AsmcapAccelerator {
   LiveDirectory dir_;
   SlicedRowStore store_;  ///< Canonical row store, one row per slot.
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
-  /// Rebuilt by set_backend, so its noise flag tracks senses_noise().
-  std::unique_ptr<CircuitBackend> backend_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::uint64_t next_auto_id_;
   bool identity_layout_ = true;

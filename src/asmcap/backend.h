@@ -1,29 +1,24 @@
 #pragma once
-// Execution backends: the layer between a materialised ExecutionPlan and
-// the per-segment match decisions (engine layering: planner -> backend ->
-// batch engine). One pass per sensing domain, each with ideal sensing as
-// its noise-free case:
+// The execution pass: the layer between a materialised ExecutionPlan and
+// one ASMCap bank's per-slot match decisions (engine layering: planner ->
+// pass -> batch engine). CircuitBackend is ASMCap's charge-domain pass,
+// with ideal sensing as its noise-free case: the kernels count every
+// row's mismatches block by block over the bit-sliced row store; a row
+// decides from its count unless the bank senses noise and the count lies
+// in the noise band, in which case it settles V_ML on its manufactured
+// silicon and draws SA noise. Matchline energy is the count-pure Eq. 1,
+// noisy or not. EDAM's current-domain pass is a private member of
+// EdamAccelerator (asmcap/edam.h).
 //
-//  * CircuitBackend — ASMCap's charge-domain pass. The kernels count
-//    every row's mismatches block by block over the bit-sliced row store;
-//    a row decides from its count unless the bank senses noise and the
-//    count lies in the noise band, in which case it settles V_ML on its
-//    manufactured silicon and draws SA noise. Matchline energy is the
-//    count-pure Eq. 1, noisy or not.
-//  * EdamCircuitBackend — EDAM's current-domain pass (pre-charge,
-//    discharge, sample-and-hold) over the same kind of row store: block
-//    counts, count-pure energy, count <= T under ideal sensing, and each
-//    row's mismatch lane words into CurrentArrayReadout::drop_row then
-//    decide_from_drop when it senses noise.
-//
-// Ownership: backends are owned by their accelerator and hold non-owning
-// references into it: its one bit-sliced row store, the ASMCap bank's
-// LiveDirectory, and the manufactured readouts (read only when the pass
-// senses noise). The accelerator must outlive them.
+// Ownership: a CircuitBackend holds only constants derived from its
+// config (geometry, the charge-domain parameters, a per-count energy
+// table) and points into no bank. Each run_pass call is handed the bank
+// it runs on — its row store, LiveDirectory and silicon — so one pass
+// object serves any bank of its config, and a bank copies like a value.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
-// workers share one backend, each supplying its own forked RNG stream.
-// Mutations (which rewrite the directory and the row store) never run
-// against a backend with passes in flight: the sharded router mutates
+// workers share one pass and one bank, each supplying its own forked RNG
+// stream. Mutations (which rewrite the directory and the row store) never
+// run against a bank with passes in flight: the sharded router mutates
 // CLONES and publishes them as a new epoch, so in-flight work only ever
 // reads immutable snapshots (docs/architecture.md "Live database").
 // Reentrancy: run_pass never dispatches work to a pool, so it is safe to
@@ -47,9 +42,7 @@
 #include "align/kernels.h"
 #include "align/row_store.h"
 #include "asmcap/config.h"
-#include "cam/cell.h"
 #include "cam/charge_readout.h"
-#include "cam/current_readout.h"
 #include "cam/periphery.h"
 #include "genome/sequence.h"
 #include "util/bitvec.h"
@@ -63,13 +56,13 @@ enum class BackendKind : std::uint8_t { Circuit, Functional };
 
 const char* to_string(BackendKind kind);
 
-/// Per-slot live-database directory shared by an accelerator and its
-/// backend (slot = array * array_rows + row, allocated in fill order).
-/// The accelerator mutates it on the control plane (append/delete); the
-/// backend reads it inside run_pass. A tombstoned slot keeps its last id
-/// (results stay sized by slot) but is masked out of decisions and
-/// matchline energy, and an array whose live count drops to zero is
-/// skipped entirely — no SL-driver energy for dead silicon.
+/// Per-slot live-database directory of one bank (slot = array *
+/// array_rows + row, allocated in fill order). The bank mutates it on the
+/// control plane (append/delete); its passes read it inside run_pass. A
+/// tombstoned slot keeps its last id (results stay sized by slot) but is
+/// masked out of decisions and matchline energy, and an array whose live
+/// count drops to zero is skipped entirely — no SL-driver energy for dead
+/// silicon.
 struct LiveDirectory {
   std::vector<std::uint64_t> ids;  ///< Global segment id per slot.
   BitVec live;  ///< Tombstone mask per slot, in decision-word layout.
@@ -99,97 +92,49 @@ struct PassResult {
   double energy_joules = 0.0;  ///< SL-driver + matchline energy of the pass.
 };
 
-class ExecutionBackend {
+/// ASMCap's charge-domain pass over one bank's bit-sliced slot store.
+/// Every array with a live row drives its searchlines once per pass; an
+/// all-dead array is never driven, and a tombstoned or padding row decides
+/// nothing, charges no matchline energy, and draws no RNG fork.
+///
+/// A pass takes the plan's PackedReadView (built once per read, shared by
+/// every bank) and walks the store block by block: the active kernel
+/// counts the block's 256 rows and flags those with count < band.hit_below.
+/// Per 64-slot decision word, those flags ANDed with the live word are the
+/// decisions, and a call-free loop over the live bits books each live
+/// row's Eq. 1 energy from a per-count table, in ascending live-slot order
+/// after the SL-driver energy — the one summation order, so booked energy
+/// is bit-identical whatever computed the counts. Under ideal sensing
+/// (`silicon` null) the band is empty and count <= T decides. When the
+/// bank senses noise, `silicon` holds one ChargeArrayReadout per array
+/// with the silicon of every live row: a row whose count lies in
+/// charge_decision_band gathers its packed words alone, settles V_ML from
+/// its mismatch lane words on its readout and draws SA noise from the
+/// per-id fork; a row outside it decides from the count alone, since no
+/// admissible silicon or noise draw could change its SA outcome
+/// (determinism.md rule 7). Per-decision streams are pure per-id forks,
+/// so skipping a row's fork shifts no other row's draw.
+class CircuitBackend {
  public:
-  virtual ~ExecutionBackend() = default;
+  explicit CircuitBackend(const AsmcapConfig& config);
 
   /// One search pass of `read` (an ED* or a Hamming view, whose width
-  /// must equal the array's): per-slot decisions at `threshold` (see
-  /// PassResult). Must be thread-safe; per-decision SA noise is forked
-  /// from `query_rng.fork(pass_salt)` per global segment (unused by paths
-  /// that decide ideally). `query_rng` is never advanced.
-  virtual PassResult run_pass(const PackedReadView& read,
-                              std::size_t threshold, const Rng& query_rng,
-                              std::uint64_t pass_salt) const = 0;
-};
-
-/// ASMCap's charge-domain pass over the bank's bit-sliced slot store.
-/// Holds non-owning references into the bank (the readouts, the live
-/// directory, and the row store — stable objects whose contents the bank
-/// mutates on the control plane); the bank must outlive it. Every array
-/// with a live row drives its searchlines once per pass; an all-dead array
-/// is never driven, and a tombstoned or padding row decides nothing,
-/// charges no matchline energy, and draws no RNG fork.
-///
-/// A pass takes the plan's PackedReadView of its metric (built once per
-/// read, shared by every bank) and walks the store block by block: the
-/// active kernel counts the block's 256 rows and flags those with
-/// count < band.hit_below. Per 64-slot decision word, those
-/// flags ANDed with the live word are the decisions, and a call-free loop
-/// over the live bits books each live row's Eq. 1 energy from a per-count
-/// table, in ascending live-slot order after the SL-driver energy — the
-/// one summation order, so booked energy is bit-identical whatever
-/// computed the counts. Without noise the band is empty (count <= T
-/// decides). With `sense_noise`, a row whose count lies in
-/// charge_decision_band gathers its packed words alone, settles V_ML from
-/// its mismatch lane words on its ChargeArrayReadout and draws SA noise
-/// from the per-id fork; a row outside it decides from the count alone,
-/// since no admissible silicon or noise draw could change its SA outcome
-/// (determinism.md rule 7).
-/// Per-decision streams are pure per-id forks, so skipping a row's fork
-/// shifts no other row's draw. `readouts` must then hold the silicon of
-/// every live row; without noise it is never read.
-class CircuitBackend : public ExecutionBackend {
- public:
-  CircuitBackend(const AsmcapConfig& config,
-                 const std::vector<ChargeArrayReadout>& readouts,
-                 const LiveDirectory& directory, const SlicedRowStore& rows,
-                 bool sense_noise);
-
-  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
-                      const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
+  /// must equal the array's; std::invalid_argument otherwise) over `rows`
+  /// and `directory`: per-slot decisions at `threshold` (see PassResult).
+  /// Per-decision SA noise is forked from `query_rng.fork(pass_salt)` per
+  /// global segment id; `query_rng` is never advanced.
+  PassResult run_pass(const SlicedRowStore& rows,
+                      const LiveDirectory& directory,
+                      const std::vector<ChargeArrayReadout>* silicon,
+                      const PackedReadView& read, std::size_t threshold,
+                      const Rng& query_rng, std::uint64_t pass_salt) const;
 
  private:
-  const std::vector<ChargeArrayReadout>* readouts_;
-  const LiveDirectory* dir_;
-  const SlicedRowStore* rows_;
   std::size_t array_rows_;
   std::size_t cols_;
   ChargeDomainParams charge_;
-  bool sense_noise_;
   SearchlineDriverParams sl_params_;
   /// Eq. 1 matchline energy of a row with k mismatches, k = 0..cols.
-  std::vector<double> row_energy_;
-};
-
-/// EDAM's current-domain pass over the EdamAccelerator's bit-sliced row
-/// store (row g senses on readout g / array_rows, matchline
-/// g % array_rows). The kernels count every row block by block; each row
-/// books its count-pure current-domain energy (current_row_search_energy,
-/// from a per-count table) in row order. Without `sense_noise`, count <= T
-/// decides; with it, the pass gathers each 64-row group, and each row's
-/// mismatch lane words give its nominal discharge (drop_row), which
-/// decide_from_drop senses with the per-id noise fork; `readouts` must
-/// then hold every row's silicon. Holds non-owning references into the
-/// accelerator; the accelerator must outlive it.
-class EdamCircuitBackend : public ExecutionBackend {
- public:
-  EdamCircuitBackend(const SlicedRowStore& rows,
-                     const std::vector<CurrentArrayReadout>& readouts,
-                     std::size_t array_rows,
-                     const CurrentDomainParams& params, bool sense_noise);
-
-  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
-                      const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
-
- private:
-  const SlicedRowStore* rows_;
-  const std::vector<CurrentArrayReadout>* readouts_;
-  std::size_t array_rows_;
-  bool sense_noise_;
-  /// Current-domain energy of a row with k mismatches, k = 0..cols.
   std::vector<double> row_energy_;
 };
 

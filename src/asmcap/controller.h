@@ -50,8 +50,6 @@ class Controller {
   void reset_totals() { totals_ = {}; }
 
   const QueryPlanner& planner() const { return planner_; }
-  const Hdac& hdac() const { return planner_.hdac(); }
-  const Tasr& tasr() const { return planner_.tasr(); }
 
  private:
   QueryPlanner planner_;

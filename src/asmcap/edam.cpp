@@ -1,8 +1,11 @@
 #include "asmcap/edam.h"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "align/kernels.h"
 #include "asmcap/db_error.h"
+#include "circuit/matchline.h"
 
 namespace asmcap {
 
@@ -27,10 +30,13 @@ std::uint64_t content_key(const Sequence& read) {
 }  // namespace
 
 EdamAccelerator::EdamAccelerator(EdamConfig config)
-    : config_(config), rng_(config.seed) {
+    : config_(config), row_energy_(config.array_cols + 1), rng_(config.seed) {
   if (config_.array_rows == 0 || config_.array_cols == 0 ||
       config_.array_count == 0)
     throw std::invalid_argument("EdamAccelerator: empty geometry");
+  for (std::size_t k = 0; k <= config_.array_cols; ++k)
+    row_energy_[k] =
+        current_row_search_energy(k, config_.array_cols, config_.current);
 }
 
 void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
@@ -49,8 +55,7 @@ void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
   rows_ = SlicedRowStore(segments, config_.array_cols);
   // Ideal sensing decides from counts alone, so it never manufactures
   // silicon it would not read.
-  const bool sense_noise = !config_.ideal_sensing;
-  if (sense_noise) {
+  if (!config_.ideal_sensing) {
     const std::size_t arrays_in_use =
         (segments.size() + config_.array_rows - 1) / config_.array_rows;
     Rng manufacture = rng_.fork(0xEDA1);
@@ -60,15 +65,6 @@ void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
                              config_.current, manufacture);
   }
   segments_loaded_ = segments.size();
-
-  backend_ = std::make_unique<EdamCircuitBackend>(
-      rows_, readouts_, config_.array_rows, config_.current, sense_noise);
-}
-
-const ExecutionBackend& EdamAccelerator::backend() const {
-  if (segments_loaded_ == 0)
-    throw std::logic_error("EdamAccelerator: no reference loaded");
-  return *backend_;
 }
 
 void EdamAccelerator::check_read(const Sequence& read) const {
@@ -85,13 +81,10 @@ Rng EdamAccelerator::query_stream(const Sequence& read) const {
 EdamQueryResult EdamAccelerator::execute(const Sequence& read,
                                          std::size_t threshold,
                                          const Rng& query_rng) const {
-  const ExecutionBackend& backend = this->backend();
-
   EdamQueryResult result;
   // Pass 0: the original read. Each pass's read view is built once and
   // counted against the whole store.
-  PassResult pass =
-      backend.run_pass(PackedReadView(read), threshold, query_rng, 0);
+  PassResult pass = run_pass(PackedReadView(read), threshold, query_rng, 0);
   BitVec decisions = std::move(pass.decisions);
   result.energy_joules = pass.energy_joules;
   result.searches = 1;
@@ -104,8 +97,8 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
     for (const Sequence& rotated :
          rotation_schedule(read, config_.sr_rotations, config_.sr_direction)) {
       if (rotated == read) continue;
-      const PassResult extra = backend.run_pass(
-          PackedReadView(rotated), threshold, query_rng, pass_salt++);
+      const PassResult extra = run_pass(PackedReadView(rotated), threshold,
+                                        query_rng, pass_salt++);
       decisions |= extra.decisions;
       result.energy_joules += extra.energy_joules;
       ++result.searches;
@@ -117,6 +110,61 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
     result.decisions[g] = true;
   result.latency_seconds =
       static_cast<double>(result.searches) * config_.current.search_time();
+  return result;
+}
+
+PassResult EdamAccelerator::run_pass(const PackedReadView& view,
+                                     std::size_t threshold,
+                                     const Rng& query_rng,
+                                     std::uint64_t pass_salt) const {
+  // The active tier counts the store block by block (check_read checked
+  // the read's width against the rows').
+  const bool sense_noise = !config_.ideal_sensing;
+  const std::size_t rows = rows_.rows();
+  const auto count_block = active_kernel_ops().count_block;
+  const Rng pass_rng = query_rng.fork(pass_salt);
+  std::vector<std::uint64_t> group_words(
+      sense_noise ? SlicedRowStore::kGroupRows * view.words : 0);
+  std::vector<std::uint64_t> lane_words(sense_noise ? view.words : 0);
+  BlockCounts block;
+
+  PassResult result;
+  result.decisions = BitVec(rows);
+  for (std::size_t w = 0; w < result.decisions.words(); ++w) {
+    const std::size_t first = w * SlicedRowStore::kGroupRows;
+    const std::size_t last = std::min(rows, first + SlicedRowStore::kGroupRows);
+    const std::size_t in_block = first % SlicedRowStore::kBlockRows;
+    if (in_block == 0)
+      count_block(rows_, first / SlicedRowStore::kBlockRows, view,
+                  threshold + 1, block);
+    const std::uint16_t* counts = block.counts + in_block;
+    for (std::size_t bit = 0; bit < last - first; ++bit)
+      result.energy_joules += row_energy_[counts[bit]];
+    if (!sense_noise) {
+      // count <= T, padding rows past the last one masked out.
+      const std::uint64_t rows_in_word =
+          last - first == 64 ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << (last - first)) - 1;
+      result.decisions.word(w) =
+          block.below[in_block / SlicedRowStore::kGroupRows] & rows_in_word;
+      continue;
+    }
+    // Sensing noise keyed by global segment id: placement-invariant.
+    rows_.gather_group(w, group_words.data());
+    std::uint64_t word = 0;
+    for (std::size_t bit = 0; bit < last - first; ++bit) {
+      const std::size_t g = first + bit;
+      mismatch_words(group_words.data() + bit * view.words, view,
+                     lane_words.data());
+      const CurrentArrayReadout& readout = readouts_[g / config_.array_rows];
+      const std::size_t r = g % config_.array_rows;
+      Rng decide_rng = pass_rng.fork(static_cast<std::uint64_t>(g));
+      word |= std::uint64_t{readout.decide_from_drop(
+                  r, readout.drop_row(r, lane_words), threshold, decide_rng)}
+              << bit;
+    }
+    result.decisions.word(w) = word;
+  }
   return result;
 }
 

@@ -3,15 +3,13 @@
 // comparator. Same ED* matching logic as ASMCap but with current-domain
 // matchline sensing (pre-charge, discharge, sample-and-hold), no Hamming
 // mode (no HDAC), and optionally the original unconditional Sequence
-// Rotation (SR) strategy. Runs on the same ExecutionBackend seam as
-// AsmcapAccelerator, through one EdamCircuitBackend (see backend.h) that
-// senses the current-domain noise unless config.ideal_sensing.
+// Rotation (SR) strategy. Its pass (a private run_pass) counts the same
+// kind of bit-sliced row store with the same kernels as an ASMCap bank's
+// and senses the current-domain noise unless config.ideal_sensing.
 //
 // Ownership: the accelerator owns one bit-sliced row store (row g holds
 // segment g, stored once), the manufactured readouts (built only when it
-// senses noise), the backend, and the session pool. The backend reads
-// that one row store by non-owning reference, as the ASMCap backend reads
-// its bank's, so the accelerator is not movable.
+// senses noise), and the session pool.
 // Thread-safety: the mutating entry points (load_reference, search_batch)
 // belong to one control thread at a time; search() is const and
 // thread-safe — it is what search_batch fans across workers.
@@ -28,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "align/edstar.h"
@@ -69,19 +66,11 @@ class EdamAccelerator {
  public:
   explicit EdamAccelerator(EdamConfig config);
 
-  // Not movable: the backend holds pointers into rows_/readouts_, which a
-  // move would leave dangling.
-  EdamAccelerator(EdamAccelerator&&) = delete;
-  EdamAccelerator& operator=(EdamAccelerator&&) = delete;
-
   /// Loads the reference, segment g into row g. Every width and the
   /// capacity are validated before anything is built: a rejected batch
   /// (std::invalid_argument for a width, DbError otherwise) leaves the
   /// accelerator empty, so a retry behaves like a fresh instance.
   void load_reference(const std::vector<Sequence>& segments);
-
-  /// The execution backend (valid after load_reference).
-  const ExecutionBackend& backend() const;
 
   /// Searches one read against every loaded segment. Const and
   /// thread-safe; energy is accumulated from per-pass deltas (never from
@@ -112,16 +101,28 @@ class EdamAccelerator {
   void check_read(const Sequence& read) const;
   /// The content-keyed per-query stream (never advances the master).
   Rng query_stream(const Sequence& read) const;
-  /// Runs the pass schedule (original + SR rotations) on the backend,
-  /// OR-accumulating decisions and summing per-pass energy.
+  /// Runs the pass schedule (original + SR rotations), OR-accumulating
+  /// decisions and summing per-pass energy.
   EdamQueryResult execute(const Sequence& read, std::size_t threshold,
                           const Rng& query_rng) const;
+  /// EDAM's current-domain pass (pre-charge, discharge, sample-and-hold)
+  /// over the row store (row g senses on readout g / array_rows, matchline
+  /// g % array_rows). The kernels count every row block by block; each
+  /// row books its count-pure current-domain energy from row_energy_, in
+  /// row order. Under ideal sensing, count <= T decides; otherwise the
+  /// pass gathers each 64-row group, and each row's mismatch lane words
+  /// give its nominal discharge (drop_row), which decide_from_drop senses
+  /// with the row's per-id noise fork (the id is the row index: EDAM loads
+  /// once and never moves a row).
+  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
+                      const Rng& query_rng, std::uint64_t pass_salt) const;
 
   EdamConfig config_;
-  SlicedRowStore rows_;  ///< The one row store the backend counts.
+  SlicedRowStore rows_;  ///< The one row store the pass counts.
   /// Manufactured silicon: empty under ideal sensing.
   std::vector<CurrentArrayReadout> readouts_;
-  std::unique_ptr<EdamCircuitBackend> backend_;
+  /// Current-domain energy of a row with k mismatches, k = 0..cols.
+  std::vector<double> row_energy_;
   std::size_t segments_loaded_ = 0;
   Rng rng_;  ///< Master stream: forked per query, never advanced.
   SessionPool pool_;

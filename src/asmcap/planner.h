@@ -1,13 +1,13 @@
 #pragma once
 // Query planning, separated from execution (engine layering: planner ->
-// backend -> batch engine). The planner owns the offline pre-processed
+// pass -> batch engine). The planner owns the offline pre-processed
 // correction strategies (HDAC's p, TASR's T_l) and turns one
 // (read, threshold, mode) request into an immutable ExecutionPlan listing
-// exactly which array passes an ExecutionBackend must run, each with the
-// read view its kernels take (align/kernels.h), built once per read and
-// shared by the shard-pruning probe and every bank's passes. Planning
-// draws no randomness and mutates nothing, so plans can be built
-// concurrently and executed on any backend.
+// exactly which array passes a bank must run, each with the read view its
+// kernels take (align/kernels.h), built once per read and shared by the
+// shard-pruning probe and every bank's passes. Planning draws no
+// randomness and mutates nothing, so plans can be built concurrently and
+// executed on any bank.
 
 #include <cstddef>
 #include <limits>
@@ -37,7 +37,7 @@ struct QueryPlan {
 };
 
 /// A fully materialised, immutable plan for one read query: the concrete
-/// pass list a backend executes plus the costing summary the ledger records.
+/// pass list a bank executes plus the costing summary the ledger records.
 struct ExecutionPlan {
   QueryPlan summary;
   /// ED* passes in execution order: the original read first, then each

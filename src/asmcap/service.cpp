@@ -726,15 +726,6 @@ std::shared_ptr<SearchTicket> SearchService::try_submit(
                 options, /*block=*/false);
 }
 
-std::shared_ptr<SearchTicket> SearchService::try_submit_borrowed(
-    const std::vector<Sequence>& reads, std::size_t threshold,
-    StrategyMode mode, const Options& options) {
-  validate(reads);
-  return launch(std::shared_ptr<SearchTicket>(
-                    new SearchTicket(*accel_, &reads, threshold, mode)),
-                options, /*block=*/false);
-}
-
 std::shared_ptr<SearchTicket> SearchService::launch(
     std::shared_ptr<SearchTicket> ticket, const Options& options, bool block) {
   if (options.deadline_seconds < 0.0)

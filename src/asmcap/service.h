@@ -580,16 +580,13 @@ class SearchService {
       const std::vector<Sequence>& reads, std::size_t threshold,
       StrategyMode mode, const Options& options = Options());
 
-  /// Fail-fast admission: like submit()/submit_borrowed() but never
-  /// blocks — throws ServiceError{AdmissionFull} when the pending queue
-  /// cannot take the submission right now.
+  /// Fail-fast admission: like submit() but never blocks — throws
+  /// ServiceError{AdmissionFull} when the pending queue cannot take the
+  /// submission right now.
   std::shared_ptr<SearchTicket> try_submit(std::vector<Sequence> reads,
                                            std::size_t threshold,
                                            StrategyMode mode,
                                            const Options& options = Options());
-  std::shared_ptr<SearchTicket> try_submit_borrowed(
-      const std::vector<Sequence>& reads, std::size_t threshold,
-      StrategyMode mode, const Options& options = Options());
 
   /// Scheduler observability (racy while work is in flight).
   std::size_t in_flight_reads() const { return sched_->in_flight_reads(); }

@@ -3,7 +3,7 @@
 // AsmcapAccelerator, and the one controller that schedules every bank.
 // A single bank caps the database at array_count x array_rows segments;
 // the sharded accelerator partitions the stored reference across N
-// independent banks — each with its own arrays and backend, each nothing
+// independent banks — each with its own arrays and pass, each nothing
 // but execute() plus mutations — and puts a batch router on top. A
 // monolithic search is a 1-shard router:
 //
@@ -173,7 +173,7 @@ class ShardedAccelerator {
   void set_error_profile(const ErrorRates& rates) { rates_ = rates; }
   const ErrorRates& error_profile() const { return rates_; }
 
-  /// Switches every current bank's execution backend. Switching to
+  /// Switches every current bank's backend kind. Switching to
   /// Circuit builds each bank's silicon from the per-id streams
   /// (AsmcapAccelerator::set_backend), so it costs one circuit write per
   /// live row; set the backend before loading to skip that. Control-plane
@@ -272,7 +272,7 @@ class ShardedAccelerator {
   void check_loaded() const;
   void check_shard(std::size_t s) const;
   /// A fresh (empty) bank on the router's config — hence its seeds — and
-  /// backend, whose auto-assigned ids start `id_floor` above
+  /// backend kind, whose auto-assigned ids start `id_floor` above
   /// config_.segment_base. `cold` picks the full config_ geometry vs the
   /// hot staging geometry from config_.live.
   std::shared_ptr<AsmcapAccelerator> make_bank(bool cold,

@@ -215,8 +215,7 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
     AsmcapConfig config = small_config(/*ideal=*/false);
     config.process.charge.sa_offset_sigma = offset_sigma;
     const HandBuiltBank bank = hand_built_bank(config, segments_);
-    const CircuitBackend backend(config, bank.readouts, bank.dir,
-                                 bank.store, /*sense_noise=*/true);
+    const CircuitBackend pass(config);
     const auto arrays_driven = static_cast<double>(bank.dir.arrays_in_use());
 
     // Near-threshold reads: stored rows with 2..8 random substitutions.
@@ -234,9 +233,10 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
       for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
         const std::size_t threshold = 4;
         const std::uint64_t salt = mode == MatchMode::EdStar ? 0 : 0x4844;
-        const PassResult got =
-            backend.run_pass(PackedReadView(read, mode == MatchMode::EdStar),
-                             threshold, query_rng, salt);
+        const PassResult got = pass.run_pass(
+            bank.store, bank.dir, &bank.readouts,
+            PackedReadView(read, mode == MatchMode::EdStar), threshold,
+            query_rng, salt);
 
         const ChargeDecisionBand band = charge_decision_band(
             config.process.charge, config.array_cols, threshold);
@@ -344,11 +344,11 @@ TEST(EngineWords, IdealPassMatchesPerSlotReferenceAcrossWords) {
   const AsmcapConfig config = small_config();
   const ChargeDomainParams& charge = config.process.charge;
   const auto n = static_cast<double>(config.array_cols);
+  // One pass object serves every bank of its config.
+  const CircuitBackend pass(config);
   for (const Bank& spec : banks) {
     const std::vector<Sequence> segments = wide_segments(spec.slots);
     const HandBuiltBank bank = hand_built_bank(config, segments, spec.dead);
-    const CircuitBackend backend(config, bank.readouts, bank.dir, bank.store,
-                                 /*sense_noise=*/false);
     const std::size_t words = (spec.slots + 63) / 64;
 
     // Arrays holding a live row; array 1 is all dead and never driven.
@@ -378,19 +378,19 @@ TEST(EngineWords, IdealPassMatchesPerSlotReferenceAcrossWords) {
     reads.push_back(Sequence::random(64, edit_rng));
 
     // The pass checks the read's width against the array's.
-    EXPECT_THROW(
-        backend.run_pass(PackedReadView(Sequence::random(32, edit_rng)), 3,
-                         Rng(907), 0),
-        std::invalid_argument);
+    EXPECT_THROW(pass.run_pass(bank.store, bank.dir, /*silicon=*/nullptr,
+                               PackedReadView(Sequence::random(32, edit_rng)),
+                               3, Rng(907), 0),
+                 std::invalid_argument);
 
     std::vector<std::size_t> matches_per_word(words, 0);
     for (std::size_t i = 0; i < reads.size(); ++i) {
       for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
         const std::size_t threshold = 3;
-        const PassResult got =
-            backend.run_pass(
-                PackedReadView(reads[i], mode == MatchMode::EdStar),
-                threshold, Rng(907), 0);
+        const PassResult got = pass.run_pass(
+            bank.store, bank.dir, /*silicon=*/nullptr,
+            PackedReadView(reads[i], mode == MatchMode::EdStar), threshold,
+            Rng(907), 0);
         ASSERT_EQ(got.decisions.size(), spec.slots);
         ASSERT_EQ(got.decisions.words(), words);
         EXPECT_EQ(got.decisions.word(words - 1) >> (spec.slots % 64), 0u)
@@ -507,9 +507,8 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
         std::vector<bool> expected = reference_pass(
             segments, dir, plan.ed_star_passes[0], MatchMode::EdStar,
             plan.threshold);
-        double energy = accel.backend()
-                            .run_pass(PackedReadView(plan.ed_star_passes[0]),
-                                      plan.threshold, query_rng, 0)
+        double energy = accel.run_pass(PackedReadView(plan.ed_star_passes[0]),
+                                       plan.threshold, query_rng, 0)
                             .energy_joules;
         for (std::size_t p = 1; p < plan.ed_star_passes.size(); ++p) {
           const std::vector<bool> extra = reference_pass(
@@ -519,9 +518,8 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             if (extra[slot] && !expected[slot]) ++or_gains;
             expected[slot] = expected[slot] || extra[slot];
           }
-          energy += accel.backend()
-                        .run_pass(PackedReadView(plan.ed_star_passes[p]),
-                                  plan.threshold, query_rng, p)
+          energy += accel.run_pass(PackedReadView(plan.ed_star_passes[p]),
+                                   plan.threshold, query_rng, p)
                         .energy_joules;
         }
         if (plan.hd_pass) {
@@ -537,10 +535,9 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             ++(combined == expected[slot] ? ed_star_kept : hd_adopted);
             expected[slot] = combined;
           }
-          energy += accel.backend()
-                        .run_pass(PackedReadView(plan.ed_star_passes.front(),
-                                                 /*neighbours=*/false),
-                                  plan.threshold, query_rng, 0x4844'0000ULL)
+          energy += accel.run_pass(PackedReadView(plan.ed_star_passes.front(),
+                                                  /*neighbours=*/false),
+                                   plan.threshold, query_rng, 0x4844'0000ULL)
                         .energy_joules;
         }
 

@@ -523,6 +523,12 @@ TEST_F(LiveDbTest, DbErrorKindsAreShared) {
   } catch (const DbError& error) {
     EXPECT_EQ(error.kind(), DbErrorKind::NotLoaded);
   }
+  try {
+    accel.run_pass(PackedReadView(reads_[0]), 4, Rng(2307), 0);
+    FAIL() << "expected DbError";
+  } catch (const DbError& error) {
+    EXPECT_EQ(error.kind(), DbErrorKind::NotLoaded);
+  }
   accel.load_reference(first(8));
   try {
     accel.load_reference(first(8));
