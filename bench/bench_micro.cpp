@@ -229,6 +229,47 @@ void window_probe_cases(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_WindowProbe)->Apply(window_probe_cases);
 
+// One bank's execute() of a bulk_map read: an ideal-sensing bank of
+// 4,096 rows x 128 columns and a T = 32 plan under the router's default
+// error profile, which TASR turns into 5 ED* passes (no HDAC), all run in
+// one sweep over the row store. The read is a stored row with 8
+// substitutions. Items are row-passes.
+void BM_BankExecute(benchmark::State& state) {
+  constexpr std::size_t kRows = 4096;
+  constexpr std::size_t kCols = 128;
+  constexpr std::size_t kThreshold = 32;
+  AsmcapConfig config;
+  config.array_rows = 256;
+  config.array_cols = kCols;
+  config.array_count = kRows / config.array_rows;
+  config.ideal_sensing = true;
+  AsmcapAccelerator bank(config);
+  Rng rng(20);
+  std::vector<Sequence> rows;
+  rows.reserve(kRows);
+  for (std::size_t g = 0; g < kRows; ++g)
+    rows.push_back(Sequence::random(kCols, rng));
+  bank.load_reference(rows);
+  Sequence read = rows[rng.below(kRows)];
+  for (int e = 0; e < 8; ++e)
+    read.set(rng.below(kCols),
+             base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+  const ExecutionPlan plan = bank.planner().build(
+      read, kThreshold, ErrorRates::condition_a(), StrategyMode::Full);
+  if (plan.ed_star_views.size() != 5 || plan.hd_pass) {
+    state.SkipWithError("the plan is not 5 ED* passes without HDAC");
+    return;
+  }
+  const Rng query_rng(21);
+  for (auto _ : state) {
+    const QueryResult result = bank.execute(plan, query_rng);
+    benchmark::DoNotOptimize(result.matched_segments.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRows * 5));
+}
+BENCHMARK(BM_BankExecute);
+
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;
   config.array_rows = 256;

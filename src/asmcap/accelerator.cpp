@@ -250,40 +250,44 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   return std::unique_ptr<AsmcapAccelerator>(new AsmcapAccelerator(*this));
 }
 
-PassResult AsmcapAccelerator::run_pass(const PackedReadView& read,
-                                       std::size_t threshold,
-                                       const Rng& query_rng,
-                                       std::uint64_t pass_salt) const {
-  check_loaded();
-  return pass_.run_pass(store_, dir_, senses_noise() ? &readouts_ : nullptr,
-                        read, threshold, query_rng, pass_salt);
-}
-
-void AsmcapAccelerator::check_loaded() const {
+std::vector<PassResult> AsmcapAccelerator::run_passes(
+    std::span<const PassSpec> passes, std::size_t threshold,
+    const Rng& query_rng) const {
   if (dir_.slots() == 0)
     throw DbError(DbErrorKind::NotLoaded,
                   "AsmcapAccelerator: no reference loaded");
+  return pass_.run_passes(store_, dir_,
+                          senses_noise() ? &readouts_ : nullptr, passes,
+                          threshold, query_rng);
 }
 
 QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
                                        const Rng& query_rng) const {
-  check_loaded();
-
   QueryResult result;
   result.plan = plan.summary;
 
-  // ED* pass(es): the original read, plus the rotation schedule when TASR
-  // triggered (Algorithm 2's OR-accumulation), each on the plan's view.
-  BitVec ed_star;
+  // Every pass of the plan in one sweep: the ED* views (the original read,
+  // plus the rotation schedule when TASR triggered) with salts 0, 1, ...,
+  // then the HD view when HDAC runs.
+  const std::size_t ed_star_count = plan.ed_star_views.size();
+  std::vector<PassSpec> specs;
+  specs.reserve(ed_star_count + 1);
+  for (std::size_t p = 0; p < ed_star_count; ++p)
+    specs.push_back({&plan.ed_star_views[p], p});
+  if (plan.hd_pass) specs.push_back({&plan.hd_view, kHdPassSalt});
+  std::vector<PassResult> passes =
+      run_passes(specs, plan.threshold, query_rng);
+
+  // Algorithm 2's OR-accumulation over the ED* passes; the read's energy
+  // adds the pass energies in pass order.
   double energy = 0.0;
-  for (std::size_t p = 0; p < plan.ed_star_views.size(); ++p) {
-    PassResult pass =
-        run_pass(plan.ed_star_views[p], plan.threshold, query_rng, p);
-    energy += pass.energy_joules;
+  for (const PassResult& pass : passes) energy += pass.energy_joules;
+  BitVec ed_star;
+  for (std::size_t p = 0; p < ed_star_count; ++p) {
     if (p == 0)
-      ed_star = std::move(pass.decisions);
+      ed_star = std::move(passes[p].decisions);
     else
-      ed_star |= pass.decisions;
+      ed_star |= passes[p].decisions;
   }
 
   // HDAC pass: HD search and probabilistic selection (Algorithm 1). Only
@@ -291,18 +295,15 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
   // row's global segment id, so the outcome does not depend on which slot
   // or bank stores it (a dead slot decides false on both passes).
   if (plan.hd_pass) {
-    const PassResult hd =
-        run_pass(plan.hd_view, plan.threshold, query_rng, kHdPassSalt);
-    energy += hd.energy_joules;
+    const BitVec& hd = passes.back().decisions;
     const Hdac& hdac = planner().hdac();
     const Rng select_rng = query_rng.fork(kHdacSelectSalt);
-    BitVec disagree = hd.decisions;
+    BitVec disagree = hd;
     disagree ^= ed_star;
     for (std::size_t g = disagree.find_first(); g < disagree.size();
          g = disagree.find_next(g + 1)) {
       Rng coin = select_rng.fork(dir_.ids[g]);
-      ed_star.set(g, hdac.combine(hd.decisions[g], ed_star[g], plan.hdac_p,
-                                  coin));
+      ed_star.set(g, hdac.combine(hd[g], ed_star[g], plan.hdac_p, coin));
     }
   }
 

@@ -3,8 +3,9 @@
 // layers that run a query over them:
 //
 //   QueryPlanner   — turns (read, T, mode) into an immutable ExecutionPlan
-//   CircuitBackend — runs the plan's passes over this bank (the
-//                    charge-domain pass, noisy or ideal)
+//   CircuitBackend — runs all of the plan's passes over this bank in one
+//                    sweep of its row store (the charge-domain pass,
+//                    noisy or ideal)
 //
 // A bank is execute() plus mutations. It plans nothing on its own, owns
 // no query stream, and keeps no search ledger: the controller that
@@ -25,7 +26,7 @@
 // validated in full before any state changes.
 //
 // Representation: the bit-sliced slot store (align/row_store.h) is the
-// bank's one canonical row store — what the pass counts, block by
+// bank's one canonical row store — what the passes count, block by
 // block, what the shard-pruning probe (may_match) reads, and what
 // live_segments() gathers, group by group; the bank keeps no other
 // index of its rows. The bank senses the analog noise model iff its
@@ -51,6 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -145,17 +147,23 @@ class AsmcapAccelerator {
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
 
-  /// One search pass of `read` (an ED* or a Hamming view of the array's
-  /// width) over this bank, sensing as backend_kind() and the config say:
-  /// slot-indexed decisions and the pass's energy (CircuitBackend in
-  /// asmcap/backend.h). Const and thread-safe like execute(). Throws
-  /// DbError (NotLoaded) on an empty bank.
-  PassResult run_pass(const PackedReadView& read, std::size_t threshold,
-                      const Rng& query_rng, std::uint64_t pass_salt) const;
+  /// Every pass of `passes` over this bank in one sweep, sensing as
+  /// backend_kind() and the config say: one PassResult per pass, in list
+  /// order, each with slot-indexed decisions and the pass's energy
+  /// exactly as if it ran alone (CircuitBackend::run_passes in
+  /// asmcap/backend.h; every view must have the array's width). Const and
+  /// thread-safe like execute(). Throws DbError (NotLoaded) on an empty
+  /// bank.
+  std::vector<PassResult> run_passes(std::span<const PassSpec> passes,
+                                     std::size_t threshold,
+                                     const Rng& query_rng) const;
 
   /// Runs one materialised plan with an explicit query stream — the
-  /// bank's only search entry point. Const and thread-safe: it touches no
-  /// shared mutable state, and `query_rng` is only forked, never advanced.
+  /// bank's only search entry point. The plan's passes (ED* view p with
+  /// salt p, then the HD view) run in one run_passes sweep; the read ORs
+  /// the ED* decisions, runs HDAC on the HD pass's, and adds the pass
+  /// energies in pass order. Const and thread-safe: it touches no shared
+  /// mutable state, and `query_rng` is only forked, never advanced.
   /// Decisions are row-SLOT-indexed (see QueryResult). The sharded router
   /// fans it across banks (every bank executing the same plan against the
   /// same stream). Throws DbError (NotLoaded) on an empty bank.
@@ -209,7 +217,6 @@ class AsmcapAccelerator {
   /// goes through clone().
   AsmcapAccelerator(const AsmcapAccelerator&) = default;
 
-  void check_loaded() const;
   /// True iff the bank senses the analog noise model (and so holds
   /// silicon): backend kind Circuit on a noisy config.
   bool senses_noise() const {

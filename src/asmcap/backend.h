@@ -12,17 +12,20 @@
 //
 // Ownership: a CircuitBackend holds only constants derived from its
 // config (geometry, the charge-domain parameters, a per-count energy
-// table) and points into no bank. Each run_pass call is handed the bank
+// table) and points into no bank. Each run_passes call is handed the bank
 // it runs on — its row store, LiveDirectory and silicon — so one pass
 // object serves any bank of its config, and a bank copies like a value.
-// Thread-safety: run_pass is const and thread-safe — concurrent batch
-// workers share one pass and one bank, each supplying its own forked RNG
-// stream. Mutations (which rewrite the directory and the row store) never
-// run against a bank with passes in flight: the sharded router mutates
-// CLONES and publishes them as a new epoch, so in-flight work only ever
-// reads immutable snapshots (docs/architecture.md "Live database").
-// Reentrancy: run_pass never dispatches work to a pool, so it is safe to
-// call from inside pool tasks (the service does exactly that).
+// A call runs a read's whole pass list (PassSpec: a view and its RNG
+// salt) in one sweep over the store, and returns one PassResult per pass.
+// Thread-safety: run_passes is const and thread-safe — concurrent batch
+// workers share one pass object and one bank, each supplying its own
+// forked RNG stream. Mutations (which rewrite the directory and the row
+// store) never run against a bank with passes in flight: the sharded
+// router mutates CLONES and publishes them as a new epoch, so in-flight
+// work only ever reads immutable snapshots (docs/architecture.md "Live
+// database").
+// Reentrancy: run_passes never dispatches work to a pool, so it is safe
+// to call from inside pool tasks (the service does exactly that).
 //
 // RNG discipline (specified in full in docs/determinism.md): a pass never
 // draws from the query stream sequentially. It forks a pass stream
@@ -37,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "align/kernels.h"
@@ -58,7 +62,7 @@ const char* to_string(BackendKind kind);
 
 /// Per-slot live-database directory of one bank (slot = array *
 /// array_rows + row, allocated in fill order). The bank mutates it on the
-/// control plane (append/delete); its passes read it inside run_pass. A
+/// control plane (append/delete); its passes read it inside run_passes. A
 /// tombstoned slot keeps its last id (results stay sized by slot) but is
 /// masked out of decisions and matchline energy, and an array whose live
 /// count drops to zero is skipped entirely — no SL-driver energy for dead
@@ -81,6 +85,14 @@ struct LiveDirectory {
   }
 };
 
+/// One array pass of a read: the view it searches (an ED* or a Hamming
+/// view; not owned, it must outlive the call) and the salt its RNG stream
+/// forks from the query stream (docs/determinism.md).
+struct PassSpec {
+  const PackedReadView* view = nullptr;
+  std::uint64_t salt = 0;
+};
+
 /// Result of one array pass over every allocated row slot. Decisions are a
 /// SLOT-indexed bitmap (bit s of word s / 64); tombstoned slots are always
 /// false. Consumers combine passes word by word (|=, ^=) and walk matches
@@ -97,37 +109,42 @@ struct PassResult {
 /// all-dead array is never driven, and a tombstoned or padding row decides
 /// nothing, charges no matchline energy, and draws no RNG fork.
 ///
-/// A pass takes the plan's PackedReadView (built once per read, shared by
-/// every bank) and walks the store block by block: the active kernel
-/// counts the block's 256 rows and flags those with count < band.hit_below.
-/// Per 64-slot decision word, those flags ANDed with the live word are the
-/// decisions, and a call-free loop over the live bits books each live
-/// row's Eq. 1 energy from a per-count table, in ascending live-slot order
-/// after the SL-driver energy — the one summation order, so booked energy
-/// is bit-identical whatever computed the counts. Under ideal sensing
-/// (`silicon` null) the band is empty and count <= T decides. When the
-/// bank senses noise, `silicon` holds one ChargeArrayReadout per array
-/// with the silicon of every live row: a row whose count lies in
+/// A call takes the plan's PackedReadViews (built once per read, shared
+/// by every bank) as a list of passes and sweeps the store once, block by
+/// block: while a block is in cache the active kernel counts its 256 rows
+/// once per pass and flags those with count < band.hit_below. Per 64-slot
+/// decision word, each pass's flags ANDed with the live word are its
+/// decisions, and one call-free walk over the live bits books each live
+/// row's Eq. 1 energy from a per-count table into every pass's own
+/// accumulator (up to 8 passes per walk), so each pass's sum still runs
+/// in ascending live-slot order after its SL-driver energy — the one
+/// summation order, so booked energy is bit-identical whatever computed
+/// the counts and however many passes share the sweep. Under ideal
+/// sensing (`silicon` null) the band is empty and count <= T decides.
+/// When the bank senses noise, `silicon` holds one ChargeArrayReadout per
+/// array with the silicon of every live row: a row whose count lies in
 /// charge_decision_band gathers its packed words alone, settles V_ML from
 /// its mismatch lane words on its readout and draws SA noise from the
-/// per-id fork; a row outside it decides from the count alone, since no
-/// admissible silicon or noise draw could change its SA outcome
-/// (determinism.md rule 7). Per-decision streams are pure per-id forks,
-/// so skipping a row's fork shifts no other row's draw.
+/// per-id fork of its pass's stream; a row outside it decides from the
+/// count alone, since no admissible silicon or noise draw could change its
+/// SA outcome (determinism.md rule 7). Per-decision streams are pure
+/// per-id forks, so skipping a row's fork shifts no other row's draw.
 class CircuitBackend {
  public:
   explicit CircuitBackend(const AsmcapConfig& config);
 
-  /// One search pass of `read` (an ED* or a Hamming view, whose width
-  /// must equal the array's; std::invalid_argument otherwise) over `rows`
-  /// and `directory`: per-slot decisions at `threshold` (see PassResult).
-  /// Per-decision SA noise is forked from `query_rng.fork(pass_salt)` per
-  /// global segment id; `query_rng` is never advanced.
-  PassResult run_pass(const SlicedRowStore& rows,
-                      const LiveDirectory& directory,
-                      const std::vector<ChargeArrayReadout>* silicon,
-                      const PackedReadView& read, std::size_t threshold,
-                      const Rng& query_rng, std::uint64_t pass_salt) const;
+  /// Every pass of `passes` over `rows` and `directory`, in one sweep:
+  /// result p holds pass p's per-slot decisions at `threshold` and its
+  /// energy (see PassResult), exactly as if it ran alone. Every view's
+  /// width must equal the array's (std::invalid_argument otherwise,
+  /// checked before any pass runs). Pass p's per-decision SA noise is
+  /// forked from `query_rng.fork(passes[p].salt)` per global segment id;
+  /// `query_rng` is never advanced.
+  std::vector<PassResult> run_passes(
+      const SlicedRowStore& rows, const LiveDirectory& directory,
+      const std::vector<ChargeArrayReadout>* silicon,
+      std::span<const PassSpec> passes, std::size_t threshold,
+      const Rng& query_rng) const;
 
  private:
   std::size_t array_rows_;

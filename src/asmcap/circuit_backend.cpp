@@ -1,5 +1,8 @@
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "align/kernels.h"
 #include "asmcap/backend.h"
@@ -9,6 +12,41 @@ namespace asmcap {
 
 namespace {
 constexpr std::size_t kWordBits = 64;
+
+// The matchline-energy walk of one 64-slot decision word for N passes:
+// adds each live row's Eq. 1 energy, from its count in each pass's block,
+// to that pass's accumulator, in ascending slot order. N is a compile-time
+// constant so the N accumulators stay in registers as N independent add
+// chains. A dead row's all-mismatch line stores k(n-k)/n = 0, so skipping
+// it is exact.
+template <std::size_t N>
+void add_row_energy(std::uint64_t live, const BlockCounts* blocks,
+                    std::size_t in_block, const double* row_energy,
+                    double* energy) {
+  double acc[N];
+  for (std::size_t p = 0; p < N; ++p) acc[p] = energy[p];
+  for (std::uint64_t x = live; x != 0; x &= x - 1) {
+    const std::size_t row =
+        in_block + static_cast<std::size_t>(std::countr_zero(x));
+    for (std::size_t p = 0; p < N; ++p)
+      acc[p] += row_energy[blocks[p].counts[row]];
+  }
+  for (std::size_t p = 0; p < N; ++p) energy[p] = acc[p];
+}
+
+using EnergyWalk = void (*)(std::uint64_t, const BlockCounts*, std::size_t,
+                            const double*, double*);
+// Longer pass lists walk in groups of kMaxWalkPasses.
+constexpr std::size_t kMaxWalkPasses = 8;
+
+template <std::size_t... I>
+constexpr std::array<EnergyWalk, sizeof...(I)> energy_walks(
+    std::index_sequence<I...>) {
+  return {&add_row_energy<I + 1>...};
+}
+// kEnergyWalks[n - 1] walks n passes.
+constexpr auto kEnergyWalks =
+    energy_walks(std::make_index_sequence<kMaxWalkPasses>{});
 }  // namespace
 
 const char* to_string(BackendKind kind) {
@@ -29,74 +67,88 @@ CircuitBackend::CircuitBackend(const AsmcapConfig& config)
     row_energy_[k] = charge_row_search_energy(k, cols_, charge_);
 }
 
-PassResult CircuitBackend::run_pass(
+std::vector<PassResult> CircuitBackend::run_passes(
     const SlicedRowStore& rows, const LiveDirectory& directory,
-    const std::vector<ChargeArrayReadout>* silicon, const PackedReadView& view,
-    std::size_t threshold, const Rng& query_rng,
-    std::uint64_t pass_salt) const {
-  if (view.n != cols_)
-    throw std::invalid_argument("CircuitBackend: read width mismatch");
+    const std::vector<ChargeArrayReadout>* silicon,
+    std::span<const PassSpec> passes, std::size_t threshold,
+    const Rng& query_rng) const {
+  for (const PassSpec& pass : passes)
+    if (pass.view->n != cols_)
+      throw std::invalid_argument("CircuitBackend: read width mismatch");
   // Ideal sensing decides count <= T exactly: an empty band.
   const bool sense_noise = silicon != nullptr;
   const ChargeDecisionBand band =
       sense_noise ? charge_decision_band(charge_, cols_, threshold)
                   : ChargeDecisionBand{threshold + 1, threshold + 1};
-  // The active tier counts the store block by block (tombstoned and
-  // padding slots are counted too — cheaper than skipping — and masked
-  // below).
+  // The active tier counts the store block by block, once per pass while
+  // the block is in cache (tombstoned and padding slots are counted too —
+  // cheaper than skipping — and masked below).
   const std::size_t slots = rows.rows();
+  const std::size_t pass_count = passes.size();
   const auto count_block = active_kernel_ops().count_block;
-  const Rng pass_rng = query_rng.fork(pass_salt);
-  std::vector<std::uint64_t> row_words(sense_noise ? view.words : 0);
-  std::vector<std::uint64_t> lane_words(sense_noise ? view.words : 0);
-  BlockCounts block;
+  std::vector<Rng> pass_rngs;
+  if (sense_noise) {
+    pass_rngs.reserve(pass_count);
+    for (const PassSpec& pass : passes)
+      pass_rngs.push_back(query_rng.fork(pass.salt));
+  }
+  std::vector<std::uint64_t> row_words(sense_noise ? rows.words_per_row() : 0);
+  std::vector<std::uint64_t> lane_words(row_words.size());
+  std::vector<BlockCounts> blocks(pass_count);
 
-  PassResult result;
-  result.decisions = BitVec(slots);
   // Every array holding at least one live row drives its search lines once
   // per pass; all-dead arrays are never driven.
-  double energy = static_cast<double>(directory.arrays_in_use()) *
-                  sl_params_.energy_per_base * static_cast<double>(cols_);
-  const double* row_energy = row_energy_.data();
-  for (std::size_t w = 0; w < result.decisions.words(); ++w) {
+  std::vector<double> energy(
+      pass_count, static_cast<double>(directory.arrays_in_use()) *
+                      sl_params_.energy_per_base * static_cast<double>(cols_));
+  std::vector<PassResult> results(pass_count);
+  for (PassResult& result : results) result.decisions = BitVec(slots);
+  const std::size_t words = (slots + kWordBits - 1) / kWordBits;
+  for (std::size_t w = 0; w < words; ++w) {
     const std::size_t first = w * kWordBits;
     const std::size_t in_block = first % SlicedRowStore::kBlockRows;
     if (in_block == 0)
-      count_block(rows, first / SlicedRowStore::kBlockRows, view,
-                  band.hit_below, block);
-    const std::uint16_t* counts = block.counts + in_block;
+      for (std::size_t p = 0; p < pass_count; ++p)
+        count_block(rows, first / SlicedRowStore::kBlockRows,
+                    *passes[p].view, band.hit_below, blocks[p]);
     const std::uint64_t live = directory.live.word(w);
-    // Out-of-band decisions straight from the kernel's count < hit_below
-    // words; dead and padding slots are masked out.
-    std::uint64_t word = block.below[in_block / kWordBits] & live;
-    // Matchline energy in ascending live-slot order (the floating-point
-    // summation order is fixed). A dead row's all-mismatch line stores
-    // k(n-k)/n = 0, so skipping it is exact.
-    for (std::uint64_t x = live; x != 0; x &= x - 1)
-      energy += row_energy[counts[std::countr_zero(x)]];
-    if (band.hit_below < band.miss_from) {
-      // In-band live rows settle on their silicon and draw SA noise keyed
-      // by global segment id: placement-invariant.
-      std::uint64_t in_band = 0;
-      for (std::size_t bit = 0; bit < kWordBits; ++bit)
-        in_band |= std::uint64_t{band.contains(counts[bit])} << bit;
-      for (in_band &= live; in_band != 0; in_band &= in_band - 1) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(in_band));
-        const std::size_t slot = first + bit;
-        const ChargeArrayReadout& readout = (*silicon)[slot / array_rows_];
-        rows.gather_row(slot, row_words.data());
-        mismatch_words(row_words.data(), view, lane_words.data());
-        Rng decide_rng = pass_rng.fork(directory.ids[slot]);
-        const bool hit = readout.decide(
-            readout.settle_row(slot % array_rows_, lane_words), threshold,
-            decide_rng);
-        word |= std::uint64_t{hit} << bit;
+    for (std::size_t p = 0; p < pass_count; ++p) {
+      // Out-of-band decisions straight from the kernel's count < hit_below
+      // words; dead and padding slots are masked out.
+      std::uint64_t word = blocks[p].below[in_block / kWordBits] & live;
+      if (band.hit_below < band.miss_from) {
+        // In-band live rows settle on their silicon and draw SA noise
+        // keyed by global segment id: placement-invariant.
+        const std::uint16_t* counts = blocks[p].counts + in_block;
+        std::uint64_t in_band = 0;
+        for (std::size_t bit = 0; bit < kWordBits; ++bit)
+          in_band |= std::uint64_t{band.contains(counts[bit])} << bit;
+        for (in_band &= live; in_band != 0; in_band &= in_band - 1) {
+          const auto bit =
+              static_cast<std::size_t>(std::countr_zero(in_band));
+          const std::size_t slot = first + bit;
+          const ChargeArrayReadout& readout = (*silicon)[slot / array_rows_];
+          rows.gather_row(slot, row_words.data());
+          mismatch_words(row_words.data(), *passes[p].view,
+                         lane_words.data());
+          Rng decide_rng = pass_rngs[p].fork(directory.ids[slot]);
+          const bool hit = readout.decide(
+              readout.settle_row(slot % array_rows_, lane_words), threshold,
+              decide_rng);
+          word |= std::uint64_t{hit} << bit;
+        }
       }
+      results[p].decisions.word(w) = word;
     }
-    result.decisions.word(w) = word;
+    // Matchline energy: one walk over the live bits per group of passes.
+    for (std::size_t p = 0; p < pass_count; p += kMaxWalkPasses)
+      kEnergyWalks[std::min(kMaxWalkPasses, pass_count - p) - 1](
+          live, blocks.data() + p, in_block, row_energy_.data(),
+          energy.data() + p);
   }
-  result.energy_joules = energy;
-  return result;
+  for (std::size_t p = 0; p < pass_count; ++p)
+    results[p].energy_joules = energy[p];
+  return results;
 }
 
 }  // namespace asmcap

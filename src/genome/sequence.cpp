@@ -128,11 +128,33 @@ void Sequence::erase(std::size_t pos) {
 Sequence Sequence::rotated_left(std::size_t k) const {
   if (size_ == 0) return {};
   k %= size_;
-  Sequence out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i)
-    out.push_back(get_unchecked((i + k) % size_));
-  return out;
+  // On the packed string, a left rotation by k bases is a rotation of its
+  // 2n bits right by 2k: result bit b is bit (b + 2k) mod 2n. With the tail
+  // bits clear, that is (bits >> 2k) | (bits << (2n - 2k)) cut to 2n bits.
+  const std::vector<std::uint64_t> in = packed_words();
+  const std::size_t bits = 2 * size_;
+  const std::size_t right = 2 * k;
+  const std::size_t left = bits - right;
+  // The 64 bits starting at bit `pos`, zero past the last word.
+  const auto bits_at = [&](std::size_t pos) {
+    const std::size_t w = pos / 64;
+    const std::size_t shift = pos % 64;
+    std::uint64_t word = w < in.size() ? in[w] >> shift : 0;
+    if (shift != 0 && w + 1 < in.size()) word |= in[w + 1] << (64 - shift);
+    return word;
+  };
+  std::vector<std::uint64_t> out(in.size());
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    const std::size_t first = 64 * w;
+    out[w] = bits_at(first + right);
+    if (first >= left)
+      out[w] |= bits_at(first - left);
+    else if (left - first < 64)
+      out[w] |= in[0] << (left - first);
+  }
+  if (const std::size_t tail = bits % 64; tail != 0)
+    out.back() &= (std::uint64_t{1} << tail) - 1;
+  return from_packed_words(out.data(), size_);
 }
 
 Sequence Sequence::rotated_right(std::size_t k) const {
@@ -178,9 +200,15 @@ Sequence Sequence::from_packed_words(const std::uint64_t* words,
 
 bool Sequence::operator==(const Sequence& other) const {
   if (size_ != other.size_) return false;
-  for (std::size_t i = 0; i < size_; ++i)
-    if (get_unchecked(i) != other.get_unchecked(i)) return false;
-  return true;
+  // Whole bytes compare as stored; the last partial byte only in its
+  // used bits (stale codes past size() do not count).
+  const std::size_t whole = size_ / 4;
+  if (!std::equal(data_.begin(), data_.begin() + whole, other.data_.begin()))
+    return false;
+  const std::size_t used = size_ & 3u;
+  if (used == 0) return true;
+  const auto mask = static_cast<std::uint8_t>((1u << (2 * used)) - 1);
+  return ((data_[whole] ^ other.data_[whole]) & mask) == 0;
 }
 
 std::size_t Sequence::mismatch_count(const Sequence& other) const {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "align/edstar.h"
 #include "align/hamming.h"
@@ -204,6 +205,18 @@ HandBuiltBank hand_built_bank(const AsmcapConfig& config,
   return bank;
 }
 
+/// One pass run alone: a one-pass list.
+PassResult run_alone(const CircuitBackend& pass, const HandBuiltBank& bank,
+                     const std::vector<ChargeArrayReadout>* silicon,
+                     const PackedReadView& view, std::size_t threshold,
+                     const Rng& query_rng, std::uint64_t salt) {
+  const PassSpec spec{&view, salt};
+  return pass
+      .run_passes(bank.store, bank.dir, silicon, std::span(&spec, 1),
+                  threshold, query_rng)
+      .front();
+}
+
 TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
   // The circuit pass decides rows outside the noise band from their count
   // and settles only the rest, from the kernels' lane words. Reference:
@@ -233,8 +246,8 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
       for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
         const std::size_t threshold = 4;
         const std::uint64_t salt = mode == MatchMode::EdStar ? 0 : 0x4844;
-        const PassResult got = pass.run_pass(
-            bank.store, bank.dir, &bank.readouts,
+        const PassResult got = run_alone(
+            pass, bank, &bank.readouts,
             PackedReadView(read, mode == MatchMode::EdStar), threshold,
             query_rng, salt);
 
@@ -378,17 +391,17 @@ TEST(EngineWords, IdealPassMatchesPerSlotReferenceAcrossWords) {
     reads.push_back(Sequence::random(64, edit_rng));
 
     // The pass checks the read's width against the array's.
-    EXPECT_THROW(pass.run_pass(bank.store, bank.dir, /*silicon=*/nullptr,
-                               PackedReadView(Sequence::random(32, edit_rng)),
-                               3, Rng(907), 0),
+    EXPECT_THROW(run_alone(pass, bank, /*silicon=*/nullptr,
+                           PackedReadView(Sequence::random(32, edit_rng)), 3,
+                           Rng(907), 0),
                  std::invalid_argument);
 
     std::vector<std::size_t> matches_per_word(words, 0);
     for (std::size_t i = 0; i < reads.size(); ++i) {
       for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
         const std::size_t threshold = 3;
-        const PassResult got = pass.run_pass(
-            bank.store, bank.dir, /*silicon=*/nullptr,
+        const PassResult got = run_alone(
+            pass, bank, /*silicon=*/nullptr,
             PackedReadView(reads[i], mode == MatchMode::EdStar), threshold,
             Rng(907), 0);
         ASSERT_EQ(got.decisions.size(), spec.slots);
@@ -427,6 +440,96 @@ TEST(EngineWords, IdealPassMatchesPerSlotReferenceAcrossWords) {
   }
 }
 
+TEST(EngineWords, SweepEqualsOnePassAtATime) {
+  // One sweep runs a whole pass list over the store; each pass of the list
+  // must decide and book energy exactly as it does alone. Banks: 300 slots
+  // (a partial last block of padding rows) with hand_built_bank's
+  // tombstones, its all-dead array 1 and dead slots around the block
+  // boundary, sensed ideally and with noise. Lists of 1 to 10 views, ED*
+  // and Hamming alternating, each pass with its own salt, so the longer
+  // lists cross the 8-pass energy walk.
+  constexpr std::size_t kSlots = 300;
+  constexpr std::size_t kThreshold = 3;
+  const std::vector<Sequence> segments = wide_segments(kSlots);
+  Rng edit_rng(910);
+  std::vector<Sequence> reads;
+  std::vector<PackedReadView> views;
+  for (std::size_t i = 0; i < 10; ++i) {
+    Sequence read = segments[edit_rng.below(kSlots)];
+    const std::uint64_t edits = 1 + edit_rng.below(5);
+    for (std::uint64_t e = 0; e < edits; ++e)
+      read.set(static_cast<std::size_t>(edit_rng.below(read.size())),
+               base_from_code(static_cast<std::uint8_t>(edit_rng.below(4))));
+    views.emplace_back(read, /*neighbours=*/i % 2 == 0);
+    reads.push_back(std::move(read));
+  }
+  const PackedReadView narrow(Sequence::random(32, edit_rng));
+
+  const KernelTier saved = active_kernel_tier();
+  for (const KernelTier tier : compiled_kernel_tiers()) {
+    if (!kernel_tier_available(tier)) continue;
+    set_active_kernel_tier(tier);
+    for (const bool ideal : {true, false}) {
+      AsmcapConfig config = small_config(ideal);
+      config.process.charge.sa_offset_sigma = 15e-3;
+      const HandBuiltBank bank =
+          hand_built_bank(config, segments, {255, 256, 299});
+      const std::vector<ChargeArrayReadout>* silicon =
+          ideal ? nullptr : &bank.readouts;
+      const CircuitBackend pass(config);
+      const Rng query_rng(911);
+
+      // The noisy bank settles some rows of these reads in the band.
+      if (!ideal) {
+        const ChargeDecisionBand band = charge_decision_band(
+            config.process.charge, config.array_cols, kThreshold);
+        std::size_t in_band = 0;
+        for (std::size_t i = 0; i < reads.size(); ++i) {
+          const std::vector<std::size_t> counts = reference_counts(
+              segments, reads[i],
+              i % 2 == 0 ? MatchMode::EdStar : MatchMode::Hamming);
+          for (std::size_t slot = 0; slot < kSlots; ++slot)
+            if (bank.dir.slot_live(slot) && band.contains(counts[slot]))
+              ++in_band;
+        }
+        ASSERT_GT(in_band, 0u);
+      }
+
+      std::size_t matches = 0;
+      for (std::size_t length = 1; length <= views.size(); ++length) {
+        std::vector<PassSpec> list;
+        for (std::size_t p = 0; p < length; ++p)
+          list.push_back({&views[(p + length) % views.size()],
+                          0x100 * length + p});
+        const std::vector<PassResult> swept = pass.run_passes(
+            bank.store, bank.dir, silicon, list, kThreshold, query_rng);
+        ASSERT_EQ(swept.size(), length);
+        for (std::size_t p = 0; p < length; ++p) {
+          const PassResult alone =
+              run_alone(pass, bank, silicon, *list[p].view, kThreshold,
+                        query_rng, list[p].salt);
+          EXPECT_EQ(swept[p].decisions, alone.decisions)
+              << to_string(tier) << " ideal " << ideal << " length "
+              << length << " pass " << p;
+          EXPECT_EQ(swept[p].energy_joules, alone.energy_joules)
+              << to_string(tier) << " ideal " << ideal << " length "
+              << length << " pass " << p;
+          matches += swept[p].decisions.popcount();
+        }
+      }
+      EXPECT_GT(matches, 0u) << to_string(tier) << " ideal " << ideal;
+
+      // Every view's width is checked before any pass runs.
+      const std::vector<PassSpec> bad = {
+          {&views[0], 0}, {&views[1], 1}, {&narrow, 2}};
+      EXPECT_THROW(pass.run_passes(bank.store, bank.dir, silicon, bad,
+                                   kThreshold, query_rng),
+                   std::invalid_argument);
+    }
+  }
+  set_active_kernel_tier(saved);
+}
+
 TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
   AsmcapConfig config = small_config(/*ideal=*/true);
   config.array_count = 9;
@@ -461,15 +564,16 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
   }
   reads.push_back(Sequence::random(64, read_rng));
 
-  // TasrOnly: 5 ED* passes. HdacOnly at T = 1 (Condition A): p ~ 0.45, so
-  // coins go both ways. Full with e_s = 5 %, e_id = 0.4 %: T_l = 4, so at
-  // T = 4 both TASR and HDAC (p ~ 0.06) run.
+  // Baseline: one ED* pass. TasrOnly: 5 ED* passes. HdacOnly at T = 1
+  // (Condition A): p ~ 0.45, so coins go both ways. Full with e_s = 5 %,
+  // e_id = 0.4 %: T_l = 4, so at T = 4 both TASR and HDAC (p ~ 0.06) run.
   struct Case {
     StrategyMode mode;
     ErrorRates rates;
     std::size_t threshold;
   };
   const std::vector<Case> cases = {
+      {StrategyMode::Baseline, ErrorRates::condition_a(), 3},
       {StrategyMode::TasrOnly, ErrorRates::condition_b(), 6},
       {StrategyMode::HdacOnly, ErrorRates::condition_a(), 1},
       {StrategyMode::Full, ErrorRates{0.05, 0.002, 0.002}, 4},
@@ -495,21 +599,28 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
       for (std::size_t i = 0; i < reads.size(); ++i) {
         const ExecutionPlan plan =
             accel.planner().build(reads[i], c.threshold, c.rates, c.mode);
-        ASSERT_EQ(plan.ed_star_passes.size() > 1,
-                  c.mode != StrategyMode::HdacOnly);
-        ASSERT_EQ(plan.hd_pass, c.mode != StrategyMode::TasrOnly);
+        ASSERT_EQ(plan.ed_star_passes.size() > 1, tasr_active(c.mode));
+        ASSERT_EQ(plan.hd_pass, hdac_active(c.mode));
         const Rng query_rng(909 + i);
         const QueryResult got = accel.execute(plan, query_rng);
 
         // Today's per-slot loops: OR over the ED* passes, then an HDAC
         // coin from select_rng.fork(id) only where HD and ED* disagree
-        // (salt from docs/determinism.md).
+        // (salt from docs/determinism.md). Each pass's energy comes from a
+        // one-pass list, added in pass order.
+        const auto lone_energy = [&](const PackedReadView& view,
+                                     std::uint64_t salt) {
+          const PassSpec spec{&view, salt};
+          return accel.run_passes(std::span(&spec, 1), plan.threshold,
+                                  query_rng)
+              .front()
+              .energy_joules;
+        };
         std::vector<bool> expected = reference_pass(
             segments, dir, plan.ed_star_passes[0], MatchMode::EdStar,
             plan.threshold);
-        double energy = accel.run_pass(PackedReadView(plan.ed_star_passes[0]),
-                                       plan.threshold, query_rng, 0)
-                            .energy_joules;
+        double energy =
+            lone_energy(PackedReadView(plan.ed_star_passes[0]), 0);
         for (std::size_t p = 1; p < plan.ed_star_passes.size(); ++p) {
           const std::vector<bool> extra = reference_pass(
               segments, dir, plan.ed_star_passes[p], MatchMode::EdStar,
@@ -518,9 +629,7 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             if (extra[slot] && !expected[slot]) ++or_gains;
             expected[slot] = expected[slot] || extra[slot];
           }
-          energy += accel.run_pass(PackedReadView(plan.ed_star_passes[p]),
-                                   plan.threshold, query_rng, p)
-                        .energy_joules;
+          energy += lone_energy(PackedReadView(plan.ed_star_passes[p]), p);
         }
         if (plan.hd_pass) {
           const std::vector<bool> hd =
@@ -535,10 +644,9 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
             ++(combined == expected[slot] ? ed_star_kept : hd_adopted);
             expected[slot] = combined;
           }
-          energy += accel.run_pass(PackedReadView(plan.ed_star_passes.front(),
-                                                  /*neighbours=*/false),
-                                   plan.threshold, query_rng, 0x4844'0000ULL)
-                        .energy_joules;
+          energy += lone_energy(PackedReadView(plan.ed_star_passes.front(),
+                                               /*neighbours=*/false),
+                                0x4844'0000ULL);
         }
 
         std::vector<std::size_t> expected_matches;

@@ -524,7 +524,9 @@ TEST_F(LiveDbTest, DbErrorKindsAreShared) {
     EXPECT_EQ(error.kind(), DbErrorKind::NotLoaded);
   }
   try {
-    accel.run_pass(PackedReadView(reads_[0]), 4, Rng(2307), 0);
+    const PackedReadView view(reads_[0]);
+    const std::vector<PassSpec> passes = {{&view, 0}};
+    accel.run_passes(passes, 4, Rng(2307));
     FAIL() << "expected DbError";
   } catch (const DbError& error) {
     EXPECT_EQ(error.kind(), DbErrorKind::NotLoaded);

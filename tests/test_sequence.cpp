@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "genome/base.h"
 
@@ -169,6 +170,66 @@ TEST(Sequence, RotationInverses) {
   const Sequence s = Sequence::random(97, rng);
   for (std::size_t k : {std::size_t{1}, std::size_t{13}, std::size_t{96}}) {
     EXPECT_EQ(s.rotated_left(k).rotated_right(k), s);
+  }
+}
+
+TEST(Sequence, WordRotationsMatchPerBaseReference) {
+  // Both rotations shift the packed words; the reference builds each
+  // rotation base by base. Lengths around the 32-base word boundaries,
+  // every k < 2n (k >= n wraps).
+  Rng rng(44);
+  for (const std::size_t n :
+       {1u, 2u, 31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u, 256u}) {
+    const Sequence s = Sequence::random(n, rng);
+    for (std::size_t k = 0; k < 2 * n; ++k) {
+      Sequence left;
+      Sequence right;
+      for (std::size_t i = 0; i < n; ++i) {
+        left.push_back(s[(i + k) % n]);
+        right.push_back(s[(i + n - k % n) % n]);
+      }
+      const Sequence got_left = s.rotated_left(k);
+      const Sequence got_right = s.rotated_right(k);
+      EXPECT_EQ(got_left.to_string(), left.to_string())
+          << "n=" << n << " k=" << k;
+      EXPECT_EQ(got_right.to_string(), right.to_string())
+          << "n=" << n << " k=" << k;
+      EXPECT_TRUE(got_left == left) << "n=" << n << " k=" << k;
+      EXPECT_TRUE(got_right == right) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(Sequence, EqualityIgnoresStaleCodesPastSize) {
+  // from_packed_words copies whole bytes, so set bits past n in the last
+  // word leave stale codes in the last byte: the sequence still equals
+  // its clean twin, and rotates like it.
+  Rng rng(45);
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 33u, 63u, 127u}) {
+    const Sequence clean = Sequence::random(n, rng);
+    std::vector<std::uint64_t> words = clean.packed_words();
+    words.back() |= ~std::uint64_t{0} << (2 * (n % 32));
+    const Sequence stale = Sequence::from_packed_words(words.data(), n);
+    EXPECT_TRUE(stale == clean) << "n=" << n;
+    EXPECT_TRUE(clean == stale) << "n=" << n;
+    EXPECT_EQ(stale.to_string(), clean.to_string()) << "n=" << n;
+    EXPECT_TRUE(stale.rotated_left(1) == clean.rotated_left(1)) << "n=" << n;
+    EXPECT_TRUE(stale.rotated_right(2) == clean.rotated_right(2))
+        << "n=" << n;
+  }
+}
+
+TEST(Sequence, EqualitySeesTheLastBase) {
+  // Two sequences that differ only in their last base, whether it ends a
+  // whole byte or sits in a partial one.
+  Rng rng(46);
+  for (const std::size_t n : {1u, 4u, 5u, 32u, 33u, 64u, 129u}) {
+    const Sequence a = Sequence::random(n, rng);
+    Sequence b = a;
+    b.set(n - 1, base_from_code(static_cast<std::uint8_t>(
+                     (code_of(a[n - 1]) + 1) & 3u)));
+    EXPECT_FALSE(a == b) << "n=" << n;
+    EXPECT_FALSE(b == a) << "n=" << n;
   }
 }
 
