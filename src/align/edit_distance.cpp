@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace asmcap {
 
@@ -90,35 +91,6 @@ CappedDistance banded_edit_distance(const Sequence& a, const Sequence& b,
   const std::size_t distance = prev[final_d];
   if (distance > cap) return {cap + 1, false, cells};
   return {distance, true, cells};
-}
-
-bool edit_distance_within(const Sequence& a, const Sequence& b,
-                          std::size_t threshold) {
-  return banded_edit_distance(a, b, threshold).within_band;
-}
-
-std::vector<std::uint32_t> comparison_matrix(const Sequence& a,
-                                             const Sequence& b) {
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  std::vector<std::uint32_t> matrix((n + 1) * (m + 1));
-  const auto at = [&](std::size_t i, std::size_t j) -> std::uint32_t& {
-    return matrix[i * (m + 1) + j];
-  };
-  for (std::size_t j = 0; j <= m; ++j) at(0, j) = static_cast<std::uint32_t>(j);
-  for (std::size_t i = 1; i <= n; ++i) {
-    at(i, 0) = static_cast<std::uint32_t>(i);
-    for (std::size_t j = 1; j <= m; ++j) {
-      const std::uint32_t substitution =
-          at(i - 1, j - 1) + (a[i - 1] == b[j - 1] ? 0u : 1u);
-      at(i, j) = std::min({at(i - 1, j) + 1, at(i, j - 1) + 1, substitution});
-    }
-  }
-  return matrix;
-}
-
-CmCost comparison_matrix_cost(std::size_t n, std::size_t m) {
-  return {(n + 1) * (m + 1), n + m + 1};
 }
 
 }  // namespace asmcap

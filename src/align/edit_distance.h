@@ -5,8 +5,6 @@
 // and the Ukkonen-style early exit makes threshold queries cheap.
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "genome/sequence.h"
 
@@ -32,24 +30,5 @@ struct CappedDistance {
 /// distances <= cap; reports cap+1 otherwise. Cost O((cap+1) * n).
 CappedDistance banded_edit_distance(const Sequence& a, const Sequence& b,
                                     std::size_t cap);
-
-/// Convenience threshold query: true iff edit_distance(a, b) <= threshold.
-bool edit_distance_within(const Sequence& a, const Sequence& b,
-                          std::size_t threshold);
-
-/// The full comparison matrix (n+1 x m+1), exposed for tests, the ReSMA
-/// anti-diagonal model, and the traceback in the alignment example.
-/// Row-major: cell(i, j) = matrix[i * (b.size() + 1) + j].
-std::vector<std::uint32_t> comparison_matrix(const Sequence& a,
-                                             const Sequence& b);
-
-/// Operation counts of the comparison-matrix computation, used by the
-/// performance models (cells == (n+1)*(m+1) updates).
-struct CmCost {
-  std::size_t cells = 0;
-  std::size_t anti_diagonals = 0;  ///< n + m + 1 (ReSMA's parallel step count).
-};
-
-CmCost comparison_matrix_cost(std::size_t n, std::size_t m);
 
 }  // namespace asmcap

@@ -73,8 +73,6 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id) {
   ++dir_.array_live[a];
   ++dir_.live_count;
   id_to_slot_[id] = slot;
-  if (id != static_cast<std::uint64_t>(config_.segment_base) + slot)
-    identity_layout_ = false;
   if (id + 1 > next_auto_id_) next_auto_id_ = id + 1;
 }
 

@@ -72,8 +72,10 @@ namespace asmcap {
 /// segment_base) over the router's id space and matched_segments holds
 /// those indices ascending; on a frozen database that is exactly the
 /// historical per-segment bitmap. From a bank's execute(), decisions AND
-/// matched_segments are row-SLOT-indexed (the router scatters the matched
-/// slots to global ids through the bank's LiveDirectory).
+/// matched_segments are row-SLOT-indexed: the router's one merge
+/// (ShardedAccelerator::merge_subset) scatters every read's matched slots
+/// to global ids through each bank's LiveDirectory, even on a 1-shard
+/// router whose slots happen to equal the ids.
 struct QueryResult {
   /// Indices of the segments whose rows reported 'match', ascending.
   std::vector<std::size_t> matched_segments;
@@ -128,12 +130,6 @@ class AsmcapAccelerator {
   /// bit-identical to the original, energy included, and mutating either
   /// never touches the other.
   std::unique_ptr<AsmcapAccelerator> clone() const;
-
-  /// True while every slot s still holds id segment_base + s (always true
-  /// for a frozen database; cleared by slot recycling or explicit
-  /// out-of-order ids). When true, a slot-indexed execute() result is
-  /// already id-indexed.
-  bool identity_layout() const { return identity_layout_; }
 
   /// Selects the sensing of subsequent execute() calls: Circuit (default)
   /// senses the analog noise model unless config.ideal_sensing, and
@@ -250,7 +246,6 @@ class AsmcapAccelerator {
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::uint64_t next_auto_id_;
-  bool identity_layout_ = true;
   double load_energy_ = 0.0;
   double load_latency_ = 0.0;
 };

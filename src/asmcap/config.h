@@ -63,10 +63,6 @@ struct PruningParams {
 struct LiveParams {
   std::size_t hot_array_rows = 64;
   std::size_t hot_array_count = 4;
-
-  std::size_t hot_capacity_segments() const {
-    return hot_array_rows * hot_array_count;
-  }
 };
 
 struct AsmcapConfig {

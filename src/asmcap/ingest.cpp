@@ -24,9 +24,7 @@ std::string ReferenceIndex::label(std::uint64_t id) const {
 IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
                              const IngestOptions& options,
                              ReferenceIndex* index) {
-  const std::size_t width = options.segment_width != 0
-                                ? options.segment_width
-                                : db.config().array_cols;
+  const std::size_t width = db.config().array_cols;
   if (width == 0)
     throw std::invalid_argument("ingest_reference: segment width is zero");
   const std::size_t batch = options.append_batch != 0 ? options.append_batch : 1;
@@ -95,7 +93,7 @@ IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
     }
   }
   flush();
-  if (options.compact_after && stats.segments != 0) db.compact();
+  if (stats.segments != 0) db.compact();
 
   stats.bases = reader.bases();
   stats.ambiguous_bases = reader.ambiguous_bases();

@@ -39,9 +39,6 @@ class SeqStreamReader;
 class ShardedAccelerator;
 
 struct IngestOptions {
-  /// Tile width in bases; 0 means the accelerator's config().array_cols
-  /// (the only width the engine can search, so override with care).
-  std::size_t segment_width = 0;
   /// Segments per append_segments call — the reader-side memory bound and
   /// the epoch-publish granularity.
   std::size_t append_batch = 512;
@@ -49,10 +46,6 @@ struct IngestOptions {
   /// when true (the deterministic policy the CLI uses), dropped when
   /// false.
   bool pad_final_tile = true;
-  /// Fold the hot staging banks into cold storage once ingestion
-  /// finishes (ShardedAccelerator::compact); skipped when the input
-  /// yields no segments.
-  bool compact_after = true;
 };
 
 struct IngestStats {
@@ -108,9 +101,12 @@ class ReferenceIndex {
   std::vector<SegmentOrigin> origins_;
 };
 
-/// Streams every record out of `reader`, tiles it into fixed-width
-/// segments, and appends them to `db` in batches. When `index` is
-/// non-null it is reset and filled with the id mapping. Throws
+/// Streams every record out of `reader`, tiles it into segments of the
+/// database's width (config().array_cols, the only width it can search),
+/// appends them to `db` in batches, and, when any segment was appended,
+/// folds the hot staging banks into cold storage
+/// (ShardedAccelerator::compact). When `index` is non-null it is reset and
+/// filled with the id mapping. Throws
 /// StreamParseError on malformed input, std::runtime_error on an I/O
 /// error or a truncated or corrupt gzip input, and DbError
 /// (CapacityExceeded) when the reference outgrows the database; the

@@ -497,32 +497,17 @@ void SearchTicket::run_read(std::size_t i) {
       slot.banks_probed = selected;
       slot.banks_pruned = db_->banks.size() - selected;
     }
-    if (selected == 0) {
-      // Every bank pruned: nothing executes, but the read still merges to
-      // its deterministic all-false shape with the plan's pass latency.
-      slot.merged = accel_->empty_result(*db_, slot.plan);
-      slot.t_executed = clock_->now();
-      complete_read(i, ReadOutcome::Done);
-      return;
-    }
-    if (selected == 1 && db_->banks.size() == 1 &&
-        db_->banks[0]->identity_layout() &&
-        db_->banks[0]->loaded_segments() == db_->id_space) {
-      // Single-bank router with the identity layout (slot s holds global
-      // id s — always true frozen): the bank's slot-indexed result is
-      // already the global result — no partial staging, no rebase/merge.
-      // (A read pruned down to ONE bank of many still stages, and a
-      // mutated single bank must rebase through its directory.)
-      slot.merged = db_->banks[0]->execute(slot.plan, slot.rng);
-      slot.t_executed = clock_->now();
-      complete_read(i, ReadOutcome::Done);
-      return;
-    }
     slot.partials.resize(selected);
     slot.shards_left.store(selected, std::memory_order_relaxed);
   } catch (...) {
     record_error(std::current_exception());
     complete_read(i, ReadOutcome::Failed);
+    return;
+  }
+  if (selected == 0) {
+    // Every bank pruned: nothing executes, but the read still merges, to
+    // its deterministic all-false shape with the plan's pass latency.
+    finish_read(i);
     return;
   }
   std::size_t launched = 0;
@@ -564,36 +549,40 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
                          std::memory_order_release);
     }
   }
-  if (slot.shards_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last shard of this read: decide its terminal outcome. If every
-    // shard executed cleanly and the ticket is still live, merge in
-    // ascending shard order (the floating-point summation order of the
-    // router's search(), however the shards actually finished). A
-    // merge failure (allocation) is recorded like an execute failure so
-    // it surfaces at wait() instead of escaping the pool task. An aborted
-    // read frees its staging and books nothing.
-    slot.t_executed = clock_->now();
-    auto out = static_cast<ReadOutcome>(
-        slot.outcome.load(std::memory_order_acquire));
-    if (out == ReadOutcome::Pending) {
-      if (const std::uint8_t cause =
-              terminal_cause_.load(std::memory_order_acquire)) {
-        out = static_cast<ReadOutcome>(cause);
-      } else {
-        try {
-          slot.merged =
-              accel_->merge_subset(*db_, slot.partials, slot.shard_ids);
-          out = ReadOutcome::Done;
-        } catch (...) {
-          record_error(std::current_exception());
-          out = ReadOutcome::Failed;
-        }
+  if (slot.shards_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    finish_read(i);
+}
+
+void SearchTicket::finish_read(std::size_t i) {
+  // Read i's last shard has finished (or the probe pruned it on every
+  // bank): decide its terminal outcome. If every shard executed cleanly
+  // and the ticket is still live, merge in ascending shard order (the
+  // floating-point summation order of the router's search(), however the
+  // shards actually finished). A merge failure (allocation) is recorded
+  // like an execute failure so it surfaces at wait() instead of escaping
+  // the pool task. An aborted read frees its staging and books nothing.
+  Slot& slot = slots_[i];
+  slot.t_executed = clock_->now();
+  auto out =
+      static_cast<ReadOutcome>(slot.outcome.load(std::memory_order_acquire));
+  if (out == ReadOutcome::Pending) {
+    if (const std::uint8_t cause =
+            terminal_cause_.load(std::memory_order_acquire)) {
+      out = static_cast<ReadOutcome>(cause);
+    } else {
+      try {
+        slot.merged = accel_->merge_subset(*db_, slot.plan, slot.partials,
+                                           slot.shard_ids);
+        out = ReadOutcome::Done;
+      } catch (...) {
+        record_error(std::current_exception());
+        out = ReadOutcome::Failed;
       }
     }
-    std::vector<QueryResult>().swap(slot.partials);
-    std::vector<std::uint32_t>().swap(slot.shard_ids);
-    complete_read(i, out);
   }
+  std::vector<QueryResult>().swap(slot.partials);
+  std::vector<std::uint32_t>().swap(slot.shard_ids);
+  complete_read(i, out);
 }
 
 void SearchTicket::complete_read(std::size_t i, ReadOutcome out) {

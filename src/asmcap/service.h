@@ -17,10 +17,11 @@
 //
 // Peak partial-result memory is O(max_in_flight x shards), not
 // O(batch x shards): a read's per-shard staging buffer exists only while
-// that read is in flight, and is released as soon as it is merged (a
-// single-shard router stages nothing at all — the bank's result is
-// already global). Admission is throttled, so an arbitrarily large
-// submission never materialises more than max_in_flight staging buffers.
+// that read is in flight, and is released as soon as it is merged. Every
+// read, on one bank or many, finishes through the router's one merge
+// (ShardedAccelerator::merge_subset), which re-bases slots to global ids.
+// Admission is throttled, so an arbitrarily large submission never
+// materialises more than max_in_flight staging buffers.
 //
 // THE SERVICE TIER (scheduling, deadlines, cancellation). Admission is no
 // longer a per-ticket free-for-all: every SearchService owns a
@@ -56,11 +57,12 @@
 // With shard pruning enabled (config.pruning.enabled), each read's
 // fan-out covers only its probe-survivor shard set (ShardedAccelerator::
 // probe_shards): staging buffers shrink to the survivors, a read every
-// bank pruned completes instantly with the all-false merged shape, and
-// the per-read probe counters are flushed to the ledger at wait(). The
-// probe runs on the worker, over each bank's row store with the read's
-// plan views (AsmcapAccelerator::may_match): banks build no sketch.
-// Decisions stay bit-identical to full fan-out — see docs/determinism.md.
+// bank pruned executes nothing and merges at once (no partials) to the
+// all-false shape with the plan's pass latency, and the per-read probe
+// counters are flushed to the ledger at wait(). The probe runs on the
+// worker, over each bank's row store with the read's plan views
+// (AsmcapAccelerator::may_match): banks build no sketch. Decisions stay
+// bit-identical to full fan-out — see docs/determinism.md.
 //
 // Three consumption styles (combinable per submission, with one rule:
 // cross-thread pollers must stop using result() references before the
@@ -393,11 +395,9 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
   };
 
   /// Per-read state. `plan` (with its read views), `partials` and
-  /// `shard_ids` exist only between admission and merge (`partials` and
-  /// `shard_ids` never exist when the router has a single active shard).
-  /// With pruning enabled, shard_ids is this read's probe survivor set —
-  /// the only banks dispatched — and the probe counters feed the ledger
-  /// at wait().
+  /// `shard_ids` exist only between admission and merge. With pruning
+  /// enabled, shard_ids is this read's probe survivor set — the only banks
+  /// dispatched — and the probe counters feed the ledger at wait().
   struct Slot {
     ExecutionPlan plan;
     Rng rng;
@@ -439,6 +439,10 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
   void abort_slot(std::size_t i, ReadOutcome cause, bool counts_in_flight);
   void run_read(std::size_t i);
   void run_shard(std::size_t i, std::size_t s);
+  /// Merges read i through ShardedAccelerator::merge_subset (every read's
+  /// one completion route, whatever number of banks it ran on) and
+  /// completes it.
+  void finish_read(std::size_t i);
   void complete_read(std::size_t i, ReadOutcome outcome);
   void finish_one();
   void emit(std::size_t i) ASMCAP_EXCLUDES(seq_mutex_);

@@ -329,10 +329,11 @@ std::vector<std::uint32_t> ShardedAccelerator::probe_shards(
 }
 
 QueryResult ShardedAccelerator::merge_subset(
-    const DbEpoch& db, const std::vector<QueryResult>& partials,
+    const DbEpoch& db, const ExecutionPlan& plan,
+    const std::vector<QueryResult>& partials,
     const std::vector<std::uint32_t>& shard_ids) const {
   QueryResult merged;
-  merged.plan = partials.front().plan;
+  merged.plan = plan.summary;
   merged.decisions.assign(db.id_space, false);
   const std::uint64_t base =
       static_cast<std::uint64_t>(config_.segment_base);
@@ -347,28 +348,18 @@ QueryResult ShardedAccelerator::merge_subset(
       merged.decisions[g] = true;
       merged.matched_segments.push_back(g);
     }
-    // Banks search in parallel: a pass completes when the slowest bank
-    // does; energy is spent in every dispatched bank (ascending shard
-    // order keeps the floating-point summation deterministic).
-    merged.latency_seconds =
-        std::max(merged.latency_seconds, part.latency_seconds);
+    // Energy is spent in every dispatched bank (ascending shard order
+    // keeps the floating-point summation deterministic).
     merged.energy_joules += part.energy_joules;
   }
   std::sort(merged.matched_segments.begin(), merged.matched_segments.end());
-  return merged;
-}
-
-QueryResult ShardedAccelerator::empty_result(const DbEpoch& db,
-                                             const ExecutionPlan& plan) const {
-  QueryResult result;
-  result.plan = plan.summary;
-  result.decisions.assign(db.id_space, false);
-  // Pass latency is a pure function of the plan's operation count (see
-  // TimingModel), so an all-pruned read reports the same latency a full
-  // fan-out would — the bit-identity contract covers latency too.
-  result.latency_seconds =
+  // Banks search in parallel, so a pass completes when the slowest bank
+  // does; pass latency is a pure function of the plan's operation count
+  // (see TimingModel), so every bank reports this value, and a read
+  // pruned on some or all banks reports what a full fan-out would.
+  merged.latency_seconds =
       timing_.asmcap_query_latency(plan.summary.total_searches());
-  return result;
+  return merged;
 }
 
 QueryResult ShardedAccelerator::search(const Sequence& read,
@@ -396,16 +387,11 @@ QueryResult ShardedAccelerator::search(const Sequence& read,
   const Rng query_rng = rng_.fork(rng_.next());
 
   const std::vector<std::uint32_t> selected = probe_shards(*db, plan);
-  QueryResult result;
-  if (selected.empty()) {
-    result = empty_result(*db, plan);
-  } else {
-    std::vector<QueryResult> partials(selected.size());
-    worker_pool(workers).parallel_for(selected.size(), [&](std::size_t j) {
-      partials[j] = db->banks[selected[j]]->execute(plan, query_rng);
-    });
-    result = merge_subset(*db, partials, selected);
-  }
+  std::vector<QueryResult> partials(selected.size());
+  worker_pool(workers).parallel_for(selected.size(), [&](std::size_t j) {
+    partials[j] = db->banks[selected[j]]->execute(plan, query_rng);
+  });
+  QueryResult result = merge_subset(*db, plan, partials, selected);
   controller_.record(result.plan, result.latency_seconds,
                      result.energy_joules);
   if (config_.pruning.enabled)
@@ -422,8 +408,7 @@ std::vector<QueryResult> ShardedAccelerator::search_batch(
   // router's master RNG as (batch epoch << 32) | i (deterministic in read
   // index, independent of worker count, non-perturbing) and records the
   // ledger in read order at drain. Peak partial-result memory is bounded
-  // by the admission window instead of reads x shards, and a single-shard
-  // router skips partial staging entirely.
+  // by the admission window instead of reads x shards.
   SearchService service(*this);
   SearchService::Options options;
   options.workers = workers;

@@ -42,12 +42,14 @@
 // on every backend including noisy circuit sensing (determinism rule 8;
 // enforced by tests/test_live.cpp and tests/test_sharded.cpp).
 //
-// Per-shard results are slot-indexed at the bank boundary and merged
+// Per-shard results are slot-indexed at the bank boundary, and every read
+// (run on N banks, on one, or pruned on all) is finished by one merge
 // through each bank's LiveDirectory into the global id space: decisions
-// scatter into the global bitmap (ids are disjoint across banks), latency
-// is the max over shards for a pass (banks search in parallel), energy is
-// the sum in ascending shard order, and the router's ledger records the
-// merged totals.
+// scatter into the global bitmap (ids are disjoint across banks), energy
+// is the sum in ascending shard order, latency is the plan's analytic
+// pass latency (banks search in parallel and every bank reports exactly
+// that value for the plan, so it equals the max over the banks), and the
+// router's ledger records the merged totals.
 //
 // Shard pruning (config.pruning.enabled): before fanning out, the router
 // probes each bank (AsmcapAccelerator::may_match, over the bank's row
@@ -292,17 +294,17 @@ class ShardedAccelerator {
   std::vector<std::uint32_t> probe_shards(const DbEpoch& db,
                                           const ExecutionPlan& plan) const;
   /// Merges the partial results of the dispatched shards (partials[j] is
-  /// shard shard_ids[j]'s slot-indexed result) into one global result:
-  /// each partial's matched slots scatter through its bank's
-  /// LiveDirectory (then the global ids are sorted), latency = max,
-  /// energy = sum in ascending shard order. `partials` must be non-empty.
-  QueryResult merge_subset(const DbEpoch& db,
+  /// shard shard_ids[j]'s slot-indexed result of `plan`) into one global
+  /// result: each partial's matched slots scatter through its bank's
+  /// LiveDirectory (then the global ids are sorted), energy = sum in
+  /// ascending shard order, and latency = the plan's analytic pass
+  /// latency, which is what every bank's execute() reports for it and so
+  /// equals the max over banks. With no partials (every bank pruned) the
+  /// read merges to all-false decisions, zero energy and that same
+  /// latency: latency is plan-determined, not data-determined.
+  QueryResult merge_subset(const DbEpoch& db, const ExecutionPlan& plan,
                            const std::vector<QueryResult>& partials,
                            const std::vector<std::uint32_t>& shard_ids) const;
-  /// The merged result of a read every bank pruned: all-false decisions,
-  /// zero energy, and the same analytic pass latency any bank would
-  /// report for this plan (latency is plan-determined, not data-determined).
-  QueryResult empty_result(const DbEpoch& db, const ExecutionPlan& plan) const;
 
   AsmcapConfig config_;
   std::size_t shard_count_;
@@ -312,7 +314,7 @@ class ShardedAccelerator {
   /// searches and tickets copy the pointer at launch.
   std::shared_ptr<const DbEpoch> db_;
   std::uint64_t next_global_id_;  ///< Monotonic; ids are never reused.
-  TimingModel timing_;  ///< Plan-pure pass latency (empty_result's source).
+  TimingModel timing_;  ///< Plan-pure pass latency (merge_subset's source).
   Controller controller_;
   std::uint64_t batch_epoch_ = 0;
   Rng rng_;  ///< Master query stream; one next() per search() only.

@@ -20,13 +20,11 @@ std::vector<bool> SaviBaseline::decide_rows(const Sequence& read) const {
   // k-mers from the same alignment share it up to indel shifts, which the
   // bucket slack absorbs.
   std::vector<std::unordered_map<long, std::size_t>> votes(rows_);
-  last_hits_ = 0;
   const auto kmers = extract_kmers(read, config_.k);
   const long bucket =
       static_cast<long>(config_.diagonal_slack == 0 ? 1 : config_.diagonal_slack);
   for (std::size_t pos = 0; pos < kmers.size(); ++pos) {
     for (const KmerIndex::Hit& hit : index_.lookup(kmers[pos])) {
-      ++last_hits_;
       const long diagonal =
           static_cast<long>(hit.position) - static_cast<long>(pos);
       // Round towards the nearest bucket centre so diagonals within the

@@ -46,9 +46,6 @@ class SaviBaseline {
   /// thresholds.
   std::vector<bool> decide_rows(const Sequence& read) const;
 
-  /// Total k-mer hits of the last decide_rows (perf model input).
-  std::size_t last_hits() const { return last_hits_; }
-
   double seconds_per_read(std::size_t read_length) const;
   double joules_per_read(std::size_t read_length) const;
 
@@ -59,7 +56,6 @@ class SaviBaseline {
   SaviConfig config_;
   KmerIndex index_{15};
   std::size_t rows_ = 0;
-  mutable std::size_t last_hits_ = 0;
 };
 
 }  // namespace asmcap

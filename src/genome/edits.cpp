@@ -110,23 +110,4 @@ EditedSequence inject_substitutions(const Sequence& original, std::size_t count,
   return out;
 }
 
-std::string format_edits(const std::vector<Edit>& edits) {
-  std::string text;
-  for (const Edit& e : edits) {
-    if (!text.empty()) text += ' ';
-    switch (e.kind) {
-      case EditKind::Substitution:
-        text += "S@" + std::to_string(e.position) + "(" + to_char(e.base) + ")";
-        break;
-      case EditKind::Insertion:
-        text += "I@" + std::to_string(e.position) + "(" + to_char(e.base) + ")";
-        break;
-      case EditKind::Deletion:
-        text += "D@" + std::to_string(e.position);
-        break;
-    }
-  }
-  return text;
-}
-
 }  // namespace asmcap

@@ -5,7 +5,6 @@
 // (substitution-dominant) and Condition B (indel-dominant) datasets.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "genome/sequence.h"
@@ -73,9 +72,6 @@ EditedSequence inject_indel_burst(const Sequence& original, EditKind kind,
 /// substitution-dominant scenario that motivates HDAC (paper Fig. 5).
 EditedSequence inject_substitutions(const Sequence& original, std::size_t count,
                                     Rng& rng);
-
-/// Human-readable rendering of an edit trace, e.g. "S@12(C) I@40(G) D@77".
-std::string format_edits(const std::vector<Edit>& edits);
 
 /// The transition partner of a base (A<->G, C<->T).
 constexpr Base transition_of(Base b) {

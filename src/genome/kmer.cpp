@@ -53,13 +53,6 @@ Kmer canonical_kmer(Kmer kmer, std::size_t k) {
   return kmer < rc ? kmer : rc;
 }
 
-std::uint64_t hash_kmer(Kmer kmer) {
-  std::uint64_t z = kmer + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 void KmerIndex::add_sequence(const Sequence& reference,
                              std::uint32_t sequence_id) {
   if (reference.size() < k_) return;

@@ -1,5 +1,5 @@
 #pragma once
-// k-mer extraction and hashing. Substrate for the SaVI seed-and-vote
+// k-mer extraction and indexing. Substrate for the SaVI seed-and-vote
 // baseline and the Kraken2-like exact-matching classifier.
 
 #include <cstdint>
@@ -29,9 +29,6 @@ std::vector<Kmer> extract_kmers(const Sequence& seq, std::size_t k);
 /// Canonical form: lexicographic minimum of the k-mer and its reverse
 /// complement, the standard trick for strand-insensitive counting.
 Kmer canonical_kmer(Kmer kmer, std::size_t k);
-
-/// 64-bit mix hash (splitmix-style finalizer) for k-mer hashing.
-std::uint64_t hash_kmer(Kmer kmer);
 
 /// k-mer index: maps every k-mer of a reference to its occurrence positions.
 /// This models the TCAM contents of SaVI and the database of the

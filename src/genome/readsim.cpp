@@ -53,12 +53,4 @@ SimulatedRead ReadSimulator::simulate_at(std::size_t origin, Rng& rng) const {
   return out;
 }
 
-std::vector<SimulatedRead> ReadSimulator::simulate_batch(std::size_t count,
-                                                         Rng& rng) const {
-  std::vector<SimulatedRead> reads;
-  reads.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) reads.push_back(simulate(rng));
-  return reads;
-}
-
 }  // namespace asmcap

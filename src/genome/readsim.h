@@ -42,9 +42,6 @@ class ReadSimulator {
   /// One read from the window starting at `origin`.
   SimulatedRead simulate_at(std::size_t origin, Rng& rng) const;
 
-  /// A batch of independent reads.
-  std::vector<SimulatedRead> simulate_batch(std::size_t count, Rng& rng) const;
-
   const Sequence& reference() const { return reference_; }
   const ReadSimConfig& config() const { return config_; }
 

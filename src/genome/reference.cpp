@@ -65,10 +65,6 @@ Sequence generate_reference(std::size_t length, const ReferenceModel& model,
   return genome;
 }
 
-Sequence generate_uniform_reference(std::size_t length, Rng& rng) {
-  return Sequence::random(length, rng);
-}
-
 std::vector<Sequence> segment_reference(const Sequence& reference,
                                         std::size_t segment_length,
                                         std::size_t stride) {

@@ -34,10 +34,6 @@ struct ReferenceModel {
 Sequence generate_reference(std::size_t length, const ReferenceModel& model,
                             Rng& rng);
 
-/// Convenience: i.i.d. uniform reference (the worst case for ED* hiding
-/// statistics, used in property tests).
-Sequence generate_uniform_reference(std::size_t length, Rng& rng);
-
 /// Cuts a reference into consecutive fixed-length segments (the rows stored
 /// in the CAM arrays). A final partial window is discarded, matching how the
 /// accelerator tiles the reference. `stride` defaults to `segment_length`

@@ -53,13 +53,6 @@ std::uint64_t Rng::below(std::uint64_t n) {
   }
 }
 
-std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::between: lo > hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -85,25 +78,6 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-std::uint32_t Rng::poisson(double mean) {
-  if (mean < 0.0) throw std::invalid_argument("Rng::poisson: negative mean");
-  if (mean == 0.0) return 0;
-  if (mean > 64.0) {
-    // Normal approximation with continuity correction; adequate for the
-    // large-mean regime used only in stress tests.
-    const double sample = normal(mean, std::sqrt(mean));
-    return sample <= 0.0 ? 0u : static_cast<std::uint32_t>(sample + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  double product = uniform();
-  std::uint32_t count = 0;
-  while (product > limit) {
-    ++count;
-    product *= uniform();
-  }
-  return count;
 }
 
 Rng Rng::fork(std::uint64_t stream) const {

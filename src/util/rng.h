@@ -5,7 +5,6 @@
 // reproducible from a single seed.
 
 #include <cstdint>
-#include <vector>
 
 namespace asmcap {
 
@@ -37,9 +36,6 @@ class Rng {
   /// Uniform integer in [0, n). Unbiased (rejection sampling).
   std::uint64_t below(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t between(std::int64_t lo, std::int64_t hi);
-
   /// Standard normal via Box-Muller (cached second deviate).
   double normal();
 
@@ -49,23 +45,10 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
 
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64 where the exact algorithm underflows).
-  std::uint32_t poisson(double mean);
-
   /// Forks an independent stream: deterministic function of the current
   /// state and the stream index, so parallel components can draw without
   /// correlating.
   Rng fork(std::uint64_t stream) const;
-
-  /// Fisher-Yates shuffle of a vector.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(below(i));
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t s_[4] = {};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace asmcap {
 
@@ -39,93 +40,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: need at least 1 bin");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(t * static_cast<double>(bins()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(bins()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(bins());
-}
-
-double Histogram::bin_high(std::size_t bin) const { return bin_low(bin + 1); }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < bins(); ++b) {
-    const double next = cumulative + static_cast<double>(counts_[b]);
-    if (next >= target) {
-      const double inside =
-          counts_[b] == 0
-              ? 0.0
-              : (target - cumulative) / static_cast<double>(counts_[b]);
-      return bin_low(b) + inside * (bin_high(b) - bin_low(b));
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
-double stddev_of(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double mu = mean_of(xs);
-  double m2 = 0.0;
-  for (double x : xs) m2 += (x - mu) * (x - mu);
-  return std::sqrt(m2 / static_cast<double>(xs.size() - 1));
-}
-
-double geomean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0)
-      throw std::invalid_argument("geomean_of: values must be positive");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("correlation: size mismatch");
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean_of(xs);
-  const double my = mean_of(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
 
 double percentile_of(std::span<const double> xs, double q) {
   if (xs.empty()) return 0.0;

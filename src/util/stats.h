@@ -3,10 +3,8 @@
 // the accuracy evaluation, and the benchmark reports.
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace asmcap {
 
@@ -33,42 +31,6 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples are clamped into
-/// the edge bins so totals always balance.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-  /// Value below which the given fraction of the samples fall (linear
-  /// interpolation inside the containing bin).
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Mean of a span (0 for empty input).
-double mean_of(std::span<const double> xs);
-
-/// Unbiased sample standard deviation of a span (0 for fewer than 2 values).
-double stddev_of(std::span<const double> xs);
-
-/// Geometric mean of strictly positive values (used for the "average
-/// speedup" style aggregates the paper reports).
-double geomean_of(std::span<const double> xs);
-
-/// Pearson correlation of two equally sized spans.
-double correlation(std::span<const double> xs, std::span<const double> ys);
 
 /// Nearest-rank percentile (q in [0, 1]) of a span: the smallest value x
 /// such that at least ceil(q * n) samples are <= x. Exact order statistic

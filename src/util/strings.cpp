@@ -1,24 +1,8 @@
 #include "util/strings.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cstdlib>
 
 namespace asmcap {
-
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(text.substr(start));
-      return parts;
-    }
-    parts.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
 
 std::string_view trim(std::string_view text) {
   const auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
@@ -27,68 +11,6 @@ std::string_view trim(std::string_view text) {
   while (!text.empty() && is_space(static_cast<unsigned char>(text.back())))
     text.remove_suffix(1);
   return text;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
-  }
-  return true;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-std::string to_upper(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::toupper(c));
-  });
-  return out;
-}
-
-std::optional<long long> parse_int(std::string_view text) {
-  const std::string buf(trim(text));
-  if (buf.empty()) return std::nullopt;
-  char* end = nullptr;
-  const long long value = std::strtoll(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return value;
-}
-
-std::optional<double> parse_double(std::string_view text) {
-  const std::string buf(trim(text));
-  if (buf.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return value;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out += sep;
-    out += items[i];
-  }
-  return out;
 }
 
 }  // namespace asmcap

@@ -1,34 +1,12 @@
 #pragma once
-// Small string helpers shared by FASTA parsing, report printing, and the
-// example command-line front-ends.
+// Whitespace trimming for the FASTA/FASTQ readers (genome/fasta.cpp and the
+// streaming reader, which strips the same bytes on its bulk path).
 
-#include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace asmcap {
 
-/// Splits on a delimiter; empty fields are preserved.
-std::vector<std::string> split(std::string_view text, char delim);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view text);
-
-/// Case-insensitive ASCII comparison.
-bool iequals(std::string_view a, std::string_view b);
-
-bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
-
-std::string to_lower(std::string_view text);
-std::string to_upper(std::string_view text);
-
-/// Strict parse helpers returning nullopt on any trailing garbage.
-std::optional<long long> parse_int(std::string_view text);
-std::optional<double> parse_double(std::string_view text);
-
-/// Joins items with a separator.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
 
 }  // namespace asmcap

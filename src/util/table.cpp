@@ -73,29 +73,6 @@ std::string Table::to_text() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char ch : cell) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  std::ostringstream out;
-  for (std::size_t c = 0; c < header_.size(); ++c)
-    out << (c ? "," : "") << quote(header_[c]);
-  out << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < header_.size(); ++c)
-      out << (c ? "," : "") << quote(c < row.size() ? row[c] : std::string());
-    out << '\n';
-  }
-  return out.str();
-}
-
 void Table::print(std::ostream& os) const { os << to_text(); }
 
 std::string format_ratio(double ratio) {

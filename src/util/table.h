@@ -1,6 +1,6 @@
 #pragma once
-// Aligned plain-text and CSV table rendering used by the benchmark harness
-// to print the paper's tables and figure series.
+// Aligned plain-text table rendering used by the benchmark harness to print
+// the paper's tables and figure series.
 
 #include <ostream>
 #include <string>
@@ -10,7 +10,7 @@ namespace asmcap {
 
 /// Column-aligned table builder. Cells are strings; numeric convenience
 /// overloads format with a chosen precision. Rendering pads columns to the
-/// widest cell, emits a header separator, and can also serialise as CSV.
+/// widest cell and emits a header separator.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -32,9 +32,6 @@ class Table {
 
   /// Renders the aligned plain-text form with a `|`-separated header rule.
   std::string to_text() const;
-
-  /// Renders RFC-4180-ish CSV (cells containing commas/quotes are quoted).
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

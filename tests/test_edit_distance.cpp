@@ -136,43 +136,5 @@ TEST(BandedEditDistance, CellsReportActualWorkDone) {
             0u);
 }
 
-TEST(EditDistanceWithin, MatchesExact) {
-  Rng rng(51);
-  for (int trial = 0; trial < 40; ++trial) {
-    const Sequence a = Sequence::random(64, rng);
-    const EditedSequence mutated = inject_edits(a, {0.05, 0.02, 0.02}, rng);
-    const std::size_t exact = edit_distance(a, mutated.seq);
-    for (std::size_t t : {std::size_t{0}, std::size_t{2}, std::size_t{5},
-                          std::size_t{10}}) {
-      EXPECT_EQ(edit_distance_within(a, mutated.seq, t), exact <= t)
-          << "exact=" << exact << " t=" << t;
-    }
-  }
-}
-
-TEST(ComparisonMatrix, CornersAndMonotonicity) {
-  const Sequence a = Sequence::from_string("ACGT");
-  const Sequence b = Sequence::from_string("AGT");
-  const auto m = comparison_matrix(a, b);
-  const std::size_t w = b.size() + 1;
-  EXPECT_EQ(m[0], 0u);
-  EXPECT_EQ(m[0 * w + 3], 3u);            // top row
-  EXPECT_EQ(m[4 * w + 0], 4u);            // left column
-  EXPECT_EQ(m[4 * w + 3], edit_distance(a, b));
-  // Neighbouring cells differ by at most 1.
-  for (std::size_t i = 1; i <= a.size(); ++i)
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      EXPECT_LE(m[i * w + j], m[(i - 1) * w + j] + 1);
-      EXPECT_LE(m[i * w + j], m[i * w + j - 1] + 1);
-      EXPECT_GE(m[i * w + j] + 1, m[(i - 1) * w + j]);
-    }
-}
-
-TEST(ComparisonMatrix, CostCounts) {
-  const CmCost cost = comparison_matrix_cost(256, 256);
-  EXPECT_EQ(cost.cells, 257u * 257u);
-  EXPECT_EQ(cost.anti_diagonals, 513u);
-}
-
 }  // namespace
 }  // namespace asmcap

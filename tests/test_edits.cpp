@@ -170,13 +170,5 @@ TEST(TransitionBias, InjectEditsHonoursBias) {
               2.0 / 3.0, 0.03);
 }
 
-TEST(FormatEdits, Readable) {
-  std::vector<Edit> edits{{EditKind::Substitution, 12, Base::C},
-                          {EditKind::Insertion, 40, Base::G},
-                          {EditKind::Deletion, 77, Base::A}};
-  EXPECT_EQ(format_edits(edits), "S@12(C) I@40(G) D@77");
-  EXPECT_EQ(format_edits({}), "");
-}
-
 }  // namespace
 }  // namespace asmcap

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
 namespace asmcap {
 namespace {
 
@@ -61,12 +59,6 @@ TEST(Kmer, CanonicalIsIdempotent) {
     const Kmer canon = canonical_kmer(kmer, 15);
     EXPECT_EQ(canonical_kmer(canon, 15), canon);
   }
-}
-
-TEST(Kmer, HashSpreads) {
-  std::unordered_set<std::uint64_t> hashes;
-  for (Kmer k = 0; k < 1000; ++k) hashes.insert(hash_kmer(k));
-  EXPECT_EQ(hashes.size(), 1000u);
 }
 
 TEST(KmerIndex, LookupFindsAllOccurrences) {

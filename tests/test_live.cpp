@@ -221,7 +221,6 @@ TEST_F(LiveDbTest, PinnedTicketIsIsolatedFromConcurrentMutations) {
 TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
   AsmcapAccelerator accel(bank_config(1));
   accel.load_reference(first(10));
-  EXPECT_TRUE(accel.identity_layout());
   // execute() is slot-indexed; the directory maps slots to global ids.
   auto exact = [&](const Sequence& read) {
     const ExecutionPlan plan = accel.planner().build(
@@ -243,7 +242,6 @@ TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
       {segments_[40], segments_[41]});
   EXPECT_EQ(fresh, (std::vector<std::uint64_t>{10, 11}));
   EXPECT_EQ(accel.loaded_segments(), 10u);  // Reused slots 3 and 7.
-  EXPECT_FALSE(accel.identity_layout());
   EXPECT_EQ(accel.segment_state(3), SegmentState::Unknown);  // Recycled.
   EXPECT_EQ(accel.segment_state(10), SegmentState::Live);
 

@@ -82,12 +82,6 @@ TEST_F(ReadSimTest, OriginOutOfRangeThrows) {
                std::out_of_range);
 }
 
-TEST_F(ReadSimTest, BatchCount) {
-  const ReadSimulator sim(reference_, {});
-  Rng rng(17);
-  EXPECT_EQ(sim.simulate_batch(25, rng).size(), 25u);
-}
-
 TEST(ReadSim, RejectsTinyReference) {
   Rng rng(18);
   const Sequence tiny = Sequence::random(100, rng);

@@ -50,14 +50,9 @@ TEST(Reference, DeterministicFromSeed) {
   EXPECT_EQ(generate_reference(5000, {}, a), generate_reference(5000, {}, b));
 }
 
-TEST(Reference, UniformGeneratorMatchesLength) {
-  Rng rng(8);
-  EXPECT_EQ(generate_uniform_reference(123, rng).size(), 123u);
-}
-
 TEST(Segment, NonOverlappingTiling) {
   Rng rng(5);
-  const Sequence genome = generate_uniform_reference(1000, rng);
+  const Sequence genome = Sequence::random(1000, rng);
   const auto segments = segment_reference(genome, 256);
   ASSERT_EQ(segments.size(), 3u);  // 1000 / 256 = 3, remainder discarded
   for (const auto& s : segments) EXPECT_EQ(s.size(), 256u);
@@ -66,7 +61,7 @@ TEST(Segment, NonOverlappingTiling) {
 
 TEST(Segment, OverlappingStride) {
   Rng rng(6);
-  const Sequence genome = generate_uniform_reference(600, rng);
+  const Sequence genome = Sequence::random(600, rng);
   const auto segments = segment_reference(genome, 256, 128);
   // positions 0,128,256,384 -> windows ending at 256,384,512,640>600 -> 3
   ASSERT_EQ(segments.size(), 3u);
@@ -75,13 +70,13 @@ TEST(Segment, OverlappingStride) {
 
 TEST(Segment, ZeroLengthThrows) {
   Rng rng(6);
-  const Sequence genome = generate_uniform_reference(100, rng);
+  const Sequence genome = Sequence::random(100, rng);
   EXPECT_THROW(segment_reference(genome, 0), std::invalid_argument);
 }
 
 TEST(Segment, TooShortReferenceYieldsNothing) {
   Rng rng(6);
-  const Sequence genome = generate_uniform_reference(100, rng);
+  const Sequence genome = Sequence::random(100, rng);
   EXPECT_TRUE(segment_reference(genome, 256).empty());
 }
 

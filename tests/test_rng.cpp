@@ -64,23 +64,6 @@ TEST(Rng, BelowThrowsOnZero) {
   EXPECT_THROW(rng.below(0), std::invalid_argument);
 }
 
-TEST(Rng, BetweenCoversInclusiveRange) {
-  Rng rng(3);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.between(-2, 2);
-    ASSERT_GE(v, -2);
-    ASSERT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(Rng, BetweenThrowsWhenInverted) {
-  Rng rng(1);
-  EXPECT_THROW(rng.between(3, 2), std::invalid_argument);
-}
-
 TEST(Rng, NormalMoments) {
   Rng rng(13);
   double sum = 0.0;
@@ -119,28 +102,6 @@ TEST(Rng, BernoulliRate) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, PoissonMeanAndZero) {
-  Rng rng(23);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(2.5);
-  EXPECT_NEAR(sum / n, 2.5, 0.05);
-}
-
-TEST(Rng, PoissonLargeMeanUsesApproximation) {
-  Rng rng(29);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(100.0);
-  EXPECT_NEAR(sum / n, 100.0, 1.0);
-}
-
-TEST(Rng, PoissonNegativeThrows) {
-  Rng rng(1);
-  EXPECT_THROW(rng.poisson(-1.0), std::invalid_argument);
-}
-
 TEST(Rng, ForkedStreamsAreIndependent) {
   Rng parent(99);
   Rng a = parent.fork(0);
@@ -156,24 +117,6 @@ TEST(Rng, ForkIsDeterministic) {
   Rng a = p1.fork(7);
   Rng b = p2.fork(7);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(31);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, ShuffleActuallyPermutes) {
-  Rng rng(37);
-  std::vector<int> v(100);
-  for (int i = 0; i < 100; ++i) v[i] = i;
-  const auto original = v;
-  rng.shuffle(v);
-  EXPECT_NE(v, original);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 namespace asmcap {
 namespace {
@@ -63,68 +62,6 @@ TEST(RunningStats, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(50.0);  // clamped to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-}
-
-TEST(Histogram, QuantileOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(SpanStats, MeanAndStddev) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 2.5);
-  EXPECT_NEAR(stddev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_EQ(stddev_of(std::vector<double>{1.0}), 0.0);
-}
-
-TEST(SpanStats, Geomean) {
-  const std::vector<double> xs{1.0, 10.0, 100.0};
-  EXPECT_NEAR(geomean_of(xs), 10.0, 1e-9);
-  const std::vector<double> bad{1.0, -1.0};
-  EXPECT_THROW(geomean_of(bad), std::invalid_argument);
-}
-
-TEST(SpanStats, Correlation) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const std::vector<double> ys{2, 4, 6, 8, 10};
-  EXPECT_NEAR(correlation(xs, ys), 1.0, 1e-12);
-  const std::vector<double> zs{10, 8, 6, 4, 2};
-  EXPECT_NEAR(correlation(xs, zs), -1.0, 1e-12);
-  const std::vector<double> flat{3, 3, 3, 3, 3};
-  EXPECT_EQ(correlation(xs, flat), 0.0);
-}
-
-TEST(SpanStats, CorrelationSizeMismatchThrows) {
-  const std::vector<double> xs{1, 2};
-  const std::vector<double> ys{1, 2, 3};
-  EXPECT_THROW(correlation(xs, ys), std::invalid_argument);
 }
 
 }  // namespace

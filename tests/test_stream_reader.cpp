@@ -614,6 +614,10 @@ TEST(Ingest, TilesRecordsAndIndexesOrigins) {
   EXPECT_EQ(stats.padded_segments, 1u);
   EXPECT_EQ(stats.bases, 53u);
   EXPECT_EQ(db.live_segment_count(), 4u);
+  // Ingest ends by folding the hot staging bank into cold storage, so
+  // nothing is left staged and compact() publishes no new epoch.
+  const std::uint64_t ingested_epoch = db.epoch();
+  EXPECT_EQ(db.compact(), ingested_epoch);
 
   ASSERT_EQ(index.size(), 4u);
   const std::uint64_t first = index.first_id();

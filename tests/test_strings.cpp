@@ -5,58 +5,11 @@
 namespace asmcap {
 namespace {
 
-TEST(Strings, Split) {
-  const auto parts = split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "c");
-  EXPECT_EQ(split("", ',').size(), 1u);
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  hi \t\n"), "hi");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim("x"), "x");
-}
-
-TEST(Strings, IEquals) {
-  EXPECT_TRUE(iequals("AcGt", "ACGT"));
-  EXPECT_FALSE(iequals("ACG", "ACGT"));
-  EXPECT_TRUE(iequals("", ""));
-}
-
-TEST(Strings, StartsEndsWith) {
-  EXPECT_TRUE(starts_with("bench_fig7", "bench_"));
-  EXPECT_FALSE(starts_with("x", "xy"));
-  EXPECT_TRUE(ends_with("file.csv", ".csv"));
-  EXPECT_FALSE(ends_with("csv", ".csv"));
-}
-
-TEST(Strings, CaseConversion) {
-  EXPECT_EQ(to_lower("AcGt"), "acgt");
-  EXPECT_EQ(to_upper("acgt"), "ACGT");
-}
-
-TEST(Strings, ParseInt) {
-  EXPECT_EQ(parse_int("42").value(), 42);
-  EXPECT_EQ(parse_int(" -7 ").value(), -7);
-  EXPECT_FALSE(parse_int("4x").has_value());
-  EXPECT_FALSE(parse_int("").has_value());
-}
-
-TEST(Strings, ParseDouble) {
-  EXPECT_DOUBLE_EQ(parse_double("2.5").value(), 2.5);
-  EXPECT_DOUBLE_EQ(parse_double("1e-3").value(), 1e-3);
-  EXPECT_FALSE(parse_double("1.2.3").has_value());
-  EXPECT_FALSE(parse_double("").has_value());
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
 }
 
 }  // namespace

@@ -52,17 +52,6 @@ TEST(Table, TextRenderingAligned) {
   }
 }
 
-TEST(Table, CsvEscaping) {
-  Table t({"a"});
-  t.add_row({"plain"});
-  t.add_row({"has,comma"});
-  t.add_row({"has\"quote"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("plain\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(FormatRatio, Styles) {
   EXPECT_EQ(format_ratio(1.4), "1.4x");
   EXPECT_EQ(format_ratio(61.0), "61x");

@@ -27,7 +27,6 @@
 #include "asmcap/service.h"
 #include "asmcap/sharded.h"
 #include "genome/stream_reader.h"
-#include "util/strings.h"
 
 namespace {
 

@@ -17,7 +17,6 @@
 #include "genome/readsim.h"
 #include "genome/reference.h"
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace {
 
