@@ -83,7 +83,7 @@ MappingStats ReadMapper::map_batch(const std::vector<Sequence>& reads,
   std::vector<MappedRead> mapped(reads.size());
   std::vector<std::size_t> dp_cells(reads.size(), 0);
   // Streaming filter: each read's exact host verification starts the
-  // moment its last shard merges, on the worker that completed it — host
+  // moment it merges, on the worker that ran its block — host
   // DP overlaps the in-flight accelerator passes of later reads instead
   // of waiting for the whole batch to drain. verify() is const and
   // thread-safe, distinct reads write distinct slots, and the filter

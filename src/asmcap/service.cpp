@@ -68,11 +68,12 @@ void ServiceScheduler::enlist(std::shared_ptr<SearchTicket> ticket) {
   pump();
 }
 
-void ServiceScheduler::on_retire(const std::shared_ptr<SearchTicket>& ticket) {
+void ServiceScheduler::on_retire(const std::shared_ptr<SearchTicket>& ticket,
+                                 std::size_t reads) {
   {
     MutexLock lock(mutex_);
-    if (config_.max_in_flight_reads != 0) ++free_slots_;
-    --in_flight_;
+    if (config_.max_in_flight_reads != 0) free_slots_ += reads;
+    in_flight_ -= reads;
     enqueue_locked(ticket);
   }
   pump();
@@ -110,19 +111,19 @@ void ServiceScheduler::enqueue_locked(
 
 void ServiceScheduler::pump() {
   // Grant loop. Policy decisions (class pick, budget, stride bookkeeping)
-  // happen under the lock; the grant itself — claiming a read and
-  // submitting its pool task — runs unlocked, so workers retiring reads
-  // can pump concurrently without convoying. Any number of threads may be
-  // in here at once; the budget/queue state under the lock keeps them
-  // collectively within bounds.
+  // happen under the lock; claiming a block and submitting its pool task
+  // run unlocked, so workers returning budget can pump concurrently
+  // without convoying. Any number of threads may be in here at once; the
+  // budget/queue state under the lock keeps them collectively within
+  // bounds.
   const bool bounded = config_.max_in_flight_reads != 0;
   for (;;) {
     std::shared_ptr<SearchTicket> ticket;
-    std::uint64_t seq = 0;
+    std::size_t cls = kServiceClassCount;
+    std::size_t budget = kServiceBlockReads;
     {
       MutexLock lock(mutex_);
       if (bounded && free_slots_ == 0) return;
-      std::size_t cls = kServiceClassCount;
       for (std::size_t c = 0; c < kServiceClassCount; ++c)
         if (!queues_[c].empty() &&
             (cls == kServiceClassCount || pass_[c] < pass_[cls]))
@@ -131,44 +132,35 @@ void ServiceScheduler::pump() {
       ticket = std::move(queues_[cls].front());
       queues_[cls].pop_front();
       ticket->sched_queued_.store(false, std::memory_order_relaxed);
-      pass_[cls] += stride_[cls];
-      last_pass_ = pass_[cls];
-      seq = ++admit_seq_;
-      if (bounded) --free_slots_;
-      ++in_flight_;  // provisional; undone below unless a read launched
+      // Hold up to one block of the global budget while the ticket
+      // claims; what the block leaves unused comes back below.
+      if (bounded) {
+        budget = std::min(budget, free_slots_);
+        free_slots_ -= budget;
+      }
     }
-    const SearchTicket::Grant grant = ticket->grant_one(seq);
-    bool freed_queue_space = false;
+    const SearchTicket::Block block = ticket->claim_block(budget);
+    std::uint64_t seq = 0;
     {
       MutexLock lock(mutex_);
-      switch (grant) {
-        case SearchTicket::Grant::Launched:
-          --queued_;
-          freed_queue_space = true;
-          break;
-        case SearchTicket::Grant::Aborted:
-          // A read WAS claimed (left the queue) but is already terminal:
-          // no budget held, and the ticket may still have grantable reads
-          // (a failed pool submit aborts one read, not the ticket).
-          if (bounded) ++free_slots_;
-          --in_flight_;
-          --queued_;
-          freed_queue_space = true;
-          break;
-        case SearchTicket::Grant::Declined:
-        case SearchTicket::Grant::Exhausted:
-          // Nothing was claimed. Declined tickets re-enter via the retire
-          // of one of their own in-flight reads; exhausted/aborted ones
-          // never need to.
-          if (bounded) ++free_slots_;
-          --in_flight_;
-          break;
-      }
-      if (grant == SearchTicket::Grant::Launched ||
-          grant == SearchTicket::Grant::Aborted)
+      if (bounded) free_slots_ += budget - block.count;
+      if (block.count != 0) {
+        // The stride is charged per read, so fair share counts reads, not
+        // blocks.
+        pass_[cls] += stride_[cls] * block.count;
+        last_pass_ = pass_[cls];
+        seq = admit_seq_ + 1;
+        admit_seq_ += block.count;
+        in_flight_ += block.count;
+        queued_ -= block.count;
         enqueue_locked(ticket);
+      }
     }
-    if (freed_queue_space) space_cv_.notify_all();
+    // Nothing claimed: the ticket's window is full (a delivery of its own
+    // re-enlists it) or it has nothing left to grant.
+    if (block.count == 0) continue;
+    space_cv_.notify_all();
+    ticket->launch_block(block, seq);
   }
 }
 
@@ -375,6 +367,13 @@ bool SearchTicket::past_deadline() const {
          clock_->now() >= deadline_;
 }
 
+ReadOutcome SearchTicket::abort_cause() {
+  if (terminal_cause_.load(std::memory_order_acquire) == 0 && past_deadline())
+    abort_ticket(ReadOutcome::Expired);
+  return static_cast<ReadOutcome>(
+      terminal_cause_.load(std::memory_order_acquire));
+}
+
 void SearchTicket::abort_ticket(ReadOutcome cause) {
   if (done()) return;  // cancel after completion: acknowledged as a no-op
   std::uint8_t expected = 0;
@@ -389,208 +388,147 @@ void SearchTicket::sweep_pending() {
   // Claim every not-yet-granted read through the SAME next_admit_ counter
   // the grant path uses — each index is claimed exactly once, by the
   // sweep or by a grant, never both — and resolve it terminally: no RNG
-  // fork, no execution, no ledger entry. Their queue space is returned in
-  // one batch below so a blocked submit() can proceed.
-  const auto cause = static_cast<ReadOutcome>(
+  // fork, no execution, no ledger entry, no admission budget. Queue space
+  // returns in one call so a blocked submit() can proceed. A swept read
+  // passes through the re-sequencer like a delivered one, so it can never
+  // wedge the window.
+  const auto cause = static_cast<std::uint8_t>(
       terminal_cause_.load(std::memory_order_acquire));
   std::size_t swept = 0;
   for (;;) {
     const std::size_t i = next_admit_.fetch_add(1, std::memory_order_relaxed);
     if (i >= slots_.size()) break;
-    abort_slot(i, cause, /*counts_in_flight=*/false);
+    Slot& slot = slots_[i];
+    slot.t_merged = clock_->now();
+    slot.outcome.store(cause, std::memory_order_release);
+    slot.ready.store(true, std::memory_order_release);
     ++swept;
   }
-  if (swept != 0 && sched_) sched_->on_swept(swept);
+  if (swept == 0) return;
+  if (in_order_) return_budget(flush_in_order());
+  sched_->on_swept(swept);
+  finish_reads(swept);
 }
 
-void SearchTicket::abort_slot(std::size_t i, ReadOutcome cause,
-                              bool counts_in_flight) {
-  // Resolve read i terminally without executing it (or, for a read whose
-  // task already started, without merging it). Publish `retired` before
-  // `ready` when the read holds no admission budget, so the re-sequencer
-  // delivering it cannot double-return a slot; a read that DOES hold
-  // budget (counts_in_flight) returns it through the normal retire path —
-  // which also tells the scheduler, keeping the window live. Either way
-  // the read passes through emit(), so an aborted read ahead of the
-  // in-order re-sequencer head flushes the prefix like a completed one
-  // and can never wedge the window.
-  Slot& slot = slots_[i];
-  slot.t_merged = clock_ ? clock_->now() : 0.0;
-  slot.outcome.store(static_cast<std::uint8_t>(cause),
-                     std::memory_order_release);
-  if (!counts_in_flight) slot.retired.store(true, std::memory_order_release);
-  slot.ready.store(true, std::memory_order_release);
-  emit(i);
-  finish_one();
-}
-
-SearchTicket::Grant SearchTicket::grant_one(std::uint64_t admit_seq) {
-  if (terminal_cause_.load(std::memory_order_acquire) != 0)
-    return Grant::Exhausted;  // the abort sweep owns every remaining read
-  // Reserve a window slot FIRST, then claim a read index: concurrent
-  // pumps can both grant to this ticket, and reserving before claiming
-  // keeps peak_in_flight strictly within max_in_flight.
+SearchTicket::Block SearchTicket::claim_block(std::size_t budget) {
+  // Cooperative cancel/deadline check at the grant boundary: once the
+  // ticket is aborted, its sweep owns every read not yet claimed.
+  if (abort_cause() != ReadOutcome::Pending) return {};
+  const std::size_t n = slots_.size();
+  const std::size_t workers = pool_->workers();
+  const auto share = [workers](std::size_t reads) {
+    return (reads + workers - 1) / workers;
+  };
+  // A block takes at most one worker's share of the window and of the
+  // global budget, or a window smaller than a block per worker would
+  // leave workers idle (no limit at the default window).
+  if (const std::size_t global = sched_->config().max_in_flight_reads)
+    budget = std::min(budget, share(global));
+  budget = std::min(budget, share(max_in_flight_));
+  // Reserve window slots FIRST, then claim read indices: concurrent pumps
+  // can both grant to this ticket, and reserving before claiming keeps
+  // peak_in_flight strictly within max_in_flight.
   std::size_t in_flight = in_flight_.load(std::memory_order_acquire);
-  for (;;) {
-    if (in_flight >= max_in_flight_) return Grant::Declined;
-    if (in_flight_.compare_exchange_weak(in_flight, in_flight + 1,
-                                         std::memory_order_acq_rel))
-      break;
-  }
-  const std::size_t i = next_admit_.fetch_add(1, std::memory_order_relaxed);
-  if (i >= slots_.size()) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return Grant::Exhausted;
-  }
-  const std::size_t now = in_flight + 1;
+  std::size_t want = 0;
+  do {
+    const std::size_t next = next_admit_.load(std::memory_order_relaxed);
+    const std::size_t unclaimed = next < n ? n - next : 0;
+    // The last term spreads a ticket's tail over every worker.
+    want = std::min({budget, max_in_flight_ - in_flight, unclaimed,
+                     share(unclaimed)});
+    if (want == 0) return {};
+  } while (!in_flight_.compare_exchange_weak(in_flight, in_flight + want,
+                                             std::memory_order_acq_rel));
+  Block block;
+  block.first = next_admit_.load(std::memory_order_relaxed);
+  do {
+    block.count = block.first < n ? std::min(want, n - block.first) : 0;
+  } while (block.count != 0 &&
+           !next_admit_.compare_exchange_weak(
+               block.first, block.first + block.count,
+               std::memory_order_relaxed));
+  if (block.count != want)
+    in_flight_.fetch_sub(want - block.count, std::memory_order_relaxed);
+  if (block.count == 0) return {};
+  const std::size_t now = in_flight + block.count;
   std::size_t peak = peak_in_flight_.load(std::memory_order_relaxed);
   while (now > peak && !peak_in_flight_.compare_exchange_weak(
                            peak, now, std::memory_order_relaxed)) {
   }
-  Slot& slot = slots_[i];
-  slot.admit_seq = admit_seq;
-  // Cooperative cancel/deadline check at the grant boundary: a read
-  // claimed after the ticket aborted (or exactly as the deadline passes)
-  // resolves terminally without ever launching.
-  if (terminal_cause_.load(std::memory_order_acquire) == 0 && past_deadline())
-    abort_ticket(ReadOutcome::Expired);
-  if (const std::uint8_t cause =
-          terminal_cause_.load(std::memory_order_acquire)) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    abort_slot(i, static_cast<ReadOutcome>(cause), /*counts_in_flight=*/false);
-    return Grant::Aborted;
-  }
-  auto self = shared_from_this();
-  try {
-    pool_->submit([self, i] { self->run_read(i); }, task_priority_);
-  } catch (...) {
-    record_error(std::current_exception());
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    abort_slot(i, ReadOutcome::Failed, /*counts_in_flight=*/false);
-    return Grant::Aborted;
-  }
-  return Grant::Launched;
+  return block;
 }
 
-void SearchTicket::run_read(std::size_t i) {
+void SearchTicket::launch_block(Block block, std::uint64_t admit_seq) {
+  for (std::size_t j = 0; j < block.count; ++j)
+    slots_[block.first + j].admit_seq = admit_seq + j;
+  try {
+    auto self = shared_from_this();
+    pool_->submit([self, block] { self->run_block(block); }, task_priority_);
+  } catch (...) {
+    // The task never launched: fail its reads here, as the task would
+    // have resolved them, and return their budget through the same end.
+    record_error(std::current_exception());
+    for (std::size_t i = block.first; i < block.first + block.count; ++i)
+      complete_read(i, ReadOutcome::Failed);
+    end_block(block);
+  }
+}
+
+void SearchTicket::run_block(Block block) {
+  std::vector<QueryResult> partials;  // per-bank staging, reused per read
+  for (std::size_t i = block.first; i < block.first + block.count; ++i)
+    run_read(i, partials);
+  end_block(block);
+}
+
+void SearchTicket::run_read(std::size_t i,
+                            std::vector<QueryResult>& partials) {
   Slot& slot = slots_[i];
   slot.t_started = clock_->now();
-  // Cooperative cancel/deadline check at the read-task boundary.
-  if (terminal_cause_.load(std::memory_order_acquire) == 0 && past_deadline())
-    abort_ticket(ReadOutcome::Expired);
-  if (const std::uint8_t cause =
-          terminal_cause_.load(std::memory_order_acquire)) {
-    abort_slot(i, static_cast<ReadOutcome>(cause), /*counts_in_flight=*/true);
-    return;
-  }
-  std::size_t selected = 0;
-  try {
-    // The batch recipe (docs/determinism.md): one plan per read, one RNG
-    // stream forked from (master state, epoch, read index).
-    // The probe happens AFTER the fork, so pruning never shifts streams.
-    slot.plan = accel_->controller_.planner().build(
-        (*reads_)[i], threshold_, accel_->rates_, mode_);
-    slot.rng = master_.fork((epoch_ << 32) | static_cast<std::uint64_t>(i));
-    slot.shard_ids = accel_->probe_shards(*db_, slot.plan);
-    selected = slot.shard_ids.size();
-    if (accel_->config_.pruning.enabled) {
-      slot.banks_probed = selected;
-      slot.banks_pruned = db_->banks.size() - selected;
-    }
-    slot.partials.resize(selected);
-    slot.shards_left.store(selected, std::memory_order_relaxed);
-  } catch (...) {
-    record_error(std::current_exception());
-    complete_read(i, ReadOutcome::Failed);
-    return;
-  }
-  if (selected == 0) {
-    // Every bank pruned: nothing executes, but the read still merges, to
-    // its deterministic all-false shape with the plan's pass latency.
-    finish_read(i);
-    return;
-  }
-  std::size_t launched = 0;
-  try {
-    for (std::size_t j = 1; j < selected; ++j) {
-      auto self = shared_from_this();
-      pool_->submit([self, i, j] { self->run_shard(i, j); }, task_priority_);
-      ++launched;
-    }
-  } catch (...) {
-    // A task that never launched will never decrement shards_left: take
-    // its decrements here. Slot 0 below is still outstanding, so this
-    // cannot complete the read — no double-completion is possible.
-    record_error(std::current_exception());
-    slot.outcome.store(static_cast<std::uint8_t>(ReadOutcome::Failed),
-                       std::memory_order_release);
-    slot.shards_left.fetch_sub(selected - 1 - launched,
-                               std::memory_order_acq_rel);
-  }
-  run_shard(i, 0);  // this task doubles as the first shard's executor
-}
-
-void SearchTicket::run_shard(std::size_t i, std::size_t s) {
-  // `s` indexes the slot's dispatched-shard list, not the bank array: the
-  // read runs only on its probe survivors.
-  Slot& slot = slots_[i];
-  // Cooperative cancel/deadline check at the shard-task boundary: once
-  // the ticket is aborted, remaining shards skip their execute entirely
-  // (the read still resolves below, at its last shard).
-  if (terminal_cause_.load(std::memory_order_acquire) == 0 && past_deadline())
-    abort_ticket(ReadOutcome::Expired);
-  if (terminal_cause_.load(std::memory_order_acquire) == 0) {
+  // Cooperative cancel/deadline checks: before the read and before each
+  // bank, never mid-kernel. An aborted read frees its staging and books
+  // nothing.
+  ReadOutcome out = abort_cause();
+  if (out == ReadOutcome::Pending) {
     try {
-      slot.partials[s] =
-          db_->banks[slot.shard_ids[s]]->execute(slot.plan, slot.rng);
+      // The batch recipe (docs/determinism.md): one plan per read, one
+      // RNG stream forked from (master state, epoch, read index). The
+      // probe happens AFTER the fork, so pruning never shifts streams.
+      const ExecutionPlan plan = accel_->controller_.planner().build(
+          (*reads_)[i], threshold_, accel_->rates_, mode_);
+      const Rng rng =
+          master_.fork((epoch_ << 32) | static_cast<std::uint64_t>(i));
+      const std::vector<std::uint32_t> shards =
+          accel_->probe_shards(*db_, plan);
+      if (accel_->config_.pruning.enabled) {
+        slot.banks_probed = shards.size();
+        slot.banks_pruned = db_->banks.size() - shards.size();
+      }
+      partials.resize(shards.size());
+      for (std::size_t j = 0; j < shards.size(); ++j) {
+        out = abort_cause();
+        if (out != ReadOutcome::Pending) break;
+        partials[j] = db_->banks[shards[j]]->execute(plan, rng);
+      }
+      slot.t_executed = clock_->now();
+      if (out == ReadOutcome::Pending) {
+        // Ascending shard order: the floating-point summation order of
+        // the router's search(). A read every bank pruned merges to the
+        // all-false shape with the plan's pass latency.
+        slot.merged = accel_->merge_subset(*db_, plan, partials, shards);
+        out = ReadOutcome::Done;
+      }
     } catch (...) {
       record_error(std::current_exception());
-      slot.outcome.store(static_cast<std::uint8_t>(ReadOutcome::Failed),
-                         std::memory_order_release);
+      out = ReadOutcome::Failed;
     }
   }
-  if (slot.shards_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    finish_read(i);
-}
-
-void SearchTicket::finish_read(std::size_t i) {
-  // Read i's last shard has finished (or the probe pruned it on every
-  // bank): decide its terminal outcome. If every shard executed cleanly
-  // and the ticket is still live, merge in ascending shard order (the
-  // floating-point summation order of the router's search(), however the
-  // shards actually finished). A merge failure (allocation) is recorded
-  // like an execute failure so it surfaces at wait() instead of escaping
-  // the pool task. An aborted read frees its staging and books nothing.
-  Slot& slot = slots_[i];
-  slot.t_executed = clock_->now();
-  auto out =
-      static_cast<ReadOutcome>(slot.outcome.load(std::memory_order_acquire));
-  if (out == ReadOutcome::Pending) {
-    if (const std::uint8_t cause =
-            terminal_cause_.load(std::memory_order_acquire)) {
-      out = static_cast<ReadOutcome>(cause);
-    } else {
-      try {
-        slot.merged = accel_->merge_subset(*db_, slot.plan, slot.partials,
-                                           slot.shard_ids);
-        out = ReadOutcome::Done;
-      } catch (...) {
-        record_error(std::current_exception());
-        out = ReadOutcome::Failed;
-      }
-    }
-  }
-  std::vector<QueryResult>().swap(slot.partials);
-  std::vector<std::uint32_t>().swap(slot.shard_ids);
   complete_read(i, out);
 }
 
 void SearchTicket::complete_read(std::size_t i, ReadOutcome out) {
   Slot& slot = slots_[i];
   slot.t_merged = clock_->now();
-  // Every execute of this read is done: free its plan (and the read
-  // views it carries) now, not when the ticket dies.
-  slot.plan = ExecutionPlan();
   if (out == ReadOutcome::Done) {
     slot.ledger_plan = slot.merged.plan;
     slot.ledger_latency = slot.merged.latency_seconds;
@@ -601,77 +539,77 @@ void SearchTicket::complete_read(std::size_t i, ReadOutcome out) {
   slot.outcome.store(static_cast<std::uint8_t>(out),
                      std::memory_order_release);
   slot.ready.store(true, std::memory_order_release);
-  emit(i);       // delivery retires the read (returns admission budget)
-  finish_one();  // last: wait() returning implies emission is done
+  // Arrival order delivers as the read merges; in order waits for the
+  // block's re-sequencer pass.
+  if (!in_order_) deliver(i);
 }
 
-void SearchTicket::retire(std::size_t i) {
-  // Returns the read's admission budget exactly once — at DELIVERY, not
-  // at merge: with the in-order re-sequencer, a read merged early but
-  // held for its turn still counts against max_in_flight, so the
-  // undelivered backlog (and its held results) stays bounded by the
-  // window instead of growing to O(batch). The scheduler is told every
-  // time: the global budget slot frees and this ticket (or a higher-pass
-  // one) gets the next grant.
-  if (slots_[i].retired.exchange(true, std::memory_order_acq_rel)) return;
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  if (sched_) sched_->on_retire(shared_from_this());
+void SearchTicket::end_block(Block block) {
+  // A read returns its admission budget at DELIVERY, not at merge: with
+  // the re-sequencer, a read merged early but held for its turn still
+  // counts against max_in_flight, so the undelivered backlog (and its
+  // held results) stays bounded by the window. One scheduler call returns
+  // the budget of every read this pass delivered, so the next grant sees
+  // a whole free block. Finishing comes last: wait() returning implies
+  // every delivery is done.
+  return_budget(in_order_ ? flush_in_order() : block.count);
+  finish_reads(block.count);
 }
 
-void SearchTicket::finish_one() {
-  const std::size_t done =
-      completed_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // Last read of the submission: this ticket no longer has in-flight
-  // tasks, so it stops pinning the session pool against replacement.
-  if (done == slots_.size()) accel_->pool_.unpin();
-  group_.finish();
-}
-
-void SearchTicket::emit(std::size_t i) {
-  if (!on_complete_) {
-    // Pure pollers with keep_results == false asked for O(in-flight)
-    // memory too: release as soon as the read merges.
-    if (!keep_results_) release_result(slots_[i]);
-    retire(i);
-    return;
-  }
-  const auto deliver = [this](std::size_t index, Slot& slot) {
-    if (slot.outcome.load(std::memory_order_acquire) ==
-        static_cast<std::uint8_t>(ReadOutcome::Done)) {
-      try {
-        on_complete_(index, slot.merged);
-      } catch (...) {
-        record_error(std::current_exception());
-      }
-    }
-    if (!keep_results_) release_result(slot);
-    retire(index);
-  };
-  if (!in_order_) {
-    deliver(i, slots_[i]);
-    return;
-  }
-  // Re-sequencer: whoever completes a read flushes the longest ready
-  // prefix. Setting `ready` before taking seq_mutex_ guarantees a read is
-  // never stranded — if this thread's scan stops short of read i, the
-  // thread blocking the prefix will see i ready when its own scan runs.
-  // Aborted reads are marked ready like completed ones (no callback), so
-  // a cancelled read ahead of the head flushes through instead of
-  // wedging the window. A re-entrant emit on the flushing thread itself
-  // (a callback calling cancel(); a retire-driven grant expiring the
-  // ticket mid-flush) returns immediately — its reads are already marked
-  // ready, so the enclosing flush loop delivers them.
+std::size_t SearchTicket::flush_in_order() {
+  // Whoever ends a block flushes the longest ready prefix. Setting
+  // `ready` before taking seq_mutex_ guarantees a read is never stranded
+  // — if this scan stops short of read i, the thread blocking the prefix
+  // will see i ready when its own scan runs. Swept reads are marked ready
+  // like completed ones (no callback), so a cancelled read ahead of the
+  // head flushes through instead of wedging the window. A re-entrant call
+  // on the flushing thread (a callback calling cancel()) returns at once:
+  // its reads are already marked ready, so the enclosing loop delivers
+  // them.
   if (seq_owner_.load(std::memory_order_relaxed) ==
       std::this_thread::get_id())
-    return;
+    return 0;
+  std::size_t admitted = 0;
   MutexLock lock(seq_mutex_);
   seq_owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   while (next_emit_ < slots_.size() &&
          slots_[next_emit_].ready.load(std::memory_order_acquire)) {
-    deliver(next_emit_, slots_[next_emit_]);
+    deliver(next_emit_);
+    if (slots_[next_emit_].admit_seq != 0) ++admitted;
     ++next_emit_;
   }
   seq_owner_.store(std::thread::id(), std::memory_order_relaxed);
+  return admitted;
+}
+
+void SearchTicket::deliver(std::size_t i) {
+  Slot& slot = slots_[i];
+  if (on_complete_ && slot.outcome.load(std::memory_order_acquire) ==
+                          static_cast<std::uint8_t>(ReadOutcome::Done)) {
+    try {
+      on_complete_(i, slot.merged);
+    } catch (...) {
+      record_error(std::current_exception());
+    }
+  }
+  // Pure streaming consumers (keep_results == false) asked for
+  // O(in-flight) memory: release as soon as the read is delivered.
+  if (!keep_results_) release_result(slot);
+}
+
+void SearchTicket::return_budget(std::size_t reads) {
+  if (reads == 0) return;
+  in_flight_.fetch_sub(reads, std::memory_order_acq_rel);
+  sched_->on_retire(shared_from_this(), reads);
+}
+
+void SearchTicket::finish_reads(std::size_t reads) {
+  const std::size_t done =
+      completed_.fetch_add(reads, std::memory_order_acq_rel) + reads;
+  // Last read of the submission: this ticket no longer has in-flight
+  // tasks, so it stops pinning the session pool against replacement.
+  if (done == slots_.size()) accel_->pool_.unpin();
+  group_.finish(reads);
 }
 
 // ------------------------------------------------------------ SearchService
@@ -721,7 +659,8 @@ std::shared_ptr<SearchTicket> SearchService::launch(
     throw ServiceError(ServiceErrorKind::InvalidOptions,
                        "deadline_seconds must be >= 0 (0 = no deadline)");
   ticket->keep_results_ = options.keep_results;
-  ticket->in_order_ = options.in_order;
+  // Without a callback there is nothing to deliver in order.
+  ticket->in_order_ = options.in_order && options.on_complete;
   ticket->on_complete_ = options.on_complete;
   // An empty submission is already done and leaves the batch epoch
   // untouched.
@@ -744,7 +683,7 @@ std::shared_ptr<SearchTicket> SearchService::launch(
   // Pin the session pool for the ticket's lifetime: while pinned, a
   // wider worker_pool() request is clamped to the live pool instead of
   // replacing it under this ticket's running tasks (unpinned by
-  // finish_one when the last read completes).
+  // finish_reads when the last read completes).
   ticket->pool_ = &accel_->worker_pool(options.workers);
   accel_->pool_.pin();
 
@@ -759,7 +698,7 @@ std::shared_ptr<SearchTicket> SearchService::launch(
   ticket->master_ = accel_->rng_;
   ticket->epoch_ = ++accel_->batch_epoch_;
   std::size_t cap = options.max_in_flight;
-  if (cap == 0) cap = 2 * ticket->pool_->workers();
+  if (cap == 0) cap = 2 * ticket->pool_->workers() * kServiceBlockReads;
   ticket->max_in_flight_ = cap;
   ticket->submit_time_ = ticket->clock_->now();
   if (options.deadline_seconds > 0.0)

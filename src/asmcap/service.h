@@ -3,33 +3,44 @@
 // the sharded accelerator, for service-style deployments where reads
 // arrive while earlier ones are still executing.
 //
-//   SearchService::submit(reads) returns a SearchTicket immediately; the
-//   (read x shard) work fans out over the router's session pool behind it.
-//   Each read completes — merged, re-based to global segment ids — the
-//   moment its LAST shard finishes, independent of every other read:
+//   SearchService::submit(reads) returns a SearchTicket immediately. The
+//   scheduler grants the ticket's reads in BLOCKS of up to
+//   kServiceBlockReads consecutive reads, and each block runs as ONE task
+//   on the router's session pool. Read by read, the task plans, forks the
+//   read's RNG stream, probes, executes on each surviving bank in
+//   ascending order and merges — re-based to global segment ids:
 //
-//     submit ──► admit (≤ max_in_flight reads)                ┐ per read:
-//                  read i: plan + fork RNG stream             │ plan once,
-//                     ├─ bank 0 ─┐                            │ execute on
-//                     ├─ bank 1 ─┼─► last shard merges ──►    │ every bank,
-//                     └─ bank N ─┘    complete(i): callback / │ merge at
-//                                     poll-ready / admit next │ completion
+//     submit ──► grant a block of k reads                        ┐ per read:
+//                  one pool task, read by read:                  │ plan once,
+//                    plan + fork ─► probe ─► bank 0 ─► … bank N  │ execute on
+//                    ─► merge ─► ready(i) / on_complete(i)       │ each bank,
+//                  block end: one re-sequencer pass, one budget  │ merge once
+//                  return ─► grant the next block                ┘
 //
-// Peak partial-result memory is O(max_in_flight x shards), not
-// O(batch x shards): a read's per-shard staging buffer exists only while
-// that read is in flight, and is released as soon as it is merged. Every
+//   k = min(kServiceBlockReads, the ticket's free window, the free global
+//   budget, its unclaimed reads, ceil(unclaimed / pool workers)), and at
+//   most ceil(limit / pool workers) of the ticket's window and of the
+//   global budget: a ticket's tail, and a window smaller than a block per
+//   worker, still spread over every worker.
+//
+// Memory is O(in-flight reads), not O(batch x shards): a read's plan and
+// per-bank staging are locals of its block task, released as soon as it
+// is merged, and admission is throttled, so an arbitrarily large
+// submission never holds more than max_in_flight merged results. Every
 // read, on one bank or many, finishes through the router's one merge
 // (ShardedAccelerator::merge_subset), which re-bases slots to global ids.
-// Admission is throttled, so an arbitrarily large submission never
-// materialises more than max_in_flight staging buffers.
+// ShardedAccelerator::search() keeps its per-bank parallel_for as the
+// single-read latency path.
 //
 // THE SERVICE TIER (scheduling, deadlines, cancellation). Admission is no
 // longer a per-ticket free-for-all: every SearchService owns a
-// ServiceScheduler that grants reads to tickets one at a time, under
+// ServiceScheduler that grants blocks of reads to tickets one at a time,
+// under
 //
 //  * priority classes — ServiceOptions::service_class picks Interactive /
 //    Normal / Bulk; grants follow weighted fair-share (stride scheduling
-//    over ServiceConfig::class_weights), so a small interactive ticket
+//    over ServiceConfig::class_weights, charged per granted read, so a
+//    block of k reads costs k strides), so a small interactive ticket
 //    overtakes a bulk re-analysis instead of queueing behind it, while
 //    positive weights guarantee bulk work is never starved. Each class
 //    also maps to a pool TaskPriority, so granted interactive tasks jump
@@ -41,26 +52,27 @@
 //    reads accepted but not yet granted; submit() blocks for space,
 //    try_submit() fails fast with ServiceError{AdmissionFull}.
 //  * deadlines and cancellation — ServiceOptions::deadline_seconds and
-//    SearchTicket::cancel() stop a ticket COOPERATIVELY: checked between
-//    per-read/per-shard tasks, never mid-kernel. Reads already merged
-//    stay Done; everything else reaches a Cancelled/Expired terminal
-//    state, frees its staging, returns its admission slots, and books
-//    nothing in the ledger (no phantom energy). The ticket's state()
-//    reports Cancelled/Expired distinct from Done, and wait() still
-//    returns normally so the Done prefix can be consumed.
+//    SearchTicket::cancel() stop a ticket COOPERATIVELY: checked at each
+//    grant, between the reads of a block and between the banks of a read,
+//    never mid-kernel. Reads already merged stay Done; everything else
+//    reaches a Cancelled/Expired terminal state (the rest of a running
+//    block included), frees its staging, returns its admission slots,
+//    and books nothing in the ledger (no phantom energy). The ticket's
+//    state() reports Cancelled/Expired distinct from Done, and wait()
+//    still returns normally so the Done prefix can be consumed.
 //  * per-ticket observability — every read records queue-wait /
 //    execution / merge timestamps from an injectable ServiceClock
 //    (util/clock.h; virtual in tests, steady in production), and
 //    stats() aggregates p50/p95/p99 latency and energy percentiles into
 //    TicketStats once the ticket is terminal.
 //
-// With shard pruning enabled (config.pruning.enabled), each read's
-// fan-out covers only its probe-survivor shard set (ShardedAccelerator::
-// probe_shards): staging buffers shrink to the survivors, a read every
-// bank pruned executes nothing and merges at once (no partials) to the
-// all-false shape with the plan's pass latency, and the per-read probe
-// counters are flushed to the ledger at wait(). The probe runs on the
-// worker, over each bank's row store with the read's plan views
+// With shard pruning enabled (config.pruning.enabled), each read executes
+// only on its probe-survivor shard set (ShardedAccelerator::probe_shards):
+// staging shrinks to the survivors, a read every bank pruned executes
+// nothing and merges at once (no partials) to the all-false shape with
+// the plan's pass latency, and the per-read probe counters are flushed to
+// the ledger at wait(). The probe runs in the block task, over each
+// bank's row store with the read's plan views
 // (AsmcapAccelerator::may_match): banks build no sketch. Decisions stay
 // bit-identical to full fan-out — see docs/determinism.md.
 //
@@ -71,7 +83,8 @@
 //                ticket->completed() / done() for progress;
 //  * streaming — Options::on_complete fires as each read merges, in
 //                arrival order, or in read order with Options::in_order
-//                (a re-sequencer holds completed reads until their turn);
+//                (a re-sequencer, entered once per finished block, holds
+//                completed reads until their turn);
 //                with Options::keep_results = false the merged result is
 //                released right after the callback, so the whole pipeline
 //                is O(in-flight) rather than O(batch);
@@ -84,10 +97,10 @@
 // of (router master stream, batch epoch, read index) —
 // master.fork((epoch << 32) | i), pinned against a bank's execute() by
 // tests/test_sharded.cpp — and per-read merging preserves the shard
-// summation order, so neither completion order, worker count, in-flight
-// depth, priority class, nor any cancel/deadline schedule can perturb a
-// COMPLETED read's decisions, energy, latency, or ledger record
-// (enforced by tests/test_service.cpp and tests/test_scheduler.cpp).
+// summation order, so neither completion order, worker count, block
+// size, in-flight depth, priority class, nor any cancel/deadline schedule
+// can perturb a COMPLETED read's decisions, energy, latency, or ledger
+// record (enforced by tests/test_service.cpp and tests/test_scheduler.cpp).
 // Scheduling may reorder execution but never decisions; cancellation
 // only discards work whose RNG draws never escape the ticket
 // (docs/determinism.md rule 9).
@@ -148,6 +161,12 @@ namespace asmcap {
 class SearchService;
 class SearchTicket;
 
+/// Reads per block: the most one scheduler grant claims, which then run
+/// as one pool task and pass the re-sequencer once. A constant, not an
+/// option: on pruned_fanout (4 workers, 4-vCPU VM) 8 ran fastest of 1, 4,
+/// 8 and 16, with 4 and 16 within 2 % of it and 1 about 9 % slower.
+inline constexpr std::size_t kServiceBlockReads = 8;
+
 /// Priority class of one submission. Classes shape WHEN work runs (grant
 /// order, pool queue priority) — never WHAT it computes.
 enum class ServiceClass : std::uint8_t { Interactive = 0, Normal = 1, Bulk = 2 };
@@ -176,8 +195,8 @@ struct ReadTiming {
   /// grant order); 0 for reads that were never admitted.
   std::uint64_t admit_seq = 0;
   double submitted = 0.0;  ///< Ticket submit instant (same for all reads).
-  double started = 0.0;    ///< Read task began executing.
-  double executed = 0.0;   ///< Last shard finished executing.
+  double started = 0.0;    ///< Its block task began this read.
+  double executed = 0.0;   ///< Last bank finished executing.
   double merged = 0.0;     ///< Merged / reached a terminal state.
   double model_latency_seconds = 0.0;  ///< Deterministic model cost (Done).
   double model_energy_joules = 0.0;    ///< Deterministic model cost (Done).
@@ -199,7 +218,9 @@ struct TicketStats {
   std::size_t cancelled = 0;
   std::size_t expired = 0;
   std::size_t failed = 0;
-  LatencyPercentiles queue_wait;   ///< started - submitted (wall clock).
+  /// started - submitted (wall clock). A read later in a block also
+  /// waits for the reads before it in that block.
+  LatencyPercentiles queue_wait;
   LatencyPercentiles execution;    ///< executed - started (wall clock).
   LatencyPercentiles merge;        ///< merged - executed (wall clock).
   LatencyPercentiles completion;   ///< merged - submitted (wall clock).
@@ -238,7 +259,8 @@ struct ServiceConfig {
 /// policy state — per-class ticket queues, stride passes, the global
 /// in-flight budget, the bounded pending-read queue — lives behind one
 /// mutex (ASMCAP_GUARDED_BY, checked by Clang's thread-safety analysis);
-/// grants themselves (ticket->grant_one()) run OUTSIDE the lock.
+/// claiming a block and launching its task (ticket->claim_block(),
+/// launch_block()) run OUTSIDE the lock.
 /// Thread-safety: every method may be called from any thread; reserve()
 /// may block (control plane) while workers retire reads and keep pumping.
 class ServiceScheduler {
@@ -257,10 +279,11 @@ class ServiceScheduler {
   /// Queues a freshly launched ticket and starts granting.
   void enlist(std::shared_ptr<SearchTicket> ticket) ASMCAP_EXCLUDES(mutex_);
 
-  /// A granted read retired: its global budget slot is free; the ticket
-  /// may be hungry for another grant.
-  void on_retire(const std::shared_ptr<SearchTicket>& ticket)
-      ASMCAP_EXCLUDES(mutex_);
+  /// `reads` granted reads were delivered: their global budget is free
+  /// (one call per re-sequencer pass); the ticket may be hungry for
+  /// another block.
+  void on_retire(const std::shared_ptr<SearchTicket>& ticket,
+                 std::size_t reads) ASMCAP_EXCLUDES(mutex_);
 
   /// `reads` pending reads left the queue without being granted (a
   /// cancel/deadline sweep claimed them).
@@ -291,7 +314,7 @@ class ServiceScheduler {
       ASMCAP_GUARDED_BY(mutex_){};
   /// Pass of the latest grant (lag capping).
   std::uint64_t last_pass_ ASMCAP_GUARDED_BY(mutex_) = 0;
-  /// Global grant counter (1-based).
+  /// Global read-admission counter (1-based, one number per granted read).
   std::uint64_t admit_seq_ ASMCAP_GUARDED_BY(mutex_) = 0;
   /// Remaining global budget (if bounded).
   std::size_t free_slots_ ASMCAP_GUARDED_BY(mutex_) = 0;
@@ -338,7 +361,7 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
 
   /// Requests cooperative cancellation, from any thread, idempotently.
   /// Reads already merged stay Done; every other read reaches Cancelled
-  /// without executing further shards, frees its staging, returns its
+  /// without executing further banks, frees its staging, returns its
   /// admission slots, and books no energy. A no-op once the ticket is
   /// already terminal. wait() still returns normally — poll outcome(i)
   /// to see which reads completed.
@@ -368,8 +391,9 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
 
   /// Admission throttle this ticket runs under.
   std::size_t max_in_flight() const { return max_in_flight_; }
-  /// Highest number of simultaneously in-flight reads observed — the
-  /// partial-result memory bound actually reached (<= max_in_flight()).
+  /// Highest number of simultaneously in-flight reads observed, counting
+  /// every read of a granted block until it is delivered — the result
+  /// memory bound actually reached (<= max_in_flight()).
   std::size_t peak_in_flight() const {
     return peak_in_flight_.load(std::memory_order_acquire);
   }
@@ -385,42 +409,36 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
   friend class SearchService;
   friend class ServiceScheduler;
 
-  /// Result of one scheduler grant attempt.
-  enum class Grant : std::uint8_t {
-    Launched,   ///< A read was claimed and its task submitted.
-    Aborted,    ///< A read was claimed but was cancelled/expired/failed
-                ///< before launching — it is terminal, no budget held.
-    Declined,   ///< Per-ticket window full; retry on the next retire.
-    Exhausted,  ///< No reads left to grant (all claimed or ticket aborted).
+  /// Consecutive reads [first, first + count) granted together: one pool
+  /// task, one admission charge, one re-sequencer pass.
+  struct Block {
+    std::size_t first = 0;
+    std::size_t count = 0;  ///< 0 = nothing claimed.
   };
 
-  /// Per-read state. `plan` (with its read views), `partials` and
-  /// `shard_ids` exist only between admission and merge. With pruning
-  /// enabled, shard_ids is this read's probe survivor set — the only banks
-  /// dispatched — and the probe counters feed the ledger at wait().
+  /// Per-read state. A read's plan, RNG stream and per-bank staging are
+  /// locals of its block task, not kept here. With pruning enabled, the
+  /// probe counters feed the ledger at wait().
   struct Slot {
-    ExecutionPlan plan;
-    Rng rng;
-    std::vector<std::uint32_t> shard_ids;  ///< Dispatched shards, ascending.
-    std::vector<QueryResult> partials;     ///< partials[j] <- shard_ids[j].
     std::size_t banks_probed = 0;  ///< Pruning-enabled submissions only.
     std::size_t banks_pruned = 0;
-    std::atomic<std::size_t> shards_left{0};
     QueryResult merged;
     QueryPlan ledger_plan;  ///< Kept for wait() after merged is released.
     double ledger_latency = 0.0;
     double ledger_energy = 0.0;
-    /// Timing observability (timestamps from the service clock). Written
-    /// only by the thread that owns the read's current task, published by
-    /// the ready release-store below.
+    /// Set at grant, before the block's task is submitted; nonzero
+    /// exactly for the reads that hold admission budget until delivered
+    /// (a swept read never does).
     std::uint64_t admit_seq = 0;
+    /// Timing observability (timestamps from the service clock). Written
+    /// only by the thread that resolves the read, published by the ready
+    /// release-store below.
     double t_started = 0.0;
     double t_executed = 0.0;
     double t_merged = 0.0;
     std::atomic<std::uint8_t> outcome{
         static_cast<std::uint8_t>(ReadOutcome::Pending)};
     std::atomic<bool> ready{false};
-    std::atomic<bool> retired{false};  ///< Admission budget returned.
   };
 
   /// Owning form (reads moved in) and borrowing form (reads stay with the
@@ -431,22 +449,30 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
                const std::vector<Sequence>* reads, std::size_t threshold,
                StrategyMode mode);
 
-  Grant grant_one(std::uint64_t admit_seq);
+  /// Claims up to `budget` consecutive reads within the window (the
+  /// scheduler's grant, run outside its lock); count 0 = nothing claimed.
+  Block claim_block(std::size_t budget);
+  /// Numbers the block's reads from `admit_seq` and submits its task.
+  void launch_block(Block block, std::uint64_t admit_seq);
+  void run_block(Block block);
+  /// Plans, forks, probes, executes on each surviving bank and merges
+  /// read i (every read's one completion route is merge_subset).
+  void run_read(std::size_t i, std::vector<QueryResult>& partials);
+  /// Cooperative cancel/deadline check: Pending while the ticket is live,
+  /// else its terminal cause (expiring the ticket once its deadline has
+  /// passed).
+  ReadOutcome abort_cause();
+  void complete_read(std::size_t i, ReadOutcome outcome);
+  void end_block(Block block);
+  /// One re-sequencer pass; returns how many admitted reads it delivered.
+  std::size_t flush_in_order() ASMCAP_EXCLUDES(seq_mutex_);
+  void deliver(std::size_t i);
+  void return_budget(std::size_t reads);
+  void finish_reads(std::size_t reads);
   bool sched_hungry() const;
   bool past_deadline() const;
   void abort_ticket(ReadOutcome cause);
   void sweep_pending();
-  void abort_slot(std::size_t i, ReadOutcome cause, bool counts_in_flight);
-  void run_read(std::size_t i);
-  void run_shard(std::size_t i, std::size_t s);
-  /// Merges read i through ShardedAccelerator::merge_subset (every read's
-  /// one completion route, whatever number of banks it ran on) and
-  /// completes it.
-  void finish_read(std::size_t i);
-  void complete_read(std::size_t i, ReadOutcome outcome);
-  void finish_one();
-  void emit(std::size_t i) ASMCAP_EXCLUDES(seq_mutex_);
-  void retire(std::size_t i);
   void record_error(std::exception_ptr error) ASMCAP_EXCLUDES(error_mutex_);
   void release_result(Slot& slot);
 
@@ -473,7 +499,7 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
   std::uint64_t epoch_ = 0;
   std::size_t max_in_flight_ = 1;
   bool keep_results_ = true;
-  bool in_order_ = false;
+  bool in_order_ = false;  ///< Re-sequenced delivery (needs on_complete_).
   std::function<void(std::size_t, const QueryResult&)> on_complete_;
 
   /// Scheduling state (set at launch). The scheduler is shared so the
@@ -499,12 +525,12 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
 
   Mutex seq_mutex_;  ///< Re-sequencer state below.
   std::size_t next_emit_ ASMCAP_GUARDED_BY(seq_mutex_) = 0;
-  /// Thread currently inside the re-sequencer flush loop. A cancel or
-  /// deadline sweep triggered from WITHIN a delivery (a callback calling
-  /// cancel(), or a retire-driven grant expiring the ticket) re-enters
-  /// emit() on the same thread; since `ready` is already set, the outer
-  /// flush loop will deliver those reads — the re-entrant call just
-  /// returns instead of self-deadlocking on seq_mutex_.
+  /// Thread currently inside the re-sequencer flush loop. A cancel sweep
+  /// triggered from WITHIN a delivery (a callback calling cancel())
+  /// re-enters flush_in_order() on the same thread; since `ready` is
+  /// already set, the outer flush loop will deliver those reads — the
+  /// re-entrant call just returns instead of self-deadlocking on
+  /// seq_mutex_.
   std::atomic<std::thread::id> seq_owner_{};
 
   Mutex error_mutex_;
@@ -517,19 +543,21 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
 /// Knobs of one SearchService::submit call. (Namespace-scope so the
 /// default member initializers are usable in submit's default argument.)
 struct ServiceOptions {
-  /// Pool width for the fan-out (same meaning as search_batch's
+  /// Pool width for the block tasks (same meaning as search_batch's
   /// `workers`; 0 = one per hardware thread).
   std::size_t workers = 1;
   /// Admission throttle: reads allowed in flight at once (the
-  /// partial-result memory bound). 0 = 2 x the pool's worker count.
+  /// result memory bound). 0 = two blocks per worker: 2 x the pool's
+  /// worker count x kServiceBlockReads.
   std::size_t max_in_flight = 0;
   /// Priority class: grant order under contention (weighted fair share)
   /// and pool queue priority. Never affects results.
   ServiceClass service_class = ServiceClass::Normal;
   /// Relative deadline from submit, in ServiceClock seconds (0 = none;
   /// negative throws ServiceError{InvalidOptions}). When it passes, reads
-  /// not yet merged reach Expired cooperatively — checked between tasks,
-  /// never mid-kernel — and the whole ticket's state becomes Expired.
+  /// not yet merged reach Expired cooperatively — checked at grants,
+  /// between reads and between banks, never mid-kernel — and the whole
+  /// ticket's state becomes Expired.
   double deadline_seconds = 0.0;
   /// Streaming callback: fires once per DONE read as it merges, with the
   /// read's index within the submission and its merged result (skipped
@@ -537,10 +565,11 @@ struct ServiceOptions {
   /// file comment.
   std::function<void(std::size_t, const QueryResult&)> on_complete;
   /// Deliver on_complete in read order instead of arrival order (a
-  /// re-sequencer holds early finishers; delivery is serialised). A read
-  /// returns its admission slot at DELIVERY, so the held-back backlog —
-  /// results merged early but waiting their turn — also stays within
-  /// max_in_flight rather than growing with the batch. Aborted reads
+  /// re-sequencer, entered once per finished block, holds early
+  /// finishers; delivery is serialised). A read returns its admission
+  /// slot at DELIVERY, so the held-back backlog — results merged early
+  /// but waiting their turn — also stays within max_in_flight rather
+  /// than growing with the batch. Aborted reads
   /// pass through the re-sequencer like completed ones (marked ready,
   /// no callback), so a cancelled read ahead of the head can never
   /// wedge the window.

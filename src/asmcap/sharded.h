@@ -7,9 +7,11 @@
 // but execute() plus mutations — and puts a batch router on top. A
 // monolithic search is a 1-shard router:
 //
-//   ShardedAccelerator (router: plans once, fans (read x shard) tasks
-//        |              across the session pool, merges per-read results,
-//        |              keeps the aggregate ledger)
+//   ShardedAccelerator (router: plans once per read, runs a batch as
+//        |              SearchService blocks of reads — one pool task
+//        |              each, banks in ascending order — or one read's
+//        |              banks across the pool (search()), merges
+//        |              per-read results, keeps the aggregate ledger)
 //        +-- bank 0: AsmcapAccelerator [cold]
 //        +-- bank 1: AsmcapAccelerator [cold]
 //        +-- ...
@@ -68,11 +70,11 @@
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, compact, search, search_batch, set_*,
 // and SearchService::submit/wait/drain on top of them) belong to one
-// control thread at a time; the per-bank execute() fan-out is what runs
-// concurrently, always against an immutable epoch snapshot. Reentrancy:
-// the fan-out uses the session pool — parallel_for is not reentrant
-// (util/thread_pool.h), so never search or mutate from inside a pool task
-// or service callback.
+// control thread at a time; the bank execute() calls in pool tasks are
+// what runs concurrently, always against an immutable epoch snapshot.
+// Reentrancy: search() uses the session pool — parallel_for is not
+// reentrant (util/thread_pool.h), so never search or mutate from inside a
+// pool task or service callback.
 //
 // Determinism contract (enforced by test_sharded and test_live; full
 // discipline in docs/determinism.md):
@@ -191,14 +193,14 @@ class ShardedAccelerator {
   QueryResult search(const Sequence& read, std::size_t threshold,
                      StrategyMode mode, std::size_t workers = 1);
 
-  /// Searches a batch: (read x shard) tasks across `workers` threads,
-  /// read i's RNG stream forked from the master stream as
-  /// (batch epoch << 32) | i, never advancing it. Results are
-  /// bit-identical for any worker count. This is a
-  /// thin blocking wrapper over SearchService (submit + drain), so peak
-  /// partial-result memory is bounded by the in-flight admission window,
-  /// not by reads x shards; use the service directly (asmcap/service.h)
-  /// for asynchronous submit/poll and per-read result streaming.
+  /// Searches a batch: blocks of consecutive reads, one pool task each,
+  /// across `workers` threads, read i's RNG stream forked from the
+  /// master stream as (batch epoch << 32) | i, never advancing it.
+  /// Results are bit-identical for any worker count. This is a thin
+  /// blocking wrapper over SearchService (submit + drain), so peak
+  /// result memory is bounded by the in-flight admission window, not by
+  /// reads x shards; use the service directly (asmcap/service.h) for
+  /// asynchronous submit/poll and per-read result streaming.
   std::vector<QueryResult> search_batch(const std::vector<Sequence>& reads,
                                         std::size_t threshold,
                                         StrategyMode mode,

@@ -12,9 +12,10 @@ void TaskGroup::start(std::size_t n) {
   pending_ += n;
 }
 
-void TaskGroup::finish() {
+void TaskGroup::finish(std::size_t n) {
   MutexLock lock(mutex_);
-  if (--pending_ == 0) cv_.notify_all();
+  pending_ -= n;
+  if (pending_ == 0) cv_.notify_all();
 }
 
 void TaskGroup::wait() {

@@ -58,8 +58,8 @@ class TaskGroup {
   /// or a fast task could drain the group below a concurrent wait().
   void start(std::size_t n = 1) ASMCAP_EXCLUDES(mutex_);
 
-  /// Marks one task complete; wakes waiters when the group drains.
-  void finish() ASMCAP_EXCLUDES(mutex_);
+  /// Marks `n` tasks complete; wakes waiters when the group drains.
+  void finish(std::size_t n = 1) ASMCAP_EXCLUDES(mutex_);
 
   /// Blocks until every started task has finished (returns immediately if
   /// none are outstanding).

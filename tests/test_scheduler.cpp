@@ -2,7 +2,8 @@
 // with weighted fair-share admission, the global in-flight budget, the
 // bounded pending queue (blocking submit and fail-fast try_submit),
 // cooperative cancellation and deadlines under an injectable virtual
-// clock, and per-ticket latency/energy statistics.
+// clock (between grants and between the reads of one block), and
+// per-ticket latency/energy statistics.
 //
 // The load-bearing property, asserted throughout: NO scheduling policy —
 // priorities shuffled, cancels raced mid-flight, deadlines expiring under
@@ -390,6 +391,64 @@ TEST_F(SchedulerTest, ConcurrentCancelAndWaitDoubleCallIsSafe) {
   }
 }
 
+TEST_F(SchedulerTest, CancelFromCallbackMidBlockLeavesRestOfBlockUnbooked) {
+  // Two workers under a window of two blocks: the first grants claim
+  // reads [0, 8) and [8, 16) as two pool tasks. In arrival order each
+  // read's callback fires as it merges, so a cancel() from read 2's
+  // callback lands between two reads of the first block: reads 3..7
+  // (granted, never executed) and every read not yet granted reach
+  // Cancelled and book nothing. The second block ran concurrently, so
+  // each of its reads is Done or Cancelled; every Done read is
+  // search_batch's and the ledger books exactly those.
+  auto sync = make_router(3, false, BackendKind::Circuit);
+  auto async = make_router(3, false, BackendKind::Circuit);
+  const auto fifo = sync->search_batch(reads_, 4, StrategyMode::Full, 2);
+
+  SearchService service(*async);
+  // Raw pointer, not shared_ptr: the ticket owns on_complete (see
+  // CancelThenPollLifecycleKeepsDonePrefixConsistent).
+  std::promise<SearchTicket*> handle;
+  std::shared_future<SearchTicket*> handle_future =
+      handle.get_future().share();
+  SearchService::Options options;
+  options.workers = 2;
+  options.max_in_flight = 2 * kServiceBlockReads;
+  options.on_complete = [handle_future](std::size_t i, const QueryResult&) {
+    if (i == 2) handle_future.get()->cancel();
+  };
+  auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
+  handle.set_value(ticket.get());
+  ticket->wait();
+
+  ASSERT_EQ(ticket->state(), TicketState::Cancelled);
+  double expected_energy = 0.0;
+  double expected_latency = 0.0;
+  std::size_t done = 0;
+  const std::vector<ReadTiming> timings = ticket->read_timings();
+  for (std::size_t i = 0; i < ticket->size(); ++i) {
+    const ReadOutcome outcome = ticket->outcome(i);
+    if (i < 3) {
+      EXPECT_EQ(outcome, ReadOutcome::Done) << "read " << i;
+    } else if (i < kServiceBlockReads) {
+      EXPECT_EQ(outcome, ReadOutcome::Cancelled) << "read " << i;
+    } else if (i >= 2 * kServiceBlockReads) {
+      EXPECT_EQ(outcome, ReadOutcome::Cancelled) << "read " << i;
+      EXPECT_EQ(timings[i].admit_seq, 0u) << "read " << i << " was granted";
+    }
+    if (outcome != ReadOutcome::Done) continue;
+    ++done;
+    expect_read_equal(ticket->result(i), fifo[i], i);
+    expected_energy += fifo[i].energy_joules;
+    expected_latency += fifo[i].latency_seconds;
+  }
+  const ExecutionTotals totals = async->totals();
+  EXPECT_EQ(totals.queries, done);
+  EXPECT_EQ(totals.energy_joules, expected_energy);
+  EXPECT_EQ(totals.latency_seconds, expected_latency);
+  EXPECT_EQ(service.in_flight_reads(), 0u);
+  EXPECT_EQ(service.queued_reads(), 0u);
+}
+
 // ----------------------------------------------------- deadlines (virtual)
 
 TEST_F(SchedulerTest, DeadlineExpiryIsDeterministicUnderVirtualClock) {
@@ -424,6 +483,54 @@ TEST_F(SchedulerTest, DeadlineExpiryIsDeterministicUnderVirtualClock) {
     FAIL() << "result() of an expired read must throw";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.kind(), ServiceErrorKind::Expired);
+  }
+}
+
+TEST_F(SchedulerTest, DeadlinePassingInsideBlockExpiresTheRestOfIt) {
+  // The virtual clock jumps past the deadline in read 2's callback, i.e.
+  // between two reads of the first block ([0, 8)): the block's remaining
+  // reads and every read not yet granted expire. On the threadless pool
+  // that block is the only one that runs; on two workers a second block
+  // runs beside it, and each of its reads is Done or Expired.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    auto sync = make_router(1, true, BackendKind::Circuit);
+    auto async = make_router(1, true, BackendKind::Circuit);
+    const auto fifo =
+        sync->search_batch(reads_, 4, StrategyMode::Full, workers);
+
+    VirtualClock clock;
+    SearchService::Config config;
+    config.clock = &clock;
+    SearchService service(*async, config);
+    SearchService::Options options;
+    options.workers = workers;
+    options.max_in_flight = 2 * kServiceBlockReads;
+    options.deadline_seconds = 10.0;
+    options.on_complete = [&clock](std::size_t i, const QueryResult&) {
+      if (i == 2) clock.advance(20.0);
+    };
+    auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
+    ticket->wait();
+
+    EXPECT_EQ(ticket->state(), TicketState::Expired);
+    std::size_t done = 0;
+    for (std::size_t i = 0; i < ticket->size(); ++i) {
+      const ReadOutcome outcome = ticket->outcome(i);
+      if (i < 3) {
+        EXPECT_EQ(outcome, ReadOutcome::Done) << "read " << i;
+      } else if (i < kServiceBlockReads || i >= 2 * kServiceBlockReads ||
+                 workers == 1) {
+        EXPECT_EQ(outcome, ReadOutcome::Expired) << "read " << i;
+      }
+      if (outcome != ReadOutcome::Done) continue;
+      ++done;
+      expect_read_equal(ticket->result(i), fifo[i], i);
+    }
+    const TicketStats stats = ticket->stats();
+    EXPECT_EQ(stats.done, done);
+    EXPECT_EQ(stats.expired, ticket->size() - done);
+    EXPECT_EQ(async->totals().queries, done);
+    EXPECT_EQ(service.in_flight_reads(), 0u);
   }
 }
 

@@ -2,8 +2,9 @@
 // with the synchronous search_batch path (bit-identical decisions, energy,
 // latency, and ledger on both backend kinds, noisy circuit included),
 // out-of-order completion with the in-order re-sequencer, drain-under-load,
-// admission throttling with more in-flight reads than pool threads,
-// callback error propagation, and the streaming read mapper built on top.
+// admission throttling with more in-flight reads than pool threads, block
+// grants over every pool width, window and ticket size, callback error
+// propagation, and the streaming read mapper built on top.
 // The single-shard no-staging path is pinned against a bank's execute()
 // by test_sharded's SingleShardBitIdenticalToMonolithicNoisy.
 
@@ -288,14 +289,60 @@ TEST_F(ServiceTest, DrainUnderLoadWithMoreReadsThanThreads) {
 }
 
 TEST_F(ServiceTest, ThrottleDefaultsToTwicePoolWidthAndStaysBounded) {
+  // The default window is two blocks per worker: 2 x pool width x
+  // kServiceBlockReads reads. A submission larger than that stays within
+  // it.
+  std::vector<Sequence> load;
+  for (int rep = 0; rep < 3; ++rep)
+    load.insert(load.end(), reads_.begin(), reads_.end());
   auto router = make_router(7, true, BackendKind::Functional);
   SearchService service(*router);
   SearchService::Options options;
   options.workers = 2;
-  auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
+  auto ticket = service.submit(load, 4, StrategyMode::Full, options);
   ticket->wait();
-  EXPECT_EQ(ticket->max_in_flight(), 4u);  // 2 x pool width
-  EXPECT_LE(ticket->peak_in_flight(), 4u);
+  EXPECT_EQ(ticket->max_in_flight(), 2 * options.workers * kServiceBlockReads);
+  EXPECT_LE(ticket->peak_in_flight(), ticket->max_in_flight());
+}
+
+TEST_F(ServiceTest, BlockGrantsBitIdenticalForAnyWorkersWindowAndSize) {
+  // A grant claims a block of consecutive reads that runs as one pool
+  // task; how reads are grouped never changes what they compute. For
+  // every pool width, ticket window and ticket size (one read, part of a
+  // block, several blocks with a short tail), with an unbounded and a
+  // tight global budget, the service equals search_batch bit for bit on
+  // noisy circuit sensing, ledger included, and peak_in_flight stays
+  // within both the ticket window and the global budget.
+  std::vector<Sequence> load;
+  while (load.size() < 40) load.push_back(reads_[load.size() % reads_.size()]);
+  for (const std::size_t size : {1, 7, 40}) {
+    const std::vector<Sequence> batch(load.begin(),
+                                      load.begin() + static_cast<long>(size));
+    auto sync = make_router(3, false, BackendKind::Circuit);
+    const auto expected = sync->search_batch(batch, 4, StrategyMode::Full, 1);
+    for (const std::size_t workers : {1, 2, 4})
+      for (const std::size_t window : {1, 3, 0})
+        for (const std::size_t budget : {0, 5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "size " << size << " workers " << workers
+                       << " window " << window << " budget " << budget);
+          auto async = make_router(3, false, BackendKind::Circuit);
+          SearchService::Config config;
+          config.max_in_flight_reads = budget;
+          SearchService service(*async, config);
+          SearchService::Options options;
+          options.workers = workers;
+          options.max_in_flight = window;
+          auto ticket = service.submit_borrowed(batch, 4, StrategyMode::Full,
+                                                options);
+          expect_identical(ticket->drain(), expected);
+          expect_same_totals(async->totals(), sync->totals());
+          EXPECT_LE(ticket->peak_in_flight(), ticket->max_in_flight());
+          if (budget != 0) {
+            EXPECT_LE(ticket->peak_in_flight(), budget);
+          }
+        }
+  }
 }
 
 TEST_F(ServiceTest, BorrowedSubmissionMatchesOwning) {

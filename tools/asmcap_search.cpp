@@ -10,6 +10,8 @@
 // ShardedAccelerator::search_batch on the same records
 // (tests/test_stream_reader.cpp ServiceIngestionBitIdentical).
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,14 +84,15 @@ void print_usage(std::ostream& out) {
          "  --arrays N         arrays per shard (default 512)\n"
          "  --width N          segment/read width in bases (default 256)\n"
          "  --chunk N          reads per submitted chunk (default 1024)\n"
-         "  --max-in-flight N  admission window (0 = 2 x workers; default 0)\n"
+         "  --max-in-flight N  admission window in reads (0 = 2 x workers x 8; default 0)\n"
          "  --class C          interactive | normal | bulk (default normal)\n"
          "  --deadline S       per-chunk deadline in seconds (0 = none)\n"
          "  --prune            skip banks that provably cannot match a read\n"
          "  --kernel K         scalar | avx2 | neon (default: ASMCAP_KERNEL or CPU)\n"
          "  --format F         tsv | json (default tsv)\n"
          "  --output PATH      write results to PATH instead of stdout\n"
-         "  --seed N           deterministic RNG seed\n"
+         "  --seed N           deterministic RNG seed, 0 to 2^64-1\n"
+         "                     (default 11936045733246922240)\n"
          "  --max-hits N       matched-segment labels printed per read (default 8)\n"
          "  --help             this text\n"
          "exit codes: 0 ok, 1 runtime error, 2 usage, 3 input parse error,\n"
@@ -103,14 +105,21 @@ void print_usage(std::ostream& out) {
   std::exit(kExitUsage);
 }
 
-std::size_t parse_size(const std::string& flag, const std::string& value) {
+std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
   try {
-    const long long parsed = std::stoll(value);
-    if (parsed < 0) throw std::invalid_argument("negative");
-    return static_cast<std::size_t>(parsed);
+    // std::stoull skips leading whitespace and wraps a '-' around
+    // (-1 -> 2^64 - 1), so a sign is refused before it parses.
+    const std::size_t first = value.find_first_not_of(" \t\n\v\f\r");
+    if (first != std::string::npos && value[first] == '-')
+      throw std::invalid_argument("negative");
+    return std::stoull(value);
   } catch (const std::exception&) {
     usage_error(flag + " expects a non-negative integer, got '" + value + "'");
   }
+}
+
+std::size_t parse_size(const std::string& flag, const std::string& value) {
+  return static_cast<std::size_t>(parse_u64(flag, value));
 }
 
 double parse_seconds(const std::string& flag, const std::string& value) {
@@ -194,8 +203,7 @@ CliOptions parse_args(int argc, char** argv) {
       else if (value == "json") options.json = true;
       else usage_error("--format must be tsv|json, got '" + value + "'");
     } else if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(
-          parse_size(arg, need_value(i)));
+      options.seed = parse_u64(arg, need_value(i));
     } else if (arg == "--max-hits") {
       options.max_hits = parse_size(arg, need_value(i));
     } else {
@@ -211,9 +219,8 @@ CliOptions parse_args(int argc, char** argv) {
   return options;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+/// Appends `text` to `out` with JSON string escapes.
+void append_json_escaped(std::string& out, const std::string& text) {
   for (char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -231,7 +238,21 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
-  return out;
+}
+
+/// Appends `value` exactly as `std::ostream << value` prints it at the
+/// default precision (printf's %g, 6 significant digits).
+void append_number(std::string& out, double value) {
+  char buf[32];
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, value,
+                    std::chars_format::general, 6).ptr;
+  out.append(buf, end);
+}
+
+void append_number(std::string& out, std::size_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 /// One output row in chunk order; filled either immediately (skipped
@@ -241,8 +262,9 @@ struct Row {
   const char* status = "ok";
   bool ready = false;
   std::size_t matches = 0;
-  std::string hits = "-";       ///< TSV form: comma-joined labels or "-".
-  std::string hits_json = "[]";  ///< JSON form.
+  /// Shown labels in the requested format, comma-joined: bare (TSV, plus
+  /// ",..." when truncated) or quoted (JSON); empty when none.
+  std::string hits;
   double latency = 0.0;
   double energy = 0.0;
 };
@@ -257,51 +279,64 @@ struct RunTotals {
   double energy = 0.0;
 };
 
-void emit_row(std::ostream& out, const CliOptions& options, const Row& row) {
-  std::ostringstream line;
-  if (options.json) {
-    line << "{\"read\":\"" << json_escape(row.id) << "\",\"status\":\""
-         << row.status << "\",\"matches\":" << row.matches
-         << ",\"hits\":" << row.hits_json << ",\"latency_s\":" << row.latency
-         << ",\"energy_j\":" << row.energy << "}";
+/// Writes `row` as one TSV or JSON line, formatted into `line` (a buffer
+/// reused across rows).
+void emit_row(std::ostream& out, bool json, const Row& row,
+              std::string& line) {
+  line.clear();
+  if (json) {
+    line += "{\"read\":\"";
+    append_json_escaped(line, row.id);
+    line += "\",\"status\":\"";
+    line += row.status;
+    line += "\",\"matches\":";
+    append_number(line, row.matches);
+    line += ",\"hits\":[";
+    line += row.hits;
+    line += "],\"latency_s\":";
+    append_number(line, row.latency);
+    line += ",\"energy_j\":";
+    append_number(line, row.energy);
+    line += "}\n";
   } else {
-    line << row.id << '\t' << row.status << '\t' << row.matches << '\t'
-         << row.hits << '\t' << row.latency << '\t' << row.energy;
+    line += row.id;
+    line += '\t';
+    line += row.status;
+    line += '\t';
+    append_number(line, row.matches);
+    line += '\t';
+    if (row.hits.empty())
+      line += '-';
+    else
+      line += row.hits;
+    line += '\t';
+    append_number(line, row.latency);
+    line += '\t';
+    append_number(line, row.energy);
+    line += '\n';
   }
-  out << line.str() << '\n';
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 void fill_row(Row& row, const QueryResult& result, const ReferenceIndex& index,
-              std::size_t max_hits) {
+              std::size_t max_hits, bool json) {
   row.status = "ok";
   row.matches = result.matched_segments.size();
   row.latency = result.latency_seconds;
   row.energy = result.energy_joules;
-  if (result.matched_segments.empty()) {
-    // Move-assignment sidesteps a GCC 12 -Wrestrict false positive that
-    // in-place const char* assignment trips when inlined into the callback.
-    row.hits = std::string("-");
-    row.hits_json = std::string("[]");
-    return;
-  }
-  std::string tsv;
-  std::string json = "[";
-  const std::size_t shown = std::min(max_hits, result.matched_segments.size());
+  const std::size_t shown = std::min(max_hits, row.matches);
   for (std::size_t h = 0; h < shown; ++h) {
+    if (h != 0) row.hits += ',';
     const std::string label = index.label(result.matched_segments[h]);
-    if (h != 0) {
-      tsv += ',';
-      json += ',';
+    if (json) {
+      row.hits += '"';
+      append_json_escaped(row.hits, label);
+      row.hits += '"';
+    } else {
+      row.hits += label;
     }
-    tsv += label;
-    json += '"';
-    json += json_escape(label);
-    json += '"';
   }
-  if (shown < result.matched_segments.size()) tsv += ",...";
-  json += ']';
-  row.hits = std::move(tsv);
-  row.hits_json = std::move(json);
+  if (!json && shown < row.matches) row.hits += ",...";
 }
 
 int run(const CliOptions& options) {
@@ -362,6 +397,7 @@ int run(const CliOptions& options) {
   SeqStreamReader reads(options.reads);
   RunTotals totals;
   bool width_warned = false;
+  std::string line;  ///< Row formatting buffer, reused for every row.
 
   std::vector<SeqRecord> chunk = reads.read_chunk(options.chunk);
   while (!chunk.empty()) {
@@ -371,21 +407,21 @@ int run(const CliOptions& options) {
     submit.reserve(chunk.size());
     slot_of.reserve(chunk.size());
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-      rows[i].id = chunk[i].id;
+      rows[i].id = std::move(chunk[i].id);
       if (chunk[i].seq.size() != options.width) {
         rows[i].status = "skipped";
         rows[i].ready = true;
         ++totals.skipped;
         if (!width_warned) {
           std::cerr << "asmcap_search: warning: skipping read '"
-                    << chunk[i].id << "' with length "
+                    << rows[i].id << "' with length "
                     << chunk[i].seq.size() << " != --width "
                     << options.width
                     << " (further skips counted silently)\n";
           width_warned = true;
         }
       } else {
-        submit.push_back(chunk[i].seq);
+        submit.push_back(std::move(chunk[i].seq));
         slot_of.push_back(i);
       }
     }
@@ -395,7 +431,7 @@ int run(const CliOptions& options) {
     std::size_t next_flush = 0;
     auto flush_ready = [&]() {
       while (next_flush < rows.size() && rows[next_flush].ready) {
-        emit_row(out, options, rows[next_flush]);
+        emit_row(out, options.json, rows[next_flush], line);
         ++next_flush;
       }
     };
@@ -414,7 +450,7 @@ int run(const CliOptions& options) {
         // post-wait flush on the control thread.
         std::lock_guard<std::mutex> lock(flush_mutex);
         Row& row = rows[slot_of[i]];
-        fill_row(row, result, index, options.max_hits);
+        fill_row(row, result, index, options.max_hits, options.json);
         row.ready = true;
         if (!result.matched_segments.empty()) ++totals.matched;
         totals.latency += result.latency_seconds;

@@ -8,8 +8,11 @@
 #   e2e_search_circuit.tsv  cell-accurate circuit backend with analog noise
 #                           (--backend circuit --noisy) at T=1, where SA
 #                           noise flips a decision the ideal path makes.
-# It also asserts that --noisy without --backend circuit is a usage error,
-# and, in zlib builds, that a truncated gzip reference is an error.
+# It also asserts that --noisy without --backend circuit and a negative
+# --seed are usage errors, that the default seed spelled out reproduces
+# the noisy golden, that --workers 1 and --workers 4 --max-in-flight 3
+# write byte-identical TSVs (all six columns), and, in zlib builds, that
+# a truncated gzip reference is an error.
 # The latency/energy columns are deterministic doubles of the cost model
 # but may differ in the last ULP across compilers/ISAs (FMA contraction),
 # so they are excluded from the byte-compare; the decision digest equality
@@ -41,11 +44,15 @@ check_golden() {
   local name=$1
   shift
   local golden="$GOLDEN_DIR/$name.tsv"
-  "$SEARCH" \
+  if ! "$SEARCH" \
     --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
     --width 128 --array-rows 64 --arrays 4 --shards 2 \
     --workers 2 --chunk 8 "$@" \
-    --output "$WORK/$name.tsv" 2> "$WORK/$name.log"
+    --output "$WORK/$name.tsv" 2> "$WORK/$name.log"; then
+    echo "check_e2e: FAIL — asmcap_search $* exited non-zero" >&2
+    cat "$WORK/$name.log" >&2
+    exit 1
+  fi
   cut -f1-4 "$WORK/$name.tsv" > "$WORK/$name.cut.tsv"
 
   if [ "${ASMCAP_UPDATE_GOLDEN:-0}" = "1" ]; then
@@ -85,25 +92,57 @@ if ! grep -q "ambiguous bases" "$WORK/e2e_search.log"; then
   exit 1
 fi
 
+# expect_usage_error <name> <search flags...>: asmcap_search must refuse
+# the flags with exit 2; its stderr stays in $WORK/<name>.log.
+expect_usage_error() {
+  local name=$1
+  shift
+  set +e
+  "$SEARCH" \
+    --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
+    --width 128 --array-rows 64 --arrays 4 --shards 2 "$@" \
+    --output "$WORK/$name.tsv" 2> "$WORK/$name.log"
+  local status=$?
+  set -e
+  if [ "$status" != "2" ]; then
+    echo "check_e2e: FAIL — '$*' exited $status, expected usage error 2" >&2
+    cat "$WORK/$name.log" >&2
+    exit 1
+  fi
+}
+
 # --noisy needs --backend circuit: on the default functional backend it
 # would silently run ideal sensing, so the CLI must refuse it as a usage
 # error (exit 2) that names the missing flag.
-set +e
-"$SEARCH" \
-  --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
-  --width 128 --array-rows 64 --arrays 4 --shards 2 \
-  --threshold 1 --noisy --output "$WORK/noisy_functional.tsv" \
-  2> "$WORK/noisy_functional.log"
-STATUS=$?
-set -e
-if [ "$STATUS" != "2" ]; then
-  echo "check_e2e: FAIL — --noisy without --backend circuit exited $STATUS," \
-       "expected usage error 2" >&2
-  exit 1
-fi
+expect_usage_error noisy_functional --threshold 1 --noisy
 if ! grep -q -- "--backend circuit" "$WORK/noisy_functional.log"; then
   echo "check_e2e: FAIL — usage error does not name --backend circuit" >&2
   cat "$WORK/noisy_functional.log" >&2
+  exit 1
+fi
+
+# --seed takes any uint64: the default (0xA5A55A5AC0FFEE00, above 2^63)
+# spelled out in decimal reproduces the noisy golden, and a negative seed
+# is a usage error instead of wrapping around.
+check_golden e2e_search_circuit --threshold 1 --backend circuit --noisy \
+  --seed 11936045733246922240
+expect_usage_error negative_seed --threshold 12 --seed -1
+
+# Block grants and the admission window decide when reads run, never what
+# they compute: one worker and four workers under a 3-read window write
+# the same TSV, latency and energy columns included.
+for run in "1" "4 --max-in-flight 3"; do
+  # shellcheck disable=SC2086  # $run holds the worker flags
+  "$SEARCH" \
+    --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
+    --width 128 --array-rows 64 --arrays 4 --shards 2 \
+    --threshold 12 --workers $run \
+    --output "$WORK/workers_${run%% *}.tsv" 2>> "$WORK/e2e_search.log"
+done
+if ! cmp -s "$WORK/workers_1.tsv" "$WORK/workers_4.tsv"; then
+  echo "check_e2e: FAIL — --workers 1 and --workers 4 --max-in-flight 3" \
+       "wrote different TSVs" >&2
+  diff "$WORK/workers_1.tsv" "$WORK/workers_4.tsv" >&2 || true
   exit 1
 fi
 
