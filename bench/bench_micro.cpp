@@ -1,9 +1,13 @@
-// Micro-benchmarks of the alignment kernels and of accelerator queries on
-// both backend kinds.
+// Micro-benchmarks of the alignment kernels, of accelerator queries on
+// both backend kinds, and of the live database's write path (router
+// ingest, bank clone).
 // BM_BandedDp / BM_MyersGlobal also serve as the measured calibration for
 // the CM-CPU baseline of Fig. 8.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "align/edit_distance.h"
 #include "align/edstar.h"
@@ -269,6 +273,68 @@ void BM_BankExecute(benchmark::State& state) {
                           static_cast<std::int64_t>(kRows * 5));
 }
 BENCHMARK(BM_BankExecute);
+
+// The router's write path on ingest_heavy's load: 16,384 segments of 128
+// columns into the default geometry (256-row arrays, 512 per bank, a
+// 256-row hot bank) on 4 shards, in the CLI's 512-row appends, then
+// compact(). Each overflowing append folds the staged rows and the batch
+// straight into cold bank 0 (one clone of it per epoch). Items are
+// segments.
+void BM_RouterIngest(benchmark::State& state) {
+  constexpr std::size_t kSegments = 16384;
+  constexpr std::size_t kBatch = 512;
+  AsmcapConfig config;
+  config.array_cols = 128;
+  config.ideal_sensing = true;
+  Rng rng(22);
+  std::vector<std::vector<Sequence>> batches(kSegments / kBatch);
+  for (std::vector<Sequence>& batch : batches) {
+    batch.reserve(kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i)
+      batch.push_back(Sequence::random(config.array_cols, rng));
+  }
+  const auto ingest = [&] {
+    auto router = std::make_unique<ShardedAccelerator>(config, 4);
+    for (const std::vector<Sequence>& batch : batches)
+      router->append_segments(batch);
+    router->compact();
+    return router;
+  };
+  const auto loaded = ingest();
+  if (loaded->active_shards() != 1 || loaded->db()->has_hot ||
+      loaded->shard(0).live_segment_count() != kSegments) {
+    state.SkipWithError("the load is not one cold bank of 16,384 rows");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(ingest().get());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSegments));
+}
+BENCHMARK(BM_RouterIngest)->Unit(benchmark::kMillisecond);
+
+// One clone() of a 16,384-row, 128-column bank: the copy an epoch makes
+// of each bank it writes. Items are rows.
+void BM_BankClone(benchmark::State& state) {
+  constexpr std::size_t kRows = 16384;
+  AsmcapConfig config;
+  config.array_cols = 128;
+  config.ideal_sensing = true;
+  AsmcapAccelerator bank(config);
+  Rng rng(23);
+  std::vector<Sequence> rows;
+  rows.reserve(kRows);
+  for (std::size_t i = 0; i < kRows; ++i)
+    rows.push_back(Sequence::random(config.array_cols, rng));
+  bank.load_reference(rows);
+  if (bank.clone()->live_segments() != bank.live_segments()) {
+    state.SkipWithError("the clone's live rows differ from the bank's");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(bank.clone().get());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRows));
+}
+BENCHMARK(BM_BankClone);
 
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;

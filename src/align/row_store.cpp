@@ -68,13 +68,9 @@ void SlicedRowStore::write_rows(std::size_t first,
     const std::size_t hi = std::min(end, (g + 1) * kGroupRows);
     // A partly covered group keeps its other rows.
     if (hi - lo < kGroupRows) gather_group(g, group.data());
-    for (std::size_t slot = lo; slot < hi; ++slot) {
-      const std::vector<std::uint64_t> packed =
-          rows[slot - first].packed_words();
-      std::copy(packed.begin(), packed.end(),
-                group.begin() +
-                    static_cast<std::ptrdiff_t>((slot % kGroupRows) * words));
-    }
+    for (std::size_t slot = lo; slot < hi; ++slot)
+      rows[slot - first].pack_words(group.data() +
+                                    (slot % kGroupRows) * words);
     scatter_group(g, group.data());
   }
 }

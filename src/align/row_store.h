@@ -8,11 +8,13 @@
 // kernels (align/kernels.h) count a whole block per column step.
 //
 // Rows enter and leave in 64-row groups through 64×64 bit-matrix
-// transposes (Hacker's Delight §7-3), never bit by bit: write_rows
-// transposes whole groups, gathering a partly covered group first, and
-// gather_group returns a group in Sequence::packed_words layout — the form
-// the lane-word consumers (align/kernels.h) read. gather_row serves a lone
-// row. Rows past the last written slot are zero (all 'A') padding.
+// transposes (Hacker's Delight §7-3), never bit by bit: write_rows packs
+// each row straight into its group (Sequence::pack_words, no per-row
+// allocation) and transposes whole groups, gathering a partly covered
+// group first, and gather_group returns a group in Sequence::packed_words
+// layout — the form the lane-word consumers (align/kernels.h) read.
+// gather_row serves a lone row. Rows past the last written slot are zero
+// (all 'A') padding.
 //
 // Ownership: the store owns its plane words.
 // Thread-safety: the const members are pure reads, safe to call

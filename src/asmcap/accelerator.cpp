@@ -1,10 +1,10 @@
 #include "asmcap/accelerator.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "align/kernels.h"
 #include "cam/periphery.h"
@@ -55,36 +55,29 @@ void AsmcapAccelerator::build_row_silicon(std::size_t slot, std::uint64_t id) {
   readouts_[a].remanufacture_row(slot % config_.array_rows, silicon);
 }
 
-void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id) {
-  const std::size_t a = slot / config_.array_rows;
-  if (slot < dir_.slots() && !dir_.live[slot]) {
-    // Recycling a tombstoned slot: the previous occupant's id is forgotten
-    // for good (its state becomes Unknown — ids are never resurrected).
-    id_to_slot_.erase(dir_.ids[slot]);
-  }
-  if (slot >= dir_.slots()) {
-    dir_.ids.resize(slot + 1, 0);
-    dir_.live.resize(slot + 1, false);
-  }
-  if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
-  if (senses_noise()) build_row_silicon(slot, id);
-  dir_.ids[slot] = id;
-  dir_.live.set(slot);
-  ++dir_.array_live[a];
-  ++dir_.live_count;
-  id_to_slot_[id] = slot;
-  if (id + 1 > next_auto_id_) next_auto_id_ = id + 1;
+std::size_t AsmcapAccelerator::slot_of(std::uint64_t id) const {
+  const auto it = std::lower_bound(
+      slots_by_id_.begin(), slots_by_id_.end(), id,
+      [&](std::size_t slot, std::uint64_t key) { return dir_.ids[slot] < key; });
+  return it != slots_by_id_.end() && dir_.ids[*it] == id ? *it : kNoSlot;
 }
 
-void AsmcapAccelerator::book_write_cost(std::size_t count,
-                                        std::size_t burst_rows) {
+void AsmcapAccelerator::book_write_cost(std::span<const std::size_t> slots) {
   // Every row write burns decoder+WL+SRAM energy; arrays write their rows
-  // in parallel, so the burst latency is set by the fullest touched array.
+  // in parallel, so the burst latency is set by the fullest touched array
+  // (ascending slots: an array's slots are one run).
+  std::size_t burst = 0;
+  for (std::size_t i = 0, run = 0; i < slots.size(); ++i) {
+    run = i > 0 && slots[i] / config_.array_rows ==
+                       slots[i - 1] / config_.array_rows
+              ? run + 1
+              : 1;
+    burst = std::max(burst, run);
+  }
   const WriteCostParams write_cost;
-  load_energy_ += static_cast<double>(count) *
+  load_energy_ += static_cast<double>(slots.size()) *
                   row_write_energy(config_.array_cols, write_cost);
-  load_latency_ +=
-      static_cast<double>(burst_rows) * write_cost.latency_per_row;
+  load_latency_ += static_cast<double>(burst) * write_cost.latency_per_row;
 }
 
 void AsmcapAccelerator::load_reference(const std::vector<Sequence>& segments) {
@@ -104,8 +97,7 @@ std::vector<std::uint64_t> AsmcapAccelerator::append_segments(
 }
 
 void AsmcapAccelerator::append_segments(
-    const std::vector<Sequence>& segments,
-    const std::vector<std::uint64_t>& ids) {
+    std::span<const Sequence> segments, std::span<const std::uint64_t> ids) {
   if (segments.size() != ids.size())
     throw std::invalid_argument(
         "AsmcapAccelerator: append ids/segments size mismatch");
@@ -116,13 +108,16 @@ void AsmcapAccelerator::append_segments(
     if (segment.size() != config_.array_cols)
       throw std::invalid_argument(
           "AsmcapAccelerator: segment width mismatch");
-  std::unordered_set<std::uint64_t> fresh;
-  fresh.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    if (id < static_cast<std::uint64_t>(config_.segment_base))
+  const std::size_t repeat = first_repeat(ids);
+  // Ids above the highest one the bank holds need no index search.
+  const std::uint64_t highest =
+      slots_by_id_.empty() ? 0 : dir_.ids[slots_by_id_.back()];
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < static_cast<std::uint64_t>(config_.segment_base))
       throw std::invalid_argument(
           "AsmcapAccelerator: segment id below segment_base");
-    if (id_to_slot_.count(id) != 0 || !fresh.insert(id).second)
+    if (i == repeat || (!slots_by_id_.empty() && ids[i] <= highest &&
+                        slot_of(ids[i]) != kNoSlot))
       throw DbError(DbErrorKind::DuplicateId,
                     "AsmcapAccelerator: segment id already known");
   }
@@ -130,37 +125,78 @@ void AsmcapAccelerator::append_segments(
     throw DbError(DbErrorKind::CapacityExceeded,
                   "AsmcapAccelerator: reference exceeds capacity");
 
-  // Target slots: recycled tombstones first (lowest slot first), then
-  // fresh rows. The capacity check above guarantees enough of both.
+  // Target slots, ascending: recycled tombstones first (lowest slot
+  // first: the zero bits of the live words, looked for only when the bank
+  // has tombstones), then fresh rows. The capacity check above
+  // guarantees enough of both.
+  const std::size_t n = segments.size();
+  const std::size_t old_slots = dir_.slots();
   std::vector<std::size_t> targets;
-  targets.reserve(segments.size());
-  for (std::size_t slot = 0;
-       slot < dir_.slots() && targets.size() < segments.size(); ++slot)
-    if (!dir_.live[slot]) targets.push_back(slot);
-  for (std::size_t next = dir_.slots(); targets.size() < segments.size();
-       ++next)
+  targets.reserve(n);
+  if (dir_.live_count < old_slots) {
+    const std::uint64_t* live = dir_.live.data();
+    for (std::size_t w = 0; w < dir_.live.words() && targets.size() < n; ++w)
+      for (std::uint64_t dead = ~live[w];
+           dead != 0 && targets.size() < n; dead &= dead - 1) {
+        const std::size_t slot =
+            64 * w + static_cast<std::size_t>(std::countr_zero(dead));
+        if (slot >= old_slots) break;
+        targets.push_back(slot);
+      }
+  }
+  if (!targets.empty()) {
+    // A recycled slot's previous occupant is forgotten for good (its
+    // state becomes Unknown — ids are never resurrected): one pass drops
+    // the recycled slots, the tombstoned ones up to the last target, from
+    // the id index.
+    const std::size_t last = targets.back();
+    std::erase_if(slots_by_id_, [&](std::size_t slot) {
+      return slot <= last && !dir_.live[slot];
+    });
+  }
+  for (std::size_t next = old_slots; targets.size() < n; ++next)
     targets.push_back(next);
 
   // The row store takes each run of consecutive target slots in one
   // write (whole 64-row groups transpose at once).
-  const std::span<const Sequence> rows(segments);
-  for (std::size_t i = 0; i < targets.size();) {
+  for (std::size_t i = 0; i < n;) {
     std::size_t end = i + 1;
-    while (end < targets.size() && targets[end] == targets[end - 1] + 1)
-      ++end;
-    store_.write_rows(targets[i], rows.subspan(i, end - i));
+    while (end < n && targets[end] == targets[end - 1] + 1) ++end;
+    store_.write_rows(targets[i], segments.subspan(i, end - i));
     i = end;
   }
-  std::vector<std::size_t> burst_per_array;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    write_slot(targets[i], ids[i]);
-    const std::size_t a = targets[i] / config_.array_rows;
-    if (a >= burst_per_array.size()) burst_per_array.resize(a + 1, 0);
-    ++burst_per_array[a];
+  const std::size_t slots = std::max(old_slots, targets.back() + 1);
+  dir_.ids.resize(slots, 0);
+  dir_.live.resize(slots, false);
+  const std::size_t arrays =
+      (slots + config_.array_rows - 1) / config_.array_rows;
+  if (dir_.array_live.size() < arrays) dir_.array_live.resize(arrays, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t slot = targets[i];
+    if (senses_noise()) build_row_silicon(slot, ids[i]);
+    dir_.ids[slot] = ids[i];
+    dir_.live.set(slot);
+    ++dir_.array_live[slot / config_.array_rows];
+    if (ids[i] + 1 > next_auto_id_) next_auto_id_ = ids[i] + 1;
   }
-  book_write_cost(segments.size(),
-                  *std::max_element(burst_per_array.begin(),
-                                    burst_per_array.end()));
+  dir_.live_count += n;
+
+  // The id index: ascending ids above every indexed one (the router's)
+  // extend it at the back; any others sort and merge in once.
+  const auto by_id = [&](std::size_t a, std::size_t b) {
+    return dir_.ids[a] < dir_.ids[b];
+  };
+  const std::size_t indexed = slots_by_id_.size();
+  slots_by_id_.insert(slots_by_id_.end(), targets.begin(), targets.end());
+  const auto old_end = slots_by_id_.begin() +
+                       static_cast<std::ptrdiff_t>(indexed);
+  if (!std::is_sorted(indexed == 0 ? old_end : old_end - 1,
+                      slots_by_id_.end(), by_id)) {
+    std::sort(old_end, slots_by_id_.end(), by_id);
+    std::inplace_merge(slots_by_id_.begin(), old_end, slots_by_id_.end(),
+                       by_id);
+  }
+  book_write_cost(targets);
 }
 
 void AsmcapAccelerator::remove_segments(
@@ -169,38 +205,32 @@ void AsmcapAccelerator::remove_segments(
     throw DbError(DbErrorKind::EmptyMutation,
                   "AsmcapAccelerator: remove_segments with no ids");
   // Validate everything before touching any state.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    const auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end())
+  const std::size_t repeat = first_repeat(ids);
+  std::vector<std::size_t> slots(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    slots[i] = slot_of(ids[i]);
+    if (slots[i] == kNoSlot)
       throw DbError(DbErrorKind::UnknownSegment,
                     "AsmcapAccelerator: unknown segment id");
-    if (!dir_.live[it->second] || !seen.insert(id).second)
+    if (!dir_.live[slots[i]] || i == repeat)
       throw DbError(DbErrorKind::DoubleDelete,
                     "AsmcapAccelerator: segment already deleted");
   }
-  std::vector<std::size_t> burst_per_array;
-  for (const std::uint64_t id : ids) {
-    const std::size_t slot = id_to_slot_.at(id);
-    const std::size_t a = slot / config_.array_rows;
+  std::sort(slots.begin(), slots.end());
+  for (const std::size_t slot : slots) {
     dir_.live.clear(slot);
-    --dir_.array_live[a];
+    --dir_.array_live[slot / config_.array_rows];
     --dir_.live_count;
-    if (a >= burst_per_array.size()) burst_per_array.resize(a + 1, 0);
-    ++burst_per_array[a];
   }
   // Tombstoning writes the row's all-mismatch mask: same decoder+WL+SRAM
   // cost as a row write.
-  book_write_cost(ids.size(),
-                  *std::max_element(burst_per_array.begin(),
-                                    burst_per_array.end()));
+  book_write_cost(slots);
 }
 
 SegmentState AsmcapAccelerator::segment_state(std::uint64_t id) const {
-  const auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end()) return SegmentState::Unknown;
-  return dir_.live[it->second] ? SegmentState::Live : SegmentState::Dead;
+  const std::size_t slot = slot_of(id);
+  if (slot == kNoSlot) return SegmentState::Unknown;
+  return dir_.live[slot] ? SegmentState::Live : SegmentState::Dead;
 }
 
 std::vector<std::pair<std::uint64_t, Sequence>>

@@ -40,7 +40,11 @@
 // Ownership: the bank owns its row store, readouts, pass, and planner.
 // The pass holds only config-derived constants and is handed the bank's
 // rows, directory and silicon on each call, so nothing points into the
-// bank and clone() is a plain copy.
+// bank and clone() is a plain copy. Every table the bank keeps is a flat
+// vector — the row store's plane words, the directory, and the id index
+// (every slot, ordered by the id it holds) — so a clone is a few vector
+// copies, and an append costs O(appended rows) plus, only when the bank
+// holds tombstones, one pass over its live words and its id index.
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, set_backend) belong to one control
 // thread at a time; execute() is const and thread-safe and is what the
@@ -53,7 +57,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -112,8 +115,11 @@ class AsmcapAccelerator {
       const std::vector<Sequence>& segments);
   /// Appends with explicit (fresh, never-seen) global ids — the sharded
   /// router's path, and the replay path of the epoch-equivalence tests.
-  void append_segments(const std::vector<Sequence>& segments,
-                       const std::vector<std::uint64_t>& ids);
+  /// Ids in any order; ascending ids above every id the bank has held
+  /// (the router's) just extend the id index at its back, any others
+  /// sort into it once per call.
+  void append_segments(std::span<const Sequence> segments,
+                       std::span<const std::uint64_t> ids);
 
   /// Tombstones the given global ids. DbError: UnknownSegment for an id
   /// this bank never held, DoubleDelete for an already-dead id (also for
@@ -124,11 +130,11 @@ class AsmcapAccelerator {
   /// The live (id, segment) pairs, ascending by row slot.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  /// A copy of the bank — row store, directory, id map, circuit state (if
-  /// built), and load ledger. The copy-on-write primitive of the sharded
-  /// router's epoch scheme: execute() results on the clone are
-  /// bit-identical to the original, energy included, and mutating either
-  /// never touches the other.
+  /// A copy of the bank — row store, directory, id index, circuit state
+  /// (if built), and load ledger, each a flat vector copy. The
+  /// copy-on-write primitive of the sharded router's epoch scheme:
+  /// execute() results on the clone are bit-identical to the original,
+  /// energy included, and mutating either never touches the other.
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// Selects the sensing of subsequent execute() calls: Circuit (default)
@@ -221,14 +227,15 @@ class AsmcapAccelerator {
   /// Manufactures the row silicon at `slot` from the per-id stream of
   /// `id`, manufacturing arrays on demand.
   void build_row_silicon(std::size_t slot, std::uint64_t id);
-  /// The shared write path's per-slot half: records `id` at `slot` in the
-  /// directory and (while the bank senses noise) builds the row's circuit
-  /// state. The row store is written by the caller, a run of consecutive
-  /// slots at a time. No cost accounting.
-  void write_slot(std::size_t slot, std::uint64_t id);
-  /// Cost accounting of one append burst (count rows, the fullest touched
-  /// array writing `burst_rows` of them sequentially).
-  void book_write_cost(std::size_t count, std::size_t burst_rows);
+  /// The slot holding `id` (live or tombstoned), or kNoSlot: a binary
+  /// search of the id index.
+  std::size_t slot_of(std::uint64_t id) const;
+  /// Cost accounting of one write burst over ascending `slots`: every
+  /// slot's row is written, and the fullest touched array writes its
+  /// rows sequentially.
+  void book_write_cost(std::span<const std::size_t> slots);
+
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
   AsmcapConfig config_;
   QueryPlanner planner_;
@@ -243,7 +250,9 @@ class AsmcapAccelerator {
   std::vector<ChargeArrayReadout> readouts_;
   LiveDirectory dir_;
   SlicedRowStore store_;  ///< Canonical row store, one row per slot.
-  std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
+  /// The id index: every allocated slot, ordered by the id it holds (its
+  /// live or tombstoned occupant; a recycled slot holds its new id only).
+  std::vector<std::size_t> slots_by_id_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::uint64_t next_auto_id_;
   double load_energy_ = 0.0;

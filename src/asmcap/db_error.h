@@ -11,15 +11,25 @@
 //
 // Mutation calls are validated in full BEFORE any state changes: a DbError
 // thrown from append/remove leaves the database (and the published epoch)
-// exactly as it was — strong exception safety at the mutation seam.
+// exactly as it was — strong exception safety at the mutation seam. The
+// validation loops walk the ids in call order and report the first bad
+// position; first_repeat finds the repeated ids among them without a
+// hash set.
 //
 // Thread-safety: DbError is a plain exception value; construction and
 // inspection are thread-safe like any other exception object. Mutation
 // entry points that throw it are control-plane only (one thread at a
 // time), like every other mutating accelerator call.
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace asmcap {
 
@@ -59,6 +69,25 @@ inline const char* to_string(DbErrorKind kind) {
     case DbErrorKind::EmptyMutation: return "empty-mutation";
   }
   return "?";
+}
+
+/// Position of the first id in `ids` that repeats an earlier one, or
+/// ids.size() when all are distinct: where a mutation call reports
+/// DuplicateId / DoubleDelete for a repeat. Strictly ascending ids (what
+/// the sharded router passes) cost one scan; any other order sorts
+/// (id, position) pairs once.
+inline std::size_t first_repeat(std::span<const std::uint64_t> ids) {
+  if (std::adjacent_find(ids.begin(), ids.end(),
+                         std::greater_equal<>()) == ids.end())
+    return ids.size();
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) order[i] = {ids[i], i};
+  std::sort(order.begin(), order.end());
+  std::size_t first = ids.size();
+  for (std::size_t i = 1; i < order.size(); ++i)
+    if (order[i].first == order[i - 1].first)
+      first = std::min(first, order[i].second);
+  return first;
 }
 
 }  // namespace asmcap

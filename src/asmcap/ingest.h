@@ -5,12 +5,16 @@
 // reader (SeqStreamReader::next_header / read_bases), each joining the
 // append batch as soon as it fills, so no record is ever held whole: the
 // reader side needs O(read buffer + append_batch) memory for any record
-// length. The database side does not yet: every epoch an append publishes
-// still clones the bank it writes (copy-on-write, asmcap/sharded.h), so a
-// load briefly holds two copies of its largest bank. The id <-> (record,
-// offset) mapping is preserved in a ReferenceIndex so search results can
-// be reported against the original record names instead of raw segment
-// ids.
+// length. On the database side an append copies what its epoch writes
+// (copy-on-write, asmcap/sharded.h): the (at most hot-capacity) rows it
+// stages, and a clone of each cold bank it folds rows into — flat vector
+// copies (row store, directory, id index), but still O(bank) each, so a
+// load briefly holds two copies of the bank it is filling. Rows that
+// overflow the hot bank fold straight from the batch into the cold tier,
+// and a bank append without tombstones costs O(appended rows). The id <->
+// (record, offset) mapping is preserved in a ReferenceIndex so search
+// results can be reported against the original record names instead of
+// raw segment ids.
 //
 // Determinism: segments are appended in input order, and append_segments
 // hands out consecutive ascending ids, so the same input file always

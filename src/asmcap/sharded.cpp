@@ -1,8 +1,8 @@
 #include "asmcap/sharded.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "asmcap/service.h"
 
@@ -91,25 +91,30 @@ AsmcapAccelerator& ShardedAccelerator::touch(DbEpoch& next,
   return *next.banks[i];
 }
 
-void ShardedAccelerator::fold_hot(DbEpoch& next,
-                                  std::vector<bool>& owned) const {
-  // Gather the hot bank's survivors in ascending id order (the canonical
-  // fold order: deterministic whatever slot-recycling history the hot
-  // bank had) and drop it from the epoch.
-  std::vector<std::pair<std::uint64_t, Sequence>> moved =
-      next.banks.back()->live_segments();
-  std::sort(moved.begin(), moved.end(),
-            [](const std::pair<std::uint64_t, Sequence>& a,
-               const std::pair<std::uint64_t, Sequence>& b) {
-              return a.first < b.first;
-            });
-  next.banks.pop_back();
-  owned.pop_back();
-  next.has_hot = false;
+void ShardedAccelerator::fold_into_cold(
+    DbEpoch& next, std::vector<bool>& owned, std::span<const Sequence> rows,
+    std::span<const std::uint64_t> ids) const {
+  // The hot bank's survivors in ascending id order (the canonical fold
+  // order: deterministic whatever slot-recycling history the hot bank
+  // had). The bank is only read, never cloned, and leaves the epoch.
+  std::vector<std::pair<std::uint64_t, Sequence>> staged;
+  if (next.has_hot) {
+    staged = next.banks.back()->live_segments();
+    std::sort(staged.begin(), staged.end(),
+              [](const std::pair<std::uint64_t, Sequence>& a,
+                 const std::pair<std::uint64_t, Sequence>& b) {
+                return a.first < b.first;
+              });
+    next.banks.pop_back();
+    owned.pop_back();
+    next.has_hot = false;
+  }
 
-  std::size_t j = 0;
-  std::size_t s = 0;
-  while (j < moved.size()) {
+  // Row j of the fold is staged[j], then rows[j - staged.size()]: each
+  // cold bank in shard order takes as many as it has free rows, in one
+  // append.
+  const std::size_t total = staged.size() + rows.size();
+  for (std::size_t s = 0, j = 0; j < total; ++s) {
     if (s == next.banks.size()) {
       // All existing cold banks are full: grow the cold tier (the
       // capacity invariant — live <= cold capacity — guarantees we never
@@ -119,23 +124,31 @@ void ShardedAccelerator::fold_hot(DbEpoch& next,
       next.banks.push_back(make_bank(true, 0));
       owned.push_back(true);
     }
-    const std::size_t room = next.banks[s]->free_capacity();
-    if (room == 0) {
-      ++s;
-      continue;
+    const std::size_t take =
+        std::min(next.banks[s]->free_capacity(), total - j);
+    if (take == 0) continue;
+    AsmcapAccelerator& bank = touch(next, owned, s);
+    if (j >= staged.size()) {
+      // Straight from the batch.
+      bank.append_segments(rows.subspan(j - staged.size(), take),
+                           ids.subspan(j - staged.size(), take));
+    } else {
+      std::vector<Sequence> block;
+      std::vector<std::uint64_t> block_ids;
+      block.reserve(take);
+      block_ids.reserve(take);
+      for (std::size_t k = j; k < j + take; ++k) {
+        if (k < staged.size()) {
+          block_ids.push_back(staged[k].first);
+          block.push_back(std::move(staged[k].second));
+        } else {
+          block_ids.push_back(ids[k - staged.size()]);
+          block.push_back(rows[k - staged.size()]);
+        }
+      }
+      bank.append_segments(block, block_ids);
     }
-    const std::size_t take = std::min(room, moved.size() - j);
-    std::vector<Sequence> block;
-    std::vector<std::uint64_t> ids;
-    block.reserve(take);
-    ids.reserve(take);
-    for (std::size_t k = 0; k < take; ++k) {
-      ids.push_back(moved[j + k].first);
-      block.push_back(std::move(moved[j + k].second));
-    }
-    touch(next, owned, s).append_segments(block, ids);
     j += take;
-    ++s;
   }
 }
 
@@ -158,39 +171,43 @@ std::vector<std::uint64_t> ShardedAccelerator::append_segments(
   }
   std::vector<bool> owned(next->banks.size(), false);
 
-  std::vector<std::uint64_t> ids(segments.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
+  const std::size_t n = segments.size();
+  std::vector<std::uint64_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i)
     ids[i] = next_global_id_ + static_cast<std::uint64_t>(i);
 
-  std::size_t i = 0;
-  while (i < segments.size()) {
+  // Filling the hot bank row by row and folding it whenever it is full
+  // would leave the last `keep` rows staged, keep in [1, H] (none when
+  // H = 0). So an overflowing append folds the staged rows and the first
+  // n - keep new ones in one go, and stages the rest in a fresh hot bank.
+  const std::size_t hot_capacity =
+      config_.live.hot_array_rows * config_.live.hot_array_count;
+  const std::size_t staged =
+      next->has_hot ? next->banks.back()->live_segment_count() : 0;
+  const std::span<const Sequence> rows(segments);
+  const std::span<const std::uint64_t> row_ids(ids);
+  std::size_t folded = 0;
+  if (staged + n > hot_capacity) {
+    const std::size_t keep =
+        hot_capacity == 0 ? 0 : (staged + n - 1) % hot_capacity + 1;
+    folded = n - keep;
+    fold_into_cold(*next, owned, rows.first(folded), row_ids.first(folded));
+  }
+  if (folded < n) {
     if (!next->has_hot) {
       // Fresh hot staging bank (always last).
       next->banks.push_back(make_bank(false, 0));
       owned.push_back(true);
       next->has_hot = true;
     }
-    AsmcapAccelerator& hot = touch(*next, owned, next->banks.size() - 1);
-    const std::size_t room = hot.free_capacity();
-    if (room == 0) {
-      // Hot overflow: fold the staged rows into the cold tier mid-append
-      // and start a fresh hot bank.
-      fold_hot(*next, owned);
-      continue;
-    }
-    const std::size_t take = std::min(room, segments.size() - i);
-    hot.append_segments(
-        std::vector<Sequence>(segments.begin() + i,
-                              segments.begin() + i + take),
-        std::vector<std::uint64_t>(ids.begin() + i, ids.begin() + i + take));
-    i += take;
+    touch(*next, owned, next->banks.size() - 1)
+        .append_segments(rows.subspan(folded), row_ids.subspan(folded));
   }
 
   next->id_space = static_cast<std::size_t>(
-      next_global_id_ + segments.size() -
-      static_cast<std::uint64_t>(config_.segment_base));
-  next->live_count = live_now + segments.size();
-  next_global_id_ += segments.size();
+      next_global_id_ + n - static_cast<std::uint64_t>(config_.segment_base));
+  next->live_count = live_now + n;
+  next_global_id_ += n;
   db_ = std::move(next);
   return ids;
 }
@@ -203,11 +220,11 @@ void ShardedAccelerator::remove_segments(
                   "ShardedAccelerator: remove_segments with no ids");
   // Validate every id against the CURRENT epoch before cloning anything:
   // a throw below leaves the published epoch untouched.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(ids.size());
+  const std::size_t repeat = first_repeat(ids);
   std::vector<std::vector<std::uint64_t>> per_bank(db_->banks.size());
-  for (const std::uint64_t id : ids) {
-    if (!seen.insert(id).second)
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t id = ids[i];
+    if (i == repeat)
       throw DbError(DbErrorKind::DoubleDelete,
                     "ShardedAccelerator: segment already deleted");
     bool found = false;
@@ -245,7 +262,7 @@ std::uint64_t ShardedAccelerator::compact() {
   auto next = std::make_shared<DbEpoch>(*db_);
   next->number = db_->number + 1;
   std::vector<bool> owned(next->banks.size(), false);
-  fold_hot(*next, owned);
+  fold_into_cold(*next, owned, {}, {});
   const std::uint64_t number = next->number;
   db_ = std::move(next);
   return number;

@@ -32,9 +32,18 @@
 // Heterogeneous geometry: appends land in a small HOT bank
 // (config.live.hot_array_rows x hot_array_count arrays, always the LAST
 // bank of an epoch) so a trickle of inserts never pays SL-driver energy
-// for a mostly-empty full-size array. When the hot bank fills — or
-// compact() is called — its live rows are folded into the cold banks'
-// free rows (tombstoned slots first) at an epoch boundary. Global segment
+// for a mostly-empty full-size array. When an append overflows the hot
+// bank — or compact() is called — its live rows are folded into the cold
+// banks' free rows (tombstoned slots first) at an epoch boundary, in
+// ascending id order. An overflowing append builds the epoch that
+// filling the hot bank row by row and folding it whenever it is full
+// would build, but directly: with H hot rows, k staged and n new, it
+// keeps the last r = (k + n - 1) mod H + 1 new rows staged in a fresh hot
+// bank and folds the staged rows and the other n - r new ones straight
+// from the batch into the cold tier, one append per receiving cold bank;
+// the old hot bank is read, never cloned. compact() is the same fold with
+// no new rows. An epoch thus copies the hot rows it stages and one clone
+// of each cold bank it writes — flat vector copies. Global segment
 // ids are stable across append, delete, and rebalance: an id is assigned
 // once, never reused, and (because every per-decision RNG stream AND the
 // row's manufactured silicon are keyed by global id, with every bank
@@ -90,6 +99,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -143,10 +153,14 @@ class ShardedAccelerator {
 
   /// Appends segments to the live database, assigning fresh global ids
   /// (returned, ascending) and publishing a new epoch. Appends stage in
-  /// the hot bank; a full hot bank is folded into the cold banks' free
-  /// rows mid-append. Also valid before load_reference (bootstrap: the
-  /// database grows from nothing). DbErrorKind::CapacityExceeded when the
-  /// live count would exceed the cold capacity.
+  /// the hot bank while it has room. One that overflows it folds the
+  /// staged rows and all but the last r new rows (r as in the file
+  /// comment, 1..H) straight into the cold banks' free rows, in ascending
+  /// id order, and stages those r in a fresh hot bank: bank for bank the
+  /// epoch that staging row by row, folding at every full hot bank, would
+  /// publish. Also valid before load_reference (bootstrap: the database
+  /// grows from nothing). DbErrorKind::CapacityExceeded when the live
+  /// count would exceed the cold capacity.
   std::vector<std::uint64_t> append_segments(
       const std::vector<Sequence>& segments);
 
@@ -157,7 +171,7 @@ class ShardedAccelerator {
   void remove_segments(const std::vector<std::uint64_t>& ids);
 
   /// Folds the hot bank's live rows into the cold banks at an epoch
-  /// boundary (the explicit form of the mid-append overflow fold).
+  /// boundary (the overflowing append's fold with no new rows).
   /// Returns the epoch number afterwards — unchanged when nothing is
   /// staged (no new epoch is published).
   std::uint64_t compact();
@@ -285,11 +299,16 @@ class ShardedAccelerator {
   /// build (owned[i] tracks which banks this build already owns).
   AsmcapAccelerator& touch(DbEpoch& next, std::vector<bool>& owned,
                            std::size_t i) const;
-  /// Folds the hot bank (next.banks.back()) into the cold banks' free
-  /// rows (creating cold banks up to shard_count_ on demand) and drops it
-  /// from the epoch. Caller guarantees hot-live <= cold free capacity
-  /// (the append/delete capacity invariant).
-  void fold_hot(DbEpoch& next, std::vector<bool>& owned) const;
+  /// Folds the hot bank's live rows (when next.has_hot), ascending by id,
+  /// then `rows` (with `ids`, ascending and above every staged id) into
+  /// the cold banks' free rows: each cold bank in shard order, created on
+  /// demand up to shard_count_, takes as many as it has room for in one
+  /// append, cloned on first touch. The hot bank is read, never cloned,
+  /// and dropped from the epoch. Caller guarantees the rows fit the cold
+  /// free capacity (the append/delete capacity invariant).
+  void fold_into_cold(DbEpoch& next, std::vector<bool>& owned,
+                      std::span<const Sequence> rows,
+                      std::span<const std::uint64_t> ids) const;
   /// Shards of `db` to dispatch for `plan`, ascending. All banks when
   /// pruning is disabled or cannot be sound (pruning_window_count == 0);
   /// otherwise the banks whose may_match probe keeps them.

@@ -179,15 +179,24 @@ std::string Sequence::to_string() const {
 }
 
 std::vector<std::uint64_t> Sequence::packed_words() const {
-  std::vector<std::uint64_t> words((size_ + 31) / 32, 0);
+  std::vector<std::uint64_t> words((size_ + 31) / 32);
+  pack_words(words.data());
+  return words;
+}
+
+void Sequence::pack_words(std::uint64_t* out) const {
+  const std::size_t words = (size_ + 31) / 32;
   const std::size_t bytes = (size_ + 3) / 4;
-  for (std::size_t b = 0; b < bytes; ++b)
-    words[b >> 3] |= static_cast<std::uint64_t>(data_[b]) << ((b & 7u) * 8);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 8 * w; b < std::min(bytes, 8 * w + 8); ++b)
+      word |= static_cast<std::uint64_t>(data_[b]) << ((b & 7u) * 8);
+    out[w] = word;
+  }
   // In-place edits can leave stale bits in the final partial byte; the
   // word-parallel kernels rely on tail bits being zero.
-  if (const std::size_t tail = size_ % 32; tail != 0 && !words.empty())
-    words.back() &= (std::uint64_t{1} << (2 * tail)) - 1;
-  return words;
+  if (const std::size_t tail = size_ % 32; tail != 0)
+    out[words - 1] &= (std::uint64_t{1} << (2 * tail)) - 1;
 }
 
 Sequence Sequence::from_packed_words(const std::uint64_t* words,

@@ -71,6 +71,10 @@ class Sequence {
   /// 2-bit packed words for the word-parallel kernels: base i occupies bits
   /// [2*(i%32), 2*(i%32)+1] of word i/32; bits beyond size() are zero.
   std::vector<std::uint64_t> packed_words() const;
+  /// Writes the (size() + 31) / 32 words of packed_words() to `out`,
+  /// allocating nothing: the one packer behind packed_words() and the row
+  /// store's writes (align/row_store.h).
+  void pack_words(std::uint64_t* out) const;
   /// Inverse of packed_words: the first `n` bases of `words`, which must
   /// hold at least ceil(n / 32) words in packed_words' layout.
   static Sequence from_packed_words(const std::uint64_t* words,

@@ -375,6 +375,42 @@ TEST(SlicedRowStore, GroupWritesGatherBackAcrossGroupsAndBlocks) {
   EXPECT_THROW(SlicedRowStore(65536), std::invalid_argument);
 }
 
+// write_rows packs each row straight into its group buffer through the
+// packer behind Sequence::packed_words: for every width 0-130, rows with
+// and without stale codes past size() (left by erase) must pack, through
+// pack_words and through the store, into exactly packed_words(), which
+// holds base i's code at bits 2(i % 32) of word i / 32 and zeros after.
+TEST(SlicedRowStore, WritesPackRowsLikePackedWords) {
+  Rng rng(0x9AC5);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::vector<Sequence> rows;
+    for (std::size_t i = 0; i < 70; ++i) {
+      Sequence row = Sequence::random(n + i % 2, rng);
+      if (i % 2 == 1) row.erase(rng.below(row.size()));
+      rows.push_back(std::move(row));
+    }
+    SlicedRowStore store(n);
+    store.write_rows(3, rows);  // starts mid-group, crosses a group
+    const std::size_t words = (n + 31) / 32;
+    ASSERT_EQ(store.words_per_row(), words);
+    constexpr std::uint64_t kGuard = 0xA5A5'5A5A'0F0F'F0F0ULL;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      std::vector<std::uint64_t> want(words, 0);
+      for (std::size_t b = 0; b < n; ++b)
+        want[b / 32] |= std::uint64_t{code_of(rows[i][b])} << (2 * (b % 32));
+      EXPECT_EQ(rows[i].packed_words(), want) << "n=" << n << " row " << i;
+      std::vector<std::uint64_t> packed(words + 1, kGuard);
+      rows[i].pack_words(packed.data());
+      EXPECT_EQ(packed.back(), kGuard) << "n=" << n << " wrote past the row";
+      packed.pop_back();
+      EXPECT_EQ(packed, want) << "n=" << n << " row " << i;
+      std::vector<std::uint64_t> stored(words, kGuard);
+      store.gather_row(3 + i, stored.data());
+      EXPECT_EQ(stored, want) << "n=" << n << " row " << i;
+    }
+  }
+}
+
 TEST(KernelParity, SingleRowWrappersMatchReference) {
   Rng rng(0x51D1);
   for (const std::size_t n : {std::size_t{33}, std::size_t{256}}) {

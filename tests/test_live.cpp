@@ -12,25 +12,38 @@
 //  * tombstone lifecycle — slot recycling, id stability, and the typed
 //    DbError taxonomy;
 //  * hot-bank overflow and compaction — staging-bank geometry changes
-//    never change decisions;
+//    (a hot bank of no rows included) never change decisions;
 //  * probe consistency — shard pruning stays decision-neutral across
 //    mutations;
 //  * lazy circuit state — a functional bank switched to the circuit
 //    backend decides exactly like one that was Circuit from birth;
-//  * clone isolation — mutating a clone never leaks into its original.
+//  * clone isolation — mutating a clone never leaks into its original;
+//  * mutation histories — seeded random append / remove / compact /
+//    search sequences on 1, 2 and 4 shards, checked after every step
+//    against a slot-level model of the placement rules, against a fresh
+//    bank holding the surviving rows, and (for tickets pinning an older
+//    epoch) against what the ticket's epoch decided when it was pinned;
+//    a digest of every epoch's slot ids, live bits and rows is pinned;
+//  * split appends — the same rows appended in one call or in several
+//    leave identical banks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <ios>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "asmcap/db_error.h"
 #include "asmcap/edam.h"
 #include "asmcap/service.h"
 #include "asmcap/sharded.h"
+#include "circuit/timing.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
+#include "util/decision_digest.h"
 
 namespace asmcap {
 namespace {
@@ -264,7 +277,9 @@ TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
     EXPECT_EQ(error.kind(), DbErrorKind::DoubleDelete);
   }
   try {
-    accel.append_segments({segments_[42]}, {5});  // Id 5 is still live.
+    // Id 5 is still live.
+    accel.append_segments(std::vector<Sequence>{segments_[42]},
+                          std::vector<std::uint64_t>{5});
     FAIL() << "expected DbError";
   } catch (const DbError& error) {
     EXPECT_EQ(error.kind(), DbErrorKind::DuplicateId);
@@ -306,6 +321,33 @@ TEST_F(LiveDbTest, HotBankOverflowAndCompactionAreDecisionNeutral) {
     EXPECT_EQ(a[i].decisions, b[i].decisions);
     EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
     EXPECT_EQ(a[i].latency_seconds, b[i].latency_seconds);
+  }
+}
+
+// A router with no hot rows stages nothing: every append folds straight
+// into the cold tier, compact() has nothing to do, and the database
+// decides like a frozen load of the same rows.
+TEST_F(LiveDbTest, ZeroHotCapacityAppendsStraightIntoTheColdTier) {
+  AsmcapConfig config = bank_config(2);
+  config.live.hot_array_rows = 0;
+  ShardedAccelerator router(config, 2);
+  router.append_segments(first(20));
+  router.append_segments(
+      std::vector<Sequence>(segments_.begin() + 20, segments_.begin() + 27));
+  EXPECT_FALSE(router.db()->has_hot);
+  EXPECT_EQ(router.live_segment_count(), 27u);
+  EXPECT_EQ(router.compact(), router.epoch());
+
+  ShardedAccelerator frozen(bank_config(4), 1);
+  frozen.load_reference(first(27));
+  EXPECT_EQ(router.live_segments(), frozen.live_segments());
+  const std::vector<QueryResult> a =
+      router.search_batch(reads_, 4, StrategyMode::Full, 2);
+  const std::vector<QueryResult> b =
+      frozen.search_batch(reads_, 4, StrategyMode::Full, 2);
+  for (std::size_t i = 0; i < reads_.size(); ++i) {
+    EXPECT_EQ(a[i].decisions, b[i].decisions);
+    EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
   }
 }
 
@@ -563,6 +605,559 @@ TEST_F(LiveDbTest, DbErrorKindsAreShared) {
     FAIL() << "expected DbError";
   } catch (const DbError& error) {
     EXPECT_EQ(error.kind(), DbErrorKind::AlreadyLoaded);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Randomized mutation histories.
+
+/// One bank of RouterModel: the id and liveness of every allocated slot.
+/// An id takes the lowest tombstoned slot, else a fresh one.
+struct ModelBank {
+  std::size_t capacity = 0;
+  std::vector<std::uint64_t> ids;
+  std::vector<bool> live;
+  std::size_t live_count = 0;
+
+  std::size_t room() const { return capacity - live_count; }
+  void add(std::uint64_t id) {
+    const auto dead = std::find(live.begin(), live.end(), false);
+    if (dead == live.end()) {
+      ids.push_back(id);
+      live.push_back(true);
+    } else {
+      ids[static_cast<std::size_t>(dead - live.begin())] = id;
+      *dead = true;
+    }
+    ++live_count;
+  }
+};
+
+/// The router's placement rules, replayed one id at a time as
+/// asmcap/sharded.h states them. load() splits ids 0.. into contiguous,
+/// balanced blocks over min(shards, count) cold banks. An appended id
+/// stages in the hot bank; an id that finds the hot bank full first folds
+/// it: the hot bank's live ids, ascending, each into the first cold bank
+/// with room (a new cold bank when none has), after which the hot bank,
+/// tombstones and all, is gone and a fresh one starts. compact() folds
+/// whatever is staged.
+class RouterModel {
+ public:
+  RouterModel(std::size_t shards, std::size_t cold_capacity,
+              std::size_t hot_capacity)
+      : shards_(shards),
+        cold_capacity_(cold_capacity),
+        hot_capacity_(hot_capacity) {}
+
+  void load(std::size_t count) {
+    const std::size_t banks = std::min(shards_, count);
+    for (std::size_t s = 0; s < banks; ++s) {
+      cold_.push_back(ModelBank{cold_capacity_, {}, {}, 0});
+      const std::size_t share = count / banks + (s < count % banks ? 1 : 0);
+      for (std::size_t i = 0; i < share; ++i) cold_.back().add(next_id_++);
+    }
+  }
+
+  std::vector<std::uint64_t> append(std::size_t count) {
+    std::vector<std::uint64_t> ids;
+    ids.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (hot_ && hot_->room() == 0) fold();
+      if (!hot_) hot_ = ModelBank{hot_capacity_, {}, {}, 0};
+      hot_->add(next_id_);
+      ids.push_back(next_id_++);
+    }
+    return ids;
+  }
+
+  void remove(const std::vector<std::uint64_t>& ids) {
+    const auto drop = [&](ModelBank& bank) {
+      for (const std::uint64_t id : ids) {
+        const auto it = std::find(bank.ids.begin(), bank.ids.end(), id);
+        if (it == bank.ids.end()) continue;
+        bank.live[static_cast<std::size_t>(it - bank.ids.begin())] = false;
+        --bank.live_count;
+      }
+    };
+    for (ModelBank& bank : cold_) drop(bank);
+    if (hot_) drop(*hot_);
+  }
+
+  void compact() { fold(); }
+
+  SegmentState state(std::uint64_t id) const {
+    for (const ModelBank* bank : banks()) {
+      const auto it = std::find(bank->ids.begin(), bank->ids.end(), id);
+      if (it != bank->ids.end())
+        return bank->live[static_cast<std::size_t>(it - bank->ids.begin())]
+                   ? SegmentState::Live
+                   : SegmentState::Dead;
+    }
+    return SegmentState::Unknown;
+  }
+
+  /// Cold banks in shard order, then the hot bank.
+  std::vector<const ModelBank*> banks() const {
+    std::vector<const ModelBank*> out;
+    out.reserve(cold_.size() + 1);
+    for (const ModelBank& bank : cold_) out.push_back(&bank);
+    if (hot_) out.push_back(&*hot_);
+    return out;
+  }
+  bool has_hot() const { return hot_.has_value(); }
+  std::uint64_t next_id() const { return next_id_; }
+  std::size_t live() const {
+    std::size_t n = 0;
+    for (const ModelBank* bank : banks()) n += bank->live_count;
+    return n;
+  }
+  std::size_t room() const { return shards_ * cold_capacity_ - live(); }
+  /// Live ids, ascending.
+  std::vector<std::uint64_t> live_ids() const {
+    std::vector<std::uint64_t> out;
+    for (const ModelBank* bank : banks())
+      for (std::size_t s = 0; s < bank->ids.size(); ++s)
+        if (bank->live[s]) out.push_back(bank->ids[s]);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  void fold() {
+    if (!hot_) return;
+    std::vector<std::uint64_t> staged;
+    for (std::size_t s = 0; s < hot_->ids.size(); ++s)
+      if (hot_->live[s]) staged.push_back(hot_->ids[s]);
+    std::sort(staged.begin(), staged.end());
+    hot_.reset();
+    for (const std::uint64_t id : staged) {
+      auto bank = std::find_if(cold_.begin(), cold_.end(),
+                               [](const ModelBank& b) { return b.room() > 0; });
+      if (bank == cold_.end()) {
+        ASSERT_LT(cold_.size(), shards_) << "fold overflow in the model";
+        cold_.push_back(ModelBank{cold_capacity_, {}, {}, 0});
+        bank = cold_.end() - 1;
+      }
+      bank->add(id);
+    }
+  }
+
+  std::size_t shards_;
+  std::size_t cold_capacity_;
+  std::size_t hot_capacity_;
+  std::vector<ModelBank> cold_;
+  std::optional<ModelBank> hot_;
+  std::uint64_t next_id_ = 0;
+};
+
+/// What the router's merge (ShardedAccelerator::merge_subset) makes of
+/// `plan` on every bank of `db` under `stream`, with pruning off: each
+/// bank's slot-indexed matches scattered to global ids through its
+/// directory, energy summed in ascending bank order, and the plan's pass
+/// latency. Banks start at segment_base 0.
+QueryResult merge_banks(const DbEpoch& db, const AsmcapConfig& config,
+                        const ExecutionPlan& plan, const Rng& stream) {
+  QueryResult merged;
+  merged.decisions.assign(db.id_space, false);
+  for (const auto& bank : db.banks) {
+    const QueryResult part = bank->execute(plan, stream);
+    for (const std::size_t slot : part.matched_segments) {
+      const auto id = static_cast<std::size_t>(bank->directory().ids[slot]);
+      merged.decisions[id] = true;
+      merged.matched_segments.push_back(id);
+    }
+    merged.energy_joules += part.energy_joules;
+  }
+  std::sort(merged.matched_segments.begin(), merged.matched_segments.end());
+  merged.latency_seconds = TimingModel(config.process)
+                               .asmcap_query_latency(
+                                   plan.summary.total_searches());
+  return merged;
+}
+
+void expect_same_result(const QueryResult& got, const QueryResult& want) {
+  EXPECT_EQ(got.decisions, want.decisions);
+  EXPECT_EQ(got.matched_segments, want.matched_segments);
+  EXPECT_EQ(got.latency_seconds, want.latency_seconds);
+  EXPECT_EQ(got.energy_joules, want.energy_joules);
+}
+
+/// Checks the router's current epoch against `model` bank for bank (slot
+/// ids, live bits, and each live row against `rows`) and every id's
+/// segment_state against the model's, and adds the epoch to `digest`.
+void check_epoch(const ShardedAccelerator& router, const RouterModel& model,
+                 const std::vector<Sequence>& rows, DecisionDigest& digest) {
+  const std::shared_ptr<const DbEpoch> db = router.db();
+  const std::vector<const ModelBank*> banks = model.banks();
+  ASSERT_EQ(db->banks.size(), banks.size());
+  EXPECT_EQ(db->has_hot, model.has_hot());
+  EXPECT_EQ(db->id_space, model.next_id());
+  EXPECT_EQ(db->live_count, model.live());
+  digest.add_u64(db->number);
+  digest.add(db->has_hot);
+  digest.add_u64(db->id_space);
+  digest.add_u64(db->banks.size());
+  for (std::size_t b = 0; b < banks.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "bank " << b);
+    const LiveDirectory& dir = db->banks[b]->directory();
+    EXPECT_EQ(dir.ids, banks[b]->ids);
+    ASSERT_EQ(dir.live.size(), dir.slots());
+    digest.add_u64(dir.slots());
+    for (std::size_t slot = 0; slot < dir.slots(); ++slot) {
+      EXPECT_EQ(dir.live[slot], slot < banks[b]->live.size() &&
+                                    banks[b]->live[slot]);
+      digest.add_u64(dir.ids[slot]);
+      digest.add(dir.live[slot]);
+    }
+    for (const auto& [id, row] : db->banks[b]->live_segments()) {
+      EXPECT_EQ(row, rows[id]) << "id " << id;
+      for (const std::uint64_t word : row.packed_words()) digest.add_u64(word);
+    }
+  }
+  for (std::uint64_t id = 0; id < model.next_id() + 2; ++id)
+    EXPECT_EQ(router.segment_state(id), model.state(id)) << "id " << id;
+}
+
+/// The router's banks decide every read exactly like one fresh bank
+/// holding the surviving (id, row) pairs and nothing else, under the same
+/// query streams.
+void check_decisions(const ShardedAccelerator& router,
+                     const RouterModel& model,
+                     const std::vector<Sequence>& rows,
+                     const std::vector<Sequence>& reads,
+                     std::size_t threshold, const Rng& streams) {
+  AsmcapConfig config = router.config();
+  config.array_count *= router.shard_count();
+  AsmcapAccelerator fresh(config);
+  const std::vector<std::uint64_t> ids = model.live_ids();
+  std::vector<Sequence> survivors;
+  survivors.reserve(ids.size());
+  for (const std::uint64_t id : ids) survivors.push_back(rows[id]);
+  if (!ids.empty()) fresh.append_segments(survivors, ids);
+  const std::shared_ptr<const DbEpoch> db = router.db();
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const ExecutionPlan plan = router.controller().planner().build(
+        reads[i], threshold, router.error_profile(), StrategyMode::Full);
+    const Rng stream = streams.fork(i);
+    std::vector<bool> expected(db->id_space, false);
+    if (!ids.empty())
+      for (const std::size_t slot : fresh.execute(plan, stream).matched_segments)
+        expected[fresh.directory().ids[slot]] = true;
+    EXPECT_EQ(merge_banks(*db, router.config(), plan, stream).decisions,
+              expected)
+        << "read " << i;
+  }
+}
+
+/// A ticket submitted against one epoch and the results that epoch's
+/// banks gave its reads at submission.
+struct PinnedTicket {
+  std::shared_ptr<SearchTicket> ticket;
+  std::shared_ptr<const DbEpoch> epoch;
+  std::vector<Sequence> reads;
+  std::size_t threshold = 0;
+  std::uint64_t number = 0;  ///< The router's ticket count at submission.
+  std::vector<QueryResult> expected;
+};
+
+/// One random history of `steps` steps on a random small geometry.
+void run_history(Rng& rng, std::size_t steps, DecisionDigest& digest) {
+  static constexpr std::size_t kShardCounts[] = {1, 2, 4};
+  const std::size_t shards = kShardCounts[rng.below(3)];
+  AsmcapConfig config;
+  config.array_cols = rng.below(2) == 0 ? 48 : 64;
+  config.array_rows = rng.below(2) == 0 ? 8 : 16;
+  config.array_count = rng.below(2) == 0 ? 3 : 5;
+  config.ideal_sensing = rng.below(3) != 0;
+  config.live.hot_array_rows = rng.below(2) == 0 ? 2 : 4;
+  config.live.hot_array_count = 1 + rng.below(3);
+  const std::size_t hot =
+      config.live.hot_array_rows * config.live.hot_array_count;
+  SCOPED_TRACE(testing::Message()
+               << shards << " shards, " << config.array_rows << "x"
+               << config.array_count << " cold, " << hot << " hot, "
+               << config.array_cols << " cols, "
+               << (config.ideal_sensing ? "ideal" : "noisy"));
+  digest.add_u64(shards);
+  digest.add_u64(config.array_cols * 1000 + config.capacity_segments());
+  digest.add_u64(hot);
+
+  ShardedAccelerator router(config, shards);
+  RouterModel model(shards, config.capacity_segments(), hot);
+  SearchService service(router);
+  SearchService::Options options;
+  options.workers = 2;
+  std::uint64_t tickets = 0;
+  std::vector<Sequence> rows;  // By global id.
+  const auto new_rows = [&](std::size_t count) {
+    const std::vector<std::uint64_t> live = model.live_ids();
+    std::vector<Sequence> out;
+    out.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+      out.push_back(!live.empty() && rng.below(4) == 0
+                        ? rows[live[rng.below(live.size())]]
+                        : Sequence::random(config.array_cols, rng));
+    return out;
+  };
+  // Reads a few substitutions from live rows, and one random read.
+  const auto new_reads = [&]() {
+    const std::vector<std::uint64_t> live = model.live_ids();
+    std::vector<Sequence> out;
+    for (std::size_t r = 0; r < 3 && !live.empty(); ++r) {
+      Sequence read = rows[live[rng.below(live.size())]];
+      for (std::uint64_t e = rng.below(5); e > 0; --e) {
+        const std::uint64_t at = rng.below(read.size());
+        read.set(at, base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+      }
+      out.push_back(read);
+    }
+    out.push_back(Sequence::random(config.array_cols, rng));
+    return out;
+  };
+  const auto expected_results = [&](const DbEpoch& db,
+                                    const std::vector<Sequence>& reads,
+                                    std::size_t threshold,
+                                    std::uint64_t number) {
+    // Read i of the router's k-th ticket runs on master.fork((k << 32) |
+    // i), master = Rng(seed) while search() is never called.
+    std::vector<QueryResult> out;
+    out.reserve(reads.size());
+    for (std::size_t i = 0; i < reads.size(); ++i)
+      out.push_back(merge_banks(
+          db, config,
+          router.controller().planner().build(
+              reads[i], threshold, router.error_profile(),
+              StrategyMode::Full),
+          Rng(config.seed).fork((number << 32) | i)));
+    return out;
+  };
+
+  // Start from a load or from a bootstrap append.
+  const std::size_t first = 1 + rng.below(shards * config.capacity_segments() / 2);
+  {
+    std::vector<Sequence> initial = new_rows(first);
+    rows.insert(rows.end(), initial.begin(), initial.end());
+    if (rng.below(2) == 0) {
+      router.load_reference(initial);
+      model.load(first);
+    } else {
+      EXPECT_EQ(router.append_segments(initial), model.append(first));
+    }
+  }
+  std::optional<PinnedTicket> pinned;
+  for (std::size_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const std::uint64_t op = rng.below(20);
+    digest.add_u64(op);
+    const std::vector<std::uint64_t> live = model.live_ids();
+    if (op < 8 && model.room() != 0) {
+      const std::size_t sizes[] = {1,       hot - 1,           hot,
+                                   hot + 1, 2 * hot + 1,
+                                   1 + rng.below(3 * hot)};
+      const std::size_t count = std::min(sizes[rng.below(6)], model.room());
+      std::vector<Sequence> batch = new_rows(count);
+      rows.insert(rows.end(), batch.begin(), batch.end());
+      EXPECT_EQ(router.append_segments(batch), model.append(count));
+    } else if (op < 13 && !live.empty()) {
+      // Live ids of one bank (the hot bank half the time it has any),
+      // sometimes with a few from anywhere.
+      const std::vector<const ModelBank*> banks = model.banks();
+      const ModelBank* bank = banks[rng.below(banks.size())];
+      if (model.has_hot() && banks.back()->live_count != 0 &&
+          rng.below(2) == 0)
+        bank = banks.back();
+      std::vector<std::uint64_t> ids;
+      for (std::size_t s = 0; s < bank->ids.size(); ++s)
+        if (bank->live[s] && rng.below(3) == 0) ids.push_back(bank->ids[s]);
+      for (std::uint64_t extra = rng.below(3); extra > 0; --extra)
+        ids.push_back(live[rng.below(live.size())]);
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      if (ids.empty()) ids.push_back(live[rng.below(live.size())]);
+      for (std::size_t i = ids.size(); i > 1; --i)
+        std::swap(ids[i - 1], ids[rng.below(i)]);
+      router.remove_segments(ids);
+      model.remove(ids);
+    } else if (op < 14) {
+      // A rejected remove publishes nothing: a live id repeated, a dead
+      // id, or an id whose slot was recycled or that was never assigned.
+      const std::uint64_t epoch = router.epoch();
+      std::vector<std::uint64_t> ids;
+      if (!live.empty()) ids.push_back(live[rng.below(live.size())]);
+      std::uint64_t bad = ids.empty() ? model.next_id() : ids.front();
+      if (ids.empty() || rng.below(2) == 0)
+        do bad = rng.below(model.next_id() + 2);
+        while (model.state(bad) == SegmentState::Live);
+      ids.push_back(bad);
+      const DbErrorKind want = model.state(bad) == SegmentState::Unknown
+                                   ? DbErrorKind::UnknownSegment
+                                   : DbErrorKind::DoubleDelete;
+      try {
+        router.remove_segments(ids);
+        ADD_FAILURE() << "a remove of id " << bad << " was accepted";
+      } catch (const DbError& error) {
+        EXPECT_EQ(error.kind(), want) << "id " << bad;
+      }
+      EXPECT_EQ(router.epoch(), epoch);
+    } else if (op < 16) {
+      router.compact();
+      model.compact();
+    } else if (op < 18) {
+      const std::vector<Sequence> reads = new_reads();
+      const std::size_t threshold = rng.below(2) == 0 ? 1 : 4;
+      const std::vector<QueryResult> expected = expected_results(
+          *router.db(), reads, threshold, ++tickets);
+      const std::vector<QueryResult> got =
+          service.submit_borrowed(reads, threshold, StrategyMode::Full,
+                                  options)
+              ->drain();
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "read " << i);
+        expect_same_result(got[i], expected[i]);
+      }
+    } else if (!pinned) {
+      pinned.emplace();
+      pinned->epoch = router.db();
+      pinned->reads = new_reads();
+      pinned->threshold = rng.below(2) == 0 ? 1 : 4;
+      pinned->number = ++tickets;
+      pinned->expected = expected_results(*pinned->epoch, pinned->reads,
+                                          pinned->threshold, pinned->number);
+      pinned->ticket = service.submit(pinned->reads, pinned->threshold,
+                                      StrategyMode::Full, options);
+    } else {
+      pinned->ticket->wait();
+      for (std::size_t i = 0; i < pinned->reads.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "pinned read " << i);
+        expect_same_result(pinned->ticket->result(i), pinned->expected[i]);
+      }
+      pinned.reset();
+    }
+
+    check_epoch(router, model, rows, digest);
+    const std::vector<Sequence> reads = new_reads();
+    const std::size_t threshold = rng.below(2) == 0 ? 1 : 4;
+    check_decisions(router, model, rows, reads, threshold, Rng(rng.next()));
+    if (pinned) {
+      // Whatever published since, the pinned epoch's banks still decide
+      // its reads as they did when it was pinned.
+      const std::vector<QueryResult> again =
+          expected_results(*pinned->epoch, pinned->reads, pinned->threshold,
+                           pinned->number);
+      for (std::size_t i = 0; i < again.size(); ++i)
+        expect_same_result(again[i], pinned->expected[i]);
+    }
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  if (pinned) {
+    pinned->ticket->wait();
+    for (std::size_t i = 0; i < pinned->reads.size(); ++i)
+      expect_same_result(pinned->ticket->result(i), pinned->expected[i]);
+  }
+}
+
+// Digest of every epoch (slot ids, live bits, rows) over the first
+// repetition's histories. Each --gtest_repeat repetition continues the
+// seeded stream, so a longer run covers new histories; only the first is
+// compared with the digest.
+constexpr std::uint64_t kPinnedHistoryDigest = 0x13e0ff8850b2ded0;
+constexpr std::size_t kHistoriesPerRepetition = 12;
+constexpr std::size_t kStepsPerHistory = 50;
+
+// Random append / remove / compact / search histories, each checked after
+// every step against the placement model, a fresh bank of the survivors
+// and any ticket pinning an older epoch. Append sizes hit the hot bank's
+// edges (1, H - 1, H, H + 1, 2H + 1) as well as random ones; removes hit
+// hot and cold banks.
+TEST(MutationHistory, RandomHistoriesMatchTheModel) {
+  static Rng rng(0x4157'0A11'5EED);
+  static std::size_t repetition = 0;
+  DecisionDigest digest;
+  for (std::size_t h = 0; h < kHistoriesPerRepetition; ++h) {
+    SCOPED_TRACE(testing::Message()
+                 << "repetition " << repetition << " history " << h);
+    run_history(rng, kStepsPerHistory, digest);
+    if (HasFatalFailure()) return;
+  }
+  if (repetition++ == 0) {
+    EXPECT_EQ(digest.value(), kPinnedHistoryDigest)
+        << std::hex << "history digest 0x" << digest.value();
+  }
+}
+
+// The same rows appended in one call or in random splits leave identical
+// banks — slot ids, live bits and rows — after a random prefix history
+// with tombstones in hot and cold banks, and again after a compact().
+TEST(MutationHistory, SplitAppendsLeaveIdenticalBanks) {
+  Rng rng(0x5B11'7A99);
+  const auto same_banks = [](const ShardedAccelerator& a,
+                             const ShardedAccelerator& b) {
+    ASSERT_EQ(a.active_shards(), b.active_shards());
+    EXPECT_EQ(a.db()->has_hot, b.db()->has_hot);
+    EXPECT_EQ(a.db()->id_space, b.db()->id_space);
+    EXPECT_EQ(a.db()->live_count, b.db()->live_count);
+    for (std::size_t s = 0; s < a.active_shards(); ++s) {
+      EXPECT_EQ(a.shard(s).directory().ids, b.shard(s).directory().ids);
+      EXPECT_EQ(a.shard(s).directory().live, b.shard(s).directory().live);
+      EXPECT_EQ(a.shard(s).live_segments(), b.shard(s).live_segments());
+    }
+  };
+  for (std::size_t trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    AsmcapConfig config = bank_config(2 + rng.below(3));
+    config.array_rows = 8;
+    config.live.hot_array_rows = 2 + rng.below(3);
+    config.live.hot_array_count = 1 + rng.below(2);
+    const std::size_t shards = 1 + rng.below(3);
+    const std::size_t hot =
+        config.live.hot_array_rows * config.live.hot_array_count;
+    ShardedAccelerator one(config, shards);
+    ShardedAccelerator split(config, shards);
+    // The prefix: both routers take the same random mutations.
+    const std::size_t capacity = one.capacity_segments();
+    std::vector<Sequence> initial;
+    for (std::uint64_t n = 1 + rng.below(capacity / 3); n > 0; --n)
+      initial.push_back(Sequence::random(config.array_cols, rng));
+    for (ShardedAccelerator* router : {&one, &split})
+      router->append_segments(initial);
+    for (std::uint64_t m = rng.below(6); m > 0; --m) {
+      std::vector<std::uint64_t> ids;
+      for (const auto& entry : one.live_segments())
+        if (rng.below(4) == 0) ids.push_back(entry.first);
+      if (!ids.empty() && rng.below(3) != 0) {
+        for (ShardedAccelerator* router : {&one, &split})
+          router->remove_segments(ids);
+      } else {
+        std::vector<Sequence> more;
+        const std::size_t room = capacity - one.live_segment_count();
+        for (std::uint64_t n = std::min<std::uint64_t>(room, rng.below(hot * 2));
+             n > 0; --n)
+          more.push_back(Sequence::random(config.array_cols, rng));
+        for (ShardedAccelerator* router : {&one, &split})
+          router->append_segments(more);
+      }
+    }
+    // The rows under test: one call against 1-4 random pieces.
+    const std::size_t room = capacity - one.live_segment_count();
+    if (room == 0) continue;
+    std::vector<Sequence> batch;
+    for (std::uint64_t n = 1 + rng.below(std::min(room, 3 * hot + 2)); n > 0;
+         --n)
+      batch.push_back(Sequence::random(config.array_cols, rng));
+    one.append_segments(batch);
+    for (std::size_t at = 0; at < batch.size();) {
+      const std::size_t piece = 1 + rng.below(batch.size() - at);
+      split.append_segments(std::vector<Sequence>(
+          batch.begin() + static_cast<std::ptrdiff_t>(at),
+          batch.begin() + static_cast<std::ptrdiff_t>(at + piece)));
+      at += piece;
+    }
+    same_banks(one, split);
+    one.compact();
+    split.compact();
+    same_banks(one, split);
+    if (HasFatalFailure()) return;
   }
 }
 

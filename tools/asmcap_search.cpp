@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -339,6 +340,17 @@ void fill_row(Row& row, const QueryResult& result, const ReferenceIndex& index,
   if (!json && shown < row.matches) row.hits += ",...";
 }
 
+/// This process's peak resident set so far, in MiB: VmHWM from
+/// /proc/self/status. Empty where that file cannot be read (non-Linux).
+std::optional<double> peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0)
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+  return std::nullopt;
+}
+
 int run(const CliOptions& options) {
   // ------------------------------------------------------ configuration --
   AsmcapConfig config;
@@ -494,7 +506,13 @@ int run(const CliOptions& options) {
             << to_string(reads.format()) << "): " << totals.done << " done ("
             << totals.matched << " matched), " << totals.skipped
             << " skipped, " << totals.aborted << " aborted; model latency "
-            << totals.latency << " s, energy " << totals.energy << " J\n";
+            << totals.latency << " s, energy " << totals.energy << " J";
+  if (const std::optional<double> peak = peak_rss_mib()) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.1f", *peak);
+    std::cerr << "; peak RSS " << text << " MiB";
+  }
+  std::cerr << "\n";
   out.flush();
   if (!out) {
     std::cerr << "asmcap_search: write failure\n";

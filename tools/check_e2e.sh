@@ -92,6 +92,15 @@ if ! grep -q "ambiguous bases" "$WORK/e2e_search.log"; then
   exit 1
 fi
 
+# The final summary reports the CLI's own peak RSS wherever
+# /proc/self/status exists (docs/cli.md).
+if [ -r /proc/self/status ] &&
+  ! grep -Eq "; peak RSS [0-9]+\.[0-9] MiB$" "$WORK/e2e_search.log"; then
+  echo "check_e2e: FAIL — expected '; peak RSS <n> MiB' in the summary" >&2
+  cat "$WORK/e2e_search.log" >&2
+  exit 1
+fi
+
 # expect_usage_error <name> <search flags...>: asmcap_search must refuse
 # the flags with exit 2; its stderr stays in $WORK/<name>.log.
 expect_usage_error() {
