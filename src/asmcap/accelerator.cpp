@@ -109,15 +109,11 @@ void AsmcapAccelerator::append_segments(
       throw std::invalid_argument(
           "AsmcapAccelerator: segment width mismatch");
   const std::size_t repeat = first_repeat(ids);
-  // Ids above the highest one the bank holds need no index search.
-  const std::uint64_t highest =
-      slots_by_id_.empty() ? 0 : dir_.ids[slots_by_id_.back()];
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] < static_cast<std::uint64_t>(config_.segment_base))
       throw std::invalid_argument(
           "AsmcapAccelerator: segment id below segment_base");
-    if (i == repeat || (!slots_by_id_.empty() && ids[i] <= highest &&
-                        slot_of(ids[i]) != kNoSlot))
+    if (i == repeat || slot_of(ids[i]) != kNoSlot)
       throw DbError(DbErrorKind::DuplicateId,
                     "AsmcapAccelerator: segment id already known");
   }

@@ -111,8 +111,9 @@ void ShardedAccelerator::fold_into_cold(
   }
 
   // Row j of the fold is staged[j], then rows[j - staged.size()]: each
-  // cold bank in shard order takes as many as it has free rows, in one
-  // append.
+  // cold bank in shard order takes as many as it has free rows, gathered
+  // into one block (staged rows moved, batch rows copied) and written in
+  // one append.
   const std::size_t total = staged.size() + rows.size();
   for (std::size_t s = 0, j = 0; j < total; ++s) {
     if (s == next.banks.size()) {
@@ -127,27 +128,20 @@ void ShardedAccelerator::fold_into_cold(
     const std::size_t take =
         std::min(next.banks[s]->free_capacity(), total - j);
     if (take == 0) continue;
-    AsmcapAccelerator& bank = touch(next, owned, s);
-    if (j >= staged.size()) {
-      // Straight from the batch.
-      bank.append_segments(rows.subspan(j - staged.size(), take),
-                           ids.subspan(j - staged.size(), take));
-    } else {
-      std::vector<Sequence> block;
-      std::vector<std::uint64_t> block_ids;
-      block.reserve(take);
-      block_ids.reserve(take);
-      for (std::size_t k = j; k < j + take; ++k) {
-        if (k < staged.size()) {
-          block_ids.push_back(staged[k].first);
-          block.push_back(std::move(staged[k].second));
-        } else {
-          block_ids.push_back(ids[k - staged.size()]);
-          block.push_back(rows[k - staged.size()]);
-        }
+    std::vector<Sequence> block;
+    std::vector<std::uint64_t> block_ids;
+    block.reserve(take);
+    block_ids.reserve(take);
+    for (std::size_t k = j; k < j + take; ++k) {
+      if (k < staged.size()) {
+        block_ids.push_back(staged[k].first);
+        block.push_back(std::move(staged[k].second));
+      } else {
+        block_ids.push_back(ids[k - staged.size()]);
+        block.push_back(rows[k - staged.size()]);
       }
-      bank.append_segments(block, block_ids);
     }
+    touch(next, owned, s).append_segments(block, block_ids);
     j += take;
   }
 }

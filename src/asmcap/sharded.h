@@ -42,8 +42,9 @@
 // bank and folds the staged rows and the other n - r new ones straight
 // from the batch into the cold tier, one append per receiving cold bank;
 // the old hot bank is read, never cloned. compact() is the same fold with
-// no new rows. An epoch thus copies the hot rows it stages and one clone
-// of each cold bank it writes — flat vector copies. Global segment
+// no new rows. An epoch thus copies the rows it writes (into the fresh hot
+// bank, or into one block per receiving cold bank) and clones each cold
+// bank it writes — flat vector copies. Global segment
 // ids are stable across append, delete, and rebalance: an id is assigned
 // once, never reused, and (because every per-decision RNG stream AND the
 // row's manufactured silicon are keyed by global id, with every bank

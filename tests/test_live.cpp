@@ -1073,14 +1073,15 @@ constexpr std::size_t kStepsPerHistory = 50;
 TEST(MutationHistory, RandomHistoriesMatchTheModel) {
   static Rng rng(0x4157'0A11'5EED);
   static std::size_t repetition = 0;
+  const std::size_t this_repetition = repetition++;
   DecisionDigest digest;
   for (std::size_t h = 0; h < kHistoriesPerRepetition; ++h) {
     SCOPED_TRACE(testing::Message()
-                 << "repetition " << repetition << " history " << h);
+                 << "repetition " << this_repetition << " history " << h);
     run_history(rng, kStepsPerHistory, digest);
     if (HasFatalFailure()) return;
   }
-  if (repetition++ == 0) {
+  if (this_repetition == 0) {
     EXPECT_EQ(digest.value(), kPinnedHistoryDigest)
         << std::hex << "history digest 0x" << digest.value();
   }
