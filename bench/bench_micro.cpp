@@ -274,51 +274,82 @@ void BM_BankExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_BankExecute);
 
-// The router's write path on ingest_heavy's load: 16,384 segments of 128
-// columns into the default geometry (256-row arrays, 512 per bank, a
-// 256-row hot bank) on 4 shards, in the CLI's 512-row appends, then
-// compact(). Each overflowing append folds the staged rows and the batch
-// straight into cold bank 0 (one clone of it per epoch). Items are
-// segments.
-void BM_RouterIngest(benchmark::State& state) {
-  constexpr std::size_t kSegments = 16384;
+// Loads `segments` random 128-column rows through a `shards`-shard router
+// on `config`, in the CLI's 512-row appends, then compact(), once per
+// iteration. Skips with `error` unless `loaded` holds for the load. Items
+// are segments.
+template <typename Check>
+void router_ingest(benchmark::State& state, const AsmcapConfig& config,
+                   std::size_t shards, std::size_t segments, Check loaded,
+                   const char* error) {
   constexpr std::size_t kBatch = 512;
-  AsmcapConfig config;
-  config.array_cols = 128;
-  config.ideal_sensing = true;
   Rng rng(22);
-  std::vector<std::vector<Sequence>> batches(kSegments / kBatch);
+  std::vector<std::vector<Sequence>> batches(segments / kBatch);
   for (std::vector<Sequence>& batch : batches) {
     batch.reserve(kBatch);
     for (std::size_t i = 0; i < kBatch; ++i)
       batch.push_back(Sequence::random(config.array_cols, rng));
   }
   const auto ingest = [&] {
-    auto router = std::make_unique<ShardedAccelerator>(config, 4);
+    auto router = std::make_unique<ShardedAccelerator>(config, shards);
     for (const std::vector<Sequence>& batch : batches)
       router->append_segments(batch);
     router->compact();
     return router;
   };
-  const auto loaded = ingest();
-  if (loaded->active_shards() != 1 || loaded->db()->has_hot ||
-      loaded->shard(0).live_segment_count() != kSegments) {
-    state.SkipWithError("the load is not one cold bank of 16,384 rows");
+  if (!loaded(*ingest())) {
+    state.SkipWithError(error);
     return;
   }
   for (auto _ : state) benchmark::DoNotOptimize(ingest().get());
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSegments));
+                          static_cast<std::int64_t>(segments));
 }
-BENCHMARK(BM_RouterIngest)->Unit(benchmark::kMillisecond);
 
-// One clone() of a 16,384-row, 128-column bank: the copy an epoch makes
-// of each bank it writes. Items are rows.
-void BM_BankClone(benchmark::State& state) {
-  constexpr std::size_t kRows = 16384;
+// The router's write path on ingest_heavy's load: 16,384 segments of 128
+// columns into the default geometry (256-row arrays, 512 per bank, a
+// 256-row hot bank) on 4 shards. Each overflowing append folds the staged
+// rows and the batch straight into cold bank 0 (one clone of it per
+// epoch).
+void BM_RouterIngest(benchmark::State& state) {
   AsmcapConfig config;
   config.array_cols = 128;
   config.ideal_sensing = true;
+  router_ingest(
+      state, config, 4, 16384,
+      [](const ShardedAccelerator& router) {
+        return router.active_shards() == 1 && !router.db()->has_hot &&
+               router.shard(0).live_segment_count() == 16384;
+      },
+      "the load is not one cold bank of 16,384 rows");
+}
+BENCHMARK(BM_RouterIngest)->Unit(benchmark::kMillisecond);
+
+// circuit_noisy's load: 1,024 segments of 128 columns on 2 shards of 2
+// arrays, sensing noise, so every row written draws its silicon (129
+// normal deviates) once and a fold copies it with the row.
+void BM_RouterIngestNoisy(benchmark::State& state) {
+  AsmcapConfig config;
+  config.array_cols = 128;
+  config.array_count = 2;
+  config.ideal_sensing = false;
+  router_ingest(
+      state, config, 2, 1024,
+      [](const ShardedAccelerator& router) {
+        return router.live_segment_count() == 1024 && !router.db()->has_hot;
+      },
+      "the load is not 1,024 live rows without a hot bank");
+}
+BENCHMARK(BM_RouterIngestNoisy)->Unit(benchmark::kMillisecond);
+
+// One clone() of a 16,384-row, 128-column bank: the copy an epoch makes
+// of each bank it writes. A noisy bank's clone shares its silicon blocks.
+// Items are rows.
+void bank_clone(benchmark::State& state, bool ideal) {
+  constexpr std::size_t kRows = 16384;
+  AsmcapConfig config;
+  config.array_cols = 128;
+  config.ideal_sensing = ideal;
   AsmcapAccelerator bank(config);
   Rng rng(23);
   std::vector<Sequence> rows;
@@ -334,7 +365,12 @@ void BM_BankClone(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRows));
 }
+
+void BM_BankClone(benchmark::State& state) { bank_clone(state, true); }
 BENCHMARK(BM_BankClone);
+
+void BM_BankCloneNoisy(benchmark::State& state) { bank_clone(state, false); }
+BENCHMARK(BM_BankCloneNoisy);
 
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;

@@ -57,12 +57,15 @@ void SlicedRowStore::write_rows(std::size_t first,
       throw std::invalid_argument("SlicedRowStore: row width mismatch");
   if (rows.empty()) return;
   const std::size_t end = first + rows.size();
-  if (end > rows_) {
-    rows_ = end;
-    words_.resize(blocks() * cols_ * kColumnWords, 0);
-  }
   const std::size_t words = words_per_row();
   std::vector<std::uint64_t> group(kGroupRows * words);
+  if (end > rows_) {
+    // The words grow before the row count, so a throwing resize leaves
+    // the store as it was.
+    words_.resize((end + kBlockRows - 1) / kBlockRows * cols_ * kColumnWords,
+                  0);
+    rows_ = end;
+  }
   for (std::size_t g = first / kGroupRows; g * kGroupRows < end; ++g) {
     const std::size_t lo = std::max(first, g * kGroupRows);
     const std::size_t hi = std::min(end, (g + 1) * kGroupRows);

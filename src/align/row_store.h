@@ -49,7 +49,8 @@ class SlicedRowStore {
 
   /// (Re)writes slots [first, first + rows.size()) from `rows`, growing the
   /// store as needed. Throws std::invalid_argument on a width mismatch,
-  /// before anything changes.
+  /// and whatever growing the plane words throws (std::length_error,
+  /// std::bad_alloc), before anything changes.
   void write_rows(std::size_t first, std::span<const Sequence> rows);
 
   /// Writes the 64 rows of group `group` (slots 64·group ..) to `out`,

@@ -18,14 +18,6 @@ namespace {
 // out of reach of any realistic rotation-schedule length.
 constexpr std::uint64_t kHdPassSalt = 0x4844'0000ULL;
 constexpr std::uint64_t kHdacSelectSalt = 0x5E1E'C700ULL;
-// Salt of the construction-time array silicon streams (silicon_root_ fork
-// per array index). Kept far above any global segment id so the per-row
-// streams (forked per id) and the per-array streams never collide. The
-// construction-time draw is decision-irrelevant — every written row is
-// re-manufactured from its per-id stream, and unwritten rows never decide
-// — it only has to be deterministic per array so the write path and
-// set_backend manufacture identical silicon in any order.
-constexpr std::uint64_t kUnitSalt = 0x517E'C0DE'0000'0000ULL;
 }  // namespace
 
 AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
@@ -39,20 +31,47 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
   validate(config_.process);
 }
 
-void AsmcapAccelerator::build_row_silicon(std::size_t slot, std::uint64_t id) {
-  const std::size_t a = slot / config_.array_rows;
-  while (readouts_.size() <= a) {
-    Rng unit_rng = silicon_root_.fork(
-        kUnitSalt + static_cast<std::uint64_t>(readouts_.size()));
-    readouts_.emplace_back(config_.array_rows, config_.array_cols,
-                           config_.process.charge, unit_rng);
+void AsmcapAccelerator::write_silicon(std::span<const std::size_t> slots,
+                                      std::span<const std::uint64_t> ids,
+                                      const AsmcapAccelerator* source) {
+  const std::size_t rows = config_.array_rows;
+  const std::size_t cols = config_.array_cols;
+  // A source bank's row of an id is the row this bank would draw when the
+  // source draws from the same silicon root with the same model.
+  const bool copy = source != nullptr && source->senses_noise() &&
+                    source->config_.seed == config_.seed &&
+                    source->config_.array_cols == cols &&
+                    source->config_.process.charge == config_.process.charge;
+  // Each touched array (ascending slots: one run each) gets one new block,
+  // a copy of its shared block or zeros; published blocks are never
+  // written. The blocks are installed only once every row is built.
+  std::vector<std::pair<std::size_t, std::shared_ptr<ArraySilicon>>> built;
+  for (std::size_t i = 0; i < slots.size();) {
+    const std::size_t a = slots[i] / rows;
+    auto block = a < silicon_.size() && silicon_[a]
+                     ? std::make_shared<ArraySilicon>(*silicon_[a])
+                     : std::make_shared<ArraySilicon>(rows, cols);
+    for (; i < slots.size() && slots[i] / rows == a; ++i) {
+      const std::size_t from = copy ? source->slot_of(ids[i]) : kNoSlot;
+      if (from != kNoSlot && source->dir_.live[from]) {
+        const std::size_t from_rows = source->config_.array_rows;
+        block->copy_row(slots[i] % rows, *source->silicon_[from / from_rows],
+                        from % from_rows);
+      } else {
+        // The row's analog silicon is a pure function of its global id:
+        // the segment decides identically in whichever slot, array, or
+        // bank it lands, and whenever its silicon is built
+        // (docs/determinism.md rule 8).
+        Rng silicon = silicon_root_.fork(ids[i]);
+        block->manufacture_row(slots[i] % rows, config_.process.charge,
+                               silicon);
+      }
+    }
+    built.emplace_back(a, std::move(block));
   }
-  // The row's analog silicon is a pure function of its global id: the
-  // segment decides identically in whichever slot, array, or bank it
-  // lands, and whenever its silicon is built (docs/determinism.md
-  // rule 8).
-  Rng silicon = silicon_root_.fork(id);
-  readouts_[a].remanufacture_row(slot % config_.array_rows, silicon);
+  if (!built.empty() && silicon_.size() <= built.back().first)
+    silicon_.resize(built.back().first + 1);
+  for (auto& [a, block] : built) silicon_[a] = std::move(block);
 }
 
 std::size_t AsmcapAccelerator::slot_of(std::uint64_t id) const {
@@ -97,7 +116,8 @@ std::vector<std::uint64_t> AsmcapAccelerator::append_segments(
 }
 
 void AsmcapAccelerator::append_segments(
-    std::span<const Sequence> segments, std::span<const std::uint64_t> ids) {
+    std::span<const Sequence> segments, std::span<const std::uint64_t> ids,
+    const AsmcapAccelerator* source) {
   if (segments.size() != ids.size())
     throw std::invalid_argument(
         "AsmcapAccelerator: append ids/segments size mismatch");
@@ -152,6 +172,9 @@ void AsmcapAccelerator::append_segments(
   }
   for (std::size_t next = old_slots; targets.size() < n; ++next)
     targets.push_back(next);
+  // No target slot is live, so its silicon shows only once the directory
+  // below marks it live.
+  if (senses_noise()) write_silicon(targets, ids, source);
 
   // The row store takes each run of consecutive target slots in one
   // write (whole 64-row groups transpose at once).
@@ -169,7 +192,6 @@ void AsmcapAccelerator::append_segments(
   if (dir_.array_live.size() < arrays) dir_.array_live.resize(arrays, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t slot = targets[i];
-    if (senses_noise()) build_row_silicon(slot, ids[i]);
     dir_.ids[slot] = ids[i];
     dir_.live.set(slot);
     ++dir_.array_live[slot / config_.array_rows];
@@ -257,17 +279,23 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
   backend_kind_ = kind;
   if (senses_noise() == was_noisy) return;
   if (!senses_noise()) {
-    readouts_.clear();
-    readouts_.shrink_to_fit();
+    silicon_ = {};
     return;
   }
   // Build what a Circuit-from-birth bank with this history decides with:
   // each live row's silicon from its per-id stream. Dead and unwritten
-  // rows are masked out of every decision, with zero matchline energy,
-  // and all-dead arrays are never driven, so neither their silicon nor
-  // whether they exist can show.
+  // rows are masked out of every decision, with zero matchline energy, so
+  // their silicon cannot show.
+  std::vector<std::size_t> slots;
+  std::vector<std::uint64_t> ids;
+  slots.reserve(dir_.live_count);
+  ids.reserve(dir_.live_count);
   for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
-    if (dir_.live[slot]) build_row_silicon(slot, dir_.ids[slot]);
+    if (dir_.live[slot]) {
+      slots.push_back(slot);
+      ids.push_back(dir_.ids[slot]);
+    }
+  write_silicon(slots, ids, nullptr);
 }
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
@@ -281,7 +309,7 @@ std::vector<PassResult> AsmcapAccelerator::run_passes(
     throw DbError(DbErrorKind::NotLoaded,
                   "AsmcapAccelerator: no reference loaded");
   return pass_.run_passes(store_, dir_,
-                          senses_noise() ? &readouts_ : nullptr, passes,
+                          senses_noise() ? &silicon_ : nullptr, passes,
                           threshold, query_rng);
 }
 

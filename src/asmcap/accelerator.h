@@ -31,20 +31,23 @@
 // live_segments() gathers, group by group; the bank keeps no other
 // index of its rows. The bank senses the analog noise model iff its
 // backend kind is Circuit and config.ideal_sensing is false. Only then
-// does it hold circuit state —
-// one ChargeArrayReadout (capacitor banks + SA offsets) per array,
-// sensing rows gathered from the same store — built from the per-id silicon
-// streams when the bank starts sensing noise and dropped when it stops,
-// so an ideal-sensing bank never pays for silicon it does not read.
+// does it hold circuit state — the silicon of every row it writes, drawn
+// once from the row's per-id stream (or copied with the row from the bank
+// it folds out of) and stored flat, one immutable block per array
+// (ArraySilicon, cam/charge_readout.h) — so an ideal-sensing bank never
+// pays for silicon it does not read, and a noisy one draws none for rows
+// it never wrote.
 //
-// Ownership: the bank owns its row store, readouts, pass, and planner.
-// The pass holds only config-derived constants and is handed the bank's
-// rows, directory and silicon on each call, so nothing points into the
-// bank and clone() is a plain copy. Every table the bank keeps is a flat
-// vector — the row store's plane words, the directory, and the id index
-// (every slot, ordered by the id it holds) — so a clone is a few vector
-// copies, and an append costs O(appended rows) plus, only when the bank
-// holds tombstones, one pass over its live words and its id index.
+// Ownership: the bank owns its row store, pass, and planner, and shares
+// its silicon blocks with its clones. The pass holds only config-derived
+// constants and is handed the bank's rows, directory and silicon on each
+// call, so nothing points into the bank and clone() is a plain copy.
+// Every table the bank keeps is a flat vector — the row store's plane
+// words, the directory, and the id index (every slot, ordered by the id it
+// holds) — so a clone is a few vector copies plus one pointer per silicon
+// block, and an append costs O(appended rows) plus a new block for each
+// array it writes silicon into and, only when the bank holds tombstones,
+// one pass over its live words and its id index.
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, set_backend) belong to one control
 // thread at a time; execute() is const and thread-safe and is what the
@@ -108,7 +111,8 @@ class AsmcapAccelerator {
 
   /// Appends segments with auto-assigned global ids (returned, ascending).
   /// Tombstoned row slots are recycled first (lowest slot first), then
-  /// fresh rows are allocated; arrays are manufactured on demand. Throws
+  /// fresh rows are allocated; a noisy bank draws each row's silicon from
+  /// its id's stream as it writes the row. Throws
   /// DbError (CapacityExceeded) when the live count would exceed
   /// capacity_segments(); validation happens before any state changes.
   std::vector<std::uint64_t> append_segments(
@@ -117,9 +121,14 @@ class AsmcapAccelerator {
   /// router's path, and the replay path of the epoch-equivalence tests.
   /// Ids in any order; ascending ids above every id the bank has held
   /// (the router's) just extend the id index at its back, any others
-  /// sort into it once per call.
+  /// sort into it once per call. On a noisy bank, a row whose id is live
+  /// in `source` (the router passes the hot bank it folds) copies its
+  /// silicon from there instead of drawing it again — when `source`
+  /// senses noise with this bank's seed, width and charge parameters, so
+  /// that the copy is the row this bank would draw.
   void append_segments(std::span<const Sequence> segments,
-                       std::span<const std::uint64_t> ids);
+                       std::span<const std::uint64_t> ids,
+                       const AsmcapAccelerator* source = nullptr);
 
   /// Tombstones the given global ids. DbError: UnknownSegment for an id
   /// this bank never held, DoubleDelete for an already-dead id (also for
@@ -130,11 +139,12 @@ class AsmcapAccelerator {
   /// The live (id, segment) pairs, ascending by row slot.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  /// A copy of the bank — row store, directory, id index, circuit state
-  /// (if built), and load ledger, each a flat vector copy. The
-  /// copy-on-write primitive of the sharded router's epoch scheme:
-  /// execute() results on the clone are bit-identical to the original,
-  /// energy included, and mutating either never touches the other.
+  /// A copy of the bank — row store, directory, id index, and load
+  /// ledger, each a flat vector copy; the silicon blocks (if built) are
+  /// shared, never copied. The copy-on-write primitive of the sharded
+  /// router's epoch scheme: execute() results on the clone are
+  /// bit-identical to the original, energy included, and mutating either
+  /// never touches the other (a write builds new blocks).
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// Selects the sensing of subsequent execute() calls: Circuit (default)
@@ -224,9 +234,14 @@ class AsmcapAccelerator {
   bool senses_noise() const {
     return backend_kind_ == BackendKind::Circuit && !config_.ideal_sensing;
   }
-  /// Manufactures the row silicon at `slot` from the per-id stream of
-  /// `id`, manufacturing arrays on demand.
-  void build_row_silicon(std::size_t slot, std::uint64_t id);
+  /// Writes the silicon of the rows at ascending, non-live `slots`, row i
+  /// for id ids[i]: copied from `source`'s live row of that id when
+  /// append_segments' conditions hold, else drawn from the id's stream.
+  /// Each array it touches gets one new block, installed after every row
+  /// is built, so a throw changes nothing.
+  void write_silicon(std::span<const std::size_t> slots,
+                     std::span<const std::uint64_t> ids,
+                     const AsmcapAccelerator* source);
   /// The slot holding `id` (live or tombstoned), or kNoSlot: a binary
   /// search of the id index.
   std::size_t slot_of(std::uint64_t id) const;
@@ -242,12 +257,12 @@ class AsmcapAccelerator {
   TimingModel timing_;
   CircuitBackend pass_;
   /// Root of the manufactured-silicon stream tree (Rng(seed).fork(0x51C0));
-  /// row silicon forks per global id, construction-time array silicon per
-  /// array index.
+  /// row silicon forks per global id.
   Rng silicon_root_;
-  /// Circuit state: non-empty only while senses_noise() (and a row has
-  /// been written); arrays are manufactured on demand.
-  std::vector<ChargeArrayReadout> readouts_;
+  /// Circuit state: one block per array (null until a row of it gets
+  /// silicon), non-empty only while senses_noise() and a row has been
+  /// written. Shared with every clone and epoch; never written in place.
+  BankSilicon silicon_;
   LiveDirectory dir_;
   SlicedRowStore store_;  ///< Canonical row store, one row per slot.
   /// The id index: every allocated slot, ordered by the id it holds (its

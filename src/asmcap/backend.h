@@ -40,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -85,6 +86,11 @@ struct LiveDirectory {
   }
 };
 
+/// A noisy bank's silicon: one immutable ArraySilicon block per array,
+/// null for an array none of whose rows has silicon. Blocks are shared by
+/// reference between a bank's epochs; a write builds a new block.
+using BankSilicon = std::vector<std::shared_ptr<const ArraySilicon>>;
+
 /// One array pass of a read: the view it searches (an ED* or a Hamming
 /// view; not owned, it must outlive the call) and the salt its RNG stream
 /// forks from the query stream (docs/determinism.md).
@@ -121,11 +127,14 @@ struct PassResult {
 /// summation order, so booked energy is bit-identical whatever computed
 /// the counts and however many passes share the sweep. Under ideal
 /// sensing (`silicon` null) the band is empty and count <= T decides.
-/// When the bank senses noise, `silicon` holds one ChargeArrayReadout per
-/// array with the silicon of every live row: a row whose count lies in
+/// When the bank senses noise, `silicon` holds one block per array with
+/// the silicon of every live row: a row whose count lies in
 /// charge_decision_band gathers its packed words alone, settles V_ML from
-/// its mismatch lane words on its readout and draws SA noise from the
-/// per-id fork of its pass's stream; a row outside it decides from the
+/// its mismatch lane words on its block (the capacitive divider plus its
+/// SA offset) and decides through the SA model against V_ref(T), drawing
+/// SA noise from the per-id fork of its pass's stream — exactly what
+/// ChargeArrayReadout's settle_row and decide give for the same silicon;
+/// a row outside it decides from the
 /// count alone, since no admissible silicon or noise draw could change its
 /// SA outcome (determinism.md rule 7). Per-decision streams are pure
 /// per-id forks, so skipping a row's fork shifts no other row's draw.
@@ -142,7 +151,7 @@ class CircuitBackend {
   /// `query_rng` is never advanced.
   std::vector<PassResult> run_passes(
       const SlicedRowStore& rows, const LiveDirectory& directory,
-      const std::vector<ChargeArrayReadout>* silicon,
+      const BankSilicon* silicon,
       std::span<const PassSpec> passes, std::size_t threshold,
       const Rng& query_rng) const;
 

@@ -7,6 +7,7 @@
 #include "align/kernels.h"
 #include "asmcap/backend.h"
 #include "circuit/matchline.h"
+#include "circuit/sense_amp.h"
 
 namespace asmcap {
 
@@ -69,7 +70,7 @@ CircuitBackend::CircuitBackend(const AsmcapConfig& config)
 
 std::vector<PassResult> CircuitBackend::run_passes(
     const SlicedRowStore& rows, const LiveDirectory& directory,
-    const std::vector<ChargeArrayReadout>* silicon,
+    const BankSilicon* silicon,
     std::span<const PassSpec> passes, std::size_t threshold,
     const Rng& query_rng) const {
   for (const PassSpec& pass : passes)
@@ -94,6 +95,8 @@ std::vector<PassResult> CircuitBackend::run_passes(
   }
   std::vector<std::uint64_t> row_words(sense_noise ? rows.words_per_row() : 0);
   std::vector<std::uint64_t> lane_words(row_words.size());
+  const SenseAmp sense_amp(charge_.sa_noise_sigma);
+  const double vref = charge_vref(threshold, cols_, charge_.vdd);
   std::vector<BlockCounts> blocks(pass_count);
 
   // Every array holding at least one live row drives its search lines once
@@ -127,14 +130,13 @@ std::vector<PassResult> CircuitBackend::run_passes(
           const auto bit =
               static_cast<std::size_t>(std::countr_zero(in_band));
           const std::size_t slot = first + bit;
-          const ChargeArrayReadout& readout = (*silicon)[slot / array_rows_];
           rows.gather_row(slot, row_words.data());
           mismatch_words(row_words.data(), *passes[p].view,
                          lane_words.data());
+          const double vml = (*silicon)[slot / array_rows_]->settle_row(
+              slot % array_rows_, lane_words, charge_.vdd);
           Rng decide_rng = pass_rngs[p].fork(directory.ids[slot]);
-          const bool hit = readout.decide(
-              readout.settle_row(slot % array_rows_, lane_words), threshold,
-              decide_rng);
+          const bool hit = sense_amp.below(vml, vref, decide_rng);
           word |= std::uint64_t{hit} << bit;
         }
       }

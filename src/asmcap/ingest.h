@@ -9,7 +9,11 @@
 // (copy-on-write, asmcap/sharded.h): the (at most hot-capacity) rows it
 // stages, and a clone of each cold bank it folds rows into — flat vector
 // copies (row store, directory, id index), but still O(bank) each, so a
-// load briefly holds two copies of the bank it is filling. Rows that
+// load briefly holds two copies of the bank it is filling. On a noisy
+// bank the clone shares the silicon blocks instead of copying them: an
+// append draws each new row's silicon once, copies a folded row's from
+// the hot bank, and copies only the silicon blocks of the arrays it
+// writes (one array's rows × cols capacitances each). Rows that
 // overflow the hot bank fold straight from the batch into the cold tier,
 // and a bank append without tombstones costs O(appended rows). The id <->
 // (record, offset) mapping is preserved in a ReferenceIndex so search

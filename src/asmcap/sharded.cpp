@@ -96,10 +96,13 @@ void ShardedAccelerator::fold_into_cold(
     std::span<const std::uint64_t> ids) const {
   // The hot bank's survivors in ascending id order (the canonical fold
   // order: deterministic whatever slot-recycling history the hot bank
-  // had). The bank is only read, never cloned, and leaves the epoch.
+  // had). The bank is only read, never cloned, and leaves the epoch; the
+  // cold banks copy the staged rows' silicon from it.
   std::vector<std::pair<std::uint64_t, Sequence>> staged;
+  std::shared_ptr<const AsmcapAccelerator> hot;
   if (next.has_hot) {
-    staged = next.banks.back()->live_segments();
+    hot = next.banks.back();
+    staged = hot->live_segments();
     std::sort(staged.begin(), staged.end(),
               [](const std::pair<std::uint64_t, Sequence>& a,
                  const std::pair<std::uint64_t, Sequence>& b) {
@@ -141,7 +144,7 @@ void ShardedAccelerator::fold_into_cold(
         block.push_back(rows[k - staged.size()]);
       }
     }
-    touch(next, owned, s).append_segments(block, block_ids);
+    touch(next, owned, s).append_segments(block, block_ids, hot.get());
     j += take;
   }
 }

@@ -44,7 +44,9 @@
 // the old hot bank is read, never cloned. compact() is the same fold with
 // no new rows. An epoch thus copies the rows it writes (into the fresh hot
 // bank, or into one block per receiving cold bank) and clones each cold
-// bank it writes — flat vector copies. Global segment
+// bank it writes — flat vector copies; a noisy bank's silicon blocks are
+// shared between epochs, and only the arrays an epoch writes get new
+// ones (a folded row carries its silicon along). Global segment
 // ids are stable across append, delete, and rebalance: an id is assigned
 // once, never reused, and (because every per-decision RNG stream AND the
 // row's manufactured silicon are keyed by global id, with every bank
@@ -305,8 +307,10 @@ class ShardedAccelerator {
   /// the cold banks' free rows: each cold bank in shard order, created on
   /// demand up to shard_count_, takes as many as it has room for in one
   /// append, cloned on first touch. The hot bank is read, never cloned,
-  /// and dropped from the epoch. Caller guarantees the rows fit the cold
-  /// free capacity (the append/delete capacity invariant).
+  /// and dropped from the epoch; on noisy banks its staged rows' silicon
+  /// is copied into the cold banks, not drawn again. Caller guarantees
+  /// the rows fit the cold free capacity (the append/delete capacity
+  /// invariant).
   void fold_into_cold(DbEpoch& next, std::vector<bool>& owned,
                       std::span<const Sequence> rows,
                       std::span<const std::uint64_t> ids) const;

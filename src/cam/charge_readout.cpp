@@ -1,5 +1,7 @@
 #include "cam/charge_readout.h"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace asmcap {
@@ -20,15 +22,6 @@ ChargeArrayReadout::ChargeArrayReadout(std::size_t rows, std::size_t cols,
   }
 }
 
-void ChargeArrayReadout::remanufacture_row(std::size_t row, Rng& rng) {
-  if (row >= rows())
-    throw std::out_of_range("ChargeArrayReadout::remanufacture_row");
-  // Same draw order as construction: matchline capacitors, then the
-  // residual SA offset.
-  matchlines_[row] = CapacitorBank(cols_, params_, rng);
-  row_offsets_[row] = rng.normal(0.0, params_.sa_offset_sigma);
-}
-
 double ChargeArrayReadout::settle_row(
     std::size_t row, const std::vector<std::uint64_t>& lane_words) const {
   if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::settle_row");
@@ -41,6 +34,32 @@ bool ChargeArrayReadout::decide(double vml, std::size_t threshold,
                                 Rng& search_rng) const {
   return sense_amp_.below(vml, charge_vref(threshold, cols_, params_.vdd),
                           search_rng);
+}
+
+void ArraySilicon::manufacture_row(std::size_t row,
+                                   const ChargeDomainParams& params,
+                                   Rng& rng) {
+  // The draw order of ChargeArrayReadout's constructor: capacitors, then
+  // the residual SA offset.
+  totals[row] = draw_capacitances(std::span(caps).subspan(row * cols, cols),
+                                  params, rng);
+  offsets[row] = rng.normal(0.0, params.sa_offset_sigma);
+}
+
+double ArraySilicon::settle_row(std::size_t row,
+                                const std::vector<std::uint64_t>& lane_words,
+                                double vdd) const {
+  return divider_vml(std::span(caps).subspan(row * cols, cols), lane_words,
+                     totals[row], vdd) +
+         offsets[row];
+}
+
+void ArraySilicon::copy_row(std::size_t row, const ArraySilicon& from,
+                            std::size_t from_row) {
+  std::copy_n(from.caps.begin() + static_cast<std::ptrdiff_t>(from_row * cols),
+              cols, caps.begin() + static_cast<std::ptrdiff_t>(row * cols));
+  totals[row] = from.totals[from_row];
+  offsets[row] = from.offsets[from_row];
 }
 
 }  // namespace asmcap

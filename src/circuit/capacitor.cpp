@@ -8,20 +8,36 @@
 
 namespace asmcap {
 
+double draw_capacitances(std::span<double> caps,
+                         const ChargeDomainParams& params, Rng& rng) {
+  const double sigma = params.cap_sigma_rel * params.cap_mean;
+  double total = 0.0;
+  for (double& cap : caps) {
+    const double c = rng.normal(params.cap_mean, sigma);
+    // Truncate at +/-4 sigma: a manufacturing screen; keeps capacitance
+    // physical even under extreme relative sigma in stress tests.
+    cap = std::clamp(c, params.cap_mean - 4 * sigma,
+                     params.cap_mean + 4 * sigma);
+    total += cap;
+  }
+  return total;
+}
+
+double divider_vml(std::span<const double> caps,
+                   const std::vector<std::uint64_t>& lane_words, double total,
+                   double vdd) {
+  double mismatched = 0.0;
+  for_each_lane_flag(lane_words,
+                     [&](std::size_t i) { mismatched += caps[i]; });
+  return mismatched / total * vdd;
+}
+
 CapacitorBank::CapacitorBank(std::size_t n, const ChargeDomainParams& params,
                              Rng& rng)
     : params_(params) {
   if (n == 0) throw std::invalid_argument("CapacitorBank: empty bank");
-  caps_.reserve(n);
-  const double sigma = params_.cap_sigma_rel * params_.cap_mean;
-  for (std::size_t i = 0; i < n; ++i) {
-    double c = rng.normal(params_.cap_mean, sigma);
-    // Truncate at +/-4 sigma: a manufacturing screen; keeps capacitance
-    // physical even under extreme relative sigma in stress tests.
-    c = std::clamp(c, params_.cap_mean - 4 * sigma, params_.cap_mean + 4 * sigma);
-    caps_.push_back(c);
-    total_ += c;
-  }
+  caps_.resize(n);
+  total_ = draw_capacitances(caps_, params_, rng);
 }
 
 double CapacitorBank::ideal_vml(std::size_t n_mis) const {
@@ -33,10 +49,7 @@ double CapacitorBank::actual_vml(
     const std::vector<std::uint64_t>& lane_words) const {
   if (lane_words.size() != lane_word_count(size()))
     throw std::invalid_argument("CapacitorBank::actual_vml: word count");
-  double mismatched = 0.0;
-  for_each_lane_flag(lane_words,
-                     [&](std::size_t i) { mismatched += caps_[i]; });
-  return mismatched / total_ * params_.vdd;
+  return divider_vml(caps_, lane_words, total_, params_.vdd);
 }
 
 double CapacitorBank::vml_variance(std::size_t n_mis) const {

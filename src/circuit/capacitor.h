@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/process.h"
@@ -15,10 +16,25 @@
 
 namespace asmcap {
 
+/// Draws caps.size() capacitances, in cell order, from N(cap_mean,
+/// (cap_sigma_rel*cap_mean)^2), each truncated at ±4σ to keep it physical,
+/// and returns their total, summed in ascending cell order. The one
+/// manufacturing model: CapacitorBank and the banks' flat silicon
+/// (cam/charge_readout.h) both draw through it.
+double draw_capacitances(std::span<double> caps,
+                         const ChargeDomainParams& params, Rng& rng);
+
+/// The capacitive divider: V_ML = sum of `caps` over the cells flagged in
+/// `lane_words` (summed in ascending cell order) / `total` * `vdd`. `caps`
+/// must cover every flagged cell. The one divider: CapacitorBank's
+/// actual_vml and the banks' noisy pass both settle through it.
+double divider_vml(std::span<const double> caps,
+                   const std::vector<std::uint64_t>& lane_words, double total,
+                   double vdd);
+
 class CapacitorBank {
  public:
-  /// Samples `n` capacitances from N(cap_mean, (cap_sigma_rel*cap_mean)^2),
-  /// truncated at ±4σ to keep them physical.
+  /// Samples `n` capacitances (draw_capacitances).
   CapacitorBank(std::size_t n, const ChargeDomainParams& params, Rng& rng);
 
   /// Ideal (mismatch-free) matchline voltage for a given mismatch count:
@@ -27,8 +43,8 @@ class CapacitorBank {
 
   /// Actual settled matchline voltage for the mismatched cells flagged in
   /// `lane_words` (lane_word_count(size()) words, tail lanes zero): the
-  /// capacitive divider V_ML = sum_mis(C_i) / sum_all(C_i) * VDD, with the
-  /// mismatched caps summed in ascending cell order. Throws
+  /// capacitive divider (divider_vml) V_ML = sum_mis(C_i) / sum_all(C_i) *
+  /// VDD, with the mismatched caps summed in ascending cell order. Throws
   /// std::invalid_argument on a wrong word count.
   double actual_vml(const std::vector<std::uint64_t>& lane_words) const;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 
 #include "align/edstar.h"
@@ -164,11 +165,14 @@ TEST_F(EngineTest, FunctionalEnergyTracksCircuitEnergy) {
 /// A circuit bank assembled by hand: per-id silicon, a non-identity id
 /// layout (slot s holds id 1000 + 3s), tombstoned rows (every fifth row,
 /// the whole of array 1, and any slot in `extra_dead`), and one all-dead
-/// array.
+/// array. Each slot's silicon is a one-row ChargeArrayReadout, the
+/// reference model; the pass reads the same silicon as one flat block per
+/// array, copied cell by cell from the readouts.
 struct HandBuiltBank {
   AsmcapConfig config;
   std::vector<Sequence> rows;
-  std::vector<ChargeArrayReadout> readouts;
+  std::vector<ChargeArrayReadout> readouts;  ///< Per slot, one row each.
+  BankSilicon silicon;
   LiveDirectory dir;
   SlicedRowStore store;
 };
@@ -176,19 +180,15 @@ struct HandBuiltBank {
 HandBuiltBank hand_built_bank(const AsmcapConfig& config,
                               const std::vector<Sequence>& segments,
                               const std::vector<std::size_t>& extra_dead = {}) {
-  HandBuiltBank bank{config, segments, {}, {},
+  HandBuiltBank bank{config, segments, {}, {}, {},
                      SlicedRowStore(segments, config.array_cols)};
-  const std::size_t arrays =
-      (segments.size() + config.array_rows - 1) / config.array_rows;
+  const std::size_t rows = config.array_rows;
+  const std::size_t cols = config.array_cols;
+  const std::size_t arrays = (segments.size() + rows - 1) / rows;
   const Rng silicon_root(77);
   bank.dir.array_live.assign(arrays, 0);
-  for (std::size_t a = 0; a < arrays; ++a) {
-    Rng unit_rng = silicon_root.fork(0xA000 + a);
-    bank.readouts.emplace_back(config.array_rows, config.array_cols,
-                               config.process.charge, unit_rng);
-  }
   for (std::size_t slot = 0; slot < segments.size(); ++slot) {
-    const std::size_t a = slot / config.array_rows;
+    const std::size_t a = slot / rows;
     const std::uint64_t id = 1000 + 3 * slot;
     const bool live = slot % 5 != 2 && a != 1 &&
                       std::find(extra_dead.begin(), extra_dead.end(), slot) ==
@@ -196,18 +196,29 @@ HandBuiltBank hand_built_bank(const AsmcapConfig& config,
     bank.dir.ids.push_back(id);
     bank.dir.live.resize(slot + 1, live);
     Rng silicon = silicon_root.fork(id);
-    bank.readouts[a].remanufacture_row(slot % config.array_rows, silicon);
+    bank.readouts.emplace_back(1, cols, config.process.charge, silicon);
     if (live) {
       ++bank.dir.array_live[a];
       ++bank.dir.live_count;
     }
+  }
+  for (std::size_t a = 0; a < arrays; ++a) {
+    auto block = std::make_shared<ArraySilicon>(rows, cols);
+    for (std::size_t r = 0; r < rows && a * rows + r < segments.size(); ++r) {
+      const ChargeArrayReadout& readout = bank.readouts[a * rows + r];
+      for (std::size_t c = 0; c < cols; ++c)
+        block->caps[r * cols + c] = readout.matchline(0).capacitance(c);
+      block->totals[r] = readout.matchline(0).total_capacitance();
+      block->offsets[r] = readout.row_offset(0);
+    }
+    bank.silicon.push_back(std::move(block));
   }
   return bank;
 }
 
 /// One pass run alone: a one-pass list.
 PassResult run_alone(const CircuitBackend& pass, const HandBuiltBank& bank,
-                     const std::vector<ChargeArrayReadout>* silicon,
+                     const BankSilicon* silicon,
                      const PackedReadView& view, std::size_t threshold,
                      const Rng& query_rng, std::uint64_t salt) {
   const PassSpec spec{&view, salt};
@@ -247,7 +258,7 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
         const std::size_t threshold = 4;
         const std::uint64_t salt = mode == MatchMode::EdStar ? 0 : 0x4844;
         const PassResult got = run_alone(
-            pass, bank, &bank.readouts,
+            pass, bank, &bank.silicon,
             PackedReadView(read, mode == MatchMode::EdStar), threshold,
             query_rng, salt);
 
@@ -260,7 +271,7 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
         double energy = arrays_driven *
                         SearchlineDriverParams{}.energy_per_base *
                         static_cast<double>(config.array_cols);
-        for (std::size_t a = 0; a < bank.readouts.size(); ++a) {
+        for (std::size_t a = 0; a < bank.dir.array_live.size(); ++a) {
           if (bank.dir.array_live[a] == 0) continue;
           for (std::size_t r = 0; r < config.array_rows; ++r) {
             const std::size_t slot = a * config.array_rows + r;
@@ -273,10 +284,10 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
                 set_lane_flag(cells, cell);
                 ++count;
               }
-            const ChargeArrayReadout& readout = bank.readouts[a];
-            energy += readout.matchline(r).search_energy(count);
+            const ChargeArrayReadout& readout = bank.readouts[slot];
+            energy += readout.matchline(0).search_energy(count);
             Rng decide_rng = pass_rng.fork(bank.dir.ids[slot]);
-            decisions[slot] = readout.decide(readout.settle_row(r, cells),
+            decisions[slot] = readout.decide(readout.settle_row(0, cells),
                                              threshold, decide_rng);
             ++(band.contains(count) ? in_band : out_of_band);
           }
@@ -474,8 +485,7 @@ TEST(EngineWords, SweepEqualsOnePassAtATime) {
       config.process.charge.sa_offset_sigma = 15e-3;
       const HandBuiltBank bank =
           hand_built_bank(config, segments, {255, 256, 299});
-      const std::vector<ChargeArrayReadout>* silicon =
-          ideal ? nullptr : &bank.readouts;
+      const BankSilicon* silicon = ideal ? nullptr : &bank.silicon;
       const CircuitBackend pass(config);
       const Rng query_rng(911);
 

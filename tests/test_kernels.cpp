@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -373,6 +375,36 @@ TEST(SlicedRowStore, GroupWritesGatherBackAcrossGroupsAndBlocks) {
     EXPECT_EQ(first_row, model[0].packed_words());
   }
   EXPECT_THROW(SlicedRowStore(65536), std::invalid_argument);
+}
+
+// A store grows its plane words before it counts the new rows, so a
+// growth that throws leaves it as it was. On a 128-column store a write at
+// slot 2^59 needs 2^51 + 1 blocks of 1,024 words: a count that fits
+// size_t but exceeds the vector's max_size(), so the resize throws
+// std::length_error without trying to allocate.
+TEST(SlicedRowStore, FailedGrowthLeavesTheStoreUnchanged) {
+  constexpr std::size_t kCols = 128;
+  Rng rng(0x6A0E);
+  std::vector<Sequence> rows;
+  for (std::size_t i = 0; i < 70; ++i)
+    rows.push_back(Sequence::random(kCols, rng));
+  SlicedRowStore store(rows, kCols);
+  const std::size_t first = std::size_t{1} << 59;
+  const std::size_t blocks =
+      (first + SlicedRowStore::kBlockRows) / SlicedRowStore::kBlockRows;
+  constexpr std::size_t kBlockWords = kCols * SlicedRowStore::kColumnWords;
+  ASSERT_LE(blocks, std::numeric_limits<std::size_t>::max() / kBlockWords);
+  ASSERT_GT(blocks * kBlockWords, std::vector<std::uint64_t>().max_size());
+
+  const std::vector<Sequence> one = {Sequence::random(kCols, rng)};
+  EXPECT_THROW(store.write_rows(first, one), std::length_error);
+  EXPECT_EQ(store.rows(), rows.size());
+  EXPECT_EQ(store.blocks(), 1u);
+  std::vector<std::uint64_t> row(store.words_per_row());
+  for (std::size_t slot = 0; slot < rows.size(); ++slot) {
+    store.gather_row(slot, row.data());
+    EXPECT_EQ(row, rows[slot].packed_words()) << "slot " << slot;
+  }
 }
 
 // write_rows packs each row straight into its group buffer through the

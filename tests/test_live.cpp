@@ -17,7 +17,12 @@
 //    mutations;
 //  * lazy circuit state — a functional bank switched to the circuit
 //    backend decides exactly like one that was Circuit from birth;
-//  * clone isolation — mutating a clone never leaks into its original;
+//  * silicon follows its id — on a noisy router where every row settles
+//    on its silicon, every bank's pass decides like a per-row reference
+//    that manufactures each live row alone from its id's stream, through
+//    appends at the hot bank's edges, removes, recycled slots and folds;
+//  * clone isolation — mutating a clone never leaks into its original,
+//    and appending to a noisy clone never writes the original's silicon;
 //  * mutation histories — seeded random append / remove / compact /
 //    search sequences on 1, 2 and 4 shards, checked after every step
 //    against a slot-level model of the placement rules, against a fresh
@@ -40,10 +45,14 @@
 #include "asmcap/edam.h"
 #include "asmcap/service.h"
 #include "asmcap/sharded.h"
+#include "cam/cell.h"
+#include "cam/charge_readout.h"
+#include "circuit/sense_amp.h"
 #include "circuit/timing.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
 #include "util/decision_digest.h"
+#include "util/lane_flags.h"
 
 namespace asmcap {
 namespace {
@@ -503,6 +512,128 @@ TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
   EXPECT_EQ(copy->load_energy_joules(), born.load_energy_joules());
 }
 
+// A noisy router's rows settle on the silicon of their ids, wherever they
+// live and however they got there. At 0.5 V of SA offset every count is
+// in the noise band, so every live row settles on its silicon in every
+// pass. After each step of a history on a 4x2 hot bank — appends of 1,
+// H - 1, H, H + 1 and 2H + 1 rows (H = 8), removes in hot and cold banks,
+// recycled slots, and compact() — every bank's ED* and Hamming pass must
+// decide each live id like a reference that manufactures the row alone,
+// as ChargeArrayReadout(1, cols, charge, Rng(seed).fork(0x51C0).fork(id)),
+// flags its cells with the cell model, and draws the SA from the per-id
+// fork of the pass's stream. A fold that drew a moved row's silicon again
+// from another stream, or copied it from the wrong row of the hot bank
+// (4-row arrays) into a cold one (16-row arrays), fails here.
+TEST_F(LiveDbTest, NoisySiliconFollowsItsId) {
+  constexpr std::size_t kThreshold = 4;
+  AsmcapConfig config = bank_config(4, /*ideal=*/false);
+  config.process.charge.sa_offset_sigma = 0.5;
+  config.live.hot_array_rows = 4;
+  config.live.hot_array_count = 2;
+  const std::size_t hot = 8;
+  const ChargeDecisionBand band = charge_decision_band(
+      config.process.charge, config.array_cols, kThreshold);
+  ASSERT_EQ(band.hit_below, 0u);
+  ASSERT_GT(band.miss_from, config.array_cols);
+  const Rng silicon_root = Rng(config.seed).fork(0x51C0);
+
+  for (const std::size_t shards : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    ShardedAccelerator router(config, shards);
+    Rng rng(2310 + shards);
+    std::vector<Sequence> rows;  // By global id.
+    const auto append = [&](std::size_t count) {
+      std::vector<Sequence> batch;
+      for (std::size_t i = 0; i < count; ++i)
+        batch.push_back(Sequence::random(config.array_cols, rng));
+      rows.insert(rows.end(), batch.begin(), batch.end());
+      router.append_segments(batch);
+    };
+    const auto check = [&](const char* step) {
+      SCOPED_TRACE(step);
+      const std::vector<std::pair<std::uint64_t, Sequence>> live =
+          router.live_segments();
+      for (std::size_t i = 0; i < 6; ++i) {
+        // Reads a few substitutions from live rows, and random ones.
+        Sequence read = Sequence::random(config.array_cols, rng);
+        if (i < 4) {
+          read = live[rng.below(live.size())].second;
+          for (std::uint64_t e = rng.below(6); e > 0; --e)
+            read.set(rng.below(read.size()),
+                     base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+        }
+        const Rng stream = Rng(2320).fork(i);
+        for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
+          const PackedReadView view(read, mode == MatchMode::EdStar);
+          const PassSpec spec{&view, mode == MatchMode::EdStar ? 0u : 0x4844u};
+          std::vector<std::uint64_t> got;
+          for (const auto& bank : router.db()->banks) {
+            const BitVec decisions =
+                bank->run_passes(std::span(&spec, 1), kThreshold, stream)
+                    .front()
+                    .decisions;
+            for (std::size_t slot = decisions.find_first();
+                 slot < decisions.size(); slot = decisions.find_next(slot + 1))
+              got.push_back(bank->directory().ids[slot]);
+          }
+          std::sort(got.begin(), got.end());
+          std::vector<std::uint64_t> want;
+          const Rng pass_rng = stream.fork(spec.salt);
+          for (const auto& entry : live) {
+            const std::uint64_t id = entry.first;
+            const Sequence& row = rows[id];
+            Rng manufacture = silicon_root.fork(id);
+            const ChargeArrayReadout readout(1, config.array_cols,
+                                             config.process.charge,
+                                             manufacture);
+            std::vector<std::uint64_t> cells(lane_word_count(row.size()), 0);
+            for (std::size_t cell = 0; cell < row.size(); ++cell)
+              if (AsmcapCell(row[cell]).mismatch(read, cell, mode))
+                set_lane_flag(cells, cell);
+            Rng decide_rng = pass_rng.fork(id);
+            if (readout.decide(readout.settle_row(0, cells), kThreshold,
+                               decide_rng))
+              want.push_back(id);
+          }
+          EXPECT_EQ(got, want) << "read " << i << " mode "
+                               << (mode == MatchMode::EdStar ? "ED*" : "HD");
+        }
+      }
+    };
+
+    std::vector<Sequence> initial;
+    for (std::size_t i = 0; i < 12; ++i)
+      initial.push_back(Sequence::random(config.array_cols, rng));
+    rows = initial;
+    router.load_reference(initial);
+    check("load 12");
+    append(1);  // id 12 stages in the hot bank
+    check("append 1");
+    router.remove_segments({3, 12});  // a cold row and the hot one
+    check("remove in cold and hot");
+    append(hot - 1);  // ids 13-19; id 13 recycles id 12's hot slot
+    check("append H - 1");
+    append(hot);  // folds 13-20, stages 21-27 (1-2 shards: 13 takes 3's slot)
+    check("append H");
+    router.remove_segments({5, 13, 22});
+    check("remove in cold and hot again");
+    append(hot + 1);  // folds the staged rows and 28-29, stages 30-36
+    check("append H + 1");
+    router.compact();
+    check("compact");
+    append(2 * hot + 1);  // folds 37-52 from the batch, stages 53
+    check("append 2H + 1");
+    router.remove_segments({40, 53});
+    append(1);  // id 54 recycles id 53's hot slot
+    check("remove and recycle");
+    router.compact();
+    check("compact again");
+    EXPECT_FALSE(router.db()->has_hot);
+    EXPECT_EQ(router.live_segment_count(), 48u);
+    if (HasFatalFailure()) return;
+  }
+}
+
 // A clone shares no state with its original: removing rows from the clone
 // must leave the original's execute() results untouched and show up in
 // the clone's exactly as if the original had removed them — on both
@@ -548,6 +679,48 @@ TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
     EXPECT_FALSE(cloned.back().decisions[5]);
     EXPECT_FALSE(cloned.back().decisions[3]);
   }
+
+  // Noisy, with an SA offset large enough that every decision rests on a
+  // row's silicon: a stored row read back (no mismatches) decides on its
+  // own SA offset alone, so the original's decisions over its 30 rows
+  // fingerprint their silicon. The clone shares the original's silicon
+  // blocks, and its append recycles 20 slots still live in the original,
+  // so it must write new blocks, never the shared ones: the original
+  // must decide, and book energy, bit for bit as before, and the clone
+  // like a twin with the same history.
+  SCOPED_TRACE("noisy append");
+  AsmcapConfig noisy = bank_config(3, /*ideal=*/false);
+  noisy.process.charge.sa_offset_sigma = 0.5;
+  std::vector<Sequence> reads = first(30);
+  reads.insert(reads.end(), reads_.begin(), reads_.end());
+  auto execute_all = [&](const AsmcapAccelerator& bank) {
+    std::vector<QueryResult> out;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      const ExecutionPlan plan = bank.planner().build(
+          reads[i], 4, ErrorRates::condition_a(), StrategyMode::Full);
+      out.push_back(bank.execute(plan, Rng(2309).fork(i)));
+    }
+    return out;
+  };
+  const auto mutate = [&](AsmcapAccelerator& bank) {
+    std::vector<std::uint64_t> ids(20);
+    for (std::uint64_t id = 0; id < ids.size(); ++id) ids[id] = id;
+    bank.remove_segments(ids);
+    bank.append_segments(std::vector<Sequence>(segments_.begin() + 30,
+                                               segments_.begin() + 50));
+  };
+  AsmcapAccelerator original(noisy);
+  original.load_reference(first(30));
+  const std::vector<QueryResult> before = execute_all(original);
+  const std::unique_ptr<AsmcapAccelerator> copy = original.clone();
+  mutate(*copy);
+  AsmcapAccelerator twin(noisy);
+  twin.load_reference(first(30));
+  mutate(twin);
+  expect_same_results(execute_all(original), before);
+  expect_same_results(execute_all(*copy), execute_all(twin));
+  EXPECT_EQ(copy->directory().ids[0], 30u);
+  EXPECT_EQ(original.directory().ids[0], 0u);
 }
 
 // The typed error taxonomy shared by the ASMCap banks, the router, and

@@ -11,8 +11,9 @@
 # It also asserts that --noisy without --backend circuit and a negative
 # --seed are usage errors, that the default seed spelled out reproduces
 # the noisy golden, that --workers 1 and --workers 4 --max-in-flight 3
-# write byte-identical TSVs (all six columns), and, in zlib builds, that
-# a truncated gzip reference is an error.
+# write byte-identical TSVs (all six columns) on the ideal and on the
+# noisy path, and, in zlib builds, that a truncated gzip reference is an
+# error.
 # The latency/energy columns are deterministic doubles of the cost model
 # but may differ in the last ULP across compilers/ISAs (FMA contraction),
 # so they are excluded from the byte-compare; the decision digest equality
@@ -140,20 +141,32 @@ expect_usage_error negative_seed --threshold 12 --seed -1
 # Block grants and the admission window decide when reads run, never what
 # they compute: one worker and four workers under a 3-read window write
 # the same TSV, latency and energy columns included.
-for run in "1" "4 --max-in-flight 3"; do
-  # shellcheck disable=SC2086  # $run holds the worker flags
-  "$SEARCH" \
-    --reference "$WORK/ref.fa" --reads "$WORK/reads.fq" \
-    --width 128 --array-rows 64 --arrays 4 --shards 2 \
-    --threshold 12 --workers $run \
-    --output "$WORK/workers_${run%% *}.tsv" 2>> "$WORK/e2e_search.log"
-done
-if ! cmp -s "$WORK/workers_1.tsv" "$WORK/workers_4.tsv"; then
-  echo "check_e2e: FAIL — --workers 1 and --workers 4 --max-in-flight 3" \
-       "wrote different TSVs" >&2
-  diff "$WORK/workers_1.tsv" "$WORK/workers_4.tsv" >&2 || true
-  exit 1
-fi
+# same_tsv_across_workers <name> <reference> <reads> <search flags...>
+same_tsv_across_workers() {
+  local name=$1 ref=$2 reads=$3
+  shift 3
+  for run in "1" "4 --max-in-flight 3"; do
+    # shellcheck disable=SC2086  # $run holds the worker flags
+    "$SEARCH" --reference "$ref" --reads "$reads" \
+      --width 128 --array-rows 64 "$@" --workers $run \
+      --output "$WORK/${name}_${run%% *}.tsv" 2>> "$WORK/$name.log"
+  done
+  if ! cmp -s "$WORK/${name}_1.tsv" "$WORK/${name}_4.tsv"; then
+    echo "check_e2e: FAIL — --workers 1 and --workers 4 --max-in-flight 3" \
+         "wrote different TSVs ($*)" >&2
+    diff "$WORK/${name}_1.tsv" "$WORK/${name}_4.tsv" >&2 || true
+    exit 1
+  fi
+}
+same_tsv_across_workers workers "$WORK/ref.fa" "$WORK/reads.fq" \
+  --arrays 4 --shards 2 --threshold 12
+# The noisy path, on a reference (800 segments) whose load publishes
+# several epochs: their banks share silicon blocks, which every worker
+# reads.
+"$TESTGEN" "$WORK/noisy.fa" "$WORK/noisy.fq" \
+  --width 128 --records 2 --tiles 400 --reads 300 --seed 11
+same_tsv_across_workers noisy_workers "$WORK/noisy.fa" "$WORK/noisy.fq" \
+  --arrays 8 --shards 2 --threshold 1 --backend circuit --noisy
 
 # JSON mode smoke: same run, one JSON object per read, same decisions.
 "$SEARCH" \
