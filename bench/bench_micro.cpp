@@ -306,24 +306,29 @@ void router_ingest(benchmark::State& state, const AsmcapConfig& config,
                           static_cast<std::int64_t>(segments));
 }
 
-// The router's write path on ingest_heavy's load: 16,384 segments of 128
-// columns into the default geometry (256-row arrays, 512 per bank, a
-// 256-row hot bank) on 4 shards. Each overflowing append folds the staged
-// rows and the batch straight into cold bank 0 (one clone of it per
-// epoch).
+// The router's write path on ingest_heavy's load (the argument: 16,384
+// segments) and on 4x that: segments of 128 columns into the default
+// geometry (256-row arrays, 512 per bank, a 256-row hot bank) on 4
+// shards. Each overflowing append folds the staged rows and the batch
+// straight into cold bank 0, which nothing pins, so it is written in
+// place: the time per segment should not grow with the load.
 void BM_RouterIngest(benchmark::State& state) {
+  const auto segments = static_cast<std::size_t>(state.range(0));
   AsmcapConfig config;
   config.array_cols = 128;
   config.ideal_sensing = true;
   router_ingest(
-      state, config, 4, 16384,
-      [](const ShardedAccelerator& router) {
+      state, config, 4, segments,
+      [segments](const ShardedAccelerator& router) {
         return router.active_shards() == 1 && !router.db()->has_hot &&
-               router.shard(0).live_segment_count() == 16384;
+               router.shard(0).live_segment_count() == segments;
       },
-      "the load is not one cold bank of 16,384 rows");
+      "the load is not one cold bank of N live rows");
 }
-BENCHMARK(BM_RouterIngest)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouterIngest)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
 
 // circuit_noisy's load: 1,024 segments of 128 columns on 2 shards of 2
 // arrays, sensing noise, so every row written draws its silicon (129

@@ -42,6 +42,7 @@ void transpose64(std::uint64_t* a) {
 SlicedRowStore::SlicedRowStore(std::size_t cols) : cols_(cols) {
   if (cols > std::numeric_limits<std::uint16_t>::max())
     throw std::invalid_argument("SlicedRowStore: row width exceeds 65535");
+  group_.resize(kGroupRows * words_per_row());
 }
 
 SlicedRowStore::SlicedRowStore(const std::vector<Sequence>& rows,
@@ -58,24 +59,29 @@ void SlicedRowStore::write_rows(std::size_t first,
   if (rows.empty()) return;
   const std::size_t end = first + rows.size();
   const std::size_t words = words_per_row();
-  std::vector<std::uint64_t> group(kGroupRows * words);
   if (end > rows_) {
-    // The words grow before the row count, so a throwing resize leaves
-    // the store as it was.
-    words_.resize((end + kBlockRows - 1) / kBlockRows * cols_ * kColumnWords,
-                  0);
+    // The room is made before anything changes, so a throwing allocation
+    // leaves the store as it was; the resize after it cannot throw.
+    reserve(end);
+    words_.resize(words_for(end), 0);
     rows_ = end;
   }
   for (std::size_t g = first / kGroupRows; g * kGroupRows < end; ++g) {
     const std::size_t lo = std::max(first, g * kGroupRows);
     const std::size_t hi = std::min(end, (g + 1) * kGroupRows);
     // A partly covered group keeps its other rows.
-    if (hi - lo < kGroupRows) gather_group(g, group.data());
+    if (hi - lo < kGroupRows) gather_group(g, group_.data());
     for (std::size_t slot = lo; slot < hi; ++slot)
-      rows[slot - first].pack_words(group.data() +
+      rows[slot - first].pack_words(group_.data() +
                                     (slot % kGroupRows) * words);
-    scatter_group(g, group.data());
+    scatter_group(g, group_.data());
   }
+}
+
+void SlicedRowStore::reserve(std::size_t rows) {
+  const std::size_t words = words_for(rows);
+  if (words > words_.capacity())
+    words_.reserve(std::max(words, 2 * words_.capacity()));
 }
 
 // Chunk c of a group is the 64×64 bit matrix whose row p is plane 64c + p

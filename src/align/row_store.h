@@ -9,14 +9,16 @@
 //
 // Rows enter and leave in 64-row groups through 64×64 bit-matrix
 // transposes (Hacker's Delight §7-3), never bit by bit: write_rows packs
-// each row straight into its group (Sequence::pack_words, no per-row
-// allocation) and transposes whole groups, gathering a partly covered
-// group first, and gather_group returns a group in Sequence::packed_words
-// layout — the form the lane-word consumers (align/kernels.h) read.
-// gather_row serves a lone row. Rows past the last written slot are zero
-// (all 'A') padding.
+// each row straight into the store's one group buffer
+// (Sequence::pack_words, no per-row allocation) and transposes whole
+// groups, gathering a partly covered group first, and gather_group
+// returns a group in Sequence::packed_words layout — the form the
+// lane-word consumers (align/kernels.h) read. gather_row serves a lone
+// row. Rows past the last written slot are zero (all 'A') padding.
+// reserve() makes room ahead of a write, growing geometrically, so that a
+// bank can allocate everything an append needs before it writes anything.
 //
-// Ownership: the store owns its plane words.
+// Ownership: the store owns its plane words and its group buffer.
 // Thread-safety: the const members are pure reads, safe to call
 // concurrently; write_rows mutates and must not overlap any other call on
 // the same store (a bank writes its store on the control plane only, see
@@ -50,8 +52,16 @@ class SlicedRowStore {
   /// (Re)writes slots [first, first + rows.size()) from `rows`, growing the
   /// store as needed. Throws std::invalid_argument on a width mismatch,
   /// and whatever growing the plane words throws (std::length_error,
-  /// std::bad_alloc), before anything changes.
+  /// std::bad_alloc), before anything changes. A write that ends within
+  /// reserved room allocates nothing, so it cannot throw on rows of the
+  /// store's width.
   void write_rows(std::size_t first, std::span<const Sequence> rows);
+  /// Makes room for slots [0, rows) without changing any row: the plane
+  /// words' capacity grows to at least double when it grows at all (as
+  /// std::vector's push_back does), so a run of appends stays amortised
+  /// O(rows written). Throws what that allocation throws
+  /// (std::length_error, std::bad_alloc), with the store unchanged.
+  void reserve(std::size_t rows);
 
   /// Writes the 64 rows of group `group` (slots 64·group ..) to `out`,
   /// words_per_row() words per row in Sequence::packed_words layout.
@@ -72,8 +82,14 @@ class SlicedRowStore {
 
  private:
   void scatter_group(std::size_t group, const std::uint64_t* in);
+  /// Plane words holding slots [0, rows).
+  std::size_t words_for(std::size_t rows) const {
+    return (rows + kBlockRows - 1) / kBlockRows * cols_ * kColumnWords;
+  }
 
   std::vector<std::uint64_t> words_;
+  /// write_rows' group buffer: kGroupRows rows of words_per_row() words.
+  std::vector<std::uint64_t> group_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
 };

@@ -18,6 +18,14 @@ namespace {
 // out of reach of any realistic rotation-schedule length.
 constexpr std::uint64_t kHdPassSalt = 0x4844'0000ULL;
 constexpr std::uint64_t kHdacSelectSalt = 0x5E1E'C700ULL;
+
+/// Makes room for `n` elements, at least doubling the capacity when it
+/// grows, as push_back does: growing to the exact size on every append
+/// would copy the whole table each time.
+template <typename Table>
+void reserve_geometric(Table& table, std::size_t n) {
+  if (n > table.capacity()) table.reserve(std::max(n, 2 * table.capacity()));
+}
 }  // namespace
 
 AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
@@ -31,11 +39,12 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
   validate(config_.process);
 }
 
-void AsmcapAccelerator::write_silicon(std::span<const std::size_t> slots,
-                                      std::span<const std::uint64_t> ids,
-                                      const AsmcapAccelerator* source) {
+void AsmcapAccelerator::build_silicon(PendingWrite& write,
+                                      const AsmcapAccelerator* source) const {
   const std::size_t rows = config_.array_rows;
   const std::size_t cols = config_.array_cols;
+  const std::span<const std::size_t> slots = write.slots_;
+  const std::span<const std::uint64_t> ids = write.ids_;
   // A source bank's row of an id is the row this bank would draw when the
   // source draws from the same silicon root with the same model.
   const bool copy = source != nullptr && source->senses_noise() &&
@@ -43,9 +52,7 @@ void AsmcapAccelerator::write_silicon(std::span<const std::size_t> slots,
                     source->config_.array_cols == cols &&
                     source->config_.process.charge == config_.process.charge;
   // Each touched array (ascending slots: one run each) gets one new block,
-  // a copy of its shared block or zeros; published blocks are never
-  // written. The blocks are installed only once every row is built.
-  std::vector<std::pair<std::size_t, std::shared_ptr<ArraySilicon>>> built;
+  // a copy of its shared block or zeros.
   for (std::size_t i = 0; i < slots.size();) {
     const std::size_t a = slots[i] / rows;
     auto block = a < silicon_.size() && silicon_[a]
@@ -67,11 +74,15 @@ void AsmcapAccelerator::write_silicon(std::span<const std::size_t> slots,
                                silicon);
       }
     }
-    built.emplace_back(a, std::move(block));
+    write.silicon_.emplace_back(a, std::move(block));
   }
-  if (!built.empty() && silicon_.size() <= built.back().first)
-    silicon_.resize(built.back().first + 1);
-  for (auto& [a, block] : built) silicon_[a] = std::move(block);
+}
+
+void AsmcapAccelerator::install_silicon(PendingWrite& write) {
+  if (write.silicon_.empty()) return;
+  const std::size_t last = write.silicon_.back().first;
+  if (silicon_.size() <= last) silicon_.resize(last + 1);
+  for (auto& [a, block] : write.silicon_) silicon_[a] = std::move(block);
 }
 
 std::size_t AsmcapAccelerator::slot_of(std::uint64_t id) const {
@@ -118,10 +129,20 @@ std::vector<std::uint64_t> AsmcapAccelerator::append_segments(
 void AsmcapAccelerator::append_segments(
     std::span<const Sequence> segments, std::span<const std::uint64_t> ids,
     const AsmcapAccelerator* source) {
+  prepare_append(segments, ids, source).commit();
+}
+
+AsmcapAccelerator::PendingWrite AsmcapAccelerator::prepare_append(
+    std::span<const Sequence> segments, std::span<const std::uint64_t> ids,
+    const AsmcapAccelerator* source) {
   if (segments.size() != ids.size())
     throw std::invalid_argument(
         "AsmcapAccelerator: append ids/segments size mismatch");
-  if (segments.empty()) return;
+  PendingWrite write;
+  write.bank_ = this;
+  write.rows_ = segments;
+  write.ids_ = ids;
+  if (segments.empty()) return write;
   // Validate everything before touching any state (strong exception
   // safety, see db_error.h).
   for (const Sequence& segment : segments)
@@ -147,7 +168,7 @@ void AsmcapAccelerator::append_segments(
   // guarantees enough of both.
   const std::size_t n = segments.size();
   const std::size_t old_slots = dir_.slots();
-  std::vector<std::size_t> targets;
+  std::vector<std::size_t>& targets = write.slots_;
   targets.reserve(n);
   if (dir_.live_count < old_slots) {
     const std::uint64_t* live = dir_.live.data();
@@ -160,7 +181,38 @@ void AsmcapAccelerator::append_segments(
         targets.push_back(slot);
       }
   }
-  if (!targets.empty()) {
+  for (std::size_t next = old_slots; targets.size() < n; ++next)
+    targets.push_back(next);
+  if (senses_noise()) build_silicon(write, source);
+
+  // Room for everything commit writes, so that it cannot throw.
+  const std::size_t slots = std::max(old_slots, targets.back() + 1);
+  store_.reserve(slots);
+  reserve_geometric(dir_.ids, slots);
+  reserve_geometric(dir_.live, slots);
+  reserve_geometric(dir_.array_live,
+                    (slots + config_.array_rows - 1) / config_.array_rows);
+  reserve_geometric(slots_by_id_, slots_by_id_.size() + n);
+  if (!write.silicon_.empty())
+    reserve_geometric(silicon_, write.silicon_.back().first + 1);
+  return write;
+}
+
+void AsmcapAccelerator::PendingWrite::commit() noexcept {
+  if (slots_.empty()) return;
+  if (rows_.empty())
+    bank_->commit_remove(*this);
+  else
+    bank_->commit_append(*this);
+}
+
+void AsmcapAccelerator::commit_append(PendingWrite& write) noexcept {
+  const std::span<const Sequence> segments = write.rows_;
+  const std::span<const std::uint64_t> ids = write.ids_;
+  const std::vector<std::size_t>& targets = write.slots_;
+  const std::size_t n = targets.size();
+  const std::size_t old_slots = dir_.slots();
+  if (targets.front() < old_slots) {
     // A recycled slot's previous occupant is forgotten for good (its
     // state becomes Unknown — ids are never resurrected): one pass drops
     // the recycled slots, the tombstoned ones up to the last target, from
@@ -170,11 +222,9 @@ void AsmcapAccelerator::append_segments(
       return slot <= last && !dir_.live[slot];
     });
   }
-  for (std::size_t next = old_slots; targets.size() < n; ++next)
-    targets.push_back(next);
   // No target slot is live, so its silicon shows only once the directory
   // below marks it live.
-  if (senses_noise()) write_silicon(targets, ids, source);
+  install_silicon(write);
 
   // The row store takes each run of consecutive target slots in one
   // write (whole 64-row groups transpose at once).
@@ -200,7 +250,8 @@ void AsmcapAccelerator::append_segments(
   dir_.live_count += n;
 
   // The id index: ascending ids above every indexed one (the router's)
-  // extend it at the back; any others sort and merge in once.
+  // extend it at the back; any others sort and merge in once (the merge
+  // falls back to an unbuffered one if it cannot get a buffer).
   const auto by_id = [&](std::size_t a, std::size_t b) {
     return dir_.ids[a] < dir_.ids[b];
   };
@@ -219,12 +270,20 @@ void AsmcapAccelerator::append_segments(
 
 void AsmcapAccelerator::remove_segments(
     const std::vector<std::uint64_t>& ids) {
+  prepare_remove(ids).commit();
+}
+
+AsmcapAccelerator::PendingWrite AsmcapAccelerator::prepare_remove(
+    std::span<const std::uint64_t> ids) {
   if (ids.empty())
     throw DbError(DbErrorKind::EmptyMutation,
                   "AsmcapAccelerator: remove_segments with no ids");
   // Validate everything before touching any state.
   const std::size_t repeat = first_repeat(ids);
-  std::vector<std::size_t> slots(ids.size());
+  PendingWrite write;
+  write.bank_ = this;
+  std::vector<std::size_t>& slots = write.slots_;
+  slots.resize(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     slots[i] = slot_of(ids[i]);
     if (slots[i] == kNoSlot)
@@ -235,14 +294,18 @@ void AsmcapAccelerator::remove_segments(
                     "AsmcapAccelerator: segment already deleted");
   }
   std::sort(slots.begin(), slots.end());
-  for (const std::size_t slot : slots) {
+  return write;
+}
+
+void AsmcapAccelerator::commit_remove(const PendingWrite& write) noexcept {
+  for (const std::size_t slot : write.slots_) {
     dir_.live.clear(slot);
     --dir_.array_live[slot / config_.array_rows];
     --dir_.live_count;
   }
   // Tombstoning writes the row's all-mismatch mask: same decoder+WL+SRAM
   // cost as a row write.
-  book_write_cost(slots);
+  book_write_cost(write.slots_);
 }
 
 SegmentState AsmcapAccelerator::segment_state(std::uint64_t id) const {
@@ -286,16 +349,18 @@ void AsmcapAccelerator::set_backend(BackendKind kind) {
   // each live row's silicon from its per-id stream. Dead and unwritten
   // rows are masked out of every decision, with zero matchline energy, so
   // their silicon cannot show.
-  std::vector<std::size_t> slots;
   std::vector<std::uint64_t> ids;
-  slots.reserve(dir_.live_count);
+  PendingWrite write;
+  write.slots_.reserve(dir_.live_count);
   ids.reserve(dir_.live_count);
   for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
     if (dir_.live[slot]) {
-      slots.push_back(slot);
+      write.slots_.push_back(slot);
       ids.push_back(dir_.ids[slot]);
     }
-  write_silicon(slots, ids, nullptr);
+  write.ids_ = ids;
+  build_silicon(write, nullptr);
+  install_silicon(write);
 }
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {

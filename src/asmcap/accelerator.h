@@ -45,16 +45,26 @@
 // Every table the bank keeps is a flat vector — the row store's plane
 // words, the directory, and the id index (every slot, ordered by the id it
 // holds) — so a clone is a few vector copies plus one pointer per silicon
-// block, and an append costs O(appended rows) plus a new block for each
-// array it writes silicon into and, only when the bank holds tombstones,
-// one pass over its live words and its id index.
+// block, and an append costs amortised O(appended rows) plus a new block
+// for each array it writes silicon into and, only when the bank holds
+// tombstones, one pass over its live words and its id index.
+//
+// A mutation is two steps, which callers that write several banks (the
+// sharded router's epoch build) call separately: prepare_append /
+// prepare_remove validate the call and allocate everything it writes —
+// target slots, room in the row store, directory and id index (growing
+// geometrically), new silicon blocks — without changing any row, id or
+// live bit; PendingWrite::commit then writes and cannot throw. So a bank
+// written in place is never left half-written: a mutation that throws,
+// DbError or allocation failure alike, leaves it as it was (db_error.h).
 // Thread-safety: the mutating entry points (load_reference,
-// append_segments, remove_segments, set_backend) belong to one control
-// thread at a time; execute() is const and thread-safe and is what the
-// sharded router and the streaming service fan across workers. Mutations
-// must not run while this bank has execute() calls in flight — the
-// sharded router guarantees that by mutating clones and publishing them
-// as a new epoch. RNG discipline: docs/determinism.md.
+// append_segments, remove_segments, the prepare_* calls and commit,
+// set_backend) belong to one control thread at a time; execute() is const
+// and thread-safe and is what the sharded router and the streaming
+// service fan across workers. Mutations must not run while this bank has
+// execute() calls in flight — the sharded router guarantees that by
+// writing in place only a bank no pinned epoch can reach, and cloning any
+// other before it writes. RNG discipline: docs/determinism.md.
 
 #include <cstddef>
 #include <cstdint>
@@ -101,6 +111,30 @@ enum class SegmentState : std::uint8_t {
 
 class AsmcapAccelerator {
  public:
+  /// A mutation of one bank, validated and with everything it writes
+  /// allocated, not yet applied (prepare_append / prepare_remove). A
+  /// caller that must change several banks or none prepares every write
+  /// first, then commits each. A prepared append reads its rows and ids
+  /// again at commit, so they must outlive it, and its bank must not
+  /// change in between.
+  class PendingWrite {
+   public:
+    /// Applies the write to its bank. Cannot throw: it only fills the
+    /// room its prepare made.
+    void commit() noexcept;
+
+   private:
+    friend class AsmcapAccelerator;
+    AsmcapAccelerator* bank_ = nullptr;
+    std::span<const Sequence> rows_;  ///< Empty for a remove.
+    std::span<const std::uint64_t> ids_;  ///< Empty for a remove.
+    std::vector<std::size_t> slots_;  ///< Ascending; row i goes to slot i.
+    /// A noisy append's new silicon block per array it writes, by array,
+    /// ascending: installed at commit.
+    std::vector<std::pair<std::size_t, std::shared_ptr<ArraySilicon>>>
+        silicon_;
+  };
+
   explicit AsmcapAccelerator(AsmcapConfig config);
 
   /// Seeds the database with `segments` (each must match the array width),
@@ -129,11 +163,22 @@ class AsmcapAccelerator {
   void append_segments(std::span<const Sequence> segments,
                        std::span<const std::uint64_t> ids,
                        const AsmcapAccelerator* source = nullptr);
+  /// append_segments' first step: throws what it throws, and otherwise
+  /// returns the write with its target slots chosen, room made in the row
+  /// store, directory and id index, and on a noisy bank every new silicon
+  /// block built. Only spare capacity changes, whether it returns or
+  /// throws.
+  PendingWrite prepare_append(std::span<const Sequence> segments,
+                              std::span<const std::uint64_t> ids,
+                              const AsmcapAccelerator* source = nullptr);
 
   /// Tombstones the given global ids. DbError: UnknownSegment for an id
   /// this bank never held, DoubleDelete for an already-dead id (also for
   /// duplicates within one call); nothing changes when it throws.
   void remove_segments(const std::vector<std::uint64_t>& ids);
+  /// remove_segments' first step: validates and returns the tombstoning,
+  /// changing nothing.
+  PendingWrite prepare_remove(std::span<const std::uint64_t> ids);
 
   SegmentState segment_state(std::uint64_t id) const;
   /// The live (id, segment) pairs, ascending by row slot.
@@ -142,9 +187,10 @@ class AsmcapAccelerator {
   /// A copy of the bank — row store, directory, id index, and load
   /// ledger, each a flat vector copy; the silicon blocks (if built) are
   /// shared, never copied. The copy-on-write primitive of the sharded
-  /// router's epoch scheme: execute() results on the clone are
-  /// bit-identical to the original, energy included, and mutating either
-  /// never touches the other (a write builds new blocks).
+  /// router's epoch scheme for a bank a pinned epoch still reads:
+  /// execute() results on the clone are bit-identical to the original,
+  /// energy included, and mutating either never touches the other (a
+  /// write builds new blocks).
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// Selects the sensing of subsequent execute() calls: Circuit (default)
@@ -211,6 +257,9 @@ class AsmcapAccelerator {
   /// Slot-indexed id / tombstone tables (what the router uses to map an
   /// execute() result's slots to global ids).
   const LiveDirectory& directory() const { return dir_; }
+  /// The silicon blocks, one per array (null where no row has silicon);
+  /// empty unless the bank senses noise. Shared with its clones.
+  const BankSilicon& silicon() const { return silicon_; }
   /// Cumulative cost of loading + appending reference rows (decoder + WL +
   /// SRAM writes; rows of different arrays are written in parallel).
   double load_energy_joules() const { return load_energy_; }
@@ -234,14 +283,19 @@ class AsmcapAccelerator {
   bool senses_noise() const {
     return backend_kind_ == BackendKind::Circuit && !config_.ideal_sensing;
   }
-  /// Writes the silicon of the rows at ascending, non-live `slots`, row i
-  /// for id ids[i]: copied from `source`'s live row of that id when
-  /// append_segments' conditions hold, else drawn from the id's stream.
-  /// Each array it touches gets one new block, installed after every row
-  /// is built, so a throw changes nothing.
-  void write_silicon(std::span<const std::size_t> slots,
-                     std::span<const std::uint64_t> ids,
-                     const AsmcapAccelerator* source);
+  /// Builds the silicon of `write`'s rows (ascending, non-live slots, row
+  /// i for id ids_[i]) into its new blocks, one per array it touches, a
+  /// copy of that array's shared block or zeros: each row copied from
+  /// `source`'s live row of its id when append_segments' conditions hold,
+  /// else drawn from the id's stream. Changes nothing in the bank.
+  void build_silicon(PendingWrite& write,
+                     const AsmcapAccelerator* source) const;
+  /// Installs `write`'s built blocks (published blocks are never written).
+  /// Cannot throw once silicon_ has room for the last one.
+  void install_silicon(PendingWrite& write);
+  /// PendingWrite::commit for an append and for a remove.
+  void commit_append(PendingWrite& write) noexcept;
+  void commit_remove(const PendingWrite& write) noexcept;
   /// The slot holding `id` (live or tombstoned), or kNoSlot: a binary
   /// search of the id index.
   std::size_t slot_of(std::uint64_t id) const;
@@ -261,7 +315,8 @@ class AsmcapAccelerator {
   Rng silicon_root_;
   /// Circuit state: one block per array (null until a row of it gets
   /// silicon), non-empty only while senses_noise() and a row has been
-  /// written. Shared with every clone and epoch; never written in place.
+  /// written. Shared with every clone and epoch; a block is never written
+  /// once installed, even when the bank itself is written in place.
   BankSilicon silicon_;
   LiveDirectory dir_;
   SlicedRowStore store_;  ///< Canonical row store, one row per slot.

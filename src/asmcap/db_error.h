@@ -12,9 +12,13 @@
 // Mutation calls are validated in full BEFORE any state changes: a DbError
 // thrown from append/remove leaves the database (and the published epoch)
 // exactly as it was — strong exception safety at the mutation seam. The
-// validation loops walk the ids in call order and report the first bad
-// position; first_repeat finds the repeated ids among them without a
-// hash set.
+// guarantee also covers allocation failure (std::bad_alloc,
+// std::length_error), including when the router writes unpinned banks in
+// place: every bank write is prepared — validated, with everything it
+// writes allocated — before any is committed, and a commit cannot throw
+// (AsmcapAccelerator::PendingWrite). The validation loops walk the ids in
+// call order and report the first bad position; first_repeat finds the
+// repeated ids among them without a hash set.
 //
 // Thread-safety: DbError is a plain exception value; construction and
 // inspection are thread-safe like any other exception object. Mutation

@@ -5,17 +5,19 @@
 // reader (SeqStreamReader::next_header / read_bases), each joining the
 // append batch as soon as it fills, so no record is ever held whole: the
 // reader side needs O(read buffer + append_batch) memory for any record
-// length. On the database side an append copies what its epoch writes
-// (copy-on-write, asmcap/sharded.h): the (at most hot-capacity) rows it
-// stages, and a clone of each cold bank it folds rows into — flat vector
-// copies (row store, directory, id index), but still O(bank) each, so a
-// load briefly holds two copies of the bank it is filling. On a noisy
-// bank the clone shares the silicon blocks instead of copying them: an
-// append draws each new row's silicon once, copies a folded row's from
-// the hot bank, and copies only the silicon blocks of the arrays it
-// writes (one array's rows × cols capacitances each). Rows that
-// overflow the hot bank fold straight from the batch into the cold tier,
-// and a bank append without tombstones costs O(appended rows). The id <->
+// length. On the database side an append copies only the rows it writes
+// (asmcap/sharded.h): into the hot bank it stages them in, or, for rows
+// that overflow it, once into the fold's block, from which each receiving
+// cold bank writes its share. Nothing pins the epochs a load publishes
+// (no ticket or db() snapshot runs during ingest_reference unless the
+// caller holds one), so every bank is written in place, growing its
+// tables geometrically: a bank append without tombstones costs amortised
+// O(appended rows), and the load holds one copy of each bank, never two.
+// A bank that a pin still reads is cloned first (flat vector copies), as
+// every bank was before. On a noisy bank an append draws each new row's
+// silicon once, copies a folded row's from the hot bank, and builds a new
+// silicon block for each array it writes (one array's rows × cols
+// capacitances, a copy of the shared block). The id <->
 // (record, offset) mapping is preserved in a ReferenceIndex so search
 // results can be reported against the original record names instead of
 // raw segment ids.

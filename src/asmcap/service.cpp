@@ -607,8 +607,13 @@ void SearchTicket::finish_reads(std::size_t reads) {
   const std::size_t done =
       completed_.fetch_add(reads, std::memory_order_acq_rel) + reads;
   // Last read of the submission: this ticket no longer has in-flight
-  // tasks, so it stops pinning the session pool against replacement.
-  if (done == slots_.size()) accel_->pool_.unpin();
+  // tasks, so it stops pinning the session pool against replacement, and
+  // nothing reads its epoch any more, so it lets go of that pin too (a
+  // mutation after wait() may then write in place what the ticket read).
+  if (done == slots_.size()) {
+    accel_->pool_.unpin();
+    db_.reset();
+  }
   group_.finish(reads);
 }
 
@@ -687,11 +692,11 @@ std::shared_ptr<SearchTicket> SearchService::launch(
   ticket->pool_ = &accel_->worker_pool(options.workers);
   accel_->pool_.pin();
 
-  // Capture the database epoch on the control thread: every worker-side
-  // read goes through this snapshot, so mutations published after launch
-  // are invisible to this ticket (and the snapshot's shared banks stay
-  // alive until the ticket completes).
-  ticket->db_ = accel_->db_;
+  // Pin the database epoch on the control thread: every worker-side read
+  // goes through this snapshot, so mutations published after launch are
+  // invisible to this ticket (they clone what it reads instead of writing
+  // it, and the snapshot's banks stay alive until its last read is done).
+  ticket->db_ = accel_->pin();
 
   // Snapshot the master stream on the control thread: workers fork from
   // the copy, so nothing in this ticket ever touches the live rng_.

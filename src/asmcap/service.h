@@ -478,13 +478,15 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
 
   ShardedAccelerator* accel_;
   ThreadPool* pool_ = nullptr;
-  /// The database epoch this ticket runs against, captured at launch on
-  /// the control plane. Everything worker-side — probe, execute, merge —
-  /// reads THIS snapshot, never the router's live pointer: a mutation
+  /// The database epoch this ticket runs against, pinned at launch on
+  /// the control plane (ShardedAccelerator::pin). Everything worker-side
+  /// — probe, execute, merge — reads THIS snapshot, never the router's
+  /// live pointer: a mutation
   /// published mid-flight (append/delete/compact on the control thread)
   /// builds new or cloned banks and cannot touch the ones pinned here, so
   /// the ticket's decisions, energy, and latency are exactly those of the
   /// epoch it was launched against (tests/test_live.cpp pins this down).
+  /// Released by finish_reads once the last read is resolved.
   std::shared_ptr<const DbEpoch> db_;
   std::vector<Sequence> owned_reads_;        ///< Owning submissions only.
   const std::vector<Sequence>* reads_;       ///< The batch (owned or not).

@@ -80,24 +80,76 @@ void ShardedAccelerator::load_reference(
   db_ = std::move(next);
 }
 
-AsmcapAccelerator& ShardedAccelerator::touch(DbEpoch& next,
-                                             std::vector<bool>& owned,
-                                             std::size_t i) const {
-  if (!owned[i]) {
-    next.banks[i] =
-        std::shared_ptr<AsmcapAccelerator>(next.banks[i]->clone());
-    owned[i] = true;
+std::shared_ptr<const DbEpoch> ShardedAccelerator::pin() const {
+  if (!db_) return nullptr;
+  if (pinned_.empty() || pinned_.back().number != db_->number)
+    pinned_.push_back({db_->number, db_,
+                       std::make_shared<std::atomic<std::size_t>>(0)});
+  const std::shared_ptr<std::atomic<std::size_t>>& pins =
+      pinned_.back().pins;
+  pins->fetch_add(1, std::memory_order_relaxed);
+  // Should the pointer's control block fail to allocate, the deleter runs
+  // at once and counts the pin out again.
+  return std::shared_ptr<const DbEpoch>(
+      db_.get(), [epoch = db_, pins](const DbEpoch*) mutable {
+        epoch.reset();
+        pins->fetch_sub(1, std::memory_order_release);
+      });
+}
+
+bool ShardedAccelerator::unshared(
+    const std::shared_ptr<AsmcapAccelerator>& bank) const {
+  // A count read at zero (acquire) follows each pin's release, made after
+  // the pin let go of its epoch: every read through those pins, and the
+  // epoch's release of its banks, happened before the write this allows.
+  std::erase_if(pinned_, [](const PinnedEpoch& pinned) {
+    return pinned.pins->load(std::memory_order_acquire) == 0;
+  });
+  for (const PinnedEpoch& pinned : pinned_) {
+    // An epoch whose last pin is letting go of it still counts as
+    // holding every bank.
+    const std::shared_ptr<const DbEpoch> epoch = pinned.epoch.lock();
+    if (!epoch || std::find(epoch->banks.begin(), epoch->banks.end(),
+                            bank) != epoch->banks.end())
+      return false;
   }
-  return *next.banks[i];
+  return bank.use_count() == 2;  // the published epoch and the build
+}
+
+ShardedAccelerator::EpochBuild ShardedAccelerator::begin_build() const {
+  EpochBuild build;
+  build.next = db_ ? std::make_shared<DbEpoch>(*db_)
+                   : std::make_shared<DbEpoch>();
+  ++build.next->number;
+  build.owned.assign(build.next->banks.size(), false);
+  return build;
+}
+
+AsmcapAccelerator& ShardedAccelerator::touch(EpochBuild& build,
+                                             std::size_t i) const {
+  std::shared_ptr<AsmcapAccelerator>& bank = build.next->banks[i];
+  if (!build.owned[i]) {
+    if (!unshared(bank))
+      bank = std::shared_ptr<AsmcapAccelerator>(bank->clone());
+    build.owned[i] = true;
+  }
+  return *bank;
+}
+
+void ShardedAccelerator::publish(EpochBuild& build) {
+  for (AsmcapAccelerator::PendingWrite& write : build.writes) write.commit();
+  db_ = std::move(build.next);
 }
 
 void ShardedAccelerator::fold_into_cold(
-    DbEpoch& next, std::vector<bool>& owned, std::span<const Sequence> rows,
+    EpochBuild& build, std::span<const Sequence> rows,
     std::span<const std::uint64_t> ids) const {
+  DbEpoch& next = *build.next;
   // The hot bank's survivors in ascending id order (the canonical fold
   // order: deterministic whatever slot-recycling history the hot bank
-  // had). The bank is only read, never cloned, and leaves the epoch; the
-  // cold banks copy the staged rows' silicon from it.
+  // had), then the batch's rows: one block, which each receiving cold
+  // bank takes its share of. The hot bank is only read and leaves the
+  // epoch; the cold banks copy the staged rows' silicon from it.
   std::vector<std::pair<std::uint64_t, Sequence>> staged;
   std::shared_ptr<const AsmcapAccelerator> hot;
   if (next.has_hot) {
@@ -109,16 +161,23 @@ void ShardedAccelerator::fold_into_cold(
                 return a.first < b.first;
               });
     next.banks.pop_back();
-    owned.pop_back();
+    build.owned.pop_back();
     next.has_hot = false;
   }
+  build.fold_rows.reserve(staged.size() + rows.size());
+  build.fold_ids.reserve(staged.size() + rows.size());
+  for (auto& [id, row] : staged) {
+    build.fold_ids.push_back(id);
+    build.fold_rows.push_back(std::move(row));
+  }
+  build.fold_rows.insert(build.fold_rows.end(), rows.begin(), rows.end());
+  build.fold_ids.insert(build.fold_ids.end(), ids.begin(), ids.end());
 
-  // Row j of the fold is staged[j], then rows[j - staged.size()]: each
-  // cold bank in shard order takes as many as it has free rows, gathered
-  // into one block (staged rows moved, batch rows copied) and written in
+  // Each cold bank in shard order takes as many rows as it has free, in
   // one append.
-  const std::size_t total = staged.size() + rows.size();
-  for (std::size_t s = 0, j = 0; j < total; ++s) {
+  const std::span<const Sequence> fold_rows(build.fold_rows);
+  const std::span<const std::uint64_t> fold_ids(build.fold_ids);
+  for (std::size_t s = 0, j = 0; j < fold_rows.size(); ++s) {
     if (s == next.banks.size()) {
       // All existing cold banks are full: grow the cold tier (the
       // capacity invariant — live <= cold capacity — guarantees we never
@@ -126,25 +185,13 @@ void ShardedAccelerator::fold_into_cold(
       if (next.banks.size() >= shard_count_)
         throw std::logic_error("ShardedAccelerator: fold overflow");
       next.banks.push_back(make_bank(true, 0));
-      owned.push_back(true);
+      build.owned.push_back(true);
     }
     const std::size_t take =
-        std::min(next.banks[s]->free_capacity(), total - j);
+        std::min(next.banks[s]->free_capacity(), fold_rows.size() - j);
     if (take == 0) continue;
-    std::vector<Sequence> block;
-    std::vector<std::uint64_t> block_ids;
-    block.reserve(take);
-    block_ids.reserve(take);
-    for (std::size_t k = j; k < j + take; ++k) {
-      if (k < staged.size()) {
-        block_ids.push_back(staged[k].first);
-        block.push_back(std::move(staged[k].second));
-      } else {
-        block_ids.push_back(ids[k - staged.size()]);
-        block.push_back(rows[k - staged.size()]);
-      }
-    }
-    touch(next, owned, s).append_segments(block, block_ids, hot.get());
+    build.writes.push_back(touch(build, s).prepare_append(
+        fold_rows.subspan(j, take), fold_ids.subspan(j, take), hot.get()));
     j += take;
   }
 }
@@ -160,14 +207,8 @@ std::vector<std::uint64_t> ShardedAccelerator::append_segments(
     throw DbError(DbErrorKind::CapacityExceeded,
                   "ShardedAccelerator: database exceeds the sharded capacity");
 
-  auto next = std::make_shared<DbEpoch>();
-  next->number = (db_ ? db_->number : 0) + 1;
-  if (db_) {
-    next->banks = db_->banks;
-    next->has_hot = db_->has_hot;
-  }
-  std::vector<bool> owned(next->banks.size(), false);
-
+  EpochBuild build = begin_build();
+  DbEpoch& next = *build.next;
   const std::size_t n = segments.size();
   std::vector<std::uint64_t> ids(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -180,7 +221,7 @@ std::vector<std::uint64_t> ShardedAccelerator::append_segments(
   const std::size_t hot_capacity =
       config_.live.hot_array_rows * config_.live.hot_array_count;
   const std::size_t staged =
-      next->has_hot ? next->banks.back()->live_segment_count() : 0;
+      next.has_hot ? next.banks.back()->live_segment_count() : 0;
   const std::span<const Sequence> rows(segments);
   const std::span<const std::uint64_t> row_ids(ids);
   std::size_t folded = 0;
@@ -188,24 +229,25 @@ std::vector<std::uint64_t> ShardedAccelerator::append_segments(
     const std::size_t keep =
         hot_capacity == 0 ? 0 : (staged + n - 1) % hot_capacity + 1;
     folded = n - keep;
-    fold_into_cold(*next, owned, rows.first(folded), row_ids.first(folded));
+    fold_into_cold(build, rows.first(folded), row_ids.first(folded));
   }
   if (folded < n) {
-    if (!next->has_hot) {
+    if (!next.has_hot) {
       // Fresh hot staging bank (always last).
-      next->banks.push_back(make_bank(false, 0));
-      owned.push_back(true);
-      next->has_hot = true;
+      next.banks.push_back(make_bank(false, 0));
+      build.owned.push_back(true);
+      next.has_hot = true;
     }
-    touch(*next, owned, next->banks.size() - 1)
-        .append_segments(rows.subspan(folded), row_ids.subspan(folded));
+    build.writes.push_back(touch(build, next.banks.size() - 1)
+                               .prepare_append(rows.subspan(folded),
+                                               row_ids.subspan(folded)));
   }
 
-  next->id_space = static_cast<std::size_t>(
+  next.id_space = static_cast<std::size_t>(
       next_global_id_ + n - static_cast<std::uint64_t>(config_.segment_base));
-  next->live_count = live_now + n;
+  next.live_count = live_now + n;
+  publish(build);
   next_global_id_ += n;
-  db_ = std::move(next);
   return ids;
 }
 
@@ -215,7 +257,7 @@ void ShardedAccelerator::remove_segments(
   if (ids.empty())
     throw DbError(DbErrorKind::EmptyMutation,
                   "ShardedAccelerator: remove_segments with no ids");
-  // Validate every id against the CURRENT epoch before cloning anything:
+  // Validate every id against the CURRENT epoch before writing anything:
   // a throw below leaves the published epoch untouched.
   const std::size_t repeat = first_repeat(ids);
   std::vector<std::vector<std::uint64_t>> per_bank(db_->banks.size());
@@ -243,26 +285,21 @@ void ShardedAccelerator::remove_segments(
                     "ShardedAccelerator: unknown segment id");
   }
 
-  auto next = std::make_shared<DbEpoch>(*db_);
-  next->number = db_->number + 1;
-  std::vector<bool> owned(next->banks.size(), false);
+  EpochBuild build = begin_build();
   for (std::size_t s = 0; s < per_bank.size(); ++s)
     if (!per_bank[s].empty())
-      touch(*next, owned, s).remove_segments(per_bank[s]);
-  next->live_count -= ids.size();
-  db_ = std::move(next);
+      build.writes.push_back(touch(build, s).prepare_remove(per_bank[s]));
+  build.next->live_count -= ids.size();
+  publish(build);
 }
 
 std::uint64_t ShardedAccelerator::compact() {
   check_loaded();
   if (!db_->has_hot) return db_->number;  // nothing staged: no new epoch
-  auto next = std::make_shared<DbEpoch>(*db_);
-  next->number = db_->number + 1;
-  std::vector<bool> owned(next->banks.size(), false);
-  fold_into_cold(*next, owned, {}, {});
-  const std::uint64_t number = next->number;
-  db_ = std::move(next);
-  return number;
+  EpochBuild build = begin_build();
+  fold_into_cold(build, {}, {});
+  publish(build);
+  return db_->number;
 }
 
 SegmentState ShardedAccelerator::segment_state(std::uint64_t id) const {

@@ -18,16 +18,26 @@
 //        +-- hot bank (optional, always last): small append staging bank
 //
 // The database is LIVE (docs/architecture.md "Live database"): the router
-// publishes immutable epoch snapshots (DbEpoch) of its bank set under a
+// publishes epoch snapshots (DbEpoch) of its bank set under a
 // copy-on-write scheme. Every mutation — append_segments, remove_segments,
 // compact — builds epoch E+1 from epoch E, re-using every untouched bank
-// BY REFERENCE (shared_ptr) and cloning only the banks it rewrites, then
-// publishes the new epoch atomically on the control plane. Searches and
-// in-flight SearchService tickets capture the epoch current at launch and
-// run against it to completion: a ticket never observes a mutation that
-// raced its execution, and the banks it shares with newer epochs are only
-// ever read (execute() is const), so concurrent search-under-mutation is
-// data-race-free by construction.
+// BY REFERENCE (shared_ptr), then publishes the new epoch on the control
+// plane. In-flight SearchService tickets and db() snapshots PIN the epoch
+// current when they were taken and read it to completion: a pinned
+// epoch's banks are never written, so a ticket never observes a mutation
+// that raced its execution, and concurrent search-under-mutation is
+// data-race-free. A bank the mutation writes is cloned first when a pin
+// can still reach it (a pin of E, or of an older epoch sharing it), and
+// written in place otherwise — only E and the epoch being built hold it,
+// and E has no pin — so loading a reference with nothing pinned copies no
+// bank at all. The check pairs an acquire load of each pinned epoch's pin
+// count with the release a pin's last drop makes (on whatever thread)
+// after letting go of its epoch, so every read made through a pin happens
+// before an in-place write of what it read. A mutation prepares every
+// bank write it makes (validated, allocated: AsmcapAccelerator::
+// PendingWrite) before it commits any, so it publishes whole or, throwing
+// a DbError or an allocation failure, leaves the published epoch exactly
+// as it was (db_error.h).
 //
 // Heterogeneous geometry: appends land in a small HOT bank
 // (config.live.hot_array_rows x hot_array_count arrays, always the LAST
@@ -41,12 +51,13 @@
 // keeps the last r = (k + n - 1) mod H + 1 new rows staged in a fresh hot
 // bank and folds the staged rows and the other n - r new ones straight
 // from the batch into the cold tier, one append per receiving cold bank;
-// the old hot bank is read, never cloned. compact() is the same fold with
-// no new rows. An epoch thus copies the rows it writes (into the fresh hot
-// bank, or into one block per receiving cold bank) and clones each cold
-// bank it writes — flat vector copies; a noisy bank's silicon blocks are
-// shared between epochs, and only the arrays an epoch writes get new
-// ones (a folded row carries its silicon along). Global segment
+// the old hot bank is read, never written. compact() is the same fold
+// with no new rows. An epoch thus copies the rows it writes (into the
+// fresh hot bank, or into the fold's one block of rows, which each
+// receiving cold bank takes its share of) and clones only the banks a pin
+// still reads; a noisy bank's silicon blocks are shared between epochs,
+// and only the arrays an epoch writes get new ones (a folded row carries
+// its silicon along). Global segment
 // ids are stable across append, delete, and rebalance: an id is assigned
 // once, never reused, and (because every per-decision RNG stream AND the
 // row's manufactured silicon are keyed by global id, with every bank
@@ -78,12 +89,15 @@
 // Ownership: the router owns its epochs, controller, and session pool (the
 // pool is shared with SearchService tickets and ReadMapper verification);
 // epochs own their banks via shared_ptr (a retired epoch's banks live
-// until the last ticket pinning them completes).
+// until the last pin on it drops).
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, compact, search, search_batch, set_*,
-// and SearchService::submit/wait/drain on top of them) belong to one
+// db(), and SearchService::submit/wait/drain on top of them) belong to one
 // control thread at a time; the bank execute() calls in pool tasks are
-// what runs concurrently, always against an immutable epoch snapshot.
+// what runs concurrently, always against a pinned epoch snapshot. A pin
+// may be dropped on any thread. Read a snapshot's banks only while it is
+// held: the pin, not a bank pointer copied out of it, is what orders
+// those reads before a later in-place write.
 // Reentrancy: search() uses the session pool — parallel_for is not
 // reentrant (util/thread_pool.h), so never search or mutate from inside a
 // pool task or service callback.
@@ -99,6 +113,7 @@
 //    circuit sensing too, because silicon is keyed per global id from the
 //    router's shared silicon seed, not per (bank, row).
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -120,12 +135,13 @@ namespace asmcap {
 class SearchService;
 class SearchTicket;
 
-/// One immutable snapshot of the router's bank set. Published by the
-/// control plane with shared_ptr<const DbEpoch>; searches and tickets
-/// capture the pointer at launch and never look back. Banks are shared
-/// across epochs — a bank appears in every epoch between the mutation
-/// that created it and the mutation that rewrote (cloned) or retired it —
-/// and are only ever read through const execute() once published.
+/// One snapshot of the router's bank set. Published by the control plane
+/// with shared_ptr<const DbEpoch>; tickets and db() pin the pointer and
+/// never look back. Banks are shared across epochs — a bank appears in
+/// every epoch between the mutation that created it and the mutation that
+/// cloned or retired it — and a pinned epoch's banks are only ever read
+/// (const execute()). A mutation writes a bank in place only while no pin
+/// can reach it, so nothing a pin sees ever changes.
 struct DbEpoch {
   std::uint64_t number = 0;
   /// Cold banks in shard order; when has_hot, the hot append bank is LAST.
@@ -181,9 +197,10 @@ class ShardedAccelerator {
 
   /// Epoch number of the current snapshot (0 before any reference).
   std::uint64_t epoch() const { return db_ ? db_->number : 0; }
-  /// The current snapshot itself (what a launched ticket captures);
-  /// nullptr before any reference.
-  std::shared_ptr<const DbEpoch> db() const { return db_; }
+  /// The current snapshot itself, pinned like a launched ticket's: while
+  /// any copy of it lives, mutations clone the banks it holds instead of
+  /// writing them. nullptr before any reference.
+  std::shared_ptr<const DbEpoch> db() const { return pin(); }
 
   SegmentState segment_state(std::uint64_t id) const;
   /// The live (id, segment) pairs of the current epoch, ascending by id.
@@ -198,9 +215,9 @@ class ShardedAccelerator {
   /// Circuit builds each bank's silicon from the per-id streams
   /// (AsmcapAccelerator::set_backend), so it costs one circuit write per
   /// live row; set the backend before loading to skip that. Control-plane
-  /// only, and (unlike append/remove, which clone) NOT safe while tickets
-  /// are in flight: the banks are switched in place, and they are shared
-  /// with live epochs.
+  /// only, and (unlike append/remove, which clone what a pin reads) NOT
+  /// safe while tickets are in flight: every bank is switched in place,
+  /// pinned or not.
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
 
@@ -290,29 +307,63 @@ class ShardedAccelerator {
   friend class SearchService;
   friend class SearchTicket;
 
+  /// One epoch being built: its bank set (sharing the published epoch's
+  /// banks until it touches them), which banks it already owns, the
+  /// fold's rows, and every bank write prepared so far — at most one per
+  /// bank — which publish() commits together.
+  struct EpochBuild {
+    std::shared_ptr<DbEpoch> next;
+    std::vector<bool> owned;
+    /// The rows a fold moves into the cold tier and their ids, ascending
+    /// by id; each receiving cold bank's write reads its share of them.
+    std::vector<Sequence> fold_rows;
+    std::vector<std::uint64_t> fold_ids;
+    std::vector<AsmcapAccelerator::PendingWrite> writes;
+  };
+  /// The epochs handed out pinned (db(), tickets) whose pins may still
+  /// live: each one's number, the epoch, and its count of live pins.
+  struct PinnedEpoch {
+    std::uint64_t number = 0;
+    std::weak_ptr<const DbEpoch> epoch;
+    std::shared_ptr<std::atomic<std::size_t>> pins;
+  };
+
   void check_loaded() const;
   void check_shard(std::size_t s) const;
+  /// The current epoch, pinned: the returned pointer's last copy lets go
+  /// of the epoch and then counts its pin out (release order).
+  std::shared_ptr<const DbEpoch> pin() const;
+  /// True iff no pin can reach `bank`, a bank of the published epoch that
+  /// the epoch being built shares: no live pin holds an epoch containing
+  /// it (the published one included) and nothing but those two epochs
+  /// holds it. Forgets the pinned epochs whose pins are all gone, reading
+  /// their counts with acquire order.
+  bool unshared(const std::shared_ptr<AsmcapAccelerator>& bank) const;
+  /// Epoch E+1 under construction: E's banks, none owned yet.
+  EpochBuild begin_build() const;
+  /// Commits every prepared write (none can throw) and publishes the
+  /// build's epoch.
+  void publish(EpochBuild& build);
   /// A fresh (empty) bank on the router's config — hence its seeds — and
   /// backend kind, whose auto-assigned ids start `id_floor` above
   /// config_.segment_base. `cold` picks the full config_ geometry vs the
   /// hot staging geometry from config_.live.
   std::shared_ptr<AsmcapAccelerator> make_bank(bool cold,
                                                std::size_t id_floor) const;
-  /// Copy-on-write: clones next.banks[i] on first touch within one epoch
-  /// build (owned[i] tracks which banks this build already owns).
-  AsmcapAccelerator& touch(DbEpoch& next, std::vector<bool>& owned,
-                           std::size_t i) const;
-  /// Folds the hot bank's live rows (when next.has_hot), ascending by id,
-  /// then `rows` (with `ids`, ascending and above every staged id) into
-  /// the cold banks' free rows: each cold bank in shard order, created on
-  /// demand up to shard_count_, takes as many as it has room for in one
-  /// append, cloned on first touch. The hot bank is read, never cloned,
+  /// Copy-on-write on first touch of build.next->banks[i] within one
+  /// epoch build: writes the bank in place when unshared(), else swaps in
+  /// a clone (build.owned[i] tracks which banks the build already owns).
+  AsmcapAccelerator& touch(EpochBuild& build, std::size_t i) const;
+  /// Prepares the fold of the hot bank's live rows (when the build has
+  /// one), ascending by id, then `rows` (with `ids`, ascending and above
+  /// every staged id) into the cold banks' free rows: each cold bank in
+  /// shard order, created on demand up to shard_count_, takes as many as
+  /// it has room for in one append. The hot bank is read, never written,
   /// and dropped from the epoch; on noisy banks its staged rows' silicon
   /// is copied into the cold banks, not drawn again. Caller guarantees
   /// the rows fit the cold free capacity (the append/delete capacity
   /// invariant).
-  void fold_into_cold(DbEpoch& next, std::vector<bool>& owned,
-                      std::span<const Sequence> rows,
+  void fold_into_cold(EpochBuild& build, std::span<const Sequence> rows,
                       std::span<const std::uint64_t> ids) const;
   /// Shards of `db` to dispatch for `plan`, ascending. All banks when
   /// pruning is disabled or cannot be sound (pruning_window_count == 0);
@@ -337,8 +388,10 @@ class ShardedAccelerator {
   ErrorRates rates_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   /// The published snapshot. Written only by control-plane mutations;
-  /// searches and tickets copy the pointer at launch.
+  /// tickets and db() pin it (pin()), search() copies it.
   std::shared_ptr<const DbEpoch> db_;
+  /// Control-plane only, like db_; oldest first.
+  mutable std::vector<PinnedEpoch> pinned_;
   std::uint64_t next_global_id_;  ///< Monotonic; ids are never reused.
   TimingModel timing_;  ///< Plan-pure pass latency (merge_subset's source).
   Controller controller_;

@@ -57,6 +57,8 @@ void BitVec::resize(std::size_t bits, bool value) {
   trim();
 }
 
+void BitVec::reserve(std::size_t bits) { data_.reserve(words_for(bits)); }
+
 std::size_t BitVec::popcount() const {
   std::size_t total = 0;
   for (auto w : data_) total += static_cast<std::size_t>(std::popcount(w));

@@ -22,6 +22,11 @@ class BitVec {
   void clear(std::size_t i) { set(i, false); }
   void reset();
   void resize(std::size_t bits, bool value = false);
+  /// Bits the allocated words hold: resizing up to this allocates nothing.
+  std::size_t capacity() const { return data_.capacity() * 64; }
+  /// Allocates words for `bits` bits now (std::vector::reserve's
+  /// contract), so that a later resize up to that size cannot throw.
+  void reserve(std::size_t bits);
 
   /// Number of set bits.
   std::size_t popcount() const;

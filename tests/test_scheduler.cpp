@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -52,6 +53,19 @@ void expect_read_equal(const QueryResult& got, const QueryResult& want,
   EXPECT_EQ(got.latency_seconds, want.latency_seconds) << "read " << index;
   EXPECT_EQ(got.plan.total_searches(), want.plan.total_searches())
       << "read " << index;
+}
+
+/// Holds a delivery, at most 30 s, until `flag` is set. The cancel and
+/// deadline cases hold every delivery that must not overtake the cancel
+/// or the clock advance: a held delivery keeps its block from retiring,
+/// so the window cannot move on, and no read past it is granted, while
+/// the triggering callback waits (for the ticket's handle, say).
+void hold_until(const std::atomic<bool>& flag) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!flag.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
 }
 
 void expect_identical(const std::vector<QueryResult>& got,
@@ -256,14 +270,22 @@ TEST_F(SchedulerTest, CancelThenPollLifecycleKeepsDonePrefixConsistent) {
   std::shared_future<SearchTicket*> handle_future =
       handle.get_future().share();
   std::atomic<std::size_t> delivered{0};
+  std::atomic<bool> cancel_done{false};
   SearchService::Options options;
   options.workers = 3;
   options.max_in_flight = 2;
-  options.on_complete = [&delivered, handle_future](std::size_t,
-                                                    const QueryResult&) {
+  options.on_complete = [&delivered, &cancel_done, handle_future](
+                            std::size_t, const QueryResult&) {
     // Cancel from inside a completion callback, mid-flight: reads beyond
-    // the in-flight window at this instant must never execute.
-    if (delivered.fetch_add(1) + 1 == 3) handle_future.get()->cancel();
+    // the in-flight window at this instant must never execute. Later
+    // deliveries wait for the cancel.
+    const std::size_t n = delivered.fetch_add(1) + 1;
+    if (n == 3) {
+      handle_future.get()->cancel();
+      cancel_done.store(true, std::memory_order_release);
+    } else if (n > 3) {
+      hold_until(cancel_done);
+    }
   };
   auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
   handle.set_value(ticket.get());
@@ -320,12 +342,19 @@ TEST_F(SchedulerTest, CancelledWorkBooksNoPhantomEnergy) {
   std::shared_future<SearchTicket*> handle_future =
       handle.get_future().share();
   std::atomic<std::size_t> delivered{0};
+  std::atomic<bool> cancel_done{false};
   SearchService::Options options;
   options.workers = 3;
   options.max_in_flight = 2;
-  options.on_complete = [&delivered, handle_future](std::size_t,
-                                                    const QueryResult&) {
-    if (delivered.fetch_add(1) + 1 == 4) handle_future.get()->cancel();
+  options.on_complete = [&delivered, &cancel_done, handle_future](
+                            std::size_t, const QueryResult&) {
+    const std::size_t n = delivered.fetch_add(1) + 1;
+    if (n == 4) {
+      handle_future.get()->cancel();
+      cancel_done.store(true, std::memory_order_release);
+    } else if (n > 4) {
+      hold_until(cancel_done);
+    }
   };
   auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
   handle.set_value(ticket.get());
@@ -410,11 +439,20 @@ TEST_F(SchedulerTest, CancelFromCallbackMidBlockLeavesRestOfBlockUnbooked) {
   std::promise<SearchTicket*> handle;
   std::shared_future<SearchTicket*> handle_future =
       handle.get_future().share();
+  std::atomic<bool> cancel_done{false};
   SearchService::Options options;
   options.workers = 2;
   options.max_in_flight = 2 * kServiceBlockReads;
-  options.on_complete = [handle_future](std::size_t i, const QueryResult&) {
-    if (i == 2) handle_future.get()->cancel();
+  options.on_complete = [handle_future, &cancel_done](
+                            std::size_t i, const QueryResult&) {
+    // The second block waits for the cancel, so it cannot retire and
+    // free the budget that would grant reads 16 on before it.
+    if (i == 2) {
+      handle_future.get()->cancel();
+      cancel_done.store(true, std::memory_order_release);
+    } else if (i >= kServiceBlockReads) {
+      hold_until(cancel_done);
+    }
   };
   auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
   handle.set_value(ticket.get());
@@ -506,8 +544,17 @@ TEST_F(SchedulerTest, DeadlinePassingInsideBlockExpiresTheRestOfIt) {
     options.workers = workers;
     options.max_in_flight = 2 * kServiceBlockReads;
     options.deadline_seconds = 10.0;
-    options.on_complete = [&clock](std::size_t i, const QueryResult&) {
-      if (i == 2) clock.advance(20.0);
+    // The second block waits for the advance, so it cannot retire and
+    // free the budget that would grant reads 16 on before it.
+    std::atomic<bool> advanced{false};
+    options.on_complete = [&clock, &advanced](std::size_t i,
+                                              const QueryResult&) {
+      if (i == 2) {
+        clock.advance(20.0);
+        advanced.store(true, std::memory_order_release);
+      } else if (i >= kServiceBlockReads) {
+        hold_until(advanced);
+      }
     };
     auto ticket = service.submit(reads_, 4, StrategyMode::Full, options);
     ticket->wait();
