@@ -63,8 +63,8 @@
 // and thread-safe and is what the sharded router and the streaming
 // service fan across workers. Mutations must not run while this bank has
 // execute() calls in flight — the sharded router guarantees that by
-// writing in place only a bank no pinned epoch can reach, and cloning any
-// other before it writes. RNG discipline: docs/determinism.md.
+// writing a bank in place only while no pin lives and nothing else holds
+// it, and cloning it first otherwise. RNG discipline: docs/determinism.md.
 
 #include <cstddef>
 #include <cstdint>
@@ -187,7 +187,7 @@ class AsmcapAccelerator {
   /// A copy of the bank — row store, directory, id index, and load
   /// ledger, each a flat vector copy; the silicon blocks (if built) are
   /// shared, never copied. The copy-on-write primitive of the sharded
-  /// router's epoch scheme for a bank a pinned epoch still reads:
+  /// router's epoch scheme for a bank written while a pin lives:
   /// execute() results on the clone are bit-identical to the original,
   /// energy included, and mutating either never touches the other (a
   /// write builds new blocks).

@@ -13,8 +13,8 @@
 // caller holds one), so every bank is written in place, growing its
 // tables geometrically: a bank append without tombstones costs amortised
 // O(appended rows), and the load holds one copy of each bank, never two.
-// A bank that a pin still reads is cloned first (flat vector copies), as
-// every bank was before. On a noisy bank an append draws each new row's
+// While a pin lives, each bank an append writes is cloned first (flat
+// vector copies), as every bank was before. On a noisy bank an append draws each new row's
 // silicon once, copies a folded row's from the hot bank, and builds a new
 // silicon block for each array it writes (one array's rows × cols
 // capacitances, a copy of the shared block). The id <->

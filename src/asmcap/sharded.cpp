@@ -82,16 +82,11 @@ void ShardedAccelerator::load_reference(
 
 std::shared_ptr<const DbEpoch> ShardedAccelerator::pin() const {
   if (!db_) return nullptr;
-  if (pinned_.empty() || pinned_.back().number != db_->number)
-    pinned_.push_back({db_->number, db_,
-                       std::make_shared<std::atomic<std::size_t>>(0)});
-  const std::shared_ptr<std::atomic<std::size_t>>& pins =
-      pinned_.back().pins;
-  pins->fetch_add(1, std::memory_order_relaxed);
+  pins_->fetch_add(1, std::memory_order_relaxed);
   // Should the pointer's control block fail to allocate, the deleter runs
   // at once and counts the pin out again.
   return std::shared_ptr<const DbEpoch>(
-      db_.get(), [epoch = db_, pins](const DbEpoch*) mutable {
+      db_.get(), [epoch = db_, pins = pins_](const DbEpoch*) mutable {
         epoch.reset();
         pins->fetch_sub(1, std::memory_order_release);
       });
@@ -101,19 +96,9 @@ bool ShardedAccelerator::unshared(
     const std::shared_ptr<AsmcapAccelerator>& bank) const {
   // A count read at zero (acquire) follows each pin's release, made after
   // the pin let go of its epoch: every read through those pins, and the
-  // epoch's release of its banks, happened before the write this allows.
-  std::erase_if(pinned_, [](const PinnedEpoch& pinned) {
-    return pinned.pins->load(std::memory_order_acquire) == 0;
-  });
-  for (const PinnedEpoch& pinned : pinned_) {
-    // An epoch whose last pin is letting go of it still counts as
-    // holding every bank.
-    const std::shared_ptr<const DbEpoch> epoch = pinned.epoch.lock();
-    if (!epoch || std::find(epoch->banks.begin(), epoch->banks.end(),
-                            bank) != epoch->banks.end())
-      return false;
-  }
-  return bank.use_count() == 2;  // the published epoch and the build
+  // epochs' release of their banks, happened before the write this allows.
+  return pins_->load(std::memory_order_acquire) == 0 &&
+         bank.use_count() == 2;  // the published epoch and the build
 }
 
 ShardedAccelerator::EpochBuild ShardedAccelerator::begin_build() const {

@@ -26,12 +26,12 @@
 // current when they were taken and read it to completion: a pinned
 // epoch's banks are never written, so a ticket never observes a mutation
 // that raced its execution, and concurrent search-under-mutation is
-// data-race-free. A bank the mutation writes is cloned first when a pin
-// can still reach it (a pin of E, or of an older epoch sharing it), and
-// written in place otherwise — only E and the epoch being built hold it,
-// and E has no pin — so loading a reference with nothing pinned copies no
-// bank at all. The check pairs an acquire load of each pinned epoch's pin
-// count with the release a pin's last drop makes (on whatever thread)
+// data-race-free. While any pin lives (of E or of an older epoch), a bank
+// the mutation writes is cloned first, as it is whenever anything but E
+// and the epoch being built holds it; otherwise it is written in place, so
+// loading a reference with nothing pinned copies no bank at all. The
+// router keeps one count of live pins: the check is an acquire load of it,
+// paired with the release each pin's last drop makes (on whatever thread)
 // after letting go of its epoch, so every read made through a pin happens
 // before an in-place write of what it read. A mutation prepares every
 // bank write it makes (validated, allocated: AsmcapAccelerator::
@@ -54,15 +54,15 @@
 // the old hot bank is read, never written. compact() is the same fold
 // with no new rows. An epoch thus copies the rows it writes (into the
 // fresh hot bank, or into the fold's one block of rows, which each
-// receiving cold bank takes its share of) and clones only the banks a pin
-// still reads; a noisy bank's silicon blocks are shared between epochs,
-// and only the arrays an epoch writes get new ones (a folded row carries
-// its silicon along). Global segment
-// ids are stable across append, delete, and rebalance: an id is assigned
-// once, never reused, and (because every per-decision RNG stream AND the
-// row's manufactured silicon are keyed by global id, with every bank
-// built from the router's own seed) a segment decides
-// identically wherever rebalancing moves it — searching epoch E is
+// receiving cold bank takes its share of) and clones the banks it writes
+// only while a pin lives; a noisy bank's silicon blocks are shared
+// between epochs, and only the arrays an epoch writes get new ones (a
+// folded row carries its silicon along). Global segment ids are stable
+// across append, delete, and rebalance: an id is assigned once, never
+// reused, and (because every per-decision RNG stream AND the row's
+// manufactured silicon are keyed by global id, with every bank built from
+// the router's own seed) a segment decides identically wherever
+// rebalancing moves it — searching epoch E is
 // bit-identical to a fresh router loaded with exactly E's live segments,
 // on every backend including noisy circuit sensing (determinism rule 8;
 // enforced by tests/test_live.cpp and tests/test_sharded.cpp).
@@ -92,7 +92,7 @@
 // until the last pin on it drops).
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, compact, search, search_batch, set_*,
-// db(), and SearchService::submit/wait/drain on top of them) belong to one
+// and SearchService::submit/wait/drain on top of them) belong to one
 // control thread at a time; the bank execute() calls in pool tasks are
 // what runs concurrently, always against a pinned epoch snapshot. A pin
 // may be dropped on any thread. Read a snapshot's banks only while it is
@@ -141,7 +141,7 @@ class SearchTicket;
 /// every epoch between the mutation that created it and the mutation that
 /// cloned or retired it — and a pinned epoch's banks are only ever read
 /// (const execute()). A mutation writes a bank in place only while no pin
-/// can reach it, so nothing a pin sees ever changes.
+/// lives, so nothing a pin sees ever changes.
 struct DbEpoch {
   std::uint64_t number = 0;
   /// Cold banks in shard order; when has_hot, the hot append bank is LAST.
@@ -198,8 +198,10 @@ class ShardedAccelerator {
   /// Epoch number of the current snapshot (0 before any reference).
   std::uint64_t epoch() const { return db_ ? db_->number : 0; }
   /// The current snapshot itself, pinned like a launched ticket's: while
-  /// any copy of it lives, mutations clone the banks it holds instead of
-  /// writing them. nullptr before any reference.
+  /// any copy of it lives, mutations clone each bank they write instead of
+  /// writing it in place. Like every const accessor, safe to call from
+  /// several threads while no mutation runs (a pin only increments an
+  /// atomic count). nullptr before any reference.
   std::shared_ptr<const DbEpoch> db() const { return pin(); }
 
   SegmentState segment_state(std::uint64_t id) const;
@@ -215,7 +217,7 @@ class ShardedAccelerator {
   /// Circuit builds each bank's silicon from the per-id streams
   /// (AsmcapAccelerator::set_backend), so it costs one circuit write per
   /// live row; set the backend before loading to skip that. Control-plane
-  /// only, and (unlike append/remove, which clone what a pin reads) NOT
+  /// only, and (unlike append/remove, which clone while a pin lives) NOT
   /// safe while tickets are in flight: every bank is switched in place,
   /// pinned or not.
   void set_backend(BackendKind kind);
@@ -320,24 +322,15 @@ class ShardedAccelerator {
     std::vector<std::uint64_t> fold_ids;
     std::vector<AsmcapAccelerator::PendingWrite> writes;
   };
-  /// The epochs handed out pinned (db(), tickets) whose pins may still
-  /// live: each one's number, the epoch, and its count of live pins.
-  struct PinnedEpoch {
-    std::uint64_t number = 0;
-    std::weak_ptr<const DbEpoch> epoch;
-    std::shared_ptr<std::atomic<std::size_t>> pins;
-  };
-
   void check_loaded() const;
   void check_shard(std::size_t s) const;
-  /// The current epoch, pinned: the returned pointer's last copy lets go
-  /// of the epoch and then counts its pin out (release order).
+  /// The current epoch, pinned: counts a pin in, and the returned
+  /// pointer's last copy lets go of the epoch and then counts it out
+  /// (release order).
   std::shared_ptr<const DbEpoch> pin() const;
   /// True iff no pin can reach `bank`, a bank of the published epoch that
-  /// the epoch being built shares: no live pin holds an epoch containing
-  /// it (the published one included) and nothing but those two epochs
-  /// holds it. Forgets the pinned epochs whose pins are all gone, reading
-  /// their counts with acquire order.
+  /// the epoch being built shares: no pin lives (read with acquire order)
+  /// and nothing but those two epochs holds it.
   bool unshared(const std::shared_ptr<AsmcapAccelerator>& bank) const;
   /// Epoch E+1 under construction: E's banks, none owned yet.
   EpochBuild begin_build() const;
@@ -390,8 +383,10 @@ class ShardedAccelerator {
   /// The published snapshot. Written only by control-plane mutations;
   /// tickets and db() pin it (pin()), search() copies it.
   std::shared_ptr<const DbEpoch> db_;
-  /// Control-plane only, like db_; oldest first.
-  mutable std::vector<PinnedEpoch> pinned_;
+  /// Live pins, of any epoch. Shared with each pin's deleter, which may
+  /// outlive the router.
+  std::shared_ptr<std::atomic<std::size_t>> pins_ =
+      std::make_shared<std::atomic<std::size_t>>(0);
   std::uint64_t next_global_id_;  ///< Monotonic; ids are never reused.
   TimingModel timing_;  ///< Plan-pure pass latency (merge_subset's source).
   Controller controller_;

@@ -34,10 +34,10 @@
 //  * in-place writes — with nothing pinned a mutation writes the banks it
 //    touches in place; a db() snapshot or a live ticket keeps every bank
 //    it pins bit-identical while the new epoch clones what it writes; a
-//    rejected mutation (each DbErrorKind, a width mismatch, or any one of
-//    its allocations failing) leaves the published epoch as it was; and a
-//    pin dropped on a pool thread orders its reads before an in-place
-//    write.
+//    rejected mutation (each DbErrorKind or a width mismatch) leaves the
+//    published epoch as it was (test_live_alloc fails its allocations);
+//    and a pin dropped on a pool thread orders its reads before an
+//    in-place write.
 
 #include <gtest/gtest.h>
 
@@ -45,12 +45,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <ios>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -65,50 +63,9 @@
 #include "circuit/timing.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
+#include "live_in_place.h"
 #include "util/decision_digest.h"
 #include "util/lane_flags.h"
-
-// Allocation failure on demand, for the strong-guarantee test: armed with
-// n on a thread, that thread's n-th allocation from then on fails
-// (std::bad_alloc; null from the nothrow forms) and the arming clears.
-namespace {
-namespace fault {
-thread_local std::size_t countdown = 0;  // 0: disarmed
-thread_local bool fired = false;
-
-bool fail_now() {
-  if (countdown == 0 || --countdown != 0) return false;
-  fired = true;
-  return true;
-}
-
-void* allocate(std::size_t n) {
-  if (fail_now()) throw std::bad_alloc();
-  void* p = std::malloc(n != 0 ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace fault
-}  // namespace
-
-void* operator new(std::size_t n) { return fault::allocate(n); }
-void* operator new[](std::size_t n) { return fault::allocate(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return fault::fail_now() ? nullptr : std::malloc(n != 0 ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
-  return operator new(n, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace asmcap {
 namespace {
@@ -840,61 +797,6 @@ TEST_F(LiveDbTest, DbErrorKindsAreShared) {
 // ---------------------------------------------------------------------
 // In-place writes.
 
-/// What a bank shows: slot ids, live bits, live rows, silicon block
-/// pointers and its load ledger.
-struct BankState {
-  std::vector<std::uint64_t> ids;
-  BitVec live;
-  std::vector<std::pair<std::uint64_t, Sequence>> rows;
-  std::vector<const ArraySilicon*> silicon;
-  double load_energy = 0.0;
-  double load_latency = 0.0;
-
-  bool operator==(const BankState&) const = default;
-  /// Equal but for the silicon block pointers (another router's banks
-  /// hold the same silicon in blocks of their own).
-  bool same_rows(const BankState& other) const {
-    return ids == other.ids && live == other.live && rows == other.rows &&
-           load_energy == other.load_energy &&
-           load_latency == other.load_latency;
-  }
-};
-
-BankState bank_state(const AsmcapAccelerator& bank) {
-  BankState state{bank.directory().ids,    bank.directory().live,
-                  bank.live_segments(),    {},
-                  bank.load_energy_joules(), bank.load_latency_seconds()};
-  state.silicon.reserve(bank.silicon().size());
-  for (const auto& block : bank.silicon()) state.silicon.push_back(block.get());
-  return state;
-}
-
-/// The published epoch as the router's accessors show it — number, id
-/// space, live count, its bank objects and their states — read without
-/// pinning it (a pin would make the next mutation clone).
-struct EpochState {
-  std::uint64_t number = 0;
-  std::size_t id_space = 0;
-  std::size_t live = 0;
-  std::vector<const AsmcapAccelerator*> banks;
-  std::vector<BankState> states;
-
-  bool operator==(const EpochState&) const = default;
-};
-
-EpochState epoch_state(const ShardedAccelerator& router) {
-  EpochState state{router.epoch(), router.loaded_segments(),
-                   router.live_segment_count(), {}, {}};
-  if (router.epoch() == 0) return state;
-  state.banks.reserve(router.active_shards());
-  state.states.reserve(router.active_shards());
-  for (std::size_t s = 0; s < router.active_shards(); ++s) {
-    state.banks.push_back(&router.shard(s));
-    state.states.push_back(bank_state(router.shard(s)));
-  }
-  return state;
-}
-
 /// Waits, at most 30 s, until `flag` is set.
 void wait_for(const std::atomic<bool>& flag) {
   const auto give_up =
@@ -902,48 +804,6 @@ void wait_for(const std::atomic<bool>& flag) {
   while (!flag.load(std::memory_order_acquire) &&
          std::chrono::steady_clock::now() < give_up)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
-}
-
-/// Two 2-array cold banks of 16-row arrays (32 rows each) and a 4-row hot
-/// bank.
-AsmcapConfig in_place_config(bool ideal) {
-  AsmcapConfig config = bank_config(2, ideal);
-  config.live.hot_array_rows = 4;
-  config.live.hot_array_count = 1;
-  return config;
-}
-
-/// One mutation of the in-place tests and the banks (indices into the
-/// epoch it starts from) that it writes and that stay in the epoch it
-/// publishes.
-struct InPlaceStep {
-  const char* what;
-  std::function<void(ShardedAccelerator&)> run;
-  std::vector<std::size_t> written;
-};
-
-/// From a 2-shard router holding rows 0-19 in two cold banks, with
-/// in_place_config's geometry: every kind of bank write a mutation makes.
-std::vector<InPlaceStep> in_place_steps(const std::vector<Sequence>& rows) {
-  const auto append = [&rows](std::size_t from, std::size_t to) {
-    const std::vector<Sequence> batch(rows.begin() + from, rows.begin() + to);
-    return [batch](ShardedAccelerator& router) {
-      router.append_segments(batch);
-    };
-  };
-  return {
-      {"stage 3 rows in a fresh hot bank", append(20, 23), {}},
-      {"fill the hot bank", append(23, 24), {2}},
-      // 4 staged + 6 new: the last 2 stay staged, 8 fold into cold bank 0.
-      {"fold into one cold bank", append(24, 30), {0}},
-      // 2 staged + 20 new: 14 fill cold bank 0, 6 go to cold bank 1.
-      {"fold into both cold banks", append(30, 50), {0, 1}},
-      {"remove from three banks",
-       [](ShardedAccelerator& router) { router.remove_segments({48, 1, 15}); },
-       {0, 1, 2}},
-      // Id 49 recycles the slot id 1 left in cold bank 0.
-      {"compact", [](ShardedAccelerator& router) { router.compact(); }, {0}},
-  };
 }
 
 // With nothing pinned, every mutation writes the banks it touches in
@@ -997,11 +857,10 @@ TEST_F(LiveDbTest, UnpinnedMutationsWriteBanksInPlace) {
 
 // A db() snapshot or a live ticket pins its epoch: whatever the router
 // publishes while it lives, every bank it pins stays bit-identical — slot
-// ids, live bits, rows and silicon block pointers — and each bank of it
-// that a mutation writes is cloned first, so the new epoch holds a new
-// object there. The ticket still returns its epoch's results. A bank the
-// router cloned after the pin is reachable from no pin and is written in
-// place.
+// ids, live bits, rows and silicon block pointers — and each bank that a
+// mutation writes while the pin lives is cloned first, whichever epoch it
+// came from, so the new epoch holds a new object there. The ticket still
+// returns its epoch's results.
 TEST_F(LiveDbTest, PinsKeepTheirBanksBitIdentical) {
   for (const bool ticket_pin : {false, true})
     for (const bool ideal : {true, false}) {
@@ -1047,12 +906,8 @@ TEST_F(LiveDbTest, PinsKeepTheirBanksBitIdentical) {
         for (std::size_t b = 0; b < banks.size(); ++b)
           EXPECT_TRUE(bank_state(*banks[b]) == states[b])
               << "pinned bank " << b;
-        for (const std::size_t s : steps[i].written) {
-          const bool was_pinned = std::find(banks.begin(), banks.end(),
-                                            before.banks[s]) != banks.end();
-          EXPECT_EQ(after.banks[s] != before.banks[s], was_pinned)
-              << "bank " << s;
-        }
+        for (const std::size_t s : steps[i].written)
+          EXPECT_NE(after.banks[s], before.banks[s]) << "bank " << s;
       }
       release.store(true, std::memory_order_release);
       if (ticket) expect_same_results(ticket->drain(), expected);
@@ -1130,105 +985,13 @@ TEST_F(LiveDbTest, RejectedMutationsLeaveThePublishedEpochUnchanged) {
   }
 }
 
-/// Fails each allocation `step` makes in turn, each time on a fresh
-/// router from `prefix`: a failed step must leave the published epoch
-/// exactly as it was, bank objects included; a step that succeeds must
-/// write the banks it writes in place and end like `prefix` + `step`
-/// without failures.
-void expect_failures_change_nothing(
-    const std::function<std::unique_ptr<ShardedAccelerator>()>& prefix,
-    const InPlaceStep& step) {
-  SCOPED_TRACE(step.what);
-  const std::unique_ptr<ShardedAccelerator> reference = prefix();
-  step.run(*reference);
-  const EpochState want = epoch_state(*reference);
-  std::size_t failures = 0;
-  for (std::size_t k = 1; k < 10'000; ++k) {
-    const std::unique_ptr<ShardedAccelerator> router = prefix();
-    const EpochState before = epoch_state(*router);
-    bool threw = false;
-    fault::fired = false;
-    fault::countdown = k;
-    try {
-      step.run(*router);
-    } catch (const std::bad_alloc&) {
-      threw = true;
-    }
-    fault::countdown = 0;
-    const EpochState after = epoch_state(*router);
-    if (threw) {
-      ++failures;
-      ASSERT_TRUE(after == before) << "allocation " << k << " failed";
-      continue;
-    }
-    ASSERT_EQ(after.banks.size(), want.banks.size());
-    EXPECT_EQ(after.number, want.number);
-    for (std::size_t s = 0; s < want.banks.size(); ++s)
-      EXPECT_TRUE(after.states[s].same_rows(want.states[s]))
-          << "bank " << s << ", allocation " << k;
-    for (const std::size_t s : step.written)
-      EXPECT_EQ(after.banks[s], before.banks[s]) << "bank " << s;
-    if (!fault::fired) break;  // no allocation left to fail
-  }
-  EXPECT_GT(failures, 0u);
-}
-
-// Failing each allocation of a mutation in turn — among them the room an
-// in-place bank makes in its row store, directory and id index, and a
-// noisy bank's new silicon blocks — leaves the published epoch exactly as
-// it was, bank objects included, even when the mutation writes several
-// banks. Once every allocation succeeds, the mutation writes its banks in
-// place and ends as on a router that never failed. The router never asks
-// a bank for a slot past its capacity, so the row store's growth cannot
-// be made to fail with an impossible size here, as test_kernels does it;
-// the last case fails it as an allocation, in an append that crosses
-// into a new 256-row block.
-TEST_F(LiveDbTest, FailedAllocationLeavesThePublishedEpochUnchanged) {
-  for (const bool ideal : {true, false}) {
-    SCOPED_TRACE(ideal ? "ideal" : "noisy");
-    const std::vector<InPlaceStep> steps = in_place_steps(segments_);
-    for (std::size_t i = 0; i < steps.size(); ++i)
-      expect_failures_change_nothing(
-          [&] {
-            auto router =
-                std::make_unique<ShardedAccelerator>(in_place_config(ideal), 2);
-            router->load_reference(first(20));
-            for (std::size_t j = 0; j < i; ++j) steps[j].run(*router);
-            return router;
-          },
-          steps[i]);
-
-    // No hot bank: 20 rows go straight into the cold bank's slots 250 on,
-    // which its row store's first block cannot hold.
-    AsmcapConfig wide = bank_config(8, ideal);
-    wide.array_rows = 64;
-    wide.live.hot_array_rows = 0;
-    Rng rng(2313);
-    std::vector<Sequence> rows;
-    rows.reserve(270);
-    for (std::size_t n = 0; n < 270; ++n)
-      rows.push_back(Sequence::random(wide.array_cols, rng));
-    const std::vector<Sequence> loaded(rows.begin(), rows.begin() + 250);
-    const std::vector<Sequence> grown(rows.begin() + 250, rows.end());
-    expect_failures_change_nothing(
-        [&] {
-          auto router = std::make_unique<ShardedAccelerator>(wide, 1);
-          router->load_reference(loaded);
-          return router;
-        },
-        {"grow the row store by a block",
-         [&](ShardedAccelerator& router) { router.append_segments(grown); },
-         {0}});
-  }
-}
-
 // A ticket's last read resolves on a pool thread, and its pin drops there
 // just before the control thread folds rows into the bank the ticket
 // read, in the epoch it pinned, which is still the published one. Nothing
 // else orders the two threads: the control thread never waits on the
 // ticket, and learns that it is gone from a relaxed read of its use
 // count. So writing the bank in place is race-free only because the
-// append reads the epoch's pin count with acquire order, pairing with the
+// append reads the router's pin count with acquire order, pairing with the
 // release the pin made as it counted itself out; the thread-sanitize CI
 // job runs this. (Seeing the ticket gone does not order the two reads, so
 // an append may still read the count before the pin's release on a
