@@ -87,8 +87,7 @@ class EdamAccelerator {
                                             std::size_t workers = 1);
 
   /// The session-owned worker pool (see SessionPool), reused across
-  /// search_batch calls. NOTE: ThreadPool::parallel_for is not reentrant —
-  /// never call back into the pool from inside a task it is running.
+  /// search_batch calls.
   ThreadPool& worker_pool(std::size_t workers = 0) {
     return pool_.get(workers);
   }

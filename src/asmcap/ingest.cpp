@@ -1,5 +1,6 @@
 #include "asmcap/ingest.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,16 +9,22 @@
 
 namespace asmcap {
 
-const SegmentOrigin& ReferenceIndex::origin(std::uint64_t id) const {
+SegmentOrigin ReferenceIndex::origin(std::uint64_t id) const {
   if (!contains(id))
     throw std::out_of_range("ReferenceIndex: unknown segment id " +
                             std::to_string(id));
-  return origins_[id - first_id_];
+  const std::uint64_t k = id - first_id_;
+  // Record 0 starts at 0, so some record starts at or before k.
+  const auto record =
+      std::upper_bound(starts_.begin(), starts_.end(), k) - 1;
+  return SegmentOrigin{
+      static_cast<std::uint32_t>(record - starts_.begin()),
+      (k - *record) * width_};
 }
 
 std::string ReferenceIndex::label(std::uint64_t id) const {
   if (!contains(id)) return "segment:" + std::to_string(id);
-  const SegmentOrigin& at = origins_[id - first_id_];
+  const SegmentOrigin at = origin(id);
   return names_[at.record] + ":" + std::to_string(at.offset);
 }
 
@@ -29,34 +36,32 @@ IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
     throw std::invalid_argument("ingest_reference: segment width is zero");
   const std::size_t batch = options.append_batch != 0 ? options.append_batch : 1;
 
-  if (index != nullptr) *index = ReferenceIndex{};
+  if (index != nullptr) {
+    *index = ReferenceIndex{};
+    index->width_ = width;
+  }
 
   IngestStats stats;
   std::vector<Sequence> segments;
-  std::vector<SegmentOrigin> origins;
   segments.reserve(batch);
-  origins.reserve(batch);
 
   const auto flush = [&]() {
     if (segments.empty()) return;
     const std::vector<std::uint64_t> ids = db.append_segments(segments);
     if (index != nullptr) {
-      if (!index->have_first_ && !ids.empty()) {
+      if (index->segments_ == 0 && !ids.empty())
         index->first_id_ = ids.front();
-        index->have_first_ = true;
-      }
-      for (std::size_t i = 0; i < ids.size(); ++i) {
+      for (const std::uint64_t id : ids) {
         // append_segments hands out consecutive ascending ids during an
         // uninterrupted ingest, which keeps the index dense.
-        if (ids[i] != index->first_id_ + index->origins_.size())
+        if (id != index->first_id_ + index->segments_)
           throw std::logic_error(
               "ReferenceIndex: non-consecutive segment ids (concurrent "
               "mutation during ingest?)");
-        index->origins_.push_back(origins[i]);
+        ++index->segments_;
       }
     }
     segments.clear();
-    origins.clear();
   };
 
   // Tiles are pulled straight off the reader: no record is ever held
@@ -64,15 +69,15 @@ IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
   SeqRecord header;
   while (reader.next_header(header)) {
     ++stats.records;
-    const std::uint32_t record_slot =
-        index != nullptr ? static_cast<std::uint32_t>(index->names_.size()) : 0;
-    if (index != nullptr) index->names_.push_back(header.id);
+    if (index != nullptr) {
+      index->names_.push_back(header.id);
+      index->starts_.push_back(stats.segments);
+    }
     for (std::size_t pos = 0;; pos += width) {
       segments.emplace_back();
       segments.back().reserve(width);
       const std::size_t got = reader.read_bases(segments.back(), width);
       if (got == width) {
-        origins.push_back(SegmentOrigin{record_slot, pos});
         ++stats.segments;
         if (segments.size() >= batch) flush();
         continue;
@@ -80,7 +85,6 @@ IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
       // The record ended inside this tile: pad it, or drop its bases.
       if (got != 0 && options.pad_final_tile) {
         segments.back().resize(width);
-        origins.push_back(SegmentOrigin{record_slot, pos});
         ++stats.segments;
         ++stats.padded_segments;
         if (segments.size() >= batch) flush();

@@ -76,22 +76,26 @@ struct SegmentOrigin {
   std::uint64_t offset = 0;
 };
 
-/// Dense id -> (record name, offset) table for every segment one
-/// ingest_reference call appended. Ids are consecutive from first_id()
-/// (append order == input order), so lookup is O(1) vector indexing.
+/// id -> (record name, offset) map for every segment one
+/// ingest_reference call appended, held as one entry per record: its name
+/// and the number of segments tiled before it. Ids are consecutive from
+/// first_id() (append order == input order), so the k-th segment belongs
+/// to the last record that starts at or before k (a binary search over
+/// the records), at base offset (k - start) * width. A record that yields
+/// no segment starts where the next one does, so it is never chosen.
 class ReferenceIndex {
  public:
-  std::size_t size() const { return origins_.size(); }
-  bool empty() const { return origins_.empty(); }
+  std::size_t size() const { return segments_; }
+  bool empty() const { return segments_ == 0; }
   std::uint64_t first_id() const { return first_id_; }
 
   /// True when `id` belongs to this ingest run.
   bool contains(std::uint64_t id) const {
-    return id >= first_id_ && id - first_id_ < origins_.size();
+    return id >= first_id_ && id - first_id_ < segments_;
   }
 
   /// Origin of segment `id`. Throws std::out_of_range for foreign ids.
-  const SegmentOrigin& origin(std::uint64_t id) const;
+  SegmentOrigin origin(std::uint64_t id) const;
 
   /// Name of the `record`-th ingested record.
   const std::string& record_name(std::uint32_t record) const {
@@ -106,9 +110,11 @@ class ReferenceIndex {
   friend IngestStats ingest_reference(ShardedAccelerator&, SeqStreamReader&,
                                       const IngestOptions&, ReferenceIndex*);
   std::uint64_t first_id_ = 0;
-  bool have_first_ = false;
+  std::size_t segments_ = 0;
+  std::size_t width_ = 0;
   std::vector<std::string> names_;
-  std::vector<SegmentOrigin> origins_;
+  /// starts_[r]: segments tiled before record r (non-decreasing).
+  std::vector<std::size_t> starts_;
 };
 
 /// Streams every record out of `reader`, tiles it into segments of the

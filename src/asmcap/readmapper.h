@@ -21,8 +21,7 @@
 // one control thread at a time (they mutate the cumulative stats);
 // verify() is const and thread-safe, which is what lets it run inside
 // service completion callbacks. Reentrancy: do not call the mapper from
-// inside a pool task (parallel_for is not reentrant; see
-// util/thread_pool.h).
+// inside a pool task (util/thread_pool.h).
 
 #include <cstddef>
 #include <vector>

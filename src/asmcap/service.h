@@ -125,9 +125,8 @@
 // on_complete fires on worker threads (or inline on the submitting thread
 // when the pool has no spawned threads) and must be thread-safe for
 // distinct reads; exceptions it throws are captured and rethrown at
-// wait(). Reentrancy: callbacks must not call back into the accelerator's
-// blocking entry points (search/search_batch/parallel_for) — they run
-// inside pool tasks.
+// wait(). Reentrancy: callbacks run inside pool tasks, so they must
+// not call the accelerator's blocking entry points (search, search_batch).
 //
 // The ledger: totals for the whole submission are recorded at wait()
 // (which drain() calls), sequentially in read order, whatever order the

@@ -98,9 +98,8 @@
 // may be dropped on any thread. Read a snapshot's banks only while it is
 // held: the pin, not a bank pointer copied out of it, is what orders
 // those reads before a later in-place write.
-// Reentrancy: search() uses the session pool — parallel_for is not
-// reentrant (util/thread_pool.h), so never search or mutate from inside a
-// pool task or service callback.
+// Reentrancy: search() waits on the session pool (util/thread_pool.h),
+// so never search or mutate from inside a pool task or service callback.
 //
 // Determinism contract (enforced by test_sharded and test_live; full
 // discipline in docs/determinism.md):

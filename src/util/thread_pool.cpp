@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 namespace asmcap {
@@ -36,7 +37,7 @@ std::size_t ThreadPool::hardware_workers() {
 
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) workers = hardware_workers();
-  if (workers == 1) return;  // threadless: everything runs inline
+  if (workers == 1) return;  // threadless: submitters run the queues
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)
     threads_.emplace_back([this] { worker_loop(); });
@@ -47,47 +48,18 @@ ThreadPool::~ThreadPool() {
     MutexLock lock(mutex_);
     stop_ = true;
   }
-  start_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-  // A threadless pool may hold inline tasks abandoned when an earlier
-  // task threw out of the trampoline: fulfil the drain contract here
-  // (exceptions are discarded — destructors are noexcept).
-  while (true) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mutex_);
-      if (inline_tasks_.empty()) break;
-      task = std::move(inline_tasks_.front());
-      inline_tasks_.pop_front();
-    }
+  // A threadless pool may still hold tasks queued behind one that threw
+  // out of an earlier drain: run them now, discarding exceptions (a
+  // destructor is noexcept).
+  for (bool done = false; !done;) {
     try {
-      task();
+      drain();
+      done = true;
     } catch (...) {
     }
   }
-}
-
-void ThreadPool::run_job(Job& job) {
-  for (;;) {
-    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.count) return;
-    try {
-      job.fn(i);
-    } catch (...) {
-      MutexLock lock(job.error_mutex);
-      if (!job.error) job.error = std::current_exception();
-    }
-    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      MutexLock lock(mutex_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
-bool ThreadPool::any_task_locked() const {
-  for (const auto& queue : tasks_)
-    if (!queue.empty()) return true;
-  return false;
 }
 
 std::function<void()> ThreadPool::pop_task_locked() {
@@ -105,33 +77,42 @@ std::function<void()> ThreadPool::pop_task_locked() {
 }
 
 void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
   for (;;) {
-    std::shared_ptr<Job> job;
     std::function<void()> task;
     {
       MutexLock lock(mutex_);
-      while (!(stop_ || any_task_locked() || generation_ != seen))
-        start_cv_.wait(mutex_);
-      if (generation_ != seen) {
-        // A parallel_for job outranks the detached queue: the caller is
-        // blocked on it and its index count is finite, so joining it
-        // first bounds that caller's wait even while a streaming ticket
-        // keeps the queue full (the queue resumes right after).
-        seen = generation_;
-        job = job_;
-      } else if (any_task_locked()) {
-        task = pop_task_locked();
-      } else if (stop_) {
-        // Exit only once the queue is drained: shutdown completes every
-        // submitted task (TaskGroup waiters never dangle).
+      while (!(task = pop_task_locked()) && !stop_) cv_.wait(mutex_);
+    }
+    // Exit only once the queues are drained: shutdown completes every
+    // submitted task (TaskGroup waiters never dangle).
+    if (!task) return;
+    task();
+  }
+}
+
+void ThreadPool::drain() {
+  {
+    MutexLock lock(mutex_);
+    if (draining_) return;  // the thread running the queues runs this too
+    draining_ = true;
+  }
+  for (;;) {
+    std::function<void()> task;
+    {
+      MutexLock lock(mutex_);
+      task = pop_task_locked();
+      if (!task) {
+        draining_ = false;
         return;
       }
     }
-    if (task)
+    try {
       task();
-    else if (job)
-      run_job(*job);
+    } catch (...) {
+      MutexLock lock(mutex_);
+      draining_ = false;
+      throw;
+    }
   }
 }
 
@@ -142,77 +123,48 @@ void ThreadPool::parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  auto job = std::make_shared<Job>();
-  job->fn = fn;
-  job->count = count;
-  job->remaining.store(count, std::memory_order_relaxed);
-  {
-    MutexLock lock(mutex_);
-    job_ = job;
-    ++generation_;
-  }
+  std::atomic<std::size_t> next{0};
+  Mutex error_mutex;
+  std::exception_ptr error;  // written under error_mutex
+  const auto claim_indices = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        MutexLock lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
   // The spawned threads run every index; the caller only waits, so a
   // pool of N runs parallel_for and submitted tasks on the same N threads.
-  start_cv_.notify_all();
-  {
-    MutexLock lock(mutex_);
-    while (job->remaining.load(std::memory_order_acquire) != 0)
-      done_cv_.wait(mutex_);
-    job_.reset();
-  }
-  // Read the error slot under its own lock: the analysis (rightly)
-  // refuses the old bare read — it was only safe through the acq_rel
-  // ordering on `remaining`, an argument no local reader can check.
-  std::exception_ptr error;
-  {
-    MutexLock lock(job->error_mutex);
-    error = job->error;
-  }
+  TaskGroup group;
+  const std::size_t tasks = std::min(count, threads_.size());
+  group.start(tasks);
+  for (std::size_t t = 0; t < tasks; ++t)
+    submit(
+        [&claim_indices, &group] {
+          claim_indices();
+          group.finish();
+        },
+        TaskPriority::High);
+  group.wait();
+  // Every task's write to `error` happens before its finish(), which
+  // wait() has observed.
   if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::submit(std::function<void()> task, TaskPriority priority) {
-  if (!threads_.empty()) {
-    {
-      MutexLock lock(mutex_);
-      tasks_[static_cast<std::size_t>(priority)].push_back(std::move(task));
-    }
-    start_cv_.notify_one();
-    return;
-  }
-  // Threadless pool: run inline, through a trampoline so chains of tasks
-  // submitting tasks (the service admission ladder) never recurse — the
-  // draining submit() executes the whole chain iteratively. The queue is
-  // guarded by mutex_ (submit stays callable from any thread; a
-  // concurrent caller enqueues and returns, the drainer executes), and
-  // tasks run unlocked. If a task throws, the drain flag is restored and
-  // the exception propagates to the draining caller; tasks still queued
-  // run at the next submit().
   {
     MutexLock lock(mutex_);
-    inline_tasks_.push_back(std::move(task));
-    if (inline_running_) return;
-    inline_running_ = true;
+    tasks_[static_cast<std::size_t>(priority)].push_back(std::move(task));
   }
-  for (;;) {
-    std::function<void()> next;
-    {
-      MutexLock lock(mutex_);
-      if (inline_tasks_.empty()) {
-        inline_running_ = false;
-        return;
-      }
-      next = std::move(inline_tasks_.front());
-      inline_tasks_.pop_front();
-    }
-    try {
-      next();
-    } catch (...) {
-      MutexLock lock(mutex_);
-      inline_running_ = false;
-      throw;
-    }
-  }
+  if (threads_.empty())
+    drain();
+  else
+    cv_.notify_one();
 }
 
 }  // namespace asmcap

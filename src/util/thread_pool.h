@@ -1,26 +1,34 @@
 #pragma once
-// Small persistent worker pool for the batched execution engine. Two kinds
-// of work share one set of threads:
+// Small persistent worker pool: the one executor behind every parallel
+// path (the router's bank fan-out, the service's read blocks, the batch
+// baselines and the evaluation sweeps).
 //
-//  * parallel_for — a dense index range; workers claim indices from a
-//    shared atomic counter and all results are written by index, so the
-//    output of a parallel map never depends on scheduling order or on how
-//    many workers ran it. That property (plus per-index RNG forking at the
-//    call sites) is what makes batched searches reproducible regardless of
-//    thread count.
-//  * submit — individual detached tasks drained from a FIFO queue. This is
-//    the asynchronous substrate of the streaming SearchService: tasks may
-//    submit further tasks (unlike parallel_for, which is not reentrant),
-//    and completion is tracked by the caller through a TaskGroup.
+// The pool has one source of work: three FIFO queues, one per
+// TaskPriority, popped High-first. On a threaded pool the spawned threads
+// pop them; on a threadless pool (workers == 1) the thread that submits
+// pops them until they are empty. Two entry points feed the queues:
+//
+//  * submit — one detached task. Tasks may submit further tasks, and the
+//    caller tracks their completion through a TaskGroup. This is the
+//    asynchronous substrate of the streaming SearchService.
+//  * parallel_for — a dense index range, queued as High tasks that the
+//    caller waits for. Results are written by index, so the output of a
+//    parallel map never depends on scheduling order or on how many
+//    workers ran it. That property (plus per-index RNG forking at the
+//    call sites) is what makes batched searches reproducible regardless
+//    of thread count.
 //
 // Ownership: a ThreadPool owns its threads; SessionPool (below) owns one
 // lazily-built ThreadPool per session owner (accelerator, sharded router).
-// Thread-safety: submit() may be called from any thread, including from
-// inside a running task; parallel_for() must be called from exactly one
-// thread at a time and is NOT reentrant (see its comment). TaskGroup is
-// fully thread-safe. The lock protocol is statically checked: every
-// queue and flag below is ASMCAP_GUARDED_BY the pool mutex (Clang
-// -Werror=thread-safety; see util/thread_annotations.h).
+// Thread-safety: submit() and parallel_for() may be called from any
+// thread, several at once. submit() may also be called from inside a
+// running task; parallel_for() must never be called from a task of the
+// same pool: its caller blocks until the pool's threads have run its
+// tasks, so a task that waits on them holds one of those threads, and
+// enough such tasks deadlock the pool. TaskGroup is fully thread-safe.
+// The lock protocol is statically checked: the queues and flags below
+// are ASMCAP_GUARDED_BY the pool mutex (Clang -Werror=thread-safety; see
+// util/thread_annotations.h).
 //
 // See docs/architecture.md for where the pool sits in the engine layering.
 
@@ -29,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -39,9 +46,9 @@
 
 namespace asmcap {
 
-/// Priority class of a detached submit() task. Workers always pop the
+/// Priority class of a queued task. Executors always pop the
 /// lowest-numbered non-empty queue, FIFO within a class: a High task
-/// enqueued behind a thousand Low tasks runs as soon as any worker frees
+/// enqueued behind a thousand Low tasks runs as soon as an executor frees
 /// up, without preempting tasks already executing. This is the pool-level
 /// substrate the service tier's interactive-over-bulk scheduling stands
 /// on (asmcap/service.h maps ServiceClass onto it).
@@ -78,52 +85,42 @@ class TaskGroup {
 class ThreadPool {
  public:
   /// A pool of `workers` concurrent executors: that many spawned threads
-  /// run both parallel_for indices and submitted tasks. `workers == 1`
-  /// spawns no threads and runs everything inline on the caller;
-  /// `workers == 0` uses hardware_workers().
+  /// pop the queues. `workers == 1` spawns no threads, and the submitting
+  /// thread runs everything; `workers == 0` uses hardware_workers().
   explicit ThreadPool(std::size_t workers = 0);
-  /// Drains every queued submit() task, then joins the threads.
+  /// Runs every queued task, then joins the threads.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total executors (the spawned threads, or 1 when inline).
+  /// Total executors (the spawned threads, or 1 when threadless).
   std::size_t workers() const {
     return threads_.empty() ? 1 : threads_.size();
   }
 
   /// Runs fn(i) for every i in [0, count), blocking until all complete.
-  /// On a threaded pool the spawned threads run the indices while the
-  /// caller waits (a single index runs inline on the caller). fn must be
-  /// safe to call concurrently for distinct indices. The first exception
-  /// thrown by any index is rethrown here (remaining indices may or may
-  /// not run).
-  ///
-  /// NOT REENTRANT: the pool runs one parallel_for job at a time (a single
-  /// shared job/generation slot), so fn must never call parallel_for on
-  /// the same pool — a nested call would clobber the in-flight job and
-  /// deadlock or miscount. (submit() from inside fn is fine.) Session
-  /// owners (accelerator, sharded router, read mapper) therefore run
-  /// their parallel phases strictly one after another.
+  /// A single index, or any call on a threadless pool, runs inline on the
+  /// caller; otherwise the caller queues min(count, workers()) High tasks
+  /// that claim indices from one counter, and waits. High tasks already
+  /// queued run first. fn must be safe to call concurrently for distinct
+  /// indices. The first exception thrown by any index is rethrown here
+  /// (remaining indices may or may not run).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn)
       ASMCAP_EXCLUDES(mutex_);
 
-  /// Enqueues one detached task. Tasks run FIFO within their priority
-  /// class on the spawned threads, and a worker always prefers the
-  /// highest class with queued work (High before Normal before Low); on a
-  /// pool with no spawned threads (workers == 1) the task runs inline
-  /// before submit() returns, via a trampoline so that task chains (tasks
-  /// submitting tasks) use constant stack depth — inline execution is
-  /// strict FIFO regardless of priority, which is irrelevant for ordering
-  /// guarantees because every task completes before submit() returns.
-  /// Tasks SHOULD NOT throw — there is no completion channel to carry an
-  /// exception: on a threaded pool a throwing task terminates the
-  /// process; on a threadless pool the exception propagates to the
-  /// draining submit() caller (still-queued tasks run at the next
-  /// submit). Callers such as SearchService catch inside the task and
-  /// report at wait(). Callable from any thread, including from inside a
-  /// running task.
+  /// Queues one detached task in its priority class. On a threaded pool
+  /// the spawned threads run it. On a threadless pool the calling thread
+  /// then runs the queues until they are empty, unless some thread
+  /// already runs them (as when a task submits): a task chain runs
+  /// iteratively, at constant stack depth, and the tasks queued during
+  /// one run go in priority order. Tasks SHOULD NOT throw — there is no completion
+  /// channel to carry an exception: on a threaded pool a throwing task
+  /// terminates the process; on a threadless pool the exception
+  /// propagates to the submit() call that was running the queues (the
+  /// tasks still queued run at the next submit, or at destruction).
+  /// Callers such as SearchService catch inside the task and report at
+  /// wait().
   void submit(std::function<void()> task,
               TaskPriority priority = TaskPriority::Normal)
       ASMCAP_EXCLUDES(mutex_);
@@ -132,36 +129,20 @@ class ThreadPool {
   static std::size_t hardware_workers();
 
  private:
-  struct Job {
-    std::function<void(std::size_t)> fn;
-    std::size_t count = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> remaining{0};
-    Mutex error_mutex;
-    std::exception_ptr error ASMCAP_GUARDED_BY(error_mutex);
-  };
-
   void worker_loop() ASMCAP_EXCLUDES(mutex_);
-  void run_job(Job& job) ASMCAP_EXCLUDES(mutex_);
-  bool any_task_locked() const ASMCAP_REQUIRES(mutex_);
+  /// Threadless pools: runs queued tasks until the queues are empty.
+  void drain() ASMCAP_EXCLUDES(mutex_);
   std::function<void()> pop_task_locked() ASMCAP_REQUIRES(mutex_);
 
   std::vector<std::thread> threads_;
   Mutex mutex_;
-  CondVar start_cv_;
-  CondVar done_cv_;
-  /// Current parallel_for job (the single shared slot).
-  std::shared_ptr<Job> job_ ASMCAP_GUARDED_BY(mutex_);
-  /// Bumped per job.
-  std::uint64_t generation_ ASMCAP_GUARDED_BY(mutex_) = 0;
-  /// submit queues, one per TaskPriority, popped High-first.
+  CondVar cv_;
+  /// The queues, one per TaskPriority, popped High-first.
   std::array<std::deque<std::function<void()>>, kTaskPriorityCount> tasks_
       ASMCAP_GUARDED_BY(mutex_);
   bool stop_ ASMCAP_GUARDED_BY(mutex_) = false;
-  // Inline-execution trampoline for threadless pools (any thread may
-  // enqueue; whichever thread entered the drain loop executes).
-  std::deque<std::function<void()>> inline_tasks_ ASMCAP_GUARDED_BY(mutex_);
-  bool inline_running_ ASMCAP_GUARDED_BY(mutex_) = false;
+  /// A threadless pool's queues are being run by some thread.
+  bool draining_ ASMCAP_GUARDED_BY(mutex_) = false;
 };
 
 /// A lazily-created, session-owned ThreadPool handle: the pool is built at

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "worker_gates.h"
@@ -65,6 +67,52 @@ TEST(ThreadPool, PropagatesException) {
   EXPECT_EQ(ok.load(), 10);
 }
 
+TEST(ThreadPool, ConcurrentParallelForCallsRunEveryIndexOnce) {
+  // Two threads call parallel_for on one pool at once, round after round,
+  // and each call must run every one of its own indices exactly once. The
+  // wait is bounded: a pool that loses a caller's indices fails the test
+  // instead of hanging it, leaving the stuck caller and the state it
+  // shares behind.
+  constexpr std::size_t kCallers = 2;
+  constexpr std::size_t kRounds = 200;
+  constexpr std::size_t kCount = 64;
+  struct Shared {
+    ThreadPool pool{4};
+    std::atomic<std::size_t> wrong_rounds{0};
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t finished = 0;
+  };
+  const auto shared = std::make_shared<Shared>();
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c)
+    callers.emplace_back([shared] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kCount);
+        shared->pool.parallel_for(kCount, [&](std::size_t i) { ++hits[i]; });
+        if (!std::all_of(hits.begin(), hits.end(),
+                         [](const std::atomic<int>& h) { return h == 1; }))
+          ++shared->wrong_rounds;
+      }
+      std::lock_guard<std::mutex> lock(shared->mutex);
+      ++shared->finished;
+      shared->cv.notify_all();
+    });
+  bool all_finished = false;
+  {
+    std::unique_lock<std::mutex> lock(shared->mutex);
+    all_finished = shared->cv.wait_for(lock, std::chrono::seconds(30), [&] {
+      return shared->finished == kCallers;
+    });
+  }
+  if (!all_finished) {
+    for (std::thread& caller : callers) caller.detach();
+    FAIL() << "a parallel_for caller did not return within 30 s";
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(shared->wrong_rounds.load(), 0u);
+}
+
 TEST(ThreadPool, HardwareWorkersAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_workers(), 1u);
 }
@@ -96,8 +144,9 @@ TEST(ThreadPool, SubmitRunsInlineOnThreadlessPool) {
 }
 
 TEST(ThreadPool, TaskChainsUseConstantStackOnThreadlessPool) {
-  // Tasks submitting tasks (the service admission ladder) must trampoline,
-  // not recurse: 100k chained tasks would overflow the stack otherwise.
+  // Tasks submitting tasks (the service admission ladder) must be queued
+  // and run by the one drain, not recurse: 100k chained tasks would
+  // overflow the stack otherwise.
   ThreadPool pool(1);
   TaskGroup group;
   std::size_t count = 0;
@@ -135,6 +184,9 @@ TEST(ThreadPool, TasksMaySubmitTasksAcrossThreads) {
 }
 
 TEST(ThreadPool, SubmitInterleavesWithParallelFor) {
+  // parallel_for's tasks join the same queues as submitted ones (High,
+  // behind any High task already queued), and the pool's threads run
+  // both: every submitted task and every index completes.
   ThreadPool pool(4);
   TaskGroup group;
   std::atomic<int> async_done{0};
@@ -153,8 +205,9 @@ TEST(ThreadPool, SubmitInterleavesWithParallelFor) {
 }
 
 TEST(ThreadPool, InlineTrampolineSurvivesThrowingTask) {
-  // On a threadless pool a throwing task propagates out of the draining
-  // submit(), and the pool must stay usable (the drain flag resets).
+  // On a threadless pool a throwing task propagates out of the submit()
+  // running the queues, and the pool must stay usable (the drain flag
+  // resets).
   ThreadPool pool(1);
   EXPECT_THROW(pool.submit([] { throw std::runtime_error("boom"); }),
                std::runtime_error);
@@ -164,7 +217,7 @@ TEST(ThreadPool, InlineTrampolineSurvivesThrowingTask) {
 }
 
 TEST(ThreadPool, DestructorDrainsAbandonedInlineTasks) {
-  // A task queued behind a thrower is abandoned by the trampoline but
+  // A task queued behind a thrower is left in the queue by the drain but
   // must still run by destruction time (the drain contract).
   bool ran = false;
   {
@@ -260,14 +313,34 @@ TEST(ThreadPool, PoolOfNRunsNSubmittedTasksAtOnce) {
 }
 
 TEST(ThreadPool, ThreadlessPoolIgnoresPriorityAndStaysFifo) {
-  // Inline execution completes each task before submit() returns, so
-  // priority cannot reorder anything: submission order is the order.
+  // A submit() from outside a task runs the queues, its task included,
+  // before it returns, so across such calls submission order is the
+  // order. Priority orders only the tasks queued while one runs
+  // (ThreadlessDrainRunsQueuedTasksByPriority).
   ThreadPool pool(1);
   std::vector<int> order;
   pool.submit([&] { order.push_back(1); }, TaskPriority::Low);
   pool.submit([&] { order.push_back(2); }, TaskPriority::High);
   pool.submit([&] { order.push_back(3); }, TaskPriority::Normal);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ThreadPool, ThreadlessDrainRunsQueuedTasksByPriority) {
+  // Tasks a task submits on a threadless pool wait in the queues until it
+  // returns; the thread running the queues then pops them High first,
+  // then Normal, then Low, FIFO within a class, as a pool's threads do.
+  ThreadPool pool(1);
+  std::vector<int> order;
+  pool.submit([&] {
+    for (int i = 0; i < 3; ++i) {
+      pool.submit([&, i] { order.push_back(300 + i); }, TaskPriority::Low);
+      pool.submit([&, i] { order.push_back(200 + i); }, TaskPriority::Normal);
+      pool.submit([&, i] { order.push_back(100 + i); }, TaskPriority::High);
+    }
+    order.push_back(0);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 100, 101, 102, 200, 201, 202, 300,
+                                     301, 302}));
 }
 
 TEST(TaskGroup, ReusableAfterDraining) {
