@@ -7,7 +7,9 @@
 // and pays its per-read admission, planning and merge. The EDAM arm times
 // the comparator the same way: serial search() calls vs search_batch. When
 // a SIMD kernel tier is active, a scalar-tier arm reruns the functional
-// batch on the scalar kernels.
+// batch on the scalar kernels. The single-read loop and the batch arms
+// each report the median of 5 repetitions on one router, so that one
+// slow repetition on a busy host cannot decide a floor.
 //
 //   ./bench_batch [reads] [segments] [workers]
 //
@@ -19,6 +21,8 @@
 // Decisions are not checked here: tests/test_workload_pins.cpp pins this
 // workload's (`bench_batch 200 512 4`) on every kernel tier.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +45,19 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The median wall time of 5 calls of `run`.
+template <typename Run>
+double median_seconds(Run run) {
+  std::array<double, 5> seconds{};
+  for (double& s : seconds) {
+    const auto start = Clock::now();
+    run();
+    s = seconds_since(start);
+  }
+  std::nth_element(seconds.begin(), seconds.begin() + 2, seconds.end());
+  return seconds[2];
 }
 
 }  // namespace
@@ -93,10 +110,10 @@ int main(int argc, char** argv) {
   ShardedAccelerator circuit(config, 1);
   circuit.load_reference(segments);
   circuit.set_error_profile(ErrorRates::condition_a());
-  const auto circuit_start = Clock::now();
-  for (const Sequence& read : reads)
-    circuit.search(read, threshold, StrategyMode::Full);
-  const double circuit_seconds = seconds_since(circuit_start);
+  const double circuit_seconds = median_seconds([&] {
+    for (const Sequence& read : reads)
+      circuit.search(read, threshold, StrategyMode::Full);
+  });
 
   // --- Engine path: a Functional-kind batch across the worker pool. -------
   // The scalar-tier arm reruns it on a fresh router with the scalar
@@ -108,9 +125,9 @@ int main(int argc, char** argv) {
     functional.load_reference(segments);
     functional.set_error_profile(ErrorRates::condition_a());
     functional.worker_pool(workers);
-    const auto start = Clock::now();
-    functional.search_batch(reads, threshold, StrategyMode::Full, workers);
-    return seconds_since(start);
+    return median_seconds([&] {
+      functional.search_batch(reads, threshold, StrategyMode::Full, workers);
+    });
   };
   const double batch_seconds = time_functional_batch();
   double scalar_seconds = 0.0;

@@ -233,46 +233,106 @@ void window_probe_cases(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_WindowProbe)->Apply(window_probe_cases);
 
-// One bank's execute() of a bulk_map read: an ideal-sensing bank of
-// 4,096 rows x 128 columns and a T = 32 plan under the router's default
-// error profile, which TASR turns into 5 ED* passes (no HDAC), all run in
-// one sweep over the row store. The read is a stored row with 8
-// substitutions. Items are row-passes.
-void BM_BankExecute(benchmark::State& state) {
+// bulk_map's bank and read: 4,096 random rows x 128 columns, and a
+// stored row with 8 substitutions, planned at T = 32 under the router's
+// default error profile, which TASR turns into 5 ED* passes (no HDAC).
+struct ExecuteCase {
+  AsmcapConfig config;
+  std::vector<Sequence> rows;
+  Sequence read;
+};
+
+ExecuteCase execute_case(bool ideal) {
   constexpr std::size_t kRows = 4096;
   constexpr std::size_t kCols = 128;
-  constexpr std::size_t kThreshold = 32;
-  AsmcapConfig config;
-  config.array_rows = 256;
-  config.array_cols = kCols;
-  config.array_count = kRows / config.array_rows;
-  config.ideal_sensing = true;
-  AsmcapAccelerator bank(config);
+  ExecuteCase c;
+  c.config.array_rows = 256;
+  c.config.array_cols = kCols;
+  c.config.array_count = kRows / c.config.array_rows;
+  c.config.ideal_sensing = ideal;
   Rng rng(20);
-  std::vector<Sequence> rows;
-  rows.reserve(kRows);
+  c.rows.reserve(kRows);
   for (std::size_t g = 0; g < kRows; ++g)
-    rows.push_back(Sequence::random(kCols, rng));
-  bank.load_reference(rows);
-  Sequence read = rows[rng.below(kRows)];
+    c.rows.push_back(Sequence::random(kCols, rng));
+  c.read = c.rows[rng.below(kRows)];
   for (int e = 0; e < 8; ++e)
-    read.set(rng.below(kCols),
-             base_from_code(static_cast<std::uint8_t>(rng.below(4))));
-  const ExecutionPlan plan = bank.planner().build(
-      read, kThreshold, ErrorRates::condition_a(), StrategyMode::Full);
-  if (plan.ed_star_views.size() != 5 || plan.hd_pass) {
+    c.read.set(rng.below(kCols),
+               base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+  return c;
+}
+
+std::unique_ptr<AsmcapAccelerator> load_bank(const ExecuteCase& c) {
+  auto bank = std::make_unique<AsmcapAccelerator>(c.config);
+  bank->load_reference(c.rows);
+  return bank;
+}
+
+ExecutionPlan execute_plan(const AsmcapAccelerator& bank,
+                           const ExecuteCase& c) {
+  return bank.planner().build(c.read, 32, ErrorRates::condition_a(),
+                              StrategyMode::Full);
+}
+
+bool five_ed_star_passes(const ExecutionPlan& plan) {
+  return plan.ed_star_views.size() == 5 && !plan.hd_pass;
+}
+
+// One bank's execute() of the bulk_map read on an ideal-sensing bank: all
+// 5 passes in one sweep over the row store. Items are row-passes.
+void BM_BankExecute(benchmark::State& state) {
+  const ExecuteCase c = execute_case(/*ideal=*/true);
+  const std::unique_ptr<AsmcapAccelerator> bank = load_bank(c);
+  const ExecutionPlan plan = execute_plan(*bank, c);
+  if (!five_ed_star_passes(plan)) {
     state.SkipWithError("the plan is not 5 ED* passes without HDAC");
     return;
   }
   const Rng query_rng(21);
   for (auto _ : state) {
-    const QueryResult result = bank.execute(plan, query_rng);
+    const QueryResult result = bank->execute(plan, query_rng);
     benchmark::DoNotOptimize(result.matched_segments.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRows * 5));
+                          static_cast<std::int64_t>(c.rows.size() * 5));
 }
 BENCHMARK(BM_BankExecute);
+
+// The same execute() on a bank that senses noise: at T = 32 a few rows'
+// counts per pass land in the noise band, and each settles on its
+// silicon. memo:0 runs on a freshly loaded bank, whose pass draws the
+// silicon of every in-band row (the first read after a load; the reload
+// is not timed); memo:1 on a bank that has run the read before, whose
+// pass finds that silicon in its memo. The `drawn` counter is the rows
+// with silicon after one read. Items are row-passes.
+void BM_BankExecuteNoisyInBand(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  const ExecuteCase c = execute_case(/*ideal=*/false);
+  std::unique_ptr<AsmcapAccelerator> bank = load_bank(c);
+  const ExecutionPlan plan = execute_plan(*bank, c);
+  const Rng query_rng(21);
+  const QueryResult first = bank->execute(plan, query_rng);
+  benchmark::DoNotOptimize(first.matched_segments.data());
+  const std::size_t drawn = bank->silicon()->size();
+  if (!five_ed_star_passes(plan) || drawn == 0) {
+    state.SkipWithError(
+        "the plan is not 5 ED* passes without HDAC, or no row senses in "
+        "the band");
+    return;
+  }
+  for (auto _ : state) {
+    if (!warm) {
+      state.PauseTiming();
+      bank = load_bank(c);
+      state.ResumeTiming();
+    }
+    const QueryResult result = bank->execute(plan, query_rng);
+    benchmark::DoNotOptimize(result.matched_segments.data());
+  }
+  state.counters["drawn"] = static_cast<double>(drawn);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(c.rows.size() * 5));
+}
+BENCHMARK(BM_BankExecuteNoisyInBand)->ArgName("memo")->Arg(0)->Arg(1);
 
 // Loads `segments` random 128-column rows through a `shards`-shard router
 // on `config`, in the CLI's 512-row appends, then compact(), once per
@@ -331,8 +391,8 @@ BENCHMARK(BM_RouterIngest)
     ->Unit(benchmark::kMillisecond);
 
 // circuit_noisy's load: 1,024 segments of 128 columns on 2 shards of 2
-// arrays, sensing noise, so every row written draws its silicon (129
-// normal deviates) once and a fold copies it with the row.
+// arrays, sensing noise. A write draws no silicon, so a segment should
+// cost what it costs BM_RouterIngest.
 void BM_RouterIngestNoisy(benchmark::State& state) {
   AsmcapConfig config;
   config.array_cols = 128;
@@ -348,13 +408,13 @@ void BM_RouterIngestNoisy(benchmark::State& state) {
 BENCHMARK(BM_RouterIngestNoisy)->Unit(benchmark::kMillisecond);
 
 // One clone() of a 16,384-row, 128-column bank: the copy an epoch makes
-// of each bank it writes. A noisy bank's clone shares its silicon blocks.
-// Items are rows.
-void bank_clone(benchmark::State& state, bool ideal) {
+// of each bank it writes while a pin lives (a noisy bank's clone is the
+// same copy plus its silicon memo's pointer). Items are rows.
+void BM_BankClone(benchmark::State& state) {
   constexpr std::size_t kRows = 16384;
   AsmcapConfig config;
   config.array_cols = 128;
-  config.ideal_sensing = ideal;
+  config.ideal_sensing = true;
   AsmcapAccelerator bank(config);
   Rng rng(23);
   std::vector<Sequence> rows;
@@ -370,12 +430,7 @@ void bank_clone(benchmark::State& state, bool ideal) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRows));
 }
-
-void BM_BankClone(benchmark::State& state) { bank_clone(state, true); }
 BENCHMARK(BM_BankClone);
-
-void BM_BankCloneNoisy(benchmark::State& state) { bank_clone(state, false); }
-BENCHMARK(BM_BankCloneNoisy);
 
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;

@@ -33,56 +33,11 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
       planner_(config),
       timing_(config.process),
       pass_(config),
-      silicon_root_(Rng(config.seed).fork(0x51C0)),
+      silicon_(config.ideal_sensing ? nullptr
+                                    : std::make_shared<SiliconMemo>()),
       store_(config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)) {
   validate(config_.process);
-}
-
-void AsmcapAccelerator::build_silicon(PendingWrite& write,
-                                      const AsmcapAccelerator* source) const {
-  const std::size_t rows = config_.array_rows;
-  const std::size_t cols = config_.array_cols;
-  const std::span<const std::size_t> slots = write.slots_;
-  const std::span<const std::uint64_t> ids = write.ids_;
-  // A source bank's row of an id is the row this bank would draw when the
-  // source draws from the same silicon root with the same model.
-  const bool copy = source != nullptr && source->senses_noise() &&
-                    source->config_.seed == config_.seed &&
-                    source->config_.array_cols == cols &&
-                    source->config_.process.charge == config_.process.charge;
-  // Each touched array (ascending slots: one run each) gets one new block,
-  // a copy of its shared block or zeros.
-  for (std::size_t i = 0; i < slots.size();) {
-    const std::size_t a = slots[i] / rows;
-    auto block = a < silicon_.size() && silicon_[a]
-                     ? std::make_shared<ArraySilicon>(*silicon_[a])
-                     : std::make_shared<ArraySilicon>(rows, cols);
-    for (; i < slots.size() && slots[i] / rows == a; ++i) {
-      const std::size_t from = copy ? source->slot_of(ids[i]) : kNoSlot;
-      if (from != kNoSlot && source->dir_.live[from]) {
-        const std::size_t from_rows = source->config_.array_rows;
-        block->copy_row(slots[i] % rows, *source->silicon_[from / from_rows],
-                        from % from_rows);
-      } else {
-        // The row's analog silicon is a pure function of its global id:
-        // the segment decides identically in whichever slot, array, or
-        // bank it lands, and whenever its silicon is built
-        // (docs/determinism.md rule 8).
-        Rng silicon = silicon_root_.fork(ids[i]);
-        block->manufacture_row(slots[i] % rows, config_.process.charge,
-                               silicon);
-      }
-    }
-    write.silicon_.emplace_back(a, std::move(block));
-  }
-}
-
-void AsmcapAccelerator::install_silicon(PendingWrite& write) {
-  if (write.silicon_.empty()) return;
-  const std::size_t last = write.silicon_.back().first;
-  if (silicon_.size() <= last) silicon_.resize(last + 1);
-  for (auto& [a, block] : write.silicon_) silicon_[a] = std::move(block);
 }
 
 std::size_t AsmcapAccelerator::slot_of(std::uint64_t id) const {
@@ -127,14 +82,12 @@ std::vector<std::uint64_t> AsmcapAccelerator::append_segments(
 }
 
 void AsmcapAccelerator::append_segments(
-    std::span<const Sequence> segments, std::span<const std::uint64_t> ids,
-    const AsmcapAccelerator* source) {
-  prepare_append(segments, ids, source).commit();
+    std::span<const Sequence> segments, std::span<const std::uint64_t> ids) {
+  prepare_append(segments, ids).commit();
 }
 
 AsmcapAccelerator::PendingWrite AsmcapAccelerator::prepare_append(
-    std::span<const Sequence> segments, std::span<const std::uint64_t> ids,
-    const AsmcapAccelerator* source) {
+    std::span<const Sequence> segments, std::span<const std::uint64_t> ids) {
   if (segments.size() != ids.size())
     throw std::invalid_argument(
         "AsmcapAccelerator: append ids/segments size mismatch");
@@ -183,7 +136,6 @@ AsmcapAccelerator::PendingWrite AsmcapAccelerator::prepare_append(
   }
   for (std::size_t next = old_slots; targets.size() < n; ++next)
     targets.push_back(next);
-  if (senses_noise()) build_silicon(write, source);
 
   // Room for everything commit writes, so that it cannot throw.
   const std::size_t slots = std::max(old_slots, targets.back() + 1);
@@ -193,8 +145,6 @@ AsmcapAccelerator::PendingWrite AsmcapAccelerator::prepare_append(
   reserve_geometric(dir_.array_live,
                     (slots + config_.array_rows - 1) / config_.array_rows);
   reserve_geometric(slots_by_id_, slots_by_id_.size() + n);
-  if (!write.silicon_.empty())
-    reserve_geometric(silicon_, write.silicon_.back().first + 1);
   return write;
 }
 
@@ -206,7 +156,7 @@ void AsmcapAccelerator::PendingWrite::commit() noexcept {
     bank_->commit_append(*this);
 }
 
-void AsmcapAccelerator::commit_append(PendingWrite& write) noexcept {
+void AsmcapAccelerator::commit_append(const PendingWrite& write) noexcept {
   const std::span<const Sequence> segments = write.rows_;
   const std::span<const std::uint64_t> ids = write.ids_;
   const std::vector<std::size_t>& targets = write.slots_;
@@ -222,10 +172,6 @@ void AsmcapAccelerator::commit_append(PendingWrite& write) noexcept {
       return slot <= last && !dir_.live[slot];
     });
   }
-  // No target slot is live, so its silicon shows only once the directory
-  // below marks it live.
-  install_silicon(write);
-
   // The row store takes each run of consecutive target slots in one
   // write (whole 64-row groups transpose at once).
   for (std::size_t i = 0; i < n;) {
@@ -337,32 +283,6 @@ AsmcapAccelerator::live_segments() const {
   return out;
 }
 
-void AsmcapAccelerator::set_backend(BackendKind kind) {
-  const bool was_noisy = senses_noise();
-  backend_kind_ = kind;
-  if (senses_noise() == was_noisy) return;
-  if (!senses_noise()) {
-    silicon_ = {};
-    return;
-  }
-  // Build what a Circuit-from-birth bank with this history decides with:
-  // each live row's silicon from its per-id stream. Dead and unwritten
-  // rows are masked out of every decision, with zero matchline energy, so
-  // their silicon cannot show.
-  std::vector<std::uint64_t> ids;
-  PendingWrite write;
-  write.slots_.reserve(dir_.live_count);
-  ids.reserve(dir_.live_count);
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
-    if (dir_.live[slot]) {
-      write.slots_.push_back(slot);
-      ids.push_back(dir_.ids[slot]);
-    }
-  write.ids_ = ids;
-  build_silicon(write, nullptr);
-  install_silicon(write);
-}
-
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   return std::unique_ptr<AsmcapAccelerator>(new AsmcapAccelerator(*this));
 }
@@ -374,7 +294,7 @@ std::vector<PassResult> AsmcapAccelerator::run_passes(
     throw DbError(DbErrorKind::NotLoaded,
                   "AsmcapAccelerator: no reference loaded");
   return pass_.run_passes(store_, dir_,
-                          senses_noise() ? &silicon_ : nullptr, passes,
+                          senses_noise() ? silicon_.get() : nullptr, passes,
                           threshold, query_rng);
 }
 

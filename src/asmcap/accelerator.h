@@ -30,38 +30,39 @@
 // block, what the shard-pruning probe (may_match) reads, and what
 // live_segments() gathers, group by group; the bank keeps no other
 // index of its rows. The bank senses the analog noise model iff its
-// backend kind is Circuit and config.ideal_sensing is false. Only then
-// does it hold circuit state — the silicon of every row it writes, drawn
-// once from the row's per-id stream (or copied with the row from the bank
-// it folds out of) and stored flat, one immutable block per array
-// (ArraySilicon, cam/charge_readout.h) — so an ideal-sensing bank never
-// pays for silicon it does not read, and a noisy one draws none for rows
-// it never wrote.
+// backend kind is Circuit and config.ideal_sensing is false. Its circuit
+// state is a SiliconMemo (asmcap/backend.h), held only on a noisy config:
+// a row's silicon is drawn from its per-id stream the first time the row
+// senses in the noise band, and kept there. A write draws no silicon, and
+// a row outside the band never needs any, so a bank holds silicon only
+// for the ids that have sensed in the band.
 //
 // Ownership: the bank owns its row store, pass, and planner, and shares
-// its silicon blocks with its clones. The pass holds only config-derived
-// constants and is handed the bank's rows, directory and silicon on each
-// call, so nothing points into the bank and clone() is a plain copy.
-// Every table the bank keeps is a flat vector — the row store's plane
-// words, the directory, and the id index (every slot, ordered by the id it
-// holds) — so a clone is a few vector copies plus one pointer per silicon
-// block, and an append costs amortised O(appended rows) plus a new block
-// for each array it writes silicon into and, only when the bank holds
-// tombstones, one pass over its live words and its id index.
+// its silicon memo with its clones (silicon is a pure function of the
+// id, so every clone wants the same rows). The pass holds only
+// config-derived constants and is handed the bank's rows, directory and
+// memo on each call, so nothing points into the bank and clone() is a
+// plain copy. Every table the bank keeps is a flat vector — the row
+// store's plane words, the directory, and the id index (every slot,
+// ordered by the id it holds) — so a clone is a few vector copies plus
+// the memo's pointer, and an append costs amortised O(appended rows)
+// plus, only when the bank holds tombstones, one pass over its live
+// words and its id index.
 //
 // A mutation is two steps, which callers that write several banks (the
 // sharded router's epoch build) call separately: prepare_append /
 // prepare_remove validate the call and allocate everything it writes —
 // target slots, room in the row store, directory and id index (growing
-// geometrically), new silicon blocks — without changing any row, id or
-// live bit; PendingWrite::commit then writes and cannot throw. So a bank
+// geometrically) — without changing any row, id or live bit;
+// PendingWrite::commit then writes and cannot throw. So a bank
 // written in place is never left half-written: a mutation that throws,
 // DbError or allocation failure alike, leaves it as it was (db_error.h).
 // Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, the prepare_* calls and commit,
 // set_backend) belong to one control thread at a time; execute() is const
 // and thread-safe and is what the sharded router and the streaming
-// service fan across workers. Mutations must not run while this bank has
+// service fan across workers (the silicon memo it fills takes its own
+// lock). Mutations must not run while this bank has
 // execute() calls in flight — the sharded router guarantees that by
 // writing a bank in place only while no pin lives and nothing else holds
 // it, and cloning it first otherwise. RNG discipline: docs/determinism.md.
@@ -129,10 +130,6 @@ class AsmcapAccelerator {
     std::span<const Sequence> rows_;  ///< Empty for a remove.
     std::span<const std::uint64_t> ids_;  ///< Empty for a remove.
     std::vector<std::size_t> slots_;  ///< Ascending; row i goes to slot i.
-    /// A noisy append's new silicon block per array it writes, by array,
-    /// ascending: installed at commit.
-    std::vector<std::pair<std::size_t, std::shared_ptr<ArraySilicon>>>
-        silicon_;
   };
 
   explicit AsmcapAccelerator(AsmcapConfig config);
@@ -145,8 +142,7 @@ class AsmcapAccelerator {
 
   /// Appends segments with auto-assigned global ids (returned, ascending).
   /// Tombstoned row slots are recycled first (lowest slot first), then
-  /// fresh rows are allocated; a noisy bank draws each row's silicon from
-  /// its id's stream as it writes the row. Throws
+  /// fresh rows are allocated. Throws
   /// DbError (CapacityExceeded) when the live count would exceed
   /// capacity_segments(); validation happens before any state changes.
   std::vector<std::uint64_t> append_segments(
@@ -155,22 +151,15 @@ class AsmcapAccelerator {
   /// router's path, and the replay path of the epoch-equivalence tests.
   /// Ids in any order; ascending ids above every id the bank has held
   /// (the router's) just extend the id index at its back, any others
-  /// sort into it once per call. On a noisy bank, a row whose id is live
-  /// in `source` (the router passes the hot bank it folds) copies its
-  /// silicon from there instead of drawing it again — when `source`
-  /// senses noise with this bank's seed, width and charge parameters, so
-  /// that the copy is the row this bank would draw.
+  /// sort into it once per call.
   void append_segments(std::span<const Sequence> segments,
-                       std::span<const std::uint64_t> ids,
-                       const AsmcapAccelerator* source = nullptr);
+                       std::span<const std::uint64_t> ids);
   /// append_segments' first step: throws what it throws, and otherwise
-  /// returns the write with its target slots chosen, room made in the row
-  /// store, directory and id index, and on a noisy bank every new silicon
-  /// block built. Only spare capacity changes, whether it returns or
-  /// throws.
+  /// returns the write with its target slots chosen and room made in the
+  /// row store, directory and id index. Only spare capacity changes,
+  /// whether it returns or throws.
   PendingWrite prepare_append(std::span<const Sequence> segments,
-                              std::span<const std::uint64_t> ids,
-                              const AsmcapAccelerator* source = nullptr);
+                              std::span<const std::uint64_t> ids);
 
   /// Tombstones the given global ids. DbError: UnknownSegment for an id
   /// this bank never held, DoubleDelete for an already-dead id (also for
@@ -185,24 +174,23 @@ class AsmcapAccelerator {
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
   /// A copy of the bank — row store, directory, id index, and load
-  /// ledger, each a flat vector copy; the silicon blocks (if built) are
+  /// ledger, each a flat vector copy; the silicon memo (if any) is
   /// shared, never copied. The copy-on-write primitive of the sharded
   /// router's epoch scheme for a bank written while a pin lives:
   /// execute() results on the clone are bit-identical to the original,
-  /// energy included, and mutating either never touches the other (a
-  /// write builds new blocks).
+  /// energy included, and mutating either never touches the other (the
+  /// memo maps ids, not slots, and never changes a row it holds).
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// Selects the sensing of subsequent execute() calls: Circuit (default)
   /// senses the analog noise model unless config.ideal_sensing, and
   /// Functional always senses ideally. Energy depends only on the
   /// mismatch counts, so both kinds book identical energy. Switching is a
-  /// control-plane mutation (never with execute() calls in flight): when
-  /// the bank starts sensing noise it builds every live row's silicon
-  /// from its per-id stream — bit-identical to a bank that was Circuit
-  /// from birth with the same history (rule 8) — and when it stops it
-  /// frees it. Cheapest on an empty bank.
-  void set_backend(BackendKind kind);
+  /// control-plane mutation (never with execute() calls in flight) that
+  /// draws nothing: a noisy bank senses on the same per-id silicon
+  /// whenever it senses noise, so it decides bit-identically to a bank
+  /// that was Circuit from birth with the same history (rule 8).
+  void set_backend(BackendKind kind) { backend_kind_ = kind; }
   BackendKind backend_kind() const { return backend_kind_; }
 
   /// Every pass of `passes` over this bank in one sweep, sensing as
@@ -257,9 +245,9 @@ class AsmcapAccelerator {
   /// Slot-indexed id / tombstone tables (what the router uses to map an
   /// execute() result's slots to global ids).
   const LiveDirectory& directory() const { return dir_; }
-  /// The silicon blocks, one per array (null where no row has silicon);
-  /// empty unless the bank senses noise. Shared with its clones.
-  const BankSilicon& silicon() const { return silicon_; }
+  /// The silicon drawn so far, shared with the bank's clones; null on an
+  /// ideal config.
+  const SiliconMemo* silicon() const { return silicon_.get(); }
   /// Cumulative cost of loading + appending reference rows (decoder + WL +
   /// SRAM writes; rows of different arrays are written in parallel).
   double load_energy_joules() const { return load_energy_; }
@@ -278,23 +266,13 @@ class AsmcapAccelerator {
   /// goes through clone().
   AsmcapAccelerator(const AsmcapAccelerator&) = default;
 
-  /// True iff the bank senses the analog noise model (and so holds
+  /// True iff the bank senses the analog noise model (and so reads its
   /// silicon): backend kind Circuit on a noisy config.
   bool senses_noise() const {
     return backend_kind_ == BackendKind::Circuit && !config_.ideal_sensing;
   }
-  /// Builds the silicon of `write`'s rows (ascending, non-live slots, row
-  /// i for id ids_[i]) into its new blocks, one per array it touches, a
-  /// copy of that array's shared block or zeros: each row copied from
-  /// `source`'s live row of its id when append_segments' conditions hold,
-  /// else drawn from the id's stream. Changes nothing in the bank.
-  void build_silicon(PendingWrite& write,
-                     const AsmcapAccelerator* source) const;
-  /// Installs `write`'s built blocks (published blocks are never written).
-  /// Cannot throw once silicon_ has room for the last one.
-  void install_silicon(PendingWrite& write);
   /// PendingWrite::commit for an append and for a remove.
-  void commit_append(PendingWrite& write) noexcept;
+  void commit_append(const PendingWrite& write) noexcept;
   void commit_remove(const PendingWrite& write) noexcept;
   /// The slot holding `id` (live or tombstoned), or kNoSlot: a binary
   /// search of the id index.
@@ -310,14 +288,10 @@ class AsmcapAccelerator {
   QueryPlanner planner_;
   TimingModel timing_;
   CircuitBackend pass_;
-  /// Root of the manufactured-silicon stream tree (Rng(seed).fork(0x51C0));
-  /// row silicon forks per global id.
-  Rng silicon_root_;
-  /// Circuit state: one block per array (null until a row of it gets
-  /// silicon), non-empty only while senses_noise() and a row has been
-  /// written. Shared with every clone and epoch; a block is never written
-  /// once installed, even when the bank itself is written in place.
-  BankSilicon silicon_;
+  /// Circuit state: the silicon of every id that has sensed in the band
+  /// (the pass fills it), on a noisy config only. Shared with every clone
+  /// and epoch.
+  std::shared_ptr<SiliconMemo> silicon_;
   LiveDirectory dir_;
   SlicedRowStore store_;  ///< Canonical row store, one row per slot.
   /// The id index: every allocated slot, ordered by the id it holds (its

@@ -11,19 +11,22 @@
 // EdamAccelerator (asmcap/edam.h).
 //
 // Ownership: a CircuitBackend holds only constants derived from its
-// config (geometry, the charge-domain parameters, a per-count energy
-// table) and points into no bank. Each run_passes call is handed the bank
-// it runs on — its row store, LiveDirectory and silicon — so one pass
-// object serves any bank of its config, and a bank copies like a value.
-// A call runs a read's whole pass list (PassSpec: a view and its RNG
-// salt) in one sweep over the store, and returns one PassResult per pass.
+// config (geometry, the charge-domain parameters, the silicon root, a
+// per-count energy table) and points into no bank. Each run_passes call
+// is handed the bank it runs on — its row store, LiveDirectory and
+// SiliconMemo — so one pass object serves any bank of its config, and a
+// bank copies like a value. A call runs a read's whole pass list
+// (PassSpec: a view and its RNG salt) in one sweep over the store, and
+// returns one PassResult per pass.
 // Thread-safety: run_passes is const and thread-safe — concurrent batch
 // workers share one pass object and one bank, each supplying its own
-// forked RNG stream. Mutations (which rewrite the directory and the row
-// store) never run against a bank with passes in flight: the sharded
-// router mutates CLONES and publishes them as a new epoch, so in-flight
-// work only ever reads immutable snapshots (docs/architecture.md "Live
-// database").
+// forked RNG stream. The one thing a pass writes is the bank's
+// SiliconMemo, which takes its own lock (below). Mutations (which rewrite
+// the directory and the row store) never run against a bank with passes
+// in flight: the sharded router writes a bank in place only while no pin
+// lives, and mutates CLONES published as a new epoch otherwise, so
+// in-flight work only ever reads immutable snapshots
+// (docs/architecture.md "Live database").
 // Reentrancy: run_passes never dispatches work to a pool, so it is safe
 // to call from inside pool tasks (the service does exactly that).
 //
@@ -36,12 +39,15 @@
 // global segment) — independent of segment placement, bank layout, and
 // evaluation order. This is what makes the sharded accelerator's
 // decisions invariant in shard count and the streaming service's
-// decisions invariant in completion order.
+// decisions invariant in completion order. A row's silicon is drawn from
+// Rng(config.seed).fork(0x51C0).fork(global id), the first time the row
+// senses in the band, so it too is a pure function of the id, whichever
+// thread, read or bank draws it first.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "align/kernels.h"
@@ -52,6 +58,7 @@
 #include "genome/sequence.h"
 #include "util/bitvec.h"
 #include "util/rng.h"
+#include "util/thread_annotations.h"
 
 namespace asmcap {
 
@@ -86,10 +93,32 @@ struct LiveDirectory {
   }
 };
 
-/// A noisy bank's silicon: one immutable ArraySilicon block per array,
-/// null for an array none of whose rows has silicon. Blocks are shared by
-/// reference between a bank's epochs; a write builds a new block.
-using BankSilicon = std::vector<std::shared_ptr<const ArraySilicon>>;
+/// A noisy bank's silicon, drawn on first use: global id -> that row's
+/// RowSilicon. The pass fills it the first time a live row's count lands
+/// in the noise band, and a bank shares it with its clones: silicon is a
+/// pure function of the id (under the bank's seed and charge
+/// parameters), so an entry is never changed or erased, and one stays
+/// valid — references into the memo included — for the memo's lifetime.
+/// A bank holds silicon only for the ids that have sensed in the band.
+/// Thread-safety: find and insert lock the memo, so concurrent passes may
+/// fill it; its rows are immutable once inserted.
+class SiliconMemo {
+ public:
+  /// The silicon of `id`, or null when none has been drawn yet.
+  const RowSilicon* find(std::uint64_t id) ASMCAP_EXCLUDES(mutex_);
+  /// Stores `row` as the silicon of `id` unless another caller stored it
+  /// first (the same values: a pure function of the id), and returns the
+  /// stored row.
+  const RowSilicon& insert(std::uint64_t id, RowSilicon row)
+      ASMCAP_EXCLUDES(mutex_);
+  /// Rows drawn so far.
+  std::size_t size() const ASMCAP_EXCLUDES(mutex_);
+
+ private:
+  mutable Mutex mutex_;
+  std::unordered_map<std::uint64_t, RowSilicon> rows_
+      ASMCAP_GUARDED_BY(mutex_);
+};
 
 /// One array pass of a read: the view it searches (an ED* or a Hamming
 /// view; not owned, it must outlive the call) and the salt its RNG stream
@@ -127,17 +156,18 @@ struct PassResult {
 /// summation order, so booked energy is bit-identical whatever computed
 /// the counts and however many passes share the sweep. Under ideal
 /// sensing (`silicon` null) the band is empty and count <= T decides.
-/// When the bank senses noise, `silicon` holds one block per array with
-/// the silicon of every live row: a row whose count lies in
-/// charge_decision_band gathers its packed words alone, settles V_ML from
-/// its mismatch lane words on its block (the capacitive divider plus its
-/// SA offset) and decides through the SA model against V_ref(T), drawing
-/// SA noise from the per-id fork of its pass's stream — exactly what
-/// ChargeArrayReadout's settle_row and decide give for the same silicon;
-/// a row outside it decides from the
-/// count alone, since no admissible silicon or noise draw could change its
-/// SA outcome (determinism.md rule 7). Per-decision streams are pure
-/// per-id forks, so skipping a row's fork shifts no other row's draw.
+/// When the bank senses noise, `silicon` is its SiliconMemo. A decision
+/// word whose 64 counts all lie outside charge_decision_band decides from
+/// its counts alone, since no admissible silicon or noise draw could
+/// change those SA outcomes (determinism.md rule 7). In a word with an
+/// in-band live row, each such row gathers its packed words alone, takes
+/// its silicon from the memo (drawing it there from its id's stream the
+/// first time), settles V_ML from its mismatch lane words (the capacitive
+/// divider plus its SA offset) and decides through the SA model against
+/// V_ref(T), drawing SA noise from the per-id fork of its pass's stream —
+/// exactly what ChargeArrayReadout's settle_row and decide give for the
+/// same silicon. Per-decision streams are pure per-id forks, so skipping
+/// a row's fork shifts no other row's draw.
 class CircuitBackend {
  public:
   explicit CircuitBackend(const AsmcapConfig& config);
@@ -148,17 +178,24 @@ class CircuitBackend {
   /// width must equal the array's (std::invalid_argument otherwise,
   /// checked before any pass runs). Pass p's per-decision SA noise is
   /// forked from `query_rng.fork(passes[p].salt)` per global segment id;
-  /// `query_rng` is never advanced.
+  /// `query_rng` is never advanced. `silicon` is null under ideal sensing;
+  /// otherwise the call adds the silicon of each id it settles for the
+  /// first time.
   std::vector<PassResult> run_passes(
       const SlicedRowStore& rows, const LiveDirectory& directory,
-      const BankSilicon* silicon,
-      std::span<const PassSpec> passes, std::size_t threshold,
-      const Rng& query_rng) const;
+      SiliconMemo* silicon, std::span<const PassSpec> passes,
+      std::size_t threshold, const Rng& query_rng) const;
 
  private:
-  std::size_t array_rows_;
+  /// The silicon of `id`: the memo's row, or one drawn from the id's
+  /// stream (outside the memo's lock) and stored.
+  const RowSilicon& row_silicon(SiliconMemo& silicon, std::uint64_t id) const;
+
   std::size_t cols_;
   ChargeDomainParams charge_;
+  /// Root of the manufactured-silicon stream tree
+  /// (Rng(seed).fork(0x51C0)); a row's silicon forks from it per global id.
+  Rng silicon_root_;
   SearchlineDriverParams sl_params_;
   /// Eq. 1 matchline energy of a row with k mismatches, k = 0..cols.
   std::vector<double> row_energy_;

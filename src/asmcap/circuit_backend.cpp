@@ -48,7 +48,36 @@ constexpr std::array<EnergyWalk, sizeof...(I)> energy_walks(
 // kEnergyWalks[n - 1] walks n passes.
 constexpr auto kEnergyWalks =
     energy_walks(std::make_index_sequence<kMaxWalkPasses>{});
+
+// Whether any of a decision word's 64 counts lies in the band [low, low +
+// width): one branch-free, vectorizable test, so a word whose rows all
+// decide from their counts (nearly every word) builds no in-band bits.
+bool any_in_band(const std::uint16_t* counts, std::uint32_t low,
+                 std::uint32_t width) {
+  std::uint32_t any = 0;
+  for (std::size_t bit = 0; bit < kWordBits; ++bit) {
+    const std::uint32_t above_low = std::uint32_t{counts[bit]} - low;
+    any |= static_cast<std::uint32_t>(above_low < width);
+  }
+  return any != 0;
+}
 }  // namespace
+
+const RowSilicon* SiliconMemo::find(std::uint64_t id) {
+  MutexLock lock(mutex_);
+  const auto it = rows_.find(id);
+  return it == rows_.end() ? nullptr : &it->second;
+}
+
+const RowSilicon& SiliconMemo::insert(std::uint64_t id, RowSilicon row) {
+  MutexLock lock(mutex_);
+  return rows_.try_emplace(id, std::move(row)).first->second;
+}
+
+std::size_t SiliconMemo::size() const {
+  MutexLock lock(mutex_);
+  return rows_.size();
+}
 
 const char* to_string(BackendKind kind) {
   switch (kind) {
@@ -59,42 +88,51 @@ const char* to_string(BackendKind kind) {
 }
 
 CircuitBackend::CircuitBackend(const AsmcapConfig& config)
-    : array_rows_(config.array_rows),
-      cols_(config.array_cols),
+    : cols_(config.array_cols),
       charge_(config.process.charge),
+      silicon_root_(Rng(config.seed).fork(0x51C0)),
       sl_params_(),
       row_energy_(config.array_cols + 1) {
   for (std::size_t k = 0; k <= cols_; ++k)
     row_energy_[k] = charge_row_search_energy(k, cols_, charge_);
 }
 
+const RowSilicon& CircuitBackend::row_silicon(SiliconMemo& silicon,
+                                              std::uint64_t id) const {
+  if (const RowSilicon* row = silicon.find(id)) return *row;
+  // The row's analog silicon is a pure function of its global id: the
+  // segment decides identically in whichever slot, array, or bank it
+  // lands, and whichever read or thread draws its silicon first
+  // (docs/determinism.md rule 8).
+  Rng rng = silicon_root_.fork(id);
+  return silicon.insert(id, RowSilicon(cols_, charge_, rng));
+}
+
 std::vector<PassResult> CircuitBackend::run_passes(
     const SlicedRowStore& rows, const LiveDirectory& directory,
-    const BankSilicon* silicon,
-    std::span<const PassSpec> passes, std::size_t threshold,
-    const Rng& query_rng) const {
+    SiliconMemo* silicon, std::span<const PassSpec> passes,
+    std::size_t threshold, const Rng& query_rng) const {
   for (const PassSpec& pass : passes)
     if (pass.view->n != cols_)
       throw std::invalid_argument("CircuitBackend: read width mismatch");
   // Ideal sensing decides count <= T exactly: an empty band.
-  const bool sense_noise = silicon != nullptr;
   const ChargeDecisionBand band =
-      sense_noise ? charge_decision_band(charge_, cols_, threshold)
-                  : ChargeDecisionBand{threshold + 1, threshold + 1};
+      silicon != nullptr ? charge_decision_band(charge_, cols_, threshold)
+                         : ChargeDecisionBand{threshold + 1, threshold + 1};
+  const auto band_low = static_cast<std::uint32_t>(band.hit_below);
+  const auto band_width =
+      static_cast<std::uint32_t>(band.miss_from - band.hit_below);
   // The active tier counts the store block by block, once per pass while
   // the block is in cache (tombstoned and padding slots are counted too —
   // cheaper than skipping — and masked below).
   const std::size_t slots = rows.rows();
   const std::size_t pass_count = passes.size();
   const auto count_block = active_kernel_ops().count_block;
+  // The in-band state (pass streams, one row's packed and lane words),
+  // made when the first in-band live row shows.
   std::vector<Rng> pass_rngs;
-  if (sense_noise) {
-    pass_rngs.reserve(pass_count);
-    for (const PassSpec& pass : passes)
-      pass_rngs.push_back(query_rng.fork(pass.salt));
-  }
-  std::vector<std::uint64_t> row_words(sense_noise ? rows.words_per_row() : 0);
-  std::vector<std::uint64_t> lane_words(row_words.size());
+  std::vector<std::uint64_t> row_words;
+  std::vector<std::uint64_t> lane_words;
   const SenseAmp sense_amp(charge_.sa_noise_sigma);
   const double vref = charge_vref(threshold, cols_, charge_.vdd);
   std::vector<BlockCounts> blocks(pass_count);
@@ -119,23 +157,32 @@ std::vector<PassResult> CircuitBackend::run_passes(
       // Out-of-band decisions straight from the kernel's count < hit_below
       // words; dead and padding slots are masked out.
       std::uint64_t word = blocks[p].below[in_block / kWordBits] & live;
-      if (band.hit_below < band.miss_from) {
+      const std::uint16_t* counts = blocks[p].counts + in_block;
+      if (band_width != 0 && any_in_band(counts, band_low, band_width)) {
         // In-band live rows settle on their silicon and draw SA noise
         // keyed by global segment id: placement-invariant.
-        const std::uint16_t* counts = blocks[p].counts + in_block;
         std::uint64_t in_band = 0;
         for (std::size_t bit = 0; bit < kWordBits; ++bit)
           in_band |= std::uint64_t{band.contains(counts[bit])} << bit;
-        for (in_band &= live; in_band != 0; in_band &= in_band - 1) {
+        in_band &= live;
+        if (in_band != 0 && pass_rngs.empty()) {
+          pass_rngs.reserve(pass_count);
+          for (const PassSpec& pass : passes)
+            pass_rngs.push_back(query_rng.fork(pass.salt));
+          row_words.resize(rows.words_per_row());
+          lane_words.resize(row_words.size());
+        }
+        for (; in_band != 0; in_band &= in_band - 1) {
           const auto bit =
               static_cast<std::size_t>(std::countr_zero(in_band));
           const std::size_t slot = first + bit;
+          const std::uint64_t id = directory.ids[slot];
           rows.gather_row(slot, row_words.data());
           mismatch_words(row_words.data(), *passes[p].view,
                          lane_words.data());
-          const double vml = (*silicon)[slot / array_rows_]->settle_row(
-              slot % array_rows_, lane_words, charge_.vdd);
-          Rng decide_rng = pass_rngs[p].fork(directory.ids[slot]);
+          const double vml =
+              row_silicon(*silicon, id).settle(lane_words, charge_.vdd);
+          Rng decide_rng = pass_rngs[p].fork(id);
           const bool hit = sense_amp.below(vml, vref, decide_rng);
           word |= std::uint64_t{hit} << bit;
         }

@@ -77,8 +77,8 @@ struct AsmcapConfig {
   /// Router-level shard pruning (probed on each bank's row store).
   PruningParams pruning;
   /// Seed of the sharded router's master query stream and of the
-  /// manufactured-silicon stream. Every written row's analog silicon is
-  /// drawn from Rng(seed).fork(0x51C0).fork(global segment id), so a noisy
+  /// manufactured-silicon stream. Every row's analog silicon is drawn
+  /// from Rng(seed).fork(0x51C0).fork(global segment id), so a noisy
   /// decision is a pure function of (seed, global id, query stream) —
   /// independent of row, array, and bank placement. The sharded router
   /// builds every bank (hot and cold) with its own seed unchanged, so all

@@ -14,10 +14,9 @@
 // tables geometrically: a bank append without tombstones costs amortised
 // O(appended rows), and the load holds one copy of each bank, never two.
 // While a pin lives, each bank an append writes is cloned first (flat
-// vector copies), as every bank was before. On a noisy bank an append draws each new row's
-// silicon once, copies a folded row's from the hot bank, and builds a new
-// silicon block for each array it writes (one array's rows × cols
-// capacitances, a copy of the shared block). The id <->
+// vector copies), as every bank was before. A noisy load costs what an
+// ideal one does: an append draws no silicon (a row's is drawn the first
+// time it senses in the noise band). The id <->
 // (record, offset) mapping is preserved in a ReferenceIndex so search
 // results can be reported against the original record names instead of
 // raw segment ids.

@@ -134,12 +134,10 @@ void ShardedAccelerator::fold_into_cold(
   // order: deterministic whatever slot-recycling history the hot bank
   // had), then the batch's rows: one block, which each receiving cold
   // bank takes its share of. The hot bank is only read and leaves the
-  // epoch; the cold banks copy the staged rows' silicon from it.
+  // epoch.
   std::vector<std::pair<std::uint64_t, Sequence>> staged;
-  std::shared_ptr<const AsmcapAccelerator> hot;
   if (next.has_hot) {
-    hot = next.banks.back();
-    staged = hot->live_segments();
+    staged = next.banks.back()->live_segments();
     std::sort(staged.begin(), staged.end(),
               [](const std::pair<std::uint64_t, Sequence>& a,
                  const std::pair<std::uint64_t, Sequence>& b) {
@@ -176,7 +174,7 @@ void ShardedAccelerator::fold_into_cold(
         std::min(next.banks[s]->free_capacity(), fold_rows.size() - j);
     if (take == 0) continue;
     build.writes.push_back(touch(build, s).prepare_append(
-        fold_rows.subspan(j, take), fold_ids.subspan(j, take), hot.get()));
+        fold_rows.subspan(j, take), fold_ids.subspan(j, take)));
     j += take;
   }
 }

@@ -55,9 +55,9 @@
 // with no new rows. An epoch thus copies the rows it writes (into the
 // fresh hot bank, or into the fold's one block of rows, which each
 // receiving cold bank takes its share of) and clones the banks it writes
-// only while a pin lives; a noisy bank's silicon blocks are shared
-// between epochs, and only the arrays an epoch writes get new ones (a
-// folded row carries its silicon along). Global segment ids are stable
+// only while a pin lives; a write draws no silicon (a noisy bank draws a
+// row's silicon when the row first senses in the noise band, into a memo
+// its clones share). Global segment ids are stable
 // across append, delete, and rebalance: an id is assigned once, never
 // reused, and (because every per-decision RNG stream AND the row's
 // manufactured silicon are keyed by global id, with every bank built from
@@ -212,13 +212,10 @@ class ShardedAccelerator {
   void set_error_profile(const ErrorRates& rates) { rates_ = rates; }
   const ErrorRates& error_profile() const { return rates_; }
 
-  /// Switches every current bank's backend kind. Switching to
-  /// Circuit builds each bank's silicon from the per-id streams
-  /// (AsmcapAccelerator::set_backend), so it costs one circuit write per
-  /// live row; set the backend before loading to skip that. Control-plane
-  /// only, and (unlike append/remove, which clone while a pin lives) NOT
-  /// safe while tickets are in flight: every bank is switched in place,
-  /// pinned or not.
+  /// Switches every current bank's backend kind; it draws no silicon
+  /// (AsmcapAccelerator::set_backend). Control-plane only, and (unlike
+  /// append/remove, which clone while a pin lives) NOT safe while tickets
+  /// are in flight: every bank is switched in place, pinned or not.
   void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
 
@@ -351,10 +348,8 @@ class ShardedAccelerator {
   /// every staged id) into the cold banks' free rows: each cold bank in
   /// shard order, created on demand up to shard_count_, takes as many as
   /// it has room for in one append. The hot bank is read, never written,
-  /// and dropped from the epoch; on noisy banks its staged rows' silicon
-  /// is copied into the cold banks, not drawn again. Caller guarantees
-  /// the rows fit the cold free capacity (the append/delete capacity
-  /// invariant).
+  /// and dropped from the epoch. Caller guarantees the rows fit the cold
+  /// free capacity (the append/delete capacity invariant).
   void fold_into_cold(EpochBuild& build, std::span<const Sequence> rows,
                       std::span<const std::uint64_t> ids) const;
   /// Shards of `db` to dispatch for `plan`, ascending. All banks when

@@ -1,7 +1,5 @@
 #include "cam/charge_readout.h"
 
-#include <algorithm>
-#include <span>
 #include <stdexcept>
 
 namespace asmcap {
@@ -36,30 +34,18 @@ bool ChargeArrayReadout::decide(double vml, std::size_t threshold,
                           search_rng);
 }
 
-void ArraySilicon::manufacture_row(std::size_t row,
-                                   const ChargeDomainParams& params,
-                                   Rng& rng) {
+RowSilicon::RowSilicon(std::size_t cols, const ChargeDomainParams& params,
+                       Rng& rng)
+    : caps(cols) {
   // The draw order of ChargeArrayReadout's constructor: capacitors, then
   // the residual SA offset.
-  totals[row] = draw_capacitances(std::span(caps).subspan(row * cols, cols),
-                                  params, rng);
-  offsets[row] = rng.normal(0.0, params.sa_offset_sigma);
+  total = draw_capacitances(caps, params, rng);
+  offset = rng.normal(0.0, params.sa_offset_sigma);
 }
 
-double ArraySilicon::settle_row(std::size_t row,
-                                const std::vector<std::uint64_t>& lane_words,
-                                double vdd) const {
-  return divider_vml(std::span(caps).subspan(row * cols, cols), lane_words,
-                     totals[row], vdd) +
-         offsets[row];
-}
-
-void ArraySilicon::copy_row(std::size_t row, const ArraySilicon& from,
-                            std::size_t from_row) {
-  std::copy_n(from.caps.begin() + static_cast<std::ptrdiff_t>(from_row * cols),
-              cols, caps.begin() + static_cast<std::ptrdiff_t>(row * cols));
-  totals[row] = from.totals[from_row];
-  offsets[row] = from.offsets[from_row];
+double RowSilicon::settle(const std::vector<std::uint64_t>& lane_words,
+                          double vdd) const {
+  return divider_vml(caps, lane_words, total, vdd) + offset;
 }
 
 }  // namespace asmcap

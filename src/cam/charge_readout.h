@@ -1,6 +1,6 @@
 #pragma once
-// Charge-domain (capacitive) readout of a whole array, in two forms over
-// one model (circuit/capacitor.h's draw and divider):
+// Charge-domain (capacitive) readout, in two forms over one model
+// (circuit/capacitor.h's draw and divider):
 //
 //  * ChargeArrayReadout — one CapacitorBank per row (manufactured once, so
 //    mismatch is systematic silicon), a systematic SA offset per row, and
@@ -9,15 +9,13 @@
 //    into the settled V_ML, and decide draws the SA noise from the
 //    caller's stream. Search energy is a pure function of the mismatch
 //    count (matchline(row).search_energy), so callers book it themselves.
-//  * ArraySilicon — the same silicon flat, as a bank stores it: one block
-//    per array holding every row's capacitances, total and SA offset,
-//    written row by row from per-row streams and shared between a bank's
-//    epochs (asmcap/accelerator.h).
+//  * RowSilicon — one row's silicon, flat, as a noisy bank's pass draws it
+//    from the row's own stream the first time the row senses in the noise
+//    band (asmcap/backend.h's SiliconMemo keeps it).
 //
 // Thread-safety: the const members are thread-safe — concurrent passes
-// share one readout or block, each drawing from its own RNG stream. An
-// ArraySilicon is written only before it is shared (a bank publishes its
-// blocks as shared_ptr<const ArraySilicon>).
+// share one readout or row, each drawing from its own RNG stream. A
+// RowSilicon is written only by its constructor.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,34 +61,24 @@ class ChargeArrayReadout {
   SenseAmp sense_amp_;
 };
 
-/// One array's manufactured silicon, flat: row r's capacitances at
-/// caps[r * cols, (r + 1) * cols), its total capacitance (summed in
-/// ascending cell order) and its systematic SA offset. A row manufactured
-/// here from a stream equals row 0 of ChargeArrayReadout(1, cols, params,
-/// stream), and settle_row gives what that readout's settle_row does.
-/// Rows never written stay zero and must never decide.
-struct ArraySilicon {
-  ArraySilicon(std::size_t rows, std::size_t width)
-      : cols(width), caps(rows * width), totals(rows), offsets(rows) {}
+/// One row's manufactured silicon: its capacitances, their total
+/// (summed in ascending cell order) and its systematic SA offset. Drawn
+/// from a stream, it equals row 0 of ChargeArrayReadout(1, cols, params,
+/// stream), and settle gives what that readout's settle_row does.
+struct RowSilicon {
+  /// Draws `cols` capacitances, then the SA offset, from `rng` — one fresh
+  /// stream per row: Rng::normal caches its second deviate, so the offset
+  /// must follow the capacitances on the same stream.
+  RowSilicon(std::size_t cols, const ChargeDomainParams& params, Rng& rng);
 
-  /// Draws row `row`'s capacitances, then its SA offset, from `rng` — one
-  /// fresh stream per row: Rng::normal caches its second deviate, so the
-  /// offset must follow the capacitances on the same stream.
-  void manufacture_row(std::size_t row, const ChargeDomainParams& params,
-                       Rng& rng);
-  /// Copies row `from_row` of `from` (same cols) into row `row`.
-  void copy_row(std::size_t row, const ArraySilicon& from,
-                std::size_t from_row);
-  /// Row `row`'s settled V_ML for the cells flagged in `lane_words`
-  /// (lane_word_count(cols) words), plus its SA offset.
-  double settle_row(std::size_t row,
-                    const std::vector<std::uint64_t>& lane_words,
-                    double vdd) const;
+  /// The settled V_ML for the cells flagged in `lane_words`
+  /// (lane_word_count(cols) words), plus the SA offset.
+  double settle(const std::vector<std::uint64_t>& lane_words,
+                double vdd) const;
 
-  std::size_t cols;
   std::vector<double> caps;
-  std::vector<double> totals;
-  std::vector<double> offsets;  ///< Systematic per-row SA offsets [V].
+  double total = 0.0;
+  double offset = 0.0;  ///< Systematic SA offset [V].
 };
 
 }  // namespace asmcap

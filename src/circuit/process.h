@@ -29,7 +29,6 @@ struct ChargeDomainParams {
   double t_sense = 0.3e-9;
 
   double search_time() const { return t_sl_drive + t_settle + t_sense; }
-  bool operator==(const ChargeDomainParams&) const = default;
 };
 
 /// Current-domain (EDAM) matchline parameters.

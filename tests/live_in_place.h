@@ -16,39 +16,26 @@
 #include "asmcap/accelerator.h"
 #include "asmcap/config.h"
 #include "asmcap/sharded.h"
-#include "cam/charge_readout.h"
 #include "genome/sequence.h"
 #include "util/bitvec.h"
 
 namespace asmcap {
 
-/// What a bank shows: slot ids, live bits, live rows, silicon block
-/// pointers and its load ledger.
+/// What a bank shows: slot ids, live bits, live rows and its load
+/// ledger.
 struct BankState {
   std::vector<std::uint64_t> ids;
   BitVec live;
   std::vector<std::pair<std::uint64_t, Sequence>> rows;
-  std::vector<const ArraySilicon*> silicon;
   double load_energy = 0.0;
   double load_latency = 0.0;
 
   bool operator==(const BankState&) const = default;
-  /// Equal but for the silicon block pointers (another router's banks
-  /// hold the same silicon in blocks of their own).
-  bool same_rows(const BankState& other) const {
-    return ids == other.ids && live == other.live && rows == other.rows &&
-           load_energy == other.load_energy &&
-           load_latency == other.load_latency;
-  }
 };
 
 inline BankState bank_state(const AsmcapAccelerator& bank) {
-  BankState state{bank.directory().ids,    bank.directory().live,
-                  bank.live_segments(),    {},
-                  bank.load_energy_joules(), bank.load_latency_seconds()};
-  state.silicon.reserve(bank.silicon().size());
-  for (const auto& block : bank.silicon()) state.silicon.push_back(block.get());
-  return state;
+  return {bank.directory().ids, bank.directory().live, bank.live_segments(),
+          bank.load_energy_joules(), bank.load_latency_seconds()};
 }
 
 /// The published epoch as the router's accessors show it — number, id

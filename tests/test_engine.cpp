@@ -166,13 +166,14 @@ TEST_F(EngineTest, FunctionalEnergyTracksCircuitEnergy) {
 /// layout (slot s holds id 1000 + 3s), tombstoned rows (every fifth row,
 /// the whole of array 1, and any slot in `extra_dead`), and one all-dead
 /// array. Each slot's silicon is a one-row ChargeArrayReadout, the
-/// reference model; the pass reads the same silicon as one flat block per
-/// array, copied cell by cell from the readouts.
+/// reference model, drawn from the stream the pass draws the row's
+/// silicon from (Rng(seed).fork(0x51C0).fork(id)) into the bank's memo,
+/// which starts empty.
 struct HandBuiltBank {
   AsmcapConfig config;
   std::vector<Sequence> rows;
   std::vector<ChargeArrayReadout> readouts;  ///< Per slot, one row each.
-  BankSilicon silicon;
+  std::shared_ptr<SiliconMemo> silicon;
   LiveDirectory dir;
   SlicedRowStore store;
 };
@@ -180,12 +181,12 @@ struct HandBuiltBank {
 HandBuiltBank hand_built_bank(const AsmcapConfig& config,
                               const std::vector<Sequence>& segments,
                               const std::vector<std::size_t>& extra_dead = {}) {
-  HandBuiltBank bank{config, segments, {}, {}, {},
-                     SlicedRowStore(segments, config.array_cols)};
+  HandBuiltBank bank{config, segments, {}, std::make_shared<SiliconMemo>(),
+                     {}, SlicedRowStore(segments, config.array_cols)};
   const std::size_t rows = config.array_rows;
   const std::size_t cols = config.array_cols;
   const std::size_t arrays = (segments.size() + rows - 1) / rows;
-  const Rng silicon_root(77);
+  const Rng silicon_root = Rng(config.seed).fork(0x51C0);
   bank.dir.array_live.assign(arrays, 0);
   for (std::size_t slot = 0; slot < segments.size(); ++slot) {
     const std::size_t a = slot / rows;
@@ -202,23 +203,12 @@ HandBuiltBank hand_built_bank(const AsmcapConfig& config,
       ++bank.dir.live_count;
     }
   }
-  for (std::size_t a = 0; a < arrays; ++a) {
-    auto block = std::make_shared<ArraySilicon>(rows, cols);
-    for (std::size_t r = 0; r < rows && a * rows + r < segments.size(); ++r) {
-      const ChargeArrayReadout& readout = bank.readouts[a * rows + r];
-      for (std::size_t c = 0; c < cols; ++c)
-        block->caps[r * cols + c] = readout.matchline(0).capacitance(c);
-      block->totals[r] = readout.matchline(0).total_capacitance();
-      block->offsets[r] = readout.row_offset(0);
-    }
-    bank.silicon.push_back(std::move(block));
-  }
   return bank;
 }
 
 /// One pass run alone: a one-pass list.
 PassResult run_alone(const CircuitBackend& pass, const HandBuiltBank& bank,
-                     const BankSilicon* silicon,
+                     SiliconMemo* silicon,
                      const PackedReadView& view, std::size_t threshold,
                      const Rng& query_rng, std::uint64_t salt) {
   const PassSpec spec{&view, salt};
@@ -258,7 +248,7 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
         const std::size_t threshold = 4;
         const std::uint64_t salt = mode == MatchMode::EdStar ? 0 : 0x4844;
         const PassResult got = run_alone(
-            pass, bank, &bank.silicon,
+            pass, bank, bank.silicon.get(),
             PackedReadView(read, mode == MatchMode::EdStar), threshold,
             query_rng, salt);
 
@@ -300,10 +290,13 @@ TEST_F(EngineTest, NoisyCircuitPassMatchesPerRowReference) {
       }
     }
     EXPECT_GT(in_band, 0u) << "offset " << offset_sigma;
-    if (offset_sigma == 0.5)
+    if (offset_sigma == 0.5) {
       EXPECT_EQ(out_of_band, 0u) << "offset " << offset_sigma;
-    else
+      // Every live row sensed in the band, and only live rows drew.
+      EXPECT_EQ(bank.silicon->size(), bank.dir.live_count);
+    } else {
       EXPECT_GT(out_of_band, 0u) << "offset " << offset_sigma;
+    }
   }
 }
 
@@ -485,7 +478,7 @@ TEST(EngineWords, SweepEqualsOnePassAtATime) {
       config.process.charge.sa_offset_sigma = 15e-3;
       const HandBuiltBank bank =
           hand_built_bank(config, segments, {255, 256, 299});
-      const BankSilicon* silicon = ideal ? nullptr : &bank.silicon;
+      SiliconMemo* silicon = ideal ? nullptr : bank.silicon.get();
       const CircuitBackend pass(config);
       const Rng query_rng(911);
 
@@ -676,9 +669,9 @@ TEST(EngineWords, ExecuteCombinesPassesLikePerSlotReference) {
 }
 
 TEST_F(EngineTest, BackendSwitchIsLive) {
-  // On a noisy config, switching to Functional drops the bank's silicon
-  // and senses ideally; switching back rebuilds the per-id silicon the
-  // bank was born with, so the noisy decisions come back bit for bit.
+  // On a noisy config, switching to Functional senses ideally; switching
+  // back senses on the same per-id silicon, so the noisy decisions come
+  // back bit for bit.
   AsmcapAccelerator accel(small_config(/*ideal=*/false));
   accel.load_reference(segments_);
   EXPECT_EQ(accel.backend_kind(), BackendKind::Circuit);

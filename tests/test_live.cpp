@@ -15,14 +15,18 @@
 //    (a hot bank of no rows included) never change decisions;
 //  * probe consistency — shard pruning stays decision-neutral across
 //    mutations;
-//  * lazy circuit state — a functional bank switched to the circuit
+//  * backend switching — a functional bank switched to the circuit
 //    backend decides exactly like one that was Circuit from birth;
 //  * silicon follows its id — on a noisy router where every row settles
 //    on its silicon, every bank's pass decides like a per-row reference
 //    that manufactures each live row alone from its id's stream, through
 //    appends at the hot bank's edges, removes, recycled slots and folds;
 //  * clone isolation — mutating a clone never leaks into its original,
-//    and appending to a noisy clone never writes the original's silicon;
+//    noisy banks sharing one silicon memo included;
+//  * the silicon memo under concurrent search — a noisy router searched
+//    through the service on 4 workers decides the same with every memo
+//    cold (each row's silicon drawn on its first in-band sensing, by
+//    whichever worker gets there first) and warm, and as pinned;
 //  * mutation histories — seeded random append / remove / compact /
 //    search sequences on 1, 2 and 4 shards, checked after every step
 //    against a slot-level model of the placement rules, against a fresh
@@ -43,6 +47,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -430,12 +435,12 @@ void expect_same_totals(const ExecutionTotals& a, const ExecutionTotals& b) {
   EXPECT_EQ(a.energy_joules, b.energy_joules);
 }
 
-// A functional bank holds no circuit state; switching it to the circuit
-// backend builds every live row's silicon from its per-id stream. That
-// must be indistinguishable from a bank that was Circuit from birth with
-// the same history — decisions, match ids, latency, energy, and ledger
-// totals, under noisy sensing — through hot-bank overflow, deletes,
-// tombstone-slot recycling, and compaction, and on a clone too.
+// A functional bank senses no noise; switched to the circuit backend, it
+// senses on the per-id silicon. That must be indistinguishable from a
+// bank that was Circuit from birth with the same history — decisions,
+// match ids, latency, energy, and ledger totals, under noisy sensing —
+// through hot-bank overflow, deletes, tombstone-slot recycling, and
+// compaction, and on a clone too.
 TEST_F(LiveDbTest, LazyCircuitStateMatchesCircuitFromBirth) {
   // A large per-row SA offset — silicon, not query noise — makes decisions
   // near the threshold depend on which silicon each row was built with.
@@ -647,6 +652,90 @@ TEST_F(LiveDbTest, NoisySiliconFollowsItsId) {
   }
 }
 
+// The silicon memo under concurrent search. A noisy 128-column router (2
+// shards of 4 x 64 rows) is searched at T = 32 (5 TASR passes per read)
+// through SearchService on 4 workers, twice. The first ticket finds every
+// memo empty, so the workers draw each in-band row's silicon as they
+// first sense it, racing for the rows that several reads share; the
+// second finds the memos warm and draws nothing. Both tickets' decisions
+// and energies must match a digest pinned on the code that drew every
+// row's silicon when it wrote the row, and energy is count-pure, so the
+// two agree read for read. The second ticket forks its streams from
+// another batch epoch than the first, so a twin router, whose first
+// ticket senses ideally, runs the same second ticket on cold memos: warm
+// and cold must agree read for read. The thread-sanitize CI job repeats
+// this case.
+TEST_F(LiveDbTest, NoisySiliconMemoFillsUnderConcurrentSearch) {
+  constexpr std::size_t kThreshold = 32;
+  constexpr std::uint64_t kPinned = 0x042cc4e7dc992425;
+  AsmcapConfig config;
+  config.array_rows = 64;
+  config.array_cols = 128;
+  config.array_count = 4;
+  config.ideal_sensing = false;
+  Rng rng(2330);
+  const Sequence reference = generate_reference(128 * 512 + 256, {}, rng);
+  std::vector<Sequence> rows = segment_reference(reference, 128);
+  rows.resize(512);
+  // Stored rows with 8..71 substitutions, so that counts spread over the
+  // band.
+  std::vector<Sequence> reads;
+  for (std::size_t i = 0; i < 48; ++i) {
+    Sequence read = rows[rng.below(rows.size())];
+    for (std::uint64_t e = 8 + rng.below(64); e > 0; --e)
+      read.set(rng.below(read.size()),
+               base_from_code(static_cast<std::uint8_t>(rng.below(4))));
+    reads.push_back(read);
+  }
+  const auto search = [&](ShardedAccelerator& router) {
+    SearchService service(router);
+    SearchService::Options options;
+    options.workers = 4;
+    return service
+        .submit_borrowed(reads, kThreshold, StrategyMode::Full, options)
+        ->drain();
+  };
+  const auto drawn = [](const ShardedAccelerator& router) {
+    std::size_t rows_drawn = 0;
+    for (std::size_t s = 0; s < router.active_shards(); ++s)
+      rows_drawn += router.shard(s).silicon()->size();
+    return rows_drawn;
+  };
+
+  ShardedAccelerator router(config, 2);
+  router.load_reference(rows);
+  ASSERT_EQ(drawn(router), 0u);
+  const std::vector<QueryResult> cold = search(router);
+  const std::size_t cold_drawn = drawn(router);
+  EXPECT_GT(cold_drawn, 0u);
+  EXPECT_LT(cold_drawn, rows.size());
+  const std::vector<QueryResult> warm = search(router);
+  EXPECT_EQ(drawn(router), cold_drawn);
+
+  DecisionDigest digest;
+  ASSERT_EQ(cold.size(), reads.size());
+  ASSERT_EQ(warm.size(), reads.size());
+  for (const std::vector<QueryResult>* run : {&cold, &warm})
+    for (const QueryResult& result : *run) {
+      EXPECT_EQ(result.plan.total_searches(), 5u);
+      digest.add_u64(result.matched_segments.size());
+      for (const std::size_t id : result.matched_segments) digest.add_u64(id);
+      digest.add_u64(std::bit_cast<std::uint64_t>(result.energy_joules));
+    }
+  EXPECT_EQ(digest.value(), kPinned) << std::hex << digest.value();
+  for (std::size_t i = 0; i < reads.size(); ++i)
+    EXPECT_EQ(cold[i].energy_joules, warm[i].energy_joules) << "read " << i;
+
+  ShardedAccelerator twin(config, 2);
+  twin.load_reference(rows);
+  twin.set_backend(BackendKind::Functional);
+  search(twin);
+  twin.set_backend(BackendKind::Circuit);
+  ASSERT_EQ(drawn(twin), 0u);
+  expect_same_results(search(twin), warm);
+  EXPECT_EQ(drawn(twin), cold_drawn);
+}
+
 // A clone shares no state with its original: removing rows from the clone
 // must leave the original's execute() results untouched and show up in
 // the clone's exactly as if the original had removed them — on both
@@ -697,10 +786,11 @@ TEST_F(LiveDbTest, CloneIsIsolatedFromItsOriginal) {
   // row's silicon: a stored row read back (no mismatches) decides on its
   // own SA offset alone, so the original's decisions over its 30 rows
   // fingerprint their silicon. The clone shares the original's silicon
-  // blocks, and its append recycles 20 slots still live in the original,
-  // so it must write new blocks, never the shared ones: the original
-  // must decide, and book energy, bit for bit as before, and the clone
-  // like a twin with the same history.
+  // memo, and its append recycles 20 slots still live in the original
+  // with new ids, whose rows must settle on their own silicon, never on
+  // their slots' former occupants': the original must decide, and book
+  // energy, bit for bit as before, and the clone like a twin with the
+  // same history.
   SCOPED_TRACE("noisy append");
   AsmcapConfig noisy = bank_config(3, /*ideal=*/false);
   noisy.process.charge.sa_offset_sigma = 0.5;
@@ -840,7 +930,7 @@ TEST_F(LiveDbTest, UnpinnedMutationsWriteBanksInPlace) {
       EXPECT_EQ(after.id_space, twin_after.id_space);
       EXPECT_EQ(after.live, twin_after.live);
       for (std::size_t s = 0; s < after.banks.size(); ++s)
-        EXPECT_TRUE(after.states[s].same_rows(twin_after.states[s]))
+        EXPECT_TRUE(after.states[s] == twin_after.states[s])
             << "bank " << s;
       std::vector<QueryResult> got;
       std::vector<QueryResult> want;
@@ -857,7 +947,7 @@ TEST_F(LiveDbTest, UnpinnedMutationsWriteBanksInPlace) {
 
 // A db() snapshot or a live ticket pins its epoch: whatever the router
 // publishes while it lives, every bank it pins stays bit-identical — slot
-// ids, live bits, rows and silicon block pointers — and each bank that a
+// ids, live bits, rows and load ledger — and each bank that a
 // mutation writes while the pin lives is cloned first, whichever epoch it
 // came from, so the new epoch holds a new object there. The ticket still
 // returns its epoch's results.
@@ -915,7 +1005,7 @@ TEST_F(LiveDbTest, PinsKeepTheirBanksBitIdentical) {
 }
 
 // A rejected mutation leaves the published epoch exactly as it was —
-// number, bank objects, slot ids, live bits, rows, silicon and ledgers —
+// number, bank objects, slot ids, live bits, rows and ledgers —
 // for every DbErrorKind a router mutation throws and for a width
 // mismatch; the bank-level DuplicateId leaves its bank as it was. The
 // next valid mutation still writes in place.

@@ -112,7 +112,7 @@ void expect_failures_change_nothing(
     ASSERT_EQ(after.banks.size(), want.banks.size());
     EXPECT_EQ(after.number, want.number);
     for (std::size_t s = 0; s < want.banks.size(); ++s)
-      EXPECT_TRUE(after.states[s].same_rows(want.states[s]))
+      EXPECT_TRUE(after.states[s] == want.states[s])
           << "bank " << s << ", allocation " << k;
     for (const std::size_t s : step.written)
       EXPECT_EQ(after.banks[s], before.banks[s]) << "bank " << s;
@@ -122,10 +122,9 @@ void expect_failures_change_nothing(
 }
 
 // Failing each allocation of a mutation in turn — among them the room an
-// in-place bank makes in its row store, directory and id index, and a
-// noisy bank's new silicon blocks — leaves the published epoch exactly as
-// it was, bank objects included, even when the mutation writes several
-// banks. Once every allocation succeeds, the mutation writes its banks in
+// in-place bank makes in its row store, directory and id index — leaves
+// the published epoch exactly as it was, bank objects included, even when
+// the mutation writes several banks, on ideal and noisy banks alike. Once every allocation succeeds, the mutation writes its banks in
 // place and ends as on a router that never failed. The router never asks
 // a bank for a slot past its capacity, so the row store's growth cannot
 // be made to fail with an impossible size here, as test_kernels does it;

@@ -161,8 +161,8 @@ same_tsv_across_workers() {
 same_tsv_across_workers workers "$WORK/ref.fa" "$WORK/reads.fq" \
   --arrays 4 --shards 2 --threshold 12
 # The noisy path, on a reference (800 segments) whose load publishes
-# several epochs: their banks share silicon blocks, which every worker
-# reads.
+# several epochs: each bank's silicon memo is filled by whichever worker
+# first senses a row in the noise band.
 "$TESTGEN" "$WORK/noisy.fa" "$WORK/noisy.fq" \
   --width 128 --records 2 --tiles 400 --reads 300 --seed 11
 same_tsv_across_workers noisy_workers "$WORK/noisy.fa" "$WORK/noisy.fq" \
